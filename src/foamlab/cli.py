@@ -195,7 +195,7 @@ def _cmd_check(args, policy) -> int:
     c = _load(args.input)
     report = cl.validate(c)
     if not report.ok:
-        print(f"Invalid: {'; '.join(report.failures)}")
+        print(f"Invalid: {'; '.join(report.failures())}")
         return EXIT_FAIL
     verdict = classify(c, policy=policy)
     rep = residuals(c)

@@ -3,7 +3,9 @@
 A cluster of ``n`` regions is a chart point of dimension ``2v + e = 7n - 7``:
 vertex coordinates plus one signed bulge area per edge.  Region boundaries are
 never stored; they are derived walks obtained by rotating around vertices in
-counterclockwise tangent order.
+counterclockwise tangent order.  Areas and their derivatives need no walk: a
+region's walk is exactly the set of half-edges with it on the left, so they
+come from the edge labels through the signed incidence ``Cluster.incidence``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .geometry import (
     arc_properties,
     arc_tangent,
 )
-from .tolerances import DEFAULT, TolerancePolicy
 
 EXTERIOR = 0
 
@@ -126,7 +127,6 @@ class Cluster:
         stars: List[List[Tuple[float, HalfEdge]]] = [[] for _ in self.vertices]
         for j, ed in enumerate(self.edges):
             arc = self.arc_of(j)
-            phi = arc.phi
             stars[ed.tail].append((_angle(arc_tangent(arc, 0.0)), (j, True)))
             stars[ed.head].append((_angle(-arc_tangent(arc, 1.0)), (j, False)))
         return tuple(
@@ -208,6 +208,22 @@ class Cluster:
             )
         return walks
 
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Signed edge-region incidence S, shape (n, e), exterior row dropped:
+        +1 where region r is edge j's left label, -1 where it is its right.
+
+        Summing terms that flip sign with the traversal direction along every
+        region walk gives S times the per-edge terms, as ``region_walks`` holds.
+        """
+        S = np.zeros((self.n, self.e))
+        for j, ed in enumerate(self.edges):
+            if 1 <= ed.left <= self.n:
+                S[ed.left - 1, j] += 1.0
+            if 1 <= ed.right <= self.n:
+                S[ed.right - 1, j] -= 1.0
+        return S
+
 
 def _angle(u: complex) -> float:
     return math.atan2(u.imag, u.real)
@@ -217,46 +233,54 @@ def _angle(u: complex) -> float:
 # areas, perimeter, Jacobian
 
 
+def _chords(cluster: Cluster) -> Tuple[np.ndarray, np.ndarray]:
+    """Vertex positions (complex) and each edge's (tail, head) index pair."""
+    points = np.array([p.z for p in cluster.vertices], dtype=complex)
+    pairs = np.array([(ed.tail, ed.head) for ed in cluster.edges], dtype=int)
+    return points, pairs.reshape(-1, 2)
+
+
+def shoelace_terms(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """1/2 (p_a x p_b) for every pair (a, b) of indices into complex ``points``."""
+    return 0.5 * (points[pairs[:, 0]].conj() * points[pairs[:, 1]]).imag
+
+
+def shoelace_gradient(
+    points: np.ndarray, pairs: np.ndarray, rows: np.ndarray, n_rows: int
+) -> np.ndarray:
+    """Gradient of the shoelace terms in (x_0, y_0, x_1, y_1, ...), the term
+    of pair k summed into row ``rows[k]``; shape (n_rows, 2 * len(points))."""
+    a, b = pairs[:, 0], pairs[:, 1]
+    G = np.zeros((n_rows, points.size), dtype=complex)  # entries d/dx + i d/dy
+    np.add.at(G, (rows, a), -0.5j * points[b])
+    np.add.at(G, (rows, b), 0.5j * points[a])
+    return G.view(float)
+
+
 def region_areas(cluster: Cluster) -> np.ndarray:
-    """Enclosed area of each interior region (index 0 = region 1)."""
-    out = np.empty(cluster.n)
-    for r in range(1, cluster.n + 1):
-        out[r - 1] = cluster.face_area(cluster.region_walks[r])
-    return out
+    """Enclosed area of each interior region (index 0 = region 1), exactly
+    S @ (bulge + chord shoelace term) with S = ``cluster.incidence``."""
+    points, pairs = _chords(cluster)
+    bulges = np.array([ed.bulge for ed in cluster.edges])
+    return cluster.incidence @ (bulges + shoelace_terms(points, pairs))
 
 
 def perimeter(cluster: Cluster) -> float:
     return sum(arc_length(cluster.arc_of(j)) for j in range(cluster.e))
 
 
-def area_jacobian(
-    cluster: Cluster, policy: TolerancePolicy = DEFAULT
-) -> np.ndarray:
-    """d(areas)/d(chart), shape (n, 2v + e).
+def area_jacobian(cluster: Cluster) -> np.ndarray:
+    """d(areas)/d(chart), shape (n, 2v + e): exactly [S G | S].
 
-    Vertex columns by central differences with step ``policy.fd_step(diameter)``;
-    bulge columns are the exact +-1/0 incidence entries (areas are linear in
-    the bulges).
+    Areas are linear in the bulges and bilinear in the vertex coordinates;
+    G is the per-edge gradient of the chord shoelace terms.  Raises
+    :class:`StructuralError` when the labels disagree with the faces.
     """
-    h = policy.fd_step(cluster.diameter())
-    x0 = cluster.chart()
-    J = np.zeros((cluster.n, x0.size))
-    for k in range(2 * cluster.v):
-        xp = x0.copy()
-        xp[k] += h
-        xm = x0.copy()
-        xm[k] -= h
-        J[:, k] = (
-            region_areas(cluster.with_chart(xp))
-            - region_areas(cluster.with_chart(xm))
-        ) / (2.0 * h)
-    for j, ed in enumerate(cluster.edges):
-        col = 2 * cluster.v + j
-        if 1 <= ed.left <= cluster.n:
-            J[ed.left - 1, col] = 1.0
-        if 1 <= ed.right <= cluster.n:
-            J[ed.right - 1, col] = -1.0
-    return J
+    cluster.region_walks  # raises StructuralError unless the labels match the faces
+    points, pairs = _chords(cluster)
+    S = cluster.incidence
+    G = shoelace_gradient(points, pairs, np.arange(cluster.e), cluster.e)
+    return np.hstack([S @ G, S])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,21 +40,25 @@ from .geometry import (
 
 
 def mobius_apply_cluster(m: MobiusMap, cluster: Cluster) -> Cluster:
-    """Image cluster under a Mobius map whose pole avoids every arc."""
+    """Image cluster under a Mobius map whose pole avoids every arc.
+
+    A map moves only which face holds infinity.  A pole inside interior
+    region r makes r's image unbounded, which shows as its one negative
+    area; region ids 0 and r are then swapped on every edge.
+    """
     arcs = [mobius_apply_arc(m, cluster.arc_of(j)) for j in range(cluster.e)]
     verts = tuple(mobius_apply_point(m, p) for p in cluster.vertices)
-    edges = tuple(
-        ed.__class__(
-            id=ed.id,
-            tail=ed.tail,
-            head=ed.head,
-            bulge=arcs[j].bulge,
-            left=ed.left,
-            right=ed.right,
-        )
-        for j, ed in enumerate(cluster.edges)
-    )
-    return Cluster(verts, edges, cluster.region_count, cluster.region_labels)
+    edges = tuple(replace(ed, bulge=a.bulge) for ed, a in zip(cluster.edges, arcs))
+    image = Cluster(verts, edges, cluster.region_count, cluster.region_labels)
+    areas = region_areas(image)
+    if areas.min() >= 0.0:
+        return image
+    r = int(areas.argmin()) + 1
+    swap = {EXTERIOR: r, r: EXTERIOR}
+    return replace(image, edges=tuple(
+        replace(ed, left=swap.get(ed.left, ed.left), right=swap.get(ed.right, ed.right))
+        for ed in edges
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +788,8 @@ def random_mobius(cluster: Cluster, rng: np.random.Generator) -> MobiusMap:
 
     Composes a rotation, a mild scaling, a translation, and (half the time)
     an inversion about a point at least half a diameter away from every
-    vertex and arc sample, so that images remain bounded clusters.
+    vertex and arc sample.  That point may lie inside a bubble, whose image
+    is then the unbounded face (see :func:`mobius_apply_cluster`).
     """
     scale = cluster.diameter()
     centroid = sum(p.z for p in cluster.vertices) / cluster.v

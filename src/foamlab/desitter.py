@@ -22,7 +22,6 @@ traversals of each cluster edge give an antipodal pair.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -131,21 +130,10 @@ def minkowski_form(p: DeSitterPoint, q: DeSitterPoint) -> float:
 
 def junction_triples(cluster: Cluster) -> List[Tuple[DeSitterPoint, ...]]:
     """Per vertex, the outgoing carriers' de Sitter points in ccw order."""
-    triples = []
-    for star in cluster.vertex_stars:
-        ordered = sorted(
-            star,
-            key=lambda he: math.atan2(
-                cluster.outgoing_tangent(he).imag, cluster.outgoing_tangent(he).real
-            ),
-        )
-        triples.append(
-            tuple(
-                circle_to_point(arc_carrier(cluster.half_edge_arc(he)))
-                for he in ordered
-            )
-        )
-    return triples
+    return [
+        tuple(circle_to_point(arc_carrier(cluster.half_edge_arc(he))) for he in star)
+        for star in cluster.vertex_stars
+    ]
 
 
 @dataclass(frozen=True)

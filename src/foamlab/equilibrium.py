@@ -23,12 +23,11 @@ import numpy as np
 from .cluster import Cluster, region_areas
 from .errors import (
     NonConvergence,
-    NotConcurrent,
     PathInconsistent,
     StructuralError,
     TopologyBreakdown,
 )
-from .geometry import arc_carrier, arc_properties, second_intersection
+from .geometry import arc_properties
 from .tolerances import DEFAULT, TolerancePolicy
 
 
@@ -130,8 +129,10 @@ def classify(
 ) -> Verdict:
     """Equilibrium / quasi-equilibrium / neither, from the residual blocks.
 
-    An Equilibrium verdict is cross-checked by the concurrency test: the
-    three carriers at each vertex must share a second common point.
+    The two blocks are the whole test.  120-degree tangents plus a zero
+    curvature sum at a vertex already imply that its three carriers share a
+    second common point: that is the de Sitter rank-2 (collinearity)
+    condition that ``desitter.verify_correspondence`` measures.
     """
     if tol is None:
         tol = policy.residual_tol
@@ -142,12 +143,6 @@ def classify(
         return Verdict.NON_EQUILIBRIUM
     if not cocycle_ok:
         return Verdict.QUASI_EQUILIBRIUM
-    for i, star in enumerate(cluster.vertex_stars):
-        carriers = [arc_carrier(cluster.half_edge_arc(he)) for he in star]
-        try:
-            second_intersection(carriers, cluster.vertices[i], policy.concurrency_tol)
-        except NotConcurrent:
-            return Verdict.QUASI_EQUILIBRIUM
     return Verdict.EQUILIBRIUM
 
 
@@ -258,6 +253,7 @@ def solve(
         raise ValueError("target must have one area per interior region")
     if not (target > 0).all():
         raise ValueError("target areas must be positive")
+    initial.region_walks  # raises StructuralError unless the labels match the faces
 
     pin = initial.vertices[0]
     pin_he = initial.vertex_stars[0][0]

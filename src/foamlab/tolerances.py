@@ -23,8 +23,6 @@ class TolerancePolicy:
     residual_tol: float = 1e-9
     # pressure path-independence defect threshold (relative to curvature scale)
     pressure_defect_rel: float = 1e-6
-    # pairwise-intersection agreement for second_intersection
-    concurrency_tol: float = 1e-6
     # zero-mode cutoff on scale-invariant Hessian eigenvalues (lambda * diam^2);
     # measured spectra put spurious zeros below ~0.3 and true modes above ~5
     hessian_zero_scaled: float = 1.0
@@ -34,7 +32,7 @@ class TolerancePolicy:
 
 
 DEFAULT = TolerancePolicy()
-STRICT = TolerancePolicy(residual_tol=1e-11, rank_rel=1e-8, concurrency_tol=1e-8)
-LOOSE = TolerancePolicy(residual_tol=1e-6, rank_rel=1e-4, concurrency_tol=1e-4)
+STRICT = TolerancePolicy(residual_tol=1e-11, rank_rel=1e-8)
+LOOSE = TolerancePolicy(residual_tol=1e-6, rank_rel=1e-4)
 
 PROFILES = {"default": DEFAULT, "strict": STRICT, "loose": LOOSE}

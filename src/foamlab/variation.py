@@ -18,12 +18,19 @@ Two complementary probes of an equilibrium cluster:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
 
-from .cluster import Cluster, area_jacobian, region_areas
+from .cluster import (
+    Cluster,
+    area_jacobian,
+    region_areas,
+    shoelace_gradient,
+    shoelace_terms,
+)
 from .equilibrium import (
     SolveOptions,
     numeric_jacobian,
@@ -93,7 +100,7 @@ def tangent_dimension(
 
     rows = [numeric_jacobian(fun, x0, h), rigid_motion_basis(cluster)]
     if fix_areas:
-        rows.append(area_jacobian(cluster, policy))
+        rows.append(area_jacobian(cluster))
     stack = np.vstack(rows)
     u, sigma, vt = np.linalg.svd(stack)
     smax = sigma[0] if sigma.size else 1.0
@@ -133,29 +140,25 @@ class DiscreteCluster:
     point_index: Tuple[Tuple[int, ...], ...]
     normals: Tuple[np.ndarray, ...]
 
+    @cached_property
+    def segments(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(pairs, edge): every segment as a (P,)-index pair in tail-to-head
+        order, and the index of the edge it lies on."""
+        pairs = [np.column_stack([idx[:-1], idx[1:]]) for idx in self.point_index]
+        edge = np.repeat(np.arange(len(pairs)), [len(p) for p in pairs])
+        return np.vstack(pairs), edge
+
     def perimeter(self) -> float:
-        total = 0.0
-        for idx in self.point_index:
-            seg = self.points[list(idx)]
-            total += float(np.abs(np.diff(seg)).sum())
-        return total
+        pairs, _ = self.segments
+        return float(np.abs(self.points[pairs[:, 1]] - self.points[pairs[:, 0]]).sum())
 
     def region_areas(self) -> np.ndarray:
-        areas = np.zeros(self.cluster.n)
-        for r in range(1, self.cluster.n + 1):
-            a = 0.0
-            for he in self.cluster.region_walks[r]:
-                idx = list(self.point_index[he[0]])
-                if not he[1]:
-                    idx = idx[::-1]
-                seg = self.points[idx]
-                a += 0.5 * float(
-                    np.sum(
-                        seg[:-1].real * seg[1:].imag - seg[:-1].imag * seg[1:].real
-                    )
-                )
-            areas[r - 1] = a
-        return areas
+        """S times each edge's polyline shoelace sum (see ``region_areas``)."""
+        pairs, edge = self.segments
+        per_edge = np.bincount(
+            edge, weights=shoelace_terms(self.points, pairs), minlength=self.cluster.e
+        )
+        return self.cluster.incidence @ per_edge
 
 
 def discretize(cluster: Cluster, m: int) -> DiscreteCluster:
@@ -216,17 +219,6 @@ def _shoelace_hessian_update(H: np.ndarray, pairs: np.ndarray, w: float) -> None
         H[2 * b, 2 * a + 1] -= 0.5 * w
 
 
-def _shoelace_gradient(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    g = np.zeros(2 * points.size)
-    for a, b in pairs:
-        pa, pb = points[a], points[b]
-        g[2 * a] += 0.5 * pb.imag
-        g[2 * a + 1] -= 0.5 * pb.real
-        g[2 * b] -= 0.5 * pa.imag
-        g[2 * b + 1] += 0.5 * pa.real
-    return g
-
-
 @dataclass(frozen=True)
 class HessianReport:
     eigenvalues: np.ndarray  # ascending, of the projected mass-normalized pencil
@@ -249,30 +241,21 @@ def stability_report(
     area gradients, and diagonalized against the lumped segment-mass matrix
     so eigenvalues approximate the continuum second-variation spectrum.
     """
+    cluster.region_walks  # raises StructuralError unless the labels match the faces
     disc = discretize(cluster, m)
     press = pressures(cluster, policy)
     pts = disc.points
     P = pts.size
-
-    edge_pairs = [
-        np.column_stack([idx[:-1], idx[1:]])
-        for idx in (np.asarray(i) for i in disc.point_index)
-    ]
-    all_pairs = np.vstack(edge_pairs)
+    all_pairs, pair_edge = disc.segments
 
     H = _length_hessian(pts, all_pairs)
     for j, ed in enumerate(cluster.edges):
         kappa = press[ed.left] - press[ed.right]
         if kappa != 0.0:
-            _shoelace_hessian_update(H, edge_pairs[j], -kappa)
+            _shoelace_hessian_update(H, all_pairs[pair_edge == j], -kappa)
 
     # area gradients per interior region, in position coordinates
-    grads = np.zeros((cluster.n, 2 * P))
-    for r in range(1, cluster.n + 1):
-        for he in cluster.region_walks[r]:
-            pairs = edge_pairs[he[0]]
-            g = _shoelace_gradient(pts, pairs)
-            grads[r - 1] += g if he[1] else -g
+    grads = cluster.incidence @ shoelace_gradient(pts, all_pairs, pair_edge, cluster.e)
 
     # reduction matrix: full motion at junctions, normal motion inside arcs
     v = cluster.v
@@ -308,9 +291,10 @@ def stability_report(
     cx, cy = pts.real.mean(), pts.imag.mean()
     rigid_pos[2, 0::2] = -(pts.imag - cy)
     rigid_pos[2, 1::2] = pts.real - cx
-    # least-squares preimage under B (tangential parts are unrepresentable
-    # and energetically neutral, so the normal part is the right quotient)
-    rigid_dof = np.linalg.lstsq(B, rigid_pos.T, rcond=None)[0].T
+    # B's columns are unit vectors with disjoint supports, so B^T B = I and the
+    # least-squares preimage under B is exactly B^T (tangential parts are
+    # unrepresentable and energetically neutral: the normal part is the quotient)
+    rigid_dof = rigid_pos @ B
 
     constraints = np.vstack([A_dof, rigid_dof])
     u, s, vt = np.linalg.svd(constraints, full_matrices=True)

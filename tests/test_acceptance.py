@@ -290,3 +290,23 @@ class TestCriterion11NumericalHygiene:
                 - fl.region_areas(triple.with_chart(xm))
             ) / (2 * h)
             assert np.abs(J[:, k] - fd).max() < 1e-6
+
+    def test_exact_vertex_jacobian_matches_finite_differences(self, equilibrium_presets):
+        # the vertex columns are S G in closed form; central differences of
+        # the face-walk areas stay the oracle
+        for name, c in equilibrium_presets.items():
+            J = fl.area_jacobian(c)
+            h = 1e-6 * c.diameter()
+            x0 = c.chart()
+            for k in range(2 * c.v):
+                xp, xm = x0.copy(), x0.copy()
+                xp[k] += h
+                xm[k] -= h
+                cp, cm = c.with_chart(xp), c.with_chart(xm)
+                fd = np.array(
+                    [
+                        cp.face_area(cp.region_walks[r]) - cm.face_area(cm.region_walks[r])
+                        for r in range(1, c.n + 1)
+                    ]
+                ) / (2 * h)
+                assert np.abs(J[:, k] - fd).max() <= 1e-8 * np.abs(J).max(), (name, k)

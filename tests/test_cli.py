@@ -30,6 +30,14 @@ class TestNewAndCheck:
         assert run(["new", "quasi", "--kind", "four_stretched", "-o", str(out)]) == 0
         assert run(["check", str(out)]) == 1
 
+    def test_invalid_cluster_check_is_exit_1(self, tmp_path, capsys):
+        c = fl.double_bubble(1.0, 0.6)
+        dropped = fl.Cluster(c.vertices, c.edges[1:], c.region_count, c.region_labels)
+        bad = tmp_path / "bad.json"
+        bad.write_text(fl.dumps(dropped))
+        assert run(["check", str(bad)]) == 1
+        assert capsys.readouterr().out.startswith("Invalid: ")
+
     def test_output_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(["new", "flower", "-o", str(a)])

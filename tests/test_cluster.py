@@ -4,8 +4,27 @@ import pytest
 
 import foamlab as fl
 from foamlab.cluster import from_json_dict, to_json_dict
-from foamlab.errors import ClusterFormatError
+from foamlab.errors import ClusterFormatError, StructuralError
 from foamlab.geometry import arc_point
+
+
+def walk_areas(c):
+    """Region areas summed along the face walks: the oracle for the
+    incidence formula behind ``region_areas``."""
+    return np.array([c.face_area(c.region_walks[r]) for r in range(1, c.n + 1)])
+
+
+def fd_area_columns(c, columns):
+    """Central differences of the walk sums in the given chart columns."""
+    h = 1e-6 * c.diameter()
+    x0 = c.chart()
+    fd = np.empty((c.n, len(columns)))
+    for i, k in enumerate(columns):
+        xp, xm = x0.copy(), x0.copy()
+        xp[k] += h
+        xm[k] -= h
+        fd[:, i] = (walk_areas(c.with_chart(xp)) - walk_areas(c.with_chart(xm))) / (2 * h)
+    return fd
 
 
 class TestCombinatorics:
@@ -44,6 +63,13 @@ class TestAreas:
                 np.sum(z.real * np.roll(z, -1).imag - np.roll(z, -1).real * z.imag)
             )
             assert shoelace == pytest.approx(areas[r - 1], rel=1e-6)
+
+    def test_incidence_formula_matches_walk_sums(self, equilibrium_presets, rng):
+        for name, c in equilibrium_presets.items():
+            img = fl.mobius_apply_cluster(fl.random_mobius(c, rng), c)
+            for d in (c, img):
+                scale = d.diameter() ** 2
+                assert np.abs(fl.region_areas(d) - walk_areas(d)).max() < 1e-14 * scale, name
 
     def test_perimeter_positive_and_scales(self, double):
         p = fl.perimeter(double)
@@ -110,20 +136,44 @@ class TestAreaJacobian:
             s = np.linalg.svd(fl.area_jacobian(c), compute_uv=False)
             assert s.size == c.n and s[-1] > 1e-6 * s[0], name
 
-    def test_bulge_columns_match_finite_differences(self, triple):
-        J = fl.area_jacobian(triple)
-        h = 1e-6
-        x0 = triple.chart()
-        for j in range(triple.e):
-            k = 2 * triple.v + j
-            xp, xm = x0.copy(), x0.copy()
-            xp[k] += h
-            xm[k] -= h
-            fd = (
-                fl.region_areas(triple.with_chart(xp))
-                - fl.region_areas(triple.with_chart(xm))
-            ) / (2 * h)
-            assert J[:, k] == pytest.approx(fd, abs=1e-6)
+    def test_bulge_columns_match_finite_differences(self, equilibrium_presets):
+        for name, c in equilibrium_presets.items():
+            J = fl.area_jacobian(c)
+            cols = range(2 * c.v, 2 * c.v + c.e)
+            fd = fd_area_columns(c, cols)
+            assert np.abs(J[:, cols] - fd).max() <= 1e-8 * np.abs(J).max(), name
+
+    def test_vertex_columns_match_finite_differences(self, equilibrium_presets):
+        # areas are bilinear in the vertex coordinates, so central
+        # differences are exact up to roundoff
+        for name, c in equilibrium_presets.items():
+            J = fl.area_jacobian(c)
+            cols = range(2 * c.v)
+            fd = fd_area_columns(c, cols)
+            assert np.abs(J[:, cols] - fd).max() <= 1e-8 * np.abs(J).max(), name
+
+
+class TestInconsistentLabels:
+    """Labels that disagree with the faces are a StructuralError, even where
+    areas come from the labels alone."""
+
+    @staticmethod
+    def swapped(c, j):
+        ed = c.edges[j]
+        edges = list(c.edges)
+        edges[j] = fl.EdgeRecord(ed.id, ed.tail, ed.head, ed.bulge, ed.right, ed.left)
+        return fl.Cluster(c.vertices, tuple(edges), c.region_count, c.region_labels)
+
+    @pytest.mark.parametrize("j", range(3))
+    def test_swapped_edge_raises(self, double, j):
+        bad = self.swapped(double, j)
+        assert not fl.validate(bad).ok
+        with pytest.raises(StructuralError):
+            fl.solve(bad, fl.region_areas(double))
+        with pytest.raises(StructuralError):
+            fl.area_jacobian(bad)
+        with pytest.raises(StructuralError):
+            fl.stability_report(bad, m=16)
 
 
 class TestSvg:

@@ -204,6 +204,15 @@ class TestMobiusInvariance:
             rep = fl.residuals(img)
             assert rep.angle_sup < 1e-8
 
+    def test_pole_inside_a_bubble_relabels_exterior(self):
+        # -0.5 lies inside bubble 1, whose image becomes the unbounded face
+        img = fl.mobius_apply_cluster(
+            fl.MobiusMap.inversion_about(-0.5), fl.double_bubble(1.0, 0.6)
+        )
+        assert fl.validate(img).ok
+        assert (fl.region_areas(img) > 0).all()
+        assert fl.classify(img) is fl.Verdict.EQUILIBRIUM
+
     def test_areas_change_but_counts_do_not(self, triple, rng):
         m = fl.random_mobius(triple, rng)
         img = fl.mobius_apply_cluster(m, triple)

@@ -83,6 +83,18 @@ class TestDiscretize:
         slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(1.8 < s < 2.2 for s in slopes)
 
+    def test_region_areas_match_polyline_walks(self, equilibrium_presets):
+        for name, c in equilibrium_presets.items():
+            d = fl.discretize(c, 16)
+            for r in range(1, c.n + 1):
+                z = []
+                for he in c.region_walks[r]:
+                    idx = d.point_index[he[0]]
+                    z += [d.points[i] for i in (idx if he[1] else idx[::-1])[:-1]]
+                z = np.array(z)
+                shoelace = 0.5 * float(np.sum((z.conj() * np.roll(z, -1)).imag))
+                assert d.region_areas()[r - 1] == pytest.approx(shoelace, abs=1e-14), name
+
     def test_rejects_coarse_sampling(self, double):
         with pytest.raises((ValueError, fl.GeometryDomainError)):
             fl.discretize(double, 4)
