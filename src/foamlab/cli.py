@@ -208,7 +208,7 @@ def _cmd_check(args, policy) -> int:
 def _cmd_solve(args, policy) -> int:
     c = _load(args.input)
     target = _parse_areas(args.areas, c.n)
-    out = solve(c, target, SolveOptions(max_iter=args.max_iter, policy=policy))
+    out = solve(c, target, SolveOptions(max_iter=args.max_iter))
     _write(args.output, cl.dumps(out))
     return EXIT_OK
 
@@ -289,7 +289,7 @@ def _cmd_shrink(args, policy) -> int:
 
 def _cmd_desitter(args, policy) -> int:
     c = _load(args.input)
-    rep = verify_correspondence(c, tol=args.tol, policy=policy)
+    rep = verify_correspondence(c, tol=args.tol)
     print(json.dumps(rep.to_json(), indent=2))
     return EXIT_OK if rep.passed else EXIT_FAIL
 
@@ -304,9 +304,7 @@ def _cmd_render(args, policy) -> int:
 def _cmd_continue(args, policy) -> int:
     c = _load(args.input)
     target = _parse_areas(args.areas, c.n)
-    family = continue_family(
-        c, target, steps=args.steps, opts=SolveOptions(policy=policy)
-    )
+    family = continue_family(c, target, steps=args.steps)
     _write(args.output, cl.dumps(family[-1]))
     return EXIT_OK
 

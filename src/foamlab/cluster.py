@@ -1,7 +1,9 @@
 """Cluster data structure: combinatorics, areas, perimeter, serialization.
 
 A cluster of ``n`` regions is a chart point of dimension ``2v + e = 7n - 7``:
-vertex coordinates plus one signed bulge area per edge.  Region boundaries are
+vertex coordinates plus one signed bulge area per edge.  Every per-edge
+quantity (half-angle, end tangents, curvature) and its exact chart gradient is
+computed once per chart point in ``Cluster.frame``.  Region boundaries are
 never stored; they are derived walks obtained by rotating around vertices in
 counterclockwise tangent order.  Areas and their derivatives need no walk: a
 region's walk is exactly the set of half-edges with it on the left, so they
@@ -10,6 +12,7 @@ come from the edge labels through the signed incidence ``Cluster.incidence``.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, replace
@@ -19,13 +22,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ClusterFormatError, StructuralError
-from .geometry import (
+from .geometry import (  # arc_tangent is unused here, but perfbench's tests resolve it
     Arc,
     Point,
-    arc_length,
     arc_point,
-    arc_properties,
     arc_tangent,
+    bulge_angle_from_area,
+    segment_area_dphi,
 )
 
 EXTERIOR = 0
@@ -45,6 +48,51 @@ class EdgeRecord:
 
 # a half-edge is (edge_index, forward); forward=True travels tail -> head
 HalfEdge = Tuple[int, bool]
+
+
+@dataclass(frozen=True)
+class EdgeFrame:
+    """Per-edge geometry of one chart point, with exact chart gradients.
+
+    Edge j's quantities depend on the chart only through w = head - tail and
+    its bulge b, so each gradient is stored as (d/d Re w, d/d Im w, d/db);
+    the tail's coordinates get minus and the head's plus its first two
+    entries.  End 0 is the tail, where the forward half-edge leaves; end 1 is
+    the head, where the reversed half-edge leaves.
+    """
+
+    ends: np.ndarray  # (e, 2) tail and head vertex
+    v: int
+    chord: np.ndarray  # (e,) chord length c
+    phi: np.ndarray  # (e,) bulge half-angle
+    length: np.ndarray  # (e,) arc length c / sinc(phi)
+    alpha: np.ndarray  # (e, 2) angle of the tangent leaving each end
+    kappa: np.ndarray  # (e,) forward signed curvature 2 sin(phi) / c
+    d_alpha: np.ndarray  # (e, 2, 3) gradient of alpha
+    d_kappa: np.ndarray  # (e, 3) gradient of kappa
+
+    def require_trivalent(self) -> None:
+        degree = np.bincount(self.ends.ravel(), minlength=self.v)
+        for i in np.flatnonzero(degree != 3):
+            raise StructuralError(f"vertex {i} has degree {degree[i]}, expected 3")
+
+    def jacobian(self, rows, edges, grads, n_rows: int) -> np.ndarray:
+        """Chart matrix of shape (n_rows, 2v + e) with the edge gradient
+        ``grads[k]`` of edge ``edges[k]`` summed into row ``rows[k]``."""
+        rows, edges = np.asarray(rows), np.asarray(edges)
+        grads = np.asarray(grads, dtype=float).reshape(-1, 3)
+        J = np.zeros((n_rows, 2 * self.v + self.chord.size))
+        for end, sign in ((0, -1.0), (1, 1.0)):
+            col = 2 * self.ends[edges, end]
+            np.add.at(J, (rows, col), sign * grads[:, 0])
+            np.add.at(J, (rows, col + 1), sign * grads[:, 1])
+        np.add.at(J, (rows, 2 * self.v + edges), grads[:, 2])
+        return J
+
+
+def _grad(g: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """Stack a complex gradient d/d Re w + i d/d Im w with d/db."""
+    return np.stack([g.real, g.imag, db], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -111,7 +159,7 @@ class Cluster:
 
     def outgoing_tangent(self, he: HalfEdge) -> complex:
         """Unit tangent leaving the half-edge's start vertex."""
-        return arc_tangent(self.half_edge_arc(he), 0.0)
+        return cmath.exp(1j * self.frame.alpha[he[0], 0 if he[1] else 1])
 
     def start_vertex(self, he: HalfEdge) -> int:
         ed = self.edges[he[0]]
@@ -122,55 +170,74 @@ class Cluster:
         return ed.head if he[1] else ed.tail
 
     @cached_property
-    def vertex_stars(self) -> Tuple[Tuple[HalfEdge, ...], ...]:
-        """Outgoing half-edges per vertex, sorted counterclockwise."""
-        stars: List[List[Tuple[float, HalfEdge]]] = [[] for _ in self.vertices]
-        for j, ed in enumerate(self.edges):
-            arc = self.arc_of(j)
-            stars[ed.tail].append((_angle(arc_tangent(arc, 0.0)), (j, True)))
-            stars[ed.head].append((_angle(-arc_tangent(arc, 1.0)), (j, False)))
-        return tuple(
-            tuple(he for _, he in sorted(star, key=lambda t: t[0]))
-            for star in stars
+    def frame(self) -> EdgeFrame:
+        """Per-edge geometry at this chart point, phi inverted once per edge.
+
+        Implicit differentiation of segment_area(phi, c) = b gives
+        dphi/db = 1/A_phi and, since the area scales as c^2,
+        dphi/dc = -(2b/c)/A_phi.
+        """
+        points, ends = _chords(self)
+        b = np.array([ed.bulge for ed in self.edges])
+        w = points[ends[:, 1]] - points[ends[:, 0]]
+        c = np.abs(w)
+        phi = np.array([bulge_angle_from_area(cj, bj) for cj, bj in zip(c, b)])
+        phi_b = 1.0 / np.array([segment_area_dphi(p, cj) for p, cj in zip(phi, c)])
+        u = w / c
+        g_phi = -(2.0 * b / c) * phi_b * u
+        g_theta = 1j * u / c
+        kappa = 2.0 * np.sin(phi) / c
+        kappa_phi = 2.0 * np.cos(phi) / c
+        theta = np.angle(w)
+        return EdgeFrame(
+            ends=ends,
+            v=self.v,
+            chord=c,
+            phi=phi,
+            length=c / np.sinc(phi / math.pi),
+            alpha=np.stack([theta - phi, theta + phi + math.pi], axis=1),
+            kappa=kappa,
+            d_alpha=np.stack([_grad(g_theta - g_phi, -phi_b), _grad(g_theta + g_phi, phi_b)], 1),
+            d_kappa=_grad(kappa_phi * g_phi - kappa / c * u, kappa_phi * phi_b),
         )
 
+    @cached_property
+    def vertex_stars(self) -> Tuple[Tuple[HalfEdge, ...], ...]:
+        """Outgoing half-edges per vertex, sorted counterclockwise and
+        rotated to start at the star's smallest half-edge."""
+        f = self.frame
+        stars: List[List[HalfEdge]] = [[] for _ in self.vertices]
+        for k in np.argsort(np.mod(f.alpha, 2.0 * math.pi), axis=None, kind="stable"):
+            j, end = divmod(int(k), 2)
+            stars[f.ends[j, end]].append((j, end == 0))
+        out = []
+        for star in stars:
+            k = star.index(min(star)) if star else 0
+            out.append(tuple(star[k:] + star[:k]))
+        return tuple(out)
+
     def next_half_edge(self, he: HalfEdge) -> HalfEdge:
-        """Successor in the face walk keeping the same region on the left."""
-        w = self.end_vertex(he)
-        incoming = arc_tangent(self.half_edge_arc(he), 1.0)
-        ref = _angle(-incoming)
-        best = None
-        reverse = (he[0], not he[1])
-        for out in self.vertex_stars[w]:
-            delta = (ref - _angle(self.outgoing_tangent(out))) % (2.0 * math.pi)
-            if out == reverse:
-                delta = 2.0 * math.pi  # fall back to doubling back only if alone
-            if best is None or delta < best[0]:
-                best = (delta, out)
-        if best is None:
-            raise StructuralError(f"vertex {w} has no outgoing edges")
-        return best[1]
+        """Successor in the face walk keeping the same region on the left:
+        the half-edge clockwise next to the reverse of ``he`` (the reverse
+        itself only when it is alone)."""
+        star = self.vertex_stars[self.end_vertex(he)]
+        return star[star.index((he[0], not he[1])) - 1]
 
     @cached_property
     def faces(self) -> Tuple[Tuple[HalfEdge, ...], ...]:
-        """All closed half-edge walks, each a face of the embedding."""
+        """All closed half-edge walks, each a face of the embedding.
+
+        ``next_half_edge`` rotates within each star, so it permutes the
+        half-edges and every walk returns to its start.
+        """
         seen = set()
         walks: List[Tuple[HalfEdge, ...]] = []
-        for j in range(self.e):
-            for fwd in (True, False):
-                start = (j, fwd)
-                if start in seen:
-                    continue
-                walk = []
-                he = start
-                for _ in range(4 * self.e + 4):
+        for start in ((j, fwd) for j in range(self.e) for fwd in (True, False)):
+            if start not in seen:
+                walk = [start]
+                while (he := self.next_half_edge(walk[-1])) != start:
                     walk.append(he)
-                    seen.add(he)
-                    he = self.next_half_edge(he)
-                    if he == start:
-                        break
-                else:
-                    raise StructuralError("face walk failed to close")
+                seen.update(walk)
                 walks.append(tuple(walk))
         return tuple(walks)
 
@@ -225,10 +292,6 @@ class Cluster:
         return S
 
 
-def _angle(u: complex) -> float:
-    return math.atan2(u.imag, u.real)
-
-
 # ---------------------------------------------------------------------------
 # areas, perimeter, Jacobian
 
@@ -266,7 +329,7 @@ def region_areas(cluster: Cluster) -> np.ndarray:
 
 
 def perimeter(cluster: Cluster) -> float:
-    return sum(arc_length(cluster.arc_of(j)) for j in range(cluster.e))
+    return float(cluster.frame.length.sum())
 
 
 def area_jacobian(cluster: Cluster) -> np.ndarray:
@@ -277,6 +340,11 @@ def area_jacobian(cluster: Cluster) -> np.ndarray:
     :class:`StructuralError` when the labels disagree with the faces.
     """
     cluster.region_walks  # raises StructuralError unless the labels match the faces
+    return _area_jacobian(cluster)
+
+
+def _area_jacobian(cluster: Cluster) -> np.ndarray:
+    """``area_jacobian`` without the label check, for chart copies of a checked cluster."""
     points, pairs = _chords(cluster)
     S = cluster.incidence
     G = shoelace_gradient(points, pairs, np.arange(cluster.e), cluster.e)
@@ -318,27 +386,16 @@ def validate(cluster: Cluster, check_disjoint: bool = False, samples: int = 16) 
         f"e = {cluster.e}, expected {3 * (n - 1)}",
     )
 
-    scale = cluster.diameter()
-    short = [
-        j
-        for j in range(cluster.e)
-        if abs(
-            cluster.vertices[cluster.edges[j].tail].z
-            - cluster.vertices[cluster.edges[j].head].z
-        )
-        <= 1e-9 * scale
-    ]
+    points, ends = _chords(cluster)
+    chords = np.abs(points[ends[:, 1]] - points[ends[:, 0]])
+    short = np.flatnonzero(chords <= 1e-9 * cluster.diameter()).tolist()
     add("edge_chords", not short, f"degenerate edges {short}")
     bad_labels = [
         j for j, ed in enumerate(cluster.edges) if ed.left == ed.right
     ]
     add("edge_labels", not bad_labels, f"left == right on edges {bad_labels}")
 
-    degrees = [0] * cluster.v
-    for ed in cluster.edges:
-        degrees[ed.tail] += 1
-        degrees[ed.head] += 1
-    bad_deg = [i for i, d in enumerate(degrees) if d != 3]
+    bad_deg = np.flatnonzero(np.bincount(ends.ravel(), minlength=cluster.v) != 3).tolist()
     add("vertex_degree_3", not bad_deg, f"vertices with degree != 3: {bad_deg}")
 
     # connectivity of the vertex-edge graph
@@ -394,15 +451,14 @@ def _disjointness_scan(cluster: Cluster, samples: int) -> List[Tuple[int, int]]:
         )
     # sampled interiors of distinct edges must not come closer than the
     # sampling resolution would explain
+    length = cluster.frame.length
     bad = []
     for i in range(cluster.e):
-        li = arc_length(cluster.arc_of(i))
         for j in range(i + 1, cluster.e):
-            lj = arc_length(cluster.arc_of(j))
             d = np.sqrt(
                 ((pts[i][:, None, :] - pts[j][None, :, :]) ** 2).sum(-1)
             ).min()
-            if d < 0.25 * min(li, lj) / samples:
+            if d < 0.25 * min(length[i], length[j]) / samples:
                 bad.append((i, j))
     return bad
 
@@ -638,13 +694,11 @@ def to_svg(
     sw = stroke_width if stroke_width is not None else 0.005 * max(width, height)
 
     def arc_path(he: HalfEdge) -> str:
-        arc = cluster.half_edge_arc(he)
-        phi = arc.phi
-        hx, hy = arc.head
+        phi = cluster.frame.phi[he[0]] if he[1] else -cluster.frame.phi[he[0]]
+        hx, hy = cluster.vertices[cluster.end_vertex(he)]
         if abs(phi) < 1e-12:
             return f"L {hx:.9g} {hy:.9g}"
-        props = arc_properties(arc)
-        r = props.carrier.radius
+        r = 1.0 / abs(cluster.frame.kappa[he[0]])
         large = 1 if abs(phi) > math.pi / 2 else 0
         sweep = 1 if phi > 0 else 0
         return f"A {r:.9g} {r:.9g} 0 {large} {sweep} {hx:.9g} {hy:.9g}"

@@ -22,7 +22,7 @@ from .cluster import (
     region_areas,
 )
 from .errors import GeometryDomainError, NonConvergence, TopologyBreakdown
-from .equilibrium import _check_topology, lm_minimize, residuals, solve
+from .equilibrium import chart_lm, pin_gauge, residual_jacobian, residuals, solve
 from .geometry import (
     AT_INFINITY,
     Arc,
@@ -517,7 +517,8 @@ def two_lens(lens1: float = 0.8, lens2: float = 0.8, separation: float = 2.0) ->
     Built in an inverted picture first: a straight line carrying two lenses
     (pairs of 60-degree arcs meeting the line at 120 degrees), then mapped by
     z -> 1/(z - i) so the line closes up into a circle through the origin.
-    Region 1 is the main bubble, regions 2 and 3 the lenses.
+    Region 1 is the main bubble, regions 2 and 3 the lenses; edges 0 and 1
+    are the two arcs of the main circle.
     """
     if lens1 <= 0 or lens2 <= 0 or separation <= 0:
         raise GeometryDomainError("lens sizes and separation must be positive")
@@ -544,11 +545,6 @@ def two_lens(lens1: float = 0.8, lens2: float = 0.8, separation: float = 2.0) ->
     ))
     labels = ["exterior", "bubble", "lens 1", "lens 2"]
     return build_cluster_from_arcs(arcs, labels=labels)
-
-
-def _two_lens_ring_edges() -> Tuple[int, int]:
-    """Edge ids of the two main-circle arcs in :func:`two_lens` output."""
-    return (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -669,12 +665,11 @@ def flower(lens_size: float = 0.18, radius: float = 1.0) -> Cluster:
         arcs.append(Arc(Point.of(corners[k]), Point.of(corners[nxt]), sq_bulge))
     labels = ["exterior", "petal 1", "petal 2", "petal 3", "petal 4", "center"]
     built = build_cluster_from_arcs(arcs, labels=None)
-    # order region names by size so the small center region comes last
-    areas = region_areas(built)
-    order = list(np.argsort(-areas))
-    relabel = {0: 0}
-    for rank, idx in enumerate(order):
-        relabel[idx + 1] = rank + 1
+    # petals keep their first-appearance numbers (equal areas must not be
+    # ordered by roundoff); the small center region moves last
+    center = int(np.argmin(region_areas(built))) + 1
+    relabel = {r: r - (r > center) for r in range(built.n + 1)}
+    relabel[center] = built.n
     edges = tuple(
         ed.__class__(ed.id, ed.tail, ed.head, ed.bulge,
                      relabel[ed.left], relabel[ed.right])
@@ -687,34 +682,6 @@ def flower(lens_size: float = 0.18, radius: float = 1.0) -> Cluster:
 # quasi-equilibrium variants
 
 
-def _angle_only_solve(
-    initial: Cluster,
-    extra_rows,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> Cluster:
-    """Solve the 120-degree angle block plus caller-supplied pin rows.
-
-    The curvature cocycle is deliberately left out, so the result is in
-    general only a quasi-equilibrium.  Minimum-norm steps handle the
-    underdetermined stack.
-    """
-    x0 = initial.chart()
-    scale = initial.diameter()
-
-    def fun(x: np.ndarray) -> np.ndarray:
-        c = initial.with_chart(x)
-        _check_topology(c)
-        rep = residuals(c)
-        return np.concatenate([rep.angle_block, np.asarray(extra_rows(c), float)])
-
-    def ok(x: np.ndarray, f: np.ndarray) -> bool:
-        return bool(np.abs(f).max(initial=0.0) < tol)
-
-    x, _ = lm_minimize(fun, x0, fd_step=1e-6 * scale, max_iter=max_iter, converged=ok)
-    return initial.with_chart(x)
-
-
 def quasi_variant(kind: str, amount: float = 0.15) -> Cluster:
     """Quasi-equilibrium presets: 120-degree angles hold, the cocycle fails.
 
@@ -723,64 +690,66 @@ def quasi_variant(kind: str, amount: float = 0.15) -> Cluster:
     re-solved.  ``four_stretched``: the middle straight edge of the standard
     4-bubble is lengthened by the relative ``amount`` with both endpoints
     pinned.  ``amount = 0`` reproduces the equilibrium base cluster.
+
+    The solved rows are the 120-degree angle block plus the variant's pins;
+    the curvature cocycle is deliberately left out, so the result is in
+    general only a quasi-equilibrium.  Minimum-norm steps handle the
+    underdetermined stack.
     """
+    base, rows, jac = _quasi_rows(kind, amount)
+    return chart_lm(base, rows, jac, lambda x, f: bool(np.abs(f).max() < 1e-10), max_iter=200)
+
+
+def _quasi_rows(kind: str, amount: float):
+    """Base cluster, solved rows and their exact Jacobian for a quasi variant."""
     if kind == "two_lens_recurved":
         base = two_lens()
-        ring = _two_lens_ring_edges()
-        from .equilibrium import half_edge_curvature
+        # the main-circle arcs 0 and 1 are re-curved; lens arc 2 keeps its
+        # curvature so the pins cannot be satisfied by simply rescaling the
+        # whole equilibrium cluster
+        pinned = np.arange(3)
+        targets = base.frame.kappa[pinned] * np.array([1.0 + amount, 1.0 + amount, 1.0])
+        kscale = max(1.0, float(np.abs(targets).max()))
+        gauge, gauge_jac = pin_gauge(base)
 
-        targets = {
-            j: half_edge_curvature(base, (j, True)) * (1.0 + amount) for j in ring
-        }
-        # hold one lens arc's curvature fixed so the pins cannot be satisfied
-        # by simply rescaling the whole equilibrium cluster
-        anchor = next(j for j in range(base.e) if j not in ring)
-        targets[anchor] = half_edge_curvature(base, (anchor, True))
-        kscale = max(1.0, max(abs(t) for t in targets.values()))
-        pin0 = base.vertices[0]
-        pin_he = base.vertex_stars[0][0]
-        pin_dir = base.outgoing_tangent(pin_he)
+        def rows(c: Cluster) -> np.ndarray:
+            return np.concatenate([(c.frame.kappa[pinned] - targets) / kscale, gauge(c)])
 
-        def rows(c: Cluster):
-            out = [
-                (half_edge_curvature(c, (j, True)) - t) / kscale
-                for j, t in targets.items()
-            ]
-            out += [
-                c.vertices[0].x - pin0.x,
-                c.vertices[0].y - pin0.y,
-                (pin_dir.conjugate() * c.outgoing_tangent(pin_he)).imag,
-            ]
-            return out
+        def jac(c: Cluster) -> np.ndarray:
+            curvature = c.frame.jacobian(pinned, pinned, c.frame.d_kappa[pinned] / kscale, 3)
+            return np.vstack([curvature, gauge_jac(c)])
 
-        return _angle_only_solve(base, rows)
-
-    if kind == "four_stretched":
+    elif kind == "four_stretched":
+        # the two pinned endpoints already fix rigid motions: no gauge rows
         base = four_bubble()
-        scale = base.diameter()
-        middle = min(
-            (j for j in range(base.e) if abs(base.edges[j].bulge) < 1e-12 * scale**2),
-            key=lambda j: -abs(
-                base.vertices[base.edges[j].tail].z
-                - base.vertices[base.edges[j].head].z
-            ),
+        flat = 1e-12 * base.diameter() ** 2
+        middle = max(
+            (j for j, ed in enumerate(base.edges) if abs(ed.bulge) < flat),
+            key=lambda j: base.frame.chord[j],
         )
         ed = base.edges[middle]
         ta, he = base.vertices[ed.tail].z, base.vertices[ed.head].z
-        u = (he - ta) / abs(he - ta)
-        shift = 0.5 * amount * abs(he - ta)
-        ta_new, he_new = ta - shift * u, he + shift * u
+        shift = 0.5 * amount * (he - ta)  # each end moves out by amount/2 of the edge
+        cols = [2 * ed.tail, 2 * ed.tail + 1, 2 * ed.head, 2 * ed.head + 1]
+        ta_new, he_new = ta - shift, he + shift
+        goal = np.array([ta_new.real, ta_new.imag, he_new.real, he_new.imag])
 
-        def rows(c: Cluster):
-            pa, pb = c.vertices[ed.tail].z, c.vertices[ed.head].z
-            return [
-                (pa - ta_new).real, (pa - ta_new).imag,
-                (pb - he_new).real, (pb - he_new).imag,
-            ]
+        def rows(c: Cluster) -> np.ndarray:
+            return c.chart()[cols] - goal
 
-        return _angle_only_solve(base, rows)
+        def jac(c: Cluster) -> np.ndarray:
+            return np.eye(2 * c.v + c.e)[cols]
 
-    raise GeometryDomainError(f"unknown quasi variant kind {kind!r}")
+    else:
+        raise GeometryDomainError(f"unknown quasi variant kind {kind!r}")
+
+    def angle_rows(c: Cluster) -> np.ndarray:
+        return np.concatenate([residuals(c).angle_block, rows(c)])
+
+    def angle_jac(c: Cluster) -> np.ndarray:
+        return np.vstack([residual_jacobian(c)[: 2 * c.v], jac(c)])
+
+    return base, angle_rows, angle_jac
 
 
 def random_mobius(cluster: Cluster, rng: np.random.Generator) -> MobiusMap:

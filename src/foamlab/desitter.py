@@ -30,7 +30,6 @@ import numpy as np
 from .cluster import Cluster
 from .errors import GeometryDomainError
 from .geometry import OrientedCircleLine, Point, arc_carrier
-from .tolerances import DEFAULT, TolerancePolicy
 
 #: Minkowski form value between distinct members of an evenly spaced triple,
 #: calibrated on three concurrent lines at 120 degrees.
@@ -129,7 +128,11 @@ def minkowski_form(p: DeSitterPoint, q: DeSitterPoint) -> float:
 
 
 def junction_triples(cluster: Cluster) -> List[Tuple[DeSitterPoint, ...]]:
-    """Per vertex, the outgoing carriers' de Sitter points in ccw order."""
+    """Per vertex, the outgoing carriers' de Sitter points in ccw order.
+
+    Raises :class:`StructuralError` unless every vertex is a triple junction.
+    """
+    cluster.frame.require_trivalent()
     return [
         tuple(circle_to_point(arc_carrier(cluster.half_edge_arc(he))) for he in star)
         for star in cluster.vertex_stars
@@ -156,11 +159,7 @@ class CorrespondenceReport:
         }
 
 
-def verify_correspondence(
-    cluster: Cluster,
-    tol: float = 1e-8,
-    policy: TolerancePolicy = DEFAULT,
-) -> CorrespondenceReport:
+def verify_correspondence(cluster: Cluster, tol: float = 1e-8) -> CorrespondenceReport:
     """Check the triple-on-a-geodesic structure of an equilibrium cluster.
 
     Per junction: the three outgoing carriers' points must span only a

@@ -20,14 +20,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .cluster import Cluster, region_areas
-from .errors import (
-    NonConvergence,
-    PathInconsistent,
-    StructuralError,
-    TopologyBreakdown,
-)
-from .geometry import arc_properties
+from .cluster import Cluster, _area_jacobian, region_areas
+from .errors import NonConvergence, PathInconsistent, StructuralError, TopologyBreakdown
 from .tolerances import DEFAULT, TolerancePolicy
 
 
@@ -53,33 +47,42 @@ class ResidualReport:
         return float(np.linalg.norm(self.cocycle_block))
 
 
-def half_edge_curvature(cluster: Cluster, he) -> float:
-    return arc_properties(cluster.half_edge_arc(he)).signed_curvature
+# the half-edge leaving an edge's tail has curvature +kappa, leaving its head -kappa
+_END_SIGN = np.array([1.0, -1.0])
 
 
 def residuals(cluster: Cluster) -> ResidualReport:
-    angle = np.zeros(2 * cluster.v)
+    """Per vertex, the sums of the outgoing unit tangents (angle block,
+    interleaved x, y) and of the outgoing signed curvatures (cocycle block),
+    summed over edge ends."""
+    f = cluster.frame
+    f.require_trivalent()
+    tangent = np.zeros(cluster.v, dtype=complex)
+    np.add.at(tangent, f.ends, np.exp(1j * f.alpha))
     cocycle = np.zeros(cluster.v)
-    for i, star in enumerate(cluster.vertex_stars):
-        if len(star) != 3:
-            raise StructuralError(f"vertex {i} has degree {len(star)}, expected 3")
-        tangent_sum = 0j
-        kappa_sum = 0.0
-        for he in star:
-            tangent_sum += cluster.outgoing_tangent(he)
-            kappa_sum += half_edge_curvature(cluster, he)
-        angle[2 * i] = tangent_sum.real
-        angle[2 * i + 1] = tangent_sum.imag
-        cocycle[i] = kappa_sum
-    return ResidualReport(angle, cocycle)
+    np.add.at(cocycle, f.ends, np.outer(f.kappa, _END_SIGN))
+    return ResidualReport(tangent.view(float), cocycle)
+
+
+def residual_jacobian(cluster: Cluster) -> np.ndarray:
+    """Exact d[angle; cocycle]/d(chart), shape (3v, 2v + e), from the frame
+    gradients: d e^{i alpha} = i e^{i alpha} d alpha at every edge end."""
+    f = cluster.frame
+    f.require_trivalent()
+    vert = f.ends.ravel()
+    alpha = f.alpha.ravel()[:, None]
+    d_alpha = f.d_alpha.reshape(-1, 3)
+    d_kappa = np.repeat(f.d_kappa, 2, axis=0) * np.tile(_END_SIGN, cluster.e)[:, None]
+    return f.jacobian(
+        np.concatenate([2 * vert, 2 * vert + 1, 2 * cluster.v + vert]),
+        np.tile(np.repeat(np.arange(cluster.e), 2), 3),
+        np.vstack([-np.sin(alpha) * d_alpha, np.cos(alpha) * d_alpha, d_kappa]),
+        3 * cluster.v,
+    )
 
 
 def curvature_scale(cluster: Cluster) -> float:
-    kmax = max(
-        (abs(half_edge_curvature(cluster, (j, True))) for j in range(cluster.e)),
-        default=0.0,
-    )
-    return max(kmax, 1.0 / cluster.diameter())
+    return max(float(np.abs(cluster.frame.kappa).max(initial=0.0)), 1.0 / cluster.diameter())
 
 
 def pressures(cluster: Cluster, policy: TolerancePolicy = DEFAULT) -> np.ndarray:
@@ -87,13 +90,14 @@ def pressures(cluster: Cluster, policy: TolerancePolicy = DEFAULT) -> np.ndarray
 
     Breadth-first over the region adjacency graph; the maximum disagreement
     on non-tree edges is checked against the policy and raised as
-    :class:`PathInconsistent` when pressure is not well defined.
+    :class:`PathInconsistent` when pressure is not well defined, and
+    :class:`StructuralError` on a vertex that is not a triple junction.
     """
+    cluster.frame.require_trivalent()
     p = np.full(cluster.n + 1, np.nan)
     p[0] = 0.0
     adjacency: List[List[Tuple[int, float]]] = [[] for _ in range(cluster.n + 1)]
-    for j, ed in enumerate(cluster.edges):
-        kappa = half_edge_curvature(cluster, (j, True))
+    for ed, kappa in zip(cluster.edges, cluster.frame.kappa):
         adjacency[ed.right].append((ed.left, kappa))  # p_left = p_right + kappa
         adjacency[ed.left].append((ed.right, -kappa))
     queue = [0]
@@ -153,6 +157,8 @@ def classify(
 def numeric_jacobian(
     fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float
 ) -> np.ndarray:
+    """Central differences of ``fun`` at ``x``: the oracle that the exact
+    Jacobians are tested against."""
     f0 = fun(x)
     J = np.empty((f0.size, x.size))
     for k in range(x.size):
@@ -166,8 +172,8 @@ def numeric_jacobian(
 
 def lm_minimize(
     fun: Callable[[np.ndarray], np.ndarray],
+    jac: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
-    fd_step: float,
     max_iter: int = 100,
     converged: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
     step_tol: float = 1e-14,
@@ -185,7 +191,7 @@ def lm_minimize(
         return x, history
     lam = None
     for _ in range(max_iter):
-        J = numeric_jacobian(fun, x, fd_step)
+        J = jac(x)
         if lam is None:
             lam = 1e-3 * float(np.trace(J.T @ J)) / max(J.shape[1], 1)
             lam = max(lam, 1e-14)
@@ -222,19 +228,57 @@ def lm_minimize(
 class SolveOptions:
     tol: float = 1e-10
     max_iter: int = 100
-    policy: TolerancePolicy = DEFAULT
 
 
 def _check_topology(cluster: Cluster) -> None:
-    scale = cluster.diameter()
-    for j, ed in enumerate(cluster.edges):
-        chord = abs(
-            cluster.vertices[ed.tail].z - cluster.vertices[ed.head].z
-        )
-        if chord < 1e-8 * scale:
-            raise TopologyBreakdown(f"edge {j} chord collapsed")
-        if abs(cluster.arc_of(j).phi) > math.pi - 1e-3:
-            raise TopologyBreakdown(f"edge {j} approaching a full circle")
+    f = cluster.frame
+    for j in np.flatnonzero(f.chord < 1e-8 * cluster.diameter()):
+        raise TopologyBreakdown(f"edge {j} chord collapsed")
+    for j in np.flatnonzero(np.abs(f.phi) > math.pi - 1e-3):
+        raise TopologyBreakdown(f"edge {j} approaching a full circle")
+
+
+def chart_lm(initial: Cluster, rows: Callable, jac: Callable, converged, max_iter: int) -> Cluster:
+    """Damped Gauss-Newton over the chart of ``initial`` on the stacked rows
+    ``rows(c)`` of the cluster c at each chart point, with their exact
+    Jacobian ``jac(c)``.  The latest chart point's cluster is kept, so rows
+    and Jacobian read one frame.  Raises :class:`TopologyBreakdown` when an
+    iterate degenerates an edge."""
+    last = [None, initial]
+
+    def at(x: np.ndarray) -> Cluster:
+        if last[0] is None or not np.array_equal(x, last[0]):
+            c = initial.with_chart(x)
+            _check_topology(c)
+            last[:] = [x.copy(), c]
+        return last[1]
+
+    x, _ = lm_minimize(
+        lambda x: rows(at(x)), lambda x: jac(at(x)), initial.chart(), max_iter, converged
+    )
+    return at(x)
+
+
+def pin_gauge(initial: Cluster) -> Tuple[Callable, Callable]:
+    """Rows removing rigid motions, and their Jacobian: vertex 0 stays where
+    it is in ``initial`` and its first outgoing half-edge does not turn (the
+    sine of the turn is 0)."""
+    pin = np.array(initial.vertices[0])
+    j, forward = initial.vertex_stars[0][0]
+    end = 0 if forward else 1
+
+    def turn(c: Cluster) -> float:
+        return c.frame.alpha[j, end] - initial.frame.alpha[j, end]
+
+    def rows(c: Cluster) -> np.ndarray:
+        return np.append(np.array(c.vertices[0]) - pin, math.sin(turn(c)))
+
+    def jac(c: Cluster) -> np.ndarray:
+        J = c.frame.jacobian([2], [j], math.cos(turn(c)) * c.frame.d_alpha[j, end], 3)
+        J[0, 0] = J[1, 1] = 1.0
+        return J
+
+    return rows, jac
 
 
 def solve(
@@ -245,8 +289,8 @@ def solve(
     """Equilibrium of the same combinatorial type with the given areas.
 
     Minimizes the stacked system [angle; cocycle; areas - target; gauge] by
-    damped Gauss-Newton.  The gauge rows pin vertex 0 at its initial position
-    and the direction of its first outgoing tangent, removing rigid motions.
+    damped Gauss-Newton with its exact Jacobian.  The gauge rows
+    (:func:`pin_gauge`) remove rigid motions.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (initial.n,):
@@ -255,45 +299,22 @@ def solve(
         raise ValueError("target areas must be positive")
     initial.region_walks  # raises StructuralError unless the labels match the faces
 
-    pin = initial.vertices[0]
-    pin_he = initial.vertex_stars[0][0]
-    pin_dir = initial.outgoing_tangent(pin_he)
-    x0 = initial.chart()
-    scale = initial.diameter()
+    gauge, gauge_jac = pin_gauge(initial)
 
-    def fun(x: np.ndarray) -> np.ndarray:
-        c = initial.with_chart(x)
-        _check_topology(c)
+    def rows(c: Cluster) -> np.ndarray:
         rep = residuals(c)
         areas = region_areas(c) - target
-        t = c.outgoing_tangent(pin_he)
-        gauge = np.array(
-            [
-                c.vertices[0].x - pin.x,
-                c.vertices[0].y - pin.y,
-                (pin_dir.conjugate() * t).imag,  # sin of the direction error
-            ]
-        )
-        return np.concatenate([rep.angle_block, rep.cocycle_block, areas, gauge])
+        return np.concatenate([rep.angle_block, rep.cocycle_block, areas, gauge(c)])
 
-    kscale = max(1.0, curvature_scale(initial))
+    def jac(c: Cluster) -> np.ndarray:
+        return np.vstack([residual_jacobian(c), _area_jacobian(c), gauge_jac(c)])
+
+    # the angle, cocycle and area rows converge at tol scaled by 1, by the
+    # curvature scale and by diameter^2
+    scales = [1.0, max(1.0, curvature_scale(initial)), initial.diameter() ** 2]
+    tol = opts.tol * np.repeat(scales, [2 * initial.v, initial.v, initial.n])
 
     def ok(x: np.ndarray, f: np.ndarray) -> bool:
-        nv = 2 * initial.v
-        angle = np.abs(f[:nv]).max(initial=0.0)
-        cocycle = np.abs(f[nv : nv + initial.v]).max(initial=0.0)
-        areas = np.abs(f[nv + initial.v : nv + initial.v + initial.n]).max(initial=0.0)
-        return (
-            angle < opts.tol
-            and cocycle < opts.tol * kscale
-            and areas < opts.tol * scale * scale
-        )
+        return bool((np.abs(f[: tol.size]) < tol).all())
 
-    x, _history = lm_minimize(
-        fun,
-        x0,
-        fd_step=opts.policy.fd_step(scale),
-        max_iter=opts.max_iter,
-        converged=ok,
-    )
-    return initial.with_chart(x)
+    return chart_lm(initial, rows, jac, ok, opts.max_iter)

@@ -39,10 +39,6 @@ class Point(NamedTuple):
         return Point(z.real, z.imag)
 
 
-def rot(v: complex, theta: float) -> complex:
-    return v * cmath.exp(1j * theta)
-
-
 @dataclass(frozen=True)
 class Arc:
     """Oriented circular arc (or straight segment) between two points."""
@@ -93,6 +89,17 @@ def segment_area(phi: float, chord_length: float) -> float:
     return c * c * (phi - s * math.cos(phi)) / (4.0 * s * s)
 
 
+def segment_area_dphi(phi: float, chord_length: float) -> float:
+    """d(segment_area)/d(phi) = c^2 (sin phi - phi cos phi) / (2 sin^3 phi),
+    with the series branch of ``segment_area`` differentiated term by term."""
+    c = chord_length
+    if abs(phi) < 0.05:
+        p2 = phi * phi
+        return c * c * (1.0 / 6.0 + p2 * (1.0 / 15.0 + p2 * (1.0 / 63.0 + p2 * 2.0 / 675.0)))
+    s = math.sin(phi)
+    return c * c * (s - phi * math.cos(phi)) / (2.0 * s ** 3)
+
+
 def bulge_angle_from_area(chord_length: float, area: float) -> float:
     """Invert ``segment_area`` in ``phi`` for a fixed chord.
 
@@ -130,15 +137,7 @@ def bulge_angle_from_area(chord_length: float, area: float) -> float:
             hi = phi
         else:
             lo = phi
-        # d(area)/d(phi) = c^2 (phi - sin phi cos phi) cos phi / (2 sin^3 phi)
-        #                 + c^2 / (2)  ... use the compact exact form below
-        s, co = math.sin(phi), math.cos(phi)
-        if abs(phi) < 0.05:
-            # (sin phi - phi cos phi)/(2 sin^3 phi) = 1/6 + phi^2/15 + ...
-            deriv = c * c * (1.0 / 6.0 + phi * phi / 15.0)
-        else:
-            deriv = c * c * (s - phi * co) / (2.0 * s ** 3)
-        step = val / deriv
+        step = val / segment_area_dphi(phi, c)
         new = phi - step
         if not (lo < new < hi):
             new = 0.5 * (lo + hi)
@@ -178,14 +177,6 @@ class OrientedCircleLine:
         return (1.0 if self.ccw else -1.0) / self.radius
 
 
-class ArcProperties(NamedTuple):
-    length: float
-    signed_curvature: float
-    carrier: OrientedCircleLine
-    tangent_at_tail: complex
-    tangent_at_head: complex
-
-
 def arc_point(arc: Arc, t: float) -> Point:
     """Point at angular fraction ``t`` in [0, 1] along the arc."""
     phi = arc.phi
@@ -197,7 +188,7 @@ def arc_point(arc: Arc, t: float) -> Point:
 
 def arc_tangent(arc: Arc, t: float) -> complex:
     """Unit tangent (travel direction) at angular fraction ``t``."""
-    return rot(arc.chord_dir(), arc.phi * (2.0 * t - 1.0))
+    return arc.chord_dir() * cmath.exp(1j * arc.phi * (2.0 * t - 1.0))
 
 
 def arc_midpoint(arc: Arc) -> Point:
@@ -214,20 +205,6 @@ def arc_carrier(arc: Arc) -> OrientedCircleLine:
     # center sits on the chord's left normal at signed height (c/2) cot(phi)
     center = mid + 1j * arc.chord_dir() * (c / 2.0) / math.tan(phi)
     return OrientedCircleLine(kind="circle", center=Point.of(center), radius=radius, ccw=phi > 0)
-
-
-def arc_properties(arc: Arc) -> ArcProperties:
-    phi = arc.phi
-    c = arc.chord_length()
-    length = c / _sinc(phi)
-    curvature = 2.0 * math.sin(phi) / c
-    return ArcProperties(
-        length=length,
-        signed_curvature=curvature,
-        carrier=arc_carrier(arc),
-        tangent_at_tail=rot(arc.chord_dir(), -phi),
-        tangent_at_head=rot(arc.chord_dir(), phi),
-    )
 
 
 def arc_length(arc: Arc) -> float:

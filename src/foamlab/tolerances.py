@@ -1,8 +1,8 @@
 """Central tolerance policy.
 
-Every finite-difference step, SVD rank cut, and residual threshold in the
-library is taken from one of these policy objects so that tests and the CLI
-can tighten or loosen everything coherently.
+Every SVD rank cut and residual threshold in the library is taken from one
+of these policy objects so that tests and the CLI can tighten or loosen
+everything coherently.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    # central-difference step, relative to the cluster diameter
-    fd_step_rel: float = 1e-6
     # singular values below rank_rel * sigma_max count as zero
     rank_rel: float = 1e-6
     # required ratio between smallest kept and largest cut singular value;
@@ -26,9 +24,6 @@ class TolerancePolicy:
     # zero-mode cutoff on scale-invariant Hessian eigenvalues (lambda * diam^2);
     # measured spectra put spurious zeros below ~0.3 and true modes above ~5
     hessian_zero_scaled: float = 1.0
-
-    def fd_step(self, scale: float) -> float:
-        return self.fd_step_rel * max(scale, 1e-300)
 
 
 DEFAULT = TolerancePolicy()

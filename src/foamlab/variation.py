@@ -3,7 +3,7 @@
 Two complementary probes of an equilibrium cluster:
 
 * ``tangent_dimension`` measures the local dimension of the equilibrium
-  variety in the vertex/bulge chart by the SVD nullity of the stacked
+  variety in the vertex/bulge chart by the SVD nullity of the stacked exact
   constraint Jacobian (angle + cocycle rows, rigid-motion gauge rows, and
   optionally the area Jacobian).  It sees exactly the circular-arc-preserving
   deformations, e.g. necklace sliding.
@@ -31,13 +31,7 @@ from .cluster import (
     shoelace_gradient,
     shoelace_terms,
 )
-from .equilibrium import (
-    SolveOptions,
-    numeric_jacobian,
-    pressures,
-    residuals,
-    solve,
-)
+from .equilibrium import SolveOptions, pressures, residual_jacobian, solve
 from .errors import GeometryDomainError
 from .geometry import arc_point, arc_tangent
 from .tolerances import DEFAULT, TolerancePolicy
@@ -84,21 +78,13 @@ def tangent_dimension(
 ) -> TangentReport:
     """Numerical dimension of the equilibrium variety modulo rigid motions.
 
-    Stacks the finite-difference Jacobian of the angle and cocycle residual
-    blocks, the three rigid-motion rows, and (iff ``fix_areas``) the area
-    Jacobian, then counts the SVD nullity.  The spectral gap between the
-    smallest kept and the largest cut singular value is reported; a gap
-    below the policy factor flags the count as ambiguous instead of silently
-    picking a side.
+    Stacks the exact Jacobian of the angle and cocycle residual blocks, the
+    three rigid-motion rows, and (iff ``fix_areas``) the area Jacobian, then
+    counts the SVD nullity.  The spectral gap between the smallest kept and
+    the largest cut singular value is reported; a gap below the policy
+    factor flags the count as ambiguous instead of silently picking a side.
     """
-    x0 = cluster.chart()
-    h = policy.fd_step(cluster.diameter())
-
-    def fun(x: np.ndarray) -> np.ndarray:
-        rep = residuals(cluster.with_chart(x))
-        return np.concatenate([rep.angle_block, rep.cocycle_block])
-
-    rows = [numeric_jacobian(fun, x0, h), rigid_motion_basis(cluster)]
+    rows = [residual_jacobian(cluster), rigid_motion_basis(cluster)]
     if fix_areas:
         rows.append(area_jacobian(cluster))
     stack = np.vstack(rows)

@@ -18,7 +18,6 @@ from foamlab.geometry import (
     arc_carrier,
     arc_length,
     arc_point,
-    arc_properties,
     bulge_angle_from_area,
     segment_area,
 )
@@ -89,7 +88,7 @@ class TestCriterion4EquilibriumChecker:
             assert rep.cocycle_sup < 1e-9 * kscale, name
             p = fl.pressures(c)
             for ed in c.edges:
-                kappa = arc_properties(c.arc_of(ed.id)).signed_curvature
+                kappa = arc_carrier(c.arc_of(ed.id)).signed_curvature()
                 assert abs(p[ed.left] - p[ed.right] - kappa) < 1e-9 * kscale, name
 
     def test_quasi_presets(self, quasi_presets):

@@ -10,6 +10,15 @@ def read(path):
     return path.read_text()
 
 
+def dropped_edge_document(tmp_path):
+    """Path of a double bubble document with edge 0 removed."""
+    c = fl.double_bubble(1.0, 0.6)
+    dropped = fl.Cluster(c.vertices, c.edges[1:], c.region_count, c.region_labels)
+    bad = tmp_path / "bad.json"
+    bad.write_text(fl.dumps(dropped))
+    return str(bad)
+
+
 class TestNewAndCheck:
     def test_double_round_trip(self, tmp_path, capsys):
         out = tmp_path / "db.json"
@@ -31,12 +40,13 @@ class TestNewAndCheck:
         assert run(["check", str(out)]) == 1
 
     def test_invalid_cluster_check_is_exit_1(self, tmp_path, capsys):
-        c = fl.double_bubble(1.0, 0.6)
-        dropped = fl.Cluster(c.vertices, c.edges[1:], c.region_count, c.region_labels)
-        bad = tmp_path / "bad.json"
-        bad.write_text(fl.dumps(dropped))
-        assert run(["check", str(bad)]) == 1
+        assert run(["check", dropped_edge_document(tmp_path)]) == 1
         assert capsys.readouterr().out.startswith("Invalid: ")
+
+    @pytest.mark.parametrize("verb", [["pressures"], ["desitter", "verify"]])
+    def test_invalid_cluster_is_exit_2(self, tmp_path, verb):
+        # the two vertices left have degree 2: not a triple junction
+        assert run(verb + [dropped_edge_document(tmp_path)]) == 2
 
     def test_output_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

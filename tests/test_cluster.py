@@ -1,11 +1,14 @@
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
 import foamlab as fl
 from foamlab.cluster import from_json_dict, to_json_dict
 from foamlab.errors import ClusterFormatError, StructuralError
-from foamlab.geometry import arc_point
+from foamlab.geometry import arc_point, arc_tangent
 
 
 def walk_areas(c):
@@ -36,6 +39,20 @@ class TestCombinatorics:
 
     def test_vertex_stars_are_triples(self, triple):
         assert all(len(star) == 3 for star in triple.vertex_stars)
+
+    def test_stars_start_at_smallest_half_edge_in_ccw_order(self, equilibrium_presets, rng):
+        for name, c in equilibrium_presets.items():
+            img = fl.mobius_apply_cluster(fl.random_mobius(c, rng), c)
+            for d in (c, img):
+                for star in d.vertex_stars:
+                    assert star[0] == min(star), name
+                    # one ccw turn: the gaps between consecutive tangent
+                    # directions sum to 2 pi (4 pi for a clockwise triple)
+                    angles = [
+                        cmath.phase(arc_tangent(d.half_edge_arc(he), 0.0)) for he in star
+                    ]
+                    gaps = np.mod(np.diff(angles + angles[:1]), 2 * math.pi)
+                    assert gaps.sum() == pytest.approx(2 * math.pi), name
 
     def test_half_edge_walks_close(self, triple):
         for r, walk in triple.region_walks.items():

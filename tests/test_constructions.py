@@ -3,17 +3,15 @@ import numpy as np
 import pytest
 
 import foamlab as fl
-from foamlab.constructions import _two_lens_ring_edges
-from foamlab.equilibrium import half_edge_curvature
 from foamlab.errors import GeometryDomainError
-from foamlab.geometry import arc_properties
+from foamlab.geometry import arc_carrier
 
 
 class TestDoubleBubble:
     def test_outer_radii(self):
         c = fl.double_bubble(1.0, 0.6)
         outer = sorted(
-            arc_properties(c.arc_of(j)).carrier.radius
+            arc_carrier(c.arc_of(j)).radius
             for j in range(c.e)
             if c.edges[j].left == fl.EXTERIOR or c.edges[j].right == fl.EXTERIOR
         )
@@ -27,7 +25,7 @@ class TestDoubleBubble:
             for j in range(c.e)
             if fl.EXTERIOR not in (c.edges[j].left, c.edges[j].right)
         )
-        r = arc_properties(c.arc_of(iface)).carrier.radius
+        r = arc_carrier(c.arc_of(iface)).radius
         assert 1.0 / r == pytest.approx(1.0 / 0.6 - 1.0, abs=1e-12)
 
     def test_rejects_bad_radii(self):
@@ -119,7 +117,7 @@ class TestTwoLens:
         assert p[1] < p[2]
 
     def test_ring_edges_border_big_region(self, two_lens):
-        for j in _two_lens_ring_edges():
+        for j in (0, 1):
             ed = two_lens.edges[j]
             assert fl.EXTERIOR in (ed.left, ed.right)
             assert 1 in (ed.left, ed.right)
@@ -164,6 +162,16 @@ class TestFlower:
         assert areas[:4] == pytest.approx(np.full(4, areas[0]), rel=1e-9)
         assert areas[4] < areas[0]
 
+    def test_petals_numbered_by_first_appearance(self, flower):
+        # equal petal areas must not be ordered by roundoff: petals keep the
+        # order in which the edge list first meets them, the center is last
+        seen = []
+        for ed in flower.edges:
+            for r in (ed.left, ed.right):
+                if r not in seen and r != fl.EXTERIOR:
+                    seen.append(r)
+        assert [r for r in seen if r != flower.n] == [1, 2, 3, 4]
+
     def test_center_has_highest_pressure(self, flower):
         p = fl.pressures(flower)
         assert p[5] == pytest.approx(max(p), abs=1e-12)
@@ -184,11 +192,9 @@ class TestQuasiVariants:
         )
 
     def test_recurved_hits_curvature_targets(self, quasi_recurved, two_lens):
-        for j in _two_lens_ring_edges():
-            base = half_edge_curvature(two_lens, (j, True))
-            assert half_edge_curvature(quasi_recurved, (j, True)) == pytest.approx(
-                1.15 * base, abs=1e-8
-            )
+        for j in (0, 1):
+            base = two_lens.frame.kappa[j]
+            assert quasi_recurved.frame.kappa[j] == pytest.approx(1.15 * base, abs=1e-8)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(GeometryDomainError):

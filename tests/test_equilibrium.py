@@ -3,8 +3,15 @@ import numpy as np
 import pytest
 
 import foamlab as fl
-from foamlab.equilibrium import curvature_scale, lm_minimize, numeric_jacobian
-from foamlab.geometry import arc_properties
+from foamlab.constructions import _quasi_rows
+from foamlab.equilibrium import (
+    curvature_scale,
+    lm_minimize,
+    numeric_jacobian,
+    pin_gauge,
+    residual_jacobian,
+)
+from foamlab.geometry import arc_carrier
 from foamlab.errors import NonConvergence, PathInconsistent, StructuralError
 
 
@@ -47,7 +54,7 @@ class TestPressures:
         for name, c in equilibrium_presets.items():
             p = fl.pressures(c)
             for ed in c.edges:
-                kappa = arc_properties(c.arc_of(ed.id)).signed_curvature
+                kappa = arc_carrier(c.arc_of(ed.id)).signed_curvature()
                 assert p[ed.left] - p[ed.right] == pytest.approx(
                     kappa, abs=1e-9 * max(1.0, curvature_scale(c))
                 ), name
@@ -72,33 +79,75 @@ class TestClassify:
     def test_degree_violation_raises(self, double):
         # dropping an edge leaves degree-2 vertices
         bad = fl.Cluster(double.vertices, double.edges[:2], 2)
-        with pytest.raises(StructuralError):
-            fl.residuals(bad)
+        for check in (fl.residuals, residual_jacobian, fl.pressures):
+            with pytest.raises(StructuralError):
+                check(bad)
 
 
 class TestLmMinimize:
     def test_quadratic_bowl(self):
         fun = lambda x: np.array([x[0] - 1.0, 2.0 * (x[1] + 3.0), x[0] * x[1] + 3.0])
-        x, history = lm_minimize(fun, np.zeros(2), fd_step=1e-7)
+        jac = lambda x: np.array([[1.0, 0.0], [0.0, 2.0], [x[1], x[0]]])
+        x, history = lm_minimize(fun, jac, np.zeros(2))
         assert np.linalg.norm(fun(x)) < 1e-10
         assert history[-1] < history[0]
 
     def test_rank_deficient_system(self):
         # one equation, two unknowns: minimum-norm steps still converge
         fun = lambda x: np.array([x[0] + x[1] - 2.0])
-        x, _ = lm_minimize(fun, np.zeros(2), fd_step=1e-7)
+        jac = lambda x: np.array([[1.0, 1.0]])
+        x, _ = lm_minimize(fun, jac, np.zeros(2))
         assert abs(x[0] + x[1] - 2.0) < 1e-10
 
     def test_nonconvergence_raises(self):
         fun = lambda x: np.array([1.0 + x[0] ** 2])
+        jac = lambda x: np.array([[2.0 * x[0]]])
         with pytest.raises(NonConvergence):
-            lm_minimize(fun, np.array([1.0]), fd_step=1e-7, max_iter=5,
+            lm_minimize(fun, jac, np.array([1.0]), max_iter=5,
                         converged=lambda x, f: False)
 
     def test_numeric_jacobian(self):
         fun = lambda x: np.array([x[0] ** 2, x[0] * x[1]])
         J = numeric_jacobian(fun, np.array([2.0, 3.0]), 1e-6)
         assert J == pytest.approx(np.array([[4.0, 0.0], [3.0, 2.0]]), abs=1e-8)
+
+
+def residual_rows(c):
+    rep = fl.residuals(c)
+    return np.concatenate([rep.angle_block, rep.cocycle_block])
+
+
+def fd_error(rows, jac, c):
+    """Largest gap between ``jac(c)`` and central differences of ``rows`` over
+    c's chart, relative to the largest exact entry.  At h = 1e-6 diameter the
+    truncation error on necklace(7)'s short edges alone reaches 6e-7."""
+    fd = numeric_jacobian(lambda x: rows(c.with_chart(x)), c.chart(), 1e-7 * c.diameter())
+    J = jac(c)
+    return np.abs(J - fd).max() / np.abs(J).max()
+
+
+def perturbed(c, rng):
+    return c.with_chart(c.chart() + 1e-3 * c.diameter() * rng.standard_normal(c.chart().size))
+
+
+class TestExactJacobians:
+    def test_residual_jacobian(self, equilibrium_presets, rng):
+        for name, c in equilibrium_presets.items():
+            assert residual_jacobian(c).shape == (3 * c.v, 2 * c.v + c.e)
+            for d in (c, perturbed(c, rng)):
+                assert fd_error(residual_rows, residual_jacobian, d) <= 1e-7, name
+
+    def test_gauge_rows(self, equilibrium_presets, rng):
+        for name, c in equilibrium_presets.items():
+            rows, jac = pin_gauge(c)
+            for d in (c, perturbed(c, rng)):
+                assert fd_error(rows, jac, d) <= 1e-7, name
+
+    @pytest.mark.parametrize("kind", ["two_lens_recurved", "four_stretched"])
+    def test_quasi_rows(self, kind, quasi_presets, rng):
+        base, rows, jac = _quasi_rows(kind, 0.15)
+        for d in (base, quasi_presets[kind], perturbed(base, rng)):
+            assert fd_error(rows, jac, d) <= 1e-7, kind
 
 
 class TestSolve:

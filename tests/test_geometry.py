@@ -16,7 +16,6 @@ from foamlab.geometry import (
     arc_length,
     arc_midpoint,
     arc_point,
-    arc_properties,
     arc_tangent,
     arc_through,
     bulge_angle_from_area,
@@ -126,8 +125,8 @@ class TestCarriers:
 
     def test_curvature_sign(self):
         # an arc bulging right of its chord turns left: ccw, positive curvature
-        right = arc_properties(Arc(Point(0, 0), Point(1, 0), 0.1)).signed_curvature
-        left = arc_properties(Arc(Point(0, 0), Point(1, 0), -0.1)).signed_curvature
+        right = arc_carrier(Arc(Point(0, 0), Point(1, 0), 0.1)).signed_curvature()
+        left = arc_carrier(Arc(Point(0, 0), Point(1, 0), -0.1)).signed_curvature()
         assert right > 0 > left
 
     def test_intersections(self):
