@@ -38,7 +38,6 @@ from .constructions import (
 from .desitter import (
     CorrespondenceReport,
     DeSitterPoint,
-    HermitianCircle,
     circle_to_point,
     junction_triples,
     minkowski_form,
@@ -66,6 +65,7 @@ from .errors import (
 )
 from .geometry import (
     Arc,
+    HermitianCircle,
     MobiusMap,
     Point,
     arc_carrier,

@@ -296,6 +296,7 @@ def _cmd_desitter(args, policy) -> int:
 
 def _cmd_render(args, policy) -> int:
     c = _load(args.input)
+    c.frame.require_trivalent()
     fills = pressures(c, policy)[1:] if args.fill_pressures else None
     _write(args.output, cl.to_svg(c, fill_pressures=fills))
     return EXIT_OK

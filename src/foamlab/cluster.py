@@ -3,9 +3,10 @@
 A cluster of ``n`` regions is a chart point of dimension ``2v + e = 7n - 7``:
 vertex coordinates plus one signed bulge area per edge.  Every per-edge
 quantity (half-angle, end tangents, curvature) and its exact chart gradient is
-computed once per chart point in ``Cluster.frame``.  Region boundaries are
-never stored; they are derived walks obtained by rotating around vertices in
-counterclockwise tangent order.  Areas and their derivatives need no walk: a
+computed once per chart point in ``Cluster.frame``, and each half-edge's
+oriented carrier (A, B, D) follows from it by one formula.  Region boundaries
+are never stored; they are derived walks obtained by rotating around vertices
+in counterclockwise tangent order.  Areas and their derivatives need no walk: a
 region's walk is exactly the set of half-edges with it on the left, so they
 come from the edge labels through the signed incidence ``Cluster.incidence``.
 """
@@ -24,10 +25,12 @@ import numpy as np
 from .errors import ClusterFormatError, StructuralError
 from .geometry import (  # arc_tangent is unused here, but perfbench's tests resolve it
     Arc,
+    HermitianCircle,
     Point,
     arc_point,
     arc_tangent,
     bulge_angle_from_area,
+    carrier_coefficients,
     segment_area_dphi,
 )
 
@@ -200,6 +203,31 @@ class Cluster:
             d_alpha=np.stack([_grad(g_theta - g_phi, -phi_b), _grad(g_theta + g_phi, phi_b)], 1),
             d_kappa=_grad(kappa_phi * g_phi - kappa / c * u, kappa_phi * phi_b),
         )
+
+    def carriers(
+        self, centre: complex = 0j, scale: float = 1.0
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A, B, D) of every half-edge's carrier in coordinates
+        (z - centre) / scale, each of shape (e, 2) with [j, 0] the forward
+        half-edge: one formula at the point, tangent and curvature where the
+        half-edge leaves.  Built in those coordinates, D keeps the digits that
+        translating world coordinates far from the origin would cancel."""
+        f = self.frame
+        points, _ = _chords(self)
+        return carrier_coefficients(
+            (points[f.ends] - centre) / scale,
+            np.exp(1j * f.alpha),
+            scale * np.outer(f.kappa, [1.0, -1.0]),
+        )
+
+    def half_edge_carriers(
+        self, hes: Sequence[HalfEdge], centre: complex = 0j, scale: float = 1.0
+    ) -> List[HermitianCircle]:
+        A, B, D = self.carriers(centre, scale)
+        return [
+            HermitianCircle(float(A[j, 1 - fwd]), complex(B[j, 1 - fwd]), float(D[j, 1 - fwd]))
+            for j, fwd in hes
+        ]
 
     @cached_property
     def vertex_stars(self) -> Tuple[Tuple[HalfEdge, ...], ...]:
@@ -717,7 +745,7 @@ def to_svg(
             d += [arc_path(he) for he in walk]
             d.append("Z")
             frac = 0.5 * (1.0 + float(fill_pressures[r - 1]) / pmax)
-            red = int(255 * frac)
+            red = round(255 * frac)
             blue = 255 - red
             parts.append(
                 f'<path d="{" ".join(d)}" fill="rgb({red},120,{blue})" '

@@ -28,12 +28,11 @@ from .geometry import (
     Arc,
     MobiusMap,
     Point,
-    arc_carrier,
     arc_point,
     arc_through,
-    carrier_intersections,
     mobius_apply_arc,
     mobius_apply_point,
+    pencil_meet,
     second_intersection,
     segment_area,
 )
@@ -189,31 +188,35 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     infinity; the incident edges become straight rays at 120 degrees, the
     equilateral arc triangle of circumradius ``size`` (measured in that
     normalized picture, making the parameter Mobius-covariant) is inserted,
-    and everything is mapped back.  Edges and vertices away from the
-    junction are untouched; the new region gets id n + 1.
+    and everything is mapped back.  Scaling the cluster by s scales that
+    picture by 1/s; at a straight junction, whose carriers meet again at
+    infinity, the picture is the cluster itself.  Edges and vertices away
+    from the junction are untouched; the new region gets id n + 1.
     """
     if not 0 <= vertex < cluster.v:
         raise GeometryDomainError(f"no vertex {vertex}")
     if not size > 0:
         raise GeometryDomainError("size must be positive")
     star = cluster.vertex_stars[vertex]
-    carriers = [arc_carrier(cluster.half_edge_arc(he)) for he in star]
     p = cluster.vertices[vertex]
-    q = second_intersection(carriers, p, tol=1e-6)
+    scale = cluster.diameter()
+    # in coordinates (z - p) / scale the curvature noise of straight edges
+    # stays far below the meet's tolerance
+    carriers = cluster.half_edge_carriers(star, p.z, scale)
+    q = second_intersection(carriers, Point(0.0, 0.0), tol=1e-6)
+    tangents = [cluster.outgoing_tangent(he) for he in star]
 
     if q is AT_INFINITY:
         m = minv = None
         w = p.z
-        dirs = [cluster.outgoing_tangent(he) for he in star]
+        dirs = tangents
     else:
+        q = Point.of(p.z + scale * q.z)
         m = MobiusMap.inversion_about(q.z).normalized()
         minv = m.inverse()
         w = m.apply(p.z)
-        dirs = [
-            _mobius_tangent(m, p.z, cluster.outgoing_tangent(he)) for he in star
-        ]
+        dirs = [_mobius_tangent(m, p.z, t) for t in tangents]
 
-    scale = cluster.diameter()
     tri = [w + size * d for d in dirs]
 
     # truncate the three incident edges at the triangle vertices
@@ -303,15 +306,6 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     )
 
 
-def _point_on_carrier(carrier, z: complex, tol: float) -> bool:
-    if carrier.kind == "circle":
-        return abs(abs(z - carrier.center.z) - carrier.radius) < tol * carrier.radius
-    u = carrier.direction
-    return abs(((z - carrier.point.z).conjugate() * u).imag) < tol * max(
-        1.0, abs(z - carrier.point.z)
-    )
-
-
 def _in_triangle(w: complex, tri: Sequence[complex]) -> bool:
     signs = []
     for k in range(3):
@@ -346,29 +340,24 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
         if len(others) != 1:
             raise GeometryDomainError("bubble junction is not a triple point")
         outer_hes.append(others[0])
-    carriers = [arc_carrier(cluster.half_edge_arc(he)) for he in outer_hes]
-
     scale = cluster.diameter()
-    tol = 1e-6
-    # the two common points of the three outer carriers
-    pts = carrier_intersections(carriers[0], carriers[1])
-    common = [
-        pt.z for pt in pts if _point_on_carrier(carriers[2], pt.z, tol)
-    ]
-    n_lines = sum(1 for c in carriers if c.kind == "line")
     bubble_pos = [cluster.vertices[v].z for v in bubble_vids]
-    if n_lines >= 2:
-        if len(common) != 1:
-            raise GeometryDomainError("outer carriers are not concurrent")
+    centre = sum(bubble_pos) / 3.0
+    # the outer carriers' two common points; the one inside the bubble is
+    # the one nearest its centroid, tried first since _in_triangle can accept
+    # both on a Mobius image
+    carriers = cluster.half_edge_carriers(outer_hes, centre, scale)
+    common, ratio = pencil_meet(carriers, 0j, 1.0)
+    if ratio > 1e-6 or len(common) != 2:
+        raise GeometryDomainError("outer carriers do not share two common points")
+    finite = [centre + scale * q.z for q in common if q is not AT_INFINITY]
+    finite.sort(key=lambda z: abs(z - centre))
+    if len(finite) == 1:
         m = minv = None
-        w = common[0]
+        w = finite[0]
         tri = bubble_pos
     else:
-        if len(common) != 2:
-            raise GeometryDomainError(
-                "outer carriers do not share two common points"
-            )
-        for q, p_in in (common, reversed(common)):
+        for p_in, q in (finite, reversed(finite)):
             m_try = MobiusMap.inversion_about(q).normalized()
             tri_try = [m_try.apply(z) for z in bubble_pos]
             if _in_triangle(m_try.apply(p_in), tri_try):
@@ -700,9 +689,9 @@ def quasi_variant(kind: str, amount: float = 0.15) -> Cluster:
     return chart_lm(base, rows, jac, lambda x, f: bool(np.abs(f).max() < 1e-10), max_iter=200)
 
 
-def _quasi_rows(kind: str, amount: float):
+def _quasi_rows(variant: str, amount: float):
     """Base cluster, solved rows and their exact Jacobian for a quasi variant."""
-    if kind == "two_lens_recurved":
+    if variant == "two_lens_recurved":
         base = two_lens()
         # the main-circle arcs 0 and 1 are re-curved; lens arc 2 keeps its
         # curvature so the pins cannot be satisfied by simply rescaling the
@@ -719,7 +708,7 @@ def _quasi_rows(kind: str, amount: float):
             curvature = c.frame.jacobian(pinned, pinned, c.frame.d_kappa[pinned] / kscale, 3)
             return np.vstack([curvature, gauge_jac(c)])
 
-    elif kind == "four_stretched":
+    elif variant == "four_stretched":
         # the two pinned endpoints already fix rigid motions: no gauge rows
         base = four_bubble()
         flat = 1e-12 * base.diameter() ** 2
@@ -741,7 +730,7 @@ def _quasi_rows(kind: str, amount: float):
             return np.eye(2 * c.v + c.e)[cols]
 
     else:
-        raise GeometryDomainError(f"unknown quasi variant kind {kind!r}")
+        raise GeometryDomainError(f"unknown quasi variant kind {variant!r}")
 
     def angle_rows(c: Cluster) -> np.ndarray:
         return np.concatenate([residuals(c).angle_block, rows(c)])

@@ -1,4 +1,4 @@
-"""Circular-arc primitives, oriented circles/lines, and Mobius transformations.
+"""Circular-arc primitives, oriented carriers, and Mobius transformations.
 
 An arc is stored by its chord endpoints plus the signed area between the arc
 and the chord ("bulge").  Storing the area instead of a curvature keeps arcs
@@ -11,6 +11,12 @@ the central angle, signed) lives in (-pi, pi):
   * arc length  = c * phi / sin(phi)
   * curvature   = 2 sin(phi) / c          (signed, ccw positive)
   * bulge area  = c^2 (phi - sin phi cos phi) / (4 sin^2 phi)
+
+The carrier of an arc, its oriented circle or line, is one Hermitian triple
+(A, B, D): the set A|z|^2 + 2 Re(B z) + D = 0 with AD - |B|^2 = -1, built by
+one formula from a point, the unit tangent and the signed curvature there.
+The common points of several carriers are the base points of their pencil:
+null directions on the kernel of their real (A, 2 Re B, -2 Im B, D) rows.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import GeometryDomainError, NotConcurrent
 
@@ -150,33 +158,6 @@ def bulge_angle_from_area(chord_length: float, area: float) -> float:
     return sign * phi
 
 
-@dataclass(frozen=True)
-class OrientedCircleLine:
-    """Carrier of an arc: an oriented circle or an oriented straight line."""
-
-    kind: str  # 'circle' | 'line'
-    center: Optional[Point] = None
-    radius: float = 0.0
-    ccw: bool = True
-    point: Optional[Point] = None
-    direction: complex = 1.0 + 0.0j  # unit travel direction, lines only
-
-    def __post_init__(self):
-        if self.kind == "circle":
-            if self.center is None or not self.radius > 0.0:
-                raise GeometryDomainError("circle needs center and radius > 0")
-        elif self.kind == "line":
-            if self.point is None or not abs(abs(self.direction) - 1.0) < 1e-9:
-                raise GeometryDomainError("line needs a point and unit direction")
-        else:
-            raise GeometryDomainError(f"unknown carrier kind {self.kind!r}")
-
-    def signed_curvature(self) -> float:
-        if self.kind == "line":
-            return 0.0
-        return (1.0 if self.ccw else -1.0) / self.radius
-
-
 def arc_point(arc: Arc, t: float) -> Point:
     """Point at angular fraction ``t`` in [0, 1] along the arc."""
     phi = arc.phi
@@ -193,18 +174,6 @@ def arc_tangent(arc: Arc, t: float) -> complex:
 
 def arc_midpoint(arc: Arc) -> Point:
     return arc_point(arc, 0.5)
-
-
-def arc_carrier(arc: Arc) -> OrientedCircleLine:
-    phi = arc.phi
-    if abs(phi) < 1e-12:
-        return OrientedCircleLine(kind="line", point=arc.tail, direction=arc.chord_dir())
-    c = arc.chord_length()
-    radius = c / (2.0 * abs(math.sin(phi)))
-    mid = 0.5 * (arc.tail.z + arc.head.z)
-    # center sits on the chord's left normal at signed height (c/2) cot(phi)
-    center = mid + 1j * arc.chord_dir() * (c / 2.0) / math.tan(phi)
-    return OrientedCircleLine(kind="circle", center=Point.of(center), radius=radius, ccw=phi > 0)
 
 
 def arc_length(arc: Arc) -> float:
@@ -233,103 +202,128 @@ def arc_through(tail: Point, mid: Point, head: Point) -> Arc:
 
 
 # ---------------------------------------------------------------------------
-# carrier intersections / second intersection point
+# oriented carriers and their common points
 
 
-def _circle_circle(c1: OrientedCircleLine, c2: OrientedCircleLine):
-    z1, z2 = c1.center.z, c2.center.z
-    r1, r2 = c1.radius, c2.radius
-    d = abs(z2 - z1)
-    if d < 1e-15 * (r1 + r2):
-        return []
-    a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-    h2 = r1 * r1 - a * a
-    if h2 < -1e-12 * r1 * r1:
-        return []
-    h = math.sqrt(max(h2, 0.0))
-    u = (z2 - z1) / d
-    base = z1 + a * u
-    if h == 0.0:
-        return [Point.of(base)]
-    return [Point.of(base + 1j * h * u), Point.of(base - 1j * h * u)]
+@dataclass(frozen=True)
+class HermitianCircle:
+    """Oriented circle or line {z : A|z|^2 + 2 Re(B z) + D = 0}, AD - |B|^2 = -1.
+
+    A is the signed curvature (counterclockwise positive, zero on a line);
+    reversing the orientation negates (A, B, D).
+    """
+
+    A: float
+    B: complex
+    D: float
+
+    def __post_init__(self):
+        ad, bb = self.A * self.D, abs(self.B) ** 2
+        if not abs(ad - bb + 1.0) <= 1e-9 * (abs(ad) + bb):
+            raise GeometryDomainError(f"determinant {ad - bb:.3e} is not -1")
+
+    def negated(self) -> "HermitianCircle":
+        return HermitianCircle(-self.A, -self.B, -self.D)
 
 
-def _line_circle(ln: OrientedCircleLine, ci: OrientedCircleLine):
-    p, u = ln.point.z, ln.direction
-    z0, r = ci.center.z, ci.radius
-    # |p + t u - z0|^2 = r^2
-    w = p - z0
-    b = (w * u.conjugate()).real
-    disc = b * b - (abs(w) ** 2 - r * r)
-    if disc < -1e-12 * r * r:
-        return []
-    s = math.sqrt(max(disc, 0.0))
-    if s == 0.0:
-        return [Point.of(p - b * u)]
-    return [Point.of(p + (-b + s) * u), Point.of(p + (-b - s) * u)]
+def carrier_coefficients(p, t, kappa):
+    """(A, B, D) of the carriers through points ``p`` with unit tangents ``t``
+    and signed curvatures ``kappa`` there, broadcast elementwise:
+
+        A = kappa,  B = i conj(t) - kappa conj(p),  D = kappa |p|^2 + 2 Im(p conj(t)).
+
+    AD - |B|^2 = -1 holds identically, so a line (kappa = 0) is no special case.
+    """
+    return (
+        kappa,
+        1j * np.conj(t) - kappa * np.conj(p),
+        kappa * np.abs(p) ** 2 + 2.0 * np.imag(p * np.conj(t)),
+    )
 
 
-def _line_line(l1: OrientedCircleLine, l2: OrientedCircleLine):
-    p1, u1 = l1.point.z, l1.direction
-    p2, u2 = l2.point.z, l2.direction
-    denom = (u1.conjugate() * u2).imag
-    if abs(denom) < 1e-14:
-        return []
-    t = ((p2 - p1).conjugate() * u2).imag / denom
-    return [Point.of(p1 + t * u1)]
+def arc_carrier(arc: Arc) -> HermitianCircle:
+    """Carrier of an arc, from its tail, tail tangent and curvature."""
+    phi, c = arc.phi, arc.chord_length()
+    t = arc.chord_dir() * cmath.exp(-1j * phi)
+    A, B, D = carrier_coefficients(arc.tail.z, t, 2.0 * math.sin(phi) / c)
+    return HermitianCircle(float(A), complex(B), float(D))
 
 
-def carrier_intersections(a: OrientedCircleLine, b: OrientedCircleLine):
-    if a.kind == "circle" and b.kind == "circle":
-        return _circle_circle(a, b)
-    if a.kind == "line" and b.kind == "circle":
-        return _line_circle(a, b)
-    if a.kind == "circle" and b.kind == "line":
-        return _line_circle(b, a)
-    return _line_line(a, b)
-
-
-#: marker returned when three straight-line carriers meet again at infinity
+#: marker for the point at infinity, where straight carriers meet again
 AT_INFINITY = object()
+
+# Q(X) = X1^2 + X2^2 - X0 X3, which vanishes exactly on X ~ (|u|^2, Re u, Im u, 1)
+_NULL_FORM = np.array(
+    [[0.0, 0.0, 0.0, -0.5], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [-0.5, 0.0, 0.0, 0.0]]
+)
+
+
+def pencil_meet(carriers: Sequence[HermitianCircle], centre: complex, scale: float):
+    """Common points of k >= 2 carriers, and how far they are from one pencil.
+
+    In u = (z - centre) / s, s = ``scale``, a carrier is the real row
+    (A s^2, 2 Re B', -2 Im B', D') acting on X = (|u|^2, Re u, Im u, 1), with
+    B' = s (A conj(centre) + B) and D' = A |centre|^2 + 2 Re(B centre) + D.
+    Carriers of one pencil span two rows, so the common points are the null
+    directions of Q = X1^2 + X2^2 - X0 X3 on the kernel of the k x 4 matrix
+    of unit rows.  Returns those points (a ``Point``, or :data:`AT_INFINITY`
+    where X3 vanishes; a tangency point twice; none when the pencil has no
+    real base point) and the singular-value ratio sigma_3 / sigma_1 (0 for
+    two carriers).
+    """
+    A = np.array([h.A for h in carriers], dtype=float)
+    B = np.array([h.B for h in carriers], dtype=complex)
+    D = np.array([h.D for h in carriers], dtype=float)
+    b = scale * (A * np.conj(centre) + B)
+    d = A * abs(centre) ** 2 + 2.0 * (B * centre).real + D
+    rows = np.stack([A * scale**2, 2.0 * b.real, -2.0 * b.imag, d], axis=1)
+    _, sigma, vt = np.linalg.svd(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    ratio = float(sigma[2] / sigma[0]) if sigma.size > 2 else 0.0
+    kernel = vt[2:]
+    lam, vec = np.linalg.eigh(kernel @ _NULL_FORM @ kernel.T)
+    if lam[0] > 1e-12 or lam[1] < -1e-12:  # Q definite: no real base point
+        return [], ratio
+    points = []
+    for sign in (1.0, -1.0):
+        X = vec @ [sign * math.sqrt(max(lam[1], 0.0)), math.sqrt(max(-lam[0], 0.0))] @ kernel
+        X /= np.linalg.norm(X)
+        # X3 < 1e-12 puts the point beyond ~1e6 scale units, where rounding
+        # of X3 (~1e-16) leaves it at most four digits: call it infinity
+        if abs(X[3]) <= 1e-12:
+            points.append(AT_INFINITY)
+        else:
+            points.append(Point.of(centre + scale * complex(X[1], X[2]) / X[3]))
+    return points, ratio
 
 
 def second_intersection(
-    carriers: Sequence[OrientedCircleLine], p: Point, tol: float = 1e-6
+    carriers: Sequence[HermitianCircle], p: Point, tol: float = 1e-6
 ):
-    """Common second point of three carriers through ``p``.
+    """Common second point of three carriers through ``p``: their pencil
+    meet minus ``p``.
 
-    Returns :data:`AT_INFINITY` when all three carriers are straight lines
-    (they meet again at the point at infinity).  Raises :class:`NotConcurrent`
-    when the pairwise second intersections disagree beyond ``tol`` times the
-    configuration scale.
+    The meet is centred on ``p`` and scaled by the smallest radius, but by
+    at most the unit length: coordinates are taken to be of order one, so
+    straight carriers whose curvatures are rounding noise still meet again
+    at :data:`AT_INFINITY`.  Callers with a length of their own pass
+    carriers measured in it (``decorate`` uses the cluster diameter).
+    Raises :class:`NotConcurrent` when the singular-value ratio exceeds
+    ``tol``, or when, within ``tol`` of the scale, a carrier misses ``p`` or
+    the second point coincides with it.
     """
     if len(carriers) != 3:
         raise GeometryDomainError("second_intersection expects three carriers")
-    kinds = [c.kind for c in carriers]
-    if kinds.count("line") == 3:
-        return AT_INFINITY
-    scale = max(
-        [c.radius for c in carriers if c.kind == "circle"] + [abs(p.z), 1.0]
-    )
-    if kinds.count("line") == 2:
-        raise NotConcurrent("two straight lines meet again only at infinity")
-    candidates = []
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    for i, j in pairs:
-        pts = carrier_intersections(carriers[i], carriers[j])
-        pts = sorted(pts, key=lambda q: -abs(q.z - p.z))
-        if not pts or abs(pts[-1].z - p.z) > tol * scale:
-            raise NotConcurrent("carriers do not all pass through the base point")
-        candidates.append(pts[0].z)  # farthest from p = the second point
-    spread = max(abs(a - b) for a in candidates for b in candidates)
-    if spread > tol * scale:
-        raise NotConcurrent(
-            f"pairwise second intersections disagree by {spread:.3e}"
-        )
-    q = sum(candidates) / 3.0
-    if abs(q - p.z) <= tol * scale:
+    scale = 1.0 / max(1.0, *(abs(h.A) for h in carriers))
+    points, ratio = pencil_meet(carriers, p.z, scale)
+    if ratio > tol or len(points) != 2:
+        raise NotConcurrent(f"carriers share no second point (ratio {ratio:.3e})")
+    dist = [math.inf if q is AT_INFINITY else abs(q.z - p.z) / scale for q in points]
+    near = int(dist[1] < dist[0])
+    if dist[near] > tol:
+        raise NotConcurrent("carriers do not all pass through the base point")
+    if dist[1 - near] <= tol:
         raise NotConcurrent("second intersection coincides with the base point")
-    return Point.of(q)
+    return points[1 - near]
 
 
 # ---------------------------------------------------------------------------

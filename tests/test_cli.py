@@ -43,7 +43,7 @@ class TestNewAndCheck:
         assert run(["check", dropped_edge_document(tmp_path)]) == 1
         assert capsys.readouterr().out.startswith("Invalid: ")
 
-    @pytest.mark.parametrize("verb", [["pressures"], ["desitter", "verify"]])
+    @pytest.mark.parametrize("verb", [["pressures"], ["desitter", "verify"], ["render"]])
     def test_invalid_cluster_is_exit_2(self, tmp_path, verb):
         # the two vertices left have degree 2: not a triple junction
         assert run(verb + [dropped_edge_document(tmp_path)]) == 2

@@ -201,3 +201,8 @@ class TestSvg:
     def test_render_with_fills(self, double):
         svg = fl.to_svg(double, fill_pressures=fl.pressures(double)[1:])
         assert svg.count("<path") == double.e + double.n
+
+    def test_top_pressure_fill_is_full_red(self, necklace7):
+        # the seven unit-pressure bubbles equal the maximum up to roundoff
+        svg = fl.to_svg(necklace7, fill_pressures=fl.pressures(necklace7)[1:])
+        assert svg.count('fill="rgb(255,120,0)"') == 7

@@ -11,7 +11,7 @@ class TestDoubleBubble:
     def test_outer_radii(self):
         c = fl.double_bubble(1.0, 0.6)
         outer = sorted(
-            arc_carrier(c.arc_of(j)).radius
+            1.0 / abs(arc_carrier(c.arc_of(j)).A)
             for j in range(c.e)
             if c.edges[j].left == fl.EXTERIOR or c.edges[j].right == fl.EXTERIOR
         )
@@ -25,8 +25,7 @@ class TestDoubleBubble:
             for j in range(c.e)
             if fl.EXTERIOR not in (c.edges[j].left, c.edges[j].right)
         )
-        r = arc_carrier(c.arc_of(iface)).radius
-        assert 1.0 / r == pytest.approx(1.0 / 0.6 - 1.0, abs=1e-12)
+        assert abs(arc_carrier(c.arc_of(iface)).A) == pytest.approx(1.0 / 0.6 - 1.0, abs=1e-12)
 
     def test_rejects_bad_radii(self):
         with pytest.raises((GeometryDomainError, ValueError)):
@@ -94,6 +93,46 @@ class TestDecoration:
         half = fl.scale_three_sided(c, c.n, 0.5)
         assert fl.classify(half) is fl.Verdict.EQUILIBRIUM
         assert fl.region_areas(half)[-1] < fl.region_areas(c)[-1]
+
+
+def scaled(c, s):
+    return fl.mobius_apply_cluster(fl.MobiusMap.scaling(s), c)
+
+
+def assert_similar(a, b):
+    """Same vertices and bulges, relative to the diameter and its square."""
+    va = np.array([p.z for p in a.vertices])
+    vb = np.array([p.z for p in b.vertices])
+    d = a.diameter()
+    assert np.abs(va - vb).max() <= 1e-9 * d
+    bulges = np.array([[ea.bulge, eb.bulge] for ea, eb in zip(a.edges, b.edges)])
+    assert np.abs(bulges[:, 0] - bulges[:, 1]).max() <= 1e-9 * d * d
+
+
+class TestDecorationScaleCovariance:
+    """``size`` is measured in the picture where the junction's carriers
+    meet again at infinity.  Scaling a cluster by s scales that inverted
+    picture by 1/s, so size/s decorates the copy; at a straight junction
+    the picture is the cluster itself, so s * size does."""
+
+    @pytest.mark.parametrize(
+        "make, vertex, size",
+        [
+            (lambda: fl.necklace(7), 0, 0.002),
+            (lambda: fl.double_bubble(1.0, 0.7), 0, 0.1),
+            (lambda: fl.two_lens(), 1, 0.1),
+        ],
+        ids=["necklace7", "double", "two_lens"],
+    )
+    def test_tiny_copy(self, make, vertex, size):
+        c, s = make(), 1e-7
+        want = scaled(fl.decorate(c, vertex, size), s)
+        assert_similar(fl.decorate(scaled(c, s), vertex, size / s), want)
+
+    def test_tiny_copy_at_straight_junction(self, triple):
+        s = 1e-7
+        want = scaled(fl.decorate(triple, 0, 0.2), s)
+        assert_similar(fl.decorate(scaled(triple, s), 0, 0.2 * s), want)
 
 
 class TestFourBubble:

@@ -7,25 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foamlab as fl
-from foamlab.desitter import (
-    FORM_120,
-    carrier_to_hermitian,
-    hermitian_to_carrier,
-)
+from foamlab.desitter import FORM_120
 from foamlab.errors import GeometryDomainError
-from foamlab.geometry import OrientedCircleLine, Point
+from foamlab.geometry import carrier_coefficients
 
 
 def circle(cx, cy, r, ccw=True):
-    return OrientedCircleLine(
-        kind="circle", center=Point(cx, cy), radius=r, ccw=ccw
-    )
+    """|z - c|^2 = r^2 oriented by sign s: (A, B, D) = s (1, -conj(c), |c|^2 - r^2) / r."""
+    s = (1.0 if ccw else -1.0) / r
+    c = complex(cx, cy)
+    return fl.HermitianCircle(s, -s * c.conjugate(), s * (abs(c) ** 2 - r * r))
 
 
 def line(px, py, theta):
-    return OrientedCircleLine(
-        kind="line", point=Point(px, py), direction=cmath.exp(1j * theta)
+    return fl.HermitianCircle(
+        *carrier_coefficients(complex(px, py), cmath.exp(1j * theta), 0.0)
     )
+
+
+def center(h):
+    return -h.B.conjugate() / h.A
 
 
 class TestCalibration:
@@ -64,25 +65,38 @@ class TestRoundTrip:
     def test_circles(self, cx, cy, r, ccw):
         c = circle(cx, cy, r, ccw)
         back = fl.point_to_circle(fl.circle_to_point(c))
-        assert back.kind == "circle"
-        assert abs(back.center.z - c.center.z) < 1e-10 * max(1.0, abs(c.center.z))
-        assert back.radius == pytest.approx(r, rel=1e-10)
-        assert back.ccw == ccw
+        assert back.A != 0.0
+        assert abs(center(back) - center(c)) < 1e-10 * max(1.0, abs(center(c)))
+        assert 1.0 / abs(back.A) == pytest.approx(r, rel=1e-10)
+        assert (back.A > 0) == ccw
 
     @given(px=st.floats(-4, 4), py=st.floats(-4, 4), theta=st.floats(0, 6.28))
     @settings(max_examples=150, deadline=None)
     def test_lines(self, px, py, theta):
         c = line(px, py, theta)
         back = fl.point_to_circle(fl.circle_to_point(c))
-        assert back.kind == "line"
-        assert abs(back.direction - c.direction) < 1e-10
-        # recovered base point lies on the same line
-        assert abs(((back.point.z - c.point.z) * c.direction.conjugate()).imag) < 1e-9
+        assert back.A == 0.0
+        # B = i conj(direction)
+        assert abs(back.B - c.B) < 1e-10
+        # the base point lies on the recovered line
+        p = complex(px, py)
+        assert abs(2.0 * (back.B * p).real + back.D) < 1e-9
 
     def test_hermitian_round_trip(self):
-        h = carrier_to_hermitian(circle(1, 2, 0.5, ccw=False))
-        c = hermitian_to_carrier(h)
-        assert c.ccw is False and c.radius == pytest.approx(0.5)
+        h = circle(1, 2, 0.5, ccw=False)
+        back = fl.point_to_circle(fl.circle_to_point(h))
+        assert back.A < 0 and 1.0 / abs(back.A) == pytest.approx(0.5)
+        flipped = back.negated()
+        ccw = circle(1, 2, 0.5)
+        assert (flipped.A, flipped.B, flipped.D) == pytest.approx((ccw.A, ccw.B, ccw.D))
+
+    def test_normalization_is_relative(self):
+        # a radius-1.3e-4 circle centred near 12.5 has entries near 1e6, so
+        # AD - |B|^2 = -1 holds only to their rounding, here 3.8e-6
+        c = circle(10.3, 7.1, 1.3e-4)
+        back = fl.point_to_circle(fl.circle_to_point(c))
+        assert center(back) == pytest.approx(10.3 + 7.1j, rel=1e-12)
+        assert 1.0 / back.A == pytest.approx(1.3e-4, rel=1e-9)
 
     def test_invalid_point_rejected(self):
         with pytest.raises(GeometryDomainError):
@@ -120,6 +134,13 @@ class TestJunctionTriples:
 
 
 class TestVerifyCorrespondence:
+    @pytest.mark.parametrize("s", [1e-3, 1e3])
+    def test_scaled_equilibrium_presets_pass(self, equilibrium_presets, s):
+        for name, c in equilibrium_presets.items():
+            scaled = fl.mobius_apply_cluster(fl.MobiusMap.scaling(s), c)
+            rep = fl.verify_correspondence(scaled, tol=1e-8)
+            assert rep.passed, (name, rep.collinearity.max(), rep.spacing.max())
+
     def test_equilibrium_presets_pass(self, equilibrium_presets):
         for name, c in equilibrium_presets.items():
             rep = fl.verify_correspondence(c, tol=1e-8)

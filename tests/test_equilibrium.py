@@ -54,7 +54,7 @@ class TestPressures:
         for name, c in equilibrium_presets.items():
             p = fl.pressures(c)
             for ed in c.edges:
-                kappa = arc_carrier(c.arc_of(ed.id)).signed_curvature()
+                kappa = arc_carrier(c.arc_of(ed.id)).A
                 assert p[ed.left] - p[ed.right] == pytest.approx(
                     kappa, abs=1e-9 * max(1.0, curvature_scale(c))
                 ), name

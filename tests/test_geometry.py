@@ -19,9 +19,10 @@ from foamlab.geometry import (
     arc_tangent,
     arc_through,
     bulge_angle_from_area,
-    carrier_intersections,
+    carrier_coefficients,
     mobius_apply_arc,
     mobius_apply_point,
+    pencil_meet,
     second_intersection,
     segment_area,
 )
@@ -112,28 +113,82 @@ class TestArcThrough:
 
 class TestCarriers:
     def test_circle_carrier(self):
+        # the unit circle, counterclockwise: |z|^2 - 1 = 0
         arc = Arc(Point(-1, 0), Point(1, 0), segment_area(math.pi / 2, 2.0))
         c = arc_carrier(arc)
-        assert c.kind == "circle"
-        assert abs(c.center.z) < 1e-12
-        assert c.radius == pytest.approx(1.0, abs=1e-12)
+        assert (c.A, c.D) == pytest.approx((1.0, -1.0), abs=1e-12)
+        assert abs(c.B) < 1e-12
 
     def test_line_carrier(self):
+        # a line is A = 0 with B = i conj(direction)
         c = arc_carrier(Arc(Point(0, 0), Point(3, 4), 0.0))
-        assert c.kind == "line"
-        assert abs(c.direction - (3 + 4j) / 5) < 1e-15
+        assert c.A == 0.0
+        assert abs(c.B - 1j * ((3 + 4j) / 5).conjugate()) < 1e-15
+        assert abs(c.D) < 1e-15
 
     def test_curvature_sign(self):
         # an arc bulging right of its chord turns left: ccw, positive curvature
-        right = arc_carrier(Arc(Point(0, 0), Point(1, 0), 0.1)).signed_curvature()
-        left = arc_carrier(Arc(Point(0, 0), Point(1, 0), -0.1)).signed_curvature()
+        right = arc_carrier(Arc(Point(0, 0), Point(1, 0), 0.1)).A
+        left = arc_carrier(Arc(Point(0, 0), Point(1, 0), -0.1)).A
         assert right > 0 > left
 
     def test_intersections(self):
+        # the unit circle meets its tangent y = -1 twice at the tangency point
         a = arc_carrier(Arc(Point(-1, 0), Point(1, 0), segment_area(math.pi / 2, 2.0)))
         b = arc_carrier(Arc(Point(0, -1), Point(2, -1), 0.0))
-        pts = carrier_intersections(a, b)
+        pts, _ = pencil_meet([a, b], 0j, 1.0)
+        assert len(pts) == 2
         assert all(abs(p.x) < 1e-6 and abs(p.y + 1) < 1e-6 for p in pts)
+
+    def test_formula_matches_center_and_radius(self):
+        # at any point of the circle |z - c| = r with the travel tangent there
+        c0, r = 0.3 - 1.2j, 0.7
+        for theta in np.linspace(0.0, 6.0, 7):
+            for s in (1.0, -1.0):
+                p = c0 + r * cmath.exp(1j * theta)
+                A, B, D = carrier_coefficients(p, s * 1j * cmath.exp(1j * theta), s / r)
+                assert (A, D) == pytest.approx((s / r, s * (abs(c0) ** 2 - r * r) / r))
+                assert abs(B + s * c0.conjugate() / r) < 1e-12
+
+    @given(phi=phis, hx=finite, hy=finite, tx=finite, ty=finite)
+    @settings(max_examples=150, deadline=None)
+    def test_arc_points_on_carrier_and_reversal_negates(self, phi, hx, hy, tx, ty):
+        tail, head = Point(tx, ty), Point(hx, hy)
+        c = abs(head.z - tail.z)
+        if c < 0.1:
+            return
+        arc = Arc(tail, head, segment_area(phi, c))
+        h = arc_carrier(arc)
+        zs = np.array([arc_point(arc, t).z for t in np.linspace(0.0, 1.0, 9)])
+        # relative to the size of the terms over the arc's extent R
+        R = np.abs(zs).max()
+        size = abs(h.A) * R * R + 2.0 * abs(h.B) * R + abs(h.D)
+        values = h.A * np.abs(zs) ** 2 + 2.0 * (h.B * zs).real + h.D
+        assert np.abs(values).max() <= 1e-12 * size
+        back = arc_carrier(arc.reversed())
+        scale = abs(h.A) + abs(h.B) + abs(h.D)
+        assert abs(back.A + h.A) + abs(back.B + h.B) + abs(back.D + h.D) <= 1e-12 * scale
+
+
+class TestPencilMeet:
+    def test_two_points_of_two_circles(self):
+        # circles through 0 and 2: centers 1 +- i
+        a = arc_carrier(arc_through(Point(0, 0), Point.of(1 + 1j + math.sqrt(2) * 1j), Point(2, 0)))
+        b = arc_carrier(arc_through(Point(0, 0), Point.of(1 - 1j - math.sqrt(2) * 1j), Point(2, 0)))
+        pts, ratio = pencil_meet([a, b], 1.0, 1.0)
+        assert ratio == 0.0
+        assert sorted(round(p.x, 12) for p in pts) == [0.0, 2.0]
+
+    def test_parallel_lines_meet_at_infinity_only(self):
+        a = arc_carrier(Arc(Point(0, 0), Point(1, 0), 0.0))
+        b = arc_carrier(Arc(Point(0, 1), Point(1, 1), 0.0))
+        pts, _ = pencil_meet([a, b], 0.5j, 1.0)
+        assert pts == [AT_INFINITY, AT_INFINITY]
+
+    def test_disjoint_circles_share_no_point(self):
+        a = arc_carrier(Arc(Point(-1, 0), Point(1, 0), segment_area(math.pi / 2, 2.0)))
+        b = arc_carrier(Arc(Point(2, 0), Point(4, 0), segment_area(math.pi / 2, 2.0)))
+        assert pencil_meet([a, b], 1.5, 1.0)[0] == []
 
 
 class TestSecondIntersection:
@@ -152,6 +207,17 @@ class TestSecondIntersection:
             for a in (0.0, 2.1, 4.2)
         ]
         assert second_intersection(carriers, Point(0, 0)) is AT_INFINITY
+
+    def test_tiny_circles(self):
+        # the same three circles scaled by 1e-7 meet again at 2e-7
+        carriers = [
+            arc_carrier(
+                arc_through(Point(0, 0), Point.of(1e-7 * (1 + y * 1j)), Point(2e-7, 0))
+            )
+            for y in (0.5, 1.0, -0.7)
+        ]
+        q = second_intersection(carriers, Point(0, 0))
+        assert abs(q.z - 2e-7) < 1e-9 * 2e-7
 
     def test_non_concurrent_raises(self):
         carriers = [
