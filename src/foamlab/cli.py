@@ -7,6 +7,9 @@ input/output, deterministic float formatting, and the exit-code contract
     1  check ran but the verdict is negative
     2  input or argument error
     3  solver failed to converge
+
+A verb that reads a document exits 2 when ``validate`` rejects it, except
+``check``, which prints the failed checks and exits 1.
 """
 
 from __future__ import annotations
@@ -33,12 +36,22 @@ EXIT_INPUT = 2
 EXIT_NONCONVERGENCE = 3
 
 
-def _load(path: str) -> cl.Cluster:
+def _read(path: str) -> cl.Cluster:
     try:
         with open(path) as fh:
             return cl.loads(fh.read())
     except OSError as err:
         raise SystemExit(_input_error(f"cannot read {path}: {err}"))
+
+
+def _load(path: str) -> cl.Cluster:
+    """Read a document that ``validate`` accepts, which builds its topology:
+    any other document is an input error."""
+    c = _read(path)
+    report = cl.validate(c)
+    if not report.ok:
+        raise SystemExit(_input_error(f"invalid cluster: {'; '.join(report.failures())}"))
+    return c
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -192,7 +205,7 @@ def _cmd_new(args, policy) -> int:
 
 
 def _cmd_check(args, policy) -> int:
-    c = _load(args.input)
+    c = _read(args.input)
     report = cl.validate(c)
     if not report.ok:
         print(f"Invalid: {'; '.join(report.failures())}")
@@ -273,16 +286,12 @@ def _cmd_mobius(args, policy) -> int:
 
 def _cmd_decorate(args, policy) -> int:
     c = _load(args.input)
-    if not 0 <= args.vertex < c.v:
-        return _input_error(f"vertex {args.vertex} out of range")
     _write(args.output, cl.dumps(con.decorate(c, args.vertex, args.size)))
     return EXIT_OK
 
 
 def _cmd_shrink(args, policy) -> int:
     c = _load(args.input)
-    if not 1 <= args.region <= c.n:
-        return _input_error(f"region {args.region} out of range")
     _write(args.output, cl.dumps(con.scale_three_sided(c, args.region, args.factor)))
     return EXIT_OK
 
@@ -296,7 +305,6 @@ def _cmd_desitter(args, policy) -> int:
 
 def _cmd_render(args, policy) -> int:
     c = _load(args.input)
-    c.frame.require_trivalent()
     fills = pressures(c, policy)[1:] if args.fill_pressures else None
     _write(args.output, cl.to_svg(c, fill_pressures=fills))
     return EXIT_OK

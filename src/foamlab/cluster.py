@@ -4,11 +4,13 @@ A cluster of ``n`` regions is a chart point of dimension ``2v + e = 7n - 7``:
 vertex coordinates plus one signed bulge area per edge.  Every per-edge
 quantity (half-angle, end tangents, curvature) and its exact chart gradient is
 computed once per chart point in ``Cluster.frame``, and each half-edge's
-oriented carrier (A, B, D) follows from it by one formula.  Region boundaries
-are never stored; they are derived walks obtained by rotating around vertices
-in counterclockwise tangent order.  Areas and their derivatives need no walk: a
-region's walk is exactly the set of half-edges with it on the left, so they
-come from the edge labels through the signed incidence ``Cluster.incidence``.
+oriented carrier (A, B, D) follows from it by one formula.  The combinatorial
+type is a ``Topology``, derived once per type, not once per chart point: the
+counterclockwise stars, the face walks obtained by rotating around vertices,
+one boundary walk per region and the signed incidence S.  Building it is the
+one structural check, and ``with_chart`` copies share it.  Areas and their
+derivatives need no walk: a region's walk is exactly the set of half-edges
+with it on the left, so they come from the edge labels through S.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ClusterFormatError, StructuralError
+from .errors import ClusterFormatError, GeometryDomainError, StructuralError
 from .geometry import (  # arc_tangent is unused here, but perfbench's tests resolve it
     Arc,
     HermitianCircle,
@@ -74,11 +76,6 @@ class EdgeFrame:
     d_alpha: np.ndarray  # (e, 2, 3) gradient of alpha
     d_kappa: np.ndarray  # (e, 3) gradient of kappa
 
-    def require_trivalent(self) -> None:
-        degree = np.bincount(self.ends.ravel(), minlength=self.v)
-        for i in np.flatnonzero(degree != 3):
-            raise StructuralError(f"vertex {i} has degree {degree[i]}, expected 3")
-
     def jacobian(self, rows, edges, grads, n_rows: int) -> np.ndarray:
         """Chart matrix of shape (n_rows, 2v + e) with the edge gradient
         ``grads[k]`` of edge ``edges[k]`` summed into row ``rows[k]``."""
@@ -96,6 +93,91 @@ class EdgeFrame:
 def _grad(g: np.ndarray, db: np.ndarray) -> np.ndarray:
     """Stack a complex gradient d/d Re w + i d/d Im w with d/db."""
     return np.stack([g.real, g.imag, db], axis=-1)
+
+
+def _half_edge(k: int) -> HalfEdge:
+    """Half-edge k = 2j + end, leaving end ``end`` of edge j (0: the tail)."""
+    return (int(k) >> 1, not int(k) & 1)
+
+
+def _index(he: HalfEdge) -> int:
+    return 2 * he[0] + (not he[1])
+
+
+def _face_walks(ends: np.ndarray, alpha: np.ndarray, v: int):
+    """Stars, face-walk successors and faces (lists of half-edge indices) of
+    the embedding with edge ends ``ends`` and leaving tangent angles
+    ``alpha``, both (e, 2).  Star i lists the half-edges leaving vertex i
+    counterclockwise from the smallest; the successor, the half-edge
+    clockwise next to the reverse, keeps the same region on the left.
+    Raises :class:`StructuralError` unless every vertex is a triple junction.
+    """
+    at = ends.ravel()  # the vertex each half-edge leaves
+    degree = np.bincount(at, minlength=v)
+    for i in np.flatnonzero(degree != 3):
+        raise StructuralError(f"vertex {i} has degree {degree[i]}, expected 3")
+    order = np.lexsort((np.mod(alpha, 2.0 * math.pi).ravel(), at)).reshape(v, 3)
+    stars = np.take_along_axis(order, (order.argmin(axis=1)[:, None] + np.arange(3)) % 3, 1)
+    slot = np.empty(at.size, dtype=int)
+    slot[stars.ravel()] = np.arange(at.size)
+    vertex, place = np.divmod(slot[np.arange(at.size) ^ 1], 3)
+    successor = stars[vertex, (place - 1) % 3]
+    succ, faces, seen = successor.tolist(), [], set()
+    for k in range(at.size):
+        if k not in seen:
+            walk = [k]
+            while (nxt := succ[walk[-1]]) != k:
+                walk.append(nxt)
+            seen.update(walk)
+            faces.append(walk)
+    return stars, successor, faces
+
+
+@dataclass(frozen=True, eq=False)
+class Topology:
+    """The combinatorial type of a cluster, built and checked once.
+
+    Building it (:meth:`of`, stars from a chart point's tangent order) is the
+    structural check every entry point relies on, raising
+    :class:`StructuralError` unless each vertex is a triple junction, the
+    vertex-edge graph is connected, and each face walk carries a single left
+    label, one face per region 0..n.  Half-edges are indexed as k = 2j + end.
+    """
+
+    ends: np.ndarray  # (e, 2) tail and head vertex
+    labels: np.ndarray  # (e, 2) left and right region
+    stars: np.ndarray  # (v, 3) outgoing half-edges, counterclockwise
+    successor: np.ndarray  # (2e,) next half-edge of each face walk
+    walks: Tuple[Tuple[HalfEdge, ...], ...]  # region r's boundary walk at index r
+    incidence: np.ndarray  # (n, e) signed edge-region incidence S
+
+    @classmethod
+    def of(cls, cluster: "Cluster") -> "Topology":
+        f = cluster.frame
+        stars, successor, faces = _face_walks(f.ends, f.alpha, cluster.v)
+        near = f.ends.ravel()[stars ^ 1].tolist()  # the three neighbours of each vertex
+        reached, todo = set(), [0] if cluster.v else []
+        while todo:
+            if (i := todo.pop()) not in reached:
+                reached.add(i)
+                todo += near[i]
+        if unreached := sorted(set(range(cluster.v)) - reached):
+            raise StructuralError(f"vertices {unreached} are not connected to vertex 0")
+        labels = np.array([(ed.left, ed.right) for ed in cluster.edges], dtype=int).reshape(-1, 2)
+        left = labels.ravel().tolist()  # the region left of each half-edge
+        for walk in faces:
+            if len(touched := {left[k] for k in walk}) > 1:
+                raise StructuralError(f"face walk touches several left labels {sorted(touched)}")
+        faces.sort(key=lambda walk: left[walk[0]])
+        if (found := [left[walk[0]] for walk in faces]) != list(range(cluster.n + 1)):
+            raise StructuralError(f"face labels {found}, expected one face per region 0..{cluster.n}")
+        # +1 where r is edge j's left label, -1 where it is its right; the
+        # exterior row is minus the sum of the others and is dropped
+        S = np.zeros((cluster.n + 1, cluster.e))
+        S[labels[:, 0], np.arange(cluster.e)] += 1.0
+        S[labels[:, 1], np.arange(cluster.e)] -= 1.0
+        walks = tuple(tuple(map(_half_edge, walk)) for walk in faces)
+        return cls(f.ends, labels, stars, successor, walks, S[1:])
 
 
 @dataclass(frozen=True)
@@ -120,8 +202,8 @@ class Cluster:
         return self.region_count
 
     def diameter(self) -> float:
-        xs = [p.x for p in self.vertices]
-        ys = [p.y for p in self.vertices]
+        xs = [p.x for p in self.vertices] or [0.0]
+        ys = [p.y for p in self.vertices] or [0.0]
         return math.hypot(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
 
     # -- chart coordinates -------------------------------------------------
@@ -137,6 +219,8 @@ class Cluster:
         return out
 
     def with_chart(self, x: np.ndarray) -> "Cluster":
+        """The cluster of the same type at chart point ``x``; it shares this
+        cluster's topology."""
         if x.shape != (2 * self.v + self.e,):
             raise ValueError("chart vector has wrong length")
         verts = tuple(Point(x[2 * i], x[2 * i + 1]) for i in range(self.v))
@@ -144,7 +228,15 @@ class Cluster:
             replace(ed, bulge=float(x[2 * self.v + j]))
             for j, ed in enumerate(self.edges)
         )
-        return Cluster(verts, edges, self.region_count, self.region_labels)
+        copy = Cluster(verts, edges, self.region_count, self.region_labels)
+        copy.__dict__["topology"] = self.topology  # fills the cached property
+        return copy
+
+    @cached_property
+    def topology(self) -> Topology:
+        """The combinatorial type, built on first use and shared by the
+        ``with_chart`` copies; raises :class:`StructuralError` if invalid."""
+        return Topology.of(self)
 
     # -- derived geometry --------------------------------------------------
 
@@ -229,45 +321,16 @@ class Cluster:
             for j, fwd in hes
         ]
 
-    @cached_property
+    @property
     def vertex_stars(self) -> Tuple[Tuple[HalfEdge, ...], ...]:
-        """Outgoing half-edges per vertex, sorted counterclockwise and
-        rotated to start at the star's smallest half-edge."""
-        f = self.frame
-        stars: List[List[HalfEdge]] = [[] for _ in self.vertices]
-        for k in np.argsort(np.mod(f.alpha, 2.0 * math.pi), axis=None, kind="stable"):
-            j, end = divmod(int(k), 2)
-            stars[f.ends[j, end]].append((j, end == 0))
-        out = []
-        for star in stars:
-            k = star.index(min(star)) if star else 0
-            out.append(tuple(star[k:] + star[:k]))
-        return tuple(out)
+        """Outgoing half-edges per vertex, counterclockwise from the star's
+        smallest half-edge."""
+        return tuple(tuple(map(_half_edge, star)) for star in self.topology.stars)
 
     def next_half_edge(self, he: HalfEdge) -> HalfEdge:
         """Successor in the face walk keeping the same region on the left:
-        the half-edge clockwise next to the reverse of ``he`` (the reverse
-        itself only when it is alone)."""
-        star = self.vertex_stars[self.end_vertex(he)]
-        return star[star.index((he[0], not he[1])) - 1]
-
-    @cached_property
-    def faces(self) -> Tuple[Tuple[HalfEdge, ...], ...]:
-        """All closed half-edge walks, each a face of the embedding.
-
-        ``next_half_edge`` rotates within each star, so it permutes the
-        half-edges and every walk returns to its start.
-        """
-        seen = set()
-        walks: List[Tuple[HalfEdge, ...]] = []
-        for start in ((j, fwd) for j in range(self.e) for fwd in (True, False)):
-            if start not in seen:
-                walk = [start]
-                while (he := self.next_half_edge(walk[-1])) != start:
-                    walk.append(he)
-                seen.update(walk)
-                walks.append(tuple(walk))
-        return tuple(walks)
+        the half-edge clockwise next to the reverse of ``he``."""
+        return _half_edge(self.topology.successor[_index(he)])
 
     def face_area(self, walk: Sequence[HalfEdge]) -> float:
         total = 0.0
@@ -282,42 +345,10 @@ class Cluster:
             total += 0.5 * (a.x * b.y - a.y * b.x)
         return total
 
-    @cached_property
+    @property
     def region_walks(self) -> Dict[int, Tuple[HalfEdge, ...]]:
-        """Boundary walk per region (region on the left), from the labels."""
-        walks: Dict[int, Tuple[HalfEdge, ...]] = {}
-        for walk in self.faces:
-            labels = {self.half_edge_left(he) for he in walk}
-            if len(labels) != 1:
-                raise StructuralError(
-                    f"face walk touches several left labels {sorted(labels)}"
-                )
-            r = labels.pop()
-            if r in walks:
-                raise StructuralError(f"region {r} has more than one boundary walk")
-            walks[r] = walk
-        expected = set(range(self.region_count + 1))
-        if set(walks) != expected:
-            raise StructuralError(
-                f"regions {sorted(expected - set(walks))} have no boundary walk"
-            )
-        return walks
-
-    @cached_property
-    def incidence(self) -> np.ndarray:
-        """Signed edge-region incidence S, shape (n, e), exterior row dropped:
-        +1 where region r is edge j's left label, -1 where it is its right.
-
-        Summing terms that flip sign with the traversal direction along every
-        region walk gives S times the per-edge terms, as ``region_walks`` holds.
-        """
-        S = np.zeros((self.n, self.e))
-        for j, ed in enumerate(self.edges):
-            if 1 <= ed.left <= self.n:
-                S[ed.left - 1, j] += 1.0
-            if 1 <= ed.right <= self.n:
-                S[ed.right - 1, j] -= 1.0
-        return S
+        """Boundary walk per region (region on the left)."""
+        return dict(enumerate(self.topology.walks))
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +381,11 @@ def shoelace_gradient(
 
 def region_areas(cluster: Cluster) -> np.ndarray:
     """Enclosed area of each interior region (index 0 = region 1), exactly
-    S @ (bulge + chord shoelace term) with S = ``cluster.incidence``."""
+    S @ (bulge + chord shoelace term): summing terms that flip sign with the
+    traversal direction along every region walk gives S times them."""
     points, pairs = _chords(cluster)
     bulges = np.array([ed.bulge for ed in cluster.edges])
-    return cluster.incidence @ (bulges + shoelace_terms(points, pairs))
+    return cluster.topology.incidence @ (bulges + shoelace_terms(points, pairs))
 
 
 def perimeter(cluster: Cluster) -> float:
@@ -364,17 +396,10 @@ def area_jacobian(cluster: Cluster) -> np.ndarray:
     """d(areas)/d(chart), shape (n, 2v + e): exactly [S G | S].
 
     Areas are linear in the bulges and bilinear in the vertex coordinates;
-    G is the per-edge gradient of the chord shoelace terms.  Raises
-    :class:`StructuralError` when the labels disagree with the faces.
+    G is the per-edge gradient of the chord shoelace terms.
     """
-    cluster.region_walks  # raises StructuralError unless the labels match the faces
-    return _area_jacobian(cluster)
-
-
-def _area_jacobian(cluster: Cluster) -> np.ndarray:
-    """``area_jacobian`` without the label check, for chart copies of a checked cluster."""
     points, pairs = _chords(cluster)
-    S = cluster.incidence
+    S = cluster.topology.incidence
     G = shoelace_gradient(points, pairs, np.arange(cluster.e), cluster.e)
     return np.hstack([S @ G, S])
 
@@ -396,6 +421,8 @@ class ValidationReport:
 
 
 def validate(cluster: Cluster, check_disjoint: bool = False, samples: int = 16) -> ValidationReport:
+    """Named checks of a cluster document; ``topology`` is the structural
+    check (:attr:`Cluster.topology`) that every other entry point relies on."""
     checks: List[Tuple[str, bool, str]] = []
 
     def add(name, ok, detail=""):
@@ -403,16 +430,16 @@ def validate(cluster: Cluster, check_disjoint: bool = False, samples: int = 16) 
 
     n = cluster.n
     add("region_count", n >= 2, f"n = {n}")
+    # with triple junctions (2e = 3v) either count says v - e + n + 1 = 2
     add(
-        "euler_vertices",
-        cluster.v == 2 * (n - 1),
-        f"v = {cluster.v}, expected {2 * (n - 1)}",
+        "euler_counts",
+        (cluster.v, cluster.e) == (2 * (n - 1), 3 * (n - 1)),
+        f"v, e = {cluster.v}, {cluster.e}, expected {2 * (n - 1)}, {3 * (n - 1)}",
     )
-    add(
-        "euler_edges",
-        cluster.e == 3 * (n - 1),
-        f"e = {cluster.e}, expected {3 * (n - 1)}",
-    )
+    bad = np.flatnonzero(~np.isfinite(cluster.chart())).tolist()
+    add("finite_chart", not bad, f"non-finite chart coordinates {bad}")
+    if bad:
+        return ValidationReport(tuple(checks))
 
     points, ends = _chords(cluster)
     chords = np.abs(points[ends[:, 1]] - points[ends[:, 0]])
@@ -423,44 +450,21 @@ def validate(cluster: Cluster, check_disjoint: bool = False, samples: int = 16) 
     ]
     add("edge_labels", not bad_labels, f"left == right on edges {bad_labels}")
 
-    bad_deg = np.flatnonzero(np.bincount(ends.ravel(), minlength=cluster.v) != 3).tolist()
-    add("vertex_degree_3", not bad_deg, f"vertices with degree != 3: {bad_deg}")
-
-    # connectivity of the vertex-edge graph
-    if cluster.v:
-        seen = {0}
-        stack = [0]
-        adj: Dict[int, List[int]] = {i: [] for i in range(cluster.v)}
-        for ed in cluster.edges:
-            adj[ed.tail].append(ed.head)
-            adj[ed.head].append(ed.tail)
-        while stack:
-            i = stack.pop()
-            for k in adj[i]:
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(k)
-        add("connected", len(seen) == cluster.v, f"reached {len(seen)} of {cluster.v}")
+    if short:
+        add("topology", False, "skipped: degenerate edges")
     else:
-        add("connected", False, "no vertices")
-
-    if not bad_deg and not short:
         try:
-            walks = cluster.region_walks
-        except StructuralError as err:
-            add("boundary_walks", False, str(err))
+            cluster.topology
+        except (StructuralError, GeometryDomainError) as err:
+            add("topology", False, str(err))
         else:
-            add("boundary_walks", True, f"{len(walks)} walks")
-            ext = cluster.face_area(walks[EXTERIOR])
-            add("exterior_face", ext < 0.0, f"exterior walk area {ext:.3g}")
+            add("topology", True)
             areas = region_areas(cluster)
-            add("positive_areas", bool((areas > 0).all()), f"areas {areas}")
-    else:
-        add("boundary_walks", False, "skipped: bad degrees or edges")
+            add("positive_areas", bool((areas > 0).all()), f"areas {areas.tolist()}")
 
     if check_disjoint:
-        bad = _disjointness_scan(cluster, samples)
-        add("arc_disjointness", not bad, f"close pairs {bad}")
+        bad_pairs = _disjointness_scan(cluster, samples)
+        add("arc_disjointness", not bad_pairs, f"close pairs {bad_pairs}")
 
     return ValidationReport(tuple(checks))
 
@@ -524,35 +528,22 @@ def build_cluster_from_arcs(
             EdgeRecord(j, vid(a.tail), vid(a.head), a.bulge, left=-1, right=-1)
         )
     probe = Cluster(tuple(verts), tuple(raw_edges), region_count=0)
-
-    faces = probe.faces
-    face_of: Dict[HalfEdge, int] = {}
+    _, _, faces = _face_walks(probe.frame.ends, probe.frame.alpha, probe.v)
+    face_of = np.empty(2 * probe.e, dtype=int)
     for fi, walk in enumerate(faces):
-        for he in walk:
-            face_of[he] = fi
-    areas = [probe.face_area(w) for w in faces]
-    exterior_face = min(range(len(faces)), key=lambda fi: areas[fi])
-
-    region_id = {exterior_face: EXTERIOR}
-    nxt = 1
-    for j in range(len(raw_edges)):
-        for he in ((j, True), (j, False)):
-            fi = face_of[he]
-            if fi not in region_id:
-                region_id[fi] = nxt
-                nxt += 1
+        face_of[walk] = fi
+    areas = [probe.face_area([_half_edge(k) for k in walk]) for walk in faces]
+    region_id = {int(np.argmin(areas)): EXTERIOR}
+    for fi in face_of.tolist():  # by first appearance along the edge list
+        region_id.setdefault(fi, len(region_id))
     edges = tuple(
-        replace(
-            ed,
-            left=region_id[face_of[(j, True)]],
-            right=region_id[face_of[(j, False)]],
-        )
+        replace(ed, left=region_id[face_of[2 * j]], right=region_id[face_of[2 * j + 1]])
         for j, ed in enumerate(raw_edges)
     )
     return Cluster(
         tuple(verts),
         edges,
-        region_count=nxt - 1,
+        region_count=len(region_id) - 1,
         region_labels=tuple(labels) if labels else (),
     )
 

@@ -41,14 +41,15 @@ from .geometry import (
 def mobius_apply_cluster(m: MobiusMap, cluster: Cluster) -> Cluster:
     """Image cluster under a Mobius map whose pole avoids every arc.
 
-    A map moves only which face holds infinity.  A pole inside interior
-    region r makes r's image unbounded, which shows as its one negative
-    area; region ids 0 and r are then swapped on every edge.
+    The map keeps the counterclockwise order at every vertex, so the image
+    is a chart point of the same topology, and moves only which face holds
+    infinity.  A pole inside interior region r makes r's image unbounded,
+    which shows as its one negative area; region ids 0 and r are then
+    swapped on every edge.
     """
     arcs = [mobius_apply_arc(m, cluster.arc_of(j)) for j in range(cluster.e)]
-    verts = tuple(mobius_apply_point(m, p) for p in cluster.vertices)
-    edges = tuple(replace(ed, bulge=a.bulge) for ed, a in zip(cluster.edges, arcs))
-    image = Cluster(verts, edges, cluster.region_count, cluster.region_labels)
+    verts = [mobius_apply_point(m, p) for p in cluster.vertices]
+    image = cluster.with_chart(np.array([xy for p in verts for xy in p] + [a.bulge for a in arcs]))
     areas = region_areas(image)
     if areas.min() >= 0.0:
         return image
@@ -56,7 +57,7 @@ def mobius_apply_cluster(m: MobiusMap, cluster: Cluster) -> Cluster:
     swap = {EXTERIOR: r, r: EXTERIOR}
     return replace(image, edges=tuple(
         replace(ed, left=swap.get(ed.left, ed.left), right=swap.get(ed.right, ed.right))
-        for ed in edges
+        for ed in image.edges
     ))
 
 
@@ -334,12 +335,9 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
         )
     bubble_vids = [cluster.start_vertex(he) for he in walk]
     bubble_eids = {he[0] for he in walk}
-    outer_hes = []
-    for vid in bubble_vids:
-        others = [he for he in cluster.vertex_stars[vid] if he[0] not in bubble_eids]
-        if len(others) != 1:
-            raise GeometryDomainError("bubble junction is not a triple point")
-        outer_hes.append(others[0])
+    stars = cluster.vertex_stars
+    # the third half-edge at each junction of the walk leaves the bubble
+    outer_hes = [next(he for he in stars[vid] if he[0] not in bubble_eids) for vid in bubble_vids]
     scale = cluster.diameter()
     bubble_pos = [cluster.vertices[v].z for v in bubble_vids]
     centre = sum(bubble_pos) / 3.0

@@ -84,7 +84,6 @@ def junction_triples(cluster: Cluster) -> List[Tuple[DeSitterPoint, ...]]:
 
     Raises :class:`StructuralError` unless every vertex is a triple junction.
     """
-    cluster.frame.require_trivalent()
     X = _coords(cluster)
     return [
         tuple(DeSitterPoint(*X[j, 0 if fwd else 1]) for j, fwd in star)

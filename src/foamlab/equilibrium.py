@@ -20,8 +20,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .cluster import Cluster, _area_jacobian, region_areas
-from .errors import NonConvergence, PathInconsistent, StructuralError, TopologyBreakdown
+from .cluster import Cluster, area_jacobian, region_areas
+from .errors import NonConvergence, PathInconsistent, TopologyBreakdown
 from .tolerances import DEFAULT, TolerancePolicy
 
 
@@ -54,13 +54,13 @@ _END_SIGN = np.array([1.0, -1.0])
 def residuals(cluster: Cluster) -> ResidualReport:
     """Per vertex, the sums of the outgoing unit tangents (angle block,
     interleaved x, y) and of the outgoing signed curvatures (cocycle block),
-    summed over edge ends."""
+    summed over the edge ends of the cluster's topology."""
     f = cluster.frame
-    f.require_trivalent()
+    ends = cluster.topology.ends
     tangent = np.zeros(cluster.v, dtype=complex)
-    np.add.at(tangent, f.ends, np.exp(1j * f.alpha))
+    np.add.at(tangent, ends, np.exp(1j * f.alpha))
     cocycle = np.zeros(cluster.v)
-    np.add.at(cocycle, f.ends, np.outer(f.kappa, _END_SIGN))
+    np.add.at(cocycle, ends, np.outer(f.kappa, _END_SIGN))
     return ResidualReport(tangent.view(float), cocycle)
 
 
@@ -68,8 +68,7 @@ def residual_jacobian(cluster: Cluster) -> np.ndarray:
     """Exact d[angle; cocycle]/d(chart), shape (3v, 2v + e), from the frame
     gradients: d e^{i alpha} = i e^{i alpha} d alpha at every edge end."""
     f = cluster.frame
-    f.require_trivalent()
-    vert = f.ends.ravel()
+    vert = cluster.topology.ends.ravel()
     alpha = f.alpha.ravel()[:, None]
     d_alpha = f.d_alpha.reshape(-1, 3)
     d_kappa = np.repeat(f.d_kappa, 2, axis=0) * np.tile(_END_SIGN, cluster.e)[:, None]
@@ -88,18 +87,17 @@ def curvature_scale(cluster: Cluster) -> float:
 def pressures(cluster: Cluster, policy: TolerancePolicy = DEFAULT) -> np.ndarray:
     """Per-region pressures p_0..p_n (exterior first, fixed at 0).
 
-    Breadth-first over the region adjacency graph; the maximum disagreement
-    on non-tree edges is checked against the policy and raised as
-    :class:`PathInconsistent` when pressure is not well defined, and
-    :class:`StructuralError` on a vertex that is not a triple junction.
+    Breadth-first over the region adjacency graph of the cluster's
+    topology, which is connected; the maximum disagreement on non-tree edges
+    is checked against the policy and raised as :class:`PathInconsistent`
+    when pressure is not well defined.
     """
-    cluster.frame.require_trivalent()
     p = np.full(cluster.n + 1, np.nan)
     p[0] = 0.0
     adjacency: List[List[Tuple[int, float]]] = [[] for _ in range(cluster.n + 1)]
-    for ed, kappa in zip(cluster.edges, cluster.frame.kappa):
-        adjacency[ed.right].append((ed.left, kappa))  # p_left = p_right + kappa
-        adjacency[ed.left].append((ed.right, -kappa))
+    for (left, right), kappa in zip(cluster.topology.labels.tolist(), cluster.frame.kappa):
+        adjacency[right].append((left, kappa))  # p_left = p_right + kappa
+        adjacency[left].append((right, -kappa))
     queue = [0]
     defect = 0.0
     while queue:
@@ -110,8 +108,6 @@ def pressures(cluster: Cluster, policy: TolerancePolicy = DEFAULT) -> np.ndarray
                 queue.append(s)
             else:
                 defect = max(defect, abs(p[s] - (p[r] + drop)))
-    if np.isnan(p).any():
-        raise StructuralError("region adjacency graph is not connected")
     tol = policy.pressure_defect_rel * curvature_scale(cluster)
     if defect > tol:
         raise PathInconsistent(
@@ -231,11 +227,19 @@ class SolveOptions:
 
 
 def _check_topology(cluster: Cluster) -> None:
+    """Raise :class:`TopologyBreakdown` unless the chart point still realizes
+    its topology: no collapsed chord, no near-full circle, and every star in
+    its counterclockwise order, which turns once around the vertex (a star
+    in clockwise order turns twice)."""
     f = cluster.frame
     for j in np.flatnonzero(f.chord < 1e-8 * cluster.diameter()):
         raise TopologyBreakdown(f"edge {j} chord collapsed")
     for j in np.flatnonzero(np.abs(f.phi) > math.pi - 1e-3):
         raise TopologyBreakdown(f"edge {j} approaching a full circle")
+    alpha = f.alpha.ravel()[cluster.topology.stars]
+    turns = np.mod(np.roll(alpha, -1, axis=1) - alpha, 2.0 * math.pi).sum(axis=1)
+    for i in np.flatnonzero(turns > 3.0 * math.pi):
+        raise TopologyBreakdown(f"vertex {i} no longer has its star order")
 
 
 def chart_lm(initial: Cluster, rows: Callable, jac: Callable, converged, max_iter: int) -> Cluster:
@@ -243,7 +247,7 @@ def chart_lm(initial: Cluster, rows: Callable, jac: Callable, converged, max_ite
     ``rows(c)`` of the cluster c at each chart point, with their exact
     Jacobian ``jac(c)``.  The latest chart point's cluster is kept, so rows
     and Jacobian read one frame.  Raises :class:`TopologyBreakdown` when an
-    iterate degenerates an edge."""
+    iterate degenerates an edge or reorders a star."""
     last = [None, initial]
 
     def at(x: np.ndarray) -> Cluster:
@@ -297,8 +301,6 @@ def solve(
         raise ValueError("target must have one area per interior region")
     if not (target > 0).all():
         raise ValueError("target areas must be positive")
-    initial.region_walks  # raises StructuralError unless the labels match the faces
-
     gauge, gauge_jac = pin_gauge(initial)
 
     def rows(c: Cluster) -> np.ndarray:
@@ -307,7 +309,7 @@ def solve(
         return np.concatenate([rep.angle_block, rep.cocycle_block, areas, gauge(c)])
 
     def jac(c: Cluster) -> np.ndarray:
-        return np.vstack([residual_jacobian(c), _area_jacobian(c), gauge_jac(c)])
+        return np.vstack([residual_jacobian(c), area_jacobian(c), gauge_jac(c)])
 
     # the angle, cocycle and area rows converge at tol scaled by 1, by the
     # curvature scale and by diameter^2

@@ -144,7 +144,7 @@ class DiscreteCluster:
         per_edge = np.bincount(
             edge, weights=shoelace_terms(self.points, pairs), minlength=self.cluster.e
         )
-        return self.cluster.incidence @ per_edge
+        return self.cluster.topology.incidence @ per_edge
 
 
 def discretize(cluster: Cluster, m: int) -> DiscreteCluster:
@@ -227,7 +227,6 @@ def stability_report(
     area gradients, and diagonalized against the lumped segment-mass matrix
     so eigenvalues approximate the continuum second-variation spectrum.
     """
-    cluster.region_walks  # raises StructuralError unless the labels match the faces
     disc = discretize(cluster, m)
     press = pressures(cluster, policy)
     pts = disc.points
@@ -241,7 +240,7 @@ def stability_report(
             _shoelace_hessian_update(H, all_pairs[pair_edge == j], -kappa)
 
     # area gradients per interior region, in position coordinates
-    grads = cluster.incidence @ shoelace_gradient(pts, all_pairs, pair_edge, cluster.e)
+    grads = cluster.topology.incidence @ shoelace_gradient(pts, all_pairs, pair_edge, cluster.e)
 
     # reduction matrix: full motion at junctions, normal motion inside arcs
     v = cluster.v

@@ -60,6 +60,45 @@ class TestCombinatorics:
                 assert triple.end_vertex(a) == triple.start_vertex(b)
 
 
+class TestTopology:
+    def test_chart_copies_share_the_topology(self, triple, rng):
+        x = triple.chart() + 1e-3 * rng.standard_normal(triple.chart().size)
+        assert triple.with_chart(x).topology is triple.topology
+
+    def test_solve_keeps_the_initial_topology(self, triple):
+        out = fl.solve(triple, np.array([1.1, 0.9, 1.0]))
+        assert out.topology is triple.topology
+
+    def test_shared_walks_match_a_fresh_build(self, equilibrium_presets, rng):
+        for name, c in equilibrium_presets.items():
+            x = c.chart() + 1e-4 * c.diameter() * rng.standard_normal(c.chart().size)
+            moved = c.with_chart(x)
+            fresh = fl.Cluster(moved.vertices, moved.edges, moved.region_count)
+            assert fresh.topology is not c.topology
+            assert fresh.region_walks == moved.region_walks, name
+            assert fresh.vertex_stars == moved.vertex_stars, name
+
+    def test_disconnected_document_raises(self, double):
+        # a second double bubble far away, its faces labelled 5 (outside), 3
+        # and 4: every face has a label of its own, yet the region adjacency
+        # graph falls apart, so pressures would not be defined
+        relabel = {fl.EXTERIOR: 5, 1: 3, 2: 4}
+        verts = double.vertices + tuple(fl.Point(p.x + 10.0, p.y) for p in double.vertices)
+        edges = double.edges + tuple(
+            fl.EdgeRecord(
+                double.e + ed.id, double.v + ed.tail, double.v + ed.head, ed.bulge,
+                relabel[ed.left], relabel[ed.right],
+            )
+            for ed in double.edges
+        )
+        c = fl.Cluster(verts, edges, 5)
+        with pytest.raises(StructuralError, match="not connected"):
+            c.topology
+        with pytest.raises(StructuralError):
+            fl.pressures(c)
+        assert not fl.validate(c).ok
+
+
 class TestAreas:
     def test_double_bubble_equal_lobes(self):
         c = fl.double_bubble(1.0, 1.0)

@@ -12,7 +12,7 @@ from foamlab.equilibrium import (
     residual_jacobian,
 )
 from foamlab.geometry import arc_carrier
-from foamlab.errors import NonConvergence, PathInconsistent, StructuralError
+from foamlab.errors import NonConvergence, PathInconsistent, StructuralError, TopologyBreakdown
 
 
 class TestResiduals:
@@ -163,6 +163,14 @@ class TestSolve:
         out = fl.solve(double.with_chart(x), target)
         assert fl.classify(out) is fl.Verdict.EQUILIBRIUM
         assert fl.region_areas(out) == pytest.approx(target, abs=1e-9)
+
+    def test_mirrored_start_is_topology_breakdown(self, triple):
+        # a mirror image of the chart point turns every star clockwise
+        x = triple.chart()
+        x[0 : 2 * triple.v : 2] *= -1.0
+        x[2 * triple.v :] *= -1.0
+        with pytest.raises(TopologyBreakdown, match="star order"):
+            fl.solve(triple.with_chart(x), fl.region_areas(triple))
 
     def test_gauge_pins_vertex(self, triple):
         out = fl.solve(triple, np.array([1.1, 1.0, 1.0]))
