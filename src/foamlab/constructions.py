@@ -12,7 +12,6 @@ from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cluster import (
     EXTERIOR,
@@ -21,7 +20,7 @@ from .cluster import (
     build_cluster_from_arcs,
     region_areas,
 )
-from .errors import GeometryDomainError, NonConvergence, TopologyBreakdown
+from .errors import GeometryDomainError, TopologyBreakdown
 from .equilibrium import chart_lm, pin_gauge, residual_jacobian, residuals, solve
 from .geometry import (
     AT_INFINITY,
@@ -170,132 +169,103 @@ def _scaled_chart(cluster: Cluster, s: float) -> np.ndarray:
 # decoration surgery
 
 
-def _mobius_tangent(m: MobiusMap, z: complex, t: complex) -> complex:
-    """Unit image direction of tangent ``t`` at ``z`` under ``m``."""
-    mn = m.normalized()
-    deriv = 1.0 / (mn.c * z + mn.d) ** 2
-    out = deriv * t
-    return out / abs(out)
+def _junction_picture(p: complex, q) -> MobiusMap:
+    """The map u -> u / (1 - u / (q - p)) on u = z - p.
+
+    It fixes the junction p with derivative 1 and sends q, the second common
+    point of the junction's carriers, to infinity, so the carriers become
+    straight lines through 0 along the directions they leave p in.  It is
+    the identity when q is :data:`AT_INFINITY`.
+    """
+    if q is AT_INFINITY:
+        return MobiusMap.identity()
+    return MobiusMap(1, 0, -1.0 / (q - p), 1)
 
 
-def _apply_or_id(m: Optional[MobiusMap], z: complex) -> complex:
-    return z if m is None else m.apply(z)
+def _rebuild_edge(pic: MobiusMap, p: complex, q, tail: complex, ray: complex, far: Point) -> Arc:
+    """The arc from the picture point ``tail``, on the ray from 0 along the
+    unit ``ray``, to the cluster vertex ``far``, on the carrier of that ray.
+
+    The arc passes through the midpoint of the tail and far's image, or, when
+    far is q itself, through a point further along the ray.  Raises
+    :class:`TopologyBreakdown` when the tail is not nearer 0 than far is.
+    """
+    if q is not AT_INFINITY and abs(far.z - q) <= 1e-9 * abs(q - p):
+        sample = tail + (abs(tail) + abs(q - p)) * ray
+    else:
+        f = pic.apply(far.z - p)
+        if abs(tail) >= abs(f):
+            raise TopologyBreakdown("the new vertex reaches past an adjacent vertex")
+        sample = 0.5 * (tail + f)
+    back = pic.inverse()
+    return arc_through(Point.of(p + back.apply(tail)), Point.of(p + back.apply(sample)), far)
 
 
 def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     """Insert a three-sided bubble at a triple junction.
 
-    The junction's three carriers meet at a second point, which is sent to
-    infinity; the incident edges become straight rays at 120 degrees, the
-    equilateral arc triangle of circumradius ``size`` (measured in that
-    normalized picture, making the parameter Mobius-covariant) is inserted,
-    and everything is mapped back.  Scaling the cluster by s scales that
-    picture by 1/s; at a straight junction, whose carriers meet again at
-    infinity, the picture is the cluster itself.  Edges and vertices away
-    from the junction are untouched; the new region gets id n + 1.
+    In :func:`_junction_picture` the incident edges are straight rays at 120
+    degrees; the equilateral arc triangle with its vertices on them is
+    inserted there, and everything is mapped back.  ``size`` is that
+    triangle's circumradius measured after z -> 1 / (z - q), q the
+    junction's second carrier point, or in the cluster's own units at a
+    straight junction, whose carriers meet again at infinity.  Edges and
+    vertices away from the junction are untouched; the new region gets id
+    n + 1.
     """
     if not 0 <= vertex < cluster.v:
         raise GeometryDomainError(f"no vertex {vertex}")
     if not size > 0:
         raise GeometryDomainError("size must be positive")
     star = cluster.vertex_stars[vertex]
-    p = cluster.vertices[vertex]
+    p = cluster.vertices[vertex].z
     scale = cluster.diameter()
     # in coordinates (z - p) / scale the curvature noise of straight edges
     # stays far below the meet's tolerance
-    carriers = cluster.half_edge_carriers(star, p.z, scale)
-    q = second_intersection(carriers, Point(0.0, 0.0), tol=1e-6)
-    tangents = [cluster.outgoing_tangent(he) for he in star]
+    q = second_intersection(cluster.half_edge_carriers(star, p, scale), Point(0.0, 0.0))
+    if q is not AT_INFINITY:
+        q = p + scale * q.z
+    pic = _junction_picture(p, q)
+    # z -> 1 / (z - q) is this picture scaled by 1 / |p - q|^2
+    radius = size if q is AT_INFINITY else size * abs(q - p) ** 2
+    rays = [cluster.outgoing_tangent(he) for he in star]
+    tri = [radius * t for t in rays]
+    new_incident = [
+        _rebuild_edge(pic, p, q, tri[k], rays[k], cluster.vertices[cluster.end_vertex(he)])
+        for k, he in enumerate(star)
+    ]
 
-    if q is AT_INFINITY:
-        m = minv = None
-        w = p.z
-        dirs = tangents
-    else:
-        q = Point.of(p.z + scale * q.z)
-        m = MobiusMap.inversion_about(q.z).normalized()
-        minv = m.inverse()
-        w = m.apply(p.z)
-        dirs = [_mobius_tangent(m, p.z, t) for t in tangents]
-
-    tri = [w + size * d for d in dirs]
-
-    # truncate the three incident edges at the triangle vertices
-    new_incident: dict = {}
-    for k, he in enumerate(star):
-        far_vid = cluster.end_vertex(he)
-        far = cluster.vertices[far_vid]
-        if q is not AT_INFINITY and abs(far.z - q.z) < 1e-9 * scale:
-            sample = tri[k] + max(size, 1.0) * dirs[k]
-        else:
-            f = _apply_or_id(m, far.z)
-            if abs(tri[k] - w) >= abs(f - w):
-                raise TopologyBreakdown(
-                    "decoration size reaches past an adjacent vertex"
-                )
-            sample = 0.5 * (tri[k] + f)
-        new_arc = arc_through(
-            Point.of(_apply_or_id(minv, tri[k])),
-            Point.of(_apply_or_id(minv, sample)),
-            far,
-        )
-        new_incident[he] = new_arc
-
-    # the inserted bubble: arcs between consecutive rays, bulging away from w
-    bubble_arcs = []
-    for k in range(3):
-        a, b = tri[k], tri[(k + 1) % 3]
-        chord = abs(b - a)
-        outward = 1.0 if ((b - a).conjugate() * (w - a)).imag > 0 else -1.0
-        straight = Arc(
-            Point.of(a), Point.of(b), outward * segment_area(math.pi / 6, chord)
-        )
-        bubble_arcs.append(
-            straight if minv is None else mobius_apply_arc(minv, straight)
-        )
+    # the inserted bubble: arcs between consecutive (counterclockwise) rays,
+    # bulging to their right, away from 0
+    back = pic.inverse()
+    bubble_bulges = [
+        mobius_apply_arc(back, Arc(Point.of(a), Point.of(b), segment_area(math.pi / 6, abs(b - a)))).bulge
+        for a, b in zip(tri, tri[1:] + tri[:1])
+    ]
 
     # assemble: old vertices minus the junction, plus the three new ones
     old_ids = [i for i in range(cluster.v) if i != vertex]
     remap = {old: new for new, old in enumerate(old_ids)}
-    verts = [cluster.vertices[i] for i in old_ids]
-    tri_ids = []
-    for k in range(3):
-        verts.append(bubble_arcs[k].tail)
-        tri_ids.append(len(verts) - 1)
+    verts = [cluster.vertices[i] for i in old_ids] + [arc.tail for arc in new_incident]
+    tri_ids = [len(old_ids) + k for k in range(3)]
 
     new_region = cluster.n + 1
-    edges = []
     star_of_edge = {he[0]: k for k, he in enumerate(star)}
+    edges = []
     for j, ed in enumerate(cluster.edges):
         if j in star_of_edge:
             k = star_of_edge[j]
             he = star[k]
-            arc = new_incident[he]
-            tail_id, head_id = tri_ids[k], remap[cluster.end_vertex(he)]
-            left, right = (
-                (ed.left, ed.right) if he[1] else (ed.right, ed.left)
-            )
-            edges.append(
-                ed.__class__(ed.id, tail_id, head_id, arc.bulge, left, right)
-            )
+            left, right = (ed.left, ed.right) if he[1] else (ed.right, ed.left)
+            head_id = remap[cluster.end_vertex(he)]
+            edges.append(EdgeRecord(ed.id, tri_ids[k], head_id, new_incident[k].bulge, left, right))
         else:
-            edges.append(
-                ed.__class__(
-                    ed.id, remap[ed.tail], remap[ed.head], ed.bulge, ed.left, ed.right
-                )
-            )
+            edges.append(replace(ed, tail=remap[ed.tail], head=remap[ed.head]))
     for k in range(3):
-        outer_region = cluster.half_edge_left(star[k])
-        edges.append(
-            cluster.edges[0].__class__(
-                id=cluster.e + k,
-                tail=tri_ids[k],
-                head=tri_ids[(k + 1) % 3],
-                bulge=bubble_arcs[k].bulge,
-                left=new_region,
-                right=outer_region,
-            )
-        )
+        edges.append(EdgeRecord(
+            cluster.e + k, tri_ids[k], tri_ids[(k + 1) % 3], bubble_bulges[k],
+            new_region, cluster.half_edge_left(star[k]),
+        ))
     labels = cluster.region_labels or tuple(
         ["exterior"] + [f"region {r}" for r in range(1, cluster.n + 1)]
     )
@@ -318,11 +288,12 @@ def _in_triangle(w: complex, tri: Sequence[complex]) -> bool:
 def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
     """Expand or shrink a three-sided bubble without touching the rest.
 
-    Normalizes through the same Mobius picture as :func:`decorate`: the
-    outer carriers' second concurrency point goes to infinity, the bubble
-    becomes (a Mobius image of) the equilateral insert, is scaled about the
-    concurrency image, and mapped back.  ``factor = 0`` deletes the region
-    and merges the three junctions into one vertex.
+    The outer carriers meet at two points; in the :func:`_junction_picture`
+    of the one inside the bubble (the junction it grew from) they are
+    straight rays, and the bubble is scaled about 0 there and mapped back.
+    ``factor`` multiplies the bubble's size measured as in :func:`decorate`,
+    so ``factor = 0`` undoes :func:`decorate`: it deletes the region and
+    merges the three junctions into one vertex.
     """
     if factor < 0:
         raise GeometryDomainError("factor must be >= 0")
@@ -350,138 +321,61 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
         raise GeometryDomainError("outer carriers do not share two common points")
     finite = [centre + scale * q.z for q in common if q is not AT_INFINITY]
     finite.sort(key=lambda z: abs(z - centre))
-    if len(finite) == 1:
-        m = minv = None
-        w = finite[0]
-        tri = bubble_pos
+    for p, q in [finite, finite[::-1]] if len(finite) == 2 else [(finite[0], AT_INFINITY)]:
+        pic = _junction_picture(p, q)
+        tri = [pic.apply(z - p) for z in bubble_pos]
+        if _in_triangle(0j, tri):
+            break
     else:
-        for p_in, q in (finite, reversed(finite)):
-            m_try = MobiusMap.inversion_about(q).normalized()
-            tri_try = [m_try.apply(z) for z in bubble_pos]
-            if _in_triangle(m_try.apply(p_in), tri_try):
-                m = m_try
-                minv = m.inverse()
-                w = m.apply(p_in)
-                tri = tri_try
-                q_inf = q
-                break
-        else:
-            raise GeometryDomainError(
-                "could not identify the concurrency point inside the bubble"
-            )
-
-    def back(z: complex) -> complex:
-        return z if minv is None else minv.apply(z)
-
-    def shrink(z: complex) -> complex:
-        return w + factor * (z - w)
-
-    # rebuilt outer edges (same carriers, truncated at the scaled vertices)
-    new_outer = {}
-    merged_pos = Point.of(back(w))
-    for k, he in enumerate(outer_hes):
-        far_vid = cluster.end_vertex(he)
-        far = cluster.vertices[far_vid]
-        f = None
-        if m is not None and abs(far.z - q_inf) < 1e-9 * scale:
-            f = None  # far endpoint is the point sent to infinity
-        else:
-            f = _apply_or_id(m, far.z)
-        u = shrink(tri[k])
-        if f is not None and abs(u - w) >= abs(f - w):
-            raise TopologyBreakdown("scaled bubble reaches past an adjacent vertex")
-        if factor == 0.0:
-            tail_pt = merged_pos
-            sample = 0.5 * (w + f) if f is not None else w + (tri[k] - w)
-        else:
-            tail_pt = Point.of(back(u))
-            sample = 0.5 * (u + f) if f is not None else u + (tri[k] - w)
-        new_outer[he] = arc_through(tail_pt, Point.of(back(sample)), far)
-
-    # rebuilt bubble arcs (skipped entirely at factor 0)
-    new_bubble = {}
-    if factor > 0.0:
-        for he in walk:
-            arc = cluster.half_edge_arc(he)
-            if m is None:
-                scaled = Arc(
-                    Point.of(shrink(arc.tail.z)),
-                    Point.of(shrink(arc.head.z)),
-                    factor * factor * arc.bulge,
-                )
-            else:
-                img = mobius_apply_arc(m, arc)
-                scaled = Arc(
-                    Point.of(shrink(img.tail.z)),
-                    Point.of(shrink(img.head.z)),
-                    factor * factor * img.bulge,
-                )
-                scaled = mobius_apply_arc(minv, scaled)
-            new_bubble[he] = scaled
-
-    # assemble
-    if factor > 0.0:
-        verts = list(cluster.vertices)
-        for k, vid in enumerate(bubble_vids):
-            verts[vid] = Point.of(back(shrink(tri[k])))
-        edges = []
-        for j, ed in enumerate(cluster.edges):
-            if j in bubble_eids:
-                he = (j, True)
-                arc = new_bubble[he if he in new_bubble else (j, False)]
-                if (j, True) not in new_bubble:
-                    arc = arc.reversed()
-                edges.append(ed.__class__(ed.id, ed.tail, ed.head, arc.bulge, ed.left, ed.right))
-            elif any(he[0] == j for he in outer_hes):
-                he = next(h for h in outer_hes if h[0] == j)
-                arc = new_outer[he]
-                bulge = arc.bulge if he[1] else -arc.bulge
-                edges.append(ed.__class__(ed.id, ed.tail, ed.head, bulge, ed.left, ed.right))
-            else:
-                edges.append(ed)
-        return Cluster(
-            tuple(verts), tuple(edges), cluster.region_count, cluster.region_labels
+        raise GeometryDomainError(
+            "could not identify the concurrency point inside the bubble"
         )
 
-    # factor == 0: delete the region, merge the three junctions
+    # the outer edges keep their carriers, cut at the scaled vertices
+    new_outer = [
+        _rebuild_edge(
+            pic, p, q, factor * tri[k], tri[k] / abs(tri[k]),
+            cluster.vertices[cluster.end_vertex(he)],
+        )
+        for k, he in enumerate(outer_hes)
+    ]
+    bulges = [ed.bulge for ed in cluster.edges]
+    for (j, fwd), arc in zip(outer_hes, new_outer):
+        bulges[j] = arc.bulge if fwd else -arc.bulge
+
+    if factor > 0.0:
+        back = pic.inverse()
+        for j in bubble_eids:
+            arc = cluster.arc_of(j)
+            img = mobius_apply_arc(pic, Arc(Point.of(arc.tail.z - p), Point.of(arc.head.z - p), arc.bulge))
+            scaled = Arc(Point.of(factor * img.tail.z), Point.of(factor * img.head.z), factor**2 * img.bulge)
+            bulges[j] = mobius_apply_arc(back, scaled).bulge
+        verts = list(cluster.vertices)
+        for vid, arc in zip(bubble_vids, new_outer):
+            verts[vid] = arc.tail
+        edges = tuple(replace(ed, bulge=b) for ed, b in zip(cluster.edges, bulges))
+        return Cluster(tuple(verts), edges, cluster.region_count, cluster.region_labels)
+
+    # factor == 0: delete the region, merge the three junctions at p
     keep_vids = [i for i in range(cluster.v) if i not in bubble_vids]
     remap = {old: new for new, old in enumerate(keep_vids)}
-    merged_id = len(keep_vids)
-    verts = [cluster.vertices[i] for i in keep_vids] + [merged_pos]
-    for vid in bubble_vids:
-        remap[vid] = merged_id
+    remap.update((vid, len(keep_vids)) for vid in bubble_vids)
+    verts = [cluster.vertices[i] for i in keep_vids] + [Point.of(p)]
 
     def remap_region(r: int) -> int:
         return r - 1 if r > region else r
 
     edges = []
-    next_id = 0
-    for j, ed in enumerate(cluster.edges):
-        if j in bubble_eids:
-            continue
-        he = next((h for h in outer_hes if h[0] == j), None)
-        if he is not None:
-            arc = new_outer[he]
-            bulge = arc.bulge if he[1] else -arc.bulge
-        else:
-            bulge = ed.bulge
-        edges.append(
-            ed.__class__(
-                next_id,
-                remap[ed.tail],
-                remap[ed.head],
-                bulge,
-                remap_region(ed.left),
-                remap_region(ed.right),
-            )
-        )
-        next_id += 1
+    for j, (ed, bulge) in enumerate(zip(cluster.edges, bulges)):
+        if j not in bubble_eids:
+            edges.append(EdgeRecord(
+                len(edges), remap[ed.tail], remap[ed.head], bulge,
+                remap_region(ed.left), remap_region(ed.right),
+            ))
     labels = cluster.region_labels
     if labels:
         labels = tuple(l for r, l in enumerate(labels) if r != region)
-    return Cluster(
-        tuple(verts), tuple(edges), cluster.region_count - 1, labels
-    )
+    return Cluster(tuple(verts), tuple(edges), cluster.region_count - 1, labels)
 
 
 def four_bubble(size: float = 0.3, interface_length: float = 1.0) -> Cluster:
@@ -603,39 +497,23 @@ def flower(lens_size: float = 0.18, radius: float = 1.0) -> Cluster:
     """4-petal flower: four equal petals around a small 4-sided center.
 
     Found by the sliding-lens procedure: an equal double bubble with a lens
-    of half-chord ``lens_size`` on its straight interface; the lens is slid
-    until the axis through the two upper-arc centers is perpendicular to the
-    axis through the two lower-arc centers (a 1D root-find).  The axis
-    crossing is the flower's center; the lens vertex nearer to it fixes the
-    center region's corner distance.  The 120-degree conditions then force
-    bulge half-angles of pi/12 on the four center arcs and 5 pi/12 on the
-    four petal arcs, which closes the D2-symmetric (in fact D4-symmetric)
+    of half-chord ``lens_size`` = s on its straight interface; the lens is
+    slid until the axis through the two upper-arc centers is perpendicular
+    to the axis through the two lower-arc centers.  With the upper center at
+    i r/2 and the lens arc's at x - i s/sqrt(3), the cosine of that angle is
+    (x^2 - h^2)/|u|^2, h = r/2 + s/sqrt(3), so the lens centre sits at
+    x = h.  The axis crossing r/2 is the flower's center; the lens vertex
+    nearer to it, at x - s, puts the center region's corners at distance
+    s (1 - 1/sqrt(3)).  The 120-degree conditions then force bulge
+    half-angles of pi/12 on the four center arcs and 5 pi/12 on the four
+    petal arcs, which closes the D2-symmetric (in fact D4-symmetric)
     5-cluster in closed form.
     """
     r = radius
     if not 0 < lens_size < 0.5 * r:
         raise GeometryDomainError("lens_size must be in (0, radius/2)")
-    s = lens_size
-    up_center = complex(0.0, r / 2)  # upper bubble circle center, radius r
-
-    def lens_center(xc: float) -> complex:
-        # carrier center of the lens arc bulging up, for the lens slid to xc
-        return complex(xc, -s / math.sqrt(3.0))
-
-    def perp_defect(xc: float) -> float:
-        # cosine of the angle between the upper axis and its mirror image
-        u = lens_center(xc) - up_center
-        v = u.conjugate()
-        return (u * v.conjugate()).real / (abs(u) * abs(v))
-
-    xc_guess = r / 2 + s / math.sqrt(3.0)
-    lo, hi = r / 2 + 1e-12, 2.0 * xc_guess
-    if perp_defect(lo) * perp_defect(hi) > 0:
-        raise NonConvergence("no perpendicular lens position in bracket", [])
-    xc = brentq(perp_defect, lo, hi, xtol=1e-15)
-
     o = complex(r / 2, 0.0)  # axis crossing = flower center
-    a = abs(o.real - (xc - s))  # center-square corner distance
+    a = lens_size * (1.0 - 1.0 / math.sqrt(3.0))  # center-square corner distance
     sep = (math.sqrt(3.0) / 2 - 0.5) * r - a  # separator length
     if sep <= 0:
         raise GeometryDomainError("lens too large: petals would vanish")

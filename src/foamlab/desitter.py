@@ -68,9 +68,11 @@ def point_to_circle(p: DeSitterPoint) -> HermitianCircle:
     return HermitianCircle(p.t + p.z, complex(p.x, p.y), p.t - p.z)
 
 
-def _coords(cluster: Cluster) -> np.ndarray:
-    """(t, x, y, z) of every half-edge's carrier, shape (e, 2, 4)."""
-    A, B, D = cluster.carriers()
+def _coords(cluster: Cluster, centre=0j, scale: float = 1.0) -> np.ndarray:
+    """(t, x, y, z) of every half-edge's carrier in coordinates
+    (z - centre) / scale, shape (e, 2, 4); ``centre`` may be an (e, 2) array
+    of one centre per half-edge."""
+    A, B, D = cluster.carriers(centre, scale)
     return np.stack([0.5 * (A + D), B.real, B.imag, 0.5 * (A - D)], axis=-1)
 
 
@@ -120,19 +122,24 @@ def verify_correspondence(cluster: Cluster, tol: float = 1e-8) -> Correspondence
     edge: the two traversal orientations must give antipodal points, up to
     ``tol`` relative to the point's size.
     """
-    triples = junction_triples(cluster)
+    # form values and antipodes are Mobius invariant: measure every junction
+    # in coordinates centred on it and scaled by the diameter, where the
+    # carrier coordinates stay of order one at every scale of the cluster
+    points = np.array([p.z for p in cluster.vertices])
+    ends, scale = cluster.frame.ends, cluster.diameter()
+    X = _coords(cluster, points[ends], scale)
     collinearity = np.zeros(cluster.v)
     form_values = np.zeros((cluster.v, 3))
     spacing = np.zeros(cluster.v)
-    for i, triple in enumerate(triples):
-        coords = np.array([p.coords() for p in triple])
-        sigma = np.linalg.svd(coords, compute_uv=False)
+    for i, star in enumerate(cluster.vertex_stars):
+        triple = [DeSitterPoint(*X[j, 0 if fwd else 1]) for j, fwd in star]
+        sigma = np.linalg.svd([p.coords() for p in triple], compute_uv=False)
         collinearity[i] = sigma[2] / sigma[0]
         pairs = [(0, 1), (1, 2), (2, 0)]
         form_values[i] = [minkowski_form(triple[a], triple[b]) for a, b in pairs]
         spacing[i] = np.abs(form_values[i] - FORM_120).max()
-    X = _coords(cluster)
-    antipodality = np.linalg.norm(X.sum(axis=1), axis=1) / np.linalg.norm(X[:, 0], axis=1)
+    Y = _coords(cluster, points[ends[:, :1]], scale)  # both halves at the tail
+    antipodality = np.linalg.norm(Y.sum(axis=1), axis=1) / np.linalg.norm(Y[:, 0], axis=1)
     passed = bool(
         collinearity.max(initial=0.0) < tol
         and spacing.max(initial=0.0) < tol

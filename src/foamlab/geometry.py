@@ -340,8 +340,8 @@ class MobiusMap:
     d: complex
 
     def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if abs(det) < 1e-12:
+        ad, bc = self.a * self.d, self.b * self.c
+        if abs(ad - bc) <= 1e-12 * (abs(ad) + abs(bc)):
             raise GeometryDomainError("Mobius map is singular (ad - bc ~ 0)")
 
     def normalized(self) -> "MobiusMap":
@@ -383,14 +383,14 @@ class MobiusMap:
         return MobiusMap(self.d, -self.b, -self.c, self.a)
 
     def pole(self) -> Optional[complex]:
-        if abs(self.c) < 1e-15 * max(abs(self.a), abs(self.d), 1.0):
+        if abs(self.c) < 1e-15 * max(abs(self.a), abs(self.d)):
             return None
         return -self.d / self.c
 
     def apply(self, z: complex) -> complex:
         m = self.normalized()
         denom = m.c * z + m.d
-        if abs(denom) < 1e-9:
+        if abs(denom) <= 1e-9 * (abs(m.c * z) + abs(m.d)):
             raise GeometryDomainError("point too close to the Mobius pole")
         return (m.a * z + m.b) / denom
 
@@ -399,15 +399,24 @@ def mobius_apply_point(m: MobiusMap, p: Point) -> Point:
     return Point.of(m.apply(p.z))
 
 
-def mobius_apply_arc(m: MobiusMap, arc: Arc, samples: int = 33) -> Arc:
-    """Image of an arc, via the exact circle through three image points."""
+def mobius_apply_arc(m: MobiusMap, arc: Arc) -> Arc:
+    """Image of an arc, via the exact circle through three image points.
+
+    Raises :class:`GeometryDomainError` when the pole lies within 1e-6 chord
+    lengths of an endpoint, or of the carrier on the arc's side of the chord
+    (the chord's line cuts the carrier exactly at the endpoints); for a
+    nearly straight arc, also where it projects inside the chord.
+    """
     pole = m.normalized().pole()
     if pole is not None:
-        scale = max(arc.chord_length(), 1.0)
-        dmin = min(
-            abs(arc_point(arc, k / (samples - 1)).z - pole) for k in range(samples)
-        )
-        if dmin < 1e-6 * scale:
+        c, tol = arc.chord_length(), 1e-6 * arc.chord_length()
+        # in the chord frame the tail is 0, the head c, and the carrier's
+        # value |A|v|^2 + 2 Re(B v) + D| / 2 is the distance to first order
+        v = (pole - arc.tail.z) * arc.chord_dir().conjugate()
+        h = arc_carrier(Arc(Point(0.0, 0.0), Point(c, 0.0), arc.bulge))
+        near_carrier = abs(h.A * abs(v) ** 2 + 2.0 * (h.B * v).real + h.D) <= 2.0 * tol
+        beside = arc.bulge * v.imag < 0.0 or (abs(v.imag) <= tol and 0.0 <= v.real <= c)
+        if min(abs(v), abs(v - c)) <= tol or (near_carrier and beside):
             raise GeometryDomainError("Mobius pole lies on or near the arc")
     t0 = mobius_apply_point(m, arc.tail)
     t1 = mobius_apply_point(m, arc_midpoint(arc))

@@ -2,7 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +124,15 @@ class TestNewAndCheck:
         run(["new", "flower", "-o", str(a)])
         run(["new", "flower", "-o", str(b)])
         assert read(a) == read(b)
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # cold start: no preset or verb needs a scipy root finder
+        src = str(Path(fl.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, foamlab; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 class TestNumericVerbs:

@@ -4,7 +4,7 @@ import pytest
 
 import foamlab as fl
 from foamlab.errors import GeometryDomainError
-from foamlab.geometry import arc_carrier
+from foamlab.geometry import AT_INFINITY, Point, arc_carrier, second_intersection
 
 
 class TestDoubleBubble:
@@ -109,6 +109,34 @@ def assert_similar(a, b):
     assert np.abs(bulges[:, 0] - bulges[:, 1]).max() <= 1e-9 * d * d
 
 
+def assert_undone(back, c, vertex):
+    """``back`` is ``c`` with ``vertex`` moved last, up to 1e-9 of the
+    diameter (and its square for bulges); the edges keep their order, and
+    those at ``vertex`` may now leave it."""
+    assert (back.v, back.e, back.n) == (c.v, c.e, c.n)
+    order = [i for i in range(c.v) if i != vertex] + [vertex]
+    d = c.diameter()
+    for j in range(c.e):
+        a, b = back.arc_of(j), c.arc_of(j)
+        if order[back.edges[j].tail] != c.edges[j].tail:
+            a = a.reversed()
+        assert abs(a.tail.z - b.tail.z) <= 1e-9 * d and abs(a.head.z - b.head.z) <= 1e-9 * d
+        assert abs(a.bulge - b.bulge) <= 1e-9 * d * d
+
+
+def second_point(c, vertex):
+    """Where the junction's three carriers meet again, or AT_INFINITY."""
+    p, scale = c.vertices[vertex].z, c.diameter()
+    q = second_intersection(c.half_edge_carriers(c.vertex_stars[vertex], p, scale), Point(0, 0))
+    return q if q is AT_INFINITY else p + scale * q.z
+
+
+VERTEX_COUNTS = {
+    "double": 2, "triple": 4, "four": 6, "two_lens": 4,
+    "necklace6": 12, "necklace7": 14, "flower": 8,
+}
+
+
 class TestDecorationScaleCovariance:
     """``size`` is measured in the picture where the junction's carriers
     meet again at infinity.  Scaling a cluster by s scales that inverted
@@ -133,6 +161,40 @@ class TestDecorationScaleCovariance:
         s = 1e-7
         want = scaled(fl.decorate(triple, 0, 0.2), s)
         assert_similar(fl.decorate(scaled(triple, s), 0, 0.2 * s), want)
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize(
+        "name, vertex", [(name, v) for name, n in VERTEX_COUNTS.items() for v in range(n)]
+    )
+    def test_scaled_copy_and_round_trip(self, equilibrium_presets, name, vertex, s):
+        c, size = equilibrium_presets[name], 0.02
+        copy = scaled(c, s)
+        straight = second_point(c, vertex) is AT_INFINITY
+        decorated = fl.decorate(copy, vertex, size * s if straight else size / s)
+        assert_similar(decorated, scaled(fl.decorate(c, vertex, size), s))
+        assert_undone(fl.scale_three_sided(decorated, c.n + 1, 0.0), copy, vertex)
+
+    def test_mobius_images(self, equilibrium_presets, rng):
+        """The circumradius at the junction scales by |m'(p)|: size times
+        |p - q|^2 (or 1 when q is at infinity) before and after the map."""
+
+        def radius_per_size(c, vertex):
+            q = second_point(c, vertex)
+            return 1.0 if q is AT_INFINITY else abs(q - c.vertices[vertex].z) ** 2
+
+        for name, c in equilibrium_presets.items():
+            for s in (1e-6, 1.0, 1e6):
+                m = fl.MobiusMap.scaling(s).compose(fl.random_mobius(c, rng))
+                image = fl.mobius_apply_cluster(m, c)
+                mn = m.normalized()
+                for vertex in range(c.v):
+                    p, size = c.vertices[vertex].z, 0.02
+                    stretch = abs(mn.c * p + mn.d) ** -2
+                    size_image = (
+                        stretch * size * radius_per_size(c, vertex) / radius_per_size(image, vertex)
+                    )
+                    want = fl.mobius_apply_cluster(m, fl.decorate(c, vertex, size))
+                    assert_similar(fl.decorate(image, vertex, size_image), want)
 
 
 class TestFourBubble:

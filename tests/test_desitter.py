@@ -134,7 +134,7 @@ class TestJunctionTriples:
 
 
 class TestVerifyCorrespondence:
-    @pytest.mark.parametrize("s", [1e-3, 1e3])
+    @pytest.mark.parametrize("s", [1e-6, 1e-4, 1e-3, 1e3, 1e4, 1e6])
     def test_scaled_equilibrium_presets_pass(self, equilibrium_presets, s):
         for name, c in equilibrium_presets.items():
             scaled = fl.mobius_apply_cluster(fl.MobiusMap.scaling(s), c)

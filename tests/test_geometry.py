@@ -259,6 +259,20 @@ class TestMobius:
         with pytest.raises(GeometryDomainError):
             mobius_apply_arc(MobiusMap.inversion_about(0j), arc)
 
+    @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+    def test_pole_test_is_relative_to_the_chord(self, s):
+        # a semicircle below the chord from -s to s: poles within 1e-6 chords
+        # of it are refused, poles off it or on the rest of its circle are not
+        arc = Arc(Point(-s, 0), Point(s, 0), segment_area(math.pi / 2, 2 * s))
+        for z in (-1j * s, -1j * s * (1 + 5e-7), s * (1 + 5e-7), -s):
+            with pytest.raises(GeometryDomainError):
+                mobius_apply_arc(MobiusMap.inversion_about(z), arc)
+        for z in (1j * s, -1j * s * (1 + 1e-5), 0j, 2 * s):
+            mobius_apply_arc(MobiusMap.inversion_about(z), arc)
+
     def test_apply_point(self):
         p = mobius_apply_point(MobiusMap.scaling(2.0), Point(1, 1))
         assert p == Point(2.0, 2.0)
+        # the determinant and pole tests are relative to the map's entries
+        for s in (1e-13, 1e20):
+            assert mobius_apply_point(MobiusMap.scaling(s), Point(1, 1)) == Point(s, s)
