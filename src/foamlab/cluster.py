@@ -29,7 +29,6 @@ from .geometry import (  # arc_tangent is unused here, but perfbench's tests res
     Arc,
     HermitianCircle,
     Point,
-    arc_point,
     arc_tangent,
     bulge_angle_from_area,
     carrier_coefficients,
@@ -296,6 +295,19 @@ class Cluster:
             d_kappa=_grad(kappa_phi * g_phi - kappa / c * u, kappa_phi * phi_b),
         )
 
+    def arc_samples(self, t) -> Tuple[np.ndarray, np.ndarray]:
+        """Points and unit tangents of every edge at angular fractions ``t``,
+        each of shape (e, len(t)): ``arc_point`` and ``arc_tangent`` for all
+        arcs at once, from the frame's half-angles (no inversion per sample)."""
+        f = self.frame
+        points, ends = _chords(self)
+        tail = points[ends[:, 0]]
+        w = points[ends[:, 1]] - tail
+        phi, t = f.phi[:, None], np.asarray(t, dtype=float)[None, :]
+        ratio = t * np.sinc(phi * t / math.pi) / np.sinc(phi / math.pi)
+        at = tail[:, None] + w[:, None] * ratio * np.exp(1j * phi * (t - 1.0))
+        return at, (w / f.chord)[:, None] * np.exp(1j * phi * (2.0 * t - 1.0))
+
     def carriers(
         self, centre: complex = 0j, scale: float = 1.0
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -470,28 +482,15 @@ def validate(cluster: Cluster, check_disjoint: bool = False, samples: int = 16) 
 
 
 def _disjointness_scan(cluster: Cluster, samples: int) -> List[Tuple[int, int]]:
-    pts = []
-    for j in range(cluster.e):
-        arc = cluster.arc_of(j)
-        pts.append(
-            np.array(
-                [
-                    [*arc_point(arc, (k + 0.5) / samples)]
-                    for k in range(samples)
-                ]
-            )
-        )
+    pts, _ = cluster.arc_samples((np.arange(samples) + 0.5) / samples)
     # sampled interiors of distinct edges must not come closer than the
     # sampling resolution would explain
     length = cluster.frame.length
     bad = []
-    for i in range(cluster.e):
-        for j in range(i + 1, cluster.e):
-            d = np.sqrt(
-                ((pts[i][:, None, :] - pts[j][None, :, :]) ** 2).sum(-1)
-            ).min()
-            if d < 0.25 * min(length[i], length[j]) / samples:
-                bad.append((i, j))
+    for i in range(cluster.e - 1):
+        d = np.abs(pts[i + 1 :, :, None] - pts[i]).min(axis=(1, 2))
+        near = d < 0.25 * np.minimum(length[i], length[i + 1 :]) / samples
+        bad += [(i, i + 1 + int(k)) for k in np.flatnonzero(near)]
     return bad
 
 
@@ -697,16 +696,10 @@ def to_svg(
     fill_pressures: Optional[np.ndarray] = None,
     stroke_width: Optional[float] = None,
 ) -> str:
-    xs = [p.x for p in cluster.vertices]
-    ys = [p.y for p in cluster.vertices]
-    for j in range(cluster.e):
-        arc = cluster.arc_of(j)
-        for t in (0.25, 0.5, 0.75):
-            q = arc_point(arc, t)
-            xs.append(q.x)
-            ys.append(q.y)
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    pts, _ = cluster.arc_samples([0.25, 0.5, 0.75])
+    pts = np.concatenate([[p.z for p in cluster.vertices], pts.ravel()])
+    x0, x1 = float(pts.real.min()), float(pts.real.max())
+    y0, y1 = float(pts.imag.min()), float(pts.imag.max())
     mx = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
     width = (x1 - x0) + 2 * mx
     height = (y1 - y0) + 2 * mx

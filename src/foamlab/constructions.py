@@ -27,7 +27,6 @@ from .geometry import (
     Arc,
     MobiusMap,
     Point,
-    arc_point,
     arc_through,
     mobius_apply_arc,
     mobius_apply_point,
@@ -631,14 +630,13 @@ def random_mobius(cluster: Cluster, rng: np.random.Generator) -> MobiusMap:
     m = MobiusMap.scaling(math.exp(rng.uniform(-0.5, 0.5))).compose(m)
     m = MobiusMap.translation(complex(*rng.normal(0.0, 0.3 * scale, 2))).compose(m)
     if rng.random() < 0.5:
+        corners = np.array([p.z for p in cluster.vertices])
+        samples, _ = cluster.arc_samples([0.25, 0.5, 0.75])
         for _ in range(100):
             q = centroid + complex(*rng.normal(0.0, 2.0 * scale, 2))
-            clear = all(abs(p.z - q) > 0.75 * scale for p in cluster.vertices)
-            if clear and all(
-                abs(arc_point(cluster.arc_of(j), t).z - q) > 0.5 * scale
-                for j in range(cluster.e)
-                for t in (0.25, 0.5, 0.75)
-            ):
+            if (np.abs(corners - q) > 0.75 * scale).all() and (
+                np.abs(samples - q) > 0.5 * scale
+            ).all():
                 m = MobiusMap.inversion_about(q).compose(m)
                 break
     pole = m.pole()

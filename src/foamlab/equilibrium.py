@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .cluster import Cluster, area_jacobian, region_areas
-from .errors import NonConvergence, PathInconsistent, TopologyBreakdown
+from .errors import GeometryDomainError, NonConvergence, PathInconsistent, TopologyBreakdown
 from .tolerances import DEFAULT, TolerancePolicy
 
 
@@ -298,9 +298,9 @@ def solve(
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (initial.n,):
-        raise ValueError("target must have one area per interior region")
+        raise GeometryDomainError("target must have one area per interior region")
     if not (target > 0).all():
-        raise ValueError("target areas must be positive")
+        raise GeometryDomainError("target areas must be positive")
     gauge, gauge_jac = pin_gauge(initial)
 
     def rows(c: Cluster) -> np.ndarray:

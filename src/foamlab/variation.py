@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .cluster import (
     Cluster,
@@ -33,7 +32,7 @@ from .cluster import (
 )
 from .equilibrium import SolveOptions, pressures, residual_jacobian, solve
 from .errors import GeometryDomainError
-from .geometry import arc_point, arc_tangent
+from .geometry import arc_tangent  # arc_tangent is unused here, but perfbench's tests resolve it
 from .tolerances import DEFAULT, TolerancePolicy
 
 
@@ -117,22 +116,23 @@ class DiscreteCluster:
 
     ``point_index[j]`` lists, for edge j, the indices into ``points`` of its
     m+1 samples in tail-to-head order; ``normals[j]`` carries the left unit
-    normal at the m-1 interior samples.
+    normal at the m-1 interior samples.  The points are the v junctions, then
+    each edge's interior samples in order.
     """
 
     cluster: Cluster
     m: int
     points: np.ndarray  # (P,) complex
-    point_index: Tuple[Tuple[int, ...], ...]
-    normals: Tuple[np.ndarray, ...]
+    point_index: np.ndarray  # (e, m+1) int
+    normals: np.ndarray  # (e, m-1) complex
 
     @cached_property
     def segments(self) -> Tuple[np.ndarray, np.ndarray]:
         """(pairs, edge): every segment as a (P,)-index pair in tail-to-head
         order, and the index of the edge it lies on."""
-        pairs = [np.column_stack([idx[:-1], idx[1:]]) for idx in self.point_index]
-        edge = np.repeat(np.arange(len(pairs)), [len(p) for p in pairs])
-        return np.vstack(pairs), edge
+        idx = self.point_index
+        pairs = np.stack([idx[:, :-1], idx[:, 1:]], axis=-1).reshape(-1, 2)
+        return pairs, np.repeat(np.arange(idx.shape[0]), self.m)
 
     def perimeter(self) -> float:
         pairs, _ = self.segments
@@ -152,57 +152,17 @@ def discretize(cluster: Cluster, m: int) -> DiscreteCluster:
     angle along the carrier)."""
     if m < 8:
         raise GeometryDomainError("need at least 8 points per edge")
-    points: List[complex] = [p.z for p in cluster.vertices]
-    index: List[Tuple[int, ...]] = []
-    normals: List[np.ndarray] = []
-    for j, ed in enumerate(cluster.edges):
-        arc = cluster.arc_of(j)
-        idx = [ed.tail]
-        nrm = np.empty(m - 1, dtype=complex)
-        for k in range(1, m):
-            t = k / m
-            idx.append(len(points))
-            points.append(arc_point(arc, t).z)
-            nrm[k - 1] = 1j * arc_tangent(arc, t)
-        idx.append(ed.head)
-        index.append(tuple(idx))
-        normals.append(nrm)
-    return DiscreteCluster(
-        cluster, m, np.asarray(points), tuple(index), tuple(normals)
-    )
+    v, e = cluster.v, cluster.e
+    inner, tangents = cluster.arc_samples(np.arange(1, m) / m)
+    index = np.empty((e, m + 1), dtype=int)
+    index[:, 0], index[:, -1] = cluster.frame.ends.T
+    index[:, 1:-1] = v + np.arange(e * (m - 1)).reshape(e, m - 1)
+    points = np.concatenate([[p.z for p in cluster.vertices], inner.ravel()])
+    return DiscreteCluster(cluster, m, points, index, 1j * tangents)
 
 
 # ---------------------------------------------------------------------------
 # discretized second variation
-
-
-def _length_hessian(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Exact Hessian of the total polyline length in position coordinates."""
-    P = points.size
-    H = np.zeros((2 * P, 2 * P))
-    for a, b in pairs:
-        d = points[b] - points[a]
-        norm = abs(d)
-        u = np.array([d.real / norm, d.imag / norm])
-        blk = (np.eye(2) - np.outer(u, u)) / norm
-        for (i, si), (j, sj) in (
-            ((a, 1.0), (a, 1.0)),
-            ((b, 1.0), (b, 1.0)),
-            ((a, 1.0), (b, -1.0)),
-            ((b, -1.0), (a, 1.0)),
-        ):
-            H[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] += si * sj * blk
-    return H
-
-
-def _shoelace_hessian_update(H: np.ndarray, pairs: np.ndarray, w: float) -> None:
-    """Add w * Hessian of sum of signed pair shoelace terms (1/2 cross)."""
-    for a, b in pairs:
-        # d2/dx_a dy_b = +1/2, d2/dy_a dx_b = -1/2 (symmetrized)
-        H[2 * a, 2 * b + 1] += 0.5 * w
-        H[2 * b + 1, 2 * a] += 0.5 * w
-        H[2 * a + 1, 2 * b] -= 0.5 * w
-        H[2 * b, 2 * a + 1] -= 0.5 * w
 
 
 @dataclass(frozen=True)
@@ -222,73 +182,65 @@ def stability_report(
 
     The energy perimeter - sum(p_i * area_i) is assembled exactly (its
     length part and its quadratic area part) on the polyline discretization,
-    restricted to junction motions plus normal motions of interior samples,
-    projected onto the orthogonal complement of rigid motions and of the
-    area gradients, and diagonalized against the lumped segment-mass matrix
-    so eigenvalues approximate the continuum second-variation spectrum.
+    segment by segment, directly in the D = 2v + e(m-1) reduced coordinates:
+    full motion (1, i) at junctions and motion along the normal n at interior
+    samples, so tangential reparametrizations are quotiented away.  The
+    lumped segment mass M is diagonal there; on the orthogonal complement of
+    the M^(-1/2)-scaled rigid-motion and area-gradient rows, the eigenvalues
+    of M^(-1/2) H M^(-1/2) are those of the mass pencil on the admissible
+    motions, and approximate the continuum second-variation spectrum.
     """
     disc = discretize(cluster, m)
     press = pressures(cluster, policy)
     pts = disc.points
-    P = pts.size
-    all_pairs, pair_edge = disc.segments
+    v, P = cluster.v, pts.size
+    D = v + P
+    pairs, edge = disc.segments
 
-    H = _length_hessian(pts, all_pairs)
-    for j, ed in enumerate(cluster.edges):
-        kappa = press[ed.left] - press[ed.right]
-        if kappa != 0.0:
-            _shoelace_hessian_update(H, all_pairs[pair_edge == j], -kappa)
+    # reduced dofs: x and y at each junction, then the normal at each sample;
+    # every point has two dof slots, and an interior sample's second one
+    # repeats its dof with a zero direction
+    point = np.concatenate([np.repeat(np.arange(v), 2), np.arange(v, P)])
+    direction = np.concatenate([np.tile([1.0, 1j], v), disc.normals.ravel()])
+    slots = np.concatenate([np.arange(2 * v), np.repeat(np.arange(2 * v, D), 2)]).reshape(P, 2)
+    slot_dir = direction[slots]
+    slot_dir[v:, 1] = 0.0
 
-    # area gradients per interior region, in position coordinates
-    grads = cluster.topology.incidence @ shoelace_gradient(pts, all_pairs, pair_edge, cluster.e)
-
-    # reduction matrix: full motion at junctions, normal motion inside arcs
-    v = cluster.v
-    D = 2 * v + cluster.e * (m - 1)
-    B = np.zeros((2 * P, D))
-    for i in range(v):
-        B[2 * i, 2 * i] = 1.0
-        B[2 * i + 1, 2 * i + 1] = 1.0
-    col = 2 * v
-    for j, idx in enumerate(disc.point_index):
-        for k, pi in enumerate(idx[1:-1]):
-            nrm = disc.normals[j][k]
-            B[2 * pi, col] = nrm.real
-            B[2 * pi + 1, col] = nrm.imag
-            col += 1
+    # per segment (a, b) with unit direction u and length l: the length
+    # Hessian (I - u u^T) / l is g g^T / l with g = Im(conj(u) p) at a and its
+    # negative at b, and -kappa times the shoelace term (1/2) Im(conj(a) b)
+    # couples a's and b's directions p, q by -kappa/2 Im(conj(p) q)
+    seg = pts[pairs[:, 1]] - pts[pairs[:, 0]]
+    ell = np.abs(seg)
+    dofs = slots[pairs].reshape(-1, 4)
+    dirs = slot_dir[pairs].reshape(-1, 4)
+    g = (seg.conj()[:, None] * dirs).imag / ell[:, None] * [1.0, 1.0, -1.0, -1.0]
+    block = g[:, :, None] * g[:, None, :] / ell[:, None, None]
+    kappa = press[cluster.topology.labels[:, 0]] - press[cluster.topology.labels[:, 1]]
+    cross = -0.5 * kappa[edge, None, None] * (dirs[:, :2, None].conj() * dirs[:, None, 2:]).imag
+    block[:, :2, 2:] += cross
+    block[:, 2:, :2] += cross.transpose(0, 2, 1)
+    H = np.zeros((D, D))
+    np.add.at(H, (dofs[:, :, None], dofs[:, None, :]), block)
 
     # lumped mass: half of each adjacent segment length per point
-    point_mass = np.zeros(P)
-    for a, b in all_pairs:
-        ell = abs(pts[b] - pts[a])
-        point_mass[a] += 0.5 * ell
-        point_mass[b] += 0.5 * ell
-    M_pos = np.repeat(point_mass, 2)
+    mass = np.bincount(pairs.ravel(), weights=np.repeat(0.5 * ell, 2), minlength=P)[point]
 
-    H_dof = B.T @ H @ B
-    M_dof = B.T @ (M_pos[:, None] * B)
-    A_dof = grads @ B
+    # constraint rows, each a complex gradient d/dx + i d/dy per point read
+    # along the dof directions: area gradients, translations, rotation
+    areas = cluster.topology.incidence @ shoelace_gradient(pts, pairs, edge, cluster.e).view(complex)
+    grads = np.vstack([areas, np.ones(P), np.full(P, 1j), 1j * (pts - pts.mean())])
+    C = (direction.conj() * grads[:, point]).real
 
-    # rigid motions expressed in position space, then reduced
-    rigid_pos = np.zeros((3, 2 * P))
-    rigid_pos[0, 0::2] = 1.0
-    rigid_pos[1, 1::2] = 1.0
-    cx, cy = pts.real.mean(), pts.imag.mean()
-    rigid_pos[2, 0::2] = -(pts.imag - cy)
-    rigid_pos[2, 1::2] = pts.real - cx
-    # B's columns are unit vectors with disjoint supports, so B^T B = I and the
-    # least-squares preimage under B is exactly B^T (tangential parts are
-    # unrepresentable and energetically neutral: the normal part is the quotient)
-    rigid_dof = rigid_pos @ B
-
-    constraints = np.vstack([A_dof, rigid_dof])
-    u, s, vt = np.linalg.svd(constraints, full_matrices=True)
+    # M^(-1/2) scaling turns the mass pencil into a plain symmetric problem
+    root = np.sqrt(mass)
+    H /= root[:, None]
+    H /= root
+    C /= root
+    _, s, vt = np.linalg.svd(C, full_matrices=True)
     rank = int((s > 1e-12 * (s[0] if s.size else 1.0)).sum())
-    Q = vt[rank:].T  # basis of the admissible subspace
-
-    Hp = Q.T @ H_dof @ Q
-    Mp = Q.T @ M_dof @ Q
-    eig = scipy.linalg.eigh(Hp, Mp, eigvals_only=True)
+    Q = vt[rank:]  # rows span the admissible subspace
+    eig = np.linalg.eigvalsh(Q @ H @ Q.T)
 
     # eigenvalues are mass-normalized, so lambda * diameter^2 is the
     # scale-invariant quantity to threshold
@@ -317,11 +269,11 @@ def continue_family(
     steps: int = 10,
     opts: Optional[SolveOptions] = None,
 ) -> List[Cluster]:
-    """Predictor-corrector path from the cluster's areas to the target areas.
+    """Path of equilibria from the cluster's areas to the target areas.
 
-    Linear interpolation of the area vector over ``steps`` increments, each
-    solved by the area-constrained equilibrium solver seeded from the
-    previous cluster.  Returns the full path including the start.
+    Step k re-solves the area target interpolated linearly k/``steps`` of
+    the way, starting from the previous step's cluster (no tangent
+    predictor).  Returns the full path including the start.
     """
     if steps < 1:
         raise GeometryDomainError("need at least one step")

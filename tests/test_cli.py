@@ -125,14 +125,14 @@ class TestNewAndCheck:
         run(["new", "flower", "-o", str(b)])
         assert read(a) == read(b)
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # cold start: no preset or verb needs a scipy root finder
+    def test_import_leaves_scipy_unloaded(self):
+        # cold start: foamlab needs numpy only
         src = str(Path(fl.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, foamlab; print('scipy.optimize' in sys.modules)"
+        code = "import sys, foamlab; print(sorted(k for k in sys.modules if k.startswith('scipy')))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
 
 class TestNumericVerbs:

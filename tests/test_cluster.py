@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import foamlab as fl
-from foamlab.cluster import from_json_dict, to_json_dict
+from foamlab.cluster import _disjointness_scan, from_json_dict, to_json_dict
 from foamlab.errors import ClusterFormatError, StructuralError
 from foamlab.geometry import arc_point, arc_tangent
 
@@ -184,6 +184,31 @@ class TestValidate:
 
     def test_disjointness_scan(self, double):
         assert fl.validate(double, check_disjoint=True).ok
+
+    def test_disjointness_scan_matches_pairwise_samples(self, equilibrium_presets, rng):
+        # oracle: every pair of edges, each sampled by arc_point
+        def close_pairs(c, s):
+            pts = [[arc_point(c.arc_of(j), (k + 0.5) / s).z for k in range(s)] for j in range(c.e)]
+            length = c.frame.length
+            return [
+                (i, j)
+                for i in range(c.e)
+                for j in range(i + 1, c.e)
+                if np.abs(np.subtract.outer(pts[i], pts[j])).min()
+                < 0.25 * min(length[i], length[j]) / s
+            ]
+
+        found = 0
+        for c in equilibrium_presets.values():
+            for _ in range(5):
+                x = c.chart()
+                mask = rng.random(2 * c.v) < 0.2
+                x[: 2 * c.v] += 0.3 * c.diameter() * mask * rng.standard_normal(2 * c.v)
+                moved = c.with_chart(x)
+                want = close_pairs(moved, 16)
+                assert _disjointness_scan(moved, 16) == want
+                found += len(want)
+        assert found > 0
 
 
 class TestAreaJacobian:

@@ -181,3 +181,8 @@ class TestSolve:
             fl.solve(double, np.array([1.0]))
         with pytest.raises(ValueError):
             fl.solve(double, np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("target", [[1.0], [1.0, -1.0], [1.0, 0.0]])
+    def test_bad_targets_are_typed_errors(self, double, target):
+        with pytest.raises(fl.FoamlabError):
+            fl.solve(double, np.array(target))

@@ -4,7 +4,69 @@ import numpy as np
 import pytest
 
 import foamlab as fl
+from foamlab.cluster import shoelace_gradient
+from foamlab.geometry import arc_point, arc_tangent
 from foamlab.variation import DiscreteCluster, rigid_motion_basis
+
+
+def dense_stability_eigenvalues(cluster, m):
+    """Oracle for ``stability_report``, for m <= 64: the second variation
+    assembled in position space (2P x 2P), reduced to junction motions and
+    interior normal motions by the dense matrix B, projected onto the
+    complement of the area and rigid-motion rows, and solved as the
+    generalized pencil (Q^T H Q, Q^T M Q) through a Cholesky factor of
+    Q^T M Q."""
+    disc = fl.discretize(cluster, m)
+    press = fl.pressures(cluster)
+    pts = disc.points
+    P = pts.size
+    pairs, pair_edge = disc.segments
+
+    H = np.zeros((2 * P, 2 * P))
+    point_mass = np.zeros(P)
+    for (a, b), j in zip(pairs, pair_edge):
+        d = pts[b] - pts[a]
+        u = np.array([d.real, d.imag]) / abs(d)
+        blk = (np.eye(2) - np.outer(u, u)) / abs(d)
+        sa, sb = slice(2 * a, 2 * a + 2), slice(2 * b, 2 * b + 2)
+        H[sa, sa] += blk
+        H[sb, sb] += blk
+        H[sa, sb] -= blk
+        H[sb, sa] -= blk
+        # -kappa times the Hessian of the shoelace term (x_a y_b - y_a x_b) / 2
+        ed = cluster.edges[j]
+        w = -0.5 * (press[ed.left] - press[ed.right])
+        H[2 * a, 2 * b + 1] += w
+        H[2 * b + 1, 2 * a] += w
+        H[2 * a + 1, 2 * b] -= w
+        H[2 * b, 2 * a + 1] -= w
+        point_mass[[a, b]] += 0.5 * abs(d)
+
+    v = cluster.v
+    D = 2 * v + cluster.e * (m - 1)
+    B = np.zeros((2 * P, D))
+    B[: 2 * v, : 2 * v] = np.eye(2 * v)
+    col = 2 * v
+    for j, idx in enumerate(disc.point_index):
+        for k, pi in enumerate(idx[1:-1]):
+            B[2 * pi, col] = disc.normals[j][k].real
+            B[2 * pi + 1, col] = disc.normals[j][k].imag
+            col += 1
+
+    grads = cluster.topology.incidence @ shoelace_gradient(pts, pairs, pair_edge, cluster.e)
+    rigid = np.zeros((3, 2 * P))
+    rigid[0, 0::2] = 1.0
+    rigid[1, 1::2] = 1.0
+    rigid[2, 0::2] = -(pts.imag - pts.imag.mean())
+    rigid[2, 1::2] = pts.real - pts.real.mean()
+    constraints = np.vstack([grads, rigid]) @ B
+    _, s, vt = np.linalg.svd(constraints, full_matrices=True)
+    Q = vt[int((s > 1e-12 * s[0]).sum()) :].T
+
+    Hp = Q.T @ B.T @ H @ B @ Q
+    Mp = Q.T @ (B.T * np.repeat(point_mass, 2)) @ B @ Q
+    Linv = np.linalg.inv(np.linalg.cholesky(Mp))
+    return np.linalg.eigvalsh(Linv @ Hp @ Linv.T)
 
 
 class TestRigidMotionBasis:
@@ -95,6 +157,19 @@ class TestDiscretize:
                 shoelace = 0.5 * float(np.sum((z.conj() * np.roll(z, -1)).imag))
                 assert d.region_areas()[r - 1] == pytest.approx(shoelace, abs=1e-14), name
 
+    def test_samples_match_arc_point_and_arc_tangent(self, equilibrium_presets):
+        m = 16
+        for name, c in equilibrium_presets.items():
+            d = fl.discretize(c, m)
+            assert d.point_index.shape == (c.e, m + 1) and d.normals.shape == (c.e, m - 1)
+            tol = 1e-13 * c.diameter()
+            for j in range(c.e):
+                arc = c.arc_of(j)
+                want = [arc_point(arc, k / m).z for k in range(m + 1)]
+                assert np.abs(d.points[d.point_index[j]] - want).max() <= tol, name
+                normals = [1j * arc_tangent(arc, k / m) for k in range(1, m)]
+                assert np.abs(d.normals[j] - normals).max() <= 1e-13, name
+
     def test_rejects_coarse_sampling(self, double):
         with pytest.raises((ValueError, fl.GeometryDomainError)):
             fl.discretize(double, 4)
@@ -126,6 +201,14 @@ class TestStability:
         c = fl.necklace(7, inner_radius=0.05)
         rep = fl.stability_report(c)
         assert rep.classification.startswith("Unstable")
+
+    @pytest.mark.parametrize("m", [16, 32])
+    def test_matches_dense_oracle(self, equilibrium_presets, m):
+        for name, c in equilibrium_presets.items():
+            rep = fl.stability_report(c, m=m)
+            want = dense_stability_eigenvalues(c, m)
+            assert rep.m == m and rep.eigenvalues.shape == want.shape, name
+            assert np.abs(rep.eigenvalues - want).max() <= 1e-12 * np.abs(want).max(), name
 
     def test_eigenvalues_sorted(self, double):
         rep = fl.stability_report(double)
