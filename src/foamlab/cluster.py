@@ -11,11 +11,18 @@ one boundary walk per region and the signed incidence S.  Building it is the
 one structural check, and ``with_chart`` copies share it.  Areas and their
 derivatives need no walk: a region's walk is exactly the set of half-edges
 with it on the left, so they come from the edge labels through S.
+
+A half-edge is the integer k = 2j + end: it leaves end ``end`` of edge j
+(0: the tail, travelling tail -> head), and its reverse is k ^ 1.  Per-edge
+data with one entry per end is an (e, 2) array read at ``.flat[k]``: the
+start vertex is ``topology.ends.flat[k]`` and the end vertex
+``ends.flat[k ^ 1]``, the left region ``topology.labels.flat[k]``, the
+leaving tangent angle ``frame.alpha.flat[k]``, and the carrier
+``(A, B, D)[..].flat[k]`` from :meth:`Cluster.carriers`.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, replace
@@ -48,10 +55,6 @@ class EdgeRecord:
     bulge: float
     left: int
     right: int
-
-
-# a half-edge is (edge_index, forward); forward=True travels tail -> head
-HalfEdge = Tuple[int, bool]
 
 
 @dataclass(frozen=True)
@@ -94,15 +97,6 @@ def _grad(g: np.ndarray, db: np.ndarray) -> np.ndarray:
     return np.stack([g.real, g.imag, db], axis=-1)
 
 
-def _half_edge(k: int) -> HalfEdge:
-    """Half-edge k = 2j + end, leaving end ``end`` of edge j (0: the tail)."""
-    return (int(k) >> 1, not int(k) & 1)
-
-
-def _index(he: HalfEdge) -> int:
-    return 2 * he[0] + (not he[1])
-
-
 def _face_walks(ends: np.ndarray, alpha: np.ndarray, v: int):
     """Stars, face-walk successors and faces (lists of half-edge indices) of
     the embedding with edge ends ``ends`` and leaving tangent angles
@@ -140,14 +134,14 @@ class Topology:
     structural check every entry point relies on, raising
     :class:`StructuralError` unless each vertex is a triple junction, the
     vertex-edge graph is connected, and each face walk carries a single left
-    label, one face per region 0..n.  Half-edges are indexed as k = 2j + end.
+    label, one face per region 0..n.
     """
 
     ends: np.ndarray  # (e, 2) tail and head vertex
     labels: np.ndarray  # (e, 2) left and right region
     stars: np.ndarray  # (v, 3) outgoing half-edges, counterclockwise
     successor: np.ndarray  # (2e,) next half-edge of each face walk
-    walks: Tuple[Tuple[HalfEdge, ...], ...]  # region r's boundary walk at index r
+    walks: Tuple[np.ndarray, ...]  # region r's boundary walk at index r
     incidence: np.ndarray  # (n, e) signed edge-region incidence S
 
     @classmethod
@@ -175,8 +169,7 @@ class Topology:
         S = np.zeros((cluster.n + 1, cluster.e))
         S[labels[:, 0], np.arange(cluster.e)] += 1.0
         S[labels[:, 1], np.arange(cluster.e)] -= 1.0
-        walks = tuple(tuple(map(_half_edge, walk)) for walk in faces)
-        return cls(f.ends, labels, stars, successor, walks, S[1:])
+        return cls(f.ends, labels, stars, successor, tuple(map(np.array, faces)), S[1:])
 
 
 @dataclass(frozen=True)
@@ -243,26 +236,6 @@ class Cluster:
         ed = self.edges[edge_index]
         return Arc(self.vertices[ed.tail], self.vertices[ed.head], ed.bulge)
 
-    def half_edge_arc(self, he: HalfEdge) -> Arc:
-        arc = self.arc_of(he[0])
-        return arc if he[1] else arc.reversed()
-
-    def half_edge_left(self, he: HalfEdge) -> int:
-        ed = self.edges[he[0]]
-        return ed.left if he[1] else ed.right
-
-    def outgoing_tangent(self, he: HalfEdge) -> complex:
-        """Unit tangent leaving the half-edge's start vertex."""
-        return cmath.exp(1j * self.frame.alpha[he[0], 0 if he[1] else 1])
-
-    def start_vertex(self, he: HalfEdge) -> int:
-        ed = self.edges[he[0]]
-        return ed.tail if he[1] else ed.head
-
-    def end_vertex(self, he: HalfEdge) -> int:
-        ed = self.edges[he[0]]
-        return ed.head if he[1] else ed.tail
-
     @cached_property
     def frame(self) -> EdgeFrame:
         """Per-edge geometry at this chart point, phi inverted once per edge.
@@ -325,42 +298,15 @@ class Cluster:
         )
 
     def half_edge_carriers(
-        self, hes: Sequence[HalfEdge], centre: complex = 0j, scale: float = 1.0
+        self, hes: Sequence[int], centre: complex = 0j, scale: float = 1.0
     ) -> List[HermitianCircle]:
-        A, B, D = self.carriers(centre, scale)
-        return [
-            HermitianCircle(float(A[j, 1 - fwd]), complex(B[j, 1 - fwd]), float(D[j, 1 - fwd]))
-            for j, fwd in hes
-        ]
+        A, B, D = (x.flat[list(hes)] for x in self.carriers(centre, scale))
+        return [HermitianCircle(float(a), complex(b), float(d)) for a, b, d in zip(A, B, D)]
 
-    @property
-    def vertex_stars(self) -> Tuple[Tuple[HalfEdge, ...], ...]:
-        """Outgoing half-edges per vertex, counterclockwise from the star's
-        smallest half-edge."""
-        return tuple(tuple(map(_half_edge, star)) for star in self.topology.stars)
-
-    def next_half_edge(self, he: HalfEdge) -> HalfEdge:
+    def next_half_edge(self, k: int) -> int:
         """Successor in the face walk keeping the same region on the left:
-        the half-edge clockwise next to the reverse of ``he``."""
-        return _half_edge(self.topology.successor[_index(he)])
-
-    def face_area(self, walk: Sequence[HalfEdge]) -> float:
-        total = 0.0
-        for he in walk:
-            ed = self.edges[he[0]]
-            if he[1]:
-                a, b = self.vertices[ed.tail], self.vertices[ed.head]
-                total += ed.bulge
-            else:
-                a, b = self.vertices[ed.head], self.vertices[ed.tail]
-                total -= ed.bulge
-            total += 0.5 * (a.x * b.y - a.y * b.x)
-        return total
-
-    @property
-    def region_walks(self) -> Dict[int, Tuple[HalfEdge, ...]]:
-        """Boundary walk per region (region on the left)."""
-        return dict(enumerate(self.topology.walks))
+        the half-edge clockwise next to the reverse k ^ 1."""
+        return int(self.topology.successor[k])
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +477,10 @@ def build_cluster_from_arcs(
     face_of = np.empty(2 * probe.e, dtype=int)
     for fi, walk in enumerate(faces):
         face_of[walk] = fi
-    areas = [probe.face_area([_half_edge(k) for k in walk]) for walk in faces]
+    # a half-edge adds +-(bulge + chord shoelace term) to its face's area
+    points, pairs = _chords(probe)
+    terms = np.array([ed.bulge for ed in raw_edges]) + shoelace_terms(points, pairs)
+    areas = np.bincount(face_of, np.outer(terms, [1.0, -1.0]).ravel(), len(faces))
     region_id = {int(np.argmin(areas)): EXTERIOR}
     for fi in face_of.tolist():  # by first appearance along the edge list
         region_id.setdefault(fi, len(region_id))
@@ -705,12 +654,14 @@ def to_svg(
     height = (y1 - y0) + 2 * mx
     sw = stroke_width if stroke_width is not None else 0.005 * max(width, height)
 
-    def arc_path(he: HalfEdge) -> str:
-        phi = cluster.frame.phi[he[0]] if he[1] else -cluster.frame.phi[he[0]]
-        hx, hy = cluster.vertices[cluster.end_vertex(he)]
+    f = cluster.frame
+
+    def arc_path(k: int) -> str:
+        phi = -f.phi[k >> 1] if k & 1 else f.phi[k >> 1]
+        hx, hy = cluster.vertices[f.ends.flat[k ^ 1]]
         if abs(phi) < 1e-12:
             return f"L {hx:.9g} {hy:.9g}"
-        r = 1.0 / abs(cluster.frame.kappa[he[0]])
+        r = 1.0 / abs(f.kappa[k >> 1])
         large = 1 if abs(phi) > math.pi / 2 else 0
         sweep = 1 if phi > 0 else 0
         return f"A {r:.9g} {r:.9g} 0 {large} {sweep} {hx:.9g} {hy:.9g}"
@@ -723,13 +674,13 @@ def to_svg(
     if fill_pressures is not None:
         pmax = max(float(np.abs(fill_pressures).max()), 1e-12)
         for r in range(1, cluster.n + 1):
-            walk = cluster.region_walks[r]
-            start = cluster.vertices[cluster.start_vertex(walk[0])]
+            walk = cluster.topology.walks[r].tolist()
+            start = cluster.vertices[f.ends.flat[walk[0]]]
             d = [f"M {start.x:.9g} {start.y:.9g}"]
-            d += [arc_path(he) for he in walk]
+            d += [arc_path(k) for k in walk]
             d.append("Z")
-            frac = 0.5 * (1.0 + float(fill_pressures[r - 1]) / pmax)
-            red = round(255 * frac)
+            # zero pressure lands on red 128, not on a rounding tie
+            red = 128 + round(127 * float(fill_pressures[r - 1]) / pmax)
             blue = 255 - red
             parts.append(
                 f'<path d="{" ".join(d)}" fill="rgb({red},120,{blue})" '
@@ -737,7 +688,7 @@ def to_svg(
             )
     for j in range(cluster.e):
         t = cluster.vertices[cluster.edges[j].tail]
-        d = f"M {t.x:.9g} {t.y:.9g} " + arc_path((j, True))
+        d = f"M {t.x:.9g} {t.y:.9g} " + arc_path(2 * j)
         parts.append(
             f'<path d="{d}" fill="none" stroke="black" stroke-width="{sw:.9g}"/>'
         )

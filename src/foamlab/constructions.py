@@ -216,7 +216,9 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
         raise GeometryDomainError(f"no vertex {vertex}")
     if not size > 0:
         raise GeometryDomainError("size must be positive")
-    star = cluster.vertex_stars[vertex]
+    top = cluster.topology
+    ends, left = top.ends.ravel().tolist(), top.labels.ravel().tolist()
+    star = top.stars[vertex].tolist()
     p = cluster.vertices[vertex].z
     scale = cluster.diameter()
     # in coordinates (z - p) / scale the curvature noise of straight edges
@@ -227,11 +229,11 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     pic = _junction_picture(p, q)
     # z -> 1 / (z - q) is this picture scaled by 1 / |p - q|^2
     radius = size if q is AT_INFINITY else size * abs(q - p) ** 2
-    rays = [cluster.outgoing_tangent(he) for he in star]
+    rays = [cmath.exp(1j * a) for a in cluster.frame.alpha.flat[star]]
     tri = [radius * t for t in rays]
     new_incident = [
-        _rebuild_edge(pic, p, q, tri[k], rays[k], cluster.vertices[cluster.end_vertex(he)])
-        for k, he in enumerate(star)
+        _rebuild_edge(pic, p, q, tri[k], rays[k], cluster.vertices[ends[h ^ 1]])
+        for k, h in enumerate(star)
     ]
 
     # the inserted bubble: arcs between consecutive (counterclockwise) rays,
@@ -249,21 +251,21 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     tri_ids = [len(old_ids) + k for k in range(3)]
 
     new_region = cluster.n + 1
-    star_of_edge = {he[0]: k for k, he in enumerate(star)}
+    star_of_edge = {h >> 1: k for k, h in enumerate(star)}
     edges = []
     for j, ed in enumerate(cluster.edges):
         if j in star_of_edge:
             k = star_of_edge[j]
-            he = star[k]
-            left, right = (ed.left, ed.right) if he[1] else (ed.right, ed.left)
-            head_id = remap[cluster.end_vertex(he)]
-            edges.append(EdgeRecord(ed.id, tri_ids[k], head_id, new_incident[k].bulge, left, right))
+            h = star[k]
+            edges.append(EdgeRecord(
+                ed.id, tri_ids[k], remap[ends[h ^ 1]], new_incident[k].bulge, left[h], left[h ^ 1],
+            ))
         else:
             edges.append(replace(ed, tail=remap[ed.tail], head=remap[ed.head]))
     for k in range(3):
         edges.append(EdgeRecord(
             cluster.e + k, tri_ids[k], tri_ids[(k + 1) % 3], bubble_bulges[k],
-            new_region, cluster.half_edge_left(star[k]),
+            new_region, left[star[k]],
         ))
     labels = cluster.region_labels or tuple(
         ["exterior"] + [f"region {r}" for r in range(1, cluster.n + 1)]
@@ -298,16 +300,17 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
         raise GeometryDomainError("factor must be >= 0")
     if not 1 <= region <= cluster.n:
         raise GeometryDomainError(f"no interior region {region}")
-    walk = cluster.region_walks[region]
+    top = cluster.topology
+    ends, stars = top.ends.ravel().tolist(), top.stars.tolist()
+    walk = top.walks[region].tolist()
     if len(walk) != 3:
         raise GeometryDomainError(
             f"region {region} has {len(walk)} sides, expected 3"
         )
-    bubble_vids = [cluster.start_vertex(he) for he in walk]
-    bubble_eids = {he[0] for he in walk}
-    stars = cluster.vertex_stars
+    bubble_vids = [ends[k] for k in walk]
+    bubble_eids = {k >> 1 for k in walk}
     # the third half-edge at each junction of the walk leaves the bubble
-    outer_hes = [next(he for he in stars[vid] if he[0] not in bubble_eids) for vid in bubble_vids]
+    outer_hes = [next(h for h in stars[vid] if h >> 1 not in bubble_eids) for vid in bubble_vids]
     scale = cluster.diameter()
     bubble_pos = [cluster.vertices[v].z for v in bubble_vids]
     centre = sum(bubble_pos) / 3.0
@@ -333,14 +336,13 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
     # the outer edges keep their carriers, cut at the scaled vertices
     new_outer = [
         _rebuild_edge(
-            pic, p, q, factor * tri[k], tri[k] / abs(tri[k]),
-            cluster.vertices[cluster.end_vertex(he)],
+            pic, p, q, factor * tri[k], tri[k] / abs(tri[k]), cluster.vertices[ends[h ^ 1]]
         )
-        for k, he in enumerate(outer_hes)
+        for k, h in enumerate(outer_hes)
     ]
     bulges = [ed.bulge for ed in cluster.edges]
-    for (j, fwd), arc in zip(outer_hes, new_outer):
-        bulges[j] = arc.bulge if fwd else -arc.bulge
+    for h, arc in zip(outer_hes, new_outer):
+        bulges[h >> 1] = -arc.bulge if h & 1 else arc.bulge
 
     if factor > 0.0:
         back = pic.inverse()

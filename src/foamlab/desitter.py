@@ -86,11 +86,8 @@ def junction_triples(cluster: Cluster) -> List[Tuple[DeSitterPoint, ...]]:
 
     Raises :class:`StructuralError` unless every vertex is a triple junction.
     """
-    X = _coords(cluster)
-    return [
-        tuple(DeSitterPoint(*X[j, 0 if fwd else 1]) for j, fwd in star)
-        for star in cluster.vertex_stars
-    ]
+    X = _coords(cluster).reshape(-1, 4)[cluster.topology.stars]
+    return [tuple(DeSitterPoint(*x) for x in triple) for triple in X]
 
 
 @dataclass(frozen=True)
@@ -122,22 +119,21 @@ def verify_correspondence(cluster: Cluster, tol: float = 1e-8) -> Correspondence
     edge: the two traversal orientations must give antipodal points, up to
     ``tol`` relative to the point's size.
     """
+    if not tol > 0:
+        raise GeometryDomainError("tol must be positive")
     # form values and antipodes are Mobius invariant: measure every junction
     # in coordinates centred on it and scaled by the diameter, where the
     # carrier coordinates stay of order one at every scale of the cluster
     points = np.array([p.z for p in cluster.vertices])
     ends, scale = cluster.frame.ends, cluster.diameter()
     X = _coords(cluster, points[ends], scale)
-    collinearity = np.zeros(cluster.v)
-    form_values = np.zeros((cluster.v, 3))
-    spacing = np.zeros(cluster.v)
-    for i, star in enumerate(cluster.vertex_stars):
-        triple = [DeSitterPoint(*X[j, 0 if fwd else 1]) for j, fwd in star]
-        sigma = np.linalg.svd([p.coords() for p in triple], compute_uv=False)
-        collinearity[i] = sigma[2] / sigma[0]
-        pairs = [(0, 1), (1, 2), (2, 0)]
-        form_values[i] = [minkowski_form(triple[a], triple[b]) for a, b in pairs]
-        spacing[i] = np.abs(form_values[i] - FORM_120).max()
+    T = X.reshape(-1, 4)[cluster.topology.stars]  # (v, 3, 4) ccw triples
+    sigma = np.linalg.svd(T, compute_uv=False)
+    collinearity = sigma[:, 2] / sigma[:, 0]
+    # the pairs (0, 1), (1, 2), (2, 0) under the form t t' - x x' - y y' - z z'
+    P = T * np.roll(T, -1, axis=1)
+    form_values = P[..., 0] - P[..., 1] - P[..., 2] - P[..., 3]
+    spacing = np.abs(form_values - FORM_120).max(axis=1)
     Y = _coords(cluster, points[ends[:, :1]], scale)  # both halves at the tail
     antipodality = np.linalg.norm(Y.sum(axis=1), axis=1) / np.linalg.norm(Y[:, 0], axis=1)
     passed = bool(

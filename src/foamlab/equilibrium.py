@@ -87,33 +87,21 @@ def curvature_scale(cluster: Cluster) -> float:
 def pressures(cluster: Cluster, policy: TolerancePolicy = DEFAULT) -> np.ndarray:
     """Per-region pressures p_0..p_n (exterior first, fixed at 0).
 
-    Breadth-first over the region adjacency graph of the cluster's
-    topology, which is connected; the maximum disagreement on non-tree edges
-    is checked against the policy and raised as :class:`PathInconsistent`
-    when pressure is not well defined.
+    The least-squares solution of S^T p = kappa, one row p_L - p_R = kappa
+    per edge, with S the signed incidence of the cluster's topology, which
+    is connected.  Its defect, the largest edge residual |S^T p - kappa|, is
+    checked against the policy and raised as :class:`PathInconsistent` when
+    pressure is not well defined.
     """
-    p = np.full(cluster.n + 1, np.nan)
-    p[0] = 0.0
-    adjacency: List[List[Tuple[int, float]]] = [[] for _ in range(cluster.n + 1)]
-    for (left, right), kappa in zip(cluster.topology.labels.tolist(), cluster.frame.kappa):
-        adjacency[right].append((left, kappa))  # p_left = p_right + kappa
-        adjacency[left].append((right, -kappa))
-    queue = [0]
-    defect = 0.0
-    while queue:
-        r = queue.pop(0)
-        for s, drop in adjacency[r]:
-            if math.isnan(p[s]):
-                p[s] = p[r] + drop
-                queue.append(s)
-            else:
-                defect = max(defect, abs(p[s] - (p[r] + drop)))
+    S, kappa = cluster.topology.incidence, cluster.frame.kappa
+    p = np.linalg.lstsq(S.T, kappa, rcond=None)[0]
+    defect = float(np.abs(S.T @ p - kappa).max(initial=0.0))
     tol = policy.pressure_defect_rel * curvature_scale(cluster)
     if defect > tol:
         raise PathInconsistent(
-            f"pressure path disagreement {defect:.3e} exceeds {tol:.3e}", defect
+            f"pressure edge residual {defect:.3e} exceeds {tol:.3e}", defect
         )
-    return p
+    return np.concatenate([[0.0], p])
 
 
 class Verdict(enum.Enum):
@@ -268,8 +256,7 @@ def pin_gauge(initial: Cluster) -> Tuple[Callable, Callable]:
     it is in ``initial`` and its first outgoing half-edge does not turn (the
     sine of the turn is 0)."""
     pin = np.array(initial.vertices[0])
-    j, forward = initial.vertex_stars[0][0]
-    end = 0 if forward else 1
+    j, end = divmod(int(initial.topology.stars[0, 0]), 2)
 
     def turn(c: Cluster) -> float:
         return c.frame.alpha[j, end] - initial.frame.alpha[j, end]
@@ -301,6 +288,8 @@ def solve(
         raise GeometryDomainError("target must have one area per interior region")
     if not (target > 0).all():
         raise GeometryDomainError("target areas must be positive")
+    if opts.max_iter < 1:
+        raise GeometryDomainError("max_iter must be at least 1")
     gauge, gauge_jac = pin_gauge(initial)
 
     def rows(c: Cluster) -> np.ndarray:

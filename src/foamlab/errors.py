@@ -26,7 +26,11 @@ class ClusterFormatError(FoamlabError, ValueError):
 
 
 class PathInconsistent(FoamlabError):
-    """Curvature sums disagree across paths; pressures are not well defined."""
+    """Curvature sums disagree across paths; pressures are not well defined.
+
+    ``defect`` is the largest edge residual |p_left - p_right - kappa| of the
+    least-squares pressures.
+    """
 
     def __init__(self, message, defect=None):
         super().__init__(message)

@@ -73,3 +73,19 @@ def quasi_presets(quasi_recurved, quasi_stretched):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260825)
+
+
+def half_edge_arc(c, k):
+    """The arc of half-edge k = 2j + end, traversed from its start vertex."""
+    arc = c.arc_of(k >> 1)
+    return arc.reversed() if k & 1 else arc
+
+
+def face_area(c, walk):
+    """Signed area enclosed by a walk of half-edges, summed along it: each
+    half-edge's bulge plus the shoelace term of its chord."""
+    total = 0.0
+    for k in walk:
+        arc = half_edge_arc(c, k)
+        total += arc.bulge + 0.5 * (arc.tail.x * arc.head.y - arc.tail.y * arc.head.x)
+    return total

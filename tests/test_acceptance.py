@@ -23,6 +23,8 @@ from foamlab.geometry import (
 )
 from foamlab.tolerances import DEFAULT
 
+from conftest import face_area
+
 
 def outer_centers(cluster):
     """Centers -conj(B)/A of the outer edges' carriers."""
@@ -210,15 +212,12 @@ class TestCriterion9Decoration:
 
     def test_far_vertices_pinned_during_scaling(self, triple):
         c = fl.decorate(triple, 0, 0.25)
-        walk = c.region_walks[c.n]
-        bubble_vertices = {c.start_vertex(he) for he in walk}
+        walk = c.topology.walks[c.n]
+        bubble_vertices = set(c.topology.ends.flat[walk].tolist())
         touched = set(bubble_vertices)
-        for he in walk:
-            j = he[0]
-            for other in range(c.e):
-                ed = c.edges[other]
-                if ed.tail in bubble_vertices or ed.head in bubble_vertices:
-                    touched |= {ed.tail, ed.head}
+        for ed in c.edges:
+            if ed.tail in bubble_vertices or ed.head in bubble_vertices:
+                touched |= {ed.tail, ed.head}
         scaled = fl.scale_three_sided(c, c.n, 0.5)
         for i in range(c.v):
             if i not in touched:
@@ -306,7 +305,7 @@ class TestCriterion11NumericalHygiene:
                 cp, cm = c.with_chart(xp), c.with_chart(xm)
                 fd = np.array(
                     [
-                        cp.face_area(cp.region_walks[r]) - cm.face_area(cm.region_walks[r])
+                        face_area(cp, cp.topology.walks[r]) - face_area(cm, cm.topology.walks[r])
                         for r in range(1, c.n + 1)
                     ]
                 ) / (2 * h)

@@ -167,6 +167,13 @@ class TestNumericVerbs:
         run(["new", "triple", "-o", str(src)])
         assert run(["solve", str(src), "--areas", "1.0"]) == 2
 
+    @pytest.mark.parametrize("max_iter", ["0", "-1"])
+    def test_solve_without_iterations_is_exit_2(self, tmp_path, max_iter):
+        src = tmp_path / "t.json"
+        run(["new", "triple", "-o", str(src)])
+        argv = ["solve", str(src), "--areas", "1.1,0.9,1.0", "--max-iter", max_iter]
+        assert run_quietly(argv)[0] == 2
+
     def test_continue(self, tmp_path):
         src, dst = tmp_path / "t.json", tmp_path / "tc.json"
         run(["new", "triple", "-o", str(src)])
@@ -242,6 +249,12 @@ class TestReportVerbs:
         q = tmp_path / "q.json"
         run(["new", "quasi", "-o", str(q)])
         assert run(["desitter", "verify", str(q)]) == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_desitter_bad_tol_is_exit_2(self, tmp_path, tol):
+        t = tmp_path / "t.json"
+        run(["new", "triple", "-o", str(t)])
+        assert run_quietly(["desitter", "verify", str(t), "--tol", tol])[0] == 2
 
     def test_render(self, tmp_path):
         t, svg = tmp_path / "t.json", tmp_path / "t.svg"

@@ -10,11 +10,13 @@ from foamlab.cluster import _disjointness_scan, from_json_dict, to_json_dict
 from foamlab.errors import ClusterFormatError, StructuralError
 from foamlab.geometry import arc_point, arc_tangent
 
+from conftest import face_area, half_edge_arc
+
 
 def walk_areas(c):
     """Region areas summed along the face walks: the oracle for the
     incidence formula behind ``region_areas``."""
-    return np.array([c.face_area(c.region_walks[r]) for r in range(1, c.n + 1)])
+    return np.array([face_area(c, c.topology.walks[r]) for r in range(1, c.n + 1)])
 
 
 def fd_area_columns(c, columns):
@@ -37,27 +39,34 @@ class TestCombinatorics:
             assert c.v == 2 * (c.n - 1), name
             assert c.e == 3 * (c.n - 1), name
 
-    def test_vertex_stars_are_triples(self, triple):
-        assert all(len(star) == 3 for star in triple.vertex_stars)
+    def test_vertex_stars_are_triples(self, equilibrium_presets):
+        for name, c in equilibrium_presets.items():
+            stars = c.topology.stars
+            assert stars.shape == (c.v, 3), name
+            assert (c.topology.ends.flat[stars] == np.arange(c.v)[:, None]).all(), name
 
     def test_stars_start_at_smallest_half_edge_in_ccw_order(self, equilibrium_presets, rng):
         for name, c in equilibrium_presets.items():
             img = fl.mobius_apply_cluster(fl.random_mobius(c, rng), c)
             for d in (c, img):
-                for star in d.vertex_stars:
+                for star in d.topology.stars.tolist():
                     assert star[0] == min(star), name
                     # one ccw turn: the gaps between consecutive tangent
                     # directions sum to 2 pi (4 pi for a clockwise triple)
                     angles = [
-                        cmath.phase(arc_tangent(d.half_edge_arc(he), 0.0)) for he in star
+                        cmath.phase(arc_tangent(half_edge_arc(d, k), 0.0)) for k in star
                     ]
                     gaps = np.mod(np.diff(angles + angles[:1]), 2 * math.pi)
                     assert gaps.sum() == pytest.approx(2 * math.pi), name
 
-    def test_half_edge_walks_close(self, triple):
-        for r, walk in triple.region_walks.items():
-            for a, b in zip(walk, walk[1:] + walk[:1]):
-                assert triple.end_vertex(a) == triple.start_vertex(b)
+    def test_half_edge_walks_close(self, equilibrium_presets):
+        for name, c in equilibrium_presets.items():
+            ends, left = c.topology.ends, c.topology.labels
+            for r, walk in enumerate(c.topology.walks):
+                # each half-edge ends where the next one starts, with r on its left
+                assert (ends.flat[walk ^ 1] == ends.flat[np.roll(walk, -1)]).all(), name
+                assert (left.flat[walk] == r).all(), name
+                assert [c.next_half_edge(k) for k in walk] == np.roll(walk, -1).tolist(), name
 
 
 class TestTopology:
@@ -75,8 +84,9 @@ class TestTopology:
             moved = c.with_chart(x)
             fresh = fl.Cluster(moved.vertices, moved.edges, moved.region_count)
             assert fresh.topology is not c.topology
-            assert fresh.region_walks == moved.region_walks, name
-            assert fresh.vertex_stars == moved.vertex_stars, name
+            for a, b in zip(fresh.topology.walks, moved.topology.walks, strict=True):
+                assert a.tolist() == b.tolist(), name
+            assert (fresh.topology.stars == moved.topology.stars).all(), name
 
     def test_disconnected_document_raises(self, double):
         # a second double bubble far away, its faces labelled 5 (outside), 3
@@ -107,12 +117,12 @@ class TestAreas:
 
     def test_areas_against_polyline(self, triple):
         areas = fl.region_areas(triple)
-        for r, walk in triple.region_walks.items():
+        for r, walk in enumerate(triple.topology.walks):
             if r == fl.EXTERIOR:
                 continue
             pts = []
-            for he in walk:
-                arc = triple.half_edge_arc(he)
+            for k in walk:
+                arc = half_edge_arc(triple, k)
                 pts += [arc_point(arc, t).z for t in np.linspace(0.0, 1.0, 2000)[:-1]]
             z = np.array(pts)
             shoelace = 0.5 * float(
@@ -270,3 +280,12 @@ class TestSvg:
         # the seven unit-pressure bubbles equal the maximum up to roundoff
         svg = fl.to_svg(necklace7, fill_pressures=fl.pressures(necklace7)[1:])
         assert svg.count('fill="rgb(255,120,0)"') == 7
+
+    def test_zero_pressure_fill_is_stable_under_roundoff(self, necklace7):
+        # the chamber's pressure is 0 up to roundoff of either sign
+        fills = fl.pressures(necklace7)[1:]
+        svgs = set()
+        for chamber in (0.0, 1e-15, -1e-15, fills[-1] + 1e-15, fills[-1] - 1e-15):
+            svgs.add(fl.to_svg(necklace7, fill_pressures=np.append(fills[:-1], chamber)))
+        assert len(svgs) == 1
+        assert svgs.pop().count('fill="rgb(128,120,127)"') == 1

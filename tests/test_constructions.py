@@ -60,7 +60,7 @@ class TestDecoration:
         c = fl.decorate(triple, 0, 0.2)
         assert (c.v, c.e, c.n) == (triple.v + 2, triple.e + 3, triple.n + 1)
         assert fl.classify(c) is fl.Verdict.EQUILIBRIUM
-        walk = c.region_walks[c.n]
+        walk = c.topology.walks[c.n]
         assert len(walk) == 3
 
     def test_preserves_far_geometry(self, triple):
@@ -127,7 +127,7 @@ def assert_undone(back, c, vertex):
 def second_point(c, vertex):
     """Where the junction's three carriers meet again, or AT_INFINITY."""
     p, scale = c.vertices[vertex].z, c.diameter()
-    q = second_intersection(c.half_edge_carriers(c.vertex_stars[vertex], p, scale), Point(0, 0))
+    q = second_intersection(c.half_edge_carriers(c.topology.stars[vertex], p, scale), Point(0, 0))
     return q if q is AT_INFINITY else p + scale * q.z
 
 

@@ -162,6 +162,25 @@ class TestVerifyCorrespondence:
         worst = max(rep.collinearity.max(), rep.spacing.max())
         assert 1e-4 < worst < 1e-2
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_bad_tol_is_a_domain_error(self, triple, tol):
+        with pytest.raises(GeometryDomainError):
+            fl.verify_correspondence(triple, tol=tol)
+
+    def test_form_values_match_junction_triples(self, equilibrium_presets, rng):
+        # the batched form values, taken in coordinates centred on each
+        # junction, against the pairwise forms of the uncentred points: the
+        # form is Mobius invariant
+        for name, c in equilibrium_presets.items():
+            img = fl.mobius_apply_cluster(fl.random_mobius(c, rng), c)
+            for d in (c, img):
+                rep = fl.verify_correspondence(d)
+                pairs = [
+                    [fl.minkowski_form(t[a], t[b]) for a, b in ((0, 1), (1, 2), (2, 0))]
+                    for t in fl.junction_triples(d)
+                ]
+                assert np.abs(rep.form_values - pairs).max() < 1e-8, name
+
     def test_report_serializes(self, double):
         doc = fl.verify_correspondence(double).to_json()
         assert doc["passed"] is True

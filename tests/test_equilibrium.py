@@ -12,7 +12,13 @@ from foamlab.equilibrium import (
     residual_jacobian,
 )
 from foamlab.geometry import arc_carrier
-from foamlab.errors import NonConvergence, PathInconsistent, StructuralError, TopologyBreakdown
+from foamlab.errors import (
+    GeometryDomainError,
+    NonConvergence,
+    PathInconsistent,
+    StructuralError,
+    TopologyBreakdown,
+)
 
 
 class TestResiduals:
@@ -63,6 +69,21 @@ class TestPressures:
         for name, c in quasi_presets.items():
             with pytest.raises(PathInconsistent):
                 fl.pressures(c)
+
+    def test_defect_is_the_largest_edge_residual(self, quasi_presets):
+        # one row p_left - p_right = kappa per edge, p_0 = 0, solved in the
+        # least-squares sense: the defect is its largest residual
+        for name, c in quasi_presets.items():
+            rows = np.zeros((c.e, c.n + 1))
+            for j, ed in enumerate(c.edges):
+                rows[j, ed.left] += 1.0
+                rows[j, ed.right] -= 1.0
+            kappa = np.array([arc_carrier(c.arc_of(j)).A for j in range(c.e)])
+            p = np.linalg.lstsq(rows[:, 1:], kappa, rcond=None)[0]
+            with pytest.raises(PathInconsistent) as err:
+                fl.pressures(c)
+            residual = np.abs(rows[:, 1:] @ p - kappa).max()
+            assert err.value.defect == pytest.approx(residual, rel=1e-9), name
 
 
 class TestClassify:
@@ -186,3 +207,8 @@ class TestSolve:
     def test_bad_targets_are_typed_errors(self, double, target):
         with pytest.raises(fl.FoamlabError):
             fl.solve(double, np.array(target))
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_no_iteration_budget_is_a_domain_error(self, double, max_iter):
+        with pytest.raises(GeometryDomainError):
+            fl.solve(double, fl.region_areas(double), fl.SolveOptions(max_iter=max_iter))

@@ -150,9 +150,9 @@ class TestDiscretize:
             d = fl.discretize(c, 16)
             for r in range(1, c.n + 1):
                 z = []
-                for he in c.region_walks[r]:
-                    idx = d.point_index[he[0]]
-                    z += [d.points[i] for i in (idx if he[1] else idx[::-1])[:-1]]
+                for k in c.topology.walks[r].tolist():
+                    idx = d.point_index[k >> 1]
+                    z += [d.points[i] for i in (idx[::-1] if k & 1 else idx)[:-1]]
                 z = np.array(z)
                 shoelace = 0.5 * float(np.sum((z.conj() * np.roll(z, -1)).imag))
                 assert d.region_areas()[r - 1] == pytest.approx(shoelace, abs=1e-14), name
