@@ -15,6 +15,7 @@ A verb that reads a document exits 2 when ``validate`` rejects it, except
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -77,7 +78,11 @@ def _parse_areas(text: str, n: int) -> np.ndarray:
     return areas
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Reuse is safe:
+    ``parse_args`` fills a fresh namespace on every call, and no default is
+    a list that an action could append to."""
     ap = argparse.ArgumentParser(
         prog="foamlab", description="planar soap bubble cluster toolkit"
     )
@@ -253,7 +258,7 @@ def _cmd_stability(args, policy) -> int:
     rep = stability_report(c, m=args.m, policy=policy)
     print(f"classification: {rep.classification}")
     print(f"zero modes: {rep.zero_mode_count}")
-    print(f"smallest eigenvalues: {[f'{x:.6g}' for x in rep.eigenvalues[:6]]}")
+    print(f"smallest eigenvalues: {[f'{x:.6g}' for x in rep.eigenvalues]}")
     return EXIT_OK
 
 

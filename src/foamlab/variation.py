@@ -10,9 +10,13 @@ Two complementary probes of an equilibrium cluster:
 * ``stability_report`` discretizes every arc into a polyline, forms the exact
   Hessian of (perimeter - sum of pressure * area) in a reduced coordinate
   system (full motion at junctions, normal motion at interior sample points,
-  so tangential reparametrizations are quotiented away), projects out rigid
-  motions and area changes, and classifies the inertia of the resulting
-  pencil against a segment-mass matrix.  It also sees non-arc deformations.
+  so tangential reparametrizations are quotiented away) against a
+  segment-mass matrix, with rigid motions and area changes constrained away.
+  Its verdict is an inertia count, not a spectrum: each edge's interior
+  block is eliminated once (``eliminated_hessian``), and the number of
+  constrained eigenvalues below any sigma is read off a small Schur
+  complement on the junction and multiplier dofs.  It also sees non-arc
+  deformations.
 """
 
 from __future__ import annotations
@@ -167,18 +171,80 @@ def discretize(cluster: Cluster, m: int) -> DiscreteCluster:
 
 @dataclass(frozen=True)
 class HessianReport:
-    eigenvalues: np.ndarray  # ascending, of the projected mass-normalized pencil
-    zero_mode_count: int
+    eigenvalues: np.ndarray  # the smallest six constrained eigenvalues, ascending
+    zero_mode_count: int  # constrained eigenvalues in [-tau, tau)
     classification: str  # "StrictlyStable" | "Degenerate(k)" | "Unstable(j)"
     m: int
 
 
-def stability_report(
+@dataclass(frozen=True)
+class EliminatedHessian:
+    """The constrained, mass-scaled second variation with every edge's
+    interior block eliminated, for counting eigenvalues below any sigma.
+
+    With the scaled Hessian H~ = M^(-1/2) H M^(-1/2) and R the orthonormal
+    rows spanning the scaled constraint rows, Sylvester's law of inertia on
+    the bordered matrix K(sigma) = [[H~ - sigma I, R^T], [R, 0]] gives
+
+        #(constrained eigenvalues < sigma) = n_-(K(sigma)) - rank.
+
+    Each edge's interior normals couple only to each other (a tridiagonal
+    block T_j = V Lambda V^T) and to the junction and multiplier dofs
+    (columns G_j, R_j^T).  Haynsworth's inertia additivity splits n_-(K)
+    into #(Lambda < sigma) and the negative count of the Schur complement
+
+        S(sigma) = K_JJ - sigma E - W^T diag(1 / (Lambda - sigma)) W,
+
+    with W = V^T [G, R_I^T] and E the identity on the 2v junction dofs; S
+    is only (2v + rank)^2, whatever m is.
+    """
+
+    lam: np.ndarray  # (N,) eigenvalues of all edge blocks T_j
+    coupling: np.ndarray  # (N, 2v + rank) W
+    border: np.ndarray  # (2v + rank, 2v + rank) K_JJ at sigma = 0
+    junction_dofs: int  # 2v, the leading rows of ``border`` that sigma shifts
+    rank: int  # of the constraint rows
+    bound: float  # Gershgorin bound of H~; interlacing keeps the spectrum inside
+
+    @property
+    def size(self) -> int:
+        """Dimension of the constrained space."""
+        return self.lam.size + self.junction_dofs - self.rank
+
+    def count_below(self, sigma) -> np.ndarray:
+        """Number of constrained eigenvalues below each sigma (any shape):
+        one batched matmul and one batched ``eigvalsh`` of the Schur
+        complements."""
+        sigma = np.asarray(sigma, dtype=float)
+        s = sigma.reshape(-1, 1)
+        weighted = self.coupling.T * (1.0 / (self.lam - s))[:, None, :]
+        schur = self.border - weighted @ self.coupling
+        junction = np.arange(self.junction_dofs)
+        schur[:, junction, junction] -= s
+        negative = (np.linalg.eigvalsh(schur) < 0).sum(axis=1)
+        count = (self.lam < s).sum(axis=1) + negative - self.rank
+        return count.reshape(sigma.shape)
+
+    def smallest(self, k: int) -> np.ndarray:
+        """The k smallest constrained eigenvalues, ascending: bisection on
+        ``count_below`` for all k targets at once.  53 halvings take the
+        bracket from 2 * bound to the float resolution at the bound."""
+        target = np.arange(k)
+        lo, hi = np.full(k, -self.bound), np.full(k, self.bound)
+        for _ in range(53):
+            mid = 0.5 * (lo + hi)
+            above = self.count_below(mid) > target
+            lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+        return 0.5 * (lo + hi)
+
+
+def eliminated_hessian(
     cluster: Cluster,
     m: int = 64,
     policy: TolerancePolicy = DEFAULT,
-) -> HessianReport:
-    """Inertia of the discretized second variation at fixed areas.
+) -> EliminatedHessian:
+    """The discretized second variation at fixed areas, with each edge's
+    interior block eliminated (see ``EliminatedHessian``).
 
     The energy perimeter - sum(p_i * area_i) is assembled exactly (its
     length part and its quadratic area part) on the polyline discretization,
@@ -188,21 +254,24 @@ def stability_report(
     lumped segment mass M is diagonal there; on the orthogonal complement of
     the M^(-1/2)-scaled rigid-motion and area-gradient rows, the eigenvalues
     of M^(-1/2) H M^(-1/2) are those of the mass pencil on the admissible
-    motions, and approximate the continuum second-variation spectrum.
+    motions, and approximate the continuum second-variation spectrum.  No
+    D x D array is formed: the scaled segment blocks are scattered straight
+    into the junction block, the edge blocks and their coupling.
     """
     disc = discretize(cluster, m)
     press = pressures(cluster, policy)
     pts = disc.points
-    v, P = cluster.v, pts.size
-    D = v + P
+    v, e, P = cluster.v, cluster.e, pts.size
+    J, D = 2 * v, v + P
     pairs, edge = disc.segments
 
-    # reduced dofs: x and y at each junction, then the normal at each sample;
+    # reduced dofs: x and y at each junction, then the normal at each sample,
+    # so edge j's interior normals are the m - 1 dofs from J + j(m - 1);
     # every point has two dof slots, and an interior sample's second one
     # repeats its dof with a zero direction
     point = np.concatenate([np.repeat(np.arange(v), 2), np.arange(v, P)])
     direction = np.concatenate([np.tile([1.0, 1j], v), disc.normals.ravel()])
-    slots = np.concatenate([np.arange(2 * v), np.repeat(np.arange(2 * v, D), 2)]).reshape(P, 2)
+    slots = np.concatenate([np.arange(J), np.repeat(np.arange(J, D), 2)]).reshape(P, 2)
     slot_dir = direction[slots]
     slot_dir[v:, 1] = 0.0
 
@@ -220,8 +289,6 @@ def stability_report(
     cross = -0.5 * kappa[edge, None, None] * (dirs[:, :2, None].conj() * dirs[:, None, 2:]).imag
     block[:, :2, 2:] += cross
     block[:, 2:, :2] += cross.transpose(0, 2, 1)
-    H = np.zeros((D, D))
-    np.add.at(H, (dofs[:, :, None], dofs[:, None, :]), block)
 
     # lumped mass: half of each adjacent segment length per point
     mass = np.bincount(pairs.ravel(), weights=np.repeat(0.5 * ell, 2), minlength=P)[point]
@@ -234,26 +301,67 @@ def stability_report(
 
     # M^(-1/2) scaling turns the mass pencil into a plain symmetric problem
     root = np.sqrt(mass)
-    H /= root[:, None]
-    H /= root
+    block /= root[dofs][:, :, None] * root[dofs][:, None, :]
     C /= root
-    _, s, vt = np.linalg.svd(C, full_matrices=True)
+    _, s, vt = np.linalg.svd(C, full_matrices=False)
     rank = int((s > 1e-12 * (s[0] if s.size else 1.0)).sum())
-    Q = vt[rank:]  # rows span the admissible subspace
-    eig = np.linalg.eigvalsh(Q @ H @ Q.T)
+    R = vt[:rank]
 
-    # eigenvalues are mass-normalized, so lambda * diameter^2 is the
-    # scale-invariant quantity to threshold
-    scale = cluster.diameter()
-    tau = policy.hessian_zero_scaled / scale**2
-    negative = int((eig < -tau).sum())
-    zero = int((np.abs(eig) <= tau).sum())
+    # scatter the scaled blocks: junction x junction, interior x interior
+    # (always within one edge, so flat index (r - J)(m - 1) + (c - J) mod
+    # (m - 1) in the (e, m-1, m-1) stack), interior rows x junction columns
+    rows = np.broadcast_to(dofs[:, :, None], block.shape).ravel()
+    cols = np.broadcast_to(dofs[:, None, :], block.shape).ravel()
+    vals = block.ravel()
+    bound = float(np.bincount(rows, weights=np.abs(vals), minlength=D).max())
+    inner_r, inner_c = rows >= J, cols >= J
+    jj = ~inner_r & ~inner_c
+    ii = inner_r & inner_c
+    ij = inner_r & ~inner_c
+    HJJ = np.bincount(rows[jj] * J + cols[jj], weights=vals[jj], minlength=J * J)
+    T = np.bincount(
+        (rows[ii] - J) * (m - 1) + (cols[ii] - J) % (m - 1),
+        weights=vals[ii],
+        minlength=e * (m - 1) ** 2,
+    )
+    G = np.bincount((rows[ij] - J) * J + cols[ij], weights=vals[ij], minlength=(D - J) * J)
+
+    lam, V = np.linalg.eigh(T.reshape(e, m - 1, m - 1))
+    B = np.concatenate([G.reshape(e, m - 1, J), R[:, J:].T.reshape(e, m - 1, rank)], axis=2)
+    W = (V.transpose(0, 2, 1) @ B).reshape(D - J, J + rank)
+    border = np.zeros((J + rank, J + rank))
+    border[:J, :J] = HJJ.reshape(J, J)
+    border[:J, J:] = R[:, :J].T
+    border[J:, :J] = R[:, :J]
+    return EliminatedHessian(lam.ravel(), W, border, J, rank, bound)
+
+
+def stability_report(
+    cluster: Cluster,
+    m: int = 64,
+    policy: TolerancePolicy = DEFAULT,
+) -> HessianReport:
+    """Inertia of the discretized second variation at fixed areas.
+
+    The verdict is an inertia count, not a spectrum: with
+    tau = ``policy.hessian_zero_scaled`` / diameter^2 (eigenvalues are
+    mass-normalized, so lambda * diameter^2 is the scale-invariant quantity),
+    ``EliminatedHessian.count_below`` at -tau and +tau gives the negative
+    and zero-mode counts.  The report also carries the smallest six
+    constrained eigenvalues, found by bisection on the same counts.  See
+    ``eliminated_hessian`` for the discretization.
+    """
+    hess = eliminated_hessian(cluster, m, policy)
+    tau = policy.hessian_zero_scaled / cluster.diameter() ** 2
+    below_neg, below_pos = hess.count_below([-tau, tau]).tolist()
+    negative, zero = below_neg, below_pos - below_neg
     if negative > 0:
         label = f"Unstable({negative})"
     elif zero > 0:
         label = f"Degenerate({zero})"
     else:
         label = "StrictlyStable"
+    eig = hess.smallest(min(6, hess.size))
     return HessianReport(
         eigenvalues=eig, zero_mode_count=zero, classification=label, m=m
     )

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foamlab as fl
+from foamlab import cli
 from foamlab.cli import run
 
 
@@ -147,6 +148,15 @@ class TestNumericVerbs:
         out = tmp_path / "n.json"
         run(["new", "necklace", "--k", "7", "-o", str(out)])
         assert run(["dim", str(out), "--fix-areas"]) == 0
+        assert "nullity: 4" in capsys.readouterr().out
+
+    def test_reused_parser_keeps_no_state_between_runs(self, tmp_path, capsys):
+        out = tmp_path / "lens.json"
+        run(["new", "two_lens", "-o", str(out)])
+        assert cli._build_parser() is cli._build_parser()
+        assert run(["dim", "--fix-areas", str(out)]) == 0
+        assert "nullity: 1" in capsys.readouterr().out
+        assert run(["dim", str(out)]) == 0
         assert "nullity: 4" in capsys.readouterr().out
 
     def test_stability(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 import foamlab as fl
 from foamlab.cluster import shoelace_gradient
 from foamlab.geometry import arc_point, arc_tangent
-from foamlab.variation import DiscreteCluster, rigid_motion_basis
+from foamlab.variation import DiscreteCluster, eliminated_hessian, rigid_motion_basis
 
 
 def dense_stability_eigenvalues(cluster, m):
@@ -204,11 +204,50 @@ class TestStability:
 
     @pytest.mark.parametrize("m", [16, 32])
     def test_matches_dense_oracle(self, equilibrium_presets, m):
-        for name, c in equilibrium_presets.items():
+        clusters = dict(equilibrium_presets, unstable=fl.necklace(7, inner_radius=0.05))
+        for name, c in clusters.items():
             rep = fl.stability_report(c, m=m)
             want = dense_stability_eigenvalues(c, m)
-            assert rep.m == m and rep.eigenvalues.shape == want.shape, name
-            assert np.abs(rep.eigenvalues - want).max() <= 1e-12 * np.abs(want).max(), name
+            k = rep.eigenvalues.size
+            assert rep.m == m and k == min(6, want.size), name
+            assert np.abs(rep.eigenvalues - want[:k]).max() <= 1e-12 * np.abs(want).max(), name
+            tau = fl.DEFAULT.hessian_zero_scaled / c.diameter() ** 2
+            negative, zero = int((want < -tau).sum()), int((np.abs(want) <= tau).sum())
+            assert rep.zero_mode_count == zero, name
+            if negative:
+                assert rep.classification == f"Unstable({negative})", name
+            else:
+                assert not rep.classification.startswith("Unstable"), name
+            if name == "unstable":
+                assert negative == 4
+
+    def test_count_below_matches_dense_oracle(self, equilibrium_presets):
+        # counts at midpoints between oracle eigenvalues; the symmetric
+        # presets have exact pairs ~1e-17 apart, and a count between those
+        # is roundoff, so only gaps above 1e-9 relative are probed
+        m = 16
+        clusters = dict(equilibrium_presets, unstable=fl.necklace(7, inner_radius=0.05))
+        for name, c in clusters.items():
+            hess = eliminated_hessian(c, m)
+            want = dense_stability_eigenvalues(c, m)
+            assert hess.size == want.size, name
+            assert np.abs(want).max() <= hess.bound, name
+            gap = np.diff(want) > 1e-9 * np.abs(want).max()
+            mid = 0.5 * (want[:-1] + want[1:])[gap]
+            # batches of at most 64 sigmas keep the Schur stack small
+            for chunk in np.array_split(mid, mid.size // 64 + 1):
+                assert np.array_equal(hess.count_below(chunk), np.searchsorted(want, chunk)), name
+
+    def test_necklace_seven_first_order_convergence(self, necklace7):
+        # the four sliding modes are spurious zeros of the polyline Hessian:
+        # lambda * diam^2 halves per doubling of m (first-order convergence)
+        scaled = []
+        for m in (64, 128, 256):
+            rep = fl.stability_report(necklace7, m=m)
+            assert rep.classification == "Degenerate(4)", m
+            scaled.append(rep.eigenvalues[:4] * necklace7.diameter() ** 2)
+        for coarse, fine in zip(scaled, scaled[1:]):
+            assert np.all((1.8 <= coarse / fine) & (coarse / fine <= 2.2))
 
     def test_eigenvalues_sorted(self, double):
         rep = fl.stability_report(double)
