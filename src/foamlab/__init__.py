@@ -13,7 +13,6 @@ from .cluster import (
     EdgeRecord,
     ValidationReport,
     area_jacobian,
-    build_cluster_from_arcs,
     dumps,
     loads,
     perimeter,
@@ -22,7 +21,6 @@ from .cluster import (
     validate,
 )
 from .constructions import (
-    arc_triangle,
     decorate,
     double_bubble,
     flower,

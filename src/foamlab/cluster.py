@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -378,7 +378,7 @@ class ValidationReport:
         return [f"{name}: {detail}" for name, passed, detail in self.checks if not passed]
 
 
-def validate(cluster: Cluster, check_disjoint: bool = False, samples: int = 16) -> ValidationReport:
+def validate(cluster: Cluster, check_disjoint: bool = False) -> ValidationReport:
     """Named checks of a cluster document; ``topology`` is the structural
     check (:attr:`Cluster.topology`) that every other entry point relies on."""
     checks: List[Tuple[str, bool, str]] = []
@@ -421,13 +421,13 @@ def validate(cluster: Cluster, check_disjoint: bool = False, samples: int = 16) 
             add("positive_areas", bool((areas > 0).all()), f"areas {areas.tolist()}")
 
     if check_disjoint:
-        bad_pairs = _disjointness_scan(cluster, samples)
+        bad_pairs = _disjointness_scan(cluster)
         add("arc_disjointness", not bad_pairs, f"close pairs {bad_pairs}")
 
     return ValidationReport(tuple(checks))
 
 
-def _disjointness_scan(cluster: Cluster, samples: int) -> List[Tuple[int, int]]:
+def _disjointness_scan(cluster: Cluster, samples: int = 16) -> List[Tuple[int, int]]:
     pts, _ = cluster.arc_samples((np.arange(samples) + 0.5) / samples)
     # sampled interiors of distinct edges must not come closer than the
     # sampling resolution would explain
@@ -438,62 +438,6 @@ def _disjointness_scan(cluster: Cluster, samples: int) -> List[Tuple[int, int]]:
         near = d < 0.25 * np.minimum(length[i], length[i + 1 :]) / samples
         bad += [(i, i + 1 + int(k)) for k in np.flatnonzero(near)]
     return bad
-
-
-# ---------------------------------------------------------------------------
-# building a cluster from bare arcs (labels inferred from the embedding)
-
-
-def build_cluster_from_arcs(
-    arcs: Sequence[Arc],
-    merge_tol: float = 1e-9,
-    labels: Optional[Sequence[str]] = None,
-) -> Cluster:
-    """Assemble a cluster from arcs, merging endpoints and inferring regions.
-
-    Faces are read off the embedding; the face of most negative signed area
-    becomes the exterior (region 0) and the rest are numbered by first
-    appearance along the edge list.
-    """
-    scale = max(
-        max(abs(a.tail.z), abs(a.head.z), a.chord_length()) for a in arcs
-    )
-    verts: List[Point] = []
-
-    def vid(p: Point) -> int:
-        for i, q in enumerate(verts):
-            if abs(p.z - q.z) <= merge_tol * scale:
-                return i
-        verts.append(p)
-        return len(verts) - 1
-
-    raw_edges = []
-    for j, a in enumerate(arcs):
-        raw_edges.append(
-            EdgeRecord(j, vid(a.tail), vid(a.head), a.bulge, left=-1, right=-1)
-        )
-    probe = Cluster(tuple(verts), tuple(raw_edges), region_count=0)
-    _, _, faces = _face_walks(probe.frame.ends, probe.frame.alpha, probe.v)
-    face_of = np.empty(2 * probe.e, dtype=int)
-    for fi, walk in enumerate(faces):
-        face_of[walk] = fi
-    # a half-edge adds +-(bulge + chord shoelace term) to its face's area
-    points, pairs = _chords(probe)
-    terms = np.array([ed.bulge for ed in raw_edges]) + shoelace_terms(points, pairs)
-    areas = np.bincount(face_of, np.outer(terms, [1.0, -1.0]).ravel(), len(faces))
-    region_id = {int(np.argmin(areas)): EXTERIOR}
-    for fi in face_of.tolist():  # by first appearance along the edge list
-        region_id.setdefault(fi, len(region_id))
-    edges = tuple(
-        replace(ed, left=region_id[face_of[2 * j]], right=region_id[face_of[2 * j + 1]])
-        for j, ed in enumerate(raw_edges)
-    )
-    return Cluster(
-        tuple(verts),
-        edges,
-        region_count=len(region_id) - 1,
-        region_labels=tuple(labels) if labels else (),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +480,15 @@ def _require(obj: dict, field: str, where: str):
     return obj[field]
 
 
+def _by_id(items: List[tuple], what: str) -> list:
+    """The values of (id, value) pairs in id order; raises
+    :class:`ClusterFormatError` unless the ids are 0..k-1, each once."""
+    ids = [i for i, _ in items]
+    if not all(type(i) is int for i in ids) or sorted(ids) != list(range(len(ids))):
+        raise ClusterFormatError(f"{what} ids must be 0..{len(ids) - 1}, each once")
+    return [value for _, value in sorted(items, key=lambda item: item[0])]
+
+
 def from_json_dict(doc: dict) -> Cluster:
     if not isinstance(doc, dict):
         raise ClusterFormatError("document root must be an object")
@@ -549,33 +502,26 @@ def from_json_dict(doc: dict) -> Cluster:
     if exterior != 0:
         raise ClusterFormatError("exterior region id must be 0")
 
-    verts: Dict[int, Point] = {}
+    verts = []
     for k, vo in enumerate(vlist):
-        i = _require(vo, "id", f"vertices[{k}]")
-        verts[i] = Point(
-            float(_require(vo, "x", f"vertices[{k}]")),
-            float(_require(vo, "y", f"vertices[{k}]")),
-        )
-    if sorted(verts) != list(range(len(verts))):
-        raise ClusterFormatError("vertex ids must be 0..v-1 without gaps")
-
-    region_ids = set()
-    label_map: Dict[int, str] = {}
+        where = f"vertices[{k}]"
+        i = _require(vo, "id", where)
+        verts.append((i, Point(float(_require(vo, "x", where)), float(_require(vo, "y", where)))))
+    verts = _by_id(verts, "vertex")
+    labels = []
     for k, ro in enumerate(rlist):
         i = _require(ro, "id", f"regions[{k}]")
-        region_ids.add(i)
-        label_map[i] = str(ro.get("label", f"region {i}"))
-    n = len(region_ids) - 1
+        labels.append((i, str(ro.get("label", f"region {i}"))))
+    labels = _by_id(labels, "region")
+    n = len(labels) - 1
     if n < 2:
         raise ClusterFormatError("cluster must have at least 2 interior regions")
-    if sorted(region_ids) != list(range(n + 1)):
-        raise ClusterFormatError("region ids must be 0..n without gaps")
 
     edges = []
     for k, eo in enumerate(elist):
         where = f"edges[{k}]"
         ed = EdgeRecord(
-            id=int(_require(eo, "id", where)),
+            id=_require(eo, "id", where),
             tail=int(_require(eo, "tail", where)),
             head=int(_require(eo, "head", where)),
             bulge=float(_require(eo, "bulge", where)),
@@ -583,20 +529,14 @@ def from_json_dict(doc: dict) -> Cluster:
             right=int(_require(eo, "right", where)),
         )
         for fld in ("tail", "head"):
-            if getattr(ed, fld) not in verts:
+            if not 0 <= getattr(ed, fld) < len(verts):
                 raise ClusterFormatError(f"{where}.{fld} is not a vertex id")
         for fld in ("left", "right"):
-            if getattr(ed, fld) not in region_ids:
+            if not 0 <= getattr(ed, fld) <= n:
                 raise ClusterFormatError(f"{where}.{fld} is not a region id")
-        edges.append(ed)
+        edges.append((ed.id, ed))
 
-    labels = tuple(label_map[i] for i in range(n + 1))
-    return Cluster(
-        tuple(verts[i] for i in range(len(verts))),
-        tuple(edges),
-        region_count=n,
-        region_labels=labels,
-    )
+    return Cluster(tuple(verts), tuple(_by_id(edges, "edge")), n, tuple(labels))
 
 
 def _fmt_float(x: float) -> str:
@@ -608,6 +548,8 @@ def dumps(cluster: Cluster) -> str:
 
     def render(obj) -> str:
         if isinstance(obj, float):
+            if not math.isfinite(obj):
+                raise ClusterFormatError(f"cannot write the non-finite number {obj} as JSON")
             return _fmt_float(obj)
         if isinstance(obj, bool):
             return "true" if obj else "false"
@@ -640,11 +582,7 @@ def loads(text: str) -> Cluster:
 # SVG rendering
 
 
-def to_svg(
-    cluster: Cluster,
-    fill_pressures: Optional[np.ndarray] = None,
-    stroke_width: Optional[float] = None,
-) -> str:
+def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str:
     pts, _ = cluster.arc_samples([0.25, 0.5, 0.75])
     pts = np.concatenate([[p.z for p in cluster.vertices], pts.ravel()])
     x0, x1 = float(pts.real.min()), float(pts.real.max())
@@ -652,7 +590,7 @@ def to_svg(
     mx = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
     width = (x1 - x0) + 2 * mx
     height = (y1 - y0) + 2 * mx
-    sw = stroke_width if stroke_width is not None else 0.005 * max(width, height)
+    sw = 0.005 * max(width, height)
 
     f = cluster.frame
 

@@ -1,7 +1,10 @@
 """Preset clusters: closed forms where elementary, ansatz-plus-solve elsewhere.
 
-Constructor correctness is certified by the equilibrium checker rather than
-by rederiving formulas: every non-quasi preset must classify as Equilibrium.
+Every preset is an explicit type table: its vertices and one row
+(tail, head, bulge, left, right) per edge, with region ids stated, not
+inferred from the embedding.  Constructor correctness is certified by the
+equilibrium checker rather than by rederiving formulas: every non-quasi
+preset must classify as Equilibrium.
 """
 
 from __future__ import annotations
@@ -9,17 +12,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .cluster import (
-    EXTERIOR,
-    Cluster,
-    EdgeRecord,
-    build_cluster_from_arcs,
-    region_areas,
-)
+from .cluster import EXTERIOR, Cluster, EdgeRecord, region_areas
 from .errors import GeometryDomainError, TopologyBreakdown
 from .equilibrium import chart_lm, pin_gauge, residual_jacobian, residuals, solve
 from .geometry import (
@@ -77,10 +74,10 @@ def double_bubble(r1: float = 1.0, r2: float = 1.0) -> Cluster:
     y = math.sqrt(r1 * r1 - x * x)
     v_top = Point(x, y)
     v_bot = Point(x, -y)
-    outer1 = arc_through(v_top, Point(-r1, 0.0), v_bot)
-    outer2 = arc_through(v_bot, Point(d + r2, 0.0), v_top)
+    outer1 = arc_through(v_top, Point(-r1, 0.0), v_bot).bulge
+    outer2 = arc_through(v_bot, Point(d + r2, 0.0), v_top).bulge
     if abs(r1 - r2) < 1e-14 * (r1 + r2):
-        middle = Arc(v_bot, v_top, 0.0)
+        middle = 0.0
     else:
         # swap so the interface always bows toward the larger bubble
         big_first = r1 >= r2
@@ -88,46 +85,25 @@ def double_bubble(r1: float = 1.0, r2: float = 1.0) -> Cluster:
         r0 = ra * rb / (ra - rb)
         xm = x + math.copysign(math.sqrt(max(r0 * r0 - y * y, 0.0)), r1 - r2)
         apex = Point(xm - math.copysign(r0, r1 - r2), 0.0)
-        middle = arc_through(v_bot, apex, v_top)
-    return build_cluster_from_arcs(
-        [outer1, outer2, middle], labels=("exterior", "bubble 1", "bubble 2")
+        middle = arc_through(v_bot, apex, v_top).bulge
+    edges = (
+        EdgeRecord(0, 0, 1, outer1, 1, EXTERIOR),
+        EdgeRecord(1, 1, 0, outer2, 2, EXTERIOR),
+        EdgeRecord(2, 1, 0, middle, 1, 2),
     )
-
-
-def arc_triangle(
-    scale: float = 1.0, center: Point = Point(0.0, 0.0), rotation: float = 0.0
-) -> Tuple[Arc, Arc, Arc]:
-    """Equilateral three-arc loop with 120-degree interior angles.
-
-    Vertices on a circle of radius ``scale`` about ``center``; each edge
-    bulges outward with half-angle pi/6.  This is the harness object used by
-    decoration surgery, not a full cluster.
-    """
-    if not scale > 0:
-        raise GeometryDomainError("scale must be positive")
-    verts = [
-        Point.of(center.z + scale * cmath.exp(1j * (rotation + math.pi / 2 + 2 * math.pi * k / 3)))
-        for k in range(3)
-    ]
-    c = scale * math.sqrt(3.0)
-    bulge = segment_area(math.pi / 6, c)
-    return tuple(
-        Arc(verts[k], verts[(k + 1) % 3], bulge) for k in range(3)
-    )
+    return Cluster((v_top, v_bot), edges, 2, ("exterior", "bubble 1", "bubble 2"))
 
 
 def triple_bubble(
     areas: Optional[Sequence[float]] = None,
     interface_length: float = 1.0,
-    mobius: Optional[MobiusMap] = None,
 ) -> Cluster:
     """Standard triple bubble.
 
     The symmetric instance is closed form: three straight interfaces of
-    length ``interface_length`` radiating from the center at 120 degrees and
-    three outer semicircular arcs (half-angle pi/2).  General area vectors
-    are reached by the area-constrained solver; a Mobius map may be applied
-    afterwards (its pole must avoid the cluster).
+    length ``interface_length`` radiating from the center (vertex 0) at 120
+    degrees and three outer semicircular arcs (half-angle pi/2).  General
+    area vectors are reached by the area-constrained solver.
     """
     ell = interface_length
     if not ell > 0:
@@ -135,15 +111,17 @@ def triple_bubble(
     center = Point(0.0, 0.0)
     angles = [math.pi / 6, 5 * math.pi / 6, 3 * math.pi / 2]
     outer = [Point.of(ell * cmath.exp(1j * a)) for a in angles]
-    arcs: List[Arc] = []
-    for k in range(3):
-        arcs.append(Arc(center, outer[k], 0.0))
     chord = ell * math.sqrt(3.0)
     bulge = segment_area(math.pi / 2, chord)
-    for k in range(3):
-        arcs.append(Arc(outer[k], outer[(k + 1) % 3], bulge))
-    cluster = build_cluster_from_arcs(
-        arcs, labels=("exterior", "bubble 1", "bubble 2", "bubble 3")
+    # bubbles 1, 3, 2 counterclockwise from the top: sector k lies between
+    # the interfaces to outer[k] and outer[k + 1]
+    sector = (1, 3, 2)
+    edges = [EdgeRecord(k, 0, k + 1, 0.0, sector[k], sector[k - 1]) for k in range(3)]
+    edges += [
+        EdgeRecord(3 + k, k + 1, (k + 1) % 3 + 1, bulge, sector[k], EXTERIOR) for k in range(3)
+    ]
+    cluster = Cluster(
+        tuple([center] + outer), tuple(edges), 3, ("exterior", "bubble 1", "bubble 2", "bubble 3")
     )
     if areas is not None:
         target = np.asarray(areas, dtype=float)
@@ -152,8 +130,6 @@ def triple_bubble(
         s = math.sqrt(target.sum() / base.sum())
         cluster = cluster.with_chart(_scaled_chart(cluster, s))
         cluster = solve(cluster, target)
-    if mobius is not None:
-        cluster = mobius_apply_cluster(mobius, cluster)
     return cluster
 
 
@@ -382,11 +358,7 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
 def four_bubble(size: float = 0.3, interface_length: float = 1.0) -> Cluster:
     """Standard 4-bubble: the symmetric triple bubble with its central
     junction decorated by a three-sided bubble."""
-    base = triple_bubble(interface_length=interface_length)
-    center = next(
-        i for i, p in enumerate(base.vertices) if abs(p.z) < 1e-9 * base.diameter()
-    )
-    return decorate(base, center, size * interface_length)
+    return decorate(triple_bubble(interface_length=interface_length), 0, size * interface_length)
 
 
 # ---------------------------------------------------------------------------
@@ -412,21 +384,24 @@ def two_lens(lens1: float = 0.8, lens2: float = 0.8, separation: float = 2.0) ->
     a1, b1 = Point(-s - lens1 / 2, 0.0), Point(-s + lens1 / 2, 0.0)
     a2, b2 = Point(s - lens2 / 2, 0.0), Point(s + lens2 / 2, 0.0)
     m = MobiusMap.inversion_about(1j)
+    verts = [mobius_apply_point(m, p) for p in (b1, a2, b2, a1)]
 
-    def lens_arcs(a: Point, b: Point) -> List[Arc]:
+    def lens_bulges(a: Point, b: Point) -> List[float]:
         area = segment_area(math.pi / 3, abs(b.z - a.z))
-        return [Arc(a, b, -area), Arc(a, b, area)]  # upper, lower
+        return [mobius_apply_arc(m, arc).bulge for arc in (Arc(a, b, -area), Arc(a, b, area))]
 
-    straight = [Arc(b1, a2, 0.0)]
-    straight += lens_arcs(a1, b1)
-    straight += lens_arcs(a2, b2)
-    arcs = [mobius_apply_arc(m, arc) for arc in straight]
-    # the piece of the line through infinity closes up through m(inf) = 0
-    arcs.insert(1, arc_through(
-        mobius_apply_point(m, b2), Point(0.0, 0.0), mobius_apply_point(m, a1)
-    ))
-    labels = ["exterior", "bubble", "lens 1", "lens 2"]
-    return build_cluster_from_arcs(arcs, labels=labels)
+    upper1, lower1 = lens_bulges(a1, b1)
+    upper2, lower2 = lens_bulges(a2, b2)
+    edges = (
+        EdgeRecord(0, 0, 1, mobius_apply_arc(m, Arc(b1, a2, 0.0)).bulge, EXTERIOR, 1),
+        # the piece of the line through infinity closes up through m(inf) = 0
+        EdgeRecord(1, 2, 3, arc_through(verts[2], Point(0.0, 0.0), verts[3]).bulge, EXTERIOR, 1),
+        EdgeRecord(2, 3, 0, upper1, EXTERIOR, 2),
+        EdgeRecord(3, 3, 0, lower1, 2, 1),
+        EdgeRecord(4, 1, 2, upper2, EXTERIOR, 3),
+        EdgeRecord(5, 1, 2, lower2, 3, 1),
+    )
+    return Cluster(tuple(verts), edges, 3, ("exterior", "bubble", "lens 1", "lens 2"))
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +484,11 @@ def flower(lens_size: float = 0.18, radius: float = 1.0) -> Cluster:
     half-angles of pi/12 on the four center arcs and 5 pi/12 on the four
     petal arcs, which closes the D2-symmetric (in fact D4-symmetric)
     5-cluster in closed form.
+
+    Vertices 0..3 are the center region's corners and 4..7 the outer ends
+    of the four straight separators, vertex k and 4 + k in direction
+    k pi/2 from the center.  Petal k + 1 lies counterclockwise of separator
+    k, and region 5 is the center.
     """
     r = radius
     if not 0 < lens_size < 0.5 * r:
@@ -523,25 +503,16 @@ def flower(lens_size: float = 0.18, radius: float = 1.0) -> Cluster:
     outer = [o + (a + sep) * 1j ** k for k in range(4)]
     sq_bulge = segment_area(math.pi / 12, a * math.sqrt(2.0))
     petal_bulge = segment_area(5 * math.pi / 12, (a + sep) * math.sqrt(2.0))
-    arcs = []
+    edges: List[EdgeRecord] = []
     for k in range(4):
         nxt = (k + 1) % 4
-        arcs.append(Arc(Point.of(outer[k]), Point.of(outer[nxt]), petal_bulge))
-        arcs.append(Arc(Point.of(corners[k]), Point.of(outer[k]), 0.0))
-        arcs.append(Arc(Point.of(corners[k]), Point.of(corners[nxt]), sq_bulge))
-    labels = ["exterior", "petal 1", "petal 2", "petal 3", "petal 4", "center"]
-    built = build_cluster_from_arcs(arcs, labels=None)
-    # petals keep their first-appearance numbers (equal areas must not be
-    # ordered by roundoff); the small center region moves last
-    center = int(np.argmin(region_areas(built))) + 1
-    relabel = {r: r - (r > center) for r in range(built.n + 1)}
-    relabel[center] = built.n
-    edges = tuple(
-        ed.__class__(ed.id, ed.tail, ed.head, ed.bulge,
-                     relabel[ed.left], relabel[ed.right])
-        for ed in built.edges
-    )
-    return Cluster(built.vertices, edges, built.region_count, tuple(labels))
+        edges += [
+            EdgeRecord(3 * k, 4 + k, 4 + nxt, petal_bulge, k + 1, EXTERIOR),  # petal arc
+            EdgeRecord(3 * k + 1, k, 4 + k, 0.0, k + 1, (k - 1) % 4 + 1),  # separator
+            EdgeRecord(3 * k + 2, k, nxt, sq_bulge, 5, k + 1),  # center arc
+        ]
+    labels = ("exterior", "petal 1", "petal 2", "petal 3", "petal 4", "center")
+    return Cluster(tuple(Point.of(z) for z in corners + outer), tuple(edges), 5, labels)
 
 
 # ---------------------------------------------------------------------------

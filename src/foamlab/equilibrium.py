@@ -110,20 +110,17 @@ class Verdict(enum.Enum):
     EQUILIBRIUM = "Equilibrium"
 
 
-def classify(
-    cluster: Cluster,
-    tol: Optional[float] = None,
-    policy: TolerancePolicy = DEFAULT,
-) -> Verdict:
+def classify(cluster: Cluster, policy: TolerancePolicy = DEFAULT) -> Verdict:
     """Equilibrium / quasi-equilibrium / neither, from the residual blocks.
 
     The two blocks are the whole test.  120-degree tangents plus a zero
     curvature sum at a vertex already imply that its three carriers share a
     second common point: that is the de Sitter rank-2 (collinearity)
-    condition that ``desitter.verify_correspondence`` measures.
+    condition that ``desitter.verify_correspondence`` measures.  Both blocks
+    are held to ``policy.residual_tol``, the cocycle's scaled by the
+    curvature scale.
     """
-    if tol is None:
-        tol = policy.residual_tol
+    tol = policy.residual_tol
     rep = residuals(cluster)
     angle_ok = rep.angle_sup < tol
     cocycle_ok = rep.cocycle_sup < tol * max(1.0, curvature_scale(cluster))
@@ -160,13 +157,13 @@ def lm_minimize(
     x0: np.ndarray,
     max_iter: int = 100,
     converged: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
-    step_tol: float = 1e-14,
 ) -> Tuple[np.ndarray, List[float]]:
     """Levenberg-Marquardt with lambda *2 on reject, *0.5 on accept.
 
     Steps are minimum-norm solutions of the damped normal system, so
-    rank-deficient (gauge-redundant or underdetermined) stacks are fine.
-    Raises :class:`NonConvergence` with the residual history on failure.
+    rank-deficient (gauge-redundant or underdetermined) stacks are fine.  It
+    stops when an accepted step is shorter than 1e-14 max(1, |x|).  Raises
+    :class:`NonConvergence` with the residual history on failure.
     """
     x = x0.copy()
     f = fun(x)
@@ -197,7 +194,7 @@ def lm_minimize(
             return x, history
         if converged is None and history[-1] < 1e-14:
             return x, history
-        if accepted and np.linalg.norm(delta) < step_tol * max(
+        if accepted and np.linalg.norm(delta) < 1e-14 * max(
             1.0, np.linalg.norm(x)
         ):
             break

@@ -21,8 +21,9 @@ class TolerancePolicy:
     residual_tol: float = 1e-9
     # pressure path-independence defect threshold (relative to curvature scale)
     pressure_defect_rel: float = 1e-6
-    # zero-mode cutoff on scale-invariant Hessian eigenvalues (lambda * diam^2);
-    # measured spectra put spurious zeros below ~0.3 and true modes above ~5
+    # zero-mode cutoff on scale-invariant Hessian eigenvalues (lambda * diam^2):
+    # any mode with |lambda| * diam^2 below it counts as a zero mode, whatever
+    # its sign, so small real negative modes are reported as Degenerate too
     hessian_zero_scaled: float = 1.0
 
 

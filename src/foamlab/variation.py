@@ -350,6 +350,11 @@ def stability_report(
     and zero-mode counts.  The report also carries the smallest six
     constrained eigenvalues, found by bisection on the same counts.  See
     ``eliminated_hessian`` for the discretization.
+
+    Every mode with |lambda| * diameter^2 < ``policy.hessian_zero_scaled``
+    counts as a zero mode, whatever its sign: a real instability that small
+    is reported as ``Degenerate``, not ``Unstable`` (necklace(7) with its
+    chamber pressure at -0.02 says ``Degenerate(4)``).
     """
     hess = eliminated_hessian(cluster, m, policy)
     tau = policy.hessian_zero_scaled / cluster.diameter() ** 2

@@ -22,9 +22,11 @@ def read(path):
 
 
 def dropped_edge_document(tmp_path):
-    """Path of a double bubble document with edge 0 removed."""
+    """Path of a double bubble document with edge 0 removed and the other
+    two renumbered 0 and 1."""
     c = fl.double_bubble(1.0, 0.6)
-    dropped = fl.Cluster(c.vertices, c.edges[1:], c.region_count, c.region_labels)
+    edges = tuple(replace(ed, id=j) for j, ed in enumerate(c.edges[1:]))
+    dropped = fl.Cluster(c.vertices, edges, c.region_count, c.region_labels)
     bad = tmp_path / "bad.json"
     bad.write_text(fl.dumps(dropped))
     return str(bad)
@@ -110,6 +112,13 @@ class TestNewAndCheck:
         assert code == 1 and out.startswith("Invalid: ") and "topology: " in out
         for verb in READING_VERBS:
             assert run_quietly(with_input(verb, path))[0] == 2, verb
+
+    def test_repeated_vertex_id_is_exit_2(self, tmp_path):
+        doc = fl.cluster.to_json_dict(fl.triple_bubble())
+        doc["vertices"].append(dict(doc["vertices"][1], x=5.0))
+        bad = tmp_path / "repeat.json"
+        bad.write_text(json.dumps(doc))
+        assert run_quietly(["check", str(bad)])[0] == 2
 
     def test_non_finite_bulge_check_is_exit_1(self, tmp_path, capsys):
         doc = fl.cluster.to_json_dict(fl.triple_bubble())
@@ -283,7 +292,8 @@ class TestReportVerbs:
 
 
 def _drop(c, j):
-    return replace(c, edges=c.edges[:j] + c.edges[j + 1 :])
+    kept = c.edges[:j] + c.edges[j + 1 :]
+    return replace(c, edges=tuple(replace(ed, id=k) for k, ed in enumerate(kept)))
 
 
 def _duplicate(c, j):

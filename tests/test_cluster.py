@@ -185,6 +185,34 @@ class TestJsonCodec:
         with pytest.raises(ClusterFormatError):
             from_json_dict(doc)
 
+    def test_repeated_vertex_id_rejected(self, triple):
+        doc = to_json_dict(triple)
+        doc["vertices"].append(dict(doc["vertices"][1], x=5.0))
+        with pytest.raises(ClusterFormatError, match="vertex ids"):
+            from_json_dict(doc)
+
+    def test_repeated_region_id_rejected(self, triple):
+        doc = to_json_dict(triple)
+        doc["regions"][3]["id"] = 2
+        with pytest.raises(ClusterFormatError, match="region ids"):
+            from_json_dict(doc)
+
+    def test_edge_ids_checked_and_ordered(self, triple):
+        doc = to_json_dict(triple)
+        for eo in doc["edges"]:
+            eo["id"] = 7
+        with pytest.raises(ClusterFormatError, match="edge ids"):
+            from_json_dict(doc)
+        doc = to_json_dict(triple)
+        doc["edges"].reverse()
+        assert fl.dumps(from_json_dict(doc)) == fl.dumps(triple)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_dumps_rejects_non_finite_numbers(self, triple, bad):
+        c = triple.with_chart(np.append(triple.chart()[:-1], bad))
+        with pytest.raises(ClusterFormatError, match="non-finite"):
+            fl.dumps(c)
+
 
 class TestValidate:
     def test_presets_valid(self, equilibrium_presets):

@@ -32,19 +32,6 @@ class TestDoubleBubble:
             fl.double_bubble(1.0, -1.0)
 
 
-class TestArcTriangle:
-    def test_three_arcs_meet_at_120(self):
-        arcs = fl.arc_triangle(1.0)
-        assert len(arcs) == 3
-        for a, b in zip(arcs, arcs[1:] + arcs[:1]):
-            assert abs(a.head.z - b.tail.z) < 1e-12
-
-    def test_scaling(self):
-        small = fl.arc_triangle(0.5)
-        big = fl.arc_triangle(1.0)
-        assert abs(small[0].tail.z) == pytest.approx(0.5 * abs(big[0].tail.z))
-
-
 class TestTripleBubble:
     def test_standard(self, triple):
         assert (triple.v, triple.e, triple.n) == (4, 6, 3)
@@ -263,15 +250,22 @@ class TestFlower:
         assert areas[:4] == pytest.approx(np.full(4, areas[0]), rel=1e-9)
         assert areas[4] < areas[0]
 
-    def test_petals_numbered_by_first_appearance(self, flower):
-        # equal petal areas must not be ordered by roundoff: petals keep the
-        # order in which the edge list first meets them, the center is last
-        seen = []
-        for ed in flower.edges:
-            for r in (ed.left, ed.right):
-                if r not in seen and r != fl.EXTERIOR:
-                    seen.append(r)
-        assert [r for r in seen if r != flower.n] == [1, 2, 3, 4]
+    def test_stated_numbering(self, flower):
+        # corners k and separator ends 4 + k in direction k pi/2 from the
+        # center; petal k + 1 counterclockwise of separator k, center 5
+        center = sum(p.z for p in flower.vertices) / flower.v
+        for k in range(4):
+            for i in (k, 4 + k):
+                w = flower.vertices[i].z - center
+                assert w / abs(w) == pytest.approx(1j**k, abs=1e-12)
+            assert abs(flower.vertices[k].z - center) < abs(flower.vertices[4 + k].z - center)
+            petal, separator, inner = flower.edges[3 * k : 3 * k + 3]
+            assert (petal.tail, petal.head, petal.left, petal.right) == (
+                4 + k, 4 + (k + 1) % 4, k + 1, fl.EXTERIOR
+            )
+            assert (separator.tail, separator.head, separator.left) == (k, 4 + k, k + 1)
+            assert (inner.tail, inner.head, inner.left, inner.right) == (k, (k + 1) % 4, 5, k + 1)
+        assert flower.region_labels[5] == "center"
 
     def test_center_has_highest_pressure(self, flower):
         p = fl.pressures(flower)

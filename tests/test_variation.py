@@ -202,6 +202,18 @@ class TestStability:
         rep = fl.stability_report(c)
         assert rep.classification.startswith("Unstable")
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: the zero band |lambda| diam^2 < 1 hides these "
+        "negative modes, so the report says Degenerate(4)",
+    )
+    def test_slightly_negative_chamber_pressure_unstable(self):
+        # the chamber pressure vanishes at r0; at 0.98 r0 it is -0.020 and
+        # the four sliding modes have lambda diam^2 near -0.51 and -0.35
+        r0 = math.sin(math.pi / 6 - math.pi / 7) / math.sin(math.pi / 7)
+        c = fl.necklace(7, inner_radius=0.98 * r0)
+        assert fl.stability_report(c, m=64).classification == "Unstable(4)"
+
     @pytest.mark.parametrize("m", [16, 32])
     def test_matches_dense_oracle(self, equilibrium_presets, m):
         clusters = dict(equilibrium_presets, unstable=fl.necklace(7, inner_radius=0.05))
