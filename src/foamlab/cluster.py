@@ -475,9 +475,31 @@ def to_json_dict(cluster: Cluster) -> dict:
 
 
 def _require(obj: dict, field: str, where: str):
+    if not isinstance(obj, dict):
+        raise ClusterFormatError(f"{where} must be an object")
     if field not in obj:
         raise ClusterFormatError(f"missing field {field!r} in {where}")
     return obj[field]
+
+
+def _array(doc: dict, field: str) -> list:
+    entries = _require(doc, field, "document")
+    if not isinstance(entries, list):
+        raise ClusterFormatError(f"{field!r} must be an array")
+    return entries
+
+
+def _number(obj: dict, field: str, where: str, kind: type = float):
+    """Field ``field`` of entry ``where`` as ``kind``: any JSON number for
+    float, a JSON integer for int; anything else (null, a string, a boolean)
+    raises :class:`ClusterFormatError`."""
+    value = _require(obj, field, where)
+    if type(value) in ((int,) if kind is int else (int, float)):
+        try:
+            return kind(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ClusterFormatError(f"{where}.{field} must be {'an integer' if kind is int else 'a number'}")
 
 
 def _by_id(items: List[tuple], what: str) -> list:
@@ -495,9 +517,9 @@ def from_json_dict(doc: dict) -> Cluster:
     version = _require(doc, "version", "document")
     if version != 1:
         raise ClusterFormatError(f"unsupported version {version!r}")
-    vlist = _require(doc, "vertices", "document")
-    elist = _require(doc, "edges", "document")
-    rlist = _require(doc, "regions", "document")
+    vlist = _array(doc, "vertices")
+    elist = _array(doc, "edges")
+    rlist = _array(doc, "regions")
     exterior = _require(doc, "exterior", "document")
     if exterior != 0:
         raise ClusterFormatError("exterior region id must be 0")
@@ -506,7 +528,7 @@ def from_json_dict(doc: dict) -> Cluster:
     for k, vo in enumerate(vlist):
         where = f"vertices[{k}]"
         i = _require(vo, "id", where)
-        verts.append((i, Point(float(_require(vo, "x", where)), float(_require(vo, "y", where)))))
+        verts.append((i, Point(_number(vo, "x", where), _number(vo, "y", where))))
     verts = _by_id(verts, "vertex")
     labels = []
     for k, ro in enumerate(rlist):
@@ -522,11 +544,11 @@ def from_json_dict(doc: dict) -> Cluster:
         where = f"edges[{k}]"
         ed = EdgeRecord(
             id=_require(eo, "id", where),
-            tail=int(_require(eo, "tail", where)),
-            head=int(_require(eo, "head", where)),
-            bulge=float(_require(eo, "bulge", where)),
-            left=int(_require(eo, "left", where)),
-            right=int(_require(eo, "right", where)),
+            tail=_number(eo, "tail", where, int),
+            head=_number(eo, "head", where, int),
+            bulge=_number(eo, "bulge", where),
+            left=_number(eo, "left", where, int),
+            right=_number(eo, "right", where, int),
         )
         for fld in ("tail", "head"):
             if not 0 <= getattr(ed, fld) < len(verts):

@@ -182,25 +182,36 @@ class EliminatedHessian:
     """The constrained, mass-scaled second variation with every edge's
     interior block eliminated, for counting eigenvalues below any sigma.
 
-    With the scaled Hessian H~ = M^(-1/2) H M^(-1/2) and R the orthonormal
-    rows spanning the scaled constraint rows, Sylvester's law of inertia on
-    the bordered matrix K(sigma) = [[H~ - sigma I, R^T], [R, 0]] gives
+    With the scaled Hessian H~ = M^(-1/2) H M^(-1/2) and C the scaled
+    constraint rows (area gradients, two translations, the rotation), each
+    row rescaled to norm (m / diameter)^2, the size of the junction block of
+    H~, Sylvester's law of inertia on the bordered matrix
+    K(sigma) = [[H~ - sigma I, C^T], [C, 0]] gives
 
         #(constrained eigenvalues < sigma) = n_-(K(sigma)) - rank.
 
+    The count needs only the row space of C: another basis F C, F
+    invertible, is the congruence diag(I, F) K diag(I, F^T), which keeps the
+    inertia.  So no orthonormal basis is taken, and rows of the size of the
+    junction block keep K balanced at every scale of the cluster.
+
     Each edge's interior normals couple only to each other (a tridiagonal
-    block T_j = V Lambda V^T) and to the junction and multiplier dofs
-    (columns G_j, R_j^T).  Haynsworth's inertia additivity splits n_-(K)
-    into #(Lambda < sigma) and the negative count of the Schur complement
+    block T_j = V_j Lambda_j V_j^T) and to nine border columns: the x and y
+    of its two end junctions, the area rows of its two regions (zero for the
+    exterior, which has no row) and the three rigid-motion rows.  Haynsworth's
+    inertia additivity splits n_-(K) into #(Lambda < sigma) and the negative
+    count of the Schur complement
 
-        S(sigma) = K_JJ - sigma E - W^T diag(1 / (Lambda - sigma)) W,
+        S(sigma) = K_JJ - sigma E - sum_j B_j^T V_j diag(1 / (Lambda_j - sigma)) V_j^T B_j,
 
-    with W = V^T [G, R_I^T] and E the identity on the 2v junction dofs; S
-    is only (2v + rank)^2, whatever m is.
+    with B_j edge j's (m-1) x 9 columns and E the identity on the 2v
+    junction dofs; each term is 9 x 9, scattered into S at ``columns[j]``,
+    and S is only (2v + rank)^2, whatever m is.
     """
 
-    lam: np.ndarray  # (N,) eigenvalues of all edge blocks T_j
-    coupling: np.ndarray  # (N, 2v + rank) W
+    lam: np.ndarray  # (e, m-1) eigenvalues of the edge blocks T_j
+    coupling: np.ndarray  # (e, m-1, 9) V_j^T B_j
+    columns: np.ndarray  # (e, 9) where each coupling column sits in ``border``
     border: np.ndarray  # (2v + rank, 2v + rank) K_JJ at sigma = 0
     junction_dofs: int  # 2v, the leading rows of ``border`` that sigma shifts
     rank: int  # of the constraint rows
@@ -211,18 +222,32 @@ class EliminatedHessian:
         """Dimension of the constrained space."""
         return self.lam.size + self.junction_dofs - self.rank
 
+    @cached_property
+    def outer(self) -> np.ndarray:
+        """(e, m-1, 81) each coupling row's outer product with itself, so that
+        one matmul per edge gives the 9 x 9 terms of every sigma at once."""
+        W = self.coupling
+        return (W[:, :, :, None] * W[:, :, None, :]).reshape(*W.shape[:2], 81)
+
     def count_below(self, sigma) -> np.ndarray:
         """Number of constrained eigenvalues below each sigma (any shape):
-        one batched matmul and one batched ``eigvalsh`` of the Schur
-        complements."""
+        one batched matmul for the 9 x 9 edge terms, one ``bincount`` that
+        scatters them into the Schur complements and one batched
+        ``eigvalsh``."""
         sigma = np.asarray(sigma, dtype=float)
         s = sigma.reshape(-1, 1)
-        weighted = self.coupling.T * (1.0 / (self.lam - s))[:, None, :]
-        schur = self.border - weighted @ self.coupling
+        k, N = s.shape[0], self.border.shape[0]
+        inverse = 1.0 / (self.lam[:, None, :] - s)  # (e, k, m-1)
+        local = inverse @ self.outer  # (e, k, 81)
+        cell = self.columns[:, :, None] * N + self.columns[:, None, :]
+        index = cell.reshape(-1, 1, 81) + np.arange(k)[:, None] * (N * N)
+        schur = self.border - np.bincount(
+            index.ravel(), weights=local.ravel(), minlength=k * N * N
+        ).reshape(k, N, N)
         junction = np.arange(self.junction_dofs)
         schur[:, junction, junction] -= s
         negative = (np.linalg.eigvalsh(schur) < 0).sum(axis=1)
-        count = (self.lam < s).sum(axis=1) + negative - self.rank
+        count = (self.lam.ravel() < s).sum(axis=1) + negative - self.rank
         return count.reshape(sigma.shape)
 
     def smallest(self, k: int) -> np.ndarray:
@@ -255,13 +280,17 @@ def eliminated_hessian(
     the M^(-1/2)-scaled rigid-motion and area-gradient rows, the eigenvalues
     of M^(-1/2) H M^(-1/2) are those of the mass pencil on the admissible
     motions, and approximate the continuum second-variation spectrum.  No
-    D x D array is formed: the scaled segment blocks are scattered straight
-    into the junction block, the edge blocks and their coupling.
+    D x D array is formed, and no edge couples to more than its nine border
+    columns: the scaled segment blocks are scattered straight into the
+    junction block, the edge blocks and each edge's coupling.
+
+    Raises ``GeometryDomainError`` if the constraint rows are not of full
+    rank n + 3.
     """
     disc = discretize(cluster, m)
     press = pressures(cluster, policy)
     pts = disc.points
-    v, e, P = cluster.v, cluster.e, pts.size
+    v, e, n, P = cluster.v, cluster.e, cluster.n, pts.size
     J, D = 2 * v, v + P
     pairs, edge = disc.segments
 
@@ -299,19 +328,28 @@ def eliminated_hessian(
     grads = np.vstack([areas, np.ones(P), np.full(P, 1j), 1j * (pts - pts.mean())])
     C = (direction.conj() * grads[:, point]).real
 
-    # M^(-1/2) scaling turns the mass pencil into a plain symmetric problem
+    # M^(-1/2) scaling turns the mass pencil into a plain symmetric problem;
+    # each constraint row then gets the norm (m / diam)^2 of the junction
+    # block, and only its rank is read from the SVD
     root = np.sqrt(mass)
     block /= root[dofs][:, :, None] * root[dofs][:, None, :]
     C /= root
-    _, s, vt = np.linalg.svd(C, full_matrices=False)
-    rank = int((s > 1e-12 * (s[0] if s.size else 1.0)).sum())
-    R = vt[:rank]
+    C *= (m / cluster.diameter()) ** 2 / np.linalg.norm(C, axis=1)[:, None]
+    s = np.linalg.svd(C, compute_uv=False)
+    rank = int((s > 1e-12 * s[0]).sum())
+    if rank < n + 3:
+        raise GeometryDomainError(
+            f"area and rigid-motion constraints have rank {rank}, expected {n + 3}"
+        )
 
     # scatter the scaled blocks: junction x junction, interior x interior
     # (always within one edge, so flat index (r - J)(m - 1) + (c - J) mod
     # (m - 1) in the (e, m-1, m-1) stack), interior rows x junction columns
+    # (only in an edge's first and last segment, where the junction's two
+    # slots are the block's positions 0, 1 at the tail and 2, 3 at the head)
     rows = np.broadcast_to(dofs[:, :, None], block.shape).ravel()
     cols = np.broadcast_to(dofs[:, None, :], block.shape).ravel()
+    pos = np.broadcast_to(np.arange(4), block.shape).ravel()
     vals = block.ravel()
     bound = float(np.bincount(rows, weights=np.abs(vals), minlength=D).max())
     inner_r, inner_c = rows >= J, cols >= J
@@ -324,16 +362,32 @@ def eliminated_hessian(
         weights=vals[ii],
         minlength=e * (m - 1) ** 2,
     )
-    G = np.bincount((rows[ij] - J) * J + cols[ij], weights=vals[ij], minlength=(D - J) * J)
+    G = np.bincount((rows[ij] - J) * 4 + pos[ij], weights=vals[ij], minlength=(D - J) * 4)
 
+    # each edge's nine border columns: its end junctions' x and y, the area
+    # rows of its left and right regions (region r is row r - 1; the
+    # exterior has none, so its column is zero) and the three rigid motions
+    side = cluster.topology.labels - 1
+    interior = C[:, J:].reshape(n + 3, e, m - 1)
+    area = interior[np.maximum(side, 0), np.arange(e)[:, None]] * (side >= 0)[:, :, None]
+    B = np.concatenate(
+        [G.reshape(e, m - 1, 4), area.transpose(0, 2, 1), interior[n:].transpose(1, 2, 0)], axis=2
+    )
+    ends = cluster.topology.ends
+    columns = np.concatenate(
+        [
+            (2 * ends[:, :, None] + [0, 1]).reshape(e, 4),
+            J + np.maximum(side, 0),
+            np.broadcast_to(J + n + np.arange(3), (e, 3)),
+        ],
+        axis=1,
+    )
     lam, V = np.linalg.eigh(T.reshape(e, m - 1, m - 1))
-    B = np.concatenate([G.reshape(e, m - 1, J), R[:, J:].T.reshape(e, m - 1, rank)], axis=2)
-    W = (V.transpose(0, 2, 1) @ B).reshape(D - J, J + rank)
     border = np.zeros((J + rank, J + rank))
     border[:J, :J] = HJJ.reshape(J, J)
-    border[:J, J:] = R[:, :J].T
-    border[J:, :J] = R[:, :J]
-    return EliminatedHessian(lam.ravel(), W, border, J, rank, bound)
+    border[:J, J:] = C[:, :J].T
+    border[J:, :J] = C[:, :J]
+    return EliminatedHessian(lam, V.transpose(0, 2, 1) @ B, columns, border, J, rank, bound)
 
 
 def stability_report(

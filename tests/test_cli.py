@@ -120,6 +120,28 @@ class TestNewAndCheck:
         bad.write_text(json.dumps(doc))
         assert run_quietly(["check", str(bad)])[0] == 2
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("vertices", 0), 5), (("edges",), 5), (("edges", 0, "tail"), None)],
+        ids=["vertex_entry_number", "edges_number", "tail_null"],
+    )
+    def test_malformed_entry_is_exit_2_without_traceback(self, tmp_path, path, value):
+        doc = fl.cluster.to_json_dict(fl.triple_bubble())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(doc))
+        src = str(Path(fl.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "foamlab.cli", "check", str(bad)],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
     def test_non_finite_bulge_check_is_exit_1(self, tmp_path, capsys):
         doc = fl.cluster.to_json_dict(fl.triple_bubble())
         doc["edges"][2]["bulge"] = math.nan

@@ -207,6 +207,30 @@ class TestJsonCodec:
         doc["edges"].reverse()
         assert fl.dumps(from_json_dict(doc)) == fl.dumps(triple)
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("vertices", 0), 5, r"vertices\[0\] must be an object"),
+            (("regions", 2), "lobe", r"regions\[2\] must be an object"),
+            (("edges",), 5, r"'edges' must be an array"),
+            (("vertices",), {"0": {}}, r"'vertices' must be an array"),
+            (("edges", 0, "tail"), None, r"edges\[0\]\.tail must be an integer"),
+            (("edges", 3, "left"), 1.0, r"edges\[3\]\.left must be an integer"),
+            (("edges", 2, "bulge"), None, r"edges\[2\]\.bulge must be a number"),
+            (("vertices", 1, "x"), "0.5", r"vertices\[1\]\.x must be a number"),
+            (("vertices", 1, "y"), True, r"vertices\[1\]\.y must be a number"),
+            (("vertices", 1, "y"), 10**400, r"vertices\[1\]\.y must be a number"),
+        ],
+    )
+    def test_malformed_entry_names_entry_and_field(self, triple, path, value, message):
+        doc = to_json_dict(triple)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ClusterFormatError, match=message):
+            from_json_dict(doc)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_dumps_rejects_non_finite_numbers(self, triple, bad):
         c = triple.with_chart(np.append(triple.chart()[:-1], bad))

@@ -250,6 +250,23 @@ class TestStability:
             for chunk in np.array_split(mid, mid.size // 64 + 1):
                 assert np.array_equal(hess.count_below(chunk), np.searchsorted(want, chunk)), name
 
+    def test_scale_covariant(self, equilibrium_presets):
+        # the chart scaling (vertices * s, bulges * s^2) is an exact
+        # similarity, so every eigenvalue scales by 1 / s^2: lambda * diam^2,
+        # the zero modes and the verdict must not move
+        clusters = dict(equilibrium_presets, unstable=fl.necklace(7, inner_radius=0.05))
+        for name, c in clusters.items():
+            x, J = c.chart(), 2 * c.v
+            base = fl.stability_report(c, m=64)
+            want = base.eigenvalues * c.diameter() ** 2
+            for s in (1e-6, 1e-3, 1e3, 1e6):
+                scaled = c.with_chart(np.concatenate([s * x[:J], s * s * x[J:]]))
+                rep = fl.stability_report(scaled, m=64)
+                assert rep.classification == base.classification, (name, s)
+                assert rep.zero_mode_count == base.zero_mode_count, (name, s)
+                got = rep.eigenvalues * scaled.diameter() ** 2
+                assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), (name, s)
+
     def test_necklace_seven_first_order_convergence(self, necklace7):
         # the four sliding modes are spurious zeros of the polyline Hessian:
         # lambda * diam^2 halves per doubling of m (first-order convergence)
