@@ -24,9 +24,10 @@ from .geometry import (
     Arc,
     MobiusMap,
     Point,
+    arc_leaving,
     arc_through,
-    mobius_apply_arc,
     mobius_apply_point,
+    mobius_image,
     pencil_meet,
     second_intersection,
     segment_area,
@@ -40,11 +41,14 @@ def mobius_apply_cluster(m: MobiusMap, cluster: Cluster) -> Cluster:
     is a chart point of the same topology, and moves only which face holds
     infinity.  A pole inside interior region r makes r's image unbounded,
     which shows as its one negative area; region ids 0 and r are then
-    swapped on every edge.
+    swapped on every edge.  Each edge is mapped at the half-angle of
+    ``cluster.frame``.
     """
-    arcs = [mobius_apply_arc(m, cluster.arc_of(j)) for j in range(cluster.e)]
+    z, f = [p.z for p in cluster.vertices], cluster.frame
+    edges = zip(f.ends.tolist(), f.phi.tolist())
+    bulges = [mobius_image(m, z[a], z[b], phi).bulge for (a, b), phi in edges]
     verts = [mobius_apply_point(m, p) for p in cluster.vertices]
-    image = cluster.with_chart(np.array([xy for p in verts for xy in p] + [a.bulge for a in arcs]))
+    image = cluster.with_chart(np.array([xy for p in verts for xy in p] + bulges))
     areas = region_areas(image)
     if areas.min() >= 0.0:
         return image
@@ -161,19 +165,15 @@ def _rebuild_edge(pic: MobiusMap, p: complex, q, tail: complex, ray: complex, fa
     """The arc from the picture point ``tail``, on the ray from 0 along the
     unit ``ray``, to the cluster vertex ``far``, on the carrier of that ray.
 
-    The arc passes through the midpoint of the tail and far's image, or, when
-    far is q itself, through a point further along the ray.  Raises
-    :class:`TopologyBreakdown` when the tail is not nearer 0 than far is.
+    The arc leaves the mapped-back tail along the mapped-back ray.  Raises
+    :class:`TopologyBreakdown` when the tail is not nearer 0 than far is
+    (far at q is at infinity in the picture, beyond every tail).
     """
-    if q is not AT_INFINITY and abs(far.z - q) <= 1e-9 * abs(q - p):
-        sample = tail + (abs(tail) + abs(q - p)) * ray
-    else:
-        f = pic.apply(far.z - p)
-        if abs(tail) >= abs(f):
+    if q is AT_INFINITY or abs(far.z - q) > 1e-9 * abs(q - p):
+        if abs(tail) >= abs(pic.apply(far.z - p)):
             raise TopologyBreakdown("the new vertex reaches past an adjacent vertex")
-        sample = 0.5 * (tail + f)
     back = pic.inverse()
-    return arc_through(Point.of(p + back.apply(tail)), Point.of(p + back.apply(sample)), far)
+    return arc_leaving(Point.of(p + back.apply(tail)), ray / (back.c * tail + back.d) ** 2, far)
 
 
 def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
@@ -215,10 +215,7 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     # the inserted bubble: arcs between consecutive (counterclockwise) rays,
     # bulging to their right, away from 0
     back = pic.inverse()
-    bubble_bulges = [
-        mobius_apply_arc(back, Arc(Point.of(a), Point.of(b), segment_area(math.pi / 6, abs(b - a)))).bulge
-        for a, b in zip(tri, tri[1:] + tri[:1])
-    ]
+    bubble_bulges = [mobius_image(back, a, b, math.pi / 6).bulge for a, b in zip(tri, tri[1:] + tri[:1])]
 
     # assemble: old vertices minus the junction, plus the three new ones
     old_ids = [i for i in range(cluster.v) if i != vertex]
@@ -321,12 +318,12 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
         bulges[h >> 1] = -arc.bulge if h & 1 else arc.bulge
 
     if factor > 0.0:
-        back = pic.inverse()
+        # z -> p + back(factor pic(z - p)) scales the bubble in the picture
+        m = MobiusMap.translation(p).compose(pic.inverse()).compose(MobiusMap.scaling(factor))
+        m = m.compose(pic).compose(MobiusMap.translation(-p))
         for j in bubble_eids:
             arc = cluster.arc_of(j)
-            img = mobius_apply_arc(pic, Arc(Point.of(arc.tail.z - p), Point.of(arc.head.z - p), arc.bulge))
-            scaled = Arc(Point.of(factor * img.tail.z), Point.of(factor * img.head.z), factor**2 * img.bulge)
-            bulges[j] = mobius_apply_arc(back, scaled).bulge
+            bulges[j] = mobius_image(m, arc.tail.z, arc.head.z, float(cluster.frame.phi[j])).bulge
         verts = list(cluster.vertices)
         for vid, arc in zip(bubble_vids, new_outer):
             verts[vid] = arc.tail
@@ -386,14 +383,11 @@ def two_lens(lens1: float = 0.8, lens2: float = 0.8, separation: float = 2.0) ->
     m = MobiusMap.inversion_about(1j)
     verts = [mobius_apply_point(m, p) for p in (b1, a2, b2, a1)]
 
-    def lens_bulges(a: Point, b: Point) -> List[float]:
-        area = segment_area(math.pi / 3, abs(b.z - a.z))
-        return [mobius_apply_arc(m, arc).bulge for arc in (Arc(a, b, -area), Arc(a, b, area))]
-
-    upper1, lower1 = lens_bulges(a1, b1)
-    upper2, lower2 = lens_bulges(a2, b2)
+    # each lens a -> b: the upper arc at half-angle -pi/3, the lower at pi/3
+    lens = [(a, b, phi) for a, b in ((a1, b1), (a2, b2)) for phi in (-math.pi / 3, math.pi / 3)]
+    upper1, lower1, upper2, lower2 = [mobius_image(m, a.z, b.z, phi).bulge for a, b, phi in lens]
     edges = (
-        EdgeRecord(0, 0, 1, mobius_apply_arc(m, Arc(b1, a2, 0.0)).bulge, EXTERIOR, 1),
+        EdgeRecord(0, 0, 1, mobius_image(m, b1.z, a2.z, 0.0).bulge, EXTERIOR, 1),
         # the piece of the line through infinity closes up through m(inf) = 0
         EdgeRecord(1, 2, 3, arc_through(verts[2], Point(0.0, 0.0), verts[3]).bulge, EXTERIOR, 1),
         EdgeRecord(2, 3, 0, upper1, EXTERIOR, 2),

@@ -161,13 +161,16 @@ def lm_minimize(
     """Levenberg-Marquardt with lambda *2 on reject, *0.5 on accept.
 
     Steps are minimum-norm solutions of the damped normal system, so
-    rank-deficient (gauge-redundant or underdetermined) stacks are fine.  It
-    stops when an accepted step is shorter than 1e-14 max(1, |x|).  Raises
-    :class:`NonConvergence` with the residual history on failure.
+    rank-deficient (gauge-redundant or underdetermined) stacks are fine.  A
+    trial point where ``fun`` raises :class:`TopologyBreakdown` is a rejected
+    step; the starting point must evaluate.  It stops when an accepted step
+    is shorter than 1e-14 max(1, |x|).  Raises :class:`NonConvergence` with
+    the residual history on failure, naming the last breakdown if any.
     """
     x = x0.copy()
     f = fun(x)
     history = [float(np.linalg.norm(f))]
+    last = ""
     if converged is not None and converged(x, f):
         return x, history
     lam = None
@@ -182,7 +185,10 @@ def lm_minimize(
             rhs = np.concatenate([-f, np.zeros(x.size)])
             delta = np.linalg.lstsq(aug, rhs, rcond=None)[0]
             x_try = x + delta
-            f_try = fun(x_try)
+            try:
+                f_try = fun(x_try)
+            except TopologyBreakdown as err:  # an unrealizable trial is infinitely bad
+                f_try, last = f + math.inf, f" (last rejected trial: {err})"
             if np.linalg.norm(f_try) < np.linalg.norm(f):
                 x, f = x_try, f_try
                 lam *= 0.5
@@ -202,7 +208,7 @@ def lm_minimize(
             break
     if converged is not None and converged(x, f):
         return x, history
-    raise NonConvergence("iteration limit or stalled step", history)
+    raise NonConvergence("iteration limit or stalled step" + last, history)
 
 
 @dataclass(frozen=True)

@@ -111,51 +111,31 @@ def segment_area_dphi(phi: float, chord_length: float) -> float:
 def bulge_angle_from_area(chord_length: float, area: float) -> float:
     """Invert ``segment_area`` in ``phi`` for a fixed chord.
 
-    The map is odd and strictly increasing, with range (-inf, inf) as
-    phi -> +-pi, so every finite area has a unique half-angle; areas that
-    would need |phi| >= pi - 1e-9 are rejected.  Safeguarded Newton with a
-    bisection fallback; series branch for very small areas.
+    The normalized area a(phi) = segment_area(phi, 1) is odd and strictly
+    increasing, with range (-inf, inf) as phi -> +-pi, so every finite area
+    has a unique half-angle; areas that would need |phi| >= ``PHI_LIMIT``
+    are rejected.  On [0, pi) a is convex (all its Taylor coefficients are
+    positive), a(phi) >= phi / 6, and a(phi) >= pi / (8 (pi - phi)^2) on
+    [pi/2, pi).  So the start 6a, or pi - sqrt(pi / (8a)) if lower and
+    a > 1 / (2 pi), is at or right of the root, and Newton decreases
+    monotonically onto it.  A relative stop (step <= 4e-16 phi) keeps
+    near-straight arcs accurate.
     """
     c = chord_length
     if not (c > 0.0) or not math.isfinite(area):
         raise GeometryDomainError("chord_length must be positive, area finite")
-    if abs(area) < 1e-8 * c * c:
-        return 6.0 * area / (c * c)
-
-    sign = 1.0 if area > 0 else -1.0
-    a = abs(area)
-
-    def f(phi):
-        return segment_area(phi, c) - a
-
-    # bracket: f(0) < 0; expand toward pi
-    lo, hi = 0.0, math.pi / 2
-    while f(hi) < 0.0:
-        hi = 0.5 * (hi + math.pi)
-        if math.pi - hi < 1e-9:
-            raise GeometryDomainError(
-                "segment area too large for a sub-full-circle arc"
-            )
-        lo = max(lo, 2.0 * hi - math.pi)
-
-    phi = min(hi, max(lo, 6.0 * a / (c * c)))
-    for _ in range(100):
-        val = f(phi)
-        if val > 0.0:
-            hi = phi
-        else:
-            lo = phi
-        step = val / segment_area_dphi(phi, c)
-        new = phi - step
-        if not (lo < new < hi):
-            new = 0.5 * (lo + hi)
-        if abs(new - phi) <= 1e-16 * max(1.0, abs(phi)):
-            phi = new
+    a = abs(area) / c / c
+    phi = 6.0 * a
+    if a > 0.5 / math.pi:
+        phi = min(phi, math.pi - math.sqrt(math.pi / (8.0 * a)))
+    while True:
+        step = (segment_area(phi, 1.0) - a) / segment_area_dphi(phi, 1.0)
+        phi -= step
+        if step <= 4e-16 * phi:
             break
-        phi = new
     if phi >= PHI_LIMIT:
         raise GeometryDomainError("segment area too large for a sub-full-circle arc")
-    return sign * phi
+    return math.copysign(phi, area)
 
 
 def arc_point(arc: Arc, t: float) -> Point:
@@ -170,10 +150,6 @@ def arc_point(arc: Arc, t: float) -> Point:
 def arc_tangent(arc: Arc, t: float) -> complex:
     """Unit tangent (travel direction) at angular fraction ``t``."""
     return arc.chord_dir() * cmath.exp(1j * arc.phi * (2.0 * t - 1.0))
-
-
-def arc_midpoint(arc: Arc) -> Point:
-    return arc_point(arc, 0.5)
 
 
 def arc_length(arc: Arc) -> float:
@@ -195,10 +171,24 @@ def arc_through(tail: Point, mid: Point, head: Point) -> Arc:
     if abs(beta) < 1e-9:
         raise GeometryDomainError("arc_through: arc is nearly a full circle")
     phi = beta - math.pi if beta > 0 else beta + math.pi
-    c = abs(head.z - tail.z)
-    if c == 0.0:
-        raise GeometryDomainError("arc_through: endpoints coincide")
-    return Arc(tail, head, segment_area(phi, c))
+    return Arc(tail, head, segment_area(phi, abs(head.z - tail.z)))
+
+
+def arc_leaving(tail: Point, tangent: complex, head: Point) -> Arc:
+    """The arc from ``tail`` to ``head`` that leaves ``tail`` along the
+    (not necessarily unit) ``tangent``.
+
+    The tail tangent is the chord direction turned by -phi, so the
+    half-angle is phi = arg((head - tail) conj(tangent)): no circle through
+    sampled points is fitted.  Raises :class:`GeometryDomainError` when
+    |phi| reaches ``PHI_LIMIT`` (the tangent points nearly back along the
+    chord).
+    """
+    w = head.z - tail.z
+    phi = cmath.phase(w * tangent.conjugate())
+    if abs(phi) >= PHI_LIMIT:
+        raise GeometryDomainError("arc_leaving: arc is nearly a full circle")
+    return Arc(tail, head, segment_area(phi, abs(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -399,26 +389,34 @@ def mobius_apply_point(m: MobiusMap, p: Point) -> Point:
     return Point.of(m.apply(p.z))
 
 
-def mobius_apply_arc(m: MobiusMap, arc: Arc) -> Arc:
-    """Image of an arc, via the exact circle through three image points.
+def mobius_image(m: MobiusMap, tail: complex, head: complex, phi: float) -> Arc:
+    """Image of the arc from ``tail`` to ``head`` with half-angle ``phi``.
+
+    Mobius maps are conformal and send circles to circles, so the image is
+    the arc from m(tail) to m(head) leaving m(tail) along the image of the
+    tail tangent t, which for a d - b c = 1 is t / (c tail + d)^2.  The
+    caller passes the half-angle it has; no bulge is inverted.
 
     Raises :class:`GeometryDomainError` when the pole lies within 1e-6 chord
     lengths of an endpoint, or of the carrier on the arc's side of the chord
     (the chord's line cuts the carrier exactly at the endpoints); for a
     nearly straight arc, also where it projects inside the chord.
     """
-    pole = m.normalized().pole()
+    n, w = m.normalized(), head - tail
+    c, pole = abs(w), n.pole()
     if pole is not None:
-        c, tol = arc.chord_length(), 1e-6 * arc.chord_length()
-        # in the chord frame the tail is 0, the head c, and the carrier's
-        # value |A|v|^2 + 2 Re(B v) + D| / 2 is the distance to first order
-        v = (pole - arc.tail.z) * arc.chord_dir().conjugate()
-        h = arc_carrier(Arc(Point(0.0, 0.0), Point(c, 0.0), arc.bulge))
-        near_carrier = abs(h.A * abs(v) ** 2 + 2.0 * (h.B * v).real + h.D) <= 2.0 * tol
-        beside = arc.bulge * v.imag < 0.0 or (abs(v.imag) <= tol and 0.0 <= v.real <= c)
-        if min(abs(v), abs(v - c)) <= tol or (near_carrier and beside):
+        # in the chord frame the tail is 0, the head c and the carrier is
+        # (2 sin phi / c)|v|^2 - 2 Im(e^{i phi} v) = 0; half its value is the
+        # distance to first order
+        v, tol = (pole - tail) * w.conjugate() / c, 1e-6 * c
+        near = abs(math.sin(phi) / c * abs(v) ** 2 - (cmath.exp(1j * phi) * v).imag) <= tol
+        beside = phi * v.imag < 0.0 or (abs(v.imag) <= tol and 0.0 <= v.real <= c)
+        if min(abs(v), abs(v - c)) <= tol or (near and beside):
             raise GeometryDomainError("Mobius pole lies on or near the arc")
-    t0 = mobius_apply_point(m, arc.tail)
-    t1 = mobius_apply_point(m, arc_midpoint(arc))
-    t2 = mobius_apply_point(m, arc.head)
-    return arc_through(t0, t1, t2)
+    t = w * cmath.exp(-1j * phi) / (n.c * tail + n.d) ** 2
+    return arc_leaving(Point.of(m.apply(tail)), t, Point.of(m.apply(head)))
+
+
+def mobius_apply_arc(m: MobiusMap, arc: Arc) -> Arc:
+    """Image of an arc under ``m``: :func:`mobius_image` at its half-angle."""
+    return mobius_image(m, arc.tail.z, arc.head.z, arc.phi)

@@ -305,6 +305,18 @@ class TestMobiusInvariance:
             rep = fl.residuals(img)
             assert rep.angle_sup < 1e-8
 
+    def test_cluster_image_is_the_per_edge_image(self, equilibrium_presets, rng):
+        for c in equilibrium_presets.values():
+            for _ in range(3):
+                m = fl.random_mobius(c, rng)
+                img = fl.mobius_apply_cluster(m, c)
+                flat = 1e-15 * img.diameter() ** 2
+                for j in range(c.e):
+                    arc = fl.geometry.mobius_apply_arc(m, c.arc_of(j))
+                    assert img.edges[j].bulge == pytest.approx(arc.bulge, rel=1e-14, abs=flat)
+                    assert img.vertices[img.edges[j].tail] == arc.tail
+                    assert img.vertices[img.edges[j].head] == arc.head
+
     def test_pole_inside_a_bubble_relabels_exterior(self):
         # -0.5 lies inside bubble 1, whose image becomes the unbounded face
         img = fl.mobius_apply_cluster(

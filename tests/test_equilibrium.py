@@ -127,6 +127,27 @@ class TestLmMinimize:
             lm_minimize(fun, jac, np.array([1.0]), max_iter=5,
                         converged=lambda x, f: False)
 
+    def test_breakdown_at_a_trial_point_is_a_rejected_step(self):
+        # the first Gauss-Newton step from 0.1 jumps to about 33, past the
+        # radius 2 beyond which the function refuses to evaluate
+        def fun(x):
+            if abs(x[0]) > 2.0:
+                raise TopologyBreakdown("outside the chart")
+            return np.array([x[0] ** 3 - 1.0])
+
+        jac = lambda x: np.array([[3.0 * x[0] ** 2]])
+        x, _ = lm_minimize(fun, jac, np.array([0.1]))
+        assert abs(x[0] - 1.0) < 1e-10
+
+    def test_nonconvergence_names_the_last_breakdown(self):
+        def fun(x):
+            if x[0] > 0.0:
+                raise TopologyBreakdown("edge 7 chord collapsed")
+            return np.array([x[0] - 1.0])
+
+        with pytest.raises(NonConvergence, match="edge 7 chord collapsed"):
+            lm_minimize(fun, lambda x: np.array([[1.0]]), np.array([-1.0]))
+
     def test_numeric_jacobian(self):
         fun = lambda x: np.array([x[0] ** 2, x[0] * x[1]])
         J = numeric_jacobian(fun, np.array([2.0, 3.0]), 1e-6)

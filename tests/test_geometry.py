@@ -13,8 +13,8 @@ from foamlab.geometry import (
     MobiusMap,
     Point,
     arc_carrier,
+    arc_leaving,
     arc_length,
-    arc_midpoint,
     arc_point,
     arc_tangent,
     arc_through,
@@ -49,7 +49,14 @@ class TestBulgeRoundTrip:
     def test_sign_convention(self):
         # positive bulge lies to the right of the tail -> head chord
         arc = Arc(Point(0, 0), Point(1, 0), segment_area(0.5, 1.0))
-        assert arc_midpoint(arc).y < 0.0
+        assert arc_point(arc, 0.5).y < 0.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_near_straight_arcs_keep_relative_accuracy(self, c, sign):
+        for phi in sign * np.geomspace(1e-9, 1e-3, 61):
+            got = bulge_angle_from_area(c, segment_area(phi, c))
+            assert abs(got - phi) <= 1e-15 * abs(phi)
 
 
 class TestArcEvaluation:
@@ -109,6 +116,27 @@ class TestArcThrough:
         arc = Arc(Point(0, 0), head, segment_area(phi, abs(head.z)))
         rebuilt = arc_through(arc.tail, arc_point(arc, t), arc.head)
         assert rebuilt.bulge == pytest.approx(arc.bulge, rel=1e-9, abs=1e-12)
+
+
+class TestArcLeaving:
+    @given(
+        phi=st.floats(-math.pi + 1e-3, math.pi - 1e-3), hx=finite, hy=finite, tx=finite, ty=finite
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tail_tangent_reconstructs_bulge(self, phi, hx, hy, tx, ty):
+        tail, head = Point(tx, ty), Point(hx, hy)
+        c = abs(head.z - tail.z)
+        if c < 0.1:
+            return
+        arc = Arc(tail, head, segment_area(phi, c))
+        rebuilt = arc_leaving(arc.tail, arc_tangent(arc, 0.0), arc.head)
+        # a unit tangent carries its direction to about 1e-16 rad, which
+        # bounds the absolute accuracy of phi (and so of bulge / c^2)
+        assert rebuilt.bulge == pytest.approx(arc.bulge, rel=1e-12, abs=1e-15 * c * c)
+
+    def test_tangent_back_along_chord_rejected(self):
+        with pytest.raises(GeometryDomainError):
+            arc_leaving(Point(0, 0), -1.0 + 0j, Point(1, 0))
 
 
 class TestCarriers:
@@ -248,11 +276,16 @@ class TestMobius:
         arc = Arc(Point(1, 0), Point(2, 1), 0.3)
         m = MobiusMap.inversion_about(-1 + 0.5j)
         img = mobius_apply_arc(m, arc)
-        for t in np.linspace(0.05, 0.95, 7):
-            z = m.apply(arc_point(arc, t).z)
-            # the image arc traverses the same point set (parameterization may differ)
-            d = min(abs(arc_point(img, s).z - z) for s in np.linspace(0, 1, 400))
-            assert d < 2e-3
+        h = arc_carrier(img)
+        zs = np.array([m.apply(arc_point(arc, t).z) for t in np.linspace(0.0, 1.0, 9)])
+        # every mapped point lies on the image's carrier, relative to the
+        # size of the carrier's terms over the image's extent R
+        R = np.abs(zs).max()
+        size = abs(h.A) * R * R + 2.0 * abs(h.B) * R + abs(h.D)
+        values = h.A * np.abs(zs) ** 2 + 2.0 * (h.B * zs).real + h.D
+        assert np.abs(values).max() <= 1e-12 * size
+        # and on the image arc itself, not on the rest of its circle
+        assert np.abs(arc_point(img, 0.5).z - zs).min() < 0.5 * img.chord_length()
 
     def test_pole_on_arc_rejected(self):
         arc = Arc(Point(-1, 0), Point(1, 0), 0.0)
