@@ -561,35 +561,13 @@ def from_json_dict(doc: dict) -> Cluster:
     return Cluster(tuple(verts), tuple(_by_id(edges, "edge")), n, tuple(labels))
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def dumps(cluster: Cluster) -> str:
-    """Serialize with deterministic 17-significant-digit floats."""
-
-    def render(obj) -> str:
-        if isinstance(obj, float):
-            if not math.isfinite(obj):
-                raise ClusterFormatError(f"cannot write the non-finite number {obj} as JSON")
-            return _fmt_float(obj)
-        if isinstance(obj, bool):
-            return "true" if obj else "false"
-        if isinstance(obj, int):
-            return str(obj)
-        if isinstance(obj, str):
-            return json.dumps(obj)
-        if isinstance(obj, list):
-            return "[" + ", ".join(render(v) for v in obj) + "]"
-        if isinstance(obj, dict):
-            return (
-                "{"
-                + ", ".join(f"{json.dumps(k)}: {render(v)}" for k, v in obj.items())
-                + "}"
-            )
-        raise TypeError(f"cannot serialize {type(obj)}")
-
-    return render(to_json_dict(cluster)) + "\n"
+    """Serialize with the standard library's JSON writer: every float is its
+    shortest round-trip repr, so the output is deterministic and exact."""
+    try:
+        return json.dumps(to_json_dict(cluster), allow_nan=False) + "\n"
+    except ValueError as err:
+        raise ClusterFormatError(f"cannot write a non-finite number as JSON: {err}") from err
 
 
 def loads(text: str) -> Cluster:

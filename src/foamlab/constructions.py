@@ -517,15 +517,17 @@ def quasi_variant(kind: str, amount: float = 0.15) -> Cluster:
     """Quasi-equilibrium presets: 120-degree angles hold, the cocycle fails.
 
     ``two_lens_recurved``: the two arcs of the two-lens cluster's main circle
-    are re-curved by the relative ``amount`` while the angle conditions are
-    re-solved.  ``four_stretched``: the middle straight edge of the standard
-    4-bubble is lengthened by the relative ``amount`` with both endpoints
-    pinned.  ``amount = 0`` reproduces the equilibrium base cluster.
+    are re-curved by the relative ``amount``, every other edge keeps its
+    curvature, and the angle conditions are re-solved; the stack has full
+    column rank, so the result is an isolated point.  ``four_stretched``:
+    the middle straight edge of the standard 4-bubble is lengthened by the
+    relative ``amount`` with both endpoints pinned.  ``amount = 0``
+    reproduces the equilibrium base cluster.
 
     The solved rows are the 120-degree angle block plus the variant's pins;
     the curvature cocycle is deliberately left out, so the result is in
-    general only a quasi-equilibrium.  Minimum-norm steps handle the
-    underdetermined stack.
+    general only a quasi-equilibrium.  Minimum-norm steps handle
+    ``four_stretched``'s underdetermined stack.
     """
     base, rows, jac = _quasi_rows(kind, amount)
     return chart_lm(base, rows, jac, lambda x, f: bool(np.abs(f).max() < 1e-10), max_iter=200)
@@ -535,19 +537,21 @@ def _quasi_rows(variant: str, amount: float):
     """Base cluster, solved rows and their exact Jacobian for a quasi variant."""
     if variant == "two_lens_recurved":
         base = two_lens()
-        # the main-circle arcs 0 and 1 are re-curved; lens arc 2 keeps its
-        # curvature so the pins cannot be satisfied by simply rescaling the
-        # whole equilibrium cluster
-        pinned = np.arange(3)
-        targets = base.frame.kappa[pinned] * np.array([1.0 + amount, 1.0 + amount, 1.0])
+        # the main-circle arcs 0 and 1 are re-curved and every other edge
+        # keeps its curvature: with every curvature stated the stack has full
+        # column rank, so the result is an isolated point, not wherever the
+        # iteration stops (the angle rows alone lose rank 2 at a lens, whose
+        # 120-degree condition appears at both of its ends)
+        edges = np.arange(base.e)
+        targets = base.frame.kappa * np.where(edges < 2, 1.0 + amount, 1.0)
         kscale = max(1.0, float(np.abs(targets).max()))
         gauge, gauge_jac = pin_gauge(base)
 
         def rows(c: Cluster) -> np.ndarray:
-            return np.concatenate([(c.frame.kappa[pinned] - targets) / kscale, gauge(c)])
+            return np.concatenate([(c.frame.kappa - targets) / kscale, gauge(c)])
 
         def jac(c: Cluster) -> np.ndarray:
-            curvature = c.frame.jacobian(pinned, pinned, c.frame.d_kappa[pinned] / kscale, 3)
+            curvature = c.frame.jacobian(edges, edges, c.frame.d_kappa / kscale, c.e)
             return np.vstack([curvature, gauge_jac(c)])
 
     elif variant == "four_stretched":

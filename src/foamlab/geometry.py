@@ -322,7 +322,8 @@ def second_intersection(
 
 @dataclass(frozen=True)
 class MobiusMap:
-    """z -> (a z + b) / (c z + d), stored normalized to a d - b c = 1."""
+    """z -> (a z + b) / (c z + d), stored as given; ``normalized`` scales it
+    to a d - b c = 1."""
 
     a: complex
     b: complex
@@ -378,11 +379,12 @@ class MobiusMap:
         return -self.d / self.c
 
     def apply(self, z: complex) -> complex:
-        m = self.normalized()
-        denom = m.c * z + m.d
-        if abs(denom) <= 1e-9 * (abs(m.c * z) + abs(m.d)):
+        """(a z + b) / (c z + d); the value and the relative pole test are
+        the same for every scaling of (a, b, c, d), so none is normalized."""
+        denom = self.c * z + self.d
+        if abs(denom) <= 1e-9 * (abs(self.c * z) + abs(self.d)):
             raise GeometryDomainError("point too close to the Mobius pole")
-        return (m.a * z + m.b) / denom
+        return (self.a * z + self.b) / denom
 
 
 def mobius_apply_point(m: MobiusMap, p: Point) -> Point:

@@ -13,9 +13,10 @@ Two complementary probes of an equilibrium cluster:
   so tangential reparametrizations are quotiented away) against a
   segment-mass matrix, with rigid motions and area changes constrained away.
   Its verdict is an inertia count, not a spectrum: each edge's interior
-  block is eliminated once (``eliminated_hessian``), and the number of
-  constrained eigenvalues below any sigma is read off a small Schur
-  complement on the junction and multiplier dofs.  It also sees non-arc
+  block is eliminated once, in its closed-form sine eigenbasis
+  (``eliminated_hessian``), and the number of constrained eigenvalues below
+  any sigma is read off a small Schur complement on the junction and
+  multiplier dofs.  It also sees non-arc
   deformations.
 """
 
@@ -195,22 +196,25 @@ class EliminatedHessian:
     inertia.  So no orthonormal basis is taken, and rows of the size of the
     junction block keep K balanced at every scale of the cluster.
 
-    Each edge's interior normals couple only to each other (a tridiagonal
-    block T_j = V_j Lambda_j V_j^T) and to nine border columns: the x and y
-    of its two end junctions, the area rows of its two regions (zero for the
+    Each edge's interior normals couple only to each other and to nine
+    border columns.  Uniform sampling makes the first a tridiagonal Toeplitz
+    block T_j = S diag(Lambda_j) S, with Lambda_j = a_j + 2 b_j cos(k pi / m)
+    and one symmetric orthogonal S_ik = sqrt(2 / m) sin(i k pi / m) for
+    every edge (i, k = 1..m-1).  The border columns are the x and y of its
+    two end junctions, the area rows of its two regions (zero for the
     exterior, which has no row) and the three rigid-motion rows.  Haynsworth's
     inertia additivity splits n_-(K) into #(Lambda < sigma) and the negative
     count of the Schur complement
 
-        S(sigma) = K_JJ - sigma E - sum_j B_j^T V_j diag(1 / (Lambda_j - sigma)) V_j^T B_j,
+        Z(sigma) = K_JJ - sigma E - sum_j B_j^T S diag(1 / (Lambda_j - sigma)) S B_j,
 
     with B_j edge j's (m-1) x 9 columns and E the identity on the 2v
-    junction dofs; each term is 9 x 9, scattered into S at ``columns[j]``,
-    and S is only (2v + rank)^2, whatever m is.
+    junction dofs; each term is 9 x 9, scattered into Z at ``columns[j]``,
+    and Z is only (2v + rank)^2, whatever m is.
     """
 
-    lam: np.ndarray  # (e, m-1) eigenvalues of the edge blocks T_j
-    coupling: np.ndarray  # (e, m-1, 9) V_j^T B_j
+    lam: np.ndarray  # (e, m-1) eigenvalues Lambda_j of the edge blocks T_j
+    coupling: np.ndarray  # (e, m-1, 9) S B_j
     columns: np.ndarray  # (e, 9) where each coupling column sits in ``border``
     border: np.ndarray  # (2v + rank, 2v + rank) K_JJ at sigma = 0
     junction_dofs: int  # 2v, the leading rows of ``border`` that sigma shifts
@@ -282,7 +286,8 @@ def eliminated_hessian(
     motions, and approximate the continuum second-variation spectrum.  No
     D x D array is formed, and no edge couples to more than its nine border
     columns: the scaled segment blocks are scattered straight into the
-    junction block, the edge blocks and each edge's coupling.
+    junction block and each edge's coupling, and each edge block's
+    eigenvalues are read from the entries of one of its segments.
 
     Raises ``GeometryDomainError`` if the constraint rows are not of full
     rank n + 3.
@@ -342,27 +347,32 @@ def eliminated_hessian(
             f"area and rigid-motion constraints have rank {rank}, expected {n + 3}"
         )
 
-    # scatter the scaled blocks: junction x junction, interior x interior
-    # (always within one edge, so flat index (r - J)(m - 1) + (c - J) mod
-    # (m - 1) in the (e, m-1, m-1) stack), interior rows x junction columns
-    # (only in an edge's first and last segment, where the junction's two
-    # slots are the block's positions 0, 1 at the tail and 2, 3 at the head)
+    # scatter the scaled blocks: junction x junction, and interior rows x
+    # junction columns (only in an edge's first and last segment, where the
+    # junction's two slots are the block's positions 0, 1 at the tail and
+    # 2, 3 at the head)
     rows = np.broadcast_to(dofs[:, :, None], block.shape).ravel()
     cols = np.broadcast_to(dofs[:, None, :], block.shape).ravel()
     pos = np.broadcast_to(np.arange(4), block.shape).ravel()
     vals = block.ravel()
     bound = float(np.bincount(rows, weights=np.abs(vals), minlength=D).max())
-    inner_r, inner_c = rows >= J, cols >= J
-    jj = ~inner_r & ~inner_c
-    ii = inner_r & inner_c
-    ij = inner_r & ~inner_c
+    junction_c = cols < J
+    jj, ij = junction_c & (rows < J), junction_c & (rows >= J)
     HJJ = np.bincount(rows[jj] * J + cols[jj], weights=vals[jj], minlength=J * J)
-    T = np.bincount(
-        (rows[ii] - J) * (m - 1) + (cols[ii] - J) % (m - 1),
-        weights=vals[ii],
-        minlength=e * (m - 1) ** 2,
-    )
     G = np.bincount((rows[ij] - J) * 4 + pos[ij], weights=vals[ij], minlength=(D - J) * 4)
+
+    # a uniformly sampled arc has equal chords, equal turns and equal masses,
+    # so every segment adds the same entries to the edge's interior block:
+    # it is tridiagonal Toeplitz, with the diagonal a (each interior sample
+    # gets one segment's tail entry and the previous one's head entry) and
+    # the off-diagonal b read from segment 1, between interior samples 0
+    # and 1; its eigenpairs are a + 2 b cos(k pi / m) and the columns of the
+    # symmetric orthogonal sine matrix S, the same for every edge
+    k = np.arange(1, m)
+    inner = block.reshape(e, m, 4, 4)[:, 1]
+    a, b = inner[:, 0, 0] + inner[:, 2, 2], inner[:, 0, 2]
+    lam = a[:, None] + 2.0 * b[:, None] * np.cos(k * np.pi / m)
+    S = np.sqrt(2.0 / m) * np.sin(np.outer(k, k) * np.pi / m)
 
     # each edge's nine border columns: its end junctions' x and y, the area
     # rows of its left and right regions (region r is row r - 1; the
@@ -382,12 +392,11 @@ def eliminated_hessian(
         ],
         axis=1,
     )
-    lam, V = np.linalg.eigh(T.reshape(e, m - 1, m - 1))
     border = np.zeros((J + rank, J + rank))
     border[:J, :J] = HJJ.reshape(J, J)
     border[:J, J:] = C[:, :J].T
     border[J:, :J] = C[:, :J]
-    return EliminatedHessian(lam, V.transpose(0, 2, 1) @ B, columns, border, J, rank, bound)
+    return EliminatedHessian(lam, S @ B, columns, border, J, rank, bound)
 
 
 def stability_report(

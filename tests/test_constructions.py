@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import foamlab as fl
+from foamlab.constructions import _quasi_rows
 from foamlab.errors import GeometryDomainError
 from foamlab.geometry import AT_INFINITY, Point, arc_carrier, second_intersection
 
@@ -287,9 +288,19 @@ class TestQuasiVariants:
         )
 
     def test_recurved_hits_curvature_targets(self, quasi_recurved, two_lens):
-        for j in (0, 1):
-            base = two_lens.frame.kappa[j]
-            assert quasi_recurved.frame.kappa[j] == pytest.approx(1.15 * base, abs=1e-8)
+        for j in range(two_lens.e):
+            want = two_lens.frame.kappa[j] * (1.15 if j < 2 else 1.0)
+            assert quasi_recurved.frame.kappa[j] == pytest.approx(want, abs=1e-8)
+
+    def test_recurved_is_an_isolated_point(self, quasi_recurved):
+        # every curvature is stated, so the solved stack (angle rows, six
+        # curvature pins, gauge rows) has full column rank where it stops
+        _, rows, jac = _quasi_rows("two_lens_recurved", 0.15)
+        sigma = np.linalg.svd(jac(quasi_recurved), compute_uv=False)
+        assert sigma[-1] >= 1e-6 * sigma[0]
+        assert np.abs(rows(quasi_recurved)).max() < 1e-10
+        assert fl.classify(quasi_recurved) is fl.Verdict.QUASI_EQUILIBRIUM
+        assert fl.residuals(quasi_recurved).cocycle_sup > 1e-3
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(GeometryDomainError):

@@ -214,10 +214,26 @@ class TestStability:
         c = fl.necklace(7, inner_radius=0.98 * r0)
         assert fl.stability_report(c, m=64).classification == "Unstable(4)"
 
+    @pytest.fixture(scope="class")
+    def oracle_cases(self, equilibrium_presets):
+        """The presets, an unstable necklace, and Möbius images of four and
+        necklace(7), whose arcs differ in length and turn, so that every edge
+        block has its own diagonal and off-diagonal; seed 1 draws maps with a
+        pole."""
+        cases = dict(equilibrium_presets, unstable=fl.necklace(7, inner_radius=0.05))
+        poles = 0
+        for name in ("four", "necklace7"):
+            c = equilibrium_presets[name]
+            for seed in (1, 2):
+                m = fl.random_mobius(c, np.random.default_rng(seed))
+                poles += m.pole() is not None
+                cases[f"{name}_mobius{seed}"] = fl.mobius_apply_cluster(m, c)
+        assert poles > 0
+        return cases
+
     @pytest.mark.parametrize("m", [16, 32])
-    def test_matches_dense_oracle(self, equilibrium_presets, m):
-        clusters = dict(equilibrium_presets, unstable=fl.necklace(7, inner_radius=0.05))
-        for name, c in clusters.items():
+    def test_matches_dense_oracle(self, oracle_cases, m):
+        for name, c in oracle_cases.items():
             rep = fl.stability_report(c, m=m)
             want = dense_stability_eigenvalues(c, m)
             k = rep.eigenvalues.size
@@ -233,13 +249,12 @@ class TestStability:
             if name == "unstable":
                 assert negative == 4
 
-    def test_count_below_matches_dense_oracle(self, equilibrium_presets):
+    def test_count_below_matches_dense_oracle(self, oracle_cases):
         # counts at midpoints between oracle eigenvalues; the symmetric
         # presets have exact pairs ~1e-17 apart, and a count between those
         # is roundoff, so only gaps above 1e-9 relative are probed
         m = 16
-        clusters = dict(equilibrium_presets, unstable=fl.necklace(7, inner_radius=0.05))
-        for name, c in clusters.items():
+        for name, c in oracle_cases.items():
             hess = eliminated_hessian(c, m)
             want = dense_stability_eigenvalues(c, m)
             assert hess.size == want.size, name
