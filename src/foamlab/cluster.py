@@ -1,7 +1,10 @@
 """Cluster data structure: combinatorics, areas, perimeter, serialization.
 
 A cluster of ``n`` regions is a chart point of dimension ``2v + e = 7n - 7``:
-vertex coordinates plus one signed bulge area per edge.  Every per-edge
+vertex coordinates plus one signed bulge area per edge, read as the
+read-only arrays ``Cluster.points``, ``bulges`` and ``ends`` (each edge's
+tail and head), which ``with_chart`` fills from one copy of the chart
+vector.  Every per-edge
 quantity (half-angle, end tangents, curvature) and its exact chart gradient is
 computed once per chart point in ``Cluster.frame``, and each half-edge's
 oriented carrier (A, B, D) follows from it by one formula.  The combinatorial
@@ -90,6 +93,11 @@ class EdgeFrame:
             np.add.at(J, (rows, col + 1), sign * grads[:, 1])
         np.add.at(J, (rows, 2 * self.v + edges), grads[:, 2])
         return J
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _grad(g: np.ndarray, db: np.ndarray) -> np.ndarray:
@@ -194,34 +202,45 @@ class Cluster:
         return self.region_count
 
     def diameter(self) -> float:
-        xs = [p.x for p in self.vertices] or [0.0]
-        ys = [p.y for p in self.vertices] or [0.0]
-        return math.hypot(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
+        p = self.points if self.v else np.zeros(1)
+        return math.hypot(np.ptp(p.real), np.ptp(p.imag)) or 1.0
 
     # -- chart coordinates -------------------------------------------------
 
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Vertex positions, complex, shape (v,); read-only."""
+        return _read_only(np.array([p.z for p in self.vertices], dtype=complex))
+
+    @cached_property
+    def bulges(self) -> np.ndarray:
+        """Edge bulges, shape (e,); read-only."""
+        return _read_only(np.array([ed.bulge for ed in self.edges], dtype=float))
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """Each edge's (tail, head) vertex, int, shape (e, 2); read-only."""
+        pairs = np.array([(ed.tail, ed.head) for ed in self.edges], dtype=int)
+        return _read_only(pairs.reshape(-1, 2))
+
     def chart(self) -> np.ndarray:
         """Coordinates (x_1, y_1, ..., x_v, y_v, b_1, ..., b_e)."""
-        out = np.empty(2 * self.v + self.e)
-        for i, p in enumerate(self.vertices):
-            out[2 * i] = p.x
-            out[2 * i + 1] = p.y
-        for j, ed in enumerate(self.edges):
-            out[2 * self.v + j] = ed.bulge
-        return out
+        return np.concatenate([self.points.view(float), self.bulges])
 
     def with_chart(self, x: np.ndarray) -> "Cluster":
-        """The cluster of the same type at chart point ``x``; it shares this
-        cluster's topology."""
+        """The cluster of the same type at chart point ``x``.  Its arrays are
+        views of one copy of ``x``, and it shares this cluster's ``ends``
+        and topology."""
+        x = _read_only(np.array(x, dtype=float))
         if x.shape != (2 * self.v + self.e,):
             raise ValueError("chart vector has wrong length")
-        verts = tuple(Point(x[2 * i], x[2 * i + 1]) for i in range(self.v))
-        edges = tuple(
-            replace(ed, bulge=float(x[2 * self.v + j]))
-            for j, ed in enumerate(self.edges)
-        )
+        xy, b = x[: 2 * self.v], x[2 * self.v :]
+        verts = tuple(map(Point, xy[0::2].tolist(), xy[1::2].tolist()))
+        edges = tuple(replace(ed, bulge=bj) for ed, bj in zip(self.edges, b.tolist()))
         copy = Cluster(verts, edges, self.region_count, self.region_labels)
-        copy.__dict__["topology"] = self.topology  # fills the cached property
+        copy.__dict__.update(  # fills the cached properties
+            points=xy.view(complex), bulges=b, ends=self.ends, topology=self.topology
+        )
         return copy
 
     @cached_property
@@ -244,8 +263,7 @@ class Cluster:
         dphi/db = 1/A_phi and, since the area scales as c^2,
         dphi/dc = -(2b/c)/A_phi.
         """
-        points, ends = _chords(self)
-        b = np.array([ed.bulge for ed in self.edges])
+        points, ends, b = self.points, self.ends, self.bulges
         w = points[ends[:, 1]] - points[ends[:, 0]]
         c = np.abs(w)
         phi = np.array([bulge_angle_from_area(cj, bj) for cj, bj in zip(c, b)])
@@ -272,10 +290,9 @@ class Cluster:
         """Points and unit tangents of every edge at angular fractions ``t``,
         each of shape (e, len(t)): ``arc_point`` and ``arc_tangent`` for all
         arcs at once, from the frame's half-angles (no inversion per sample)."""
-        f = self.frame
-        points, ends = _chords(self)
-        tail = points[ends[:, 0]]
-        w = points[ends[:, 1]] - tail
+        f, points = self.frame, self.points
+        tail = points[self.ends[:, 0]]
+        w = points[self.ends[:, 1]] - tail
         phi, t = f.phi[:, None], np.asarray(t, dtype=float)[None, :]
         ratio = t * np.sinc(phi * t / math.pi) / np.sinc(phi / math.pi)
         at = tail[:, None] + w[:, None] * ratio * np.exp(1j * phi * (t - 1.0))
@@ -290,9 +307,8 @@ class Cluster:
         half-edge leaves.  Built in those coordinates, D keeps the digits that
         translating world coordinates far from the origin would cancel."""
         f = self.frame
-        points, _ = _chords(self)
         return carrier_coefficients(
-            (points[f.ends] - centre) / scale,
+            (self.points[f.ends] - centre) / scale,
             np.exp(1j * f.alpha),
             scale * np.outer(f.kappa, [1.0, -1.0]),
         )
@@ -310,14 +326,7 @@ class Cluster:
 
 
 # ---------------------------------------------------------------------------
-# areas, perimeter, Jacobian
-
-
-def _chords(cluster: Cluster) -> Tuple[np.ndarray, np.ndarray]:
-    """Vertex positions (complex) and each edge's (tail, head) index pair."""
-    points = np.array([p.z for p in cluster.vertices], dtype=complex)
-    pairs = np.array([(ed.tail, ed.head) for ed in cluster.edges], dtype=int)
-    return points, pairs.reshape(-1, 2)
+# areas, perimeter, Jacobian, rigid motions
 
 
 def shoelace_terms(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -341,9 +350,8 @@ def region_areas(cluster: Cluster) -> np.ndarray:
     """Enclosed area of each interior region (index 0 = region 1), exactly
     S @ (bulge + chord shoelace term): summing terms that flip sign with the
     traversal direction along every region walk gives S times them."""
-    points, pairs = _chords(cluster)
-    bulges = np.array([ed.bulge for ed in cluster.edges])
-    return cluster.topology.incidence @ (bulges + shoelace_terms(points, pairs))
+    terms = shoelace_terms(cluster.points, cluster.ends)
+    return cluster.topology.incidence @ (cluster.bulges + terms)
 
 
 def perimeter(cluster: Cluster) -> float:
@@ -356,10 +364,24 @@ def area_jacobian(cluster: Cluster) -> np.ndarray:
     Areas are linear in the bulges and bilinear in the vertex coordinates;
     G is the per-edge gradient of the chord shoelace terms.
     """
-    points, pairs = _chords(cluster)
     S = cluster.topology.incidence
-    G = shoelace_gradient(points, pairs, np.arange(cluster.e), cluster.e)
+    G = shoelace_gradient(cluster.points, cluster.ends, np.arange(cluster.e), cluster.e)
     return np.hstack([S @ G, S])
+
+
+def rigid_motion_basis(cluster: Cluster) -> np.ndarray:
+    """Orthonormal chart vectors for x/y-translation and rotation, shape
+    (3, 2v + e).
+
+    Bulge entries are exactly zero: signed segment areas are invariant under
+    rigid motions.  Rotation is taken about the vertex centroid, which makes
+    it orthogonal to the translations.
+    """
+    p = cluster.points
+    moves = np.stack([np.ones_like(p), np.full_like(p, 1j), 1j * (p - p.mean())])
+    basis = np.zeros((3, 2 * cluster.v + cluster.e))
+    basis[:, : 2 * cluster.v] = moves.view(float)
+    return basis / np.linalg.norm(basis, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +421,7 @@ def validate(cluster: Cluster, check_disjoint: bool = False) -> ValidationReport
     if bad:
         return ValidationReport(tuple(checks))
 
-    points, ends = _chords(cluster)
+    points, ends = cluster.points, cluster.ends
     chords = np.abs(points[ends[:, 1]] - points[ends[:, 0]])
     short = np.flatnonzero(chords <= 1e-9 * cluster.diameter()).tolist()
     add("edge_chords", not short, f"degenerate edges {short}")
@@ -584,7 +606,7 @@ def loads(text: str) -> Cluster:
 
 def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str:
     pts, _ = cluster.arc_samples([0.25, 0.5, 0.75])
-    pts = np.concatenate([[p.z for p in cluster.vertices], pts.ravel()])
+    pts = np.concatenate([cluster.points, pts.ravel()])
     x0, x1 = float(pts.real.min()), float(pts.real.max())
     y0, y1 = float(pts.imag.min()), float(pts.imag.max())
     mx = 0.05 * max(x1 - x0, y1 - y0, 1e-9)

@@ -16,16 +16,15 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .cluster import EXTERIOR, Cluster, EdgeRecord, region_areas
+from .cluster import EXTERIOR, Cluster, EdgeRecord, region_areas, rigid_motion_basis
 from .errors import GeometryDomainError, TopologyBreakdown
-from .equilibrium import chart_lm, pin_gauge, residual_jacobian, residuals, solve
+from .equilibrium import chart_lm, residual_jacobian, residuals, solve
 from .geometry import (
     AT_INFINITY,
     Arc,
     MobiusMap,
     Point,
     arc_leaving,
-    arc_through,
     mobius_apply_point,
     mobius_image,
     pencil_meet,
@@ -44,11 +43,11 @@ def mobius_apply_cluster(m: MobiusMap, cluster: Cluster) -> Cluster:
     swapped on every edge.  Each edge is mapped at the half-angle of
     ``cluster.frame``.
     """
-    z, f = [p.z for p in cluster.vertices], cluster.frame
-    edges = zip(f.ends.tolist(), f.phi.tolist())
+    z = cluster.points.tolist()
+    edges = zip(cluster.ends.tolist(), cluster.frame.phi.tolist())
     bulges = [mobius_image(m, z[a], z[b], phi).bulge for (a, b), phi in edges]
-    verts = [mobius_apply_point(m, p) for p in cluster.vertices]
-    image = cluster.with_chart(np.array([xy for p in verts for xy in p] + bulges))
+    verts = np.array([m.apply(w) for w in z], dtype=complex)
+    image = cluster.with_chart(np.concatenate([verts.view(float), bulges]))
     areas = region_areas(image)
     if areas.min() >= 0.0:
         return image
@@ -68,8 +67,12 @@ def double_bubble(r1: float = 1.0, r2: float = 1.0) -> Cluster:
     """Standard double bubble with outer radii r1 and r2.
 
     Centers sit at distance d with d^2 = r1^2 + r2^2 - r1 r2 (law of
-    cosines for the 120-degree vertex triangle); the middle interface has
-    curvature |1/r1 - 1/r2| and is straight for equal radii.
+    cosines for the 120-degree vertex triangle), and the vertices at
+    (x, +-y) with the first center at 0.  Every arc is read from its
+    half-angle on the chord 2y: an outer arc's half-angle is pi minus the
+    angle between the axis and the upper vertex seen from its center, and
+    the middle interface has curvature 1/r1 - 1/r2, so
+    sin(phi) = y (1/r1 - 1/r2), straight for equal radii.
     """
     if not (r1 > 0 and r2 > 0):
         raise GeometryDomainError("radii must be positive")
@@ -78,18 +81,9 @@ def double_bubble(r1: float = 1.0, r2: float = 1.0) -> Cluster:
     y = math.sqrt(r1 * r1 - x * x)
     v_top = Point(x, y)
     v_bot = Point(x, -y)
-    outer1 = arc_through(v_top, Point(-r1, 0.0), v_bot).bulge
-    outer2 = arc_through(v_bot, Point(d + r2, 0.0), v_top).bulge
-    if abs(r1 - r2) < 1e-14 * (r1 + r2):
-        middle = 0.0
-    else:
-        # swap so the interface always bows toward the larger bubble
-        big_first = r1 >= r2
-        ra, rb = (r1, r2) if big_first else (r2, r1)
-        r0 = ra * rb / (ra - rb)
-        xm = x + math.copysign(math.sqrt(max(r0 * r0 - y * y, 0.0)), r1 - r2)
-        apex = Point(xm - math.copysign(r0, r1 - r2), 0.0)
-        middle = arc_through(v_bot, apex, v_top).bulge
+    outer1 = segment_area(math.pi - math.atan2(y, x), 2.0 * y)
+    outer2 = segment_area(math.pi - math.atan2(y, d - x), 2.0 * y)
+    middle = segment_area(math.asin(y * (1.0 / r1 - 1.0 / r2)), 2.0 * y)
     edges = (
         EdgeRecord(0, 0, 1, outer1, 1, EXTERIOR),
         EdgeRecord(1, 1, 0, outer2, 2, EXTERIOR),
@@ -132,16 +126,10 @@ def triple_bubble(
         base = region_areas(cluster)
         # rescale the symmetric seed to the right total before solving
         s = math.sqrt(target.sum() / base.sum())
-        cluster = cluster.with_chart(_scaled_chart(cluster, s))
+        xy = s * cluster.points.view(float)
+        cluster = cluster.with_chart(np.concatenate([xy, s * s * cluster.bulges]))
         cluster = solve(cluster, target)
     return cluster
-
-
-def _scaled_chart(cluster: Cluster, s: float) -> np.ndarray:
-    x = cluster.chart()
-    x[: 2 * cluster.v] *= s
-    x[2 * cluster.v :] *= s * s
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +273,7 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
     # the third half-edge at each junction of the walk leaves the bubble
     outer_hes = [next(h for h in stars[vid] if h >> 1 not in bubble_eids) for vid in bubble_vids]
     scale = cluster.diameter()
-    bubble_pos = [cluster.vertices[v].z for v in bubble_vids]
+    bubble_pos = cluster.points[bubble_vids].tolist()
     centre = sum(bubble_pos) / 3.0
     # the outer carriers' two common points; the one inside the bubble is
     # the one nearest its centroid, tried first since _in_triangle can accept
@@ -313,7 +301,7 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
         )
         for k, h in enumerate(outer_hes)
     ]
-    bulges = [ed.bulge for ed in cluster.edges]
+    bulges = cluster.bulges.tolist()
     for h, arc in zip(outer_hes, new_outer):
         bulges[h >> 1] = -arc.bulge if h & 1 else arc.bulge
 
@@ -322,8 +310,8 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
         m = MobiusMap.translation(p).compose(pic.inverse()).compose(MobiusMap.scaling(factor))
         m = m.compose(pic).compose(MobiusMap.translation(-p))
         for j in bubble_eids:
-            arc = cluster.arc_of(j)
-            bulges[j] = mobius_image(m, arc.tail.z, arc.head.z, float(cluster.frame.phi[j])).bulge
+            tail, head = cluster.points[cluster.ends[j]].tolist()
+            bulges[j] = mobius_image(m, tail, head, float(cluster.frame.phi[j])).bulge
         verts = list(cluster.vertices)
         for vid, arc in zip(bubble_vids, new_outer):
             verts[vid] = arc.tail
@@ -386,10 +374,12 @@ def two_lens(lens1: float = 0.8, lens2: float = 0.8, separation: float = 2.0) ->
     # each lens a -> b: the upper arc at half-angle -pi/3, the lower at pi/3
     lens = [(a, b, phi) for a, b in ((a1, b1), (a2, b2)) for phi in (-math.pi / 3, math.pi / 3)]
     upper1, lower1, upper2, lower2 = [mobius_image(m, a.z, b.z, phi).bulge for a, b, phi in lens]
+    # the piece of the line through infinity closes up through m(inf) = 0,
+    # leaving m(b2) along m'(b2) = -1 / (b2 - i)^2 times the line's direction
+    far = arc_leaving(verts[2], -1 / (b2.z - 1j) ** 2, verts[3]).bulge
     edges = (
         EdgeRecord(0, 0, 1, mobius_image(m, b1.z, a2.z, 0.0).bulge, EXTERIOR, 1),
-        # the piece of the line through infinity closes up through m(inf) = 0
-        EdgeRecord(1, 2, 3, arc_through(verts[2], Point(0.0, 0.0), verts[3]).bulge, EXTERIOR, 1),
+        EdgeRecord(1, 2, 3, far, EXTERIOR, 1),
         EdgeRecord(2, 3, 0, upper1, EXTERIOR, 2),
         EdgeRecord(3, 3, 0, lower1, 2, 1),
         EdgeRecord(4, 1, 2, upper2, EXTERIOR, 3),
@@ -526,8 +516,11 @@ def quasi_variant(kind: str, amount: float = 0.15) -> Cluster:
 
     The solved rows are the 120-degree angle block plus the variant's pins;
     the curvature cocycle is deliberately left out, so the result is in
-    general only a quasi-equilibrium.  Minimum-norm steps handle
-    ``four_stretched``'s underdetermined stack.
+    general only a quasi-equilibrium.  ``two_lens_recurved`` fixes rigid
+    motions with the same gauge rows R (x - x0) as :func:`solve`; the two
+    pinned endpoints of ``four_stretched`` already fix them, and the
+    minimum-norm steps of ``equilibrium.lm_minimize`` handle its
+    underdetermined stack.
     """
     base, rows, jac = _quasi_rows(kind, amount)
     return chart_lm(base, rows, jac, lambda x, f: bool(np.abs(f).max() < 1e-10), max_iter=200)
@@ -545,14 +538,14 @@ def _quasi_rows(variant: str, amount: float):
         edges = np.arange(base.e)
         targets = base.frame.kappa * np.where(edges < 2, 1.0 + amount, 1.0)
         kscale = max(1.0, float(np.abs(targets).max()))
-        gauge, gauge_jac = pin_gauge(base)
+        R, x0 = rigid_motion_basis(base), base.chart()
 
         def rows(c: Cluster) -> np.ndarray:
-            return np.concatenate([(c.frame.kappa - targets) / kscale, gauge(c)])
+            return np.concatenate([(c.frame.kappa - targets) / kscale, R @ (c.chart() - x0)])
 
         def jac(c: Cluster) -> np.ndarray:
             curvature = c.frame.jacobian(edges, edges, c.frame.d_kappa / kscale, c.e)
-            return np.vstack([curvature, gauge_jac(c)])
+            return np.vstack([curvature, R])
 
     elif variant == "four_stretched":
         # the two pinned endpoints already fix rigid motions: no gauge rows
@@ -595,13 +588,12 @@ def random_mobius(cluster: Cluster, rng: np.random.Generator) -> MobiusMap:
     vertex and arc sample.  That point may lie inside a bubble, whose image
     is then the unbounded face (see :func:`mobius_apply_cluster`).
     """
-    scale = cluster.diameter()
-    centroid = sum(p.z for p in cluster.vertices) / cluster.v
+    scale, corners = cluster.diameter(), cluster.points
+    centroid = complex(corners.mean())
     m = MobiusMap.rotation(rng.uniform(0.0, 2.0 * math.pi), about=centroid)
     m = MobiusMap.scaling(math.exp(rng.uniform(-0.5, 0.5))).compose(m)
     m = MobiusMap.translation(complex(*rng.normal(0.0, 0.3 * scale, 2))).compose(m)
     if rng.random() < 0.5:
-        corners = np.array([p.z for p in cluster.vertices])
         samples, _ = cluster.arc_samples([0.25, 0.5, 0.75])
         for _ in range(100):
             q = centroid + complex(*rng.normal(0.0, 2.0 * scale, 2))
@@ -611,8 +603,6 @@ def random_mobius(cluster: Cluster, rng: np.random.Generator) -> MobiusMap:
                 m = MobiusMap.inversion_about(q).compose(m)
                 break
     pole = m.pole()
-    if pole is not None and any(
-        abs(p.z - pole) < 0.25 * scale for p in cluster.vertices
-    ):
+    if pole is not None and (np.abs(corners - pole) < 0.25 * scale).any():
         raise GeometryDomainError("generated map has a pole on the cluster")
     return m

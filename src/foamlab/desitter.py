@@ -124,8 +124,7 @@ def verify_correspondence(cluster: Cluster, tol: float = 1e-8) -> Correspondence
     # form values and antipodes are Mobius invariant: measure every junction
     # in coordinates centred on it and scaled by the diameter, where the
     # carrier coordinates stay of order one at every scale of the cluster
-    points = np.array([p.z for p in cluster.vertices])
-    ends, scale = cluster.frame.ends, cluster.diameter()
+    points, ends, scale = cluster.points, cluster.ends, cluster.diameter()
     X = _coords(cluster, points[ends], scale)
     T = X.reshape(-1, 4)[cluster.topology.stars]  # (v, 3, 4) ccw triples
     sigma = np.linalg.svd(T, compute_uv=False)

@@ -16,11 +16,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .cluster import Cluster, area_jacobian, region_areas
+from .cluster import Cluster, area_jacobian, region_areas, rigid_motion_basis
 from .errors import GeometryDomainError, NonConvergence, PathInconsistent, TopologyBreakdown
 from .tolerances import DEFAULT, TolerancePolicy
 
@@ -37,14 +37,6 @@ class ResidualReport:
     @property
     def cocycle_sup(self) -> float:
         return float(np.abs(self.cocycle_block).max(initial=0.0))
-
-    @property
-    def angle_l2(self) -> float:
-        return float(np.linalg.norm(self.angle_block))
-
-    @property
-    def cocycle_l2(self) -> float:
-        return float(np.linalg.norm(self.cocycle_block))
 
 
 # the half-edge leaving an edge's tail has curvature +kappa, leaving its head -kappa
@@ -151,39 +143,48 @@ def numeric_jacobian(
     return J
 
 
+def damped_step(svd: Tuple[np.ndarray, ...], f: np.ndarray, lam: float) -> np.ndarray:
+    """The Levenberg-Marquardt step -V diag(s / (s^2 + lam)) U^T f from the
+    thin SVD (U, s, V^T) of J: the minimum-norm least-squares solution of
+    [J; sqrt(lam) I] delta = [-f; 0], for every shape and rank of J."""
+    U, s, Vt = svd
+    return -Vt.T @ (s / (s * s + lam) * (U.T @ f))
+
+
 def lm_minimize(
     fun: Callable[[np.ndarray], np.ndarray],
     jac: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     max_iter: int = 100,
-    converged: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
+    converged: Callable[[np.ndarray, np.ndarray], bool] = lambda x, f: np.linalg.norm(f) < 1e-14,
 ) -> Tuple[np.ndarray, List[float]]:
     """Levenberg-Marquardt with lambda *2 on reject, *0.5 on accept.
 
-    Steps are minimum-norm solutions of the damped normal system, so
-    rank-deficient (gauge-redundant or underdetermined) stacks are fine.  A
-    trial point where ``fun`` raises :class:`TopologyBreakdown` is a rejected
-    step; the starting point must evaluate.  It stops when an accepted step
-    is shorter than 1e-14 max(1, |x|).  Raises :class:`NonConvergence` with
-    the residual history on failure, naming the last breakdown if any.
+    Each iteration takes one thin SVD of the Jacobian, and every trial's
+    step is :func:`damped_step` at its lambda, so rank-deficient
+    (gauge-redundant or underdetermined) stacks are fine and Gauss-Newton
+    is the lambda -> 0 limit of the same step.  lambda starts at 1e-3 times
+    the mean squared column norm of the first Jacobian.  A trial point where
+    ``fun`` raises :class:`TopologyBreakdown` is a rejected step; the
+    starting point must evaluate.  It returns once ``converged(x, f)``
+    (by default |f| < 1e-14) and stops when 60 trials are rejected or an
+    accepted step is shorter than 1e-14 max(1, |x|).  Raises
+    :class:`NonConvergence` with the residual history on failure, naming the
+    last breakdown if any.
     """
     x = x0.copy()
     f = fun(x)
     history = [float(np.linalg.norm(f))]
-    last = ""
-    if converged is not None and converged(x, f):
-        return x, history
-    lam = None
-    for _ in range(max_iter):
-        J = jac(x)
+    lam, last, stalled = None, "", False
+    while not converged(x, f):
+        if stalled or len(history) > max_iter:
+            raise NonConvergence("iteration limit or stalled step" + last, history)
+        svd = np.linalg.svd(jac(x), full_matrices=False)
         if lam is None:
-            lam = 1e-3 * float(np.trace(J.T @ J)) / max(J.shape[1], 1)
-            lam = max(lam, 1e-14)
-        accepted = False
+            lam = max(1e-3 * float(svd[1] @ svd[1]) / max(x.size, 1), 1e-14)
+        stalled = True
         for _ in range(60):
-            aug = np.vstack([J, math.sqrt(lam) * np.eye(x.size)])
-            rhs = np.concatenate([-f, np.zeros(x.size)])
-            delta = np.linalg.lstsq(aug, rhs, rcond=None)[0]
+            delta = damped_step(svd, f, lam)
             x_try = x + delta
             try:
                 f_try = fun(x_try)
@@ -192,28 +193,19 @@ def lm_minimize(
             if np.linalg.norm(f_try) < np.linalg.norm(f):
                 x, f = x_try, f_try
                 lam *= 0.5
-                accepted = True
+                stalled = np.linalg.norm(delta) < 1e-14 * max(1.0, np.linalg.norm(x))
                 break
             lam *= 2.0
         history.append(float(np.linalg.norm(f)))
-        if converged is not None and converged(x, f):
-            return x, history
-        if converged is None and history[-1] < 1e-14:
-            return x, history
-        if accepted and np.linalg.norm(delta) < 1e-14 * max(
-            1.0, np.linalg.norm(x)
-        ):
-            break
-        if not accepted:
-            break
-    if converged is not None and converged(x, f):
-        return x, history
-    raise NonConvergence("iteration limit or stalled step" + last, history)
+    return x, history
+
+
+#: Relative stopping tolerance of :func:`solve`'s residual and area rows.
+SOLVE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    tol: float = 1e-10
     max_iter: int = 100
 
 
@@ -254,27 +246,6 @@ def chart_lm(initial: Cluster, rows: Callable, jac: Callable, converged, max_ite
     return at(x)
 
 
-def pin_gauge(initial: Cluster) -> Tuple[Callable, Callable]:
-    """Rows removing rigid motions, and their Jacobian: vertex 0 stays where
-    it is in ``initial`` and its first outgoing half-edge does not turn (the
-    sine of the turn is 0)."""
-    pin = np.array(initial.vertices[0])
-    j, end = divmod(int(initial.topology.stars[0, 0]), 2)
-
-    def turn(c: Cluster) -> float:
-        return c.frame.alpha[j, end] - initial.frame.alpha[j, end]
-
-    def rows(c: Cluster) -> np.ndarray:
-        return np.append(np.array(c.vertices[0]) - pin, math.sin(turn(c)))
-
-    def jac(c: Cluster) -> np.ndarray:
-        J = c.frame.jacobian([2], [j], math.cos(turn(c)) * c.frame.d_alpha[j, end], 3)
-        J[0, 0] = J[1, 1] = 1.0
-        return J
-
-    return rows, jac
-
-
 def solve(
     initial: Cluster,
     target: np.ndarray,
@@ -283,8 +254,12 @@ def solve(
     """Equilibrium of the same combinatorial type with the given areas.
 
     Minimizes the stacked system [angle; cocycle; areas - target; gauge] by
-    damped Gauss-Newton with its exact Jacobian.  The gauge rows
-    (:func:`pin_gauge`) remove rigid motions.
+    damped Gauss-Newton (:func:`lm_minimize`) with its exact Jacobian.  The
+    gauge rows R (x - x0), with x0 the initial chart point and R its
+    :func:`rigid_motion_basis`, remove rigid motions: the result keeps the
+    initial vertex centroid and has no component along the initial
+    infinitesimal rotation.  The angle, cocycle and area rows converge at
+    ``SOLVE_TOL`` scaled by 1, by the curvature scale and by diameter^2.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (initial.n,):
@@ -293,20 +268,18 @@ def solve(
         raise GeometryDomainError("target areas must be positive")
     if opts.max_iter < 1:
         raise GeometryDomainError("max_iter must be at least 1")
-    gauge, gauge_jac = pin_gauge(initial)
+    R, x0 = rigid_motion_basis(initial), initial.chart()
 
     def rows(c: Cluster) -> np.ndarray:
         rep = residuals(c)
         areas = region_areas(c) - target
-        return np.concatenate([rep.angle_block, rep.cocycle_block, areas, gauge(c)])
+        return np.concatenate([rep.angle_block, rep.cocycle_block, areas, R @ (c.chart() - x0)])
 
     def jac(c: Cluster) -> np.ndarray:
-        return np.vstack([residual_jacobian(c), area_jacobian(c), gauge_jac(c)])
+        return np.vstack([residual_jacobian(c), area_jacobian(c), R])
 
-    # the angle, cocycle and area rows converge at tol scaled by 1, by the
-    # curvature scale and by diameter^2
     scales = [1.0, max(1.0, curvature_scale(initial)), initial.diameter() ** 2]
-    tol = opts.tol * np.repeat(scales, [2 * initial.v, initial.v, initial.n])
+    tol = SOLVE_TOL * np.repeat(scales, [2 * initial.v, initial.v, initial.n])
 
     def ok(x: np.ndarray, f: np.ndarray) -> bool:
         return bool((np.abs(f[: tol.size]) < tol).all())

@@ -32,6 +32,7 @@ from .cluster import (
     Cluster,
     area_jacobian,
     region_areas,
+    rigid_motion_basis,
     shoelace_gradient,
     shoelace_terms,
 )
@@ -43,27 +44,6 @@ from .tolerances import DEFAULT, TolerancePolicy
 
 # ---------------------------------------------------------------------------
 # chart-level tangent space
-
-
-def rigid_motion_basis(cluster: Cluster) -> np.ndarray:
-    """Orthonormal chart vectors for x/y-translation and rotation.
-
-    Bulge entries are exactly zero: signed segment areas are invariant under
-    rigid motions.  Rotation is taken about the vertex centroid, which makes
-    it orthogonal to the translations.
-    """
-    dim = 2 * cluster.v + cluster.e
-    basis = np.zeros((3, dim))
-    basis[0, 0 : 2 * cluster.v : 2] = 1.0
-    basis[1, 1 : 2 * cluster.v : 2] = 1.0
-    cx = sum(p.x for p in cluster.vertices) / cluster.v
-    cy = sum(p.y for p in cluster.vertices) / cluster.v
-    for i, p in enumerate(cluster.vertices):
-        basis[2, 2 * i] = -(p.y - cy)
-        basis[2, 2 * i + 1] = p.x - cx
-    for k in range(3):
-        basis[k] /= np.linalg.norm(basis[k])
-    return basis
 
 
 @dataclass(frozen=True)
@@ -160,9 +140,9 @@ def discretize(cluster: Cluster, m: int) -> DiscreteCluster:
     v, e = cluster.v, cluster.e
     inner, tangents = cluster.arc_samples(np.arange(1, m) / m)
     index = np.empty((e, m + 1), dtype=int)
-    index[:, 0], index[:, -1] = cluster.frame.ends.T
+    index[:, 0], index[:, -1] = cluster.ends.T
     index[:, 1:-1] = v + np.arange(e * (m - 1)).reshape(e, m - 1)
-    points = np.concatenate([[p.z for p in cluster.vertices], inner.ravel()])
+    points = np.concatenate([cluster.points, inner.ravel()])
     return DiscreteCluster(cluster, m, points, index, 1j * tangents)
 
 

@@ -158,6 +158,28 @@ class TestChart:
         for name, c in equilibrium_presets.items():
             assert c.chart().size == 2 * c.v + c.e == 7 * (c.n - 1), name
 
+    def test_array_views_match_the_records(self, equilibrium_presets, rng):
+        for name, c in equilibrium_presets.items():
+            x = c.chart() + 1e-3 * rng.standard_normal(c.chart().size)
+            for d in (c, c.with_chart(x)):
+                assert d.points.tolist() == [p.z for p in d.vertices], name
+                assert d.bulges.tolist() == [ed.bulge for ed in d.edges], name
+                assert d.ends.tolist() == [[ed.tail, ed.head] for ed in d.edges], name
+
+    def test_array_views_are_read_only(self, triple):
+        for c in (triple, triple.with_chart(triple.chart())):
+            for view in (c.points, c.bulges, c.ends):
+                with pytest.raises(ValueError):
+                    view[0] = 0
+
+    def test_chart_copies_share_ends_and_own_their_chart(self, triple):
+        x = triple.chart()
+        copy = triple.with_chart(x)
+        assert copy.ends is triple.ends and copy.topology is triple.topology
+        x[:] = 0.0
+        assert copy.chart().tolist() == triple.chart().tolist()
+        assert copy.points.tolist() == [p.z for p in copy.vertices]
+
 
 class TestJsonCodec:
     def test_round_trip(self, equilibrium_presets):

@@ -4,11 +4,12 @@ import pytest
 
 import foamlab as fl
 from foamlab.constructions import _quasi_rows
+from foamlab.cluster import rigid_motion_basis
 from foamlab.equilibrium import (
     curvature_scale,
+    damped_step,
     lm_minimize,
     numeric_jacobian,
-    pin_gauge,
     residual_jacobian,
 )
 from foamlab.geometry import arc_carrier
@@ -148,6 +149,21 @@ class TestLmMinimize:
         with pytest.raises(NonConvergence, match="edge 7 chord collapsed"):
             lm_minimize(fun, lambda x: np.array([[1.0]]), np.array([-1.0]))
 
+    @pytest.mark.parametrize("shape, rank", [((7, 4), 4), ((5, 5), 5), ((3, 6), 3), ((8, 5), 2)])
+    @pytest.mark.parametrize("lam", [1e-8, 1.0, 1e4])
+    def test_damped_step_is_the_augmented_least_squares_solution(self, rng, shape, rank, lam):
+        # tall, square, wide and rank-deficient Jacobians against the
+        # augmented least-squares solve the step replaces; both are backward
+        # stable, so they agree to about eps cond^2 of the augmented matrix,
+        # which at lam = 1e-8 and rank < columns is eps |J|^2 / lam
+        J = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+        f = rng.standard_normal(shape[0])
+        aug = np.vstack([J, np.sqrt(lam) * np.eye(shape[1])])
+        want = np.linalg.lstsq(aug, np.concatenate([-f, np.zeros(shape[1])]), rcond=None)[0]
+        got = damped_step(np.linalg.svd(J, full_matrices=False), f, lam)
+        rel = max(1e-12, 10 * np.finfo(float).eps * np.linalg.cond(aug) ** 2)
+        assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
     def test_numeric_jacobian(self):
         fun = lambda x: np.array([x[0] ** 2, x[0] * x[1]])
         J = numeric_jacobian(fun, np.array([2.0, 3.0]), 1e-6)
@@ -179,12 +195,6 @@ class TestExactJacobians:
             for d in (c, perturbed(c, rng)):
                 assert fd_error(residual_rows, residual_jacobian, d) <= 1e-7, name
 
-    def test_gauge_rows(self, equilibrium_presets, rng):
-        for name, c in equilibrium_presets.items():
-            rows, jac = pin_gauge(c)
-            for d in (c, perturbed(c, rng)):
-                assert fd_error(rows, jac, d) <= 1e-7, name
-
     @pytest.mark.parametrize("kind", ["two_lens_recurved", "four_stretched"])
     def test_quasi_rows(self, kind, quasi_presets, rng):
         base, rows, jac = _quasi_rows(kind, 0.15)
@@ -214,9 +224,28 @@ class TestSolve:
         with pytest.raises(TopologyBreakdown, match="star order"):
             fl.solve(triple.with_chart(x), fl.region_areas(triple))
 
-    def test_gauge_pins_vertex(self, triple):
-        out = fl.solve(triple, np.array([1.1, 1.0, 1.0]))
-        assert abs(out.vertices[0].z - triple.vertices[0].z) < 1e-9
+    def test_gauge_keeps_centroid_and_orientation(self, triple):
+        # without the gauge rows R (x - x0) this solve turns by 1e-3
+        out = fl.solve(triple, np.array([1.3, 0.8, 1.0]))
+        assert abs(out.points.mean() - triple.points.mean()) < 1e-10
+        R = rigid_motion_basis(triple)
+        assert np.abs(R @ (out.chart() - triple.chart())).max() < 1e-10
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=NonConvergence,
+        reason="ROADMAP item 4: the row blocks scale differently, so the "
+        "first damping swamps the area steps (1e-3) or LM crawls (1e3)",
+    )
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    @pytest.mark.parametrize("preset", ["triple", "four"])
+    def test_solves_at_any_scale(self, preset, scale, request):
+        c = request.getfixturevalue(preset)
+        c = c.with_chart(np.concatenate([scale * c.points.view(float), scale**2 * c.bulges]))
+        target = fl.region_areas(c) * (1.0 + 0.02 * np.resize([1.0, -1.0, 0.5], c.n))
+        out = fl.solve(c, target)
+        assert fl.classify(out) is fl.Verdict.EQUILIBRIUM
+        assert fl.region_areas(out) == pytest.approx(target, abs=1e-9 * c.diameter() ** 2)
 
     def test_rejects_bad_targets(self, double):
         with pytest.raises(ValueError):
