@@ -1,34 +1,34 @@
 """Cluster data structure: combinatorics, areas, perimeter, serialization.
 
 A cluster of ``n`` regions is a chart point of dimension ``2v + e = 7n - 7``:
-vertex coordinates plus one signed bulge area per edge, read as the
-read-only arrays ``Cluster.points``, ``bulges`` and ``ends`` (each edge's
-tail and head), which ``with_chart`` fills from one copy of the chart
-vector.  Every per-edge
-quantity (half-angle, end tangents, curvature) and its exact chart gradient is
-computed once per chart point in ``Cluster.frame``, and each half-edge's
-oriented carrier (A, B, D) follows from it by one formula.  The combinatorial
-type is a ``Topology``, derived once per type, not once per chart point: the
-counterclockwise stars, the face walks obtained by rotating around vertices,
-one boundary walk per region and the signed incidence S.  Building it is the
-one structural check, and ``with_chart`` copies share it.  Areas and their
-derivatives need no walk: a region's walk is exactly the set of half-edges
-with it on the left, so they come from the edge labels through S.
+vertex coordinates plus one signed bulge area per edge.  The arrays are the
+cluster: ``Cluster`` holds the read-only ``points``, ``ends`` (tail, head),
+``bulges`` and ``labels`` (left, right region) of its edges, and ``Point``
+and ``EdgeRecord`` rows are only the constructor and codec adapter.  Every
+per-edge quantity (half-angle, end tangents, curvature) and its exact chart
+gradient is computed once per chart point in ``Cluster.frame``, and each
+half-edge's oriented carrier (A, B, D) follows from it by one formula.  The
+combinatorial type is a ``Topology``, derived once per type, not once per
+chart point: the counterclockwise stars, the face walks obtained by rotating
+around vertices, one boundary walk per region and the signed incidence S.
+Building it is the one structural check, and ``with_chart`` copies share it.
+Areas and their derivatives need no walk: a region's walk is exactly the
+half-edges with it on the left, so they come from the labels through S.
 
 A half-edge is the integer k = 2j + end: it leaves end ``end`` of edge j
 (0: the tail, travelling tail -> head), and its reverse is k ^ 1.  Per-edge
 data with one entry per end is an (e, 2) array read at ``.flat[k]``: the
-start vertex is ``topology.ends.flat[k]`` and the end vertex
-``ends.flat[k ^ 1]``, the left region ``topology.labels.flat[k]``, the
-leaving tangent angle ``frame.alpha.flat[k]``, and the carrier
-``(A, B, D)[..].flat[k]`` from :meth:`Cluster.carriers`.
+start vertex is ``ends.flat[k]`` and the end vertex ``ends.flat[k ^ 1]``,
+the left region ``labels.flat[k]``, the leaving tangent angle
+``frame.alpha.flat[k]``, and the carrier ``(A, B, D)[..].flat[k]`` from
+:meth:`Cluster.carriers`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
@@ -95,8 +95,13 @@ class EdgeFrame:
         return J
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+def _frozen(a, dtype) -> np.ndarray:
+    """``a`` as a read-only array of ``dtype``, copied unless it already is
+    one: a caller's writable array is never frozen in place."""
+    a = np.asarray(a, dtype=dtype)
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
     return a
 
 
@@ -164,7 +169,7 @@ class Topology:
                 todo += near[i]
         if unreached := sorted(set(range(cluster.v)) - reached):
             raise StructuralError(f"vertices {unreached} are not connected to vertex 0")
-        labels = np.array([(ed.left, ed.right) for ed in cluster.edges], dtype=int).reshape(-1, 2)
+        labels = cluster.labels
         left = labels.ravel().tolist()  # the region left of each half-edge
         for walk in faces:
             if len(touched := {left[k] for k in walk}) > 1:
@@ -180,22 +185,61 @@ class Topology:
         return cls(f.ends, labels, stars, successor, tuple(map(np.array, faces)), S[1:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Cluster:
-    vertices: Tuple[Point, ...]
-    edges: Tuple[EdgeRecord, ...]
+    """A chart point of a cluster type: four read-only arrays and the region
+    count.  ``Cluster(vertices, edges, region_count, region_labels)`` builds
+    one from ``Point`` and ``EdgeRecord`` rows, row j being edge j, and
+    :meth:`from_arrays` from the arrays.  A cluster is equal only to itself."""
+
+    points: np.ndarray  # (v,) complex vertex positions
+    ends: np.ndarray  # (e, 2) int tail and head vertex
+    bulges: np.ndarray  # (e,) signed bulge areas
+    labels: np.ndarray  # (e, 2) int left and right region
     region_count: int  # interior regions; exterior is region 0 on top
-    region_labels: Tuple[str, ...] = ()
+    region_labels: Tuple[str, ...]
+
+    def __init__(
+        self, vertices: Sequence[Point], edges: Sequence[EdgeRecord], region_count: int,
+        region_labels: Sequence[str] = (),
+    ):
+        rows = np.array([(ed.tail, ed.head, ed.left, ed.right) for ed in edges], dtype=int).reshape(-1, 4)
+        bulges = [ed.bulge for ed in edges]
+        self._fill([p.z for p in vertices], rows[:, :2], bulges, rows[:, 2:], region_count, region_labels)
+
+    @classmethod
+    def from_arrays(cls, points, ends, bulges, labels, region_count, region_labels=()) -> "Cluster":
+        """The cluster with these arrays, shared if already read-only."""
+        c = cls.__new__(cls)
+        c._fill(points, ends, bulges, labels, region_count, region_labels)
+        return c
+
+    def _fill(self, points, ends, bulges, labels, region_count, region_labels) -> None:
+        self.__dict__.update(
+            points=_frozen(points, complex), ends=_frozen(ends, int), bulges=_frozen(bulges, float),
+            labels=_frozen(labels, int), region_count=region_count, region_labels=tuple(region_labels),
+        )
+
+    # -- rows: the constructor and codec adapter ---------------------------
+
+    @property
+    def vertices(self) -> Tuple[Point, ...]:
+        return tuple(map(Point, self.points.real.tolist(), self.points.imag.tolist()))
+
+    @property
+    def edges(self) -> Tuple[EdgeRecord, ...]:
+        rows = zip(self.ends.tolist(), self.bulges.tolist(), self.labels.tolist())
+        return tuple(EdgeRecord(j, t, h, b, l, r) for j, ((t, h), b, (l, r)) in enumerate(rows))
 
     # -- basic counts ------------------------------------------------------
 
     @property
     def v(self) -> int:
-        return len(self.vertices)
+        return self.points.size
 
     @property
     def e(self) -> int:
-        return len(self.edges)
+        return self.bulges.size
 
     @property
     def n(self) -> int:
@@ -207,40 +251,22 @@ class Cluster:
 
     # -- chart coordinates -------------------------------------------------
 
-    @cached_property
-    def points(self) -> np.ndarray:
-        """Vertex positions, complex, shape (v,); read-only."""
-        return _read_only(np.array([p.z for p in self.vertices], dtype=complex))
-
-    @cached_property
-    def bulges(self) -> np.ndarray:
-        """Edge bulges, shape (e,); read-only."""
-        return _read_only(np.array([ed.bulge for ed in self.edges], dtype=float))
-
-    @cached_property
-    def ends(self) -> np.ndarray:
-        """Each edge's (tail, head) vertex, int, shape (e, 2); read-only."""
-        pairs = np.array([(ed.tail, ed.head) for ed in self.edges], dtype=int)
-        return _read_only(pairs.reshape(-1, 2))
-
     def chart(self) -> np.ndarray:
         """Coordinates (x_1, y_1, ..., x_v, y_v, b_1, ..., b_e)."""
         return np.concatenate([self.points.view(float), self.bulges])
 
     def with_chart(self, x: np.ndarray) -> "Cluster":
-        """The cluster of the same type at chart point ``x``.  Its arrays are
-        views of one copy of ``x``, and it shares this cluster's ``ends``
-        and topology."""
-        x = _read_only(np.array(x, dtype=float))
+        """The cluster of the same type at chart point ``x``.  Its points and
+        bulges are views of ``x``, copied unless read-only, and it shares this
+        cluster's ``ends``, ``labels`` and topology."""
+        x = _frozen(x, float)
         if x.shape != (2 * self.v + self.e,):
             raise ValueError("chart vector has wrong length")
-        xy, b = x[: 2 * self.v], x[2 * self.v :]
-        verts = tuple(map(Point, xy[0::2].tolist(), xy[1::2].tolist()))
-        edges = tuple(replace(ed, bulge=bj) for ed, bj in zip(self.edges, b.tolist()))
-        copy = Cluster(verts, edges, self.region_count, self.region_labels)
-        copy.__dict__.update(  # fills the cached properties
-            points=xy.view(complex), bulges=b, ends=self.ends, topology=self.topology
+        copy = Cluster.from_arrays(
+            x[: 2 * self.v].view(complex), self.ends, x[2 * self.v :], self.labels,
+            self.region_count, self.region_labels,
         )
+        copy.__dict__["topology"] = self.topology  # fills the cached property
         return copy
 
     @cached_property
@@ -252,8 +278,8 @@ class Cluster:
     # -- derived geometry --------------------------------------------------
 
     def arc_of(self, edge_index: int) -> Arc:
-        ed = self.edges[edge_index]
-        return Arc(self.vertices[ed.tail], self.vertices[ed.head], ed.bulge)
+        tail, head = self.points[self.ends[edge_index]].tolist()
+        return Arc(Point.of(tail), Point.of(head), float(self.bulges[edge_index]))
 
     @cached_property
     def frame(self) -> EdgeFrame:
@@ -425,9 +451,7 @@ def validate(cluster: Cluster, check_disjoint: bool = False) -> ValidationReport
     chords = np.abs(points[ends[:, 1]] - points[ends[:, 0]])
     short = np.flatnonzero(chords <= 1e-9 * cluster.diameter()).tolist()
     add("edge_chords", not short, f"degenerate edges {short}")
-    bad_labels = [
-        j for j, ed in enumerate(cluster.edges) if ed.left == ed.right
-    ]
+    bad_labels = np.flatnonzero(cluster.labels[:, 0] == cluster.labels[:, 1]).tolist()
     add("edge_labels", not bad_labels, f"left == right on edges {bad_labels}")
 
     if short:
@@ -481,15 +505,10 @@ def to_json_dict(cluster: Cluster) -> dict:
             {"id": i, "x": p.x, "y": p.y} for i, p in enumerate(cluster.vertices)
         ],
         "edges": [
-            {
-                "id": ed.id,
-                "tail": ed.tail,
-                "head": ed.head,
-                "bulge": ed.bulge,
-                "left": ed.left,
-                "right": ed.right,
-            }
-            for ed in cluster.edges
+            {"id": j, "tail": tail, "head": head, "bulge": bulge, "left": left, "right": right}
+            for j, ((tail, head), bulge, (left, right)) in enumerate(
+                zip(cluster.ends.tolist(), cluster.bulges.tolist(), cluster.labels.tolist())
+            )
         ],
         "regions": regions,
         "exterior": 0,
@@ -614,11 +633,11 @@ def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str
     height = (y1 - y0) + 2 * mx
     sw = 0.005 * max(width, height)
 
-    f = cluster.frame
+    f, vertices = cluster.frame, cluster.vertices
 
     def arc_path(k: int) -> str:
         phi = -f.phi[k >> 1] if k & 1 else f.phi[k >> 1]
-        hx, hy = cluster.vertices[f.ends.flat[k ^ 1]]
+        hx, hy = vertices[f.ends.flat[k ^ 1]]
         if abs(phi) < 1e-12:
             return f"L {hx:.9g} {hy:.9g}"
         r = 1.0 / abs(f.kappa[k >> 1])
@@ -635,7 +654,7 @@ def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str
         pmax = max(float(np.abs(fill_pressures).max()), 1e-12)
         for r in range(1, cluster.n + 1):
             walk = cluster.topology.walks[r].tolist()
-            start = cluster.vertices[f.ends.flat[walk[0]]]
+            start = vertices[f.ends.flat[walk[0]]]
             d = [f"M {start.x:.9g} {start.y:.9g}"]
             d += [arc_path(k) for k in walk]
             d.append("Z")
@@ -647,7 +666,7 @@ def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str
                 f'fill-opacity="0.35" stroke="none"/>'
             )
     for j in range(cluster.e):
-        t = cluster.vertices[cluster.edges[j].tail]
+        t = vertices[f.ends[j, 0]]
         d = f"M {t.x:.9g} {t.y:.9g} " + arc_path(2 * j)
         parts.append(
             f'<path d="{d}" fill="none" stroke="black" stroke-width="{sw:.9g}"/>'

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -27,6 +26,7 @@ from .geometry import (
     arc_leaving,
     mobius_apply_point,
     mobius_image,
+    mobius_tangent,
     pencil_meet,
     second_intersection,
     segment_area,
@@ -40,23 +40,26 @@ def mobius_apply_cluster(m: MobiusMap, cluster: Cluster) -> Cluster:
     is a chart point of the same topology, and moves only which face holds
     infinity.  A pole inside interior region r makes r's image unbounded,
     which shows as its one negative area; region ids 0 and r are then
-    swapped on every edge.  Each edge is mapped at the half-angle of
-    ``cluster.frame``.
+    swapped on every edge.  Each vertex is mapped once, and each edge at the
+    half-angle of ``cluster.frame``.
     """
     z = cluster.points.tolist()
+    verts = [m.apply(w) for w in z]
     edges = zip(cluster.ends.tolist(), cluster.frame.phi.tolist())
-    bulges = [mobius_image(m, z[a], z[b], phi).bulge for (a, b), phi in edges]
-    verts = np.array([m.apply(w) for w in z], dtype=complex)
-    image = cluster.with_chart(np.concatenate([verts.view(float), bulges]))
+    bulges = [
+        arc_leaving(Point.of(verts[a]), mobius_tangent(m, z[a], z[b], phi), Point.of(verts[b])).bulge
+        for (a, b), phi in edges
+    ]
+    image = cluster.with_chart(np.concatenate([np.array(verts, dtype=complex).view(float), bulges]))
     areas = region_areas(image)
     if areas.min() >= 0.0:
         return image
     r = int(areas.argmin()) + 1
-    swap = {EXTERIOR: r, r: EXTERIOR}
-    return replace(image, edges=tuple(
-        replace(ed, left=swap.get(ed.left, ed.left), right=swap.get(ed.right, ed.right))
-        for ed in image.edges
-    ))
+    swap = np.arange(image.n + 1)
+    swap[[EXTERIOR, r]] = r, EXTERIOR
+    return Cluster.from_arrays(
+        image.points, image.ends, image.bulges, swap[image.labels], image.n, image.region_labels
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +152,7 @@ def _junction_picture(p: complex, q) -> MobiusMap:
     return MobiusMap(1, 0, -1.0 / (q - p), 1)
 
 
-def _rebuild_edge(pic: MobiusMap, p: complex, q, tail: complex, ray: complex, far: Point) -> Arc:
+def _rebuild_edge(pic: MobiusMap, p: complex, q, tail: complex, ray: complex, far: complex) -> Arc:
     """The arc from the picture point ``tail``, on the ray from 0 along the
     unit ``ray``, to the cluster vertex ``far``, on the carrier of that ray.
 
@@ -157,11 +160,11 @@ def _rebuild_edge(pic: MobiusMap, p: complex, q, tail: complex, ray: complex, fa
     :class:`TopologyBreakdown` when the tail is not nearer 0 than far is
     (far at q is at infinity in the picture, beyond every tail).
     """
-    if q is AT_INFINITY or abs(far.z - q) > 1e-9 * abs(q - p):
-        if abs(tail) >= abs(pic.apply(far.z - p)):
+    if q is AT_INFINITY or abs(far - q) > 1e-9 * abs(q - p):
+        if abs(tail) >= abs(pic.apply(far - p)):
             raise TopologyBreakdown("the new vertex reaches past an adjacent vertex")
     back = pic.inverse()
-    return arc_leaving(Point.of(p + back.apply(tail)), ray / (back.c * tail + back.d) ** 2, far)
+    return arc_leaving(Point.of(p + back.apply(tail)), ray / (back.c * tail + back.d) ** 2, Point.of(far))
 
 
 def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
@@ -180,10 +183,8 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
         raise GeometryDomainError(f"no vertex {vertex}")
     if not size > 0:
         raise GeometryDomainError("size must be positive")
-    top = cluster.topology
-    ends, left = top.ends.ravel().tolist(), top.labels.ravel().tolist()
-    star = top.stars[vertex].tolist()
-    p = cluster.vertices[vertex].z
+    z, star = cluster.points.tolist(), cluster.topology.stars[vertex]
+    p = z[vertex]
     scale = cluster.diameter()
     # in coordinates (z - p) / scale the curvature noise of straight edges
     # stays far below the meet's tolerance
@@ -195,47 +196,33 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     radius = size if q is AT_INFINITY else size * abs(q - p) ** 2
     rays = [cmath.exp(1j * a) for a in cluster.frame.alpha.flat[star]]
     tri = [radius * t for t in rays]
-    new_incident = [
-        _rebuild_edge(pic, p, q, tri[k], rays[k], cluster.vertices[ends[h ^ 1]])
-        for k, h in enumerate(star)
-    ]
+    far = cluster.ends.flat[star ^ 1]
+    new_incident = [_rebuild_edge(pic, p, q, tri[k], rays[k], z[far[k]]) for k in range(3)]
 
     # the inserted bubble: arcs between consecutive (counterclockwise) rays,
     # bulging to their right, away from 0
     back = pic.inverse()
     bubble_bulges = [mobius_image(back, a, b, math.pi / 6).bulge for a, b in zip(tri, tri[1:] + tri[:1])]
 
-    # assemble: old vertices minus the junction, plus the three new ones
-    old_ids = [i for i in range(cluster.v) if i != vertex]
-    remap = {old: new for new, old in enumerate(old_ids)}
-    verts = [cluster.vertices[i] for i in old_ids] + [arc.tail for arc in new_incident]
-    tri_ids = [len(old_ids) + k for k in range(3)]
-
+    # the junction's vertex is dropped and the three new ones appended; each
+    # incident edge is rebuilt from its new vertex out, and the bubble's
+    # edges, with the new region on their left, are appended
+    keep = np.arange(cluster.v) != vertex
+    remap = np.cumsum(keep) - 1
+    new_ids = cluster.v - 1 + np.arange(3)
     new_region = cluster.n + 1
-    star_of_edge = {h >> 1: k for k, h in enumerate(star)}
-    edges = []
-    for j, ed in enumerate(cluster.edges):
-        if j in star_of_edge:
-            k = star_of_edge[j]
-            h = star[k]
-            edges.append(EdgeRecord(
-                ed.id, tri_ids[k], remap[ends[h ^ 1]], new_incident[k].bulge, left[h], left[h ^ 1],
-            ))
-        else:
-            edges.append(replace(ed, tail=remap[ed.tail], head=remap[ed.head]))
-    for k in range(3):
-        edges.append(EdgeRecord(
-            cluster.e + k, tri_ids[k], tri_ids[(k + 1) % 3], bubble_bulges[k],
-            new_region, left[star[k]],
-        ))
-    labels = cluster.region_labels or tuple(
-        ["exterior"] + [f"region {r}" for r in range(1, cluster.n + 1)]
-    )
-    return Cluster(
-        tuple(verts),
-        tuple(edges),
-        region_count=new_region,
-        region_labels=labels + (f"decoration {new_region}",),
+    ends, bulges, labels = remap[cluster.ends], cluster.bulges.copy(), cluster.labels.copy()
+    ends[star >> 1] = np.stack([new_ids, remap[far]], axis=1)
+    bulges[star >> 1] = [arc.bulge for arc in new_incident]
+    left = cluster.labels.ravel()
+    labels[star >> 1] = left[np.stack([star, star ^ 1], axis=1)]
+    region_labels = cluster.region_labels or ("exterior", *(f"region {r}" for r in range(1, new_region)))
+    return Cluster.from_arrays(
+        np.concatenate([cluster.points[keep], [arc.tail.z for arc in new_incident]]),
+        np.concatenate([ends, np.stack([new_ids, np.roll(new_ids, -1)], axis=1)]),
+        np.concatenate([bulges, bubble_bulges]),
+        np.concatenate([labels, np.stack([np.full(3, new_region), left[star]], axis=1)]),
+        new_region, region_labels + (f"decoration {new_region}",),
     )
 
 
@@ -265,9 +252,7 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
     ends, stars = top.ends.ravel().tolist(), top.stars.tolist()
     walk = top.walks[region].tolist()
     if len(walk) != 3:
-        raise GeometryDomainError(
-            f"region {region} has {len(walk)} sides, expected 3"
-        )
+        raise GeometryDomainError(f"region {region} has {len(walk)} sides, expected 3")
     bubble_vids = [ends[k] for k in walk]
     bubble_eids = {k >> 1 for k in walk}
     # the third half-edge at each junction of the walk leaves the bubble
@@ -290,18 +275,16 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
         if _in_triangle(0j, tri):
             break
     else:
-        raise GeometryDomainError(
-            "could not identify the concurrency point inside the bubble"
-        )
+        raise GeometryDomainError("could not identify the concurrency point inside the bubble")
 
     # the outer edges keep their carriers, cut at the scaled vertices
+    z = cluster.points.tolist()
     new_outer = [
-        _rebuild_edge(
-            pic, p, q, factor * tri[k], tri[k] / abs(tri[k]), cluster.vertices[ends[h ^ 1]]
-        )
+        _rebuild_edge(pic, p, q, factor * tri[k], tri[k] / abs(tri[k]), z[ends[h ^ 1]])
         for k, h in enumerate(outer_hes)
     ]
-    bulges = cluster.bulges.tolist()
+    points, bulges = cluster.points.copy(), cluster.bulges.copy()
+    points[bubble_vids] = [arc.tail.z for arc in new_outer]
     for h, arc in zip(outer_hes, new_outer):
         bulges[h >> 1] = -arc.bulge if h & 1 else arc.bulge
 
@@ -310,34 +293,20 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
         m = MobiusMap.translation(p).compose(pic.inverse()).compose(MobiusMap.scaling(factor))
         m = m.compose(pic).compose(MobiusMap.translation(-p))
         for j in bubble_eids:
-            tail, head = cluster.points[cluster.ends[j]].tolist()
+            tail, head = (z[i] for i in cluster.ends[j])
             bulges[j] = mobius_image(m, tail, head, float(cluster.frame.phi[j])).bulge
-        verts = list(cluster.vertices)
-        for vid, arc in zip(bubble_vids, new_outer):
-            verts[vid] = arc.tail
-        edges = tuple(replace(ed, bulge=b) for ed, b in zip(cluster.edges, bulges))
-        return Cluster(tuple(verts), edges, cluster.region_count, cluster.region_labels)
+        return cluster.with_chart(np.concatenate([points.view(float), bulges]))
 
     # factor == 0: delete the region, merge the three junctions at p
-    keep_vids = [i for i in range(cluster.v) if i not in bubble_vids]
-    remap = {old: new for new, old in enumerate(keep_vids)}
-    remap.update((vid, len(keep_vids)) for vid in bubble_vids)
-    verts = [cluster.vertices[i] for i in keep_vids] + [Point.of(p)]
-
-    def remap_region(r: int) -> int:
-        return r - 1 if r > region else r
-
-    edges = []
-    for j, (ed, bulge) in enumerate(zip(cluster.edges, bulges)):
-        if j not in bubble_eids:
-            edges.append(EdgeRecord(
-                len(edges), remap[ed.tail], remap[ed.head], bulge,
-                remap_region(ed.left), remap_region(ed.right),
-            ))
-    labels = cluster.region_labels
-    if labels:
-        labels = tuple(l for r, l in enumerate(labels) if r != region)
-    return Cluster(tuple(verts), tuple(edges), cluster.region_count - 1, labels)
+    keep = ~np.isin(np.arange(cluster.v), bubble_vids)
+    remap = np.where(keep, np.cumsum(keep) - 1, keep.sum())
+    kept = (cluster.labels != region).all(axis=1)  # every edge but the bubble's
+    labels = cluster.labels[kept]
+    region_labels = tuple(l for r, l in enumerate(cluster.region_labels) if r != region)
+    return Cluster.from_arrays(
+        np.append(cluster.points[keep], p), remap[cluster.ends[kept]], bulges[kept],
+        labels - (labels > region), cluster.n - 1, region_labels,
+    )
 
 
 def four_bubble(size: float = 0.3, interface_length: float = 1.0) -> Cluster:
@@ -551,14 +520,11 @@ def _quasi_rows(variant: str, amount: float):
         # the two pinned endpoints already fix rigid motions: no gauge rows
         base = four_bubble()
         flat = 1e-12 * base.diameter() ** 2
-        middle = max(
-            (j for j, ed in enumerate(base.edges) if abs(ed.bulge) < flat),
-            key=lambda j: base.frame.chord[j],
-        )
-        ed = base.edges[middle]
-        ta, he = base.vertices[ed.tail].z, base.vertices[ed.head].z
+        straight = np.flatnonzero(np.abs(base.bulges) < flat)
+        tail, head = base.ends[straight[base.frame.chord[straight].argmax()]]
+        ta, he = base.points[[tail, head]].tolist()
         shift = 0.5 * amount * (he - ta)  # each end moves out by amount/2 of the edge
-        cols = [2 * ed.tail, 2 * ed.tail + 1, 2 * ed.head, 2 * ed.head + 1]
+        cols = [2 * tail, 2 * tail + 1, 2 * head, 2 * head + 1]
         ta_new, he_new = ta - shift, he + shift
         goal = np.array([ta_new.real, ta_new.imag, he_new.real, he_new.imag])
 

@@ -110,12 +110,13 @@ def classify(cluster: Cluster, policy: TolerancePolicy = DEFAULT) -> Verdict:
     second common point: that is the de Sitter rank-2 (collinearity)
     condition that ``desitter.verify_correspondence`` measures.  Both blocks
     are held to ``policy.residual_tol``, the cocycle's scaled by the
-    curvature scale.
+    curvature scale max(max |kappa|, 1 / diameter), so the verdict is the
+    same at every scale.
     """
     tol = policy.residual_tol
     rep = residuals(cluster)
     angle_ok = rep.angle_sup < tol
-    cocycle_ok = rep.cocycle_sup < tol * max(1.0, curvature_scale(cluster))
+    cocycle_ok = rep.cocycle_sup < tol * curvature_scale(cluster)
     if not angle_ok:
         return Verdict.NON_EQUILIBRIUM
     if not cocycle_ok:

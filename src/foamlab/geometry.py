@@ -185,7 +185,8 @@ def arc_leaving(tail: Point, tangent: complex, head: Point) -> Arc:
     chord).
     """
     w = head.z - tail.z
-    phi = cmath.phase(w * tangent.conjugate())
+    turn = w * tangent.conjugate()  # cmath.phase raises OverflowError if arg turn underflows
+    phi = math.atan2(turn.imag, turn.real)
     if abs(phi) >= PHI_LIMIT:
         raise GeometryDomainError("arc_leaving: arc is nearly a full circle")
     return Arc(tail, head, segment_area(phi, abs(w)))
@@ -391,13 +392,14 @@ def mobius_apply_point(m: MobiusMap, p: Point) -> Point:
     return Point.of(m.apply(p.z))
 
 
-def mobius_image(m: MobiusMap, tail: complex, head: complex, phi: float) -> Arc:
-    """Image of the arc from ``tail`` to ``head`` with half-angle ``phi``.
+def mobius_tangent(m: MobiusMap, tail: complex, head: complex, phi: float) -> complex:
+    """Image under ``m`` of the tangent leaving ``tail`` of the arc from
+    ``tail`` to ``head`` with half-angle ``phi``.
 
-    Mobius maps are conformal and send circles to circles, so the image is
-    the arc from m(tail) to m(head) leaving m(tail) along the image of the
-    tail tangent t, which for a d - b c = 1 is t / (c tail + d)^2.  The
-    caller passes the half-angle it has; no bulge is inverted.
+    Mobius maps are conformal, so the image arc leaves m(tail) along the
+    image of the tail tangent t, which for a d - b c = 1 is
+    t / (c tail + d)^2.  The caller passes the half-angle it has; no bulge
+    is inverted.
 
     Raises :class:`GeometryDomainError` when the pole lies within 1e-6 chord
     lengths of an endpoint, or of the carrier on the arc's side of the chord
@@ -415,7 +417,14 @@ def mobius_image(m: MobiusMap, tail: complex, head: complex, phi: float) -> Arc:
         beside = phi * v.imag < 0.0 or (abs(v.imag) <= tol and 0.0 <= v.real <= c)
         if min(abs(v), abs(v - c)) <= tol or (near and beside):
             raise GeometryDomainError("Mobius pole lies on or near the arc")
-    t = w * cmath.exp(-1j * phi) / (n.c * tail + n.d) ** 2
+    return w * cmath.exp(-1j * phi) / (n.c * tail + n.d) ** 2
+
+
+def mobius_image(m: MobiusMap, tail: complex, head: complex, phi: float) -> Arc:
+    """Image of the arc from ``tail`` to ``head`` with half-angle ``phi``:
+    the arc from m(tail) to m(head) along :func:`mobius_tangent`, whose pole
+    checks it keeps."""
+    t = mobius_tangent(m, tail, head, phi)
     return arc_leaving(Point.of(m.apply(tail)), t, Point.of(m.apply(head)))
 
 

@@ -21,6 +21,12 @@ def read(path):
     return path.read_text()
 
 
+def _with_edges(c, edges):
+    """The cluster ``c`` with its edge rows replaced by ``edges``; row j is
+    edge j."""
+    return fl.Cluster(c.vertices, tuple(edges), c.region_count, c.region_labels)
+
+
 def dropped_edge_document(tmp_path):
     """Path of a double bubble document with edge 0 removed and the other
     two renumbered 0 and 1."""
@@ -38,7 +44,7 @@ def swapped_labels_document(tmp_path):
     edges = list(c.edges)
     edges[3] = replace(edges[3], left=edges[3].right, right=edges[3].left)
     bad = tmp_path / "swapped.json"
-    bad.write_text(fl.dumps(replace(c, edges=tuple(edges))))
+    bad.write_text(fl.dumps(_with_edges(c, edges)))
     return str(bad)
 
 
@@ -323,18 +329,17 @@ class TestReportVerbs:
 
 
 def _drop(c, j):
-    kept = c.edges[:j] + c.edges[j + 1 :]
-    return replace(c, edges=tuple(replace(ed, id=k) for k, ed in enumerate(kept)))
+    return _with_edges(c, c.edges[:j] + c.edges[j + 1 :])
 
 
 def _duplicate(c, j):
-    return replace(c, edges=c.edges + (replace(c.edges[j], id=c.e),))
+    return _with_edges(c, c.edges + (c.edges[j],))
 
 
 def _edit(c, j, **fields):
     edges = list(c.edges)
     edges[j] = replace(edges[j], **fields)
-    return replace(c, edges=tuple(edges))
+    return _with_edges(c, edges)
 
 
 MUTATIONS = {

@@ -168,9 +168,42 @@ class TestChart:
 
     def test_array_views_are_read_only(self, triple):
         for c in (triple, triple.with_chart(triple.chart())):
-            for view in (c.points, c.bulges, c.ends):
+            for view in (c.points, c.bulges, c.ends, c.labels):
                 with pytest.raises(ValueError):
                     view[0] = 0
+            with pytest.raises(AttributeError):
+                c.points = c.points
+
+    def test_from_arrays_leaves_the_callers_arrays_writable(self, triple):
+        points = triple.points.copy()
+        c = fl.Cluster.from_arrays(
+            points, triple.ends, triple.bulges, triple.labels, triple.n, triple.region_labels
+        )
+        assert points.flags.writeable and not c.points.flags.writeable
+        assert c.ends is triple.ends
+        points[0] = 5.0
+        assert c.points.tolist() == triple.points.tolist()
+
+    def test_rows_round_trip_through_the_constructor(self, equilibrium_presets, quasi_presets):
+        for name, c in {**equilibrium_presets, **quasi_presets}.items():
+            again = fl.Cluster(c.vertices, c.edges, c.n, c.region_labels)
+            for field in ("points", "ends", "bulges", "labels"):
+                assert getattr(again, field).tolist() == getattr(c, field).tolist(), (name, field)
+            assert fl.dumps(again) == fl.dumps(c), name
+
+    def test_chart_points_build_no_rows(self, triple, monkeypatch):
+        built = []
+
+        def counting(cls):
+            return lambda *args: built.append(cls) or cls(*args)
+
+        monkeypatch.setattr(fl.cluster, "Point", counting(fl.Point))
+        monkeypatch.setattr(fl.cluster, "EdgeRecord", counting(fl.EdgeRecord))
+        triple.with_chart(triple.chart())
+        fl.solve(triple, np.array([1.1, 0.9, 1.0]))
+        assert built == []
+        triple.vertices, triple.edges
+        assert built.count(fl.Point) == triple.v and built.count(fl.EdgeRecord) == triple.e
 
     def test_chart_copies_share_ends_and_own_their_chart(self, triple):
         x = triple.chart()

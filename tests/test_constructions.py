@@ -328,6 +328,22 @@ class TestMobiusInvariance:
                     assert img.vertices[img.edges[j].tail] == arc.tail
                     assert img.vertices[img.edges[j].head] == arc.head
 
+    def test_each_vertex_is_mapped_once(self, necklace7, monkeypatch):
+        m = fl.random_mobius(necklace7, np.random.default_rng(3))
+        z = necklace7.points.tolist()
+        rows = []
+        for j, ((a, b), phi) in enumerate(zip(necklace7.ends.tolist(), necklace7.frame.phi)):
+            arc = fl.geometry.mobius_image(m, z[a], z[b], float(phi))
+            rows.append(fl.EdgeRecord(j, a, b, arc.bulge, *necklace7.labels[j].tolist()))
+        verts = [Point.of(m.apply(w)) for w in z]
+        expected = fl.dumps(fl.Cluster(verts, rows, necklace7.n, necklace7.region_labels))
+        calls = []
+        apply = fl.MobiusMap.apply
+        monkeypatch.setattr(fl.MobiusMap, "apply", lambda self, w: calls.append(w) or apply(self, w))
+        img = fl.mobius_apply_cluster(m, necklace7)
+        assert len(calls) == necklace7.v
+        assert fl.dumps(img) == expected
+
     def test_pole_inside_a_bubble_relabels_exterior(self):
         # -0.5 lies inside bubble 1, whose image becomes the unbounded face
         img = fl.mobius_apply_cluster(

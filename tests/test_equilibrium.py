@@ -94,6 +94,15 @@ class TestClassify:
         for name, c in quasi_presets.items():
             assert fl.classify(c) is fl.Verdict.QUASI_EQUILIBRIUM, name
 
+    @pytest.mark.parametrize("s", [1e-9, 1e-6, 1.0, 1e6, 1e9])
+    def test_verdicts_are_scale_covariant(self, equilibrium_presets, quasi_presets, s):
+        m = fl.MobiusMap.scaling(s)
+        for name, c in equilibrium_presets.items():
+            assert fl.classify(fl.mobius_apply_cluster(m, c)) is fl.Verdict.EQUILIBRIUM, name
+        for name, c in quasi_presets.items():
+            image = fl.mobius_apply_cluster(m, c)
+            assert fl.classify(image) is fl.Verdict.QUASI_EQUILIBRIUM, name
+
     def test_random_perturbation_not_equilibrium(self, double, rng):
         x = double.chart() + 1e-2 * rng.standard_normal(double.chart().size)
         assert fl.classify(double.with_chart(x)) is fl.Verdict.NON_EQUILIBRIUM

@@ -134,6 +134,11 @@ class TestArcLeaving:
         # bounds the absolute accuracy of phi (and so of bulge / c^2)
         assert rebuilt.bulge == pytest.approx(arc.bulge, rel=1e-12, abs=1e-15 * c * c)
 
+    def test_subnormal_turn_gives_a_straight_arc(self):
+        # arg((head - tail) conj(tangent)) underflows to a subnormal here
+        arc = arc_leaving(Point(3.0, 1.1125369292536007e-308), -1 - 3.708456430845337e-309j, Point(0, 0))
+        assert arc.bulge == 0.0
+
     def test_tangent_back_along_chord_rejected(self):
         with pytest.raises(GeometryDomainError):
             arc_leaving(Point(0, 0), -1.0 + 0j, Point(1, 0))
