@@ -35,16 +35,12 @@ from .constructions import (
 )
 from .desitter import (
     CorrespondenceReport,
-    DeSitterPoint,
-    circle_to_point,
     junction_triples,
     minkowski_form,
-    point_to_circle,
     verify_correspondence,
 )
 from .equilibrium import (
     ResidualReport,
-    SolveOptions,
     Verdict,
     classify,
     pressures,
@@ -63,7 +59,6 @@ from .errors import (
 )
 from .geometry import (
     Arc,
-    HermitianCircle,
     MobiusMap,
     Point,
     arc_carrier,

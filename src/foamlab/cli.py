@@ -25,7 +25,7 @@ import numpy as np
 from . import cluster as cl
 from . import constructions as con
 from .desitter import verify_correspondence
-from .equilibrium import SolveOptions, Verdict, classify, pressures, residuals, solve
+from .equilibrium import Verdict, classify, pressures, residuals, solve
 from .errors import FoamlabError, NonConvergence, PathInconsistent
 from .geometry import MobiusMap
 from .tolerances import PROFILES
@@ -226,7 +226,7 @@ def _cmd_check(args, policy) -> int:
 def _cmd_solve(args, policy) -> int:
     c = _load(args.input)
     target = _parse_areas(args.areas, c.n)
-    out = solve(c, target, SolveOptions(max_iter=args.max_iter))
+    out = solve(c, target, max_iter=args.max_iter)
     _write(args.output, cl.dumps(out))
     return EXIT_OK
 

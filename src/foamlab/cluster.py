@@ -37,7 +37,6 @@ import numpy as np
 from .errors import ClusterFormatError, GeometryDomainError, StructuralError
 from .geometry import (  # arc_tangent is unused here, but perfbench's tests resolve it
     Arc,
-    HermitianCircle,
     Point,
     arc_tangent,
     bulge_angle_from_area,
@@ -339,12 +338,6 @@ class Cluster:
             scale * np.outer(f.kappa, [1.0, -1.0]),
         )
 
-    def half_edge_carriers(
-        self, hes: Sequence[int], centre: complex = 0j, scale: float = 1.0
-    ) -> List[HermitianCircle]:
-        A, B, D = (x.flat[list(hes)] for x in self.carriers(centre, scale))
-        return [HermitianCircle(float(a), complex(b), float(d)) for a, b, d in zip(A, B, D)]
-
     def next_half_edge(self, k: int) -> int:
         """Successor in the face walk keeping the same region on the left:
         the half-edge clockwise next to the reverse k ^ 1."""
@@ -502,7 +495,7 @@ def to_json_dict(cluster: Cluster) -> dict:
     return {
         "version": 1,
         "vertices": [
-            {"id": i, "x": p.x, "y": p.y} for i, p in enumerate(cluster.vertices)
+            {"id": i, "x": z.real, "y": z.imag} for i, z in enumerate(cluster.points.tolist())
         ],
         "edges": [
             {"id": j, "tail": tail, "head": head, "bulge": bulge, "left": left, "right": right}
@@ -633,17 +626,20 @@ def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str
     height = (y1 - y0) + 2 * mx
     sw = 0.005 * max(width, height)
 
-    f, vertices = cluster.frame, cluster.vertices
+    f, z = cluster.frame, cluster.points.tolist()
+
+    def xy(k: int) -> str:  # the vertex half-edge k leaves
+        w = z[f.ends.flat[k]]
+        return f"{w.real:.9g} {w.imag:.9g}"
 
     def arc_path(k: int) -> str:
         phi = -f.phi[k >> 1] if k & 1 else f.phi[k >> 1]
-        hx, hy = vertices[f.ends.flat[k ^ 1]]
         if abs(phi) < 1e-12:
-            return f"L {hx:.9g} {hy:.9g}"
+            return f"L {xy(k ^ 1)}"
         r = 1.0 / abs(f.kappa[k >> 1])
         large = 1 if abs(phi) > math.pi / 2 else 0
         sweep = 1 if phi > 0 else 0
-        return f"A {r:.9g} {r:.9g} 0 {large} {sweep} {hx:.9g} {hy:.9g}"
+        return f"A {r:.9g} {r:.9g} 0 {large} {sweep} {xy(k ^ 1)}"
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -654,8 +650,7 @@ def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str
         pmax = max(float(np.abs(fill_pressures).max()), 1e-12)
         for r in range(1, cluster.n + 1):
             walk = cluster.topology.walks[r].tolist()
-            start = vertices[f.ends.flat[walk[0]]]
-            d = [f"M {start.x:.9g} {start.y:.9g}"]
+            d = [f"M {xy(walk[0])}"]
             d += [arc_path(k) for k in walk]
             d.append("Z")
             # zero pressure lands on red 128, not on a rounding tie
@@ -666,8 +661,7 @@ def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str
                 f'fill-opacity="0.35" stroke="none"/>'
             )
     for j in range(cluster.e):
-        t = vertices[f.ends[j, 0]]
-        d = f"M {t.x:.9g} {t.y:.9g} " + arc_path(2 * j)
+        d = f"M {xy(2 * j)} " + arc_path(2 * j)
         parts.append(
             f'<path d="{d}" fill="none" stroke="black" stroke-width="{sw:.9g}"/>'
         )

@@ -188,9 +188,9 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     scale = cluster.diameter()
     # in coordinates (z - p) / scale the curvature noise of straight edges
     # stays far below the meet's tolerance
-    q = second_intersection(cluster.half_edge_carriers(star, p, scale), Point(0.0, 0.0))
+    q = second_intersection(*(x.flat[star] for x in cluster.carriers(p, scale)))
     if q is not AT_INFINITY:
-        q = p + scale * q.z
+        q = p + scale * q
     pic = _junction_picture(p, q)
     # z -> 1 / (z - q) is this picture scaled by 1 / |p - q|^2
     radius = size if q is AT_INFINITY else size * abs(q - p) ** 2
@@ -263,11 +263,10 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
     # the outer carriers' two common points; the one inside the bubble is
     # the one nearest its centroid, tried first since _in_triangle can accept
     # both on a Mobius image
-    carriers = cluster.half_edge_carriers(outer_hes, centre, scale)
-    common, ratio = pencil_meet(carriers, 0j, 1.0)
+    common, ratio = pencil_meet(*(x.flat[outer_hes] for x in cluster.carriers(centre, scale)))
     if ratio > 1e-6 or len(common) != 2:
         raise GeometryDomainError("outer carriers do not share two common points")
-    finite = [centre + scale * q.z for q in common if q is not AT_INFINITY]
+    finite = [centre + scale * q for q in common if q is not AT_INFINITY]
     finite.sort(key=lambda z: abs(z - centre))
     for p, q in [finite, finite[::-1]] if len(finite) == 2 else [(finite[0], AT_INFINITY)]:
         pic = _junction_picture(p, q)

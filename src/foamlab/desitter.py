@@ -6,11 +6,13 @@ Hermitian matrix
     M = [[A, B], [conj(B), D]],   A, D real, B complex,
 
 of the equation A|z|^2 + B z + conj(B z) + D = 0, normalized so that
-det M = AD - |B|^2 = -1 (``geometry.HermitianCircle``).  The global sign of
-(A, B, D) encodes the orientation: A is the signed curvature, positive on a
-counterclockwise circle.  Under the Minkowski coordinates t = (A+D)/2,
-z = (A-D)/2, x + iy = B these matrices sweep out the unit de Sitter quadric
-t^2 - x^2 - y^2 - z^2 = -1.
+det M = AD - |B|^2 = -1, held as arrays like every carrier
+(``Cluster.carriers``).  The global sign of (A, B, D) encodes the
+orientation: A is the signed curvature, positive on a counterclockwise
+circle.  The one linear map t = (A+D)/2, z = (A-D)/2, x + iy = B
+(:func:`coordinates`, inverted by :func:`carrier`) sends these matrices
+onto the unit de Sitter quadric t^2 - x^2 - y^2 - z^2 = -1; a de Sitter
+point is its (t, x, y, z) array, shape (..., 4).
 
 Three oriented carriers meet at a point with 120-degree spacing exactly when
 their de Sitter points lie on one spacelike geodesic, evenly spaced at
@@ -26,68 +28,51 @@ two traversals of each cluster edge give an antipodal pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
 from .cluster import Cluster
 from .errors import GeometryDomainError
-from .geometry import HermitianCircle
 
 #: Minkowski form value between distinct members of an evenly spaced triple,
 #: calibrated on three concurrent lines at 120 degrees.
 FORM_120 = 0.5
 
 
-@dataclass(frozen=True)
-class DeSitterPoint:
-    """Minkowski coordinates (t, x, y, z) of an oriented carrier."""
-
-    t: float
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        tt, ss = self.t**2, self.x**2 + self.y**2 + self.z**2
-        if not abs(tt - ss + 1.0) <= 1e-9 * (tt + ss):
-            raise GeometryDomainError(f"quadric value {tt - ss:.3e} is not -1")
-
-    def coords(self) -> np.ndarray:
-        return np.array([self.t, self.x, self.y, self.z])
-
-    def antipode(self) -> "DeSitterPoint":
-        return DeSitterPoint(-self.t, -self.x, -self.y, -self.z)
-
-
-def circle_to_point(h: HermitianCircle) -> DeSitterPoint:
-    return DeSitterPoint(0.5 * (h.A + h.D), h.B.real, h.B.imag, 0.5 * (h.A - h.D))
-
-
-def point_to_circle(p: DeSitterPoint) -> HermitianCircle:
-    return HermitianCircle(p.t + p.z, complex(p.x, p.y), p.t - p.z)
-
-
-def _coords(cluster: Cluster, centre=0j, scale: float = 1.0) -> np.ndarray:
-    """(t, x, y, z) of every half-edge's carrier in coordinates
-    (z - centre) / scale, shape (e, 2, 4); ``centre`` may be an (e, 2) array
-    of one centre per half-edge."""
-    A, B, D = cluster.carriers(centre, scale)
+def coordinates(A, B, D) -> np.ndarray:
+    """(t, x, y, z) = ((A+D)/2, Re B, Im B, (A-D)/2) of carriers (A, B, D),
+    stacked on a new last axis of length 4."""
     return np.stack([0.5 * (A + D), B.real, B.imag, 0.5 * (A - D)], axis=-1)
 
 
-def minkowski_form(p: DeSitterPoint, q: DeSitterPoint) -> float:
-    """Polarization of the determinant: t t' - x x' - y y' - z z'."""
-    return p.t * q.t - p.x * q.x - p.y * q.y - p.z * q.z
+def carrier(X):
+    """The carriers (A, B, D) = (t + z, x + iy, t - z) of de Sitter points X
+    of shape (..., 4).  Raises :class:`GeometryDomainError` unless every
+    point lies on the quadric t^2 - x^2 - y^2 - z^2 = -1, relative to the
+    size of its entries."""
+    t, x, y, z = np.moveaxis(np.asarray(X, dtype=float), -1, 0)
+    tt, ss = t * t, x * x + y * y + z * z
+    off = ~(np.abs(tt - ss + 1.0) <= 1e-9 * (tt + ss))
+    if off.any():
+        raise GeometryDomainError(f"quadric value {(tt - ss)[off].flat[0]:.3e} is not -1")
+    return t + z, x + 1j * y, t - z
 
 
-def junction_triples(cluster: Cluster) -> List[Tuple[DeSitterPoint, ...]]:
-    """Per vertex, the outgoing carriers' de Sitter points in ccw order.
+def minkowski_form(X, Y) -> np.ndarray:
+    """Polarization of the determinant over the last axis: t t' - x x' - y y' - z z'."""
+    P = np.multiply(X, Y)
+    return P[..., 0] - P[..., 1] - P[..., 2] - P[..., 3]
+
+
+def junction_triples(cluster: Cluster, centre=0j, scale: float = 1.0) -> np.ndarray:
+    """Per vertex, the outgoing carriers' de Sitter points in ccw order,
+    shape (v, 3, 4), in coordinates (z - centre) / scale; ``centre`` may be
+    an (e, 2) array of one centre per half-edge.
 
     Raises :class:`StructuralError` unless every vertex is a triple junction.
     """
-    X = _coords(cluster).reshape(-1, 4)[cluster.topology.stars]
-    return [tuple(DeSitterPoint(*x) for x in triple) for triple in X]
+    return coordinates(*cluster.carriers(centre, scale)).reshape(-1, 4)[cluster.topology.stars]
 
 
 @dataclass(frozen=True)
@@ -125,15 +110,12 @@ def verify_correspondence(cluster: Cluster, tol: float = 1e-8) -> Correspondence
     # in coordinates centred on it and scaled by the diameter, where the
     # carrier coordinates stay of order one at every scale of the cluster
     points, ends, scale = cluster.points, cluster.ends, cluster.diameter()
-    X = _coords(cluster, points[ends], scale)
-    T = X.reshape(-1, 4)[cluster.topology.stars]  # (v, 3, 4) ccw triples
+    T = junction_triples(cluster, points[ends], scale)
     sigma = np.linalg.svd(T, compute_uv=False)
     collinearity = sigma[:, 2] / sigma[:, 0]
-    # the pairs (0, 1), (1, 2), (2, 0) under the form t t' - x x' - y y' - z z'
-    P = T * np.roll(T, -1, axis=1)
-    form_values = P[..., 0] - P[..., 1] - P[..., 2] - P[..., 3]
+    form_values = minkowski_form(T, np.roll(T, -1, axis=1))  # pairs (0, 1), (1, 2), (2, 0)
     spacing = np.abs(form_values - FORM_120).max(axis=1)
-    Y = _coords(cluster, points[ends[:, :1]], scale)  # both halves at the tail
+    Y = coordinates(*cluster.carriers(points[ends[:, :1]], scale))  # both halves at the tail
     antipodality = np.linalg.norm(Y.sum(axis=1), axis=1) / np.linalg.norm(Y[:, 0], axis=1)
     passed = bool(
         collinearity.max(initial=0.0) < tol

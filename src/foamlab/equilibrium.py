@@ -205,11 +205,6 @@ def lm_minimize(
 SOLVE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    max_iter: int = 100
-
-
 def _check_topology(cluster: Cluster) -> None:
     """Raise :class:`TopologyBreakdown` unless the chart point still realizes
     its topology: no collapsed chord, no near-full circle, and every star in
@@ -247,11 +242,7 @@ def chart_lm(initial: Cluster, rows: Callable, jac: Callable, converged, max_ite
     return at(x)
 
 
-def solve(
-    initial: Cluster,
-    target: np.ndarray,
-    opts: SolveOptions = SolveOptions(),
-) -> Cluster:
+def solve(initial: Cluster, target: np.ndarray, max_iter: int = 100) -> Cluster:
     """Equilibrium of the same combinatorial type with the given areas.
 
     Minimizes the stacked system [angle; cocycle; areas - target; gauge] by
@@ -260,14 +251,15 @@ def solve(
     :func:`rigid_motion_basis`, remove rigid motions: the result keeps the
     initial vertex centroid and has no component along the initial
     infinitesimal rotation.  The angle, cocycle and area rows converge at
-    ``SOLVE_TOL`` scaled by 1, by the curvature scale and by diameter^2.
+    ``SOLVE_TOL`` scaled by 1, by the curvature scale and by diameter^2,
+    within ``max_iter`` iterations.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (initial.n,):
         raise GeometryDomainError("target must have one area per interior region")
     if not (target > 0).all():
         raise GeometryDomainError("target areas must be positive")
-    if opts.max_iter < 1:
+    if max_iter < 1:
         raise GeometryDomainError("max_iter must be at least 1")
     R, x0 = rigid_motion_basis(initial), initial.chart()
 
@@ -285,4 +277,4 @@ def solve(
     def ok(x: np.ndarray, f: np.ndarray) -> bool:
         return bool((np.abs(f[: tol.size]) < tol).all())
 
-    return chart_lm(initial, rows, jac, ok, opts.max_iter)
+    return chart_lm(initial, rows, jac, ok, max_iter)

@@ -12,11 +12,12 @@ the central angle, signed) lives in (-pi, pi):
   * curvature   = 2 sin(phi) / c          (signed, ccw positive)
   * bulge area  = c^2 (phi - sin phi cos phi) / (4 sin^2 phi)
 
-The carrier of an arc, its oriented circle or line, is one Hermitian triple
-(A, B, D): the set A|z|^2 + 2 Re(B z) + D = 0 with AD - |B|^2 = -1, built by
-one formula from a point, the unit tangent and the signed curvature there.
-The common points of several carriers are the base points of their pencil:
-null directions on the kernel of their real (A, 2 Re B, -2 Im B, D) rows.
+An oriented circle or line, the carrier of an arc, is one Hermitian triple
+(A, B, D) of arrays (real, complex, real), one entry per carrier: the set
+A|z|^2 + 2 Re(B z) + D = 0 with AD - |B|^2 = -1, built by one formula from a
+point, the unit tangent and the signed curvature there.  The common points
+of several carriers are the base points of their pencil: null directions on
+the kernel of their real (A, 2 Re B, -2 Im B, D) rows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -196,27 +197,6 @@ def arc_leaving(tail: Point, tangent: complex, head: Point) -> Arc:
 # oriented carriers and their common points
 
 
-@dataclass(frozen=True)
-class HermitianCircle:
-    """Oriented circle or line {z : A|z|^2 + 2 Re(B z) + D = 0}, AD - |B|^2 = -1.
-
-    A is the signed curvature (counterclockwise positive, zero on a line);
-    reversing the orientation negates (A, B, D).
-    """
-
-    A: float
-    B: complex
-    D: float
-
-    def __post_init__(self):
-        ad, bb = self.A * self.D, abs(self.B) ** 2
-        if not abs(ad - bb + 1.0) <= 1e-9 * (abs(ad) + bb):
-            raise GeometryDomainError(f"determinant {ad - bb:.3e} is not -1")
-
-    def negated(self) -> "HermitianCircle":
-        return HermitianCircle(-self.A, -self.B, -self.D)
-
-
 def carrier_coefficients(p, t, kappa):
     """(A, B, D) of the carriers through points ``p`` with unit tangents ``t``
     and signed curvatures ``kappa`` there, broadcast elementwise:
@@ -232,12 +212,12 @@ def carrier_coefficients(p, t, kappa):
     )
 
 
-def arc_carrier(arc: Arc) -> HermitianCircle:
-    """Carrier of an arc, from its tail, tail tangent and curvature."""
+def arc_carrier(arc: Arc) -> Tuple[float, complex, float]:
+    """Carrier (A, B, D) of an arc, from its tail, tail tangent and curvature."""
     phi, c = arc.phi, arc.chord_length()
     t = arc.chord_dir() * cmath.exp(-1j * phi)
     A, B, D = carrier_coefficients(arc.tail.z, t, 2.0 * math.sin(phi) / c)
-    return HermitianCircle(float(A), complex(B), float(D))
+    return float(A), complex(B), float(D)
 
 
 #: marker for the point at infinity, where straight carriers meet again
@@ -249,25 +229,22 @@ _NULL_FORM = np.array(
 )
 
 
-def pencil_meet(carriers: Sequence[HermitianCircle], centre: complex, scale: float):
-    """Common points of k >= 2 carriers, and how far they are from one pencil.
+def pencil_meet(A, B, D, scale: float = 1.0):
+    """Common points of k >= 2 carriers (A, B, D), each a (k,) array, and
+    how far they are from one pencil.
 
-    In u = (z - centre) / s, s = ``scale``, a carrier is the real row
-    (A s^2, 2 Re B', -2 Im B', D') acting on X = (|u|^2, Re u, Im u, 1), with
-    B' = s (A conj(centre) + B) and D' = A |centre|^2 + 2 Re(B centre) + D.
+    In u = z / s, s = ``scale``, a carrier is the real row
+    (A s^2, 2 Re(s B), -2 Im(s B), D) acting on X = (|u|^2, Re u, Im u, 1).
     Carriers of one pencil span two rows, so the common points are the null
     directions of Q = X1^2 + X2^2 - X0 X3 on the kernel of the k x 4 matrix
-    of unit rows.  Returns those points (a ``Point``, or :data:`AT_INFINITY`
+    of unit rows.  Returns those points (complex z, or :data:`AT_INFINITY`
     where X3 vanishes; a tangency point twice; none when the pencil has no
     real base point) and the singular-value ratio sigma_3 / sigma_1 (0 for
-    two carriers).
+    two carriers).  Callers that need another origin build the carriers in
+    it (``Cluster.carriers(centre, scale)``).
     """
-    A = np.array([h.A for h in carriers], dtype=float)
-    B = np.array([h.B for h in carriers], dtype=complex)
-    D = np.array([h.D for h in carriers], dtype=float)
-    b = scale * (A * np.conj(centre) + B)
-    d = A * abs(centre) ** 2 + 2.0 * (B * centre).real + D
-    rows = np.stack([A * scale**2, 2.0 * b.real, -2.0 * b.imag, d], axis=1)
+    b = scale * np.asarray(B, dtype=complex)
+    rows = np.stack([np.asarray(A, dtype=float) * scale**2, 2.0 * b.real, -2.0 * b.imag, D], axis=1)
     _, sigma, vt = np.linalg.svd(rows / np.linalg.norm(rows, axis=1, keepdims=True))
     ratio = float(sigma[2] / sigma[0]) if sigma.size > 2 else 0.0
     kernel = vt[2:]
@@ -283,32 +260,32 @@ def pencil_meet(carriers: Sequence[HermitianCircle], centre: complex, scale: flo
         if abs(X[3]) <= 1e-12:
             points.append(AT_INFINITY)
         else:
-            points.append(Point.of(centre + scale * complex(X[1], X[2]) / X[3]))
+            points.append(scale * complex(X[1], X[2]) / X[3])
     return points, ratio
 
 
-def second_intersection(
-    carriers: Sequence[HermitianCircle], p: Point, tol: float = 1e-6
-):
-    """Common second point of three carriers through ``p``: their pencil
-    meet minus ``p``.
+def second_intersection(A, B, D, tol: float = 1e-6):
+    """Common second point of three carriers (A, B, D) through the origin:
+    their pencil meet minus the origin.
 
-    The meet is centred on ``p`` and scaled by the smallest radius, but by
-    at most the unit length: coordinates are taken to be of order one, so
-    straight carriers whose curvatures are rounding noise still meet again
-    at :data:`AT_INFINITY`.  Callers with a length of their own pass
-    carriers measured in it (``decorate`` uses the cluster diameter).
-    Raises :class:`NotConcurrent` when the singular-value ratio exceeds
-    ``tol``, or when, within ``tol`` of the scale, a carrier misses ``p`` or
-    the second point coincides with it.
+    The meet is scaled by the smallest radius, but by at most the unit
+    length: coordinates are taken to be of order one, so straight carriers
+    whose curvatures are rounding noise still meet again at
+    :data:`AT_INFINITY`.  Callers with a length and an origin of their own
+    pass carriers measured in them (``decorate`` centres on the junction
+    and scales by the cluster diameter).  Raises :class:`NotConcurrent`
+    when the singular-value ratio exceeds ``tol``, or when, within ``tol``
+    of the scale, a carrier misses the origin or the second point
+    coincides with it.
     """
-    if len(carriers) != 3:
+    A = np.asarray(A, dtype=float)
+    if A.shape != (3,):
         raise GeometryDomainError("second_intersection expects three carriers")
-    scale = 1.0 / max(1.0, *(abs(h.A) for h in carriers))
-    points, ratio = pencil_meet(carriers, p.z, scale)
+    scale = 1.0 / max(1.0, float(np.abs(A).max()))
+    points, ratio = pencil_meet(A, B, D, scale)
     if ratio > tol or len(points) != 2:
         raise NotConcurrent(f"carriers share no second point (ratio {ratio:.3e})")
-    dist = [math.inf if q is AT_INFINITY else abs(q.z - p.z) / scale for q in points]
+    dist = [math.inf if q is AT_INFINITY else abs(q) / scale for q in points]
     near = int(dist[1] < dist[0])
     if dist[near] > tol:
         raise NotConcurrent("carriers do not all pass through the base point")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .cluster import (
     shoelace_gradient,
     shoelace_terms,
 )
-from .equilibrium import SolveOptions, pressures, residual_jacobian, solve
+from .equilibrium import pressures, residual_jacobian, solve
 from .errors import GeometryDomainError
 from .geometry import arc_tangent  # arc_tangent is unused here, but perfbench's tests resolve it
 from .tolerances import DEFAULT, TolerancePolicy
@@ -423,13 +423,14 @@ def continue_family(
     cluster: Cluster,
     target: Sequence[float],
     steps: int = 10,
-    opts: Optional[SolveOptions] = None,
+    max_iter: int = 100,
 ) -> List[Cluster]:
     """Path of equilibria from the cluster's areas to the target areas.
 
     Step k re-solves the area target interpolated linearly k/``steps`` of
     the way, starting from the previous step's cluster (no tangent
-    predictor).  Returns the full path including the start.
+    predictor), each :func:`solve` within ``max_iter`` iterations.  Returns
+    the full path including the start.
     """
     if steps < 1:
         raise GeometryDomainError("need at least one step")
@@ -437,9 +438,8 @@ def continue_family(
     start = region_areas(cluster)
     if target.shape != start.shape:
         raise GeometryDomainError("target must have one area per region")
-    opts = opts or SolveOptions()
     path = [cluster]
     for k in range(1, steps + 1):
         t = k / steps
-        path.append(solve(path[-1], (1 - t) * start + t * target, opts))
+        path.append(solve(path[-1], (1 - t) * start + t * target, max_iter))
     return path

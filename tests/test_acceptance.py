@@ -33,7 +33,7 @@ def outer_centers(cluster):
         for j in range(cluster.e)
         if fl.EXTERIOR in (cluster.edges[j].left, cluster.edges[j].right)
     ]
-    return [-h.B.conjugate() / h.A for h in carriers]
+    return [-B.conjugate() / A for A, B, D in carriers]
 
 
 class TestCriterion1LawOfCosines:
@@ -92,7 +92,7 @@ class TestCriterion4EquilibriumChecker:
             assert rep.cocycle_sup < 1e-9 * kscale, name
             p = fl.pressures(c)
             for ed in c.edges:
-                kappa = arc_carrier(c.arc_of(ed.id)).A
+                kappa = arc_carrier(c.arc_of(ed.id))[0]
                 assert abs(p[ed.left] - p[ed.right] - kappa) < 1e-9 * kscale, name
 
     def test_quasi_presets(self, quasi_presets):

@@ -12,7 +12,7 @@ class TestDoubleBubble:
     def test_outer_radii(self):
         c = fl.double_bubble(1.0, 0.6)
         outer = sorted(
-            1.0 / abs(arc_carrier(c.arc_of(j)).A)
+            1.0 / abs(arc_carrier(c.arc_of(j))[0])
             for j in range(c.e)
             if c.edges[j].left == fl.EXTERIOR or c.edges[j].right == fl.EXTERIOR
         )
@@ -26,7 +26,7 @@ class TestDoubleBubble:
             for j in range(c.e)
             if fl.EXTERIOR not in (c.edges[j].left, c.edges[j].right)
         )
-        assert abs(arc_carrier(c.arc_of(iface)).A) == pytest.approx(1.0 / 0.6 - 1.0, abs=1e-12)
+        assert abs(arc_carrier(c.arc_of(iface))[0]) == pytest.approx(1.0 / 0.6 - 1.0, abs=1e-12)
 
     def test_rejects_bad_radii(self):
         with pytest.raises((GeometryDomainError, ValueError)):
@@ -114,9 +114,9 @@ def assert_undone(back, c, vertex):
 
 def second_point(c, vertex):
     """Where the junction's three carriers meet again, or AT_INFINITY."""
-    p, scale = c.vertices[vertex].z, c.diameter()
-    q = second_intersection(c.half_edge_carriers(c.topology.stars[vertex], p, scale), Point(0, 0))
-    return q if q is AT_INFINITY else p + scale * q.z
+    p, scale, star = c.points[vertex], c.diameter(), c.topology.stars[vertex]
+    q = second_intersection(*(x.flat[star] for x in c.carriers(p, scale)))
+    return q if q is AT_INFINITY else p + scale * q
 
 
 VERTEX_COUNTS = {

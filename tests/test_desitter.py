@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foamlab as fl
-from foamlab.desitter import FORM_120
+from foamlab.desitter import FORM_120, carrier, coordinates
 from foamlab.errors import GeometryDomainError
 from foamlab.geometry import carrier_coefficients
 
@@ -16,42 +16,35 @@ def circle(cx, cy, r, ccw=True):
     """|z - c|^2 = r^2 oriented by sign s: (A, B, D) = s (1, -conj(c), |c|^2 - r^2) / r."""
     s = (1.0 if ccw else -1.0) / r
     c = complex(cx, cy)
-    return fl.HermitianCircle(s, -s * c.conjugate(), s * (abs(c) ** 2 - r * r))
+    return s, -s * c.conjugate(), s * (abs(c) ** 2 - r * r)
 
 
 def line(px, py, theta):
-    return fl.HermitianCircle(
-        *carrier_coefficients(complex(px, py), cmath.exp(1j * theta), 0.0)
-    )
+    return carrier_coefficients(complex(px, py), cmath.exp(1j * theta), 0.0)
 
 
-def center(h):
-    return -h.B.conjugate() / h.A
+def center(A, B, D):
+    return -B.conjugate() / A
 
 
 class TestCalibration:
     def test_unit_ccw_circle(self):
-        p = fl.circle_to_point(circle(0, 0, 1))
-        assert (p.t, p.x, p.y, p.z) == (0.0, 0.0, 0.0, 1.0)
+        assert coordinates(*circle(0, 0, 1)).tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_orientation_is_antipode(self):
-        p = fl.circle_to_point(circle(0, 0, 1, ccw=False))
-        assert (p.t, p.x, p.y, p.z) == (0.0, 0.0, 0.0, -1.0)
+        assert coordinates(*circle(0, 0, 1, ccw=False)).tolist() == [0.0, 0.0, 0.0, -1.0]
 
     def test_three_concurrent_lines_at_120(self):
-        pts = [
-            fl.circle_to_point(line(0, 0, 2 * math.pi * k / 3)) for k in range(3)
-        ]
-        for a in range(3):
-            for b in range(a + 1, 3):
-                assert fl.minkowski_form(pts[a], pts[b]) == pytest.approx(
-                    FORM_120, abs=1e-12
-                )
+        # the pairs (0, 1), (1, 2), (2, 0), formed over the last axis
+        X = coordinates(*carrier_coefficients(0j, np.exp(2j * math.pi * np.arange(3) / 3), 0.0))
+        assert X.shape == (3, 4)
+        form = fl.minkowski_form(X, np.roll(X, -1, axis=0))
+        assert form == pytest.approx([FORM_120] * 3, abs=1e-12)
 
     def test_quadric_value(self):
-        p = fl.circle_to_point(circle(3, 0, 1))
+        p = coordinates(*circle(3, 0, 1))
         assert fl.minkowski_form(p, p) == pytest.approx(-1.0, abs=1e-12)
-        assert fl.minkowski_form(p, p.antipode()) == pytest.approx(1.0, abs=1e-12)
+        assert fl.minkowski_form(p, -p) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRoundTrip:
@@ -64,59 +57,66 @@ class TestRoundTrip:
     @settings(max_examples=150, deadline=None)
     def test_circles(self, cx, cy, r, ccw):
         c = circle(cx, cy, r, ccw)
-        back = fl.point_to_circle(fl.circle_to_point(c))
-        assert back.A != 0.0
-        assert abs(center(back) - center(c)) < 1e-10 * max(1.0, abs(center(c)))
-        assert 1.0 / abs(back.A) == pytest.approx(r, rel=1e-10)
-        assert (back.A > 0) == ccw
+        back = carrier(coordinates(*c))
+        assert back[0] != 0.0
+        assert abs(center(*back) - center(*c)) < 1e-10 * max(1.0, abs(center(*c)))
+        assert 1.0 / abs(back[0]) == pytest.approx(r, rel=1e-10)
+        assert (back[0] > 0) == ccw
 
     @given(px=st.floats(-4, 4), py=st.floats(-4, 4), theta=st.floats(0, 6.28))
     @settings(max_examples=150, deadline=None)
     def test_lines(self, px, py, theta):
         c = line(px, py, theta)
-        back = fl.point_to_circle(fl.circle_to_point(c))
-        assert back.A == 0.0
+        A, B, D = carrier(coordinates(*c))
+        assert A == 0.0
         # B = i conj(direction)
-        assert abs(back.B - c.B) < 1e-10
+        assert abs(B - c[1]) < 1e-10
         # the base point lies on the recovered line
         p = complex(px, py)
-        assert abs(2.0 * (back.B * p).real + back.D) < 1e-9
+        assert abs(2.0 * (B * p).real + D) < 1e-9
 
     def test_hermitian_round_trip(self):
         h = circle(1, 2, 0.5, ccw=False)
-        back = fl.point_to_circle(fl.circle_to_point(h))
-        assert back.A < 0 and 1.0 / abs(back.A) == pytest.approx(0.5)
-        flipped = back.negated()
-        ccw = circle(1, 2, 0.5)
-        assert (flipped.A, flipped.B, flipped.D) == pytest.approx((ccw.A, ccw.B, ccw.D))
+        back = carrier(coordinates(*h))
+        assert back[0] < 0 and 1.0 / abs(back[0]) == pytest.approx(0.5)
+        flipped = carrier(-coordinates(*back))
+        assert flipped == pytest.approx(circle(1, 2, 0.5))
 
     def test_normalization_is_relative(self):
         # a radius-1.3e-4 circle centred near 12.5 has entries near 1e6, so
         # AD - |B|^2 = -1 holds only to their rounding, here 3.8e-6
         c = circle(10.3, 7.1, 1.3e-4)
-        back = fl.point_to_circle(fl.circle_to_point(c))
-        assert center(back) == pytest.approx(10.3 + 7.1j, rel=1e-12)
-        assert 1.0 / back.A == pytest.approx(1.3e-4, rel=1e-9)
+        back = carrier(coordinates(*c))
+        assert center(*back) == pytest.approx(10.3 + 7.1j, rel=1e-12)
+        assert 1.0 / back[0] == pytest.approx(1.3e-4, rel=1e-9)
 
-    def test_invalid_point_rejected(self):
+    @pytest.mark.parametrize(
+        "X", [[1.0, 0.0, 0.0, 0.0], [[0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]], [math.nan] * 4]
+    )
+    def test_invalid_point_rejected(self, X):
         with pytest.raises(GeometryDomainError):
-            fl.DeSitterPoint(1.0, 0.0, 0.0, 0.0)
+            carrier(X)
+
+    def test_preset_carriers_round_trip(self, equilibrium_presets):
+        for name, c in equilibrium_presets.items():
+            carriers = c.carriers()
+            X = coordinates(*carriers)
+            assert X.shape == (c.e, 2, 4)
+            assert np.abs(fl.minkowski_form(X, X) + 1.0).max() < 1e-12, name
+            for got, want in zip(carrier(X), carriers):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 class TestJunctionTriples:
     def test_counts(self, triple):
-        triples = fl.junction_triples(triple)
-        assert len(triples) == triple.v
-        assert all(len(t) == 3 for t in triples)
+        assert fl.junction_triples(triple).shape == (triple.v, 3, 4)
 
     def test_double_bubble_antipodal_triples(self, double):
         a, b = fl.junction_triples(double)
         # the same three carriers leave both junctions with opposite
         # orientations: the two triples are antipodal as point sets
         for p in a:
-            assert min(
-                np.linalg.norm(p.coords() + q.coords()) for q in b
-            ) < 1e-12
+            assert min(np.linalg.norm(p + q) for q in b) < 1e-12
 
     def test_rotation_preserves_form_values(self, triple, rng):
         m = fl.MobiusMap.rotation(0.7, about=0.3 + 0.1j)

@@ -61,7 +61,7 @@ class TestPressures:
         for name, c in equilibrium_presets.items():
             p = fl.pressures(c)
             for ed in c.edges:
-                kappa = arc_carrier(c.arc_of(ed.id)).A
+                kappa = arc_carrier(c.arc_of(ed.id))[0]
                 assert p[ed.left] - p[ed.right] == pytest.approx(
                     kappa, abs=1e-9 * max(1.0, curvature_scale(c))
                 ), name
@@ -79,7 +79,7 @@ class TestPressures:
             for j, ed in enumerate(c.edges):
                 rows[j, ed.left] += 1.0
                 rows[j, ed.right] -= 1.0
-            kappa = np.array([arc_carrier(c.arc_of(j)).A for j in range(c.e)])
+            kappa = np.array([arc_carrier(c.arc_of(j))[0] for j in range(c.e)])
             p = np.linalg.lstsq(rows[:, 1:], kappa, rcond=None)[0]
             with pytest.raises(PathInconsistent) as err:
                 fl.pressures(c)
@@ -270,4 +270,4 @@ class TestSolve:
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_no_iteration_budget_is_a_domain_error(self, double, max_iter):
         with pytest.raises(GeometryDomainError):
-            fl.solve(double, fl.region_areas(double), fl.SolveOptions(max_iter=max_iter))
+            fl.solve(double, fl.region_areas(double), max_iter=max_iter)

@@ -148,30 +148,30 @@ class TestCarriers:
     def test_circle_carrier(self):
         # the unit circle, counterclockwise: |z|^2 - 1 = 0
         arc = Arc(Point(-1, 0), Point(1, 0), segment_area(math.pi / 2, 2.0))
-        c = arc_carrier(arc)
-        assert (c.A, c.D) == pytest.approx((1.0, -1.0), abs=1e-12)
-        assert abs(c.B) < 1e-12
+        A, B, D = arc_carrier(arc)
+        assert (A, D) == pytest.approx((1.0, -1.0), abs=1e-12)
+        assert abs(B) < 1e-12
 
     def test_line_carrier(self):
         # a line is A = 0 with B = i conj(direction)
-        c = arc_carrier(Arc(Point(0, 0), Point(3, 4), 0.0))
-        assert c.A == 0.0
-        assert abs(c.B - 1j * ((3 + 4j) / 5).conjugate()) < 1e-15
-        assert abs(c.D) < 1e-15
+        A, B, D = arc_carrier(Arc(Point(0, 0), Point(3, 4), 0.0))
+        assert A == 0.0
+        assert abs(B - 1j * ((3 + 4j) / 5).conjugate()) < 1e-15
+        assert abs(D) < 1e-15
 
     def test_curvature_sign(self):
         # an arc bulging right of its chord turns left: ccw, positive curvature
-        right = arc_carrier(Arc(Point(0, 0), Point(1, 0), 0.1)).A
-        left = arc_carrier(Arc(Point(0, 0), Point(1, 0), -0.1)).A
+        right = arc_carrier(Arc(Point(0, 0), Point(1, 0), 0.1))[0]
+        left = arc_carrier(Arc(Point(0, 0), Point(1, 0), -0.1))[0]
         assert right > 0 > left
 
     def test_intersections(self):
         # the unit circle meets its tangent y = -1 twice at the tangency point
         a = arc_carrier(Arc(Point(-1, 0), Point(1, 0), segment_area(math.pi / 2, 2.0)))
         b = arc_carrier(Arc(Point(0, -1), Point(2, -1), 0.0))
-        pts, _ = pencil_meet([a, b], 0j, 1.0)
+        pts, _ = pencil_meet(*zip(a, b))
         assert len(pts) == 2
-        assert all(abs(p.x) < 1e-6 and abs(p.y + 1) < 1e-6 for p in pts)
+        assert all(abs(p.real) < 1e-6 and abs(p.imag + 1) < 1e-6 for p in pts)
 
     def test_formula_matches_center_and_radius(self):
         # at any point of the circle |z - c| = r with the travel tangent there
@@ -191,37 +191,47 @@ class TestCarriers:
         if c < 0.1:
             return
         arc = Arc(tail, head, segment_area(phi, c))
-        h = arc_carrier(arc)
+        A, B, D = arc_carrier(arc)
         zs = np.array([arc_point(arc, t).z for t in np.linspace(0.0, 1.0, 9)])
         # relative to the size of the terms over the arc's extent R
         R = np.abs(zs).max()
-        size = abs(h.A) * R * R + 2.0 * abs(h.B) * R + abs(h.D)
-        values = h.A * np.abs(zs) ** 2 + 2.0 * (h.B * zs).real + h.D
+        size = abs(A) * R * R + 2.0 * abs(B) * R + abs(D)
+        values = A * np.abs(zs) ** 2 + 2.0 * (B * zs).real + D
         assert np.abs(values).max() <= 1e-12 * size
-        back = arc_carrier(arc.reversed())
-        scale = abs(h.A) + abs(h.B) + abs(h.D)
-        assert abs(back.A + h.A) + abs(back.B + h.B) + abs(back.D + h.D) <= 1e-12 * scale
+        bA, bB, bD = arc_carrier(arc.reversed())
+        scale = abs(A) + abs(B) + abs(D)
+        assert abs(bA + A) + abs(bB + B) + abs(bD + D) <= 1e-12 * scale
 
 
 class TestPencilMeet:
     def test_two_points_of_two_circles(self):
-        # circles through 0 and 2: centers 1 +- i
-        a = arc_carrier(arc_through(Point(0, 0), Point.of(1 + 1j + math.sqrt(2) * 1j), Point(2, 0)))
-        b = arc_carrier(arc_through(Point(0, 0), Point.of(1 - 1j - math.sqrt(2) * 1j), Point(2, 0)))
-        pts, ratio = pencil_meet([a, b], 1.0, 1.0)
+        # circles through -1 and 1: centers +- i
+        a = arc_carrier(arc_through(Point(-1, 0), Point.of(1j + math.sqrt(2) * 1j), Point(1, 0)))
+        b = arc_carrier(arc_through(Point(-1, 0), Point.of(-1j - math.sqrt(2) * 1j), Point(1, 0)))
+        pts, ratio = pencil_meet(*zip(a, b))
         assert ratio == 0.0
-        assert sorted(round(p.x, 12) for p in pts) == [0.0, 2.0]
+        assert sorted(round(p.real, 12) for p in pts) == [-1.0, 1.0]
+
+    @pytest.mark.parametrize("s", [1e-3, 1e3])
+    def test_scale_is_the_unit_of_the_points(self, s):
+        # the same circles scaled by s, met in units of s: the points come
+        # back in the caller's coordinates, to full relative accuracy
+        a = arc_carrier(arc_through(Point(-s, 0), Point.of(s * (1 + math.sqrt(2)) * 1j), Point(s, 0)))
+        b = arc_carrier(arc_through(Point(-s, 0), Point.of(-s * (1 + math.sqrt(2)) * 1j), Point(s, 0)))
+        pts, _ = pencil_meet(*zip(a, b), scale=s)
+        assert sorted(p.real for p in pts) == pytest.approx([-s, s], rel=1e-14)
+        assert max(abs(p.imag) for p in pts) < 1e-14 * s
 
     def test_parallel_lines_meet_at_infinity_only(self):
-        a = arc_carrier(Arc(Point(0, 0), Point(1, 0), 0.0))
-        b = arc_carrier(Arc(Point(0, 1), Point(1, 1), 0.0))
-        pts, _ = pencil_meet([a, b], 0.5j, 1.0)
+        a = arc_carrier(Arc(Point(0, -0.5), Point(1, -0.5), 0.0))
+        b = arc_carrier(Arc(Point(0, 0.5), Point(1, 0.5), 0.0))
+        pts, _ = pencil_meet(*zip(a, b))
         assert pts == [AT_INFINITY, AT_INFINITY]
 
     def test_disjoint_circles_share_no_point(self):
-        a = arc_carrier(Arc(Point(-1, 0), Point(1, 0), segment_area(math.pi / 2, 2.0)))
-        b = arc_carrier(Arc(Point(2, 0), Point(4, 0), segment_area(math.pi / 2, 2.0)))
-        assert pencil_meet([a, b], 1.5, 1.0)[0] == []
+        a = arc_carrier(Arc(Point(-2.5, 0), Point(-0.5, 0), segment_area(math.pi / 2, 2.0)))
+        b = arc_carrier(Arc(Point(0.5, 0), Point(2.5, 0), segment_area(math.pi / 2, 2.0)))
+        assert pencil_meet(*zip(a, b))[0] == []
 
 
 class TestSecondIntersection:
@@ -231,15 +241,15 @@ class TestSecondIntersection:
             arc_carrier(arc_through(Point(0, 0), Point.of(1 + y * 1j), Point(2, 0)))
             for y in (0.5, 1.0, -0.7)
         ]
-        q = second_intersection(carriers, Point(0, 0))
-        assert abs(q.z - 2.0) < 1e-9
+        q = second_intersection(*zip(*carriers))
+        assert abs(q - 2.0) < 1e-9
 
     def test_three_lines_meet_at_infinity(self):
         carriers = [
             arc_carrier(Arc(Point(0, 0), Point.of(cmath.exp(1j * a)), 0.0))
             for a in (0.0, 2.1, 4.2)
         ]
-        assert second_intersection(carriers, Point(0, 0)) is AT_INFINITY
+        assert second_intersection(*zip(*carriers)) is AT_INFINITY
 
     def test_tiny_circles(self):
         # the same three circles scaled by 1e-7 meet again at 2e-7
@@ -249,8 +259,8 @@ class TestSecondIntersection:
             )
             for y in (0.5, 1.0, -0.7)
         ]
-        q = second_intersection(carriers, Point(0, 0))
-        assert abs(q.z - 2e-7) < 1e-9 * 2e-7
+        q = second_intersection(*zip(*carriers))
+        assert abs(q - 2e-7) < 1e-9 * 2e-7
 
     def test_non_concurrent_raises(self):
         carriers = [
@@ -261,7 +271,7 @@ class TestSecondIntersection:
             arc_through(Point(0, 0), Point(1, -1), Point(2.3, 0.1))
         )
         with pytest.raises(NotConcurrent):
-            second_intersection(carriers + [shifted], Point(0, 0))
+            second_intersection(*zip(*carriers, shifted))
 
 
 class TestMobius:
@@ -281,13 +291,13 @@ class TestMobius:
         arc = Arc(Point(1, 0), Point(2, 1), 0.3)
         m = MobiusMap.inversion_about(-1 + 0.5j)
         img = mobius_apply_arc(m, arc)
-        h = arc_carrier(img)
+        A, B, D = arc_carrier(img)
         zs = np.array([m.apply(arc_point(arc, t).z) for t in np.linspace(0.0, 1.0, 9)])
         # every mapped point lies on the image's carrier, relative to the
         # size of the carrier's terms over the image's extent R
         R = np.abs(zs).max()
-        size = abs(h.A) * R * R + 2.0 * abs(h.B) * R + abs(h.D)
-        values = h.A * np.abs(zs) ** 2 + 2.0 * (h.B * zs).real + h.D
+        size = abs(A) * R * R + 2.0 * abs(B) * R + abs(D)
+        values = A * np.abs(zs) ** 2 + 2.0 * (B * zs).real + D
         assert np.abs(values).max() <= 1e-12 * size
         # and on the image arc itself, not on the rest of its circle
         assert np.abs(arc_point(img, 0.5).z - zs).min() < 0.5 * img.chord_length()

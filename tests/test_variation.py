@@ -311,3 +311,10 @@ class TestContinueFamily:
         a = fl.continue_family(triple, np.array([1.05, 1.0, 1.0]), steps=4)[-1]
         b = fl.continue_family(triple, np.array([1.0, 1.05, 1.0]), steps=4)[-1]
         assert np.linalg.norm(a.chart() - b.chart()) > 1e-6
+
+    def test_iteration_budget_reaches_each_solve(self, triple):
+        target = 1.3 * fl.region_areas(triple)
+        with pytest.raises(fl.NonConvergence):
+            fl.continue_family(triple, target, steps=2, max_iter=1)
+        with pytest.raises(fl.GeometryDomainError):
+            fl.continue_family(triple, target, steps=2, max_iter=0)
