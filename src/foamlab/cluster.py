@@ -254,6 +254,12 @@ class Cluster:
         """Coordinates (x_1, y_1, ..., x_v, y_v, b_1, ..., b_e)."""
         return np.concatenate([self.points.view(float), self.bulges])
 
+    def chart_units(self) -> np.ndarray:
+        """The unit of each chart coordinate: the diameter d for vertex
+        coordinates and d^2 for bulges."""
+        d = self.diameter()
+        return np.repeat([d, d * d], [2 * self.v, self.e])
+
     def with_chart(self, x: np.ndarray) -> "Cluster":
         """The cluster of the same type at chart point ``x``.  Its points and
         bulges are views of ``x``, copied unless read-only, and it shares this

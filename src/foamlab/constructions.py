@@ -487,8 +487,8 @@ def quasi_variant(kind: str, amount: float = 0.15) -> Cluster:
     general only a quasi-equilibrium.  ``two_lens_recurved`` fixes rigid
     motions with the same gauge rows R (x - x0) as :func:`solve`; the two
     pinned endpoints of ``four_stretched`` already fix them, and the
-    minimum-norm steps of ``equilibrium.lm_minimize`` handle its
-    underdetermined stack.
+    minimum-norm Gauss-Newton steps of ``equilibrium.lm_minimize`` handle
+    its underdetermined stack.
     """
     base, rows, jac = _quasi_rows(kind, amount)
     return chart_lm(base, rows, jac, lambda x, f: bool(np.abs(f).max() < 1e-10), max_iter=200)

@@ -125,7 +125,7 @@ def classify(cluster: Cluster, policy: TolerancePolicy = DEFAULT) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# damped Gauss-Newton (Levenberg-Marquardt) with minimum-norm steps
+# Gauss-Newton with minimum-norm steps and step halving
 
 
 def numeric_jacobian(
@@ -144,12 +144,9 @@ def numeric_jacobian(
     return J
 
 
-def damped_step(svd: Tuple[np.ndarray, ...], f: np.ndarray, lam: float) -> np.ndarray:
-    """The Levenberg-Marquardt step -V diag(s / (s^2 + lam)) U^T f from the
-    thin SVD (U, s, V^T) of J: the minimum-norm least-squares solution of
-    [J; sqrt(lam) I] delta = [-f; 0], for every shape and rank of J."""
-    U, s, Vt = svd
-    return -Vt.T @ (s / (s * s + lam) * (U.T @ f))
+#: Singular values of the Jacobian below this fraction of the largest are
+#: cut from each Gauss-Newton step.
+STEP_RCOND = 1e-10
 
 
 def lm_minimize(
@@ -159,49 +156,43 @@ def lm_minimize(
     max_iter: int = 100,
     converged: Callable[[np.ndarray, np.ndarray], bool] = lambda x, f: np.linalg.norm(f) < 1e-14,
 ) -> Tuple[np.ndarray, List[float]]:
-    """Levenberg-Marquardt with lambda *2 on reject, *0.5 on accept.
+    """Gauss-Newton with minimum-norm steps and step halving.
 
-    Each iteration takes one thin SVD of the Jacobian, and every trial's
-    step is :func:`damped_step` at its lambda, so rank-deficient
-    (gauge-redundant or underdetermined) stacks are fine and Gauss-Newton
-    is the lambda -> 0 limit of the same step.  lambda starts at 1e-3 times
-    the mean squared column norm of the first Jacobian.  A trial point where
-    ``fun`` raises :class:`TopologyBreakdown` is a rejected step; the
-    starting point must evaluate.  It returns once ``converged(x, f)``
-    (by default |f| < 1e-14) and stops when 60 trials are rejected or an
-    accepted step is shorter than 1e-14 max(1, |x|).  Raises
-    :class:`NonConvergence` with the residual history on failure, naming the
-    last breakdown if any.
+    Each iteration takes the minimum-norm least-squares step
+    ``lstsq(J, -f, rcond=STEP_RCOND)``, so rank-deficient (gauge-redundant
+    or underdetermined) stacks are fine, and halves it until |f| decreases.
+    A trial point where ``fun`` raises :class:`TopologyBreakdown` is a
+    rejected step; the starting point must evaluate.  It returns once
+    ``converged(x, f)`` (by default |f| < 1e-14).  Raises
+    :class:`NonConvergence` with the residual history after ``max_iter``
+    iterations, or when a step cut to 2^-52 of itself (a double's
+    resolution) still fails, naming the last breakdown if any.
     """
     x = x0.copy()
     f = fun(x)
     history = [float(np.linalg.norm(f))]
-    lam, last, stalled = None, "", False
+    last = ""
     while not converged(x, f):
-        if stalled or len(history) > max_iter:
-            raise NonConvergence("iteration limit or stalled step" + last, history)
-        svd = np.linalg.svd(jac(x), full_matrices=False)
-        if lam is None:
-            lam = max(1e-3 * float(svd[1] @ svd[1]) / max(x.size, 1), 1e-14)
-        stalled = True
-        for _ in range(60):
-            delta = damped_step(svd, f, lam)
+        if len(history) > max_iter:
+            raise NonConvergence("iteration limit" + last, history)
+        delta = np.linalg.lstsq(jac(x), -f, rcond=STEP_RCOND)[0]
+        for _ in range(53):
             x_try = x + delta
             try:
                 f_try = fun(x_try)
             except TopologyBreakdown as err:  # an unrealizable trial is infinitely bad
                 f_try, last = f + math.inf, f" (last rejected trial: {err})"
-            if np.linalg.norm(f_try) < np.linalg.norm(f):
-                x, f = x_try, f_try
-                lam *= 0.5
-                stalled = np.linalg.norm(delta) < 1e-14 * max(1.0, np.linalg.norm(x))
+            if np.linalg.norm(f_try) < history[-1]:
                 break
-            lam *= 2.0
+            delta *= 0.5
+        else:
+            raise NonConvergence("stalled step" + last, history)
+        x, f = x_try, f_try
         history.append(float(np.linalg.norm(f)))
     return x, history
 
 
-#: Relative stopping tolerance of :func:`solve`'s residual and area rows.
+#: Stopping tolerance of :func:`solve`'s dimensionless residual and area rows.
 SOLVE_TOL = 1e-10
 
 
@@ -222,7 +213,7 @@ def _check_topology(cluster: Cluster) -> None:
 
 
 def chart_lm(initial: Cluster, rows: Callable, jac: Callable, converged, max_iter: int) -> Cluster:
-    """Damped Gauss-Newton over the chart of ``initial`` on the stacked rows
+    """Gauss-Newton over the chart of ``initial`` on the stacked rows
     ``rows(c)`` of the cluster c at each chart point, with their exact
     Jacobian ``jac(c)``.  The latest chart point's cluster is kept, so rows
     and Jacobian read one frame.  Raises :class:`TopologyBreakdown` when an
@@ -246,13 +237,14 @@ def solve(initial: Cluster, target: np.ndarray, max_iter: int = 100) -> Cluster:
     """Equilibrium of the same combinatorial type with the given areas.
 
     Minimizes the stacked system [angle; cocycle; areas - target; gauge] by
-    damped Gauss-Newton (:func:`lm_minimize`) with its exact Jacobian.  The
-    gauge rows R (x - x0), with x0 the initial chart point and R its
+    Gauss-Newton (:func:`lm_minimize`) with its exact Jacobian in the unit
+    chart ``chart() / chart_units()``, where every row is dimensionless,
+    until each angle, cocycle and area row is below ``SOLVE_TOL`` within
+    ``max_iter`` iterations, and maps the result back.  The gauge rows
+    R (x - x0), with x0 the initial chart point and R its
     :func:`rigid_motion_basis`, remove rigid motions: the result keeps the
     initial vertex centroid and has no component along the initial
-    infinitesimal rotation.  The angle, cocycle and area rows converge at
-    ``SOLVE_TOL`` scaled by 1, by the curvature scale and by diameter^2,
-    within ``max_iter`` iterations.
+    infinitesimal rotation.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (initial.n,):
@@ -261,7 +253,10 @@ def solve(initial: Cluster, target: np.ndarray, max_iter: int = 100) -> Cluster:
         raise GeometryDomainError("target areas must be positive")
     if max_iter < 1:
         raise GeometryDomainError("max_iter must be at least 1")
-    R, x0 = rigid_motion_basis(initial), initial.chart()
+    units = initial.chart_units()
+    unit = initial.with_chart(initial.chart() / units)
+    target = target / initial.diameter() ** 2
+    R, x0 = rigid_motion_basis(unit), unit.chart()
 
     def rows(c: Cluster) -> np.ndarray:
         rep = residuals(c)
@@ -271,10 +266,8 @@ def solve(initial: Cluster, target: np.ndarray, max_iter: int = 100) -> Cluster:
     def jac(c: Cluster) -> np.ndarray:
         return np.vstack([residual_jacobian(c), area_jacobian(c), R])
 
-    scales = [1.0, max(1.0, curvature_scale(initial)), initial.diameter() ** 2]
-    tol = SOLVE_TOL * np.repeat(scales, [2 * initial.v, initial.v, initial.n])
+    def ok(x: np.ndarray, f: np.ndarray) -> bool:  # the linear gauge rows are left out
+        return bool(np.abs(f[: -len(R)]).max() < SOLVE_TOL)
 
-    def ok(x: np.ndarray, f: np.ndarray) -> bool:
-        return bool((np.abs(f[: tol.size]) < tol).all())
-
-    return chart_lm(initial, rows, jac, ok, max_iter)
+    out = chart_lm(unit, rows, jac, ok, max_iter)
+    return initial.with_chart(out.chart() * units)

@@ -64,29 +64,27 @@ def tangent_dimension(
 
     Stacks the exact Jacobian of the angle and cocycle residual blocks, the
     three rigid-motion rows, and (iff ``fix_areas``) the area Jacobian, then
-    counts the SVD nullity.  The spectral gap between the smallest kept and
-    the largest cut singular value is reported; a gap below the policy
-    factor flags the count as ambiguous instead of silently picking a side.
+    counts the SVD nullity.  The cut is scale-free: the columns are read in
+    the unit chart (times ``cluster.chart_units()``) and each row is scaled
+    to unit norm; ``mode_basis`` is mapped back to chart coordinates.  The
+    spectral gap between the smallest kept and the largest cut singular
+    value is reported; a gap below the policy factor flags the count as
+    ambiguous instead of silently picking a side.
     """
     rows = [residual_jacobian(cluster), rigid_motion_basis(cluster)]
     if fix_areas:
         rows.append(area_jacobian(cluster))
-    stack = np.vstack(rows)
-    u, sigma, vt = np.linalg.svd(stack)
-    smax = sigma[0] if sigma.size else 1.0
-    keep = sigma > policy.rank_rel * smax
-    rank = int(keep.sum())
-    dim = stack.shape[1]
-    nullity = dim - rank
-    if rank < sigma.size:
-        gap = float(sigma[rank - 1] / sigma[rank]) if rank > 0 else np.inf
-    else:
-        gap = np.inf
+    units = cluster.chart_units()
+    stack = np.vstack(rows) * units
+    stack /= np.linalg.norm(stack, axis=1, keepdims=True)
+    _, sigma, vt = np.linalg.svd(stack)
+    rank = int((sigma > policy.rank_rel * sigma[0]).sum())  # sigma[0] >= 1: unit rows
+    gap = float(sigma[rank - 1] / sigma[rank]) if rank < sigma.size else np.inf
     return TangentReport(
         singular_values=sigma,
-        nullity=nullity,
+        nullity=stack.shape[1] - rank,
         gap_ratio=gap,
-        mode_basis=vt[rank:],
+        mode_basis=vt[rank:] * units,
         ambiguous=bool(gap < policy.rank_gap_factor),
     )
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import foamlab as fl
-from foamlab.cluster import shoelace_gradient
+from foamlab.cluster import area_jacobian, shoelace_gradient
+from foamlab.equilibrium import residual_jacobian
 from foamlab.geometry import arc_point, arc_tangent
 from foamlab.variation import DiscreteCluster, eliminated_hessian, rigid_motion_basis
 
@@ -123,6 +124,31 @@ class TestTangentDimension:
         # cannot vanish; no area-preserving sliding family exists
         rep = fl.tangent_dimension(necklace6, fix_areas=True)
         assert rep.nullity == 0
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_counts_hold_at_every_scale_and_mobius_image(self, equilibrium_presets, scale):
+        # the unit-scale (free, fixed) nullities on scaled copies and their
+        # random_mobius images, whose bubbles differ in size by orders of
+        # magnitude; the modes, mapped back from the unit chart, must be
+        # kernel vectors of the chart Jacobian relative to its size
+        expected = {**self.EXPECTED, "necklace6": (7, 0), "necklace7": (12, 4)}
+        for name, c in equilibrium_presets.items():
+            scaled = fl.mobius_apply_cluster(fl.MobiusMap.scaling(scale), c)
+            for seed in (1, 2, 3):
+                try:
+                    m = fl.random_mobius(scaled, np.random.default_rng(seed))
+                except fl.GeometryDomainError:  # double's seed-1 draw puts the pole on it
+                    continue
+                image = fl.mobius_apply_cluster(m, scaled)
+                free = fl.tangent_dimension(image)
+                fixed = fl.tangent_dimension(image, fix_areas=True)
+                assert (free.nullity, fixed.nullity) == expected[name], (name, seed)
+                assert not free.ambiguous and not fixed.ambiguous, (name, seed)
+                J = np.vstack([residual_jacobian(image), area_jacobian(image)])
+                for rep, stack in ((free, J[: 3 * image.v]), (fixed, J)):
+                    B = rep.mode_basis
+                    size = np.linalg.norm(stack) * np.linalg.norm(B)
+                    assert np.linalg.norm(stack @ B.T) <= 1e-12 * size, (name, seed)
 
 
 class TestDiscretize:
