@@ -45,6 +45,8 @@ from .geometry import (  # arc_tangent is unused here, but perfbench's tests res
 )
 
 EXTERIOR = 0
+#: Chords of at most this many diameters are collapsed (validate, solvers).
+CHORD_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -260,6 +262,10 @@ class Cluster:
         d = self.diameter()
         return np.repeat([d, d * d], [2 * self.v, self.e])
 
+    def unit(self) -> "Cluster":
+        """The unit frame: ``with_chart(chart() / chart_units())``, of diameter 1."""
+        return self.with_chart(self.chart() / self.chart_units())
+
     def with_chart(self, x: np.ndarray) -> "Cluster":
         """The cluster of the same type at chart point ``x``.  Its points and
         bulges are views of ``x``, copied unless read-only, and it shares this
@@ -446,9 +452,8 @@ def validate(cluster: Cluster, check_disjoint: bool = False) -> ValidationReport
     if bad:
         return ValidationReport(tuple(checks))
 
-    points, ends = cluster.points, cluster.ends
-    chords = np.abs(points[ends[:, 1]] - points[ends[:, 0]])
-    short = np.flatnonzero(chords <= 1e-9 * cluster.diameter()).tolist()
+    chords = np.abs(np.diff(cluster.points[cluster.ends], axis=1)).ravel()
+    short = np.flatnonzero(chords <= CHORD_FLOOR * cluster.diameter()).tolist()
     add("edge_chords", not short, f"degenerate edges {short}")
     bad_labels = np.flatnonzero(cluster.labels[:, 0] == cluster.labels[:, 1]).tolist()
     add("edge_labels", not bad_labels, f"left == right on edges {bad_labels}")

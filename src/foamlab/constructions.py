@@ -484,44 +484,43 @@ def quasi_variant(kind: str, amount: float = 0.15) -> Cluster:
 
     The solved rows are the 120-degree angle block plus the variant's pins;
     the curvature cocycle is deliberately left out, so the result is in
-    general only a quasi-equilibrium.  ``two_lens_recurved`` fixes rigid
-    motions with the same gauge rows R (x - x0) as :func:`solve`; the two
-    pinned endpoints of ``four_stretched`` already fix them, and the
-    minimum-norm Gauss-Newton steps of ``equilibrium.lm_minimize`` handle
-    its underdetermined stack.
+    general only a quasi-equilibrium.  Both are solved in the unit frame, and
+    ``two_lens_recurved`` fixes rigid motions with the same gauge rows
+    R (x - x0), as :func:`solve` does; the two pinned endpoints of
+    ``four_stretched`` already fix them, and the minimum-norm Gauss-Newton
+    steps of ``equilibrium.lm_minimize`` handle its underdetermined stack.
     """
     base, rows, jac = _quasi_rows(kind, amount)
     return chart_lm(base, rows, jac, lambda x, f: bool(np.abs(f).max() < 1e-10), max_iter=200)
 
 
 def _quasi_rows(variant: str, amount: float):
-    """Base cluster, solved rows and their exact Jacobian for a quasi variant."""
+    """Base cluster, and solved rows on its unit frame with their exact Jacobian."""
     if variant == "two_lens_recurved":
         base = two_lens()
+        unit = base.unit()
         # the main-circle arcs 0 and 1 are re-curved and every other edge
         # keeps its curvature: with every curvature stated the stack has full
         # column rank, so the result is an isolated point, not wherever the
         # iteration stops (the angle rows alone lose rank 2 at a lens, whose
         # 120-degree condition appears at both of its ends)
         edges = np.arange(base.e)
-        targets = base.frame.kappa * np.where(edges < 2, 1.0 + amount, 1.0)
-        kscale = max(1.0, float(np.abs(targets).max()))
-        R, x0 = rigid_motion_basis(base), base.chart()
+        targets = unit.frame.kappa * np.where(edges < 2, 1.0 + amount, 1.0)
+        R, x0 = rigid_motion_basis(unit), unit.chart()
 
         def rows(c: Cluster) -> np.ndarray:
-            return np.concatenate([(c.frame.kappa - targets) / kscale, R @ (c.chart() - x0)])
+            return np.concatenate([c.frame.kappa - targets, R @ (c.chart() - x0)])
 
         def jac(c: Cluster) -> np.ndarray:
-            curvature = c.frame.jacobian(edges, edges, c.frame.d_kappa / kscale, c.e)
-            return np.vstack([curvature, R])
+            return np.vstack([c.frame.jacobian(edges, edges, c.frame.d_kappa, c.e), R])
 
     elif variant == "four_stretched":
         # the two pinned endpoints already fix rigid motions: no gauge rows
         base = four_bubble()
-        flat = 1e-12 * base.diameter() ** 2
-        straight = np.flatnonzero(np.abs(base.bulges) < flat)
-        tail, head = base.ends[straight[base.frame.chord[straight].argmax()]]
-        ta, he = base.points[[tail, head]].tolist()
+        unit = base.unit()
+        straight = np.flatnonzero(np.abs(unit.bulges) < 1e-12)
+        tail, head = unit.ends[straight[unit.frame.chord[straight].argmax()]]
+        ta, he = unit.points[[tail, head]].tolist()
         shift = 0.5 * amount * (he - ta)  # each end moves out by amount/2 of the edge
         cols = [2 * tail, 2 * tail + 1, 2 * head, 2 * head + 1]
         ta_new, he_new = ta - shift, he + shift

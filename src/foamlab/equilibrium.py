@@ -20,7 +20,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .cluster import Cluster, area_jacobian, region_areas, rigid_motion_basis
+from .cluster import CHORD_FLOOR, Cluster, area_jacobian, region_areas, rigid_motion_basis
 from .errors import GeometryDomainError, NonConvergence, PathInconsistent, TopologyBreakdown
 from .tolerances import DEFAULT, TolerancePolicy
 
@@ -72,8 +72,9 @@ def residual_jacobian(cluster: Cluster) -> np.ndarray:
     )
 
 
-def curvature_scale(cluster: Cluster) -> float:
-    return max(float(np.abs(cluster.frame.kappa).max(initial=0.0)), 1.0 / cluster.diameter())
+def _unit_curvature(cluster: Cluster) -> float:
+    """max(1, max |kappa| * diameter): large curvatures carry large errors."""
+    return max(1.0, cluster.diameter() * float(np.abs(cluster.frame.kappa).max(initial=0.0)))
 
 
 def pressures(cluster: Cluster, policy: TolerancePolicy = DEFAULT) -> np.ndarray:
@@ -82,17 +83,16 @@ def pressures(cluster: Cluster, policy: TolerancePolicy = DEFAULT) -> np.ndarray
     The least-squares solution of S^T p = kappa, one row p_L - p_R = kappa
     per edge, with S the signed incidence of the cluster's topology, which
     is connected.  Its defect, the largest edge residual |S^T p - kappa|, is
-    checked against the policy and raised as :class:`PathInconsistent` when
+    held in the unit frame (times the diameter) to the policy times
+    :func:`_unit_curvature` and raised as :class:`PathInconsistent` when
     pressure is not well defined.
     """
     S, kappa = cluster.topology.incidence, cluster.frame.kappa
     p = np.linalg.lstsq(S.T, kappa, rcond=None)[0]
     defect = float(np.abs(S.T @ p - kappa).max(initial=0.0))
-    tol = policy.pressure_defect_rel * curvature_scale(cluster)
+    tol = policy.pressure_defect_rel * _unit_curvature(cluster) / cluster.diameter()
     if defect > tol:
-        raise PathInconsistent(
-            f"pressure edge residual {defect:.3e} exceeds {tol:.3e}", defect
-        )
+        raise PathInconsistent(f"pressure edge residual {defect:.3e} exceeds {tol:.3e}", defect)
     return np.concatenate([[0.0], p])
 
 
@@ -109,17 +109,15 @@ def classify(cluster: Cluster, policy: TolerancePolicy = DEFAULT) -> Verdict:
     curvature sum at a vertex already imply that its three carriers share a
     second common point: that is the de Sitter rank-2 (collinearity)
     condition that ``desitter.verify_correspondence`` measures.  Both blocks
-    are held to ``policy.residual_tol``, the cocycle's scaled by the
-    curvature scale max(max |kappa|, 1 / diameter), so the verdict is the
-    same at every scale.
+    are held to ``policy.residual_tol`` in the unit frame, so the verdict is
+    the same at every scale: the angle sums are dimensionless, and the
+    curvature sums times the diameter are held to the policy times
+    :func:`_unit_curvature`.
     """
-    tol = policy.residual_tol
     rep = residuals(cluster)
-    angle_ok = rep.angle_sup < tol
-    cocycle_ok = rep.cocycle_sup < tol * curvature_scale(cluster)
-    if not angle_ok:
+    if not rep.angle_sup < policy.residual_tol:
         return Verdict.NON_EQUILIBRIUM
-    if not cocycle_ok:
+    if not rep.cocycle_sup * cluster.diameter() < policy.residual_tol * _unit_curvature(cluster):
         return Verdict.QUASI_EQUILIBRIUM
     return Verdict.EQUILIBRIUM
 
@@ -197,13 +195,13 @@ SOLVE_TOL = 1e-10
 
 
 def _check_topology(cluster: Cluster) -> None:
-    """Raise :class:`TopologyBreakdown` unless the chart point still realizes
-    its topology: no collapsed chord, no near-full circle, and every star in
-    its counterclockwise order, which turns once around the vertex (a star
-    in clockwise order turns twice)."""
-    f = cluster.frame
-    for j in np.flatnonzero(f.chord < 1e-8 * cluster.diameter()):
+    """Raise :class:`TopologyBreakdown` unless the unit-frame chart point
+    still realizes its topology: no chord at or below ``CHORD_FLOOR`` (tested
+    before the frame inverts a bulge on it), no near-full circle, and every
+    star in counterclockwise order (turning once, not twice, around it)."""
+    for j in np.flatnonzero(np.abs(np.diff(cluster.points[cluster.ends])) <= CHORD_FLOOR):
         raise TopologyBreakdown(f"edge {j} chord collapsed")
+    f = cluster.frame
     for j in np.flatnonzero(np.abs(f.phi) > math.pi - 1e-3):
         raise TopologyBreakdown(f"edge {j} approaching a full circle")
     alpha = f.alpha.ravel()[cluster.topology.stars]
@@ -213,12 +211,12 @@ def _check_topology(cluster: Cluster) -> None:
 
 
 def chart_lm(initial: Cluster, rows: Callable, jac: Callable, converged, max_iter: int) -> Cluster:
-    """Gauss-Newton over the chart of ``initial`` on the stacked rows
+    """Gauss-Newton over the chart of ``initial.unit()`` on the stacked rows
     ``rows(c)`` of the cluster c at each chart point, with their exact
-    Jacobian ``jac(c)``.  The latest chart point's cluster is kept, so rows
-    and Jacobian read one frame.  Raises :class:`TopologyBreakdown` when an
-    iterate degenerates an edge or reorders a star."""
-    last = [None, initial]
+    Jacobian ``jac(c)``, mapped back by ``initial.chart_units()``.  Rows and
+    Jacobian read one cluster per point.  Raises :class:`TopologyBreakdown`
+    when an iterate degenerates an edge or reorders a star."""
+    last = [None, None]
 
     def at(x: np.ndarray) -> Cluster:
         if last[0] is None or not np.array_equal(x, last[0]):
@@ -228,20 +226,19 @@ def chart_lm(initial: Cluster, rows: Callable, jac: Callable, converged, max_ite
         return last[1]
 
     x, _ = lm_minimize(
-        lambda x: rows(at(x)), lambda x: jac(at(x)), initial.chart(), max_iter, converged
+        lambda x: rows(at(x)), lambda x: jac(at(x)), initial.unit().chart(), max_iter, converged
     )
-    return at(x)
+    return initial.with_chart(x * initial.chart_units())
 
 
 def solve(initial: Cluster, target: np.ndarray, max_iter: int = 100) -> Cluster:
     """Equilibrium of the same combinatorial type with the given areas.
 
     Minimizes the stacked system [angle; cocycle; areas - target; gauge] by
-    Gauss-Newton (:func:`lm_minimize`) with its exact Jacobian in the unit
-    chart ``chart() / chart_units()``, where every row is dimensionless,
-    until each angle, cocycle and area row is below ``SOLVE_TOL`` within
-    ``max_iter`` iterations, and maps the result back.  The gauge rows
-    R (x - x0), with x0 the initial chart point and R its
+    Gauss-Newton (:func:`chart_lm`) with its exact Jacobian in the unit
+    chart, where every row is dimensionless, until each angle, cocycle and
+    area row is below ``SOLVE_TOL`` within ``max_iter`` iterations.  The
+    gauge rows R (x - x0), with x0 the initial chart point and R its
     :func:`rigid_motion_basis`, remove rigid motions: the result keeps the
     initial vertex centroid and has no component along the initial
     infinitesimal rotation.
@@ -253,8 +250,7 @@ def solve(initial: Cluster, target: np.ndarray, max_iter: int = 100) -> Cluster:
         raise GeometryDomainError("target areas must be positive")
     if max_iter < 1:
         raise GeometryDomainError("max_iter must be at least 1")
-    units = initial.chart_units()
-    unit = initial.with_chart(initial.chart() / units)
+    unit = initial.unit()
     target = target / initial.diameter() ** 2
     R, x0 = rigid_motion_basis(unit), unit.chart()
 
@@ -269,5 +265,4 @@ def solve(initial: Cluster, target: np.ndarray, max_iter: int = 100) -> Cluster:
     def ok(x: np.ndarray, f: np.ndarray) -> bool:  # the linear gauge rows are left out
         return bool(np.abs(f[: -len(R)]).max() < SOLVE_TOL)
 
-    out = chart_lm(unit, rows, jac, ok, max_iter)
-    return initial.with_chart(out.chart() * units)
+    return chart_lm(initial, rows, jac, ok, max_iter)

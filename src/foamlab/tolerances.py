@@ -2,7 +2,7 @@
 
 Every SVD rank cut and residual threshold in the library is taken from one
 of these policy objects so that tests and the CLI can tighten or loosen
-everything coherently.
+everything coherently.  Every threshold is dimensionless, in the unit frame.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ class TolerancePolicy:
     # required ratio between smallest kept and largest cut singular value;
     # spectra with a smaller gap are flagged ambiguous, never silently resolved
     rank_gap_factor: float = 100.0
-    # sup-norm threshold on residual blocks for equilibrium verdicts
+    # sup-norm threshold on the angle sums and the relative curvature sums
     residual_tol: float = 1e-9
-    # pressure path-independence defect threshold (relative to curvature scale)
+    # threshold on the relative pressure defect (see equilibrium.pressures)
     pressure_defect_rel: float = 1e-6
-    # zero-mode cutoff on scale-invariant Hessian eigenvalues (lambda * diam^2):
-    # any mode with |lambda| * diam^2 below it counts as a zero mode, whatever
-    # its sign, so small real negative modes are reported as Degenerate too
+    # zero-mode cutoff on Hessian eigenvalues (lambda * diam^2): any mode
+    # with |lambda| * diam^2 below it counts as a zero mode, whatever its
+    # sign, so small real negative modes are reported as Degenerate too
     hessian_zero_scaled: float = 1.0
 
 

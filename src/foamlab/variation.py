@@ -163,8 +163,8 @@ class EliminatedHessian:
 
     With the scaled Hessian H~ = M^(-1/2) H M^(-1/2) and C the scaled
     constraint rows (area gradients, two translations, the rotation), each
-    row rescaled to norm (m / diameter)^2, the size of the junction block of
-    H~, Sylvester's law of inertia on the bordered matrix
+    row rescaled to norm m^2, the size of the junction block of H~ at unit
+    diameter, Sylvester's law of inertia on the bordered matrix
     K(sigma) = [[H~ - sigma I, C^T], [C, 0]] gives
 
         #(constrained eigenvalues < sigma) = n_-(K(sigma)) - rank.
@@ -172,7 +172,7 @@ class EliminatedHessian:
     The count needs only the row space of C: another basis F C, F
     invertible, is the congruence diag(I, F) K diag(I, F^T), which keeps the
     inertia.  So no orthonormal basis is taken, and rows of the size of the
-    junction block keep K balanced at every scale of the cluster.
+    junction block keep K balanced.
 
     Each edge's interior normals couple only to each other and to nine
     border columns.  Uniform sampling makes the first a tridiagonal Toeplitz
@@ -267,8 +267,8 @@ def eliminated_hessian(
     junction block and each edge's coupling, and each edge block's
     eigenvalues are read from the entries of one of its segments.
 
-    Raises ``GeometryDomainError`` if the constraint rows are not of full
-    rank n + 3.
+    Takes a unit-frame cluster (``Cluster.unit()``); raises
+    ``GeometryDomainError`` unless the constraint rows have rank n + 3.
     """
     disc = discretize(cluster, m)
     press = pressures(cluster, policy)
@@ -312,12 +312,12 @@ def eliminated_hessian(
     C = (direction.conj() * grads[:, point]).real
 
     # M^(-1/2) scaling turns the mass pencil into a plain symmetric problem;
-    # each constraint row then gets the norm (m / diam)^2 of the junction
-    # block, and only its rank is read from the SVD
+    # each constraint row then gets the norm m^2 of the junction block, and
+    # only its rank is read from the SVD
     root = np.sqrt(mass)
     block /= root[dofs][:, :, None] * root[dofs][:, None, :]
     C /= root
-    C *= (m / cluster.diameter()) ** 2 / np.linalg.norm(C, axis=1)[:, None]
+    C *= m**2 / np.linalg.norm(C, axis=1)[:, None]
     s = np.linalg.svd(C, compute_uv=False)
     rank = int((s > 1e-12 * s[0]).sum())
     if rank < n + 3:
@@ -384,21 +384,21 @@ def stability_report(
 ) -> HessianReport:
     """Inertia of the discretized second variation at fixed areas.
 
-    The verdict is an inertia count, not a spectrum: with
-    tau = ``policy.hessian_zero_scaled`` / diameter^2 (eigenvalues are
-    mass-normalized, so lambda * diameter^2 is the scale-invariant quantity),
-    ``EliminatedHessian.count_below`` at -tau and +tau gives the negative
-    and zero-mode counts.  The report also carries the smallest six
-    constrained eigenvalues, found by bisection on the same counts.  See
-    ``eliminated_hessian`` for the discretization.
+    The verdict is an inertia count, not a spectrum, on ``cluster.unit()``
+    (eigenvalues are mass-normalized, so lambda * diameter^2 is the
+    scale-invariant quantity): ``EliminatedHessian.count_below`` at -tau and
+    +tau, tau = ``policy.hessian_zero_scaled``, gives the negative and
+    zero-mode counts.  The report also carries the smallest six constrained
+    eigenvalues in the cluster's units, found by bisection on the same
+    counts.  See ``eliminated_hessian`` for the discretization.
 
     Every mode with |lambda| * diameter^2 < ``policy.hessian_zero_scaled``
     counts as a zero mode, whatever its sign: a real instability that small
     is reported as ``Degenerate``, not ``Unstable`` (necklace(7) with its
     chamber pressure at -0.02 says ``Degenerate(4)``).
     """
-    hess = eliminated_hessian(cluster, m, policy)
-    tau = policy.hessian_zero_scaled / cluster.diameter() ** 2
+    hess = eliminated_hessian(cluster.unit(), m, policy)
+    tau = policy.hessian_zero_scaled
     below_neg, below_pos = hess.count_below([-tau, tau]).tolist()
     negative, zero = below_neg, below_pos - below_neg
     if negative > 0:
@@ -407,7 +407,7 @@ def stability_report(
         label = f"Degenerate({zero})"
     else:
         label = "StrictlyStable"
-    eig = hess.smallest(min(6, hess.size))
+    eig = hess.smallest(min(6, hess.size)) / cluster.diameter() ** 2
     return HessianReport(
         eigenvalues=eig, zero_mode_count=zero, classification=label, m=m
     )

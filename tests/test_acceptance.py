@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import foamlab as fl
-from foamlab.equilibrium import curvature_scale
 from foamlab.geometry import (
     Arc,
     Point,
@@ -87,7 +86,7 @@ class TestCriterion4EquilibriumChecker:
     def test_equilibrium_presets(self, equilibrium_presets):
         for name, c in equilibrium_presets.items():
             rep = fl.residuals(c)
-            kscale = max(1.0, curvature_scale(c))
+            kscale = max(1.0, np.abs(c.frame.kappa).max(), 1.0 / c.diameter())
             assert rep.angle_sup < 1e-9, name
             assert rep.cocycle_sup < 1e-9 * kscale, name
             p = fl.pressures(c)
@@ -112,7 +111,35 @@ class TestCriterion5MobiusInvariance:
             assert fl.classify(img) is fl.Verdict.EQUILIBRIUM, i
             rep = fl.residuals(img)
             assert rep.angle_sup < 1e-8, i
-            assert rep.cocycle_sup < 1e-8 * max(1.0, curvature_scale(img)), i
+            kscale = max(1.0, np.abs(img.frame.kappa).max(), 1.0 / img.diameter())
+            assert rep.cocycle_sup < 1e-8 * kscale, i
+
+    def test_verdicts_hold_at_every_scale_and_image(self, equilibrium_presets):
+        # every tolerance is read in the unit frame: copies scaled by 1e-6 and
+        # 1e6 of each preset and of two random_mobius images give the
+        # unit-scale classify verdict, pressures * diameter and stability
+        # classification
+        def verdicts(c):
+            try:
+                p = fl.pressures(c) * c.diameter()
+            except fl.PathInconsistent:
+                p = None
+            return fl.classify(c), p, fl.stability_report(c, m=32).classification
+
+        clusters = dict(equilibrium_presets, unstable=fl.necklace(7, 0.05))
+        for name, c in clusters.items():
+            for seed in (None, 2, 3):
+                image = c
+                if seed is not None:
+                    image = fl.mobius_apply_cluster(fl.random_mobius(c, np.random.default_rng(seed)), c)
+                verdict, p, label = verdicts(image)
+                for s in (1e-6, 1e6):
+                    got = verdicts(fl.mobius_apply_cluster(fl.MobiusMap.scaling(s), image))
+                    assert got[0] is verdict and got[2] == label, (name, seed, s)
+                    if p is None:
+                        assert got[1] is None, (name, seed, s)
+                    else:
+                        assert np.abs(got[1] - p).max() <= 1e-9 * np.abs(p).max(), (name, seed, s)
 
 
 class TestCriterion6DimensionCounts:

@@ -294,11 +294,13 @@ class TestQuasiVariants:
 
     def test_recurved_is_an_isolated_point(self, quasi_recurved):
         # every curvature is stated, so the solved stack (angle rows, six
-        # curvature pins, gauge rows) has full column rank where it stops
-        _, rows, jac = _quasi_rows("two_lens_recurved", 0.15)
-        sigma = np.linalg.svd(jac(quasi_recurved), compute_uv=False)
+        # curvature pins, gauge rows) has full column rank where it stops;
+        # the rows are read at the unit chart point, in the base's unit frame
+        base, rows, jac = _quasi_rows("two_lens_recurved", 0.15)
+        unit = quasi_recurved.with_chart(quasi_recurved.chart() / base.chart_units())
+        sigma = np.linalg.svd(jac(unit), compute_uv=False)
         assert sigma[-1] >= 1e-6 * sigma[0]
-        assert np.abs(rows(quasi_recurved)).max() < 1e-10
+        assert np.abs(rows(unit)).max() < 1e-10
         assert fl.classify(quasi_recurved) is fl.Verdict.QUASI_EQUILIBRIUM
         assert fl.residuals(quasi_recurved).cocycle_sup > 1e-3
 

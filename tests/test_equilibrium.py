@@ -6,7 +6,8 @@ import foamlab as fl
 from foamlab.constructions import _quasi_rows
 from foamlab.cluster import rigid_motion_basis
 from foamlab.equilibrium import (
-    curvature_scale,
+    _check_topology,
+    chart_lm,
     lm_minimize,
     numeric_jacobian,
     residual_jacobian,
@@ -26,7 +27,8 @@ class TestResiduals:
         for name, c in equilibrium_presets.items():
             rep = fl.residuals(c)
             assert rep.angle_sup < 1e-9, name
-            assert rep.cocycle_sup < 1e-9 * max(1.0, curvature_scale(c)), name
+            kscale = max(1.0, np.abs(c.frame.kappa).max(), 1.0 / c.diameter())
+            assert rep.cocycle_sup < 1e-9 * kscale, name
 
     def test_perturbation_breaks_angles(self, double, rng):
         x = double.chart() + 1e-3 * rng.standard_normal(double.chart().size)
@@ -59,11 +61,10 @@ class TestPressures:
     def test_path_independence_all_presets(self, equilibrium_presets):
         for name, c in equilibrium_presets.items():
             p = fl.pressures(c)
+            kscale = max(1.0, np.abs(c.frame.kappa).max(), 1.0 / c.diameter())
             for ed in c.edges:
                 kappa = arc_carrier(c.arc_of(ed.id))[0]
-                assert p[ed.left] - p[ed.right] == pytest.approx(
-                    kappa, abs=1e-9 * max(1.0, curvature_scale(c))
-                ), name
+                assert p[ed.left] - p[ed.right] == pytest.approx(kappa, abs=1e-9 * kscale), name
 
     def test_quasi_pressures_ill_defined(self, quasi_presets):
         for name, c in quasi_presets.items():
@@ -161,6 +162,38 @@ class TestLmMinimize:
         fun = lambda x: np.array([x[0] ** 2, x[0] * x[1]])
         J = numeric_jacobian(fun, np.array([2.0, 3.0]), 1e-6)
         assert J == pytest.approx(np.array([[4.0, 0.0], [3.0, 2.0]]), abs=1e-8)
+
+
+class TestIterateCheck:
+    def test_collapsed_chord_is_a_breakdown(self, double):
+        # vertex 1 moved onto vertex 0 with every bulge kept: the chords are
+        # tested before the frame inverts a bulge on a collapsed chord
+        x = double.chart()
+        x[2:4] = x[0:2] + [1e-12, 0.0]
+        trial = double.with_chart(x / double.chart_units())  # in the unit frame
+        with pytest.raises(TopologyBreakdown, match="chord collapsed"):
+            _check_topology(trial)
+
+    def test_step_onto_a_collapsed_chord_is_rejected(self, double):
+        # every full Gauss-Newton step lands vertex 1 on vertex 0: each is a
+        # rejected trial, and no GeometryDomainError escapes the solver
+        goal = (double.points[0] + 1e-12) / double.diameter()
+        rows = lambda c: c.chart()[2:4] - [goal.real, goal.imag]
+        jac = lambda c: np.eye(c.chart().size)[2:4]
+        with pytest.raises(NonConvergence, match="last rejected trial"):
+            chart_lm(double, rows, jac, lambda x, f: False, max_iter=5)
+
+    @pytest.mark.parametrize("size, accepted", [(3e-9, True), (1e-9, False)])
+    def test_validate_and_the_iterate_check_share_one_chord_floor(self, triple, size, accepted):
+        # the smallest chords are 2.3e-9 and 7.6e-10 diameters, either side
+        # of the floor: validate and the solver's check agree on both
+        c = fl.decorate(triple, 0, size)
+        assert fl.validate(c).ok is accepted
+        if accepted:
+            _check_topology(c.unit())
+        else:
+            with pytest.raises(TopologyBreakdown, match="chord collapsed"):
+                _check_topology(c.unit())
 
 
 def residual_rows(c):
