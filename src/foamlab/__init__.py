@@ -70,7 +70,6 @@ from .geometry import (
     second_intersection,
     segment_area,
 )
-from .tolerances import DEFAULT, LOOSE, PROFILES, STRICT, TolerancePolicy
 from .variation import (
     HessianReport,
     TangentReport,

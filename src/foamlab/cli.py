@@ -28,7 +28,6 @@ from .desitter import verify_correspondence
 from .equilibrium import Verdict, classify, pressures, residuals, solve
 from .errors import FoamlabError, NonConvergence, PathInconsistent
 from .geometry import MobiusMap
-from .tolerances import PROFILES
 from .variation import continue_family, stability_report, tangent_dimension
 
 EXIT_OK = 0
@@ -85,12 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     a list that an action could append to."""
     ap = argparse.ArgumentParser(
         prog="foamlab", description="planar soap bubble cluster toolkit"
-    )
-    ap.add_argument(
-        "--tol-profile",
-        choices=sorted(PROFILES),
-        default="default",
-        help="shared tolerance policy",
     )
     sub = ap.add_subparsers(dest="verb", required=True)
 
@@ -163,7 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("desitter", help="de Sitter correspondence report")
     p.add_argument("action", choices=["verify"])
     p.add_argument("input")
-    p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("render", help="render to SVG")
     p.add_argument("input")
@@ -187,7 +179,7 @@ def _complex_pair(text: str, what: str) -> complex:
     return complex(x, y)
 
 
-def _cmd_new(args, policy) -> int:
+def _cmd_new(args) -> int:
     if args.preset == "double":
         c = con.double_bubble(args.r1, args.r2)
     elif args.preset == "triple":
@@ -209,13 +201,13 @@ def _cmd_new(args, policy) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args, policy) -> int:
+def _cmd_check(args) -> int:
     c = _read(args.input)
     report = cl.validate(c)
     if not report.ok:
         print(f"Invalid: {'; '.join(report.failures())}")
         return EXIT_FAIL
-    verdict = classify(c, policy=policy)
+    verdict = classify(c)
     rep = residuals(c)
     print(f"verdict: {verdict.value}")
     print(f"angle residual sup: {rep.angle_sup:.6e}")
@@ -223,7 +215,7 @@ def _cmd_check(args, policy) -> int:
     return EXIT_OK if verdict is Verdict.EQUILIBRIUM else EXIT_FAIL
 
 
-def _cmd_solve(args, policy) -> int:
+def _cmd_solve(args) -> int:
     c = _load(args.input)
     target = _parse_areas(args.areas, c.n)
     out = solve(c, target, max_iter=args.max_iter)
@@ -231,10 +223,10 @@ def _cmd_solve(args, policy) -> int:
     return EXIT_OK
 
 
-def _cmd_pressures(args, policy) -> int:
+def _cmd_pressures(args) -> int:
     c = _load(args.input)
     try:
-        p = pressures(c, policy)
+        p = pressures(c)
     except PathInconsistent as err:
         print(f"pressures undefined: {err}", file=sys.stderr)
         return EXIT_FAIL
@@ -242,9 +234,9 @@ def _cmd_pressures(args, policy) -> int:
     return EXIT_OK
 
 
-def _cmd_dim(args, policy) -> int:
+def _cmd_dim(args) -> int:
     c = _load(args.input)
-    rep = tangent_dimension(c, fix_areas=args.fix_areas, policy=policy)
+    rep = tangent_dimension(c, fix_areas=args.fix_areas)
     print(f"nullity: {rep.nullity}")
     print(f"gap ratio: {rep.gap_ratio:.3e}")
     if rep.ambiguous:
@@ -253,16 +245,16 @@ def _cmd_dim(args, policy) -> int:
     return EXIT_OK
 
 
-def _cmd_stability(args, policy) -> int:
+def _cmd_stability(args) -> int:
     c = _load(args.input)
-    rep = stability_report(c, m=args.m, policy=policy)
+    rep = stability_report(c, m=args.m)
     print(f"classification: {rep.classification}")
     print(f"zero modes: {rep.zero_mode_count}")
     print(f"smallest eigenvalues: {[f'{x:.6g}' for x in rep.eigenvalues]}")
     return EXIT_OK
 
 
-def _cmd_mobius(args, policy) -> int:
+def _cmd_mobius(args) -> int:
     c = _load(args.input)
     m = MobiusMap.identity()
     chosen = False
@@ -289,33 +281,33 @@ def _cmd_mobius(args, policy) -> int:
     return EXIT_OK
 
 
-def _cmd_decorate(args, policy) -> int:
+def _cmd_decorate(args) -> int:
     c = _load(args.input)
     _write(args.output, cl.dumps(con.decorate(c, args.vertex, args.size)))
     return EXIT_OK
 
 
-def _cmd_shrink(args, policy) -> int:
+def _cmd_shrink(args) -> int:
     c = _load(args.input)
     _write(args.output, cl.dumps(con.scale_three_sided(c, args.region, args.factor)))
     return EXIT_OK
 
 
-def _cmd_desitter(args, policy) -> int:
+def _cmd_desitter(args) -> int:
     c = _load(args.input)
-    rep = verify_correspondence(c, tol=args.tol)
+    rep = verify_correspondence(c)
     print(json.dumps(rep.to_json(), indent=2))
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
-def _cmd_render(args, policy) -> int:
+def _cmd_render(args) -> int:
     c = _load(args.input)
-    fills = pressures(c, policy)[1:] if args.fill_pressures else None
+    fills = pressures(c)[1:] if args.fill_pressures else None
     _write(args.output, cl.to_svg(c, fill_pressures=fills))
     return EXIT_OK
 
 
-def _cmd_continue(args, policy) -> int:
+def _cmd_continue(args) -> int:
     c = _load(args.input)
     target = _parse_areas(args.areas, c.n)
     family = continue_family(c, target, steps=args.steps)
@@ -345,9 +337,8 @@ def run(argv: Optional[List[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as err:
         return EXIT_INPUT if err.code not in (0, None) else 0
-    policy = PROFILES[args.tol_profile]
     try:
-        return _COMMANDS[args.verb](args, policy)
+        return _COMMANDS[args.verb](args)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else EXIT_INPUT
     except NonConvergence as err:

@@ -17,9 +17,10 @@ import numpy as np
 
 from .cluster import EXTERIOR, Cluster, EdgeRecord, region_areas, rigid_motion_basis
 from .errors import GeometryDomainError, TopologyBreakdown
-from .equilibrium import chart_lm, residual_jacobian, residuals, solve
+from .equilibrium import SOLVE_TOL, chart_lm, residual_jacobian, residuals, solve
 from .geometry import (
     AT_INFINITY,
+    PENCIL_TOL,
     Arc,
     MobiusMap,
     Point,
@@ -244,8 +245,8 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
     so ``factor = 0`` undoes :func:`decorate`: it deletes the region and
     merges the three junctions into one vertex.
     """
-    if factor < 0:
-        raise GeometryDomainError("factor must be >= 0")
+    if not (math.isfinite(factor) and factor >= 0):
+        raise GeometryDomainError("factor must be finite and >= 0")
     if not 1 <= region <= cluster.n:
         raise GeometryDomainError(f"no interior region {region}")
     top = cluster.topology
@@ -264,7 +265,7 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
     # the one nearest its centroid, tried first since _in_triangle can accept
     # both on a Mobius image
     common, ratio = pencil_meet(*(x.flat[outer_hes] for x in cluster.carriers(centre, scale)))
-    if ratio > 1e-6 or len(common) != 2:
+    if ratio > PENCIL_TOL or len(common) != 2:
         raise GeometryDomainError("outer carriers do not share two common points")
     finite = [centre + scale * q for q in common if q is not AT_INFINITY]
     finite.sort(key=lambda z: abs(z - centre))
@@ -476,8 +477,10 @@ def quasi_variant(kind: str, amount: float = 0.15) -> Cluster:
 
     ``two_lens_recurved``: the two arcs of the two-lens cluster's main circle
     are re-curved by the relative ``amount``, every other edge keeps its
-    curvature, and the angle conditions are re-solved; the stack has full
-    column rank, so the result is an isolated point.  ``four_stretched``:
+    curvature, and the angle conditions are re-solved.  At the base the
+    stack is one short of full column rank (13 of 14), and for |amount|
+    from about 3e-9 to 1e-3 the iteration stalls at a residual near
+    0.08 |amount| and raises :class:`NonConvergence`.  ``four_stretched``:
     the middle straight edge of the standard 4-bubble is lengthened by the
     relative ``amount`` with both endpoints pinned.  ``amount = 0``
     reproduces the equilibrium base cluster.
@@ -490,8 +493,12 @@ def quasi_variant(kind: str, amount: float = 0.15) -> Cluster:
     ``four_stretched`` already fix them, and the minimum-norm Gauss-Newton
     steps of ``equilibrium.lm_minimize`` handle its underdetermined stack.
     """
+    if not math.isfinite(amount):
+        raise GeometryDomainError("amount must be finite")
     base, rows, jac = _quasi_rows(kind, amount)
-    return chart_lm(base, rows, jac, lambda x, f: bool(np.abs(f).max() < 1e-10), max_iter=200)
+    return chart_lm(
+        base, rows, jac, lambda x, f: bool(np.abs(f).max() < SOLVE_TOL), max_iter=200
+    )
 
 
 def _quasi_rows(variant: str, amount: float):
@@ -500,10 +507,9 @@ def _quasi_rows(variant: str, amount: float):
         base = two_lens()
         unit = base.unit()
         # the main-circle arcs 0 and 1 are re-curved and every other edge
-        # keeps its curvature: with every curvature stated the stack has full
-        # column rank, so the result is an isolated point, not wherever the
-        # iteration stops (the angle rows alone lose rank 2 at a lens, whose
-        # 120-degree condition appears at both of its ends)
+        # keeps its curvature: stating every curvature restores one of the
+        # two ranks the angle rows alone lose at a lens, whose 120-degree
+        # condition appears at both of its ends, but not the other
         edges = np.arange(base.e)
         targets = unit.frame.kappa * np.where(edges < 2, 1.0 + amount, 1.0)
         R, x0 = rigid_motion_basis(unit), unit.chart()

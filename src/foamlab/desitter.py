@@ -39,6 +39,10 @@ from .errors import GeometryDomainError
 #: calibrated on three concurrent lines at 120 degrees.
 FORM_120 = 0.5
 
+#: Bound on each junction's collinearity and spacing defects and on each
+#: edge's antipodality defect, all dimensionless.
+CORRESPONDENCE_TOL = 1e-8
+
 
 def coordinates(A, B, D) -> np.ndarray:
     """(t, x, y, z) = ((A+D)/2, Re B, Im B, (A-D)/2) of carriers (A, B, D),
@@ -95,17 +99,16 @@ class CorrespondenceReport:
         }
 
 
-def verify_correspondence(cluster: Cluster, tol: float = 1e-8) -> CorrespondenceReport:
+def verify_correspondence(cluster: Cluster) -> CorrespondenceReport:
     """Check the triple-on-a-geodesic structure of an equilibrium cluster.
 
     Per junction: the three outgoing carriers' points must span only a
     2-plane through the origin (collinearity, measured by sigma_3/sigma_1)
     and be evenly spaced (every pairwise Minkowski form value +1/2).  Per
-    edge: the two traversal orientations must give antipodal points, up to
-    ``tol`` relative to the point's size.
+    edge: the two traversal orientations must give antipodal points.  Every
+    defect is held to ``CORRESPONDENCE_TOL``, the antipodality relative to
+    the point's size.
     """
-    if not tol > 0:
-        raise GeometryDomainError("tol must be positive")
     # form values and antipodes are Mobius invariant: measure every junction
     # in coordinates centred on it and scaled by the diameter, where the
     # carrier coordinates stay of order one at every scale of the cluster
@@ -118,10 +121,10 @@ def verify_correspondence(cluster: Cluster, tol: float = 1e-8) -> Correspondence
     Y = coordinates(*cluster.carriers(points[ends[:, :1]], scale))  # both halves at the tail
     antipodality = np.linalg.norm(Y.sum(axis=1), axis=1) / np.linalg.norm(Y[:, 0], axis=1)
     passed = bool(
-        collinearity.max(initial=0.0) < tol
-        and spacing.max(initial=0.0) < tol
-        and antipodality.max(initial=0.0) < tol
+        collinearity.max(initial=0.0) < CORRESPONDENCE_TOL
+        and spacing.max(initial=0.0) < CORRESPONDENCE_TOL
+        and antipodality.max(initial=0.0) < CORRESPONDENCE_TOL
     )
     return CorrespondenceReport(
-        collinearity, form_values, spacing, antipodality, tol, passed
+        collinearity, form_values, spacing, antipodality, CORRESPONDENCE_TOL, passed
     )

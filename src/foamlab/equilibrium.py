@@ -22,7 +22,6 @@ import numpy as np
 
 from .cluster import CHORD_FLOOR, Cluster, area_jacobian, region_areas, rigid_motion_basis
 from .errors import GeometryDomainError, NonConvergence, PathInconsistent, TopologyBreakdown
-from .tolerances import DEFAULT, TolerancePolicy
 
 
 @dataclass(frozen=True)
@@ -72,27 +71,39 @@ def residual_jacobian(cluster: Cluster) -> np.ndarray:
     )
 
 
-def _unit_curvature(cluster: Cluster) -> float:
-    """max(1, max |kappa| * diameter): large curvatures carry large errors."""
-    return max(1.0, cluster.diameter() * float(np.abs(cluster.frame.kappa).max(initial=0.0)))
+#: Bound on the angle sums, and on the curvature sums times the diameter
+#: relative to max(1, max |kappa| * diameter): both read in the unit frame.
+RESIDUAL_TOL = 1e-9
 
 
-def pressures(cluster: Cluster, policy: TolerancePolicy = DEFAULT) -> np.ndarray:
+def _cocycle_holds(cluster: Cluster, rep: ResidualReport) -> bool:
+    """The cocycle condition: every vertex's curvature sum, times the
+    diameter, is below ``RESIDUAL_TOL`` times max(1, max |kappa| * diameter),
+    since large curvatures carry large errors."""
+    d = cluster.diameter()
+    kappa = float(np.abs(cluster.frame.kappa).max(initial=0.0))
+    return rep.cocycle_sup * d < RESIDUAL_TOL * max(1.0, kappa * d)
+
+
+def pressures(cluster: Cluster) -> np.ndarray:
     """Per-region pressures p_0..p_n (exterior first, fixed at 0).
 
     The least-squares solution of S^T p = kappa, one row p_L - p_R = kappa
     per edge, with S the signed incidence of the cluster's topology, which
-    is connected.  Its defect, the largest edge residual |S^T p - kappa|, is
-    held in the unit frame (times the diameter) to the policy times
-    :func:`_unit_curvature` and raised as :class:`PathInconsistent` when
-    pressure is not well defined.
+    is connected.  Pressure is well defined exactly when the curvatures
+    around every vertex sum to zero, the cocycle condition that
+    :func:`classify` tests: where it fails, raises :class:`PathInconsistent`
+    carrying the largest edge residual |S^T p - kappa|.
     """
     S, kappa = cluster.topology.incidence, cluster.frame.kappa
     p = np.linalg.lstsq(S.T, kappa, rcond=None)[0]
-    defect = float(np.abs(S.T @ p - kappa).max(initial=0.0))
-    tol = policy.pressure_defect_rel * _unit_curvature(cluster) / cluster.diameter()
-    if defect > tol:
-        raise PathInconsistent(f"pressure edge residual {defect:.3e} exceeds {tol:.3e}", defect)
+    rep = residuals(cluster)
+    if not _cocycle_holds(cluster, rep):
+        defect = float(np.abs(S.T @ p - kappa).max(initial=0.0))
+        raise PathInconsistent(
+            f"curvature sums reach {rep.cocycle_sup:.3e}; largest edge residual {defect:.3e}",
+            defect,
+        )
     return np.concatenate([[0.0], p])
 
 
@@ -102,22 +113,21 @@ class Verdict(enum.Enum):
     EQUILIBRIUM = "Equilibrium"
 
 
-def classify(cluster: Cluster, policy: TolerancePolicy = DEFAULT) -> Verdict:
+def classify(cluster: Cluster) -> Verdict:
     """Equilibrium / quasi-equilibrium / neither, from the residual blocks.
 
     The two blocks are the whole test.  120-degree tangents plus a zero
     curvature sum at a vertex already imply that its three carriers share a
     second common point: that is the de Sitter rank-2 (collinearity)
     condition that ``desitter.verify_correspondence`` measures.  Both blocks
-    are held to ``policy.residual_tol`` in the unit frame, so the verdict is
-    the same at every scale: the angle sums are dimensionless, and the
-    curvature sums times the diameter are held to the policy times
-    :func:`_unit_curvature`.
+    are held to ``RESIDUAL_TOL`` in the unit frame, so the verdict is the
+    same at every scale: the angle sums are dimensionless, and the curvature
+    sums are tested by :func:`_cocycle_holds`, as in :func:`pressures`.
     """
     rep = residuals(cluster)
-    if not rep.angle_sup < policy.residual_tol:
+    if not rep.angle_sup < RESIDUAL_TOL:
         return Verdict.NON_EQUILIBRIUM
-    if not rep.cocycle_sup * cluster.diameter() < policy.residual_tol * _unit_curvature(cluster):
+    if not _cocycle_holds(cluster, rep):
         return Verdict.QUASI_EQUILIBRIUM
     return Verdict.EQUILIBRIUM
 
@@ -246,8 +256,8 @@ def solve(initial: Cluster, target: np.ndarray, max_iter: int = 100) -> Cluster:
     target = np.asarray(target, dtype=float)
     if target.shape != (initial.n,):
         raise GeometryDomainError("target must have one area per interior region")
-    if not (target > 0).all():
-        raise GeometryDomainError("target areas must be positive")
+    if not (np.isfinite(target) & (target > 0)).all():
+        raise GeometryDomainError("target areas must be finite and positive")
     if max_iter < 1:
         raise GeometryDomainError("max_iter must be at least 1")
     unit = initial.unit()

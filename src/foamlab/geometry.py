@@ -264,7 +264,12 @@ def pencil_meet(A, B, D, scale: float = 1.0):
     return points, ratio
 
 
-def second_intersection(A, B, D, tol: float = 1e-6):
+#: Largest singular-value ratio, and distance in units of the meet's scale,
+#: at which carriers still count as one pencil through a common point.
+PENCIL_TOL = 1e-6
+
+
+def second_intersection(A, B, D):
     """Common second point of three carriers (A, B, D) through the origin:
     their pencil meet minus the origin.
 
@@ -274,22 +279,22 @@ def second_intersection(A, B, D, tol: float = 1e-6):
     :data:`AT_INFINITY`.  Callers with a length and an origin of their own
     pass carriers measured in them (``decorate`` centres on the junction
     and scales by the cluster diameter).  Raises :class:`NotConcurrent`
-    when the singular-value ratio exceeds ``tol``, or when, within ``tol``
-    of the scale, a carrier misses the origin or the second point
-    coincides with it.
+    when the singular-value ratio exceeds ``PENCIL_TOL``, or when, within
+    ``PENCIL_TOL`` of the scale, a carrier misses the origin or the second
+    point coincides with it.
     """
     A = np.asarray(A, dtype=float)
     if A.shape != (3,):
         raise GeometryDomainError("second_intersection expects three carriers")
     scale = 1.0 / max(1.0, float(np.abs(A).max()))
     points, ratio = pencil_meet(A, B, D, scale)
-    if ratio > tol or len(points) != 2:
+    if ratio > PENCIL_TOL or len(points) != 2:
         raise NotConcurrent(f"carriers share no second point (ratio {ratio:.3e})")
     dist = [math.inf if q is AT_INFINITY else abs(q) / scale for q in points]
     near = int(dist[1] < dist[0])
-    if dist[near] > tol:
+    if dist[near] > PENCIL_TOL:
         raise NotConcurrent("carriers do not all pass through the base point")
-    if dist[1 - near] <= tol:
+    if dist[1 - near] <= PENCIL_TOL:
         raise NotConcurrent("second intersection coincides with the base point")
     return points[1 - near]
 

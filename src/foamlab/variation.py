@@ -39,7 +39,17 @@ from .cluster import (
 from .equilibrium import pressures, residual_jacobian, solve
 from .errors import GeometryDomainError
 from .geometry import arc_tangent  # arc_tangent is unused here, but perfbench's tests resolve it
-from .tolerances import DEFAULT, TolerancePolicy
+
+#: Singular values below RANK_REL * sigma_max count as zero.
+RANK_REL = 1e-6
+#: Required ratio between the smallest kept and the largest cut singular
+#: value; spectra with a smaller gap are flagged ambiguous, never silently
+#: resolved.
+RANK_GAP = 100.0
+#: Zero-mode cutoff on Hessian eigenvalues: any mode with
+#: |lambda| * diameter^2 below it counts as a zero mode, whatever its sign,
+#: so small real negative modes are reported as Degenerate too.
+HESSIAN_ZERO = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -55,11 +65,7 @@ class TangentReport:
     ambiguous: bool
 
 
-def tangent_dimension(
-    cluster: Cluster,
-    fix_areas: bool = False,
-    policy: TolerancePolicy = DEFAULT,
-) -> TangentReport:
+def tangent_dimension(cluster: Cluster, fix_areas: bool = False) -> TangentReport:
     """Numerical dimension of the equilibrium variety modulo rigid motions.
 
     Stacks the exact Jacobian of the angle and cocycle residual blocks, the
@@ -68,8 +74,9 @@ def tangent_dimension(
     the unit chart (times ``cluster.chart_units()``) and each row is scaled
     to unit norm; ``mode_basis`` is mapped back to chart coordinates.  The
     spectral gap between the smallest kept and the largest cut singular
-    value is reported; a gap below the policy factor flags the count as
-    ambiguous instead of silently picking a side.
+    value is reported; a gap below ``RANK_GAP`` flags the count as ambiguous
+    instead of silently picking a side.  Singular values below ``RANK_REL``
+    times the largest are cut.
     """
     rows = [residual_jacobian(cluster), rigid_motion_basis(cluster)]
     if fix_areas:
@@ -78,14 +85,14 @@ def tangent_dimension(
     stack = np.vstack(rows) * units
     stack /= np.linalg.norm(stack, axis=1, keepdims=True)
     _, sigma, vt = np.linalg.svd(stack)
-    rank = int((sigma > policy.rank_rel * sigma[0]).sum())  # sigma[0] >= 1: unit rows
+    rank = int((sigma > RANK_REL * sigma[0]).sum())  # sigma[0] >= 1: unit rows
     gap = float(sigma[rank - 1] / sigma[rank]) if rank < sigma.size else np.inf
     return TangentReport(
         singular_values=sigma,
         nullity=stack.shape[1] - rank,
         gap_ratio=gap,
         mode_basis=vt[rank:] * units,
-        ambiguous=bool(gap < policy.rank_gap_factor),
+        ambiguous=bool(gap < RANK_GAP),
     )
 
 
@@ -151,7 +158,7 @@ def discretize(cluster: Cluster, m: int) -> DiscreteCluster:
 @dataclass(frozen=True)
 class HessianReport:
     eigenvalues: np.ndarray  # the smallest six constrained eigenvalues, ascending
-    zero_mode_count: int  # constrained eigenvalues in [-tau, tau)
+    zero_mode_count: int  # constrained lambda * diam^2 in [-HESSIAN_ZERO, HESSIAN_ZERO)
     classification: str  # "StrictlyStable" | "Degenerate(k)" | "Unstable(j)"
     m: int
 
@@ -245,11 +252,7 @@ class EliminatedHessian:
         return 0.5 * (lo + hi)
 
 
-def eliminated_hessian(
-    cluster: Cluster,
-    m: int = 64,
-    policy: TolerancePolicy = DEFAULT,
-) -> EliminatedHessian:
+def eliminated_hessian(cluster: Cluster, m: int = 64) -> EliminatedHessian:
     """The discretized second variation at fixed areas, with each edge's
     interior block eliminated (see ``EliminatedHessian``).
 
@@ -271,7 +274,7 @@ def eliminated_hessian(
     ``GeometryDomainError`` unless the constraint rows have rank n + 3.
     """
     disc = discretize(cluster, m)
-    press = pressures(cluster, policy)
+    press = pressures(cluster)
     pts = disc.points
     v, e, n, P = cluster.v, cluster.e, cluster.n, pts.size
     J, D = 2 * v, v + P
@@ -377,29 +380,24 @@ def eliminated_hessian(
     return EliminatedHessian(lam, S @ B, columns, border, J, rank, bound)
 
 
-def stability_report(
-    cluster: Cluster,
-    m: int = 64,
-    policy: TolerancePolicy = DEFAULT,
-) -> HessianReport:
+def stability_report(cluster: Cluster, m: int = 64) -> HessianReport:
     """Inertia of the discretized second variation at fixed areas.
 
     The verdict is an inertia count, not a spectrum, on ``cluster.unit()``
     (eigenvalues are mass-normalized, so lambda * diameter^2 is the
-    scale-invariant quantity): ``EliminatedHessian.count_below`` at -tau and
-    +tau, tau = ``policy.hessian_zero_scaled``, gives the negative and
-    zero-mode counts.  The report also carries the smallest six constrained
+    scale-invariant quantity): ``EliminatedHessian.count_below`` at
+    -``HESSIAN_ZERO`` and +``HESSIAN_ZERO`` gives the negative and zero-mode
+    counts.  The report also carries the smallest six constrained
     eigenvalues in the cluster's units, found by bisection on the same
     counts.  See ``eliminated_hessian`` for the discretization.
 
-    Every mode with |lambda| * diameter^2 < ``policy.hessian_zero_scaled``
-    counts as a zero mode, whatever its sign: a real instability that small
-    is reported as ``Degenerate``, not ``Unstable`` (necklace(7) with its
-    chamber pressure at -0.02 says ``Degenerate(4)``).
+    Every mode with |lambda| * diameter^2 < ``HESSIAN_ZERO`` counts as a
+    zero mode, whatever its sign: a real instability that small is reported
+    as ``Degenerate``, not ``Unstable`` (necklace(7) with its chamber
+    pressure at -0.02 says ``Degenerate(4)``).
     """
-    hess = eliminated_hessian(cluster.unit(), m, policy)
-    tau = policy.hessian_zero_scaled
-    below_neg, below_pos = hess.count_below([-tau, tau]).tolist()
+    hess = eliminated_hessian(cluster.unit(), m)
+    below_neg, below_pos = hess.count_below([-HESSIAN_ZERO, HESSIAN_ZERO]).tolist()
     negative, zero = below_neg, below_pos - below_neg
     if negative > 0:
         label = f"Unstable({negative})"

@@ -20,7 +20,7 @@ from foamlab.geometry import (
     bulge_angle_from_area,
     segment_area,
 )
-from foamlab.tolerances import DEFAULT
+from foamlab.variation import RANK_REL
 
 from conftest import face_area
 
@@ -77,7 +77,7 @@ class TestCriterion3AreaJacobianRank:
         for name in ("double", "triple", "four", "two_lens", "flower", "necklace6"):
             c = equilibrium_presets[name]
             s = np.linalg.svd(fl.area_jacobian(c), compute_uv=False)
-            cutoff = DEFAULT.rank_rel * s[0]
+            cutoff = RANK_REL * s[0]
             assert int((s > cutoff).sum()) == c.n, name
             assert s[-1] / cutoff >= 100.0, name
 
@@ -206,7 +206,7 @@ class TestCriterion7Continuation:
 class TestCriterion8DeSitterVerifier:
     def test_equilibrium_presets_pass(self, equilibrium_presets):
         for name, c in equilibrium_presets.items():
-            rep = fl.verify_correspondence(c, tol=1e-8)
+            rep = fl.verify_correspondence(c)
             assert rep.collinearity.max() < 1e-8, name
             assert rep.spacing.max() < 1e-8, name
             assert rep.antipodality.max() < 1e-10, name
@@ -214,7 +214,7 @@ class TestCriterion8DeSitterVerifier:
 
     def test_quasi_presets_fail_collinearity(self, quasi_presets):
         for name, c in quasi_presets.items():
-            rep = fl.verify_correspondence(c, tol=1e-8)
+            rep = fl.verify_correspondence(c)
             assert (rep.collinearity > 1e-8).any(), name
             assert not rep.passed, name
 

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,12 @@ class TestDecoration:
         assert fl.region_areas(c) == pytest.approx(
             fl.region_areas(triple), abs=1e-9
         )
+
+    @pytest.mark.parametrize("factor", [-1.0, math.nan, math.inf])
+    def test_bad_factor_rejected(self, triple, factor):
+        c = fl.decorate(triple, 0, 0.25)
+        with pytest.raises(GeometryDomainError, match="factor"):
+            fl.scale_three_sided(c, c.n, factor)
 
     def test_partial_shrink_stays_equilibrium(self, triple):
         c = fl.decorate(triple, 0, 0.25)
@@ -307,6 +315,12 @@ class TestQuasiVariants:
     def test_unknown_kind_rejected(self):
         with pytest.raises(GeometryDomainError):
             fl.quasi_variant("bogus")
+
+    @pytest.mark.parametrize("kind", ["two_lens_recurved", "four_stretched"])
+    @pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amount_rejected(self, kind, amount):
+        with pytest.raises(GeometryDomainError, match="amount"):
+            fl.quasi_variant(kind, amount)
 
 
 class TestMobiusInvariance:

@@ -71,6 +71,15 @@ class TestPressures:
             with pytest.raises(PathInconsistent):
                 fl.pressures(c)
 
+    @pytest.mark.parametrize("amount", [1e-9, 1e-7, 1e-6])
+    def test_undefined_exactly_where_classify_sees_quasi(self, amount):
+        # pressure is well defined exactly when the cocycle condition holds,
+        # and pressures decides it by the same test as classify
+        c = fl.quasi_variant("four_stretched", amount)
+        assert fl.classify(c) is fl.Verdict.QUASI_EQUILIBRIUM
+        with pytest.raises(PathInconsistent):
+            fl.pressures(c)
+
     def test_defect_is_the_largest_edge_residual(self, quasi_presets):
         # one row p_left - p_right = kappa per edge, p_0 = 0, solved in the
         # least-squares sense: the defect is its largest residual
@@ -283,9 +292,11 @@ class TestSolve:
         with pytest.raises(ValueError):
             fl.solve(double, np.array([1.0, -1.0]))
 
-    @pytest.mark.parametrize("target", [[1.0], [1.0, -1.0], [1.0, 0.0]])
+    @pytest.mark.parametrize(
+        "target", [[1.0], [1.0, -1.0], [1.0, 0.0], [np.inf, 1.0], [np.nan, 1.0]]
+    )
     def test_bad_targets_are_typed_errors(self, double, target):
-        with pytest.raises(fl.FoamlabError):
+        with pytest.raises(GeometryDomainError, match="target"):
             fl.solve(double, np.array(target))
 
     @pytest.mark.parametrize("max_iter", [0, -1])

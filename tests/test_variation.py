@@ -7,7 +7,12 @@ import foamlab as fl
 from foamlab.cluster import area_jacobian, shoelace_gradient
 from foamlab.equilibrium import residual_jacobian
 from foamlab.geometry import arc_point, arc_tangent
-from foamlab.variation import DiscreteCluster, eliminated_hessian, rigid_motion_basis
+from foamlab.variation import (
+    HESSIAN_ZERO,
+    DiscreteCluster,
+    eliminated_hessian,
+    rigid_motion_basis,
+)
 
 
 def dense_stability_eigenvalues(cluster, m):
@@ -265,7 +270,7 @@ class TestStability:
             k = rep.eigenvalues.size
             assert rep.m == m and k == min(6, want.size), name
             assert np.abs(rep.eigenvalues - want[:k]).max() <= 1e-12 * np.abs(want).max(), name
-            tau = fl.DEFAULT.hessian_zero_scaled / c.diameter() ** 2
+            tau = HESSIAN_ZERO / c.diameter() ** 2
             negative, zero = int((want < -tau).sum()), int((np.abs(want) <= tau).sum())
             assert rep.zero_mode_count == zero, name
             if negative:
@@ -337,6 +342,11 @@ class TestContinueFamily:
         a = fl.continue_family(triple, np.array([1.05, 1.0, 1.0]), steps=4)[-1]
         b = fl.continue_family(triple, np.array([1.0, 1.05, 1.0]), steps=4)[-1]
         assert np.linalg.norm(a.chart() - b.chart()) > 1e-6
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_target_is_a_domain_error(self, triple, bad):
+        with pytest.raises(fl.GeometryDomainError, match="target"):
+            fl.continue_family(triple, [bad, 1.0, 1.0], steps=2)
 
     def test_iteration_budget_reaches_each_solve(self, triple):
         target = 1.3 * fl.region_areas(triple)
