@@ -178,12 +178,19 @@ class Topology:
         faces.sort(key=lambda walk: left[walk[0]])
         if (found := [left[walk[0]] for walk in faces]) != list(range(cluster.n + 1)):
             raise StructuralError(f"face labels {found}, expected one face per region 0..{cluster.n}")
-        # +1 where r is edge j's left label, -1 where it is its right; the
-        # exterior row is minus the sum of the others and is dropped
-        S = np.zeros((cluster.n + 1, cluster.e))
-        S[labels[:, 0], np.arange(cluster.e)] += 1.0
-        S[labels[:, 1], np.arange(cluster.e)] -= 1.0
-        return cls(f.ends, labels, stars, successor, tuple(map(np.array, faces)), S[1:])
+        S = incidence(labels, cluster.n)
+        return cls(f.ends, labels, stars, successor, tuple(map(np.array, faces)), S)
+
+
+def incidence(labels: np.ndarray, n: int) -> np.ndarray:
+    """Signed edge-region incidence S (n x e): +1 where r is edge j's left
+    label, -1 where it is its right; the exterior row (minus the others' sum)
+    is dropped."""
+    e = len(labels)
+    S = np.zeros((n + 1, e))
+    S[labels[:, 0], np.arange(e)] += 1.0
+    S[labels[:, 1], np.arange(e)] -= 1.0
+    return S[1:]
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -15,13 +15,14 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .cluster import EXTERIOR, Cluster, EdgeRecord, region_areas, rigid_motion_basis
+from .cluster import (
+    EXTERIOR, Cluster, EdgeRecord, incidence, region_areas, rigid_motion_basis, shoelace_terms,
+)
 from .errors import GeometryDomainError, TopologyBreakdown
 from .equilibrium import SOLVE_TOL, chart_lm, residual_jacobian, residuals, solve
 from .geometry import (
     AT_INFINITY,
     PENCIL_TOL,
-    Arc,
     MobiusMap,
     Point,
     arc_leaving,
@@ -140,70 +141,75 @@ def triple_bubble(
 # decoration surgery
 
 
-def _junction_picture(p: complex, q) -> MobiusMap:
-    """The map u -> u / (1 - u / (q - p)) on u = z - p.
-
-    It fixes the junction p with derivative 1 and sends q, the second common
-    point of the junction's carriers, to infinity, so the carriers become
-    straight lines through 0 along the directions they leave p in.  It is
-    the identity when q is :data:`AT_INFINITY`.
+def _graft(cluster: Cluster, p: complex, wq: complex, tri, rays, far, phis):
+    """New vertices and arcs at the junction p, built in the picture
+    P = u / (1 - wq u) of u = z - p, where wq = 1 / (q - p) (0 for q at
+    infinity) and the carriers through p and q are rays from 0.  Vertex k
+    sits at ``tri[k]`` on the ray along ``rays[k]``; its outer arc follows
+    that carrier to vertex ``far[k]``, and its bubble arc to ``tri[k + 1]``
+    has the picture half-angle ``phis[k]`` (none without ``phis``).  Maps
+    back by z = p + P / (1 + wq P) and tangents by tau / (1 + wq P)^2.
+    Raises :class:`TopologyBreakdown` when a vertex is not nearer 0 than its
+    far vertex, unless that is q.
     """
-    if q is AT_INFINITY:
-        return MobiusMap.identity()
-    return MobiusMap(1, 0, -1.0 / (q - p), 1)
-
-
-def _rebuild_edge(pic: MobiusMap, p: complex, q, tail: complex, ray: complex, far: complex) -> Arc:
-    """The arc from the picture point ``tail``, on the ray from 0 along the
-    unit ``ray``, to the cluster vertex ``far``, on the carrier of that ray.
-
-    The arc leaves the mapped-back tail along the mapped-back ray.  Raises
-    :class:`TopologyBreakdown` when the tail is not nearer 0 than far is
-    (far at q is at infinity in the picture, beyond every tail).
-    """
-    if q is AT_INFINITY or abs(far - q) > 1e-9 * abs(q - p):
-        if abs(tail) >= abs(pic.apply(far - p)):
+    z = cluster.points.tolist()
+    back = [t / (1 + wq * t) for t in tri]
+    outer = []
+    for k in range(3):
+        u = z[far[k]] - p
+        if abs(1 - wq * u) > 1e-9 and abs(tri[k]) >= abs(u / (1 - wq * u)):
             raise TopologyBreakdown("the new vertex reaches past an adjacent vertex")
-    back = pic.inverse()
-    return arc_leaving(Point.of(p + back.apply(tail)), ray / (back.c * tail + back.d) ** 2, Point.of(far))
+        tangent = rays[k] / (1 + wq * tri[k]) ** 2
+        outer.append(arc_leaving(Point.of(p + back[k]), tangent, Point.of(z[far[k]])).bulge)
+    bubble = []
+    for k, phi in enumerate(phis):
+        a, b = tri[k], tri[(k + 1) % 3]
+        tangent = (b - a) * cmath.exp(-1j * phi) / (1 + wq * a) ** 2
+        bubble.append(arc_leaving(Point.of(back[k]), tangent, Point.of(back[(k + 1) % 3])).bulge)
+    return [p + u for u in back], outer, bubble
+
+
+def _positive_areas(c: Cluster) -> Cluster:
+    """``c``, unless a region's area S (bulge + chord shoelace term), S
+    read from the labels without a face walk, is not positive."""
+    areas = incidence(c.labels, c.n) @ (c.bulges + shoelace_terms(c.points, c.ends))
+    for r in np.flatnonzero(~(areas > 0.0)):
+        raise GeometryDomainError(f"region {r + 1} of the result has area {areas[r]:.3g}")
+    return c
 
 
 def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     """Insert a three-sided bubble at a triple junction.
 
-    In :func:`_junction_picture` the incident edges are straight rays at 120
-    degrees; the equilateral arc triangle with its vertices on them is
-    inserted there, and everything is mapped back.  ``size`` is that
+    In the :func:`_graft` picture of the junction its edges are straight
+    rays at 120 degrees; the equilateral arc triangle with its vertices on
+    them is inserted there, and everything is mapped back.  ``size`` is that
     triangle's circumradius measured after z -> 1 / (z - q), q the
     junction's second carrier point, or in the cluster's own units at a
     straight junction, whose carriers meet again at infinity.  Edges and
     vertices away from the junction are untouched; the new region gets id
-    n + 1.
+    n + 1.  Raises :class:`GeometryDomainError` when a region of the result
+    would have non-positive area.
     """
     if not 0 <= vertex < cluster.v:
         raise GeometryDomainError(f"no vertex {vertex}")
     if not size > 0:
         raise GeometryDomainError("size must be positive")
-    z, star = cluster.points.tolist(), cluster.topology.stars[vertex]
-    p = z[vertex]
+    star, p = cluster.topology.stars[vertex], cluster.points.tolist()[vertex]
     scale = cluster.diameter()
     # in coordinates (z - p) / scale the curvature noise of straight edges
     # stays far below the meet's tolerance
     q = second_intersection(*(x.flat[star] for x in cluster.carriers(p, scale)))
-    if q is not AT_INFINITY:
-        q = p + scale * q
-    pic = _junction_picture(p, q)
-    # z -> 1 / (z - q) is this picture scaled by 1 / |p - q|^2
-    radius = size if q is AT_INFINITY else size * abs(q - p) ** 2
+    # z -> 1 / (z - q) is the picture scaled by 1 / |p - q|^2
+    q = None if q is AT_INFINITY else p + scale * q
+    wq, radius = (0.0, size) if q is None else (1.0 / (q - p), size * abs(q - p) ** 2)
     rays = [cmath.exp(1j * a) for a in cluster.frame.alpha.flat[star]]
-    tri = [radius * t for t in rays]
     far = cluster.ends.flat[star ^ 1]
-    new_incident = [_rebuild_edge(pic, p, q, tri[k], rays[k], z[far[k]]) for k in range(3)]
-
-    # the inserted bubble: arcs between consecutive (counterclockwise) rays,
+    # the bubble's arcs run between consecutive (counterclockwise) rays,
     # bulging to their right, away from 0
-    back = pic.inverse()
-    bubble_bulges = [mobius_image(back, a, b, math.pi / 6).bulge for a, b in zip(tri, tri[1:] + tri[:1])]
+    verts, outer, bubble = _graft(
+        cluster, p, wq, [radius * t for t in rays], rays, far, [math.pi / 6] * 3
+    )
 
     # the junction's vertex is dropped and the three new ones appended; each
     # incident edge is rebuilt from its new vertex out, and the bubble's
@@ -214,88 +220,74 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     new_region = cluster.n + 1
     ends, bulges, labels = remap[cluster.ends], cluster.bulges.copy(), cluster.labels.copy()
     ends[star >> 1] = np.stack([new_ids, remap[far]], axis=1)
-    bulges[star >> 1] = [arc.bulge for arc in new_incident]
+    bulges[star >> 1] = outer
     left = cluster.labels.ravel()
     labels[star >> 1] = left[np.stack([star, star ^ 1], axis=1)]
     region_labels = cluster.region_labels or ("exterior", *(f"region {r}" for r in range(1, new_region)))
-    return Cluster.from_arrays(
-        np.concatenate([cluster.points[keep], [arc.tail.z for arc in new_incident]]),
+    return _positive_areas(Cluster.from_arrays(
+        np.concatenate([cluster.points[keep], verts]),
         np.concatenate([ends, np.stack([new_ids, np.roll(new_ids, -1)], axis=1)]),
-        np.concatenate([bulges, bubble_bulges]),
+        np.concatenate([bulges, bubble]),
         np.concatenate([labels, np.stack([np.full(3, new_region), left[star]], axis=1)]),
         new_region, region_labels + (f"decoration {new_region}",),
-    )
-
-
-def _in_triangle(w: complex, tri: Sequence[complex]) -> bool:
-    signs = []
-    for k in range(3):
-        a, b = tri[k], tri[(k + 1) % 3]
-        signs.append(((b - a).conjugate() * (w - a)).imag > 0)
-    return all(signs) or not any(signs)
+    ))
 
 
 def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
     """Expand or shrink a three-sided bubble without touching the rest.
 
-    The outer carriers meet at two points; in the :func:`_junction_picture`
-    of the one inside the bubble (the junction it grew from) they are
-    straight rays, and the bubble is scaled about 0 there and mapped back.
-    ``factor`` multiplies the bubble's size measured as in :func:`decorate`,
-    so ``factor = 0`` undoes :func:`decorate`: it deletes the region and
-    merges the three junctions into one vertex.
+    The outer carriers meet at two points, p and q; in the :func:`_graft`
+    picture of the junction p the bubble grew from they are straight rays,
+    and the bubble is scaled about 0 there and mapped back.  ``factor``
+    multiplies the bubble's size measured as in :func:`decorate`, so
+    ``factor = 0`` undoes :func:`decorate`: it deletes the region and merges
+    the three junctions into one vertex.  Raises :class:`GeometryDomainError`
+    when a region of the result would have non-positive area.
     """
     if not (math.isfinite(factor) and factor >= 0):
         raise GeometryDomainError("factor must be finite and >= 0")
     if not 1 <= region <= cluster.n:
         raise GeometryDomainError(f"no interior region {region}")
     top = cluster.topology
-    ends, stars = top.ends.ravel().tolist(), top.stars.tolist()
-    walk = top.walks[region].tolist()
+    walk = top.walks[region]
     if len(walk) != 3:
         raise GeometryDomainError(f"region {region} has {len(walk)} sides, expected 3")
-    bubble_vids = [ends[k] for k in walk]
-    bubble_eids = {k >> 1 for k in walk}
-    # the third half-edge at each junction of the walk leaves the bubble
-    outer_hes = [next(h for h in stars[vid] if h >> 1 not in bubble_eids) for vid in bubble_vids]
-    scale = cluster.diameter()
-    bubble_pos = cluster.points[bubble_vids].tolist()
-    centre = sum(bubble_pos) / 3.0
-    # the outer carriers' two common points; the one inside the bubble is
-    # the one nearest its centroid, tried first since _in_triangle can accept
-    # both on a Mobius image
+    # at each junction, the half-edge clockwise after the walk's leaves the bubble
+    outer_hes = top.successor[walk ^ 1]
+    bubble_vids = top.ends.flat[walk]
+    bubble_pos = cluster.points[bubble_vids]
+    scale, centre = cluster.diameter(), complex(bubble_pos.mean())
     common, ratio = pencil_meet(*(x.flat[outer_hes] for x in cluster.carriers(centre, scale)))
     if ratio > PENCIL_TOL or len(common) != 2:
         raise GeometryDomainError("outer carriers do not share two common points")
-    finite = [centre + scale * q for q in common if q is not AT_INFINITY]
-    finite.sort(key=lambda z: abs(z - centre))
-    for p, q in [finite, finite[::-1]] if len(finite) == 2 else [(finite[0], AT_INFINITY)]:
-        pic = _junction_picture(p, q)
-        tri = [pic.apply(z - p) for z in bubble_pos]
-        if _in_triangle(0j, tri):
+    # the walk (region on its left) goes around p counterclockwise in p's picture,
+    # and around q clockwise: P_q = -(q - p)^2 / P_p reverses angular order
+    for a, b in (common, common[::-1]):
+        if a is AT_INFINITY or (b is not AT_INFINITY and abs(b - a) <= PENCIL_TOL):
+            continue
+        p, wq = centre + scale * a, 0.0 if b is AT_INFINITY else 1.0 / (scale * (b - a))
+        u = bubble_pos - p
+        pic = u / (1 - wq * u)
+        if np.angle(np.roll(pic, -1) * pic.conj()).sum() > math.pi:
             break
     else:
-        raise GeometryDomainError("could not identify the concurrency point inside the bubble")
+        raise GeometryDomainError("no common point of the outer carriers lies inside the bubble")
 
-    # the outer edges keep their carriers, cut at the scaled vertices
-    z = cluster.points.tolist()
-    new_outer = [
-        _rebuild_edge(pic, p, q, factor * tri[k], tri[k] / abs(tri[k]), z[ends[h ^ 1]])
-        for k, h in enumerate(outer_hes)
-    ]
+    # each walk arc keeps its picture half-angle; a merged bubble has no arcs
+    tangent = np.exp(1j * cluster.frame.alpha.flat[walk]) / (1 - wq * u) ** 2
+    phis = np.angle((np.roll(pic, -1) - pic) * tangent.conj()).tolist() if factor > 0.0 else []
+    verts, outer, bubble = _graft(
+        cluster, p, wq, (factor * pic).tolist(), (pic / abs(pic)).tolist(),
+        top.ends.flat[outer_hes ^ 1], phis,
+    )
     points, bulges = cluster.points.copy(), cluster.bulges.copy()
-    points[bubble_vids] = [arc.tail.z for arc in new_outer]
-    for h, arc in zip(outer_hes, new_outer):
-        bulges[h >> 1] = -arc.bulge if h & 1 else arc.bulge
+    points[bubble_vids] = verts
+    for hes, arcs in ((outer_hes, outer), (walk, bubble)):
+        for h, b in zip(hes, arcs):
+            bulges[h >> 1] = -b if h & 1 else b
 
     if factor > 0.0:
-        # z -> p + back(factor pic(z - p)) scales the bubble in the picture
-        m = MobiusMap.translation(p).compose(pic.inverse()).compose(MobiusMap.scaling(factor))
-        m = m.compose(pic).compose(MobiusMap.translation(-p))
-        for j in bubble_eids:
-            tail, head = (z[i] for i in cluster.ends[j])
-            bulges[j] = mobius_image(m, tail, head, float(cluster.frame.phi[j])).bulge
-        return cluster.with_chart(np.concatenate([points.view(float), bulges]))
+        return _positive_areas(cluster.with_chart(np.concatenate([points.view(float), bulges])))
 
     # factor == 0: delete the region, merge the three junctions at p
     keep = ~np.isin(np.arange(cluster.v), bubble_vids)
@@ -303,10 +295,10 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
     kept = (cluster.labels != region).all(axis=1)  # every edge but the bubble's
     labels = cluster.labels[kept]
     region_labels = tuple(l for r, l in enumerate(cluster.region_labels) if r != region)
-    return Cluster.from_arrays(
+    return _positive_areas(Cluster.from_arrays(
         np.append(cluster.points[keep], p), remap[cluster.ends[kept]], bulges[kept],
         labels - (labels > region), cluster.n - 1, region_labels,
-    )
+    ))
 
 
 def four_bubble(size: float = 0.3, interface_length: float = 1.0) -> Cluster:

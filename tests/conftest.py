@@ -89,3 +89,12 @@ def face_area(c, walk):
         arc = half_edge_arc(c, k)
         total += arc.bulge + 0.5 * (arc.tail.x * arc.head.y - arc.tail.y * arc.head.x)
     return total
+
+
+def tiny_decorated_image():
+    """A decorated Mobius image of the double bubble, of diameter about
+    4e-8.  The outer carriers of its three-sided regions 1 and 2 meet in one
+    point counted twice: their two common points coincide."""
+    c = fl.double_bubble(1.0, 0.6)
+    image = fl.mobius_apply_cluster(fl.random_mobius(c, np.random.default_rng(3)), c)
+    return fl.decorate(fl.mobius_apply_cluster(fl.MobiusMap.scaling(1e-6), image), 1, 0.05)

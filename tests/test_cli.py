@@ -16,6 +16,8 @@ import foamlab as fl
 from foamlab import cli
 from foamlab.cli import run
 
+from conftest import tiny_decorated_image
+
 
 def read(path):
     return path.read_text()
@@ -67,6 +69,16 @@ def run_quietly(argv):
     with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
     return code, out.getvalue()
+
+
+def run_script(argv):
+    """``python -m foamlab.cli argv`` in a fresh interpreter, so stderr
+    shows what an uncaught exception would print."""
+    src = str(Path(fl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "foamlab.cli", *argv], env=env, capture_output=True, text=True
+    )
 
 
 def with_input(verb, path):
@@ -152,12 +164,7 @@ class TestNewAndCheck:
         parent[path[-1]] = value
         bad = tmp_path / "malformed.json"
         bad.write_text(json.dumps(doc))
-        src = str(Path(fl.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run(
-            [sys.executable, "-m", "foamlab.cli", "check", str(bad)],
-            env=env, capture_output=True, text=True,
-        )
+        out = run_script(["check", str(bad)])
         assert out.returncode == 2, out.stderr
         assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
 
@@ -290,6 +297,34 @@ class TestSurgeryVerbs:
         run(["new", "triple", "-o", str(t)])
         run(["decorate", str(t), "--vertex", "0", "--size", "0.25", "-o", str(t4)])
         assert run_quietly(["shrink", str(t4), "--region", "4", "--factor", factor])[0] == 2
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            [["mobius", "--scale", "10", "db.json", "-o", "db10.json"],
+             ["decorate", "db10.json", "--vertex", "0", "--size", "0.2"]],
+            [["decorate", "db.json", "--vertex", "0", "--size", "0.05", "-o", "dd.json"],
+             ["shrink", "dd.json", "--region", "1", "--factor", "2"]],
+        ],
+        ids=["decorate_scaled_double", "grow_decorated_double"],
+    )
+    def test_non_positive_area_result_is_exit_2(self, tmp_path, monkeypatch, steps):
+        """Each chain's last step would write a region of negative area."""
+        monkeypatch.chdir(tmp_path)
+        run(["new", "double", "--r1", "1", "--r2", "0.6", "-o", "db.json"])
+        *setup, last = steps
+        for argv in setup:
+            assert run(argv) == 0
+        code, out = run_quietly(last)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("region", ["1", "2"])
+    def test_shrink_with_coincident_common_points_is_exit_2(self, tmp_path, region):
+        doc = tmp_path / "tiny.json"
+        doc.write_text(fl.dumps(tiny_decorated_image()))
+        out = run_script(["shrink", str(doc), "--region", region, "--factor", "0.5"])
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
 
 
 class TestMapVerbs:

@@ -9,6 +9,8 @@ from foamlab.constructions import _quasi_rows
 from foamlab.errors import GeometryDomainError
 from foamlab.geometry import AT_INFINITY, Point, arc_carrier, second_intersection
 
+from conftest import tiny_decorated_image
+
 
 class TestDoubleBubble:
     def test_outer_radii(self):
@@ -89,6 +91,11 @@ class TestDecoration:
         half = fl.scale_three_sided(c, c.n, 0.5)
         assert fl.classify(half) is fl.Verdict.EQUILIBRIUM
         assert fl.region_areas(half)[-1] < fl.region_areas(c)[-1]
+
+    @pytest.mark.parametrize("region", [1, 2])
+    def test_coincident_common_points_are_a_domain_error(self, region):
+        with pytest.raises(GeometryDomainError, match="common point"):
+            fl.scale_three_sided(tiny_decorated_image(), region, 0.5)
 
 
 def scaled(c, s):
@@ -191,6 +198,37 @@ class TestDecorationScaleCovariance:
                     )
                     want = fl.mobius_apply_cluster(m, fl.decorate(c, vertex, size))
                     assert_similar(fl.decorate(image, vertex, size_image), want)
+
+
+class TestSurgerySweep:
+    """Every decoration and every scaling of a three-sided region of it
+    either raises a typed error or returns a valid equilibrium."""
+
+    @staticmethod
+    def judge(make, *args):
+        try:
+            c = make(*args)
+        except fl.FoamlabError:
+            return None
+        assert fl.validate(c, check_disjoint=True).ok, (make.__name__, args[1:])
+        assert fl.classify(c) is fl.Verdict.EQUILIBRIUM, (make.__name__, args[1:])
+        return c
+
+    @pytest.mark.parametrize("name", list(VERTEX_COUNTS))
+    def test_unit_scale_presets_and_images(self, equilibrium_presets, name):
+        c = equilibrium_presets[name]
+        rng = np.random.default_rng(7)
+        images = [c] + [fl.mobius_apply_cluster(fl.random_mobius(c, rng), c) for _ in range(2)]
+        for image in images:
+            for vertex in range(image.v):
+                for size in (0.05, 0.2, 1.0):
+                    decorated = self.judge(fl.decorate, image, vertex, size)
+                    if decorated is None:
+                        continue
+                    walks = decorated.topology.walks
+                    for region in (r for r in range(1, decorated.n + 1) if len(walks[r]) == 3):
+                        for factor in (0.5, 2.0):
+                            self.judge(fl.scale_three_sided, decorated, region, factor)
 
 
 class TestFourBubble:
