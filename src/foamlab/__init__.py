@@ -1,6 +1,6 @@
 """Planar soap-bubble clusters of fixed combinatorial type.
 
-Circular-arc geometry with signed-segment-area (bulge) coordinates, a
+Circular-arc geometry in half-angle coordinates (bulges in JSON), a
 half-edge cluster model with JSON and SVG output, equilibrium residuals and
 pressures, an area-constrained solver, tangent-space dimension and
 second-variation stability, preset constructions, and the oriented-circle /

@@ -1,13 +1,15 @@
 """Cluster data structure: combinatorics, areas, perimeter, serialization.
 
 A cluster of ``n`` regions is a chart point of dimension ``2v + e = 7n - 7``:
-vertex coordinates plus one signed bulge area per edge.  The arrays are the
+vertex coordinates plus one half-angle per edge.  The arrays are the
 cluster: ``Cluster`` holds the read-only ``points``, ``ends`` (tail, head),
-``bulges`` and ``labels`` (left, right region) of its edges, and ``Point``
-and ``EdgeRecord`` rows are only the constructor and codec adapter.  Every
-per-edge quantity (half-angle, end tangents, curvature) and its exact chart
-gradient is computed once per chart point in ``Cluster.frame``, and each
-half-edge's oriented carrier (A, B, D) follows from it by one formula.  The
+``phis`` and ``labels`` (left, right region) of its edges.  ``Point`` and
+``EdgeRecord`` rows, with bulges, are only the constructor and codec adapter:
+a cluster read from them keeps its bulges and inverts them once.  Every
+per-edge quantity (end tangents, curvature, bulge) and its chart gradient is
+closed form in the half-angle, computed once per chart point in
+``Cluster.frame``, and each half-edge's oriented carrier (A, B, D) follows
+from it by one formula.  The
 combinatorial type is a ``Topology``, derived once per type, not once per
 chart point: the counterclockwise stars, the face walks obtained by rotating
 around vertices, one boundary walk per region and the signed incidence S.
@@ -41,6 +43,7 @@ from .geometry import (  # arc_tangent is unused here, but perfbench's tests res
     arc_tangent,
     bulge_angle_from_area,
     carrier_coefficients,
+    segment_area,
     segment_area_dphi,
 )
 
@@ -66,7 +69,7 @@ class EdgeFrame:
     """Per-edge geometry of one chart point, with exact chart gradients.
 
     Edge j's quantities depend on the chart only through w = head - tail and
-    its bulge b, so each gradient is stored as (d/d Re w, d/d Im w, d/db);
+    phi, so each gradient is stored as (d/d Re w, d/d Im w, d/dphi);
     the tail's coordinates get minus and the head's plus its first two
     entries.  End 0 is the tail, where the forward half-edge leaves; end 1 is
     the head, where the reversed half-edge leaves.
@@ -75,7 +78,8 @@ class EdgeFrame:
     ends: np.ndarray  # (e, 2) tail and head vertex
     v: int
     chord: np.ndarray  # (e,) chord length c
-    phi: np.ndarray  # (e,) bulge half-angle
+    direction: np.ndarray  # (e,) unit chord direction u = w / c
+    phi: np.ndarray  # (e,) half-angle
     length: np.ndarray  # (e,) arc length c / sinc(phi)
     alpha: np.ndarray  # (e, 2) angle of the tangent leaving each end
     kappa: np.ndarray  # (e,) forward signed curvature 2 sin(phi) / c
@@ -106,9 +110,9 @@ def _frozen(a, dtype) -> np.ndarray:
     return a
 
 
-def _grad(g: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """Stack a complex gradient d/d Re w + i d/d Im w with d/db."""
-    return np.stack([g.real, g.imag, db], axis=-1)
+def _grad(g: np.ndarray, dphi) -> np.ndarray:
+    """Stack a complex gradient d/d Re w + i d/d Im w with d/dphi, broadcast."""
+    return np.stack(np.broadcast_arrays(g.real, g.imag, dphi), axis=-1)
 
 
 def _face_walks(ends: np.ndarray, alpha: np.ndarray, v: int):
@@ -195,14 +199,15 @@ def incidence(labels: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, init=False)
 class Cluster:
-    """A chart point of a cluster type: four read-only arrays and the region
-    count.  ``Cluster(vertices, edges, region_count, region_labels)`` builds
-    one from ``Point`` and ``EdgeRecord`` rows, row j being edge j, and
-    :meth:`from_arrays` from the arrays.  A cluster is equal only to itself."""
+    """A chart point of a cluster type: the read-only arrays ``points``,
+    ``ends``, ``phis`` and ``labels``, and the region count.
+    ``Cluster(vertices, edges, region_count, region_labels)`` builds one from
+    ``Point`` and ``EdgeRecord`` rows, row j being edge j, keeping their
+    bulges; :meth:`from_arrays` builds one from the arrays.  A cluster is
+    equal only to itself."""
 
     points: np.ndarray  # (v,) complex vertex positions
     ends: np.ndarray  # (e, 2) int tail and head vertex
-    bulges: np.ndarray  # (e,) signed bulge areas
     labels: np.ndarray  # (e, 2) int left and right region
     region_count: int  # interior regions; exterior is region 0 on top
     region_labels: Tuple[str, ...]
@@ -212,21 +217,38 @@ class Cluster:
         region_labels: Sequence[str] = (),
     ):
         rows = np.array([(ed.tail, ed.head, ed.left, ed.right) for ed in edges], dtype=int).reshape(-1, 4)
-        bulges = [ed.bulge for ed in edges]
-        self._fill([p.z for p in vertices], rows[:, :2], bulges, rows[:, 2:], region_count, region_labels)
+        arcs = {"bulges": [ed.bulge for ed in edges]}
+        self._fill([p.z for p in vertices], rows[:, :2], rows[:, 2:], region_count, region_labels, **arcs)
 
     @classmethod
-    def from_arrays(cls, points, ends, bulges, labels, region_count, region_labels=()) -> "Cluster":
+    def from_arrays(cls, points, ends, phis, labels, region_count, region_labels=()) -> "Cluster":
         """The cluster with these arrays, shared if already read-only."""
         c = cls.__new__(cls)
-        c._fill(points, ends, bulges, labels, region_count, region_labels)
+        c._fill(points, ends, labels, region_count, region_labels, phis=phis)
         return c
 
-    def _fill(self, points, ends, bulges, labels, region_count, region_labels) -> None:
+    def _fill(self, points, ends, labels, region_count, region_labels, **arcs) -> None:
         self.__dict__.update(
-            points=_frozen(points, complex), ends=_frozen(ends, int), bulges=_frozen(bulges, float),
-            labels=_frozen(labels, int), region_count=region_count, region_labels=tuple(region_labels),
+            points=_frozen(points, complex), ends=_frozen(ends, int), labels=_frozen(labels, int),
+            region_count=region_count, region_labels=tuple(region_labels),
+            **{name: _frozen(a, float) for name, a in arcs.items()},
         )
+
+    @cached_property
+    def phis(self) -> np.ndarray:
+        """(e,) half-angles; a cluster read from rows inverts its bulges here."""
+        return _frozen(list(map(bulge_angle_from_area, self.chords.tolist(), self.bulges.tolist())), float)
+
+    @cached_property
+    def bulges(self) -> np.ndarray:
+        """(e,) segment_area(phi, c), or the bulges of the rows read."""
+        return _frozen(segment_area(self.phis, self.chords), float)
+
+    @cached_property
+    def chords(self) -> np.ndarray:
+        """(e,) |head - tail| by ``hypot``, as Python's ``abs`` (numpy's can differ by an ulp)."""
+        w = np.diff(self.points[self.ends], axis=1).ravel()
+        return np.hypot(w.real, w.imag)
 
     # -- rows: the constructor and codec adapter ---------------------------
 
@@ -247,7 +269,7 @@ class Cluster:
 
     @property
     def e(self) -> int:
-        return self.bulges.size
+        return len(self.ends)
 
     @property
     def n(self) -> int:
@@ -260,14 +282,13 @@ class Cluster:
     # -- chart coordinates -------------------------------------------------
 
     def chart(self) -> np.ndarray:
-        """Coordinates (x_1, y_1, ..., x_v, y_v, b_1, ..., b_e)."""
-        return np.concatenate([self.points.view(float), self.bulges])
+        """Coordinates (x_1, y_1, ..., x_v, y_v, phi_1, ..., phi_e)."""
+        return np.concatenate([self.points.view(float), self.phis])
 
     def chart_units(self) -> np.ndarray:
         """The unit of each chart coordinate: the diameter d for vertex
-        coordinates and d^2 for bulges."""
-        d = self.diameter()
-        return np.repeat([d, d * d], [2 * self.v, self.e])
+        coordinates and 1 for the dimensionless half-angles."""
+        return np.repeat([self.diameter(), 1.0], [2 * self.v, self.e])
 
     def unit(self) -> "Cluster":
         """The unit frame: ``with_chart(chart() / chart_units())``, of diameter 1."""
@@ -275,7 +296,7 @@ class Cluster:
 
     def with_chart(self, x: np.ndarray) -> "Cluster":
         """The cluster of the same type at chart point ``x``.  Its points and
-        bulges are views of ``x``, copied unless read-only, and it shares this
+        phis are views of ``x``, copied unless read-only, and it shares this
         cluster's ``ends``, ``labels`` and topology."""
         x = _frozen(x, float)
         if x.shape != (2 * self.v + self.e,):
@@ -301,33 +322,27 @@ class Cluster:
 
     @cached_property
     def frame(self) -> EdgeFrame:
-        """Per-edge geometry at this chart point, phi inverted once per edge.
-
-        Implicit differentiation of segment_area(phi, c) = b gives
-        dphi/db = 1/A_phi and, since the area scales as c^2,
-        dphi/dc = -(2b/c)/A_phi.
-        """
-        points, ends, b = self.points, self.ends, self.bulges
+        """Per-edge geometry at this chart point, closed form in the chord
+        w = c u and the half-angle phi: the end tangents theta -+ phi, with
+        d theta = Im(conj(u) dw) / c, and kappa = 2 sin(phi) / c."""
+        points, ends, phi = self.points, self.ends, self.phis
         w = points[ends[:, 1]] - points[ends[:, 0]]
-        c = np.abs(w)
-        phi = np.array([bulge_angle_from_area(cj, bj) for cj, bj in zip(c, b)])
-        phi_b = 1.0 / np.array([segment_area_dphi(p, cj) for p, cj in zip(phi, c)])
+        c = self.chords
         u = w / c
-        g_phi = -(2.0 * b / c) * phi_b * u
         g_theta = 1j * u / c
         kappa = 2.0 * np.sin(phi) / c
-        kappa_phi = 2.0 * np.cos(phi) / c
         theta = np.angle(w)
         return EdgeFrame(
             ends=ends,
             v=self.v,
             chord=c,
+            direction=u,
             phi=phi,
             length=c / np.sinc(phi / math.pi),
             alpha=np.stack([theta - phi, theta + phi + math.pi], axis=1),
             kappa=kappa,
-            d_alpha=np.stack([_grad(g_theta - g_phi, -phi_b), _grad(g_theta + g_phi, phi_b)], 1),
-            d_kappa=_grad(kappa_phi * g_phi - kappa / c * u, kappa_phi * phi_b),
+            d_alpha=_grad(g_theta[:, None], [-1.0, 1.0]),
+            d_kappa=_grad(-kappa / c * u, 2.0 * np.cos(phi) / c),
         )
 
     def arc_samples(self, t) -> Tuple[np.ndarray, np.ndarray]:
@@ -340,7 +355,7 @@ class Cluster:
         phi, t = f.phi[:, None], np.asarray(t, dtype=float)[None, :]
         ratio = t * np.sinc(phi * t / math.pi) / np.sinc(phi / math.pi)
         at = tail[:, None] + w[:, None] * ratio * np.exp(1j * phi * (t - 1.0))
-        return at, (w / f.chord)[:, None] * np.exp(1j * phi * (2.0 * t - 1.0))
+        return at, f.direction[:, None] * np.exp(1j * phi * (2.0 * t - 1.0))
 
     def carriers(
         self, centre: complex = 0j, scale: float = 1.0
@@ -397,21 +412,23 @@ def perimeter(cluster: Cluster) -> float:
 
 
 def area_jacobian(cluster: Cluster) -> np.ndarray:
-    """d(areas)/d(chart), shape (n, 2v + e): exactly [S G | S].
-
-    Areas are linear in the bulges and bilinear in the vertex coordinates;
-    G is the per-edge gradient of the chord shoelace terms.
-    """
+    """d(areas)/d(chart), shape (n, 2v + e): S times the per-edge gradients
+    of the bulge b = c^2 segment_area(phi, 1), (2b/c) u in the chord w = c u
+    and ``segment_area_dphi`` in phi, plus those of the shoelace terms."""
+    f, p, (a, b), edges = cluster.frame, cluster.points, cluster.ends.T, np.arange(cluster.e)
+    g = 2.0 * cluster.bulges / f.chord * f.direction
+    G = np.zeros((cluster.e, cluster.v), dtype=complex)  # entries d/dx + i d/dy per edge
+    G[edges, a] = -0.5j * p[b] - g
+    G[edges, b] = 0.5j * p[a] + g
     S = cluster.topology.incidence
-    G = shoelace_gradient(cluster.points, cluster.ends, np.arange(cluster.e), cluster.e)
-    return np.hstack([S @ G, S])
+    return np.hstack([S @ G.view(float), S * segment_area_dphi(f.phi, f.chord)])
 
 
 def rigid_motion_basis(cluster: Cluster) -> np.ndarray:
     """Orthonormal chart vectors for x/y-translation and rotation, shape
     (3, 2v + e).
 
-    Bulge entries are exactly zero: signed segment areas are invariant under
+    Half-angle entries are exactly zero: arcs keep their half-angles under
     rigid motions.  Rotation is taken about the vertex centroid, which makes
     it orthogonal to the translations.
     """
@@ -454,13 +471,13 @@ def validate(cluster: Cluster, check_disjoint: bool = False) -> ValidationReport
         (cluster.v, cluster.e) == (2 * (n - 1), 3 * (n - 1)),
         f"v, e = {cluster.v}, {cluster.e}, expected {2 * (n - 1)}, {3 * (n - 1)}",
     )
-    bad = np.flatnonzero(~np.isfinite(cluster.chart())).tolist()
+    numbers = np.concatenate([cluster.points.view(float), cluster.bulges])  # bulges: none inverted
+    bad = np.flatnonzero(~np.isfinite(numbers)).tolist()
     add("finite_chart", not bad, f"non-finite chart coordinates {bad}")
     if bad:
         return ValidationReport(tuple(checks))
 
-    chords = np.abs(np.diff(cluster.points[cluster.ends], axis=1)).ravel()
-    short = np.flatnonzero(chords <= CHORD_FLOOR * cluster.diameter()).tolist()
+    short = np.flatnonzero(cluster.chords <= CHORD_FLOOR * cluster.diameter()).tolist()
     add("edge_chords", not short, f"degenerate edges {short}")
     bad_labels = np.flatnonzero(cluster.labels[:, 0] == cluster.labels[:, 1]).tolist()
     add("edge_labels", not bad_labels, f"left == right on edges {bad_labels}")
@@ -502,14 +519,8 @@ def _disjointness_scan(cluster: Cluster, samples: int = 16) -> List[Tuple[int, i
 
 
 def to_json_dict(cluster: Cluster) -> dict:
-    regions = [{"id": 0, "label": "exterior"}]
-    for r in range(1, cluster.n + 1):
-        label = (
-            cluster.region_labels[r]
-            if r < len(cluster.region_labels)
-            else f"region {r}"
-        )
-        regions.append({"id": r, "label": label})
+    given = cluster.region_labels[1 : cluster.n + 1]
+    labels = ["exterior", *given, *(f"region {r}" for r in range(len(given) + 1, cluster.n + 1))]
     return {
         "version": 1,
         "vertices": [
@@ -521,7 +532,7 @@ def to_json_dict(cluster: Cluster) -> dict:
                 zip(cluster.ends.tolist(), cluster.bulges.tolist(), cluster.labels.tolist())
             )
         ],
-        "regions": regions,
+        "regions": [{"id": r, "label": label} for r, label in enumerate(labels)],
         "exterior": 0,
     }
 

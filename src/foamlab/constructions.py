@@ -25,9 +25,7 @@ from .geometry import (
     PENCIL_TOL,
     MobiusMap,
     Point,
-    arc_leaving,
-    mobius_apply_point,
-    mobius_image,
+    half_angle,
     mobius_tangent,
     pencil_meet,
     second_intersection,
@@ -42,17 +40,14 @@ def mobius_apply_cluster(m: MobiusMap, cluster: Cluster) -> Cluster:
     is a chart point of the same topology, and moves only which face holds
     infinity.  A pole inside interior region r makes r's image unbounded,
     which shows as its one negative area; region ids 0 and r are then
-    swapped on every edge.  Each vertex is mapped once, and each edge at the
-    half-angle of ``cluster.frame``.
+    swapped on every edge.  Each vertex is mapped once, and each edge's
+    image half-angle is read from its mapped tail tangent.
     """
     z = cluster.points.tolist()
     verts = [m.apply(w) for w in z]
-    edges = zip(cluster.ends.tolist(), cluster.frame.phi.tolist())
-    bulges = [
-        arc_leaving(Point.of(verts[a]), mobius_tangent(m, z[a], z[b], phi), Point.of(verts[b])).bulge
-        for (a, b), phi in edges
-    ]
-    image = cluster.with_chart(np.concatenate([np.array(verts, dtype=complex).view(float), bulges]))
+    edges = zip(cluster.ends.tolist(), cluster.phis.tolist())
+    phis = [half_angle(verts[b] - verts[a], mobius_tangent(m, z[a], z[b], phi)) for (a, b), phi in edges]
+    image = cluster.with_chart(np.concatenate([np.array(verts, dtype=complex).view(float), phis]))
     areas = region_areas(image)
     if areas.min() >= 0.0:
         return image
@@ -60,7 +55,7 @@ def mobius_apply_cluster(m: MobiusMap, cluster: Cluster) -> Cluster:
     swap = np.arange(image.n + 1)
     swap[[EXTERIOR, r]] = r, EXTERIOR
     return Cluster.from_arrays(
-        image.points, image.ends, image.bulges, swap[image.labels], image.n, image.region_labels
+        image.points, image.ends, image.phis, swap[image.labels], image.n, image.region_labels
     )
 
 
@@ -131,8 +126,7 @@ def triple_bubble(
         base = region_areas(cluster)
         # rescale the symmetric seed to the right total before solving
         s = math.sqrt(target.sum() / base.sum())
-        xy = s * cluster.points.view(float)
-        cluster = cluster.with_chart(np.concatenate([xy, s * s * cluster.bulges]))
+        cluster = cluster.with_chart(cluster.chart() * np.repeat([s, 1.0], [2 * cluster.v, cluster.e]))
         cluster = solve(cluster, target)
     return cluster
 
@@ -148,9 +142,9 @@ def _graft(cluster: Cluster, p: complex, wq: complex, tri, rays, far, phis):
     sits at ``tri[k]`` on the ray along ``rays[k]``; its outer arc follows
     that carrier to vertex ``far[k]``, and its bubble arc to ``tri[k + 1]``
     has the picture half-angle ``phis[k]`` (none without ``phis``).  Maps
-    back by z = p + P / (1 + wq P) and tangents by tau / (1 + wq P)^2.
-    Raises :class:`TopologyBreakdown` when a vertex is not nearer 0 than its
-    far vertex, unless that is q.
+    back by z = p + P / (1 + wq P) and tangents by tau / (1 + wq P)^2; the
+    arcs are returned as half-angles.  Raises :class:`TopologyBreakdown`
+    when a vertex is not nearer 0 than its far vertex, unless that is q.
     """
     z = cluster.points.tolist()
     back = [t / (1 + wq * t) for t in tri]
@@ -159,13 +153,12 @@ def _graft(cluster: Cluster, p: complex, wq: complex, tri, rays, far, phis):
         u = z[far[k]] - p
         if abs(1 - wq * u) > 1e-9 and abs(tri[k]) >= abs(u / (1 - wq * u)):
             raise TopologyBreakdown("the new vertex reaches past an adjacent vertex")
-        tangent = rays[k] / (1 + wq * tri[k]) ** 2
-        outer.append(arc_leaving(Point.of(p + back[k]), tangent, Point.of(z[far[k]])).bulge)
+        outer.append(half_angle(z[far[k]] - (p + back[k]), rays[k] / (1 + wq * tri[k]) ** 2))
     bubble = []
     for k, phi in enumerate(phis):
         a, b = tri[k], tri[(k + 1) % 3]
         tangent = (b - a) * cmath.exp(-1j * phi) / (1 + wq * a) ** 2
-        bubble.append(arc_leaving(Point.of(back[k]), tangent, Point.of(back[(k + 1) % 3])).bulge)
+        bubble.append(half_angle(back[(k + 1) % 3] - back[k], tangent))
     return [p + u for u in back], outer, bubble
 
 
@@ -218,16 +211,16 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     remap = np.cumsum(keep) - 1
     new_ids = cluster.v - 1 + np.arange(3)
     new_region = cluster.n + 1
-    ends, bulges, labels = remap[cluster.ends], cluster.bulges.copy(), cluster.labels.copy()
+    ends, phis, labels = remap[cluster.ends], cluster.phis.copy(), cluster.labels.copy()
     ends[star >> 1] = np.stack([new_ids, remap[far]], axis=1)
-    bulges[star >> 1] = outer
+    phis[star >> 1] = outer
     left = cluster.labels.ravel()
     labels[star >> 1] = left[np.stack([star, star ^ 1], axis=1)]
     region_labels = cluster.region_labels or ("exterior", *(f"region {r}" for r in range(1, new_region)))
     return _positive_areas(Cluster.from_arrays(
         np.concatenate([cluster.points[keep], verts]),
         np.concatenate([ends, np.stack([new_ids, np.roll(new_ids, -1)], axis=1)]),
-        np.concatenate([bulges, bubble]),
+        np.concatenate([phis, bubble]),
         np.concatenate([labels, np.stack([np.full(3, new_region), left[star]], axis=1)]),
         new_region, region_labels + (f"decoration {new_region}",),
     ))
@@ -280,14 +273,13 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
         cluster, p, wq, (factor * pic).tolist(), (pic / abs(pic)).tolist(),
         top.ends.flat[outer_hes ^ 1], phis,
     )
-    points, bulges = cluster.points.copy(), cluster.bulges.copy()
+    points, phis = cluster.points.copy(), cluster.phis.copy()
     points[bubble_vids] = verts
-    for hes, arcs in ((outer_hes, outer), (walk, bubble)):
-        for h, b in zip(hes, arcs):
-            bulges[h >> 1] = -b if h & 1 else b
+    for h, phi in zip(np.concatenate([outer_hes, walk]), outer + bubble):  # no bubble at factor 0
+        phis[h >> 1] = -phi if h & 1 else phi
 
     if factor > 0.0:
-        return _positive_areas(cluster.with_chart(np.concatenate([points.view(float), bulges])))
+        return _positive_areas(cluster.with_chart(np.concatenate([points.view(float), phis])))
 
     # factor == 0: delete the region, merge the three junctions at p
     keep = ~np.isin(np.arange(cluster.v), bubble_vids)
@@ -296,7 +288,7 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
     labels = cluster.labels[kept]
     region_labels = tuple(l for r, l in enumerate(cluster.region_labels) if r != region)
     return _positive_areas(Cluster.from_arrays(
-        np.append(cluster.points[keep], p), remap[cluster.ends[kept]], bulges[kept],
+        np.append(cluster.points[keep], p), remap[cluster.ends[kept]], phis[kept],
         labels - (labels > region), cluster.n - 1, region_labels,
     ))
 
@@ -330,23 +322,20 @@ def two_lens(lens1: float = 0.8, lens2: float = 0.8, separation: float = 2.0) ->
     a1, b1 = Point(-s - lens1 / 2, 0.0), Point(-s + lens1 / 2, 0.0)
     a2, b2 = Point(s - lens2 / 2, 0.0), Point(s + lens2 / 2, 0.0)
     m = MobiusMap.inversion_about(1j)
-    verts = [mobius_apply_point(m, p) for p in (b1, a2, b2, a1)]
+    z = [m.apply(p.z) for p in (b1, a2, b2, a1)]
 
-    # each lens a -> b: the upper arc at half-angle -pi/3, the lower at pi/3
-    lens = [(a, b, phi) for a, b in ((a1, b1), (a2, b2)) for phi in (-math.pi / 3, math.pi / 3)]
-    upper1, lower1, upper2, lower2 = [mobius_image(m, a.z, b.z, phi).bulge for a, b, phi in lens]
-    # the piece of the line through infinity closes up through m(inf) = 0,
-    # leaving m(b2) along m'(b2) = -1 / (b2 - i)^2 times the line's direction
-    far = arc_leaving(verts[2], -1 / (b2.z - 1j) ** 2, verts[3]).bulge
-    edges = (
-        EdgeRecord(0, 0, 1, mobius_image(m, b1.z, a2.z, 0.0).bulge, EXTERIOR, 1),
-        EdgeRecord(1, 2, 3, far, EXTERIOR, 1),
-        EdgeRecord(2, 3, 0, upper1, EXTERIOR, 2),
-        EdgeRecord(3, 3, 0, lower1, 2, 1),
-        EdgeRecord(4, 1, 2, upper2, EXTERIOR, 3),
-        EdgeRecord(5, 1, 2, lower2, 3, 1),
-    )
-    return Cluster(tuple(verts), edges, 3, ("exterior", "bubble", "lens 1", "lens 2"))
+    def image(a: Point, b: Point, phi: float) -> float:  # half-angle of the image of arc a -> b
+        return half_angle(m.apply(b.z) - m.apply(a.z), mobius_tangent(m, a.z, b.z, phi))
+
+    # edge 1 is the piece of the line through infinity: it closes up through
+    # m(inf) = 0, leaving m(b2) along m'(b2) = -1 / (b2 - i)^2 times the
+    # line's direction; each lens a -> b has its upper arc at half-angle
+    # -pi/3 and its lower at pi/3
+    phis = [image(b1, a2, 0.0), half_angle(z[3] - z[2], -1 / (b2.z - 1j) ** 2)]
+    phis += [image(a, b, phi) for a, b in ((a1, b1), (a2, b2)) for phi in (-math.pi / 3, math.pi / 3)]
+    ends = [(0, 1), (2, 3), (3, 0), (3, 0), (1, 2), (1, 2)]
+    labels = [(EXTERIOR, 1), (EXTERIOR, 1), (EXTERIOR, 2), (2, 1), (EXTERIOR, 3), (3, 1)]
+    return Cluster.from_arrays(z, ends, phis, labels, 3, ("exterior", "bubble", "lens 1", "lens 2"))
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +459,9 @@ def quasi_variant(kind: str, amount: float = 0.15) -> Cluster:
     ``two_lens_recurved``: the two arcs of the two-lens cluster's main circle
     are re-curved by the relative ``amount``, every other edge keeps its
     curvature, and the angle conditions are re-solved.  At the base the
-    stack is one short of full column rank (13 of 14), and for |amount|
-    from about 3e-9 to 1e-3 the iteration stalls at a residual near
-    0.08 |amount| and raises :class:`NonConvergence`.  ``four_stretched``:
+    stack is one short of full column rank (13 of 14): |amount| = 1e-3
+    takes 163 of the 200 iterations, and 1e-4, 1e-6 and 3e-9 raise
+    :class:`NonConvergence`.  ``four_stretched``:
     the middle straight edge of the standard 4-bubble is lengthened by the
     relative ``amount`` with both endpoints pinned.  ``amount = 0``
     reproduces the equilibrium base cluster.
@@ -516,7 +505,7 @@ def _quasi_rows(variant: str, amount: float):
         # the two pinned endpoints already fix rigid motions: no gauge rows
         base = four_bubble()
         unit = base.unit()
-        straight = np.flatnonzero(np.abs(unit.bulges) < 1e-12)
+        straight = np.flatnonzero(np.abs(unit.phis) < 1e-12)
         tail, head = unit.ends[straight[unit.frame.chord[straight].argmax()]]
         ta, he = unit.points[[tail, head]].tolist()
         shift = 0.5 * amount * (he - ta)  # each end moves out by amount/2 of the edge

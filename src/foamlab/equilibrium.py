@@ -2,7 +2,7 @@
 
 Sign convention (fixed here, asserted by a calibration test): traversing an
 edge tail -> head with left region L and right region R, the signed curvature
-is kappa = 2 sin(phi)/c with phi the bulge half-angle, and
+is kappa = 2 sin(phi)/c with phi the arc's half-angle, and
 
     p_L - p_R = kappa.
 
@@ -207,9 +207,9 @@ SOLVE_TOL = 1e-10
 def _check_topology(cluster: Cluster) -> None:
     """Raise :class:`TopologyBreakdown` unless the unit-frame chart point
     still realizes its topology: no chord at or below ``CHORD_FLOOR`` (tested
-    before the frame inverts a bulge on it), no near-full circle, and every
-    star in counterclockwise order (turning once, not twice, around it)."""
-    for j in np.flatnonzero(np.abs(np.diff(cluster.points[cluster.ends])) <= CHORD_FLOOR):
+    before the frame divides by it), no near-full circle, and every star in
+    counterclockwise order (turning once, not twice, around it)."""
+    for j in np.flatnonzero(cluster.chords <= CHORD_FLOOR):
         raise TopologyBreakdown(f"edge {j} chord collapsed")
     f = cluster.frame
     for j in np.flatnonzero(np.abs(f.phi) > math.pi - 1e-3):
@@ -246,9 +246,10 @@ def solve(initial: Cluster, target: np.ndarray, max_iter: int = 100) -> Cluster:
 
     Minimizes the stacked system [angle; cocycle; areas - target; gauge] by
     Gauss-Newton (:func:`chart_lm`) with its exact Jacobian in the unit
-    chart, where every row is dimensionless, until each angle, cocycle and
-    area row is below ``SOLVE_TOL`` within ``max_iter`` iterations.  The
-    gauge rows R (x - x0), with x0 the initial chart point and R its
+    chart (x / d, y / d, phi), where every row is dimensionless, until each
+    angle, cocycle and area row is below ``SOLVE_TOL`` within ``max_iter``
+    iterations; one call takes the symmetric triple bubble to (1, 1, 1000).
+    The gauge rows R (x - x0), with x0 the initial chart point and R its
     :func:`rigid_motion_basis`, remove rigid motions: the result keeps the
     initial vertex centroid and has no component along the initial
     infinitesimal rotation.

@@ -1,9 +1,10 @@
 """Circular-arc primitives, oriented carriers, and Mobius transformations.
 
-An arc is stored by its chord endpoints plus the signed area between the arc
-and the chord ("bulge").  Storing the area instead of a curvature keeps arcs
-larger than a semicircle unambiguous.  The derived half-angle ``phi`` (half
-the central angle, signed) lives in (-pi, pi):
+An arc is its chord endpoints plus its half-angle ``phi`` (half the central
+angle, signed) in (-pi, pi), which keeps arcs larger than a semicircle
+unambiguous and makes every arc quantity closed form.  Its bulge, the signed
+area between the arc and the chord, is what the JSON format stores;
+``bulge_angle_from_area`` inverts it:
 
   * ``phi > 0``: the arc curves counterclockwise (to the left along travel)
     and lies to the right of the tail->head chord;
@@ -77,15 +78,19 @@ class Arc:
         return Arc(self.head, self.tail, -self.bulge)
 
 
-def _sinc(x: float) -> float:
-    if abs(x) < 1e-8:
-        return 1.0 - x * x / 6.0
-    return math.sin(x) / x
+def _each(f, phi: np.ndarray, chord_length) -> np.ndarray:
+    """``f`` entry by entry: math on a few dozen floats costs what ufuncs do."""
+    return np.array(list(map(f, phi.tolist(), np.broadcast_to(chord_length, phi.shape).tolist())))
 
 
-def segment_area(phi: float, chord_length: float) -> float:
-    """Signed area between the arc of half-angle ``phi`` and its chord."""
+def segment_area(phi, chord_length):
+    """Signed area between the arc of half-angle ``phi`` and its chord; for
+    an array ``phi``, elementwise."""
+    if isinstance(phi, np.ndarray):
+        return _each(segment_area, phi, chord_length)
     c = chord_length
+    if math.isinf(phi):  # math.sin raises there; a non-finite chart gives a non-finite bulge
+        return math.nan
     if abs(phi) < 0.05:
         # (phi - sin phi cos phi)/(4 sin^2 phi)
         #   = phi/6 + phi^3/45 + phi^5/315 + 2 phi^7/4725 + ...
@@ -98,9 +103,12 @@ def segment_area(phi: float, chord_length: float) -> float:
     return c * c * (phi - s * math.cos(phi)) / (4.0 * s * s)
 
 
-def segment_area_dphi(phi: float, chord_length: float) -> float:
+def segment_area_dphi(phi, chord_length):
     """d(segment_area)/d(phi) = c^2 (sin phi - phi cos phi) / (2 sin^3 phi),
-    with the series branch of ``segment_area`` differentiated term by term."""
+    with the series branch of ``segment_area`` differentiated term by term;
+    for an array ``phi``, elementwise."""
+    if isinstance(phi, np.ndarray):
+        return _each(segment_area_dphi, phi, chord_length)
     c = chord_length
     if abs(phi) < 0.05:
         p2 = phi * phi
@@ -144,7 +152,7 @@ def arc_point(arc: Arc, t: float) -> Point:
     phi = arc.phi
     tau = arc.tail.z
     c = arc.chord_length()
-    ratio = t * _sinc(phi * t) / _sinc(phi)
+    ratio = t * np.sinc(phi * t / math.pi) / np.sinc(phi / math.pi)
     return Point.of(tau + c * ratio * cmath.exp(1j * phi * (t - 1.0)) * arc.chord_dir())
 
 
@@ -154,7 +162,7 @@ def arc_tangent(arc: Arc, t: float) -> complex:
 
 
 def arc_length(arc: Arc) -> float:
-    return arc.chord_length() / _sinc(arc.phi)
+    return arc.chord_length() / np.sinc(arc.phi / math.pi)
 
 
 def arc_through(tail: Point, mid: Point, head: Point) -> Arc:
@@ -175,22 +183,17 @@ def arc_through(tail: Point, mid: Point, head: Point) -> Arc:
     return Arc(tail, head, segment_area(phi, abs(head.z - tail.z)))
 
 
-def arc_leaving(tail: Point, tangent: complex, head: Point) -> Arc:
-    """The arc from ``tail`` to ``head`` that leaves ``tail`` along the
-    (not necessarily unit) ``tangent``.
-
-    The tail tangent is the chord direction turned by -phi, so the
-    half-angle is phi = arg((head - tail) conj(tangent)): no circle through
-    sampled points is fitted.  Raises :class:`GeometryDomainError` when
-    |phi| reaches ``PHI_LIMIT`` (the tangent points nearly back along the
-    chord).
-    """
-    w = head.z - tail.z
+def half_angle(w: complex, tangent: complex) -> float:
+    """Half-angle of the arc along the chord ``w`` (head - tail) leaving its
+    tail along the (not necessarily unit) ``tangent``, the chord direction
+    turned by -phi: phi = arg(w conj(tangent)), with no circle fitted.
+    Raises :class:`GeometryDomainError` when |phi| reaches ``PHI_LIMIT``
+    (the tangent points nearly back along the chord)."""
     turn = w * tangent.conjugate()  # cmath.phase raises OverflowError if arg turn underflows
     phi = math.atan2(turn.imag, turn.real)
     if abs(phi) >= PHI_LIMIT:
-        raise GeometryDomainError("arc_leaving: arc is nearly a full circle")
-    return Arc(tail, head, segment_area(phi, abs(w)))
+        raise GeometryDomainError("arc is nearly a full circle")
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +405,9 @@ def mobius_tangent(m: MobiusMap, tail: complex, head: complex, phi: float) -> co
     return w * cmath.exp(-1j * phi) / (n.c * tail + n.d) ** 2
 
 
-def mobius_image(m: MobiusMap, tail: complex, head: complex, phi: float) -> Arc:
-    """Image of the arc from ``tail`` to ``head`` with half-angle ``phi``:
-    the arc from m(tail) to m(head) along :func:`mobius_tangent`, whose pole
-    checks it keeps."""
-    t = mobius_tangent(m, tail, head, phi)
-    return arc_leaving(Point.of(m.apply(tail)), t, Point.of(m.apply(head)))
-
-
 def mobius_apply_arc(m: MobiusMap, arc: Arc) -> Arc:
-    """Image of an arc under ``m``: :func:`mobius_image` at its half-angle."""
-    return mobius_image(m, arc.tail.z, arc.head.z, arc.phi)
+    """Image of an arc under ``m``: the arc from m(tail) to m(head) leaving
+    along :func:`mobius_tangent`, whose pole checks it keeps."""
+    tail, head = mobius_apply_point(m, arc.tail), mobius_apply_point(m, arc.head)
+    phi = half_angle(head.z - tail.z, mobius_tangent(m, arc.tail.z, arc.head.z, arc.phi))
+    return Arc(tail, head, segment_area(phi, abs(head.z - tail.z)))

@@ -3,7 +3,7 @@
 Two complementary probes of an equilibrium cluster:
 
 * ``tangent_dimension`` measures the local dimension of the equilibrium
-  variety in the vertex/bulge chart by the SVD nullity of the stacked exact
+  variety in the vertex/half-angle chart by the SVD nullity of the stacked exact
   constraint Jacobian (angle + cocycle rows, rigid-motion gauge rows, and
   optionally the area Jacobian).  It sees exactly the circular-arc-preserving
   deformations, e.g. necklace sliding.

@@ -303,7 +303,7 @@ class TestCriterion11NumericalHygiene:
         slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(1.8 < s < 2.2 for s in slopes)
 
-    def test_analytic_bulge_jacobian_matches_finite_differences(self, triple):
+    def test_analytic_half_angle_jacobian_matches_finite_differences(self, triple):
         J = fl.area_jacobian(triple)
         h = 1e-6
         x0 = triple.chart()
@@ -319,8 +319,8 @@ class TestCriterion11NumericalHygiene:
             assert np.abs(J[:, k] - fd).max() < 1e-6
 
     def test_exact_vertex_jacobian_matches_finite_differences(self, equilibrium_presets):
-        # the vertex columns are S G in closed form; central differences of
-        # the face-walk areas stay the oracle
+        # the vertex columns are closed form; central differences of the
+        # face-walk areas stay the oracle
         for name, c in equilibrium_presets.items():
             J = fl.area_jacobian(c)
             h = 1e-6 * c.diameter()

@@ -20,11 +20,12 @@ def walk_areas(c):
 
 
 def fd_area_columns(c, columns):
-    """Central differences of the walk sums in the given chart columns."""
-    h = 1e-6 * c.diameter()
+    """Central differences of the walk sums in the given chart columns, with
+    steps of 1e-6 chart units (diameters, or radians for half-angles)."""
     x0 = c.chart()
     fd = np.empty((c.n, len(columns)))
     for i, k in enumerate(columns):
+        h = 1e-6 * c.chart_units()[k]
         xp, xm = x0.copy(), x0.copy()
         xp[k] += h
         xm[k] -= h
@@ -139,11 +140,8 @@ class TestAreas:
 
     def test_perimeter_positive_and_scales(self, double):
         p = fl.perimeter(double)
-        grown = double.with_chart(
-            np.concatenate(
-                [2.0 * double.chart()[: 2 * double.v], 4.0 * double.chart()[2 * double.v :]]
-            )
-        )
+        # scaling by 2 doubles the coordinates and keeps every half-angle
+        grown = double.with_chart(np.concatenate([2.0 * double.points.view(float), double.phis]))
         assert fl.perimeter(grown) == pytest.approx(2.0 * p, rel=1e-12)
 
 
@@ -154,7 +152,7 @@ class TestChart:
         )
 
     def test_chart_dimension(self, equilibrium_presets):
-        # 2 coordinates per vertex plus one bulge per edge: 7(n-1) numbers
+        # 2 coordinates per vertex plus one half-angle per edge: 7(n-1) numbers
         for name, c in equilibrium_presets.items():
             assert c.chart().size == 2 * c.v + c.e == 7 * (c.n - 1), name
 
@@ -168,7 +166,7 @@ class TestChart:
 
     def test_array_views_are_read_only(self, triple):
         for c in (triple, triple.with_chart(triple.chart())):
-            for view in (c.points, c.bulges, c.ends, c.labels):
+            for view in (c.points, c.phis, c.bulges, c.ends, c.labels):
                 with pytest.raises(ValueError):
                     view[0] = 0
             with pytest.raises(AttributeError):
@@ -177,7 +175,7 @@ class TestChart:
     def test_from_arrays_leaves_the_callers_arrays_writable(self, triple):
         points = triple.points.copy()
         c = fl.Cluster.from_arrays(
-            points, triple.ends, triple.bulges, triple.labels, triple.n, triple.region_labels
+            points, triple.ends, triple.phis, triple.labels, triple.n, triple.region_labels
         )
         assert points.flags.writeable and not c.points.flags.writeable
         assert c.ends is triple.ends
@@ -212,6 +210,41 @@ class TestChart:
         x[:] = 0.0
         assert copy.chart().tolist() == triple.chart().tolist()
         assert copy.points.tolist() == [p.z for p in copy.vertices]
+
+
+class TestHalfAngleChart:
+    def test_only_a_loaded_document_inverts_its_bulges(self, monkeypatch):
+        calls = []
+        invert = fl.cluster.bulge_angle_from_area
+        monkeypatch.setattr(
+            fl.cluster, "bulge_angle_from_area", lambda c, b: calls.append(b) or invert(c, b)
+        )
+        c = fl.loads(fl.dumps(fl.triple_bubble()))
+        assert calls == []  # reading keeps the document's bulges
+        fl.classify(c)
+        assert len(calls) == c.e  # the first analysis inverts each one once
+        calls.clear()
+        out = fl.solve(c, fl.region_areas(c) * [1.2, 0.9, 1.0])
+        c.unit(), out.unit()
+        fl.tangent_dimension(out, fix_areas=True)
+        fl.stability_report(out)
+        image = fl.mobius_apply_cluster(fl.random_mobius(out, np.random.default_rng(2)), out)
+        fl.decorate(image, 1, 0.1)
+        fl.dumps(fl.decorate(out, 2, 0.1))
+        assert calls == []
+
+    def test_documents_round_trip_byte_for_byte(self, equilibrium_presets, quasi_presets, four):
+        image = fl.mobius_apply_cluster(fl.random_mobius(four, np.random.default_rng(5)), four)
+        clusters = {**equilibrium_presets, **quasi_presets, "decorated image": fl.decorate(image, 2, 0.1)}
+        for name, c in clusters.items():
+            text = fl.dumps(c)
+            assert fl.dumps(fl.loads(text)) == text, name
+
+    def test_scaling_keeps_the_half_angles(self, flower):
+        # the unit frame divides coordinates by the diameter; half-angles,
+        # dimensionless, are shared unchanged
+        assert flower.unit().phis.tolist() == flower.phis.tolist()
+        assert np.array_equal(flower.chart_units()[2 * flower.v :], np.ones(flower.e))
 
 
 class TestJsonCodec:
@@ -334,7 +367,7 @@ class TestAreaJacobian:
             s = np.linalg.svd(fl.area_jacobian(c), compute_uv=False)
             assert s.size == c.n and s[-1] > 1e-6 * s[0], name
 
-    def test_bulge_columns_match_finite_differences(self, equilibrium_presets):
+    def test_half_angle_columns_match_finite_differences(self, equilibrium_presets):
         for name, c in equilibrium_presets.items():
             J = fl.area_jacobian(c)
             cols = range(2 * c.v, 2 * c.v + c.e)

@@ -385,11 +385,12 @@ class TestMobiusInvariance:
     def test_each_vertex_is_mapped_once(self, necklace7, monkeypatch):
         m = fl.random_mobius(necklace7, np.random.default_rng(3))
         z = necklace7.points.tolist()
-        rows = []
-        for j, ((a, b), phi) in enumerate(zip(necklace7.ends.tolist(), necklace7.frame.phi)):
-            arc = fl.geometry.mobius_image(m, z[a], z[b], float(phi))
-            rows.append(fl.EdgeRecord(j, a, b, arc.bulge, *necklace7.labels[j].tolist()))
         verts = [Point.of(m.apply(w)) for w in z]
+        rows = []
+        for j, ((a, b), phi) in enumerate(zip(necklace7.ends.tolist(), necklace7.phis.tolist())):
+            w = verts[b].z - verts[a].z
+            image = fl.geometry.half_angle(w, fl.geometry.mobius_tangent(m, z[a], z[b], phi))
+            rows.append(fl.EdgeRecord(j, a, b, fl.segment_area(image, abs(w)), *necklace7.labels[j].tolist()))
         expected = fl.dumps(fl.Cluster(verts, rows, necklace7.n, necklace7.region_labels))
         calls = []
         apply = fl.MobiusMap.apply

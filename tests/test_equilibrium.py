@@ -71,7 +71,7 @@ class TestPressures:
             with pytest.raises(PathInconsistent):
                 fl.pressures(c)
 
-    @pytest.mark.parametrize("amount", [1e-9, 1e-7, 1e-6])
+    @pytest.mark.parametrize("amount", [1e-8, 1e-7, 1e-6])
     def test_undefined_exactly_where_classify_sees_quasi(self, amount):
         # pressure is well defined exactly when the cocycle condition holds,
         # and pressures decides it by the same test as classify
@@ -175,8 +175,8 @@ class TestLmMinimize:
 
 class TestIterateCheck:
     def test_collapsed_chord_is_a_breakdown(self, double):
-        # vertex 1 moved onto vertex 0 with every bulge kept: the chords are
-        # tested before the frame inverts a bulge on a collapsed chord
+        # vertex 1 moved onto vertex 0 with every half-angle kept: the chords
+        # are tested before the frame divides by a collapsed chord
         x = double.chart()
         x[2:4] = x[0:2] + [1e-12, 0.0]
         trial = double.with_chart(x / double.chart_units())  # in the unit frame
@@ -212,9 +212,12 @@ def residual_rows(c):
 
 def fd_error(rows, jac, c):
     """Largest gap between ``jac(c)`` and central differences of ``rows`` over
-    c's chart, relative to the largest exact entry.  At h = 1e-6 diameter the
-    truncation error on necklace(7)'s short edges alone reaches 6e-7."""
-    fd = numeric_jacobian(lambda x: rows(c.with_chart(x)), c.chart(), 1e-7 * c.diameter())
+    c's chart, relative to the largest exact entry.  The steps are 1e-7 in
+    the unit chart: 1e-7 diameters on coordinates and 1e-7 on half-angles
+    (at 1e-6 diameters the truncation error on necklace(7)'s short edges
+    alone reaches 6e-7)."""
+    units = c.chart_units()
+    fd = numeric_jacobian(lambda y: rows(c.with_chart(y * units)), c.chart() / units, 1e-7) / units
     J = jac(c)
     return np.abs(J - fd).max() / np.abs(J).max()
 
@@ -252,6 +255,17 @@ class TestSolve:
         assert fl.region_areas(out) == pytest.approx(target, abs=1e-9)
         assert fl.classify(out) is fl.Verdict.EQUILIBRIUM
 
+    @pytest.mark.parametrize(
+        "start, target",
+        [(None, (1.611, 1.611, 100.0)), ((1, 1, 1), (1, 1, 100.0)), ((1, 1, 1), (1, 1, 1000.0))],
+    )
+    def test_one_solve_reaches_a_lopsided_triple(self, start, target):
+        # one call, no continuation: the third bubble grows 60 to 1000 times
+        out = fl.solve(fl.triple_bubble(start), np.array(target))
+        assert fl.classify(out) is fl.Verdict.EQUILIBRIUM
+        assert fl.validate(out, check_disjoint=True).ok
+        assert np.abs(fl.region_areas(out) - target).max() <= 1e-8 * out.diameter() ** 2
+
     def test_recovers_from_perturbed_start(self, double, rng):
         target = fl.region_areas(double)
         x = double.chart() + 1e-2 * rng.standard_normal(double.chart().size)
@@ -280,7 +294,7 @@ class TestSolve:
     )
     def test_solves_at_any_scale(self, preset, scale, request):
         c = request.getfixturevalue(preset)
-        c = c.with_chart(np.concatenate([scale * c.points.view(float), scale**2 * c.bulges]))
+        c = c.with_chart(np.concatenate([scale * c.points.view(float), c.phis]))
         target = fl.region_areas(c) * (1.0 + 0.02 * np.resize([1.0, -1.0, 0.5], c.n))
         out = fl.solve(c, target)
         assert fl.classify(out) is fl.Verdict.EQUILIBRIUM
