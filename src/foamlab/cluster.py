@@ -242,13 +242,13 @@ class Cluster:
     @cached_property
     def bulges(self) -> np.ndarray:
         """(e,) segment_area(phi, c), or the bulges of the rows read."""
-        return _frozen(segment_area(self.phis, self.chords), float)
+        return _frozen(list(map(segment_area, self.phis.tolist(), self.chords.tolist())), float)
 
     @cached_property
     def chords(self) -> np.ndarray:
         """(e,) |head - tail| by ``hypot``, as Python's ``abs`` (numpy's can differ by an ulp)."""
         w = np.diff(self.points[self.ends], axis=1).ravel()
-        return np.hypot(w.real, w.imag)
+        return _frozen(np.hypot(w.real, w.imag), float)
 
     # -- rows: the constructor and codec adapter ---------------------------
 
@@ -415,13 +415,14 @@ def area_jacobian(cluster: Cluster) -> np.ndarray:
     """d(areas)/d(chart), shape (n, 2v + e): S times the per-edge gradients
     of the bulge b = c^2 segment_area(phi, 1), (2b/c) u in the chord w = c u
     and ``segment_area_dphi`` in phi, plus those of the shoelace terms."""
-    f, p, (a, b), edges = cluster.frame, cluster.points, cluster.ends.T, np.arange(cluster.e)
+    f, (a, b), edges = cluster.frame, cluster.ends.T, np.arange(cluster.e)
     g = 2.0 * cluster.bulges / f.chord * f.direction
-    G = np.zeros((cluster.e, cluster.v), dtype=complex)  # entries d/dx + i d/dy per edge
-    G[edges, a] = -0.5j * p[b] - g
-    G[edges, b] = 0.5j * p[a] + g
+    G = shoelace_gradient(cluster.points, cluster.ends, edges, cluster.e).view(complex)
+    G[edges, a] -= g
+    G[edges, b] += g
+    dphi = list(map(segment_area_dphi, f.phi.tolist(), f.chord.tolist()))
     S = cluster.topology.incidence
-    return np.hstack([S @ G.view(float), S * segment_area_dphi(f.phi, f.chord)])
+    return np.hstack([S @ G.view(float), S * dphi])
 
 
 def rigid_motion_basis(cluster: Cluster) -> np.ndarray:
@@ -519,8 +520,14 @@ def _disjointness_scan(cluster: Cluster, samples: int = 16) -> List[Tuple[int, i
 
 
 def to_json_dict(cluster: Cluster) -> dict:
-    given = cluster.region_labels[1 : cluster.n + 1]
-    labels = ["exterior", *given, *(f"region {r}" for r in range(len(given) + 1, cluster.n + 1))]
+    regions = [{"id": 0, "label": "exterior"}]
+    for r in range(1, cluster.n + 1):
+        label = (
+            cluster.region_labels[r]
+            if r < len(cluster.region_labels)
+            else f"region {r}"
+        )
+        regions.append({"id": r, "label": label})
     return {
         "version": 1,
         "vertices": [
@@ -532,7 +539,7 @@ def to_json_dict(cluster: Cluster) -> dict:
                 zip(cluster.ends.tolist(), cluster.bulges.tolist(), cluster.labels.tolist())
             )
         ],
-        "regions": [{"id": r, "label": label} for r, label in enumerate(labels)],
+        "regions": regions,
         "exterior": 0,
     }
 

@@ -16,7 +16,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .cluster import (
-    EXTERIOR, Cluster, EdgeRecord, incidence, region_areas, rigid_motion_basis, shoelace_terms,
+    EXTERIOR, Cluster, EdgeRecord, area_jacobian, incidence, region_areas, rigid_motion_basis,
+    shoelace_terms,
 )
 from .errors import GeometryDomainError, TopologyBreakdown
 from .equilibrium import SOLVE_TOL, chart_lm, residual_jacobian, residuals, solve
@@ -463,16 +464,17 @@ def quasi_variant(kind: str, amount: float = 0.15) -> Cluster:
     takes 163 of the 200 iterations, and 1e-4, 1e-6 and 3e-9 raise
     :class:`NonConvergence`.  ``four_stretched``:
     the middle straight edge of the standard 4-bubble is lengthened by the
-    relative ``amount`` with both endpoints pinned.  ``amount = 0``
-    reproduces the equilibrium base cluster.
+    relative ``amount`` with both endpoints pinned; it stays straight and
+    every bubble keeps its area, which with the angle rows is a square
+    stack of full rank.  ``amount = 0`` reproduces the equilibrium base
+    cluster.
 
     The solved rows are the 120-degree angle block plus the variant's pins;
     the curvature cocycle is deliberately left out, so the result is in
     general only a quasi-equilibrium.  Both are solved in the unit frame, and
     ``two_lens_recurved`` fixes rigid motions with the same gauge rows
     R (x - x0), as :func:`solve` does; the two pinned endpoints of
-    ``four_stretched`` already fix them, and the minimum-norm Gauss-Newton
-    steps of ``equilibrium.lm_minimize`` handle its underdetermined stack.
+    ``four_stretched`` already fix them.
     """
     if not math.isfinite(amount):
         raise GeometryDomainError("amount must be finite")
@@ -502,22 +504,24 @@ def _quasi_rows(variant: str, amount: float):
             return np.vstack([c.frame.jacobian(edges, edges, c.frame.d_kappa, c.e), R])
 
     elif variant == "four_stretched":
-        # the two pinned endpoints already fix rigid motions: no gauge rows
+        # the pinned ends fix rigid motions (no gauge rows); with the straight
+        # edge and the kept areas the stack is square, whatever the chart's metric
         base = four_bubble()
         unit = base.unit()
         straight = np.flatnonzero(np.abs(unit.phis) < 1e-12)
-        tail, head = unit.ends[straight[unit.frame.chord[straight].argmax()]]
-        ta, he = unit.points[[tail, head]].tolist()
-        shift = 0.5 * amount * (he - ta)  # each end moves out by amount/2 of the edge
-        cols = [2 * tail, 2 * tail + 1, 2 * head, 2 * head + 1]
-        ta_new, he_new = ta - shift, he + shift
-        goal = np.array([ta_new.real, ta_new.imag, he_new.real, he_new.imag])
+        k = straight[unit.frame.chord[straight].argmax()]
+        tail, head = unit.ends[k]
+        p = unit.points[[tail, head]]
+        shift = 0.5 * amount * (p[1] - p[0])  # each end moves out by amount/2 of the edge
+        cols = [2 * tail, 2 * tail + 1, 2 * head, 2 * head + 1, 2 * unit.v + k]
+        goal = np.append((p + [-shift, shift]).view(float), 0.0)  # and phi_k = 0
+        areas = region_areas(unit)
 
         def rows(c: Cluster) -> np.ndarray:
-            return c.chart()[cols] - goal
+            return np.concatenate([c.chart()[cols] - goal, region_areas(c) - areas])
 
         def jac(c: Cluster) -> np.ndarray:
-            return np.eye(2 * c.v + c.e)[cols]
+            return np.vstack([np.eye(2 * c.v + c.e)[cols], area_jacobian(c)])
 
     else:
         raise GeometryDomainError(f"unknown quasi variant kind {variant!r}")

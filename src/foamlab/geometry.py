@@ -78,16 +78,8 @@ class Arc:
         return Arc(self.head, self.tail, -self.bulge)
 
 
-def _each(f, phi: np.ndarray, chord_length) -> np.ndarray:
-    """``f`` entry by entry: math on a few dozen floats costs what ufuncs do."""
-    return np.array(list(map(f, phi.tolist(), np.broadcast_to(chord_length, phi.shape).tolist())))
-
-
-def segment_area(phi, chord_length):
-    """Signed area between the arc of half-angle ``phi`` and its chord; for
-    an array ``phi``, elementwise."""
-    if isinstance(phi, np.ndarray):
-        return _each(segment_area, phi, chord_length)
+def segment_area(phi: float, chord_length: float) -> float:
+    """Signed area between the arc of half-angle ``phi`` and its chord."""
     c = chord_length
     if math.isinf(phi):  # math.sin raises there; a non-finite chart gives a non-finite bulge
         return math.nan
@@ -103,12 +95,9 @@ def segment_area(phi, chord_length):
     return c * c * (phi - s * math.cos(phi)) / (4.0 * s * s)
 
 
-def segment_area_dphi(phi, chord_length):
+def segment_area_dphi(phi: float, chord_length: float) -> float:
     """d(segment_area)/d(phi) = c^2 (sin phi - phi cos phi) / (2 sin^3 phi),
-    with the series branch of ``segment_area`` differentiated term by term;
-    for an array ``phi``, elementwise."""
-    if isinstance(phi, np.ndarray):
-        return _each(segment_area_dphi, phi, chord_length)
+    with the series branch of ``segment_area`` differentiated term by term."""
     c = chord_length
     if abs(phi) < 0.05:
         p2 = phi * phi

@@ -107,7 +107,7 @@ class TestNewAndCheck:
         assert run(["new", "quasi", "--kind", "four_stretched", "-o", str(out)]) == 0
         assert run(["check", str(out)]) == 1
 
-    @pytest.mark.parametrize("amount", ["1e-8", "1e-7", "1e-6"])
+    @pytest.mark.parametrize("amount", ["1e-9", "1e-8", "1e-7", "1e-6"])
     def test_slightly_stretched_check_and_pressures_both_fail(self, tmp_path, amount):
         out = tmp_path / "q.json"
         argv = ["new", "quasi", "--kind", "four_stretched", "--amount", amount, "-o", str(out)]

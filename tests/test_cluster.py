@@ -166,7 +166,7 @@ class TestChart:
 
     def test_array_views_are_read_only(self, triple):
         for c in (triple, triple.with_chart(triple.chart())):
-            for view in (c.points, c.phis, c.bulges, c.ends, c.labels):
+            for view in (c.points, c.phis, c.bulges, c.chords, c.ends, c.labels):
                 with pytest.raises(ValueError):
                     view[0] = 0
             with pytest.raises(AttributeError):

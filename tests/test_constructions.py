@@ -350,6 +350,24 @@ class TestQuasiVariants:
         assert fl.classify(quasi_recurved) is fl.Verdict.QUASI_EQUILIBRIUM
         assert fl.residuals(quasi_recurved).cocycle_sup > 1e-3
 
+    def test_stretched_is_an_isolated_point(self, quasi_stretched, four):
+        # the pins, the straight stretched edge and the kept areas make the
+        # stack square and of full rank where it stops: the preset is a
+        # point of the geometry, whatever the chart's metric
+        base, rows, jac = _quasi_rows("four_stretched", 0.15)
+        unit = quasi_stretched.with_chart(quasi_stretched.chart() / base.chart_units())
+        J = jac(unit)
+        sigma = np.linalg.svd(J, compute_uv=False)
+        assert J.shape[0] == J.shape[1] and sigma[-1] >= 1e-6 * sigma[0]
+        assert np.abs(rows(unit)).max() < 1e-10
+        assert fl.region_areas(quasi_stretched) == pytest.approx(fl.region_areas(four), abs=1e-10)
+
+    @pytest.mark.parametrize("amount", [1e-9, 1e-6, 1e-3])
+    def test_stretched_cocycle_defect(self, amount):
+        # first order in the amount, about 11.7 per unit in the unit frame
+        c = fl.quasi_variant("four_stretched", amount)
+        assert fl.residuals(c.unit()).cocycle_sup == pytest.approx(11.697 * amount, rel=1e-3)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(GeometryDomainError):
             fl.quasi_variant("bogus")

@@ -71,7 +71,7 @@ class TestPressures:
             with pytest.raises(PathInconsistent):
                 fl.pressures(c)
 
-    @pytest.mark.parametrize("amount", [1e-8, 1e-7, 1e-6])
+    @pytest.mark.parametrize("amount", [1e-9, 1e-8, 1e-7, 1e-6])
     def test_undefined_exactly_where_classify_sees_quasi(self, amount):
         # pressure is well defined exactly when the cocycle condition holds,
         # and pressures decides it by the same test as classify
