@@ -251,6 +251,11 @@ def _cmd_stability(args) -> int:
     print(f"classification: {rep.classification}")
     print(f"zero modes: {rep.zero_mode_count}")
     print(f"smallest eigenvalues: {[f'{x:.6g}' for x in rep.eigenvalues]}")
+    batches, sigmas = rep.evaluations
+    print(f"constraint rank: {rep.rank}; schur evaluations: {batches} batches, {sigmas} sigmas")
+    if rep.ambiguous:
+        print("warning: a verdict count rests on a roundoff-level eigenvalue", file=sys.stderr)
+        return EXIT_FAIL
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -161,6 +161,16 @@ class HessianReport:
     zero_mode_count: int  # constrained lambda * diam^2 in [-HESSIAN_ZERO, HESSIAN_ZERO)
     classification: str  # "StrictlyStable" | "Degenerate(k)" | "Unstable(j)"
     m: int
+    rank: int  # of the area and rigid-motion constraint rows
+    evaluations: Tuple[int, int]  # batched Schur evaluations, and sigmas in all
+    ambiguous: bool  # a verdict count rests on a Schur eigenvalue at roundoff level
+
+
+class _Slice(NamedTuple):
+    eigenvalues: np.ndarray  # the k smallest constrained eigenvalues, ascending
+    probe_counts: np.ndarray  # counts below -HESSIAN_ZERO and +HESSIAN_ZERO
+    probe_mu: np.ndarray  # (2, N) the ascending eigenvalues of Z there
+    evaluations: Tuple[int, int]  # batched Schur evaluations, and sigmas in all
 
 
 @dataclass(frozen=True)
@@ -188,14 +198,22 @@ class EliminatedHessian:
     every edge (i, k = 1..m-1).  The border columns are the x and y of its
     two end junctions, the area rows of its two regions (zero for the
     exterior, which has no row) and the three rigid-motion rows.  Haynsworth's
-    inertia additivity splits n_-(K) into #(Lambda < sigma) and the negative
-    count of the Schur complement
+    inertia additivity splits n_-(K) into the pole count #(Lambda < sigma)
+    and the negative count of the Schur complement
 
         Z(sigma) = K_JJ - sigma E - sum_j B_j^T S diag(1 / (Lambda_j - sigma)) S B_j,
 
     with B_j edge j's (m-1) x 9 columns and E the identity on the 2v
     junction dofs; each term is 9 x 9, scattered into Z at ``columns[j]``,
     and Z is only (2v + rank)^2, whatever m is.
+
+    Between two poles Z is continuous and non-increasing in sigma:
+    dZ/dsigma = -E - sum_j B_j^T S diag((Lambda_j - sigma)^(-2)) S B_j is
+    negative semidefinite, so each ascending eigenvalue mu_i(Z(sigma)) is
+    non-increasing there.  With p poles below sigma the count is
+    p + n_-(Z(sigma)) - rank, so it is at most t exactly when
+    mu_(t + rank - p)(Z(sigma)) >= 0 (indexed from 0), both read off the
+    same ``eigvalsh``; ``smallest`` finds the sign change of that eigenvalue.
     """
 
     lam: np.ndarray  # (e, m-1) eigenvalues Lambda_j of the edge blocks T_j
@@ -218,38 +236,123 @@ class EliminatedHessian:
         W = self.coupling
         return (W[:, :, :, None] * W[:, :, None, :]).reshape(*W.shape[:2], 81)
 
-    def count_below(self, sigma) -> np.ndarray:
-        """Number of constrained eigenvalues below each sigma (any shape):
-        one batched matmul for the 9 x 9 edge terms, one ``bincount`` that
-        scatters them into the Schur complements and one batched
-        ``eigvalsh``."""
-        sigma = np.asarray(sigma, dtype=float)
-        s = sigma.reshape(-1, 1)
+    @cached_property
+    def scatter(self) -> np.ndarray:
+        """(e, 1, 81) the flat index in one Schur complement of each entry of
+        each edge's 9 x 9 term."""
+        N = self.border.shape[0]
+        return (self.columns[:, :, None] * N + self.columns[:, None, :]).reshape(-1, 1, 81)
+
+    def _evaluate(self, sigma: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For a flat batch of sigmas: the counts below each, the ascending
+        eigenvalues mu (k, N) of each Schur complement Z(sigma), and the pole
+        counts #(Lambda < sigma).  One batched matmul for the 9 x 9 edge
+        terms, one ``bincount`` that scatters them into the Schur complements
+        and one batched ``eigvalsh``."""
+        s = sigma[:, None]
         k, N = s.shape[0], self.border.shape[0]
         inverse = 1.0 / (self.lam[:, None, :] - s)  # (e, k, m-1)
         local = inverse @ self.outer  # (e, k, 81)
-        cell = self.columns[:, :, None] * N + self.columns[:, None, :]
-        index = cell.reshape(-1, 1, 81) + np.arange(k)[:, None] * (N * N)
+        index = self.scatter + np.arange(k)[:, None] * (N * N)
         schur = self.border - np.bincount(
             index.ravel(), weights=local.ravel(), minlength=k * N * N
         ).reshape(k, N, N)
         junction = np.arange(self.junction_dofs)
         schur[:, junction, junction] -= s
-        negative = (np.linalg.eigvalsh(schur) < 0).sum(axis=1)
-        count = (self.lam.ravel() < s).sum(axis=1) + negative - self.rank
-        return count.reshape(sigma.shape)
+        mu = np.linalg.eigvalsh(schur)
+        poles = (self.lam.ravel() < s).sum(axis=1)
+        return poles + (mu < 0).sum(axis=1) - self.rank, mu, poles
+
+    def count_below(self, sigma) -> np.ndarray:
+        """Number of constrained eigenvalues below each sigma (any shape)."""
+        sigma = np.asarray(sigma, dtype=float)
+        return self._evaluate(sigma.ravel())[0].reshape(sigma.shape)
 
     def smallest(self, k: int) -> np.ndarray:
-        """The k smallest constrained eigenvalues, ascending: bisection on
-        ``count_below`` for all k targets at once.  53 halvings take the
-        bracket from 2 * bound to the float resolution at the bound."""
+        """The k smallest constrained eigenvalues, ascending, by spectrum
+        slicing on the Schur evaluations that ``count_below`` makes.
+
+        Target t (the t-th eigenvalue, from 0) keeps a bracket [lo_t, hi_t]
+        with count(lo_t) <= t < count(hi_t); it starts at [-bound, bound],
+        where interlacing keeps the spectrum.  Every evaluated sigma narrows
+        every bracket: hi_t becomes the least evaluated sigma inside it whose
+        count exceeds t, then lo_t the greatest one below hi_t whose count
+        does not, so a bracket never inverts, even where the count is not
+        monotone.  The first batch is -``HESSIAN_ZERO`` and +``HESSIAN_ZERO``
+        (= 1, the verdict probes of ``stability_report``); then each round,
+        every open target proposes one sigma, and equal proposals are
+        evaluated once:
+
+        * while an end is still at the bound, the other end doubled, so the
+          search starts at the unit scale of the eigenvalues, not at the
+          bound, which is m^2 times larger or more;
+        * inside a pole-free bracket (the same pole count p at both ends),
+          the Illinois point of g_t(sigma) = mu_(t + rank - p)(Z(sigma)),
+          which is continuous and non-increasing there, >= 0 at lo_t and
+          < 0 at hi_t (see ``EliminatedHessian``): the regula falsi point,
+          with one end's value halved when the other end has moved alone
+          twice running;
+        * the midpoint when the bracket holds a pole, or has not halved in
+          two rounds.
+
+        Proposals are clipped to [lo_t + w/2, hi_t - w/2], and a target closes
+        when hi_t - lo_t <= w = 2 * bound * 2^-53, the width that 53 halvings
+        of [-bound, bound] reach; it reports the midpoint.
+        """
+        return self._slice(k).eigenvalues
+
+    def _slice(self, k: int) -> _Slice:
+        """``smallest``'s search, which also returns the counts and Schur
+        eigenvalues of its first batch and how many evaluations it made."""
+        w = 2.0 * self.bound * 2.0**-53
         target = np.arange(k)
         lo, hi = np.full(k, -self.bound), np.full(k, self.bound)
-        for _ in range(53):
-            mid = 0.5 * (lo + hi)
-            above = self.count_below(mid) > target
-            lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
-        return 0.5 * (lo + hi)
+        glo, ghi = np.zeros(k), np.zeros(k)  # g_t at the ends, Illinois-weighted
+        # pole counts at the ends, unequal until both ends are evaluated
+        plo, phi = np.full(k, -1), np.full(k, -2)
+        before = np.full((2, k), np.inf)  # widths one and two rounds ago
+        alone = np.zeros(k, dtype=int)  # +1 (-1) if only hi (lo) moved last round
+        sigma = np.array([-HESSIAN_ZERO, HESSIAN_ZERO])
+        batches = total = 0
+        while sigma.size:
+            count, mu, poles = self._evaluate(sigma)
+            if batches == 0:
+                probes = (count, mu)
+            batches, total = batches + 1, total + sigma.size
+            row = np.clip(target + self.rank - poles[:, None], 0, mu.shape[1] - 1)
+            g = mu[np.arange(sigma.size)[:, None], row]  # (sigmas, k)
+            s, above = sigma[:, None], count[:, None] > target
+
+            inside = above & (lo < s) & (s < hi)
+            i = np.where(inside, s, np.inf).argmin(axis=0)
+            up = inside.any(axis=0)
+            hi = np.where(up, sigma[i], hi)
+            ghi = np.where(up, g[i, target], ghi)
+            phi = np.where(up, poles[i], phi)
+            inside = ~above & (lo < s) & (s < hi)
+            i = np.where(inside, s, -np.inf).argmax(axis=0)
+            down = inside.any(axis=0)
+            lo = np.where(down, sigma[i], lo)
+            glo = np.where(down, g[i, target], glo)
+            plo = np.where(down, poles[i], plo)
+
+            # Illinois: when one end moves alone twice running, the other
+            # end's value is halved
+            moved = up.astype(int) - down
+            glo = np.where((moved == 1) & (alone == 1), 0.5 * glo, glo)
+            ghi = np.where((moved == -1) & (alone == -1), 0.5 * ghi, ghi)
+            alone = moved
+
+            width = hi - lo
+            stalled = (plo != phi) | (width > 0.5 * before[1])
+            before = np.stack([width, before[0]])
+            x = lo + width * np.divide(glo, glo - ghi, out=np.full(k, 0.5), where=~stalled)
+            # an end still at the bound was never evaluated: grow the other
+            x = np.where(hi == self.bound, 2.0 * lo, x)
+            x = np.where(lo == -self.bound, 2.0 * hi, x)
+            x = np.clip(x, lo + 0.5 * w, hi - 0.5 * w)
+            sigma = np.unique(x[width > w])
+        return _Slice(0.5 * (lo + hi), probes[0], probes[1], (batches, total))
 
 
 def eliminated_hessian(cluster: Cluster, m: int = 64) -> EliminatedHessian:
@@ -380,16 +483,27 @@ def eliminated_hessian(cluster: Cluster, m: int = 64) -> EliminatedHessian:
     return EliminatedHessian(lam, S @ B, columns, border, J, rank, bound)
 
 
+#: A verdict count is ambiguous when, at either probe, Z(sigma) has an
+#: eigenvalue below SCHUR_ROUNDOFF * N * max|mu| in size, with N the size of
+#: Z: that is ``eigvalsh``'s error bound, so the sign of such an eigenvalue,
+#: and with it the count, is roundoff.
+SCHUR_ROUNDOFF = np.finfo(float).eps
+
+
 def stability_report(cluster: Cluster, m: int = 64) -> HessianReport:
     """Inertia of the discretized second variation at fixed areas.
 
     The verdict is an inertia count, not a spectrum, on ``cluster.unit()``
     (eigenvalues are mass-normalized, so lambda * diameter^2 is the
-    scale-invariant quantity): ``EliminatedHessian.count_below`` at
-    -``HESSIAN_ZERO`` and +``HESSIAN_ZERO`` gives the negative and zero-mode
-    counts.  The report also carries the smallest six constrained
-    eigenvalues in the cluster's units, found by bisection on the same
-    counts.  See ``eliminated_hessian`` for the discretization.
+    scale-invariant quantity): the counts below -``HESSIAN_ZERO`` and
+    +``HESSIAN_ZERO`` give the negative and zero-mode counts.  They are the
+    first batch of the spectrum slicing (``EliminatedHessian._slice``) that
+    finds the smallest six constrained eigenvalues, which the report carries
+    in the cluster's units, to within 2 * bound * 2^-53 of the unit frame.
+    ``evaluations`` counts the batched Schur evaluations and their sigmas,
+    and ``ambiguous`` flags a count that rests on a Schur eigenvalue below
+    ``SCHUR_ROUNDOFF`` * N * max|mu|.  See ``eliminated_hessian`` for the
+    discretization.
 
     Every mode with |lambda| * diameter^2 < ``HESSIAN_ZERO`` counts as a
     zero mode, whatever its sign: a real instability that small is reported
@@ -397,7 +511,8 @@ def stability_report(cluster: Cluster, m: int = 64) -> HessianReport:
     pressure at -0.02 says ``Degenerate(4)``).
     """
     hess = eliminated_hessian(cluster.unit(), m)
-    below_neg, below_pos = hess.count_below([-HESSIAN_ZERO, HESSIAN_ZERO]).tolist()
+    found = hess._slice(min(6, hess.size))
+    below_neg, below_pos = found.probe_counts.tolist()
     negative, zero = below_neg, below_pos - below_neg
     if negative > 0:
         label = f"Unstable({negative})"
@@ -405,9 +520,16 @@ def stability_report(cluster: Cluster, m: int = 64) -> HessianReport:
         label = f"Degenerate({zero})"
     else:
         label = "StrictlyStable"
-    eig = hess.smallest(min(6, hess.size)) / cluster.diameter() ** 2
+    mu = np.abs(found.probe_mu)
+    floor = SCHUR_ROUNDOFF * mu.shape[1] * mu.max(axis=1)
     return HessianReport(
-        eigenvalues=eig, zero_mode_count=zero, classification=label, m=m
+        eigenvalues=found.eigenvalues / cluster.diameter() ** 2,
+        zero_mode_count=zero,
+        classification=label,
+        m=m,
+        rank=hess.rank,
+        evaluations=found.evaluations,
+        ambiguous=bool((mu.min(axis=1) < floor).any()),
     )
 
 

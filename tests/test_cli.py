@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foamlab as fl
-from foamlab import cli
+from foamlab import cli, variation
 from foamlab.cli import run
+from foamlab.variation import eliminated_hessian
 
 from conftest import tiny_decorated_image
 
@@ -220,7 +221,18 @@ class TestNumericVerbs:
         out = tmp_path / "db.json"
         run(["new", "double", "-o", str(out)])
         assert run(["stability", str(out), "--m", "32"]) == 0
-        assert "StrictlyStable" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "classification: StrictlyStable"
+        assert lines[3].startswith("constraint rank: 5; schur evaluations: ")
+
+    def test_ambiguous_stability_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a verdict probe moved onto an eigenvalue, where the count is roundoff
+        out = tmp_path / "db.json"
+        run(["new", "double", "-o", str(out)])
+        hess = eliminated_hessian(fl.loads(read(out)).unit(), 32)
+        monkeypatch.setattr(variation, "HESSIAN_ZERO", hess.smallest(1)[0])
+        assert run(["stability", str(out), "--m", "32"]) == 1
+        assert "warning" in capsys.readouterr().err
 
     def test_solve(self, tmp_path):
         src, dst = tmp_path / "t.json", tmp_path / "ts.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import foamlab as fl
+from foamlab import variation
 from foamlab.cluster import area_jacobian, shoelace_gradient
 from foamlab.equilibrium import residual_jacobian
 from foamlab.geometry import arc_point, arc_tangent
@@ -73,6 +74,19 @@ def dense_stability_eigenvalues(cluster, m):
     Mp = Q.T @ (B.T * np.repeat(point_mass, 2)) @ B @ Q
     Linv = np.linalg.inv(np.linalg.cholesky(Mp))
     return np.linalg.eigvalsh(Linv @ Hp @ Linv.T)
+
+
+def bisection_smallest(hess, k):
+    """Oracle for ``EliminatedHessian.smallest``: plain bisection on
+    ``count_below`` for all k targets at once, from [-bound, bound], where
+    53 halvings reach the float resolution at the bound."""
+    target = np.arange(k)
+    lo, hi = np.full(k, -hess.bound), np.full(k, hess.bound)
+    for _ in range(53):
+        mid = 0.5 * (lo + hi)
+        above = hess.count_below(mid) > target
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    return 0.5 * (lo + hi)
 
 
 class TestRigidMotionBasis:
@@ -295,6 +309,34 @@ class TestStability:
             # batches of at most 64 sigmas keep the Schur stack small
             for chunk in np.array_split(mid, mid.size // 64 + 1):
                 assert np.array_equal(hess.count_below(chunk), np.searchsorted(want, chunk)), name
+
+    @pytest.mark.parametrize("m", [64, 128])
+    def test_smallest_matches_bisection_oracle(self, oracle_cases, m):
+        # both end within 2 * bound * 2^-53 brackets; the double bubble's
+        # count is not monotone within ~1e-9 of its third eigenvalue, which
+        # the two searches may resolve to different sides
+        for name, c in oracle_cases.items():
+            hess = eliminated_hessian(c.unit(), m)
+            got, want = hess.smallest(6), bisection_smallest(hess, 6)
+            assert np.abs(got - want).max() <= 1e-13 * hess.bound, (name, m)
+
+    def test_evaluation_budget(self, equilibrium_presets):
+        # the bisection from +-bound took 53 batches plus the verdict probes
+        clusters = dict(equilibrium_presets, unstable=fl.necklace(7, inner_radius=0.05))
+        for m in (64, 128):
+            for name, c in clusters.items():
+                rep = fl.stability_report(c, m=m)
+                batches, sigmas = rep.evaluations
+                assert batches <= 35 and sigmas <= 6 * batches, (name, m)
+                assert rep.rank == c.n + 3, (name, m)
+                assert not rep.ambiguous, (name, m)
+
+    def test_probe_on_an_eigenvalue_is_ambiguous(self, double, monkeypatch):
+        # a verdict probe on an eigenvalue leaves Z(sigma) singular up to
+        # roundoff, so the side the count lands on means nothing
+        lam = eliminated_hessian(double.unit(), 64).smallest(1)[0]
+        monkeypatch.setattr(variation, "HESSIAN_ZERO", lam)
+        assert fl.stability_report(double, m=64).ambiguous
 
     def test_scale_covariant(self, equilibrium_presets):
         # the chart scaling (vertices * s, half-angles kept) is an exact
