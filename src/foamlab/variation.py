@@ -22,8 +22,10 @@ Two complementary probes of an equilibrium cluster:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+import math
+import time
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -50,6 +52,8 @@ RANK_GAP = 100.0
 #: |lambda| * diameter^2 below it counts as a zero mode, whatever its sign,
 #: so small real negative modes are reported as Degenerate too.
 HESSIAN_ZERO = 1.0
+#: Unit-frame sigmas that the first slicing batch adds to the verdict probes.
+SLICE_LADDER = (-4.0, 4.0, 16.0, 64.0)
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +141,20 @@ class DiscreteCluster:
         return self.cluster.topology.incidence @ per_edge
 
 
+def _size(name: str, value, least: int) -> int:
+    """``value`` as an int, if it is an integer (a numpy one too, not a bool)
+    of at least ``least``; otherwise ``GeometryDomainError`` naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise GeometryDomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise GeometryDomainError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
 def discretize(cluster: Cluster, m: int) -> DiscreteCluster:
     """Sample every arc at m+1 parameter-equispaced points (so equispaced in
-    angle along the carrier)."""
-    if m < 8:
-        raise GeometryDomainError("need at least 8 points per edge")
+    angle along the carrier).  ``m`` is an integer of at least 8."""
+    m = _size("m", m, 8)
     v, e = cluster.v, cluster.e
     inner, tangents = cluster.arc_samples(np.arange(1, m) / m)
     index = np.empty((e, m + 1), dtype=int)
@@ -164,6 +177,10 @@ class HessianReport:
     rank: int  # of the area and rigid-motion constraint rows
     evaluations: Tuple[int, int]  # batched Schur evaluations, and sigmas in all
     ambiguous: bool  # a verdict count rests on a Schur eigenvalue at roundoff level
+    # wall seconds of the two phases: ``eliminated_hessian`` (with the unit
+    # frame), and the spectrum slicing with its verdict probes
+    assembly_s: float = field(compare=False)
+    slicing_s: float = field(compare=False)
 
 
 class _Slice(NamedTuple):
@@ -237,6 +254,12 @@ class EliminatedHessian:
         return (W[:, :, :, None] * W[:, :, None, :]).reshape(*W.shape[:2], 81)
 
     @cached_property
+    def lam_sorted(self) -> np.ndarray:
+        """Every Lambda_j, ascending, so that #(Lambda < sigma) is one
+        ``searchsorted``."""
+        return np.sort(self.lam, axis=None)
+
+    @cached_property
     def scatter(self) -> np.ndarray:
         """(e, 1, 81) the flat index in one Schur complement of each entry of
         each edge's 9 x 9 term."""
@@ -260,7 +283,7 @@ class EliminatedHessian:
         junction = np.arange(self.junction_dofs)
         schur[:, junction, junction] -= s
         mu = np.linalg.eigvalsh(schur)
-        poles = (self.lam.ravel() < s).sum(axis=1)
+        poles = np.searchsorted(self.lam_sorted, sigma)
         return poles + (mu < 0).sum(axis=1) - self.rank, mu, poles
 
     def count_below(self, sigma) -> np.ndarray:
@@ -279,13 +302,17 @@ class EliminatedHessian:
         count exceeds t, then lo_t the greatest one below hi_t whose count
         does not, so a bracket never inverts, even where the count is not
         monotone.  The first batch is -``HESSIAN_ZERO`` and +``HESSIAN_ZERO``
-        (= 1, the verdict probes of ``stability_report``); then each round,
-        every open target proposes one sigma, and equal proposals are
-        evaluated once:
+        (= 1, the verdict probes of ``stability_report``) and the unit-frame
+        ladder ``SLICE_LADDER`` (-4, 4, 16, 64), so the search starts at the
+        unit scale of the eigenvalues, not at the bound, which is m^2 times
+        larger or more, and most brackets have both ends after one batch.
+        Then each round, every open target proposes one sigma, and proposals
+        closer than w (below) are evaluated once, so the two targets of a
+        double eigenvalue, whose Illinois points differ in the last bits,
+        share one sigma:
 
-        * while an end is still at the bound, the other end doubled, so the
-          search starts at the unit scale of the eigenvalues, not at the
-          bound, which is m^2 times larger or more;
+        * while an end is still at the bound (an eigenvalue beyond the
+          ladder), the other end doubled;
         * inside a pole-free bracket (the same pole count p at both ends),
           the Illinois point of g_t(sigma) = mu_(t + rank - p)(Z(sigma)),
           which is continuous and non-increasing there, >= 0 at lo_t and
@@ -293,7 +320,9 @@ class EliminatedHessian:
           with one end's value halved when the other end has moved alone
           twice running;
         * the midpoint when the bracket holds a pole, or has not halved in
-          two rounds.
+          three rounds (with two, the midpoint would replace every first
+          Illinois-weighted point, which follows the second one-sided step,
+          just when the bracket has gone two rounds without halving).
 
         Proposals are clipped to [lo_t + w/2, hi_t - w/2], and a target closes
         when hi_t - lo_t <= w = 2 * bound * 2^-53, the width that 53 halvings
@@ -303,56 +332,72 @@ class EliminatedHessian:
 
     def _slice(self, k: int) -> _Slice:
         """``smallest``'s search, which also returns the counts and Schur
-        eigenvalues of its first batch and how many evaluations it made."""
-        w = 2.0 * self.bound * 2.0**-53
-        target = np.arange(k)
-        lo, hi = np.full(k, -self.bound), np.full(k, self.bound)
-        glo, ghi = np.zeros(k), np.zeros(k)  # g_t at the ends, Illinois-weighted
+        eigenvalues of the verdict probes and how many evaluations it made.
+        The bookkeeping is plain Python: on at most six targets, a numpy
+        call costs more than the arithmetic it does."""
+        bound, rank, top = self.bound, self.rank, self.border.shape[0] - 1
+        w = 2.0 * bound * 2.0**-53
+        lo, hi = [-bound] * k, [bound] * k
+        glo, ghi = [0.0] * k, [0.0] * k  # g_t at the ends, Illinois-weighted
         # pole counts at the ends, unequal until both ends are evaluated
-        plo, phi = np.full(k, -1), np.full(k, -2)
-        before = np.full((2, k), np.inf)  # widths one and two rounds ago
-        alone = np.zeros(k, dtype=int)  # +1 (-1) if only hi (lo) moved last round
-        sigma = np.array([-HESSIAN_ZERO, HESSIAN_ZERO])
+        plo, phi = [-1] * k, [-2] * k
+        before = [(math.inf,) * 3] * k  # widths one, two and three rounds ago
+        alone = [0] * k  # +1 (-1) if only hi (lo) moved last round
+        sigma = sorted({-HESSIAN_ZERO, HESSIAN_ZERO, *SLICE_LADDER})
+        probes = None
         batches = total = 0
-        while sigma.size:
-            count, mu, poles = self._evaluate(sigma)
-            if batches == 0:
-                probes = (count, mu)
-            batches, total = batches + 1, total + sigma.size
-            row = np.clip(target + self.rank - poles[:, None], 0, mu.shape[1] - 1)
-            g = mu[np.arange(sigma.size)[:, None], row]  # (sigmas, k)
-            s, above = sigma[:, None], count[:, None] > target
+        while sigma:
+            count, mu, poles = self._evaluate(np.array(sigma))
+            if probes is None:
+                at = [sigma.index(-HESSIAN_ZERO), sigma.index(HESSIAN_ZERO)]
+                probes = count[at], mu[at]
+            batches, total = batches + 1, total + len(sigma)
+            rows = list(zip(sigma, count.tolist(), poles.tolist(), mu.tolist()))
+            proposals = []
+            for t in range(k):
+                # hi_t: the least sigma inside whose count exceeds t; then
+                # lo_t: the greatest inside the new bracket whose count does not
+                up = down = False
+                for s, c, p, z in rows:
+                    if c > t and lo[t] < s < hi[t]:
+                        hi[t], ghi[t], phi[t], up = s, z[min(max(t + rank - p, 0), top)], p, True
+                        break
+                for s, c, p, z in reversed(rows):
+                    if c <= t and lo[t] < s < hi[t]:
+                        lo[t], glo[t], plo[t], down = s, z[min(max(t + rank - p, 0), top)], p, True
+                        break
 
-            inside = above & (lo < s) & (s < hi)
-            i = np.where(inside, s, np.inf).argmin(axis=0)
-            up = inside.any(axis=0)
-            hi = np.where(up, sigma[i], hi)
-            ghi = np.where(up, g[i, target], ghi)
-            phi = np.where(up, poles[i], phi)
-            inside = ~above & (lo < s) & (s < hi)
-            i = np.where(inside, s, -np.inf).argmax(axis=0)
-            down = inside.any(axis=0)
-            lo = np.where(down, sigma[i], lo)
-            glo = np.where(down, g[i, target], glo)
-            plo = np.where(down, poles[i], plo)
+                # Illinois: when one end moves alone twice running, the
+                # other end's value is halved
+                moved = up - down
+                if moved == 1 and alone[t] == 1:
+                    glo[t] *= 0.5
+                elif moved == -1 and alone[t] == -1:
+                    ghi[t] *= 0.5
+                alone[t] = moved
 
-            # Illinois: when one end moves alone twice running, the other
-            # end's value is halved
-            moved = up.astype(int) - down
-            glo = np.where((moved == 1) & (alone == 1), 0.5 * glo, glo)
-            ghi = np.where((moved == -1) & (alone == -1), 0.5 * ghi, ghi)
-            alone = moved
-
-            width = hi - lo
-            stalled = (plo != phi) | (width > 0.5 * before[1])
-            before = np.stack([width, before[0]])
-            x = lo + width * np.divide(glo, glo - ghi, out=np.full(k, 0.5), where=~stalled)
-            # an end still at the bound was never evaluated: grow the other
-            x = np.where(hi == self.bound, 2.0 * lo, x)
-            x = np.where(lo == -self.bound, 2.0 * hi, x)
-            x = np.clip(x, lo + 0.5 * w, hi - 0.5 * w)
-            sigma = np.unique(x[width > w])
-        return _Slice(0.5 * (lo + hi), probes[0], probes[1], (batches, total))
+                width = hi[t] - lo[t]
+                stalled = plo[t] != phi[t] or width > 0.5 * before[t][2]
+                before[t] = (width, *before[t][:2])
+                if width <= w:
+                    continue
+                # regula falsi needs g(lo_t) > g(hi_t), which only a row
+                # index clipped at the ends of mu can break
+                a, b = glo[t], ghi[t]
+                x = lo[t] + width * (0.5 if stalled or a <= b else a / (a - b))
+                # an end still at the bound was never evaluated: grow the other
+                if hi[t] == bound:
+                    x = 2.0 * lo[t]
+                if lo[t] == -bound:
+                    x = 2.0 * hi[t]
+                proposals.append(min(max(x, lo[t] + 0.5 * w), hi[t] - 0.5 * w))
+            # proposals closer than w are one sigma: a degenerate pair's
+            # Illinois points differ only in the last few bits
+            sigma = []
+            for x in sorted(proposals):
+                if not sigma or x - sigma[-1] >= w:
+                    sigma.append(x)
+        return _Slice(0.5 * (np.array(lo) + np.array(hi)), *probes, (batches, total))
 
 
 def eliminated_hessian(cluster: Cluster, m: int = 64) -> EliminatedHessian:
@@ -377,6 +422,7 @@ def eliminated_hessian(cluster: Cluster, m: int = 64) -> EliminatedHessian:
     ``GeometryDomainError`` unless the constraint rows have rank n + 3.
     """
     disc = discretize(cluster, m)
+    m = disc.m
     press = pressures(cluster)
     pts = disc.points
     v, e, n, P = cluster.v, cluster.e, cluster.n, pts.size
@@ -452,11 +498,9 @@ def eliminated_hessian(cluster: Cluster, m: int = 64) -> EliminatedHessian:
     # the off-diagonal b read from segment 1, between interior samples 0
     # and 1; its eigenpairs are a + 2 b cos(k pi / m) and the columns of the
     # symmetric orthogonal sine matrix S, the same for every edge
-    k = np.arange(1, m)
     inner = block.reshape(e, m, 4, 4)[:, 1]
     a, b = inner[:, 0, 0] + inner[:, 2, 2], inner[:, 0, 2]
-    lam = a[:, None] + 2.0 * b[:, None] * np.cos(k * np.pi / m)
-    S = np.sqrt(2.0 / m) * np.sin(np.outer(k, k) * np.pi / m)
+    lam = a[:, None] + 2.0 * b[:, None] * np.cos(np.arange(1, m) * np.pi / m)
 
     # each edge's nine border columns: its end junctions' x and y, the area
     # rows of its left and right regions (region r is row r - 1; the
@@ -480,7 +524,17 @@ def eliminated_hessian(cluster: Cluster, m: int = 64) -> EliminatedHessian:
     border[:J, :J] = HJJ.reshape(J, J)
     border[:J, J:] = C[:, :J].T
     border[J:, :J] = C[:, :J]
-    return EliminatedHessian(lam, S @ B, columns, border, J, rank, bound)
+    return EliminatedHessian(lam, _sine_basis(m) @ B, columns, border, J, rank, bound)
+
+
+@lru_cache(maxsize=4)
+def _sine_basis(m: int) -> np.ndarray:
+    """The (m-1) x (m-1) sine matrix S_ik = sqrt(2 / m) sin(i k pi / m),
+    i, k = 1..m-1, built once per m and read-only."""
+    k = np.arange(1, m)
+    S = np.sqrt(2.0 / m) * np.sin(np.outer(k, k) * np.pi / m)
+    S.flags.writeable = False
+    return S
 
 
 #: A verdict count is ambiguous when, at either probe, Z(sigma) has an
@@ -496,22 +550,27 @@ def stability_report(cluster: Cluster, m: int = 64) -> HessianReport:
     The verdict is an inertia count, not a spectrum, on ``cluster.unit()``
     (eigenvalues are mass-normalized, so lambda * diameter^2 is the
     scale-invariant quantity): the counts below -``HESSIAN_ZERO`` and
-    +``HESSIAN_ZERO`` give the negative and zero-mode counts.  They are the
-    first batch of the spectrum slicing (``EliminatedHessian._slice``) that
+    +``HESSIAN_ZERO`` give the negative and zero-mode counts.  They are in
+    the first batch of the spectrum slicing (``EliminatedHessian._slice``) that
     finds the smallest six constrained eigenvalues, which the report carries
     in the cluster's units, to within 2 * bound * 2^-53 of the unit frame.
     ``evaluations`` counts the batched Schur evaluations and their sigmas,
-    and ``ambiguous`` flags a count that rests on a Schur eigenvalue below
-    ``SCHUR_ROUNDOFF`` * N * max|mu|.  See ``eliminated_hessian`` for the
-    discretization.
+    ``ambiguous`` flags a count that rests on a Schur eigenvalue below
+    ``SCHUR_ROUNDOFF`` * N * max|mu|, and ``assembly_s`` and ``slicing_s``
+    are the wall seconds of ``eliminated_hessian`` and of the slicing.  See
+    ``eliminated_hessian`` for the discretization; ``m``, the segments per
+    edge, is an integer of at least 8, or ``GeometryDomainError`` is raised.
 
     Every mode with |lambda| * diameter^2 < ``HESSIAN_ZERO`` counts as a
     zero mode, whatever its sign: a real instability that small is reported
     as ``Degenerate``, not ``Unstable`` (necklace(7) with its chamber
     pressure at -0.02 says ``Degenerate(4)``).
     """
+    start = time.perf_counter()
     hess = eliminated_hessian(cluster.unit(), m)
+    assembled = time.perf_counter()
     found = hess._slice(min(6, hess.size))
+    sliced = time.perf_counter()
     below_neg, below_pos = found.probe_counts.tolist()
     negative, zero = below_neg, below_pos - below_neg
     if negative > 0:
@@ -526,10 +585,12 @@ def stability_report(cluster: Cluster, m: int = 64) -> HessianReport:
         eigenvalues=found.eigenvalues / cluster.diameter() ** 2,
         zero_mode_count=zero,
         classification=label,
-        m=m,
+        m=int(m),
         rank=hess.rank,
         evaluations=found.evaluations,
         ambiguous=bool((mu.min(axis=1) < floor).any()),
+        assembly_s=assembled - start,
+        slicing_s=sliced - assembled,
     )
 
 
@@ -548,10 +609,10 @@ def continue_family(
     Step k re-solves the area target interpolated linearly k/``steps`` of
     the way, starting from the previous step's cluster (no tangent
     predictor), each :func:`solve` within ``max_iter`` iterations.  Returns
-    the full path including the start.
+    the full path including the start.  ``steps`` is an integer of at least
+    1, or ``GeometryDomainError`` is raised.
     """
-    if steps < 1:
-        raise GeometryDomainError("need at least one step")
+    steps = _size("steps", steps, 1)
     target = np.asarray(target, dtype=float)
     start = region_areas(cluster)
     if target.shape != start.shape:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -216,7 +217,7 @@ class TestDiscretize:
                 assert np.abs(d.normals[j] - normals).max() <= 1e-13, name
 
     def test_rejects_coarse_sampling(self, double):
-        with pytest.raises((ValueError, fl.GeometryDomainError)):
+        with pytest.raises(fl.GeometryDomainError, match="m must be at least 8"):
             fl.discretize(double, 4)
 
 
@@ -321,15 +322,73 @@ class TestStability:
             assert np.abs(got - want).max() <= 1e-13 * hess.bound, (name, m)
 
     def test_evaluation_budget(self, equilibrium_presets):
-        # the bisection from +-bound took 53 batches plus the verdict probes
+        # the bisection from +-bound took 53 batches plus the verdict probes;
+        # these 16 reports take 249 batches and 820 sigmas (at most 30 and
+        # 90 per report, both on triple), against 348 and 1053 with a first
+        # batch of only the probes, doubling outward, and no merging
         clusters = dict(equilibrium_presets, unstable=fl.necklace(7, inner_radius=0.05))
+        total = np.zeros(2, dtype=int)
         for m in (64, 128):
             for name, c in clusters.items():
                 rep = fl.stability_report(c, m=m)
                 batches, sigmas = rep.evaluations
-                assert batches <= 35 and sigmas <= 6 * batches, (name, m)
+                assert batches <= 32 and sigmas <= 96, (name, m)
                 assert rep.rank == c.n + 3, (name, m)
                 assert not rep.ambiguous, (name, m)
+                total += rep.evaluations
+        assert total[0] <= 256 and total[1] <= 840, total
+
+    @pytest.fixture()
+    def batches(self, monkeypatch):
+        """Every sigma batch that ``_evaluate`` is called with, in order."""
+        seen = []
+        evaluate = variation.EliminatedHessian._evaluate
+
+        def record(self, sigma):
+            seen.append(np.array(sigma))
+            return evaluate(self, sigma)
+
+        monkeypatch.setattr(variation.EliminatedHessian, "_evaluate", record)
+        return seen
+
+    def test_degenerate_pair_shares_one_sigma(self, triple, batches):
+        # triple's 8.1058 and 29.628 (lambda diam^2) are double: the two
+        # targets of each pair propose points a few ulps apart, which are
+        # evaluated as one sigma, and both copies are still reported
+        hess = eliminated_hessian(triple.unit(), 64)
+        w = 2.0 * hess.bound * 2.0**-53
+        got = hess.smallest(6)
+        assert len(batches) > 10
+        for sigma in batches:
+            assert np.all(np.diff(np.sort(sigma)) >= w), sigma
+        for pair, value in ((0, 8.1058), (4, 29.628)):
+            assert got[pair : pair + 2] == pytest.approx([value, value], rel=1e-4)
+            assert got[pair + 1] - got[pair] <= 1e-9 * value
+
+    def test_first_batch_is_probes_and_ladder(self, double, batches):
+        fl.stability_report(double, m=64)
+        want = sorted({-HESSIAN_ZERO, HESSIAN_ZERO, *variation.SLICE_LADDER})
+        assert batches[0].tolist() == want
+
+    def test_phase_timings(self, triple):
+        start = time.perf_counter()
+        rep = fl.stability_report(triple, m=64)
+        wall = time.perf_counter() - start
+        assert 0.0 < rep.assembly_s and 0.0 < rep.slicing_s
+        assert rep.assembly_s + rep.slicing_s <= wall
+
+    @pytest.mark.parametrize("bad", [8.5, None, "64", True, np.float64(64.0), np.bool_(True)])
+    def test_non_integer_m_is_a_domain_error(self, double, bad):
+        with pytest.raises(fl.GeometryDomainError, match="m must be an integer"):
+            fl.stability_report(double, m=bad)
+        with pytest.raises(fl.GeometryDomainError, match="m must be an integer"):
+            fl.discretize(double, bad)
+
+    def test_numpy_integer_m(self, double):
+        rep = fl.stability_report(double, m=np.int64(16))
+        assert rep.m == 16 and type(rep.m) is int
+        assert rep.classification == fl.stability_report(double, m=16).classification
+        assert fl.discretize(double, np.int32(16)).m == 16
 
     def test_probe_on_an_eigenvalue_is_ambiguous(self, double, monkeypatch):
         # a verdict probe on an eigenvalue leaves Z(sigma) singular up to
@@ -389,6 +448,16 @@ class TestContinueFamily:
     def test_non_finite_target_is_a_domain_error(self, triple, bad):
         with pytest.raises(fl.GeometryDomainError, match="target"):
             fl.continue_family(triple, [bad, 1.0, 1.0], steps=2)
+
+    @pytest.mark.parametrize("bad", [2.5, True, None, "2", np.float64(2.0)])
+    def test_non_integer_steps_is_a_domain_error(self, triple, bad):
+        target = 1.05 * fl.region_areas(triple)
+        with pytest.raises(fl.GeometryDomainError, match="steps must be an integer"):
+            fl.continue_family(triple, target, steps=bad)
+
+    def test_numpy_integer_steps(self, triple):
+        target = 1.05 * fl.region_areas(triple)
+        assert len(fl.continue_family(triple, target, steps=np.int64(2))) == 3
 
     def test_iteration_budget_reaches_each_solve(self, triple):
         target = 1.3 * fl.region_areas(triple)
