@@ -4,15 +4,16 @@ A cluster of ``n`` regions is a chart point of dimension ``2v + e = 7n - 7``:
 vertex coordinates plus one half-angle per edge.  The arrays are the
 cluster: ``Cluster`` holds the read-only ``points``, ``ends`` (tail, head),
 ``phis`` and ``labels`` (left, right region) of its edges.  ``Point`` and
-``EdgeRecord`` rows, with bulges, are only the constructor and codec adapter:
-a cluster read from them keeps its bulges and inverts them once.  Every
-per-edge quantity (end tangents, curvature, bulge) and its chart gradient is
-closed form in the half-angle, computed once per chart point in
-``Cluster.frame``, and each half-edge's oriented carrier (A, B, D) follows
-from it by one formula.  The
-combinatorial type is a ``Topology``, derived once per type, not once per
-chart point: the counterclockwise stars, the face walks obtained by rotating
-around vertices, one boundary walk per region and the signed incidence S.
+``EdgeRecord`` rows, with bulges, are only the codec adapter: a cluster read
+from them keeps its bulges and inverts them once.  Every per-edge quantity
+(chord, direction, end tangents, curvature, length, bulge) is closed form in
+the chord and the half-angle, a read-only array computed on first read; the
+chart gradients, which only the Jacobians need, come from
+:func:`edge_gradients`.  Each half-edge's oriented carrier (A, B, D) follows
+from those arrays by one formula.  The combinatorial type is a
+``Topology``, derived once per type, not once per chart point: the
+counterclockwise stars, the face walks obtained by rotating around vertices,
+one boundary walk per region and the signed incidence S.
 Building it is the one structural check, and ``with_chart`` copies share it.
 Areas and their derivatives need no walk: a region's walk is exactly the
 half-edges with it on the left, so they come from the labels through S.
@@ -22,7 +23,7 @@ A half-edge is the integer k = 2j + end: it leaves end ``end`` of edge j
 data with one entry per end is an (e, 2) array read at ``.flat[k]``: the
 start vertex is ``ends.flat[k]`` and the end vertex ``ends.flat[k ^ 1]``,
 the left region ``labels.flat[k]``, the leaving tangent angle
-``frame.alpha.flat[k]``, and the carrier ``(A, B, D)[..].flat[k]`` from
+``alphas.flat[k]``, and the carrier ``(A, B, D)[..].flat[k]`` from
 :meth:`Cluster.carriers`.
 """
 
@@ -64,42 +65,6 @@ class EdgeRecord:
     right: int
 
 
-@dataclass(frozen=True)
-class EdgeFrame:
-    """Per-edge geometry of one chart point, with exact chart gradients.
-
-    Edge j's quantities depend on the chart only through w = head - tail and
-    phi, so each gradient is stored as (d/d Re w, d/d Im w, d/dphi);
-    the tail's coordinates get minus and the head's plus its first two
-    entries.  End 0 is the tail, where the forward half-edge leaves; end 1 is
-    the head, where the reversed half-edge leaves.
-    """
-
-    ends: np.ndarray  # (e, 2) tail and head vertex
-    v: int
-    chord: np.ndarray  # (e,) chord length c
-    direction: np.ndarray  # (e,) unit chord direction u = w / c
-    phi: np.ndarray  # (e,) half-angle
-    length: np.ndarray  # (e,) arc length c / sinc(phi)
-    alpha: np.ndarray  # (e, 2) angle of the tangent leaving each end
-    kappa: np.ndarray  # (e,) forward signed curvature 2 sin(phi) / c
-    d_alpha: np.ndarray  # (e, 2, 3) gradient of alpha
-    d_kappa: np.ndarray  # (e, 3) gradient of kappa
-
-    def jacobian(self, rows, edges, grads, n_rows: int) -> np.ndarray:
-        """Chart matrix of shape (n_rows, 2v + e) with the edge gradient
-        ``grads[k]`` of edge ``edges[k]`` summed into row ``rows[k]``."""
-        rows, edges = np.asarray(rows), np.asarray(edges)
-        grads = np.asarray(grads, dtype=float).reshape(-1, 3)
-        J = np.zeros((n_rows, 2 * self.v + self.chord.size))
-        for end, sign in ((0, -1.0), (1, 1.0)):
-            col = 2 * self.ends[edges, end]
-            np.add.at(J, (rows, col), sign * grads[:, 0])
-            np.add.at(J, (rows, col + 1), sign * grads[:, 1])
-        np.add.at(J, (rows, 2 * self.v + edges), grads[:, 2])
-        return J
-
-
 def _frozen(a, dtype) -> np.ndarray:
     """``a`` as a read-only array of ``dtype``, copied unless it already is
     one: a caller's writable array is never frozen in place."""
@@ -110,9 +75,14 @@ def _frozen(a, dtype) -> np.ndarray:
     return a
 
 
-def _grad(g: np.ndarray, dphi) -> np.ndarray:
-    """Stack a complex gradient d/d Re w + i d/d Im w with d/dphi, broadcast."""
-    return np.stack(np.broadcast_arrays(g.real, g.imag, dphi), axis=-1)
+def _size(name: str, value, least: int) -> int:
+    """``value`` as an int, if it is an integer (a numpy one too, not a bool)
+    of at least ``least``; otherwise ``GeometryDomainError`` naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise GeometryDomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise GeometryDomainError(f"{name} must be at least {least}, got {value}")
+    return int(value)
 
 
 def _face_walks(ends: np.ndarray, alpha: np.ndarray, v: int):
@@ -164,9 +134,8 @@ class Topology:
 
     @classmethod
     def of(cls, cluster: "Cluster") -> "Topology":
-        f = cluster.frame
-        stars, successor, faces = _face_walks(f.ends, f.alpha, cluster.v)
-        near = f.ends.ravel()[stars ^ 1].tolist()  # the three neighbours of each vertex
+        stars, successor, faces = _face_walks(cluster.ends, cluster.alphas, cluster.v)
+        near = cluster.ends.ravel()[stars ^ 1].tolist()  # the three neighbours of each vertex
         reached, todo = set(), [0] if cluster.v else []
         while todo:
             if (i := todo.pop()) not in reached:
@@ -183,7 +152,7 @@ class Topology:
         if (found := [left[walk[0]] for walk in faces]) != list(range(cluster.n + 1)):
             raise StructuralError(f"face labels {found}, expected one face per region 0..{cluster.n}")
         S = incidence(labels, cluster.n)
-        return cls(f.ends, labels, stars, successor, tuple(map(np.array, faces)), S)
+        return cls(cluster.ends, labels, stars, successor, tuple(map(np.array, faces)), S)
 
 
 def incidence(labels: np.ndarray, n: int) -> np.ndarray:
@@ -244,11 +213,37 @@ class Cluster:
         """(e,) segment_area(phi, c), or the bulges of the rows read."""
         return _frozen(list(map(segment_area, self.phis.tolist(), self.chords.tolist())), float)
 
+    def _chord_vectors(self) -> np.ndarray:
+        """(e,) w = head - tail."""
+        return np.diff(self.points[self.ends], axis=1).ravel()
+
     @cached_property
     def chords(self) -> np.ndarray:
-        """(e,) |head - tail| by ``hypot``, as Python's ``abs`` (numpy's can differ by an ulp)."""
-        w = np.diff(self.points[self.ends], axis=1).ravel()
+        """(e,) c = |w| by ``hypot``, as Python's ``abs`` (numpy's can differ by an ulp)."""
+        w = self._chord_vectors()
         return _frozen(np.hypot(w.real, w.imag), float)
+
+    @cached_property
+    def directions(self) -> np.ndarray:
+        """(e,) unit chord directions u = w / c."""
+        return _frozen(self._chord_vectors() / self.chords, complex)
+
+    @cached_property
+    def alphas(self) -> np.ndarray:
+        """(e, 2) angle of the tangent leaving each end: theta - phi at the
+        tail and theta + phi + pi at the head, theta the chord's angle."""
+        theta, phi = np.angle(self._chord_vectors()), self.phis
+        return _frozen(np.stack([theta - phi, theta + phi + math.pi], axis=1), float)
+
+    @cached_property
+    def kappas(self) -> np.ndarray:
+        """(e,) forward signed curvatures 2 sin(phi) / c."""
+        return _frozen(2.0 * np.sin(self.phis) / self.chords, float)
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """(e,) arc lengths c / sinc(phi)."""
+        return _frozen(self.chords / np.sinc(self.phis / math.pi), float)
 
     # -- rows: the constructor and codec adapter ---------------------------
 
@@ -320,42 +315,15 @@ class Cluster:
         tail, head = self.points[self.ends[edge_index]].tolist()
         return Arc(Point.of(tail), Point.of(head), float(self.bulges[edge_index]))
 
-    @cached_property
-    def frame(self) -> EdgeFrame:
-        """Per-edge geometry at this chart point, closed form in the chord
-        w = c u and the half-angle phi: the end tangents theta -+ phi, with
-        d theta = Im(conj(u) dw) / c, and kappa = 2 sin(phi) / c."""
-        points, ends, phi = self.points, self.ends, self.phis
-        w = points[ends[:, 1]] - points[ends[:, 0]]
-        c = self.chords
-        u = w / c
-        g_theta = 1j * u / c
-        kappa = 2.0 * np.sin(phi) / c
-        theta = np.angle(w)
-        return EdgeFrame(
-            ends=ends,
-            v=self.v,
-            chord=c,
-            direction=u,
-            phi=phi,
-            length=c / np.sinc(phi / math.pi),
-            alpha=np.stack([theta - phi, theta + phi + math.pi], axis=1),
-            kappa=kappa,
-            d_alpha=_grad(g_theta[:, None], [-1.0, 1.0]),
-            d_kappa=_grad(-kappa / c * u, 2.0 * np.cos(phi) / c),
-        )
-
     def arc_samples(self, t) -> Tuple[np.ndarray, np.ndarray]:
         """Points and unit tangents of every edge at angular fractions ``t``,
         each of shape (e, len(t)): ``arc_point`` and ``arc_tangent`` for all
-        arcs at once, from the frame's half-angles (no inversion per sample)."""
-        f, points = self.frame, self.points
-        tail = points[self.ends[:, 0]]
-        w = points[self.ends[:, 1]] - tail
-        phi, t = f.phi[:, None], np.asarray(t, dtype=float)[None, :]
+        arcs at once, from the half-angles (no inversion per sample)."""
+        tail, w = self.points[self.ends[:, 0]], self._chord_vectors()
+        phi, t = self.phis[:, None], np.asarray(t, dtype=float)[None, :]
         ratio = t * np.sinc(phi * t / math.pi) / np.sinc(phi / math.pi)
         at = tail[:, None] + w[:, None] * ratio * np.exp(1j * phi * (t - 1.0))
-        return at, f.direction[:, None] * np.exp(1j * phi * (2.0 * t - 1.0))
+        return at, self.directions[:, None] * np.exp(1j * phi * (2.0 * t - 1.0))
 
     def carriers(
         self, centre: complex = 0j, scale: float = 1.0
@@ -365,17 +333,46 @@ class Cluster:
         half-edge: one formula at the point, tangent and curvature where the
         half-edge leaves.  Built in those coordinates, D keeps the digits that
         translating world coordinates far from the origin would cancel."""
-        f = self.frame
-        return carrier_coefficients(
-            (self.points[f.ends] - centre) / scale,
-            np.exp(1j * f.alpha),
-            scale * np.outer(f.kappa, [1.0, -1.0]),
-        )
+        start, kappa = (self.points[self.ends] - centre) / scale, np.outer(self.kappas, [1.0, -1.0])
+        return carrier_coefficients(start, np.exp(1j * self.alphas), scale * kappa)
 
     def next_half_edge(self, k: int) -> int:
         """Successor in the face walk keeping the same region on the left:
         the half-edge clockwise next to the reverse k ^ 1."""
         return int(self.topology.successor[k])
+
+
+# ---------------------------------------------------------------------------
+# chart gradients
+
+
+def edge_gradients(cluster: Cluster) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact chart gradients of ``alphas`` and ``kappas``, shapes (e, 2, 3)
+    and (e, 3).  Edge j's quantities depend on the chart only through
+    w = head - tail and phi, so each gradient is (d/d Re w, d/d Im w,
+    d/dphi): d theta = Im(conj(u) dw) / c, and kappa = 2 sin(phi) / c."""
+    c, u, kappa = cluster.chords, cluster.directions, cluster.kappas
+
+    def grad(g: np.ndarray, dphi) -> np.ndarray:  # complex g = d/d Re w + i d/d Im w
+        return np.stack(np.broadcast_arrays(g.real, g.imag, dphi), axis=-1)
+
+    return grad((1j * u / c)[:, None], [-1.0, 1.0]), grad(-kappa / c * u, 2.0 * np.cos(cluster.phis) / c)
+
+
+def chart_jacobian(cluster: Cluster, rows, edges, grads, n_rows: int) -> np.ndarray:
+    """Chart matrix of shape (n_rows, 2v + e) with the edge gradient
+    ``grads[k]`` of edge ``edges[k]`` (as from :func:`edge_gradients`)
+    summed into row ``rows[k]``: the tail's coordinates get minus and the
+    head's plus its first two entries."""
+    rows, edges = np.asarray(rows), np.asarray(edges)
+    grads = np.asarray(grads, dtype=float).reshape(-1, 3)
+    J = np.zeros((n_rows, 2 * cluster.v + cluster.e))
+    for end, sign in ((0, -1.0), (1, 1.0)):
+        col = 2 * cluster.ends[edges, end]
+        np.add.at(J, (rows, col), sign * grads[:, 0])
+        np.add.at(J, (rows, col + 1), sign * grads[:, 1])
+    np.add.at(J, (rows, 2 * cluster.v + edges), grads[:, 2])
+    return J
 
 
 # ---------------------------------------------------------------------------
@@ -408,19 +405,19 @@ def region_areas(cluster: Cluster) -> np.ndarray:
 
 
 def perimeter(cluster: Cluster) -> float:
-    return float(cluster.frame.length.sum())
+    return float(cluster.lengths.sum())
 
 
 def area_jacobian(cluster: Cluster) -> np.ndarray:
     """d(areas)/d(chart), shape (n, 2v + e): S times the per-edge gradients
     of the bulge b = c^2 segment_area(phi, 1), (2b/c) u in the chord w = c u
     and ``segment_area_dphi`` in phi, plus those of the shoelace terms."""
-    f, (a, b), edges = cluster.frame, cluster.ends.T, np.arange(cluster.e)
-    g = 2.0 * cluster.bulges / f.chord * f.direction
+    (a, b), edges, c = cluster.ends.T, np.arange(cluster.e), cluster.chords
+    g = 2.0 * cluster.bulges / c * cluster.directions
     G = shoelace_gradient(cluster.points, cluster.ends, edges, cluster.e).view(complex)
     G[edges, a] -= g
     G[edges, b] += g
-    dphi = list(map(segment_area_dphi, f.phi.tolist(), f.chord.tolist()))
+    dphi = list(map(segment_area_dphi, cluster.phis.tolist(), c.tolist()))
     S = cluster.topology.incidence
     return np.hstack([S @ G.view(float), S * dphi])
 
@@ -506,8 +503,7 @@ def _disjointness_scan(cluster: Cluster, samples: int = 16) -> List[Tuple[int, i
     pts, _ = cluster.arc_samples((np.arange(samples) + 0.5) / samples)
     # sampled interiors of distinct edges must not come closer than the
     # sampling resolution would explain
-    length = cluster.frame.length
-    bad = []
+    length, bad = cluster.lengths, []
     for i in range(cluster.e - 1):
         d = np.abs(pts[i + 1 :, :, None] - pts[i]).min(axis=(1, 2))
         near = d < 0.25 * np.minimum(length[i], length[i + 1 :]) / samples
@@ -651,6 +647,9 @@ def loads(text: str) -> Cluster:
 # ---------------------------------------------------------------------------
 # SVG rendering
 
+#: Arcs with |phi| below this are drawn, and pinned, as straight segments.
+STRAIGHT_PHI = 1e-12
+
 
 def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str:
     pts, _ = cluster.arc_samples([0.25, 0.5, 0.75])
@@ -662,17 +661,17 @@ def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str
     height = (y1 - y0) + 2 * mx
     sw = 0.005 * max(width, height)
 
-    f, z = cluster.frame, cluster.points.tolist()
+    z, ends, phis, kappas = cluster.points.tolist(), cluster.ends, cluster.phis, cluster.kappas
 
     def xy(k: int) -> str:  # the vertex half-edge k leaves
-        w = z[f.ends.flat[k]]
+        w = z[ends.flat[k]]
         return f"{w.real:.9g} {w.imag:.9g}"
 
     def arc_path(k: int) -> str:
-        phi = -f.phi[k >> 1] if k & 1 else f.phi[k >> 1]
-        if abs(phi) < 1e-12:
+        phi = -phis[k >> 1] if k & 1 else phis[k >> 1]
+        if abs(phi) < STRAIGHT_PHI:
             return f"L {xy(k ^ 1)}"
-        r = 1.0 / abs(f.kappa[k >> 1])
+        r = 1.0 / abs(kappas[k >> 1])
         large = 1 if abs(phi) > math.pi / 2 else 0
         sweep = 1 if phi > 0 else 0
         return f"A {r:.9g} {r:.9g} 0 {large} {sweep} {xy(k ^ 1)}"
@@ -686,21 +685,14 @@ def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str
         pmax = max(float(np.abs(fill_pressures).max()), 1e-12)
         for r in range(1, cluster.n + 1):
             walk = cluster.topology.walks[r].tolist()
-            d = [f"M {xy(walk[0])}"]
-            d += [arc_path(k) for k in walk]
-            d.append("Z")
+            d = " ".join([f"M {xy(walk[0])}", *map(arc_path, walk), "Z"])
             # zero pressure lands on red 128, not on a rounding tie
             red = 128 + round(127 * float(fill_pressures[r - 1]) / pmax)
-            blue = 255 - red
             parts.append(
-                f'<path d="{" ".join(d)}" fill="rgb({red},120,{blue})" '
-                f'fill-opacity="0.35" stroke="none"/>'
+                f'<path d="{d}" fill="rgb({red},120,{255 - red})" fill-opacity="0.35" stroke="none"/>'
             )
     for j in range(cluster.e):
-        d = f"M {xy(2 * j)} " + arc_path(2 * j)
-        parts.append(
-            f'<path d="{d}" fill="none" stroke="black" stroke-width="{sw:.9g}"/>'
-        )
-    parts.append("</g>")
-    parts.append("</svg>")
+        d = f"M {xy(2 * j)} {arc_path(2 * j)}"
+        parts.append(f'<path d="{d}" fill="none" stroke="black" stroke-width="{sw:.9g}"/>')
+    parts += ["</g>", "</svg>"]
     return "\n".join(parts) + "\n"

@@ -1,8 +1,10 @@
 """Preset clusters: closed forms where elementary, ansatz-plus-solve elsewhere.
 
-Every preset is an explicit type table: its vertices and one row
-(tail, head, bulge, left, right) per edge, with region ids stated, not
-inferred from the embedding.  Constructor correctness is certified by the
+Every preset is an explicit type table passed to ``Cluster.from_arrays``:
+its vertex positions, and per edge its (tail, head), its half-angle and its
+(left, right) region ids, stated, not inferred from the embedding.  The
+closed forms give half-angles directly, so no preset forms or inverts a
+bulge.  Constructor correctness is certified by the
 equilibrium checker rather than by rederiving formulas: every non-quasi
 preset must classify as Equilibrium.
 """
@@ -11,13 +13,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .cluster import (
-    EXTERIOR, Cluster, EdgeRecord, area_jacobian, incidence, region_areas, rigid_motion_basis,
-    shoelace_terms,
+    EXTERIOR, STRAIGHT_PHI, Cluster, area_jacobian, chart_jacobian, edge_gradients, incidence,
+    region_areas, rigid_motion_basis, shoelace_terms,
 )
 from .errors import GeometryDomainError, TopologyBreakdown
 from .equilibrium import SOLVE_TOL, chart_lm, residual_jacobian, residuals, solve
@@ -30,7 +32,6 @@ from .geometry import (
     mobius_tangent,
     pencil_meet,
     second_intersection,
-    segment_area,
 )
 
 
@@ -69,8 +70,8 @@ def double_bubble(r1: float = 1.0, r2: float = 1.0) -> Cluster:
 
     Centers sit at distance d with d^2 = r1^2 + r2^2 - r1 r2 (law of
     cosines for the 120-degree vertex triangle), and the vertices at
-    (x, +-y) with the first center at 0.  Every arc is read from its
-    half-angle on the chord 2y: an outer arc's half-angle is pi minus the
+    (x, +-y) with the first center at 0.  Every arc is given by its
+    half-angle: an outer arc's half-angle is pi minus the
     angle between the axis and the upper vertex seen from its center, and
     the middle interface has curvature 1/r1 - 1/r2, so
     sin(phi) = y (1/r1 - 1/r2), straight for equal radii.
@@ -80,17 +81,12 @@ def double_bubble(r1: float = 1.0, r2: float = 1.0) -> Cluster:
     d = math.sqrt(r1 * r1 + r2 * r2 - r1 * r2)
     x = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
     y = math.sqrt(r1 * r1 - x * x)
-    v_top = Point(x, y)
-    v_bot = Point(x, -y)
-    outer1 = segment_area(math.pi - math.atan2(y, x), 2.0 * y)
-    outer2 = segment_area(math.pi - math.atan2(y, d - x), 2.0 * y)
-    middle = segment_area(math.asin(y * (1.0 / r1 - 1.0 / r2)), 2.0 * y)
-    edges = (
-        EdgeRecord(0, 0, 1, outer1, 1, EXTERIOR),
-        EdgeRecord(1, 1, 0, outer2, 2, EXTERIOR),
-        EdgeRecord(2, 1, 0, middle, 1, 2),
+    outer1, outer2 = math.pi - math.atan2(y, x), math.pi - math.atan2(y, d - x)
+    middle = math.asin(y * (1.0 / r1 - 1.0 / r2))
+    return Cluster.from_arrays(
+        [complex(x, y), complex(x, -y)], [(0, 1), (1, 0), (1, 0)], [outer1, outer2, middle],
+        [(1, EXTERIOR), (2, EXTERIOR), (1, 2)], 2, ("exterior", "bubble 1", "bubble 2"),
     )
-    return Cluster((v_top, v_bot), edges, 2, ("exterior", "bubble 1", "bubble 2"))
 
 
 def triple_bubble(
@@ -107,29 +103,24 @@ def triple_bubble(
     ell = interface_length
     if not ell > 0:
         raise GeometryDomainError("interface_length must be positive")
-    center = Point(0.0, 0.0)
     angles = [math.pi / 6, 5 * math.pi / 6, 3 * math.pi / 2]
-    outer = [Point.of(ell * cmath.exp(1j * a)) for a in angles]
-    chord = ell * math.sqrt(3.0)
-    bulge = segment_area(math.pi / 2, chord)
+    points = [0j] + [ell * cmath.exp(1j * a) for a in angles]
     # bubbles 1, 3, 2 counterclockwise from the top: sector k lies between
-    # the interfaces to outer[k] and outer[k + 1]
+    # the interfaces to points[k + 1] and points[k + 2]
     sector = (1, 3, 2)
-    edges = [EdgeRecord(k, 0, k + 1, 0.0, sector[k], sector[k - 1]) for k in range(3)]
-    edges += [
-        EdgeRecord(3 + k, k + 1, (k + 1) % 3 + 1, bulge, sector[k], EXTERIOR) for k in range(3)
-    ]
-    cluster = Cluster(
-        tuple([center] + outer), tuple(edges), 3, ("exterior", "bubble 1", "bubble 2", "bubble 3")
+    ends = [(0, k + 1) for k in range(3)] + [(k + 1, (k + 1) % 3 + 1) for k in range(3)]
+    labels = [(sector[k], sector[k - 1]) for k in range(3)] + [(sector[k], EXTERIOR) for k in range(3)]
+    cluster = Cluster.from_arrays(
+        points, ends, [0.0] * 3 + [math.pi / 2] * 3, labels, 3,
+        ("exterior", "bubble 1", "bubble 2", "bubble 3"),
     )
-    if areas is not None:
-        target = np.asarray(areas, dtype=float)
-        base = region_areas(cluster)
-        # rescale the symmetric seed to the right total before solving
-        s = math.sqrt(target.sum() / base.sum())
-        cluster = cluster.with_chart(cluster.chart() * np.repeat([s, 1.0], [2 * cluster.v, cluster.e]))
-        cluster = solve(cluster, target)
-    return cluster
+    if areas is None:
+        return cluster
+    # rescale the symmetric seed to the right total before solving
+    target = np.asarray(areas, dtype=float)
+    s = math.sqrt(target.sum() / region_areas(cluster).sum())
+    seed = cluster.with_chart(cluster.chart() * np.repeat([s, 1.0], [2 * cluster.v, cluster.e]))
+    return solve(seed, target)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +188,7 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     # z -> 1 / (z - q) is the picture scaled by 1 / |p - q|^2
     q = None if q is AT_INFINITY else p + scale * q
     wq, radius = (0.0, size) if q is None else (1.0 / (q - p), size * abs(q - p) ** 2)
-    rays = [cmath.exp(1j * a) for a in cluster.frame.alpha.flat[star]]
+    rays = [cmath.exp(1j * a) for a in cluster.alphas.flat[star]]
     far = cluster.ends.flat[star ^ 1]
     # the bubble's arcs run between consecutive (counterclockwise) rays,
     # bulging to their right, away from 0
@@ -268,7 +259,7 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
         raise GeometryDomainError("no common point of the outer carriers lies inside the bubble")
 
     # each walk arc keeps its picture half-angle; a merged bubble has no arcs
-    tangent = np.exp(1j * cluster.frame.alpha.flat[walk]) / (1 - wq * u) ** 2
+    tangent = np.exp(1j * cluster.alphas.flat[walk]) / (1 - wq * u) ** 2
     phis = np.angle((np.roll(pic, -1) - pic) * tangent.conj()).tolist() if factor > 0.0 else []
     verts, outer, bubble = _graft(
         cluster, p, wq, (factor * pic).tolist(), (pic / abs(pic)).tolist(),
@@ -360,43 +351,28 @@ def necklace(k: int, inner_radius: Optional[float] = None) -> Cluster:
     phi2 = math.pi / 6 + math.pi / k
     phi1 = math.pi / k - math.pi / 6
     rho2 = math.sin(phi2) / math.sin(math.pi / k)
-    if inner_radius is None:
-        if k >= 7:
-            rho1 = math.sin(-phi1) / math.sin(math.pi / k)
-        else:
-            rho1 = 0.45 * rho2
-    else:
+    if inner_radius is not None:
         rho1 = inner_radius
+    else:  # unit-curvature chamber walls where they exist, else mid-range
+        rho1 = math.sin(-phi1) / math.sin(math.pi / k) if k >= 7 else 0.45 * rho2
     if not 0 < rho1 < rho2:
-        raise GeometryDomainError(
-            f"inner radius must lie in (0, {rho2:.6g}) for k = {k}"
-        )
+        raise GeometryDomainError(f"inner radius must lie in (0, {rho2:.6g}) for k = {k}")
 
     step = 2.0 * math.pi / k
-    inner = [Point.of(rho1 * cmath.exp(1j * step * j)) for j in range(k)]
-    outer = [Point.of(rho2 * cmath.exp(1j * step * j)) for j in range(k)]
-    c1 = 2.0 * rho1 * math.sin(math.pi / k)
-    c2 = 2.0 * rho2 * math.sin(math.pi / k)
-    bulge1 = segment_area(phi1, c1) if abs(phi1) > 1e-15 else 0.0
-    bulge2 = segment_area(phi2, c2)
-
+    ring = [cmath.exp(1j * step * j) for j in range(k)]
     chamber = k + 1
-    edges: List[EdgeRecord] = []
+    ends, labels = [], []
     for j in range(k):
         nxt = (j + 1) % k
         bubble = j + 1
-        prev_bubble = (j - 1) % k + 1
-        # radial contact segment, inner -> outer
-        edges.append(EdgeRecord(3 * j, j, k + j, 0.0, bubble, prev_bubble))
-        # outer arc, counterclockwise, bulging outward
-        edges.append(EdgeRecord(3 * j + 1, k + j, k + nxt, bulge2, bubble, EXTERIOR))
-        # chamber-facing arc, counterclockwise
-        edges.append(EdgeRecord(3 * j + 2, j, nxt, bulge1, chamber, bubble))
-    labels = (
-        ["exterior"] + [f"bubble {j + 1}" for j in range(k)] + ["chamber"]
-    )
-    return Cluster(
-        tuple(inner + outer), tuple(edges), chamber, tuple(labels)
+        # radial contact segment inner -> outer, outer arc counterclockwise
+        # bulging outward, and chamber-facing arc counterclockwise
+        ends += [(j, k + j), (k + j, k + nxt), (j, nxt)]
+        labels += [(bubble, (j - 1) % k + 1), (bubble, EXTERIOR), (chamber, bubble)]
+    region_labels = ["exterior"] + [f"bubble {j + 1}" for j in range(k)] + ["chamber"]
+    return Cluster.from_arrays(
+        [rho1 * z for z in ring] + [rho2 * z for z in ring], ends, [0.0, phi2, phi1] * k, labels,
+        chamber, region_labels,
     )
 
 
@@ -436,18 +412,14 @@ def flower(lens_size: float = 0.18, radius: float = 1.0) -> Cluster:
 
     corners = [o + a * 1j ** k for k in range(4)]
     outer = [o + (a + sep) * 1j ** k for k in range(4)]
-    sq_bulge = segment_area(math.pi / 12, a * math.sqrt(2.0))
-    petal_bulge = segment_area(5 * math.pi / 12, (a + sep) * math.sqrt(2.0))
-    edges: List[EdgeRecord] = []
-    for k in range(4):
-        nxt = (k + 1) % 4
-        edges += [
-            EdgeRecord(3 * k, 4 + k, 4 + nxt, petal_bulge, k + 1, EXTERIOR),  # petal arc
-            EdgeRecord(3 * k + 1, k, 4 + k, 0.0, k + 1, (k - 1) % 4 + 1),  # separator
-            EdgeRecord(3 * k + 2, k, nxt, sq_bulge, 5, k + 1),  # center arc
-        ]
-    labels = ("exterior", "petal 1", "petal 2", "petal 3", "petal 4", "center")
-    return Cluster(tuple(Point.of(z) for z in corners + outer), tuple(edges), 5, labels)
+    ends, labels = [], []
+    for k in range(4):  # petal arc, separator, center arc
+        ends += [(4 + k, 4 + (k + 1) % 4), (k, 4 + k), (k, (k + 1) % 4)]
+        labels += [(k + 1, EXTERIOR), (k + 1, (k - 1) % 4 + 1), (5, k + 1)]
+    return Cluster.from_arrays(
+        corners + outer, ends, [5 * math.pi / 12, 0.0, math.pi / 12] * 4, labels, 5,
+        ("exterior", "petal 1", "petal 2", "petal 3", "petal 4", "center"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -494,22 +466,22 @@ def _quasi_rows(variant: str, amount: float):
         # two ranks the angle rows alone lose at a lens, whose 120-degree
         # condition appears at both of its ends, but not the other
         edges = np.arange(base.e)
-        targets = unit.frame.kappa * np.where(edges < 2, 1.0 + amount, 1.0)
+        targets = unit.kappas * np.where(edges < 2, 1.0 + amount, 1.0)
         R, x0 = rigid_motion_basis(unit), unit.chart()
 
         def rows(c: Cluster) -> np.ndarray:
-            return np.concatenate([c.frame.kappa - targets, R @ (c.chart() - x0)])
+            return np.concatenate([c.kappas - targets, R @ (c.chart() - x0)])
 
         def jac(c: Cluster) -> np.ndarray:
-            return np.vstack([c.frame.jacobian(edges, edges, c.frame.d_kappa, c.e), R])
+            return np.vstack([chart_jacobian(c, edges, edges, edge_gradients(c)[1], c.e), R])
 
     elif variant == "four_stretched":
         # the pinned ends fix rigid motions (no gauge rows); with the straight
         # edge and the kept areas the stack is square, whatever the chart's metric
         base = four_bubble()
         unit = base.unit()
-        straight = np.flatnonzero(np.abs(unit.phis) < 1e-12)
-        k = straight[unit.frame.chord[straight].argmax()]
+        straight = np.flatnonzero(np.abs(unit.phis) < STRAIGHT_PHI)
+        k = straight[unit.chords[straight].argmax()]
         tail, head = unit.ends[k]
         p = unit.points[[tail, head]]
         shift = 0.5 * amount * (p[1] - p[0])  # each end moves out by amount/2 of the edge

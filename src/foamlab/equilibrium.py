@@ -20,7 +20,10 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .cluster import CHORD_FLOOR, Cluster, area_jacobian, region_areas, rigid_motion_basis
+from .cluster import (
+    CHORD_FLOOR, Cluster, _size, area_jacobian, chart_jacobian, edge_gradients, region_areas,
+    rigid_motion_basis,
+)
 from .errors import GeometryDomainError, NonConvergence, PathInconsistent, TopologyBreakdown
 
 
@@ -46,25 +49,24 @@ def residuals(cluster: Cluster) -> ResidualReport:
     """Per vertex, the sums of the outgoing unit tangents (angle block,
     interleaved x, y) and of the outgoing signed curvatures (cocycle block),
     summed over the edge ends of the cluster's topology."""
-    f = cluster.frame
     ends = cluster.topology.ends
     tangent = np.zeros(cluster.v, dtype=complex)
-    np.add.at(tangent, ends, np.exp(1j * f.alpha))
+    np.add.at(tangent, ends, np.exp(1j * cluster.alphas))
     cocycle = np.zeros(cluster.v)
-    np.add.at(cocycle, ends, np.outer(f.kappa, _END_SIGN))
+    np.add.at(cocycle, ends, np.outer(cluster.kappas, _END_SIGN))
     return ResidualReport(tangent.view(float), cocycle)
 
 
 def residual_jacobian(cluster: Cluster) -> np.ndarray:
-    """Exact d[angle; cocycle]/d(chart), shape (3v, 2v + e), from the frame
+    """Exact d[angle; cocycle]/d(chart), shape (3v, 2v + e), from the edge
     gradients: d e^{i alpha} = i e^{i alpha} d alpha at every edge end."""
-    f = cluster.frame
+    d_alpha, d_kappa = edge_gradients(cluster)
     vert = cluster.topology.ends.ravel()
-    alpha = f.alpha.ravel()[:, None]
-    d_alpha = f.d_alpha.reshape(-1, 3)
-    d_kappa = np.repeat(f.d_kappa, 2, axis=0) * np.tile(_END_SIGN, cluster.e)[:, None]
-    return f.jacobian(
-        np.concatenate([2 * vert, 2 * vert + 1, 2 * cluster.v + vert]),
+    alpha = cluster.alphas.ravel()[:, None]
+    d_alpha = d_alpha.reshape(-1, 3)
+    d_kappa = np.repeat(d_kappa, 2, axis=0) * np.tile(_END_SIGN, cluster.e)[:, None]
+    return chart_jacobian(
+        cluster, np.concatenate([2 * vert, 2 * vert + 1, 2 * cluster.v + vert]),
         np.tile(np.repeat(np.arange(cluster.e), 2), 3),
         np.vstack([-np.sin(alpha) * d_alpha, np.cos(alpha) * d_alpha, d_kappa]),
         3 * cluster.v,
@@ -81,7 +83,7 @@ def _cocycle_holds(cluster: Cluster, rep: ResidualReport) -> bool:
     diameter, is below ``RESIDUAL_TOL`` times max(1, max |kappa| * diameter),
     since large curvatures carry large errors."""
     d = cluster.diameter()
-    kappa = float(np.abs(cluster.frame.kappa).max(initial=0.0))
+    kappa = float(np.abs(cluster.kappas).max(initial=0.0))
     return rep.cocycle_sup * d < RESIDUAL_TOL * max(1.0, kappa * d)
 
 
@@ -95,7 +97,7 @@ def pressures(cluster: Cluster) -> np.ndarray:
     :func:`classify` tests: where it fails, raises :class:`PathInconsistent`
     carrying the largest edge residual |S^T p - kappa|.
     """
-    S, kappa = cluster.topology.incidence, cluster.frame.kappa
+    S, kappa = cluster.topology.incidence, cluster.kappas
     p = np.linalg.lstsq(S.T, kappa, rcond=None)[0]
     rep = residuals(cluster)
     if not _cocycle_holds(cluster, rep):
@@ -202,19 +204,20 @@ def lm_minimize(
 
 #: Stopping tolerance of :func:`solve`'s dimensionless residual and area rows.
 SOLVE_TOL = 1e-10
+#: Half-angles beyond this are arcs approaching a full circle, a breakdown.
+FULL_CIRCLE_PHI = math.pi - 1e-3
 
 
 def _check_topology(cluster: Cluster) -> None:
     """Raise :class:`TopologyBreakdown` unless the unit-frame chart point
     still realizes its topology: no chord at or below ``CHORD_FLOOR`` (tested
-    before the frame divides by it), no near-full circle, and every star in
-    counterclockwise order (turning once, not twice, around it)."""
+    before the curvatures divide by it), no half-angle beyond
+    ``FULL_CIRCLE_PHI``, and every star in counterclockwise order (turning once)."""
     for j in np.flatnonzero(cluster.chords <= CHORD_FLOOR):
         raise TopologyBreakdown(f"edge {j} chord collapsed")
-    f = cluster.frame
-    for j in np.flatnonzero(np.abs(f.phi) > math.pi - 1e-3):
+    for j in np.flatnonzero(np.abs(cluster.phis) > FULL_CIRCLE_PHI):
         raise TopologyBreakdown(f"edge {j} approaching a full circle")
-    alpha = f.alpha.ravel()[cluster.topology.stars]
+    alpha = cluster.alphas.ravel()[cluster.topology.stars]
     turns = np.mod(np.roll(alpha, -1, axis=1) - alpha, 2.0 * math.pi).sum(axis=1)
     for i in np.flatnonzero(turns > 3.0 * math.pi):
         raise TopologyBreakdown(f"vertex {i} no longer has its star order")
@@ -252,15 +255,15 @@ def solve(initial: Cluster, target: np.ndarray, max_iter: int = 100) -> Cluster:
     The gauge rows R (x - x0), with x0 the initial chart point and R its
     :func:`rigid_motion_basis`, remove rigid motions: the result keeps the
     initial vertex centroid and has no component along the initial
-    infinitesimal rotation.
+    infinitesimal rotation.  ``max_iter`` is an integer of at least 1, or
+    :class:`GeometryDomainError` is raised.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (initial.n,):
         raise GeometryDomainError("target must have one area per interior region")
     if not (np.isfinite(target) & (target > 0)).all():
         raise GeometryDomainError("target areas must be finite and positive")
-    if max_iter < 1:
-        raise GeometryDomainError("max_iter must be at least 1")
+    max_iter = _size("max_iter", max_iter, 1)
     unit = initial.unit()
     target = target / initial.diameter() ** 2
     R, x0 = rigid_motion_basis(unit), unit.chart()

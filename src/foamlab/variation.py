@@ -32,6 +32,7 @@ import numpy as np
 
 from .cluster import (
     Cluster,
+    _size,
     area_jacobian,
     region_areas,
     rigid_motion_basis,
@@ -52,6 +53,8 @@ RANK_GAP = 100.0
 #: |lambda| * diameter^2 below it counts as a zero mode, whatever its sign,
 #: so small real negative modes are reported as Degenerate too.
 HESSIAN_ZERO = 1.0
+#: Constraint singular values below this fraction of the largest add no rank.
+CONSTRAINT_RANK_REL = 1e-12
 #: Unit-frame sigmas that the first slicing batch adds to the verdict probes.
 SLICE_LADDER = (-4.0, 4.0, 16.0, 64.0)
 
@@ -139,16 +142,6 @@ class DiscreteCluster:
             edge, weights=shoelace_terms(self.points, pairs), minlength=self.cluster.e
         )
         return self.cluster.topology.incidence @ per_edge
-
-
-def _size(name: str, value, least: int) -> int:
-    """``value`` as an int, if it is an integer (a numpy one too, not a bool)
-    of at least ``least``; otherwise ``GeometryDomainError`` naming it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise GeometryDomainError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise GeometryDomainError(f"{name} must be at least {least}, got {value}")
-    return int(value)
 
 
 def discretize(cluster: Cluster, m: int) -> DiscreteCluster:
@@ -471,7 +464,7 @@ def eliminated_hessian(cluster: Cluster, m: int = 64) -> EliminatedHessian:
     C /= root
     C *= m**2 / np.linalg.norm(C, axis=1)[:, None]
     s = np.linalg.svd(C, compute_uv=False)
-    rank = int((s > 1e-12 * s[0]).sum())
+    rank = int((s > CONSTRAINT_RANK_REL * s[0]).sum())
     if rank < n + 3:
         raise GeometryDomainError(
             f"area and rigid-motion constraints have rank {rank}, expected {n + 3}"

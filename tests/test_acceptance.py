@@ -86,7 +86,7 @@ class TestCriterion4EquilibriumChecker:
     def test_equilibrium_presets(self, equilibrium_presets):
         for name, c in equilibrium_presets.items():
             rep = fl.residuals(c)
-            kscale = max(1.0, np.abs(c.frame.kappa).max(), 1.0 / c.diameter())
+            kscale = max(1.0, np.abs(c.kappas).max(), 1.0 / c.diameter())
             assert rep.angle_sup < 1e-9, name
             assert rep.cocycle_sup < 1e-9 * kscale, name
             p = fl.pressures(c)
@@ -111,7 +111,7 @@ class TestCriterion5MobiusInvariance:
             assert fl.classify(img) is fl.Verdict.EQUILIBRIUM, i
             rep = fl.residuals(img)
             assert rep.angle_sup < 1e-8, i
-            kscale = max(1.0, np.abs(img.frame.kappa).max(), 1.0 / img.diameter())
+            kscale = max(1.0, np.abs(img.kappas).max(), 1.0 / img.diameter())
             assert rep.cocycle_sup < 1e-8 * kscale, i
 
     def test_verdicts_hold_at_every_scale_and_image(self, equilibrium_presets):

@@ -166,7 +166,8 @@ class TestChart:
 
     def test_array_views_are_read_only(self, triple):
         for c in (triple, triple.with_chart(triple.chart())):
-            for view in (c.points, c.phis, c.bulges, c.chords, c.ends, c.labels):
+            arrays = (c.directions, c.alphas, c.kappas, c.lengths)
+            for view in (c.points, c.phis, c.bulges, c.chords, c.ends, c.labels, *arrays):
                 with pytest.raises(ValueError):
                     view[0] = 0
             with pytest.raises(AttributeError):
@@ -232,6 +233,39 @@ class TestHalfAngleChart:
         fl.decorate(image, 1, 0.1)
         fl.dumps(fl.decorate(out, 2, 0.1))
         assert calls == []
+
+    def test_presets_invert_no_bulge(self, monkeypatch):
+        calls = []
+        invert = fl.cluster.bulge_angle_from_area
+        monkeypatch.setattr(
+            fl.cluster, "bulge_angle_from_area", lambda c, b: calls.append(b) or invert(c, b)
+        )
+        presets = (
+            fl.double_bubble(1.0, 0.6), fl.triple_bubble(), fl.four_bubble(), fl.two_lens(),
+            fl.necklace(6), fl.necklace(7), fl.flower(),
+        )
+        for c in presets:
+            c.phis
+        assert calls == []
+        fl.loads(fl.dumps(presets[0])).phis  # the patch does see a document's inversions
+        assert len(calls) == presets[0].e
+
+    def test_only_the_jacobians_form_chart_gradients(self, monkeypatch):
+        calls = []
+        gradients = fl.cluster.edge_gradients
+        for module in (fl.equilibrium, fl.constructions):
+            monkeypatch.setattr(module, "edge_gradients", lambda c: calls.append(c) or gradients(c))
+        c = fl.loads(fl.dumps(fl.decorate(fl.triple_bubble(), 1, 0.25)))
+        fl.validate(c, check_disjoint=True)
+        fl.classify(c)
+        fl.to_svg(c, fl.pressures(c)[1:])
+        fl.verify_correspondence(c)
+        assert calls == []
+        fl.solve(c, fl.region_areas(c) * [1.1, 0.9, 1.0, 1.0])
+        assert calls
+        calls.clear()
+        fl.tangent_dimension(c)
+        assert calls
 
     def test_documents_round_trip_byte_for_byte(self, equilibrium_presets, quasi_presets, four):
         image = fl.mobius_apply_cluster(fl.random_mobius(four, np.random.default_rng(5)), four)
@@ -339,7 +373,7 @@ class TestValidate:
         # oracle: every pair of edges, each sampled by arc_point
         def close_pairs(c, s):
             pts = [[arc_point(c.arc_of(j), (k + 0.5) / s).z for k in range(s)] for j in range(c.e)]
-            length = c.frame.length
+            length = c.lengths
             return [
                 (i, j)
                 for i in range(c.e)

@@ -37,6 +37,30 @@ class TestDoubleBubble:
             fl.double_bubble(1.0, -1.0)
 
 
+class TestPresetHalfAngles:
+    """Presets are built from the closed-form half-angles their docstrings derive."""
+
+    @pytest.mark.parametrize("r1, r2", [(1.0, 0.6), (1.0, 1.0), (0.7, 2.0)])
+    def test_double_bubble(self, r1, r2):
+        d = math.sqrt(r1 * r1 + r2 * r2 - r1 * r2)
+        x = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+        y = math.sqrt(r1 * r1 - x * x)
+        want = [math.pi - math.atan2(y, x), math.pi - math.atan2(y, d - x), math.asin(y * (1 / r1 - 1 / r2))]
+        assert fl.double_bubble(r1, r2).phis.tolist() == want
+
+    def test_triple_bubble(self, triple):
+        assert triple.phis.tolist() == [0.0] * 3 + [math.pi / 2] * 3
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 9])
+    def test_necklace(self, k):
+        want = [0.0, math.pi / 6 + math.pi / k, math.pi / k - math.pi / 6] * k
+        assert fl.necklace(k).phis.tolist() == want
+        assert fl.necklace(k, 0.05).phis.tolist() == want
+
+    def test_flower(self, flower):
+        assert flower.phis.tolist() == [5 * math.pi / 12, 0.0, math.pi / 12] * 4
+
+
 class TestTripleBubble:
     def test_standard(self, triple):
         assert (triple.v, triple.e, triple.n) == (4, 6, 3)
@@ -335,8 +359,8 @@ class TestQuasiVariants:
 
     def test_recurved_hits_curvature_targets(self, quasi_recurved, two_lens):
         for j in range(two_lens.e):
-            want = two_lens.frame.kappa[j] * (1.15 if j < 2 else 1.0)
-            assert quasi_recurved.frame.kappa[j] == pytest.approx(want, abs=1e-8)
+            want = two_lens.kappas[j] * (1.15 if j < 2 else 1.0)
+            assert quasi_recurved.kappas[j] == pytest.approx(want, abs=1e-8)
 
     def test_recurved_is_an_isolated_point(self, quasi_recurved):
         # every curvature is stated, so the solved stack (angle rows, six

@@ -27,7 +27,7 @@ class TestResiduals:
         for name, c in equilibrium_presets.items():
             rep = fl.residuals(c)
             assert rep.angle_sup < 1e-9, name
-            kscale = max(1.0, np.abs(c.frame.kappa).max(), 1.0 / c.diameter())
+            kscale = max(1.0, np.abs(c.kappas).max(), 1.0 / c.diameter())
             assert rep.cocycle_sup < 1e-9 * kscale, name
 
     def test_perturbation_breaks_angles(self, double, rng):
@@ -61,7 +61,7 @@ class TestPressures:
     def test_path_independence_all_presets(self, equilibrium_presets):
         for name, c in equilibrium_presets.items():
             p = fl.pressures(c)
-            kscale = max(1.0, np.abs(c.frame.kappa).max(), 1.0 / c.diameter())
+            kscale = max(1.0, np.abs(c.kappas).max(), 1.0 / c.diameter())
             for ed in c.edges:
                 kappa = arc_carrier(c.arc_of(ed.id))[0]
                 assert p[ed.left] - p[ed.right] == pytest.approx(kappa, abs=1e-9 * kscale), name
@@ -315,5 +315,14 @@ class TestSolve:
 
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_no_iteration_budget_is_a_domain_error(self, double, max_iter):
-        with pytest.raises(GeometryDomainError):
+        with pytest.raises(GeometryDomainError, match="max_iter must be at least 1"):
             fl.solve(double, fl.region_areas(double), max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [2.5, True, None, "100", np.float64(100.0)])
+    def test_non_integer_iteration_budget_is_a_domain_error(self, double, max_iter):
+        with pytest.raises(GeometryDomainError, match="max_iter must be an integer"):
+            fl.solve(double, fl.region_areas(double), max_iter=max_iter)
+
+    def test_numpy_integer_iteration_budget(self, double):
+        target = fl.region_areas(double) * [1.1, 1.0]
+        assert fl.region_areas(fl.solve(double, target, max_iter=np.int32(100))) == pytest.approx(target)

@@ -465,3 +465,9 @@ class TestContinueFamily:
             fl.continue_family(triple, target, steps=2, max_iter=1)
         with pytest.raises(fl.GeometryDomainError):
             fl.continue_family(triple, target, steps=2, max_iter=0)
+
+    @pytest.mark.parametrize("bad", [2.5, True, None, "100", np.float64(100.0)])
+    def test_non_integer_iteration_budget_is_a_domain_error(self, triple, bad):
+        target = 1.05 * fl.region_areas(triple)
+        with pytest.raises(fl.GeometryDomainError, match="max_iter must be an integer"):
+            fl.continue_family(triple, target, steps=2, max_iter=bad)
