@@ -274,6 +274,20 @@ class Cluster:
         p = self.points if self.v else np.zeros(1)
         return math.hypot(np.ptp(p.real), np.ptp(p.imag)) or 1.0
 
+    def extent(self) -> float:
+        """The diagonal of the arcs' bounding box, in closed form: the box of
+        the vertices and of each arc's points at the fractions t in (0, 1)
+        where its tangent, turned from ``alphas[:, 0]`` by 2 phi t, points
+        along an axis."""
+        alpha, turn = self.alphas[:, :1], 2.0 * self.phis[:, None]
+        quarter = 0.5 * math.pi
+        axis = quarter * (np.floor(np.minimum(alpha, alpha + turn) / quarter) + np.arange(1, 5))
+        t = np.divide(axis - alpha, turn, out=np.zeros(axis.shape), where=turn != 0.0)
+        # a fraction outside (0, 1), or none on a straight edge, reads the tail
+        at, _ = self.arc_samples(np.where((t > 0) & (t < 1), t, 0.0))
+        p = np.concatenate([self.points, at.ravel()])
+        return math.hypot(np.ptp(p.real), np.ptp(p.imag)) or 1.0
+
     # -- chart coordinates -------------------------------------------------
 
     def chart(self) -> np.ndarray:
@@ -317,10 +331,11 @@ class Cluster:
 
     def arc_samples(self, t) -> Tuple[np.ndarray, np.ndarray]:
         """Points and unit tangents of every edge at angular fractions ``t``,
-        each of shape (e, len(t)): ``arc_point`` and ``arc_tangent`` for all
-        arcs at once, from the half-angles (no inversion per sample)."""
+        shared by all edges (k,) or one row per edge (e, k), each of shape
+        (e, k): ``arc_point`` and ``arc_tangent`` for all arcs at once, from
+        the half-angles (no inversion per sample)."""
         tail, w = self.points[self.ends[:, 0]], self._chord_vectors()
-        phi, t = self.phis[:, None], np.asarray(t, dtype=float)[None, :]
+        phi, t = self.phis[:, None], np.atleast_2d(np.asarray(t, dtype=float))
         ratio = t * np.sinc(phi * t / math.pi) / np.sinc(phi / math.pi)
         at = tail[:, None] + w[:, None] * ratio * np.exp(1j * phi * (t - 1.0))
         return at, self.directions[:, None] * np.exp(1j * phi * (2.0 * t - 1.0))

@@ -89,22 +89,16 @@ def double_bubble(r1: float = 1.0, r2: float = 1.0) -> Cluster:
     )
 
 
-def triple_bubble(
-    areas: Optional[Sequence[float]] = None,
-    interface_length: float = 1.0,
-) -> Cluster:
+def triple_bubble(areas: Optional[Sequence[float]] = None) -> Cluster:
     """Standard triple bubble.
 
     The symmetric instance is closed form: three straight interfaces of
-    length ``interface_length`` radiating from the center (vertex 0) at 120
-    degrees and three outer semicircular arcs (half-angle pi/2).  General
-    area vectors are reached by the area-constrained solver.
+    length 1 radiating from the center (vertex 0) at 120 degrees and three
+    outer semicircular arcs (half-angle pi/2).  General area vectors are
+    reached by the area-constrained solver.
     """
-    ell = interface_length
-    if not ell > 0:
-        raise GeometryDomainError("interface_length must be positive")
     angles = [math.pi / 6, 5 * math.pi / 6, 3 * math.pi / 2]
-    points = [0j] + [ell * cmath.exp(1j * a) for a in angles]
+    points = [0j] + [cmath.exp(1j * a) for a in angles]
     # bubbles 1, 3, 2 counterclockwise from the top: sector k lies between
     # the interfaces to points[k + 1] and points[k + 2]
     sector = (1, 3, 2)
@@ -285,10 +279,10 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
     ))
 
 
-def four_bubble(size: float = 0.3, interface_length: float = 1.0) -> Cluster:
+def four_bubble() -> Cluster:
     """Standard 4-bubble: the symmetric triple bubble with its central
-    junction decorated by a three-sided bubble."""
-    return decorate(triple_bubble(interface_length=interface_length), 0, size * interface_length)
+    junction decorated by a three-sided bubble of size 0.3."""
+    return decorate(triple_bubble(), 0, 0.3)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .cluster import (
     area_jacobian,
     region_areas,
     rigid_motion_basis,
-    shoelace_gradient,
     shoelace_terms,
 )
 from .equilibrium import pressures, residual_jacobian, solve
@@ -50,8 +49,9 @@ RANK_REL = 1e-6
 #: resolved.
 RANK_GAP = 100.0
 #: Zero-mode cutoff on Hessian eigenvalues: any mode with
-#: |lambda| * diameter^2 below it counts as a zero mode, whatever its sign,
-#: so small real negative modes are reported as Degenerate too.
+#: |lambda| * extent^2 below it, extent the diagonal of the arcs' bounding
+#: box (``Cluster.extent``), counts as a zero mode, whatever its sign, so
+#: small real negative modes are reported as Degenerate too.
 HESSIAN_ZERO = 1.0
 #: Constraint singular values below this fraction of the largest add no rank.
 CONSTRAINT_RANK_REL = 1e-12
@@ -164,7 +164,7 @@ def discretize(cluster: Cluster, m: int) -> DiscreteCluster:
 @dataclass(frozen=True)
 class HessianReport:
     eigenvalues: np.ndarray  # the smallest six constrained eigenvalues, ascending
-    zero_mode_count: int  # constrained lambda * diam^2 in [-HESSIAN_ZERO, HESSIAN_ZERO)
+    zero_mode_count: int  # constrained lambda * extent^2 in [-HESSIAN_ZERO, HESSIAN_ZERO)
     classification: str  # "StrictlyStable" | "Degenerate(k)" | "Unstable(j)"
     m: int
     rank: int  # of the area and rigid-motion constraint rows
@@ -178,7 +178,7 @@ class HessianReport:
 
 class _Slice(NamedTuple):
     eigenvalues: np.ndarray  # the k smallest constrained eigenvalues, ascending
-    probe_counts: np.ndarray  # counts below -HESSIAN_ZERO and +HESSIAN_ZERO
+    probe_counts: np.ndarray  # counts below -probe and +probe
     probe_mu: np.ndarray  # (2, N) the ascending eigenvalues of Z there
     evaluations: Tuple[int, int]  # batched Schur evaluations, and sigmas in all
 
@@ -295,10 +295,11 @@ class EliminatedHessian:
         count exceeds t, then lo_t the greatest one below hi_t whose count
         does not, so a bracket never inverts, even where the count is not
         monotone.  The first batch is -``HESSIAN_ZERO`` and +``HESSIAN_ZERO``
-        (= 1, the verdict probes of ``stability_report``) and the unit-frame
-        ladder ``SLICE_LADDER`` (-4, 4, 16, 64), so the search starts at the
-        unit scale of the eigenvalues, not at the bound, which is m^2 times
-        larger or more, and most brackets have both ends after one batch.
+        (= 1; ``stability_report`` puts its verdict probes there, read
+        against the extent) and the unit-frame ladder ``SLICE_LADDER``
+        (-4, 4, 16, 64), so the search starts at the unit scale of the
+        eigenvalues, not at the bound, which is m^2 times larger or more,
+        and most brackets have both ends after one batch.
         Then each round, every open target proposes one sigma, and proposals
         closer than w (below) are evaluated once, so the two targets of a
         double eigenvalue, whose Illinois points differ in the last bits,
@@ -321,11 +322,12 @@ class EliminatedHessian:
         when hi_t - lo_t <= w = 2 * bound * 2^-53, the width that 53 halvings
         of [-bound, bound] reach; it reports the midpoint.
         """
-        return self._slice(k).eigenvalues
+        return self._slice(k, HESSIAN_ZERO).eigenvalues
 
-    def _slice(self, k: int) -> _Slice:
-        """``smallest``'s search, which also returns the counts and Schur
-        eigenvalues of the verdict probes and how many evaluations it made.
+    def _slice(self, k: int, probe: float) -> _Slice:
+        """``smallest``'s search with the verdict probes -probe and +probe in
+        its first batch, which also returns the counts and Schur eigenvalues
+        there and how many evaluations it made.
         The bookkeeping is plain Python: on at most six targets, a numpy
         call costs more than the arithmetic it does."""
         bound, rank, top = self.bound, self.rank, self.border.shape[0] - 1
@@ -336,13 +338,13 @@ class EliminatedHessian:
         plo, phi = [-1] * k, [-2] * k
         before = [(math.inf,) * 3] * k  # widths one, two and three rounds ago
         alone = [0] * k  # +1 (-1) if only hi (lo) moved last round
-        sigma = sorted({-HESSIAN_ZERO, HESSIAN_ZERO, *SLICE_LADDER})
+        sigma = sorted({-probe, probe, *SLICE_LADDER})
         probes = None
         batches = total = 0
         while sigma:
             count, mu, poles = self._evaluate(np.array(sigma))
             if probes is None:
-                at = [sigma.index(-HESSIAN_ZERO), sigma.index(HESSIAN_ZERO)]
+                at = [sigma.index(-probe), sigma.index(probe)]
                 probes = count[at], mu[at]
             batches, total = batches + 1, total + len(sigma)
             rows = list(zip(sigma, count.tolist(), poles.tolist(), mu.tolist()))
@@ -397,126 +399,107 @@ def eliminated_hessian(cluster: Cluster, m: int = 64) -> EliminatedHessian:
     """The discretized second variation at fixed areas, with each edge's
     interior block eliminated (see ``EliminatedHessian``).
 
-    The energy perimeter - sum(p_i * area_i) is assembled exactly (its
-    length part and its quadratic area part) on the polyline discretization,
-    segment by segment, directly in the D = 2v + e(m-1) reduced coordinates:
-    full motion (1, i) at junctions and motion along the normal n at interior
-    samples, so tangential reparametrizations are quotiented away.  The
-    lumped segment mass M is diagonal there; on the orthogonal complement of
-    the M^(-1/2)-scaled rigid-motion and area-gradient rows, the eigenvalues
-    of M^(-1/2) H M^(-1/2) are those of the mass pencil on the admissible
-    motions, and approximate the continuum second-variation spectrum.  No
-    D x D array is formed, and no edge couples to more than its nine border
-    columns: the scaled segment blocks are scattered straight into the
-    junction block and each edge's coupling, and each edge block's
-    eigenvalues are read from the entries of one of its segments.
+    The energy perimeter - sum(p_i * area_i) is taken exactly (its length
+    part and its quadratic area part) on the polyline discretization, in the
+    D = 2v + e(m-1) reduced coordinates: full motion (1, i) at junctions and
+    motion along the normal n at interior samples, so tangential
+    reparametrizations are quotiented away.  The lumped segment mass M is
+    diagonal there; on the orthogonal complement of the M^(-1/2)-scaled
+    rigid-motion and area-gradient rows, the eigenvalues of
+    M^(-1/2) H M^(-1/2) are those of the mass pencil on the admissible
+    motions, and approximate the continuum second-variation spectrum.
+
+    Uniform sampling makes every entry closed form per edge.  With
+    h = phi / m and kappa = p_L - p_R, each segment has the length
+    l = c sinc(h) / (m sinc(phi)) and turns the normal by 2h, so it adds
+    cos(h)^2 / l on its two normals and -kappa sin(2h) / 2 between them.
+    With the sample mass l, the edge block is Toeplitz, with the diagonal
+    a = 2 cos(h)^2 / l^2 and the off-diagonal
+    b = -(cos(h)^2 / l + kappa sin(2h) / 2) / l.  A junction's mass mu is
+    half the lengths of its end segments, and an end segment of unit normal
+    nu adds nu nu^T / (l mu) to its junction's 2 x 2 block and couples the
+    junction to the nearest sample, of normal n, by
+    (-cos(h) nu / l +- i kappa n / 2) / sqrt(l mu), + at the tail and - at
+    the head.  Neither a D x D array nor a per-segment one is formed.
 
     Takes a unit-frame cluster (``Cluster.unit()``); raises
     ``GeometryDomainError`` unless the constraint rows have rank n + 3.
     """
     disc = discretize(cluster, m)
-    m = disc.m
-    press = pressures(cluster)
-    pts = disc.points
-    v, e, n, P = cluster.v, cluster.e, cluster.n, pts.size
-    J, D = 2 * v, v + P
-    pairs, edge = disc.segments
+    m, press = disc.m, pressures(cluster)
+    v, e, n, J = cluster.v, cluster.e, cluster.n, 2 * cluster.v
+    ends, labels, S = cluster.topology.ends, cluster.topology.labels, cluster.topology.incidence
+    kappa = press[labels[:, 0]] - press[labels[:, 1]]
+    h = cluster.phis / m
+    cos = np.cos(h)
+    ell = cluster.chords * np.sinc(h / math.pi) / (m * np.sinc(cluster.phis / math.pi))
 
-    # reduced dofs: x and y at each junction, then the normal at each sample,
-    # so edge j's interior normals are the m - 1 dofs from J + j(m - 1);
-    # every point has two dof slots, and an interior sample's second one
-    # repeats its dof with a zero direction
-    point = np.concatenate([np.repeat(np.arange(v), 2), np.arange(v, P)])
-    direction = np.concatenate([np.tile([1.0, 1j], v), disc.normals.ravel()])
-    slots = np.concatenate([np.arange(J), np.repeat(np.arange(J, D), 2)]).reshape(P, 2)
-    slot_dir = direction[slots]
-    slot_dir[v:, 1] = 0.0
+    # each edge's interior block is tridiagonal Toeplitz; its eigenpairs are
+    # a + 2 b cos(k pi / m) and the columns of the symmetric orthogonal sine
+    # matrix S, the same for every edge
+    a = 2.0 * cos**2 / ell**2
+    b = -(cos**2 / ell + 0.5 * kappa * np.sin(2.0 * h)) / ell
+    lam = a[:, None] + 2.0 * b[:, None] * np.cos(np.arange(1, m) * np.pi / m)
 
-    # per segment (a, b) with unit direction u and length l: the length
-    # Hessian (I - u u^T) / l is g g^T / l with g = Im(conj(u) p) at a and its
-    # negative at b, and -kappa times the shoelace term (1/2) Im(conj(a) b)
-    # couples a's and b's directions p, q by -kappa/2 Im(conj(p) q)
-    seg = pts[pairs[:, 1]] - pts[pairs[:, 0]]
-    ell = np.abs(seg)
-    dofs = slots[pairs].reshape(-1, 4)
-    dirs = slot_dir[pairs].reshape(-1, 4)
-    g = (seg.conj()[:, None] * dirs).imag / ell[:, None] * [1.0, 1.0, -1.0, -1.0]
-    block = g[:, :, None] * g[:, None, :] / ell[:, None, None]
-    kappa = press[cluster.topology.labels[:, 0]] - press[cluster.topology.labels[:, 1]]
-    cross = -0.5 * kappa[edge, None, None] * (dirs[:, :2, None].conj() * dirs[:, None, 2:]).imag
-    block[:, :2, 2:] += cross
-    block[:, 2:, :2] += cross.transpose(0, 2, 1)
+    # per edge end (tail, head), in x and y: the end segment's normal nu,
+    # its junction block and its coupling to the nearest sample
+    near = disc.normals[:, [0, -1]]
+    nu = near * np.exp(1j * np.outer(h, [-1.0, 1.0]))
+    mu = 0.5 * np.bincount(ends.ravel(), weights=np.repeat(ell, 2), minlength=v)
+    lmu = ell[:, None] * mu[ends]
+    link = (0.5j * kappa[:, None] * near * [1.0, -1.0] - cos[:, None] * nu / ell[:, None]) / np.sqrt(lmu)
+    link, nu = np.stack([link.real, link.imag], axis=-1), np.stack([nu.real, nu.imag], axis=-1)
+    own = nu[..., :, None] * nu[..., None, :] / lmu[..., None, None]
+    HJJ = np.zeros((v, 2, 2))
+    np.add.at(HJJ, ends, own)
 
-    # lumped mass: half of each adjacent segment length per point
-    mass = np.bincount(pairs.ravel(), weights=np.repeat(0.5 * ell, 2), minlength=P)[point]
+    # Gershgorin: the row sums of |entries| inside an edge, next to a
+    # junction, and at a junction, summed over its ends
+    at_junction = np.zeros((v, 2))
+    np.add.at(at_junction, ends, np.abs(own).sum(axis=-1) + np.abs(link))
+    beside = np.abs(b) + np.abs(link).sum(axis=-1).max(axis=1)
+    bound = float(max((a + np.maximum(2.0 * np.abs(b), beside)).max(), at_junction.max()))
 
-    # constraint rows, each a complex gradient d/dx + i d/dy per point read
-    # along the dof directions: area gradients, translations, rotation
-    areas = cluster.topology.incidence @ shoelace_gradient(pts, pairs, edge, cluster.e).view(complex)
-    grads = np.vstack([areas, np.ones(P), np.full(P, 1j), 1j * (pts - pts.mean())])
-    C = (direction.conj() * grads[:, point]).real
-
-    # M^(-1/2) scaling turns the mass pencil into a plain symmetric problem;
-    # each constraint row then gets the norm m^2 of the junction block, and
-    # only its rank is read from the SVD
-    root = np.sqrt(mass)
-    block /= root[dofs][:, :, None] * root[dofs][:, None, :]
-    C /= root
+    # constraint rows, each a complex gradient d/dx + i d/dy read along the
+    # dofs, over the square root of their mass: area gradients, translations
+    # and the rotation about the centroid of all polyline points.  Along a
+    # sample's normal the area gradient is -l cos(h) S; a junction gets S
+    # times -i p_1 / 2 per tail and i p_(m-1) / 2 per head end
+    pts, index, normals = disc.points, disc.point_index, disc.normals
+    spin = 1j * (pts - pts.mean())
+    samples = np.broadcast_to((S * -(ell * cos))[:, :, None], (n, e, m - 1))
+    moves = np.stack([normals.real, normals.imag, (normals.conj() * spin[index[:, 1:-1]]).real])
+    inner = np.concatenate([samples, moves]) / np.sqrt(ell)[:, None]
+    tip = np.zeros((e, v), dtype=complex)
+    np.add.at(tip, (np.arange(e)[:, None], ends), 0.5j * pts[index[:, [1, -2]]] * [-1.0, 1.0])
+    junction = np.vstack([S @ tip, np.ones(v), np.full(v, 1j), spin[:v]]) / np.sqrt(mu)
+    junction = np.stack([junction.real, junction.imag], axis=-1).reshape(n + 3, J)
+    C = np.hstack([junction, inner.reshape(n + 3, -1)])
+    # each row gets the norm m^2 of the junction block; the SVD reads the rank
     C *= m**2 / np.linalg.norm(C, axis=1)[:, None]
     s = np.linalg.svd(C, compute_uv=False)
     rank = int((s > CONSTRAINT_RANK_REL * s[0]).sum())
     if rank < n + 3:
-        raise GeometryDomainError(
-            f"area and rigid-motion constraints have rank {rank}, expected {n + 3}"
-        )
+        raise GeometryDomainError(f"area and rigid-motion constraints have rank {rank}, expected {n + 3}")
 
-    # scatter the scaled blocks: junction x junction, and interior rows x
-    # junction columns (only in an edge's first and last segment, where the
-    # junction's two slots are the block's positions 0, 1 at the tail and
-    # 2, 3 at the head)
-    rows = np.broadcast_to(dofs[:, :, None], block.shape).ravel()
-    cols = np.broadcast_to(dofs[:, None, :], block.shape).ravel()
-    pos = np.broadcast_to(np.arange(4), block.shape).ravel()
-    vals = block.ravel()
-    bound = float(np.bincount(rows, weights=np.abs(vals), minlength=D).max())
-    junction_c = cols < J
-    jj, ij = junction_c & (rows < J), junction_c & (rows >= J)
-    HJJ = np.bincount(rows[jj] * J + cols[jj], weights=vals[jj], minlength=J * J)
-    G = np.bincount((rows[ij] - J) * 4 + pos[ij], weights=vals[ij], minlength=(D - J) * 4)
-
-    # a uniformly sampled arc has equal chords, equal turns and equal masses,
-    # so every segment adds the same entries to the edge's interior block:
-    # it is tridiagonal Toeplitz, with the diagonal a (each interior sample
-    # gets one segment's tail entry and the previous one's head entry) and
-    # the off-diagonal b read from segment 1, between interior samples 0
-    # and 1; its eigenpairs are a + 2 b cos(k pi / m) and the columns of the
-    # symmetric orthogonal sine matrix S, the same for every edge
-    inner = block.reshape(e, m, 4, 4)[:, 1]
-    a, b = inner[:, 0, 0] + inner[:, 2, 2], inner[:, 0, 2]
-    lam = a[:, None] + 2.0 * b[:, None] * np.cos(np.arange(1, m) * np.pi / m)
-
-    # each edge's nine border columns: its end junctions' x and y, the area
-    # rows of its left and right regions (region r is row r - 1; the
-    # exterior has none, so its column is zero) and the three rigid motions
-    side = cluster.topology.labels - 1
+    # each edge's nine border columns: its end junctions' x and y (coupled to
+    # its first and last sample only), the area rows of its left and right
+    # regions (region r is row r - 1; the exterior has none, so its column is
+    # zero) and the three rigid motions
+    side = labels - 1
     interior = C[:, J:].reshape(n + 3, e, m - 1)
+    G = np.zeros((e, m - 1, 4))
+    G[:, 0, :2], G[:, -1, 2:] = link[:, 0], link[:, 1]
     area = interior[np.maximum(side, 0), np.arange(e)[:, None]] * (side >= 0)[:, :, None]
-    B = np.concatenate(
-        [G.reshape(e, m - 1, 4), area.transpose(0, 2, 1), interior[n:].transpose(1, 2, 0)], axis=2
-    )
-    ends = cluster.topology.ends
-    columns = np.concatenate(
-        [
-            (2 * ends[:, :, None] + [0, 1]).reshape(e, 4),
-            J + np.maximum(side, 0),
-            np.broadcast_to(J + n + np.arange(3), (e, 3)),
-        ],
-        axis=1,
+    B = np.concatenate([G, area.transpose(0, 2, 1), interior[n:].transpose(1, 2, 0)], axis=2)
+    columns = np.hstack(
+        [(2 * ends[:, :, None] + [0, 1]).reshape(e, 4), J + np.maximum(side, 0),
+         np.broadcast_to(J + n + np.arange(3), (e, 3))]
     )
     border = np.zeros((J + rank, J + rank))
-    border[:J, :J] = HJJ.reshape(J, J)
-    border[:J, J:] = C[:, :J].T
-    border[J:, :J] = C[:, :J]
+    dof = np.arange(J).reshape(v, 2)
+    border[dof[:, :, None], dof[:, None, :]] = HJJ
+    border[:J, J:], border[J:, :J] = C[:, :J].T, C[:, :J]
     return EliminatedHessian(lam, _sine_basis(m) @ B, columns, border, J, rank, bound)
 
 
@@ -542,9 +525,13 @@ def stability_report(cluster: Cluster, m: int = 64) -> HessianReport:
 
     The verdict is an inertia count, not a spectrum, on ``cluster.unit()``
     (eigenvalues are mass-normalized, so lambda * diameter^2 is the
-    scale-invariant quantity): the counts below -``HESSIAN_ZERO`` and
-    +``HESSIAN_ZERO`` give the negative and zero-mode counts.  They are in
-    the first batch of the spectrum slicing (``EliminatedHessian._slice``) that
+    scale-invariant quantity): the counts below -tau and +tau, where
+    tau = ``HESSIAN_ZERO`` * (diameter / extent)^2 in the unit frame, give
+    the negative and zero-mode counts.  The band is read against ``Cluster.extent()``, the
+    arcs' bounding box, not the vertex span: a small bubble on a large one
+    has its vertices close together, and the large arcs' modes would fall
+    inside a band read against the vertices.  The probes are in the first
+    batch of the spectrum slicing (``EliminatedHessian._slice``) that
     finds the smallest six constrained eigenvalues, which the report carries
     in the cluster's units, to within 2 * bound * 2^-53 of the unit frame.
     ``evaluations`` counts the batched Schur evaluations and their sigmas,
@@ -554,15 +541,16 @@ def stability_report(cluster: Cluster, m: int = 64) -> HessianReport:
     ``eliminated_hessian`` for the discretization; ``m``, the segments per
     edge, is an integer of at least 8, or ``GeometryDomainError`` is raised.
 
-    Every mode with |lambda| * diameter^2 < ``HESSIAN_ZERO`` counts as a
+    Every mode with |lambda| * extent^2 < ``HESSIAN_ZERO`` counts as a
     zero mode, whatever its sign: a real instability that small is reported
     as ``Degenerate``, not ``Unstable`` (necklace(7) with its chamber
     pressure at -0.02 says ``Degenerate(4)``).
     """
     start = time.perf_counter()
-    hess = eliminated_hessian(cluster.unit(), m)
+    unit = cluster.unit()
+    hess = eliminated_hessian(unit, m)
     assembled = time.perf_counter()
-    found = hess._slice(min(6, hess.size))
+    found = hess._slice(min(6, hess.size), HESSIAN_ZERO / unit.extent() ** 2)
     sliced = time.perf_counter()
     below_neg, below_pos = found.probe_counts.tolist()
     negative, zero = below_neg, below_pos - below_neg

@@ -229,8 +229,9 @@ class TestNumericVerbs:
         # a verdict probe moved onto an eigenvalue, where the count is roundoff
         out = tmp_path / "db.json"
         run(["new", "double", "-o", str(out)])
-        hess = eliminated_hessian(fl.loads(read(out)).unit(), 32)
-        monkeypatch.setattr(variation, "HESSIAN_ZERO", hess.smallest(1)[0])
+        unit = fl.loads(read(out)).unit()
+        lam = eliminated_hessian(unit, 32).smallest(1)[0]
+        monkeypatch.setattr(variation, "HESSIAN_ZERO", lam * unit.extent() ** 2)
         assert run(["stability", str(out), "--m", "32"]) == 1
         assert "warning" in capsys.readouterr().err
 

@@ -212,6 +212,25 @@ class TestChart:
         assert copy.chart().tolist() == triple.chart().tolist()
         assert copy.points.tolist() == [p.z for p in copy.vertices]
 
+    def test_extent_matches_fine_arc_samples(self, equilibrium_presets):
+        # the closed-form bounding box of the arcs against 20001 samples per
+        # arc, which miss an extreme point by at most R (pi / 20000)^2 / 2,
+        # on the presets, a lopsided double bubble and Mobius images with
+        # arcs of every turn; the extent never falls below the vertex span
+        cases = dict(equilibrium_presets, lopsided=fl.double_bubble(1.0, 0.05))
+        for name in ("double", "four", "necklace7"):
+            c = equilibrium_presets[name]
+            for seed in (2, 3):
+                m = fl.random_mobius(c, np.random.default_rng(seed))
+                cases[f"{name}_mobius{seed}"] = fl.mobius_apply_cluster(m, c)
+        t = np.linspace(0.0, 1.0, 20001)
+        for name, c in cases.items():
+            at, _ = c.arc_samples(t)
+            sampled = math.hypot(np.ptp(at.real), np.ptp(at.imag))
+            extent = c.extent()
+            assert 0.0 <= extent - sampled <= 1e-7 * extent, name
+            assert extent >= c.diameter(), name
+
 
 class TestHalfAngleChart:
     def test_only_a_loaded_document_inverts_its_bulges(self, monkeypatch):

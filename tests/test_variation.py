@@ -260,6 +260,35 @@ class TestStability:
         c = fl.necklace(7, inner_radius=0.98 * r0)
         assert fl.stability_report(c, m=64).classification == "Unstable(4)"
 
+    @pytest.mark.parametrize("r2", [0.9, 0.6, 0.4, 0.3, 0.2, 0.1, 0.05, 0.02, 0.005])
+    def test_lopsided_double_bubbles_strictly_stable(self, r2):
+        # the small bubble's two vertices span far less than the large arcs:
+        # a band read against the vertex span counted the large arcs' modes
+        # as zero modes (Degenerate(21) at r2 = 0.05)
+        rep = fl.stability_report(fl.double_bubble(1.0, r2), m=64)
+        assert rep.classification == "StrictlyStable"
+
+    def test_lopsided_images_strictly_stable(self, double, triple):
+        image = fl.mobius_apply_cluster(fl.random_mobius(double, np.random.default_rng(5)), double)
+        lopsided = fl.solve(triple, (1.611, 1.611, 100.0))
+        for c in (image, lopsided):
+            assert fl.stability_report(c, m=64).classification == "StrictlyStable"
+
+    def test_edge_blocks_tend_to_the_dirichlet_spectrum(self, double, triple, flower):
+        # each edge block's smallest eigenvalues tend to the continuum
+        # Dirichlet spectrum (k pi / L)^2 - kappa^2 of its arc at second
+        # order: the error falls 4x per doubling of m
+        k = np.arange(1, 4)
+        for c in (double, triple, flower, fl.necklace(7, inner_radius=0.05)):
+            unit = c.unit()
+            exact = (k * np.pi / unit.lengths[:, None]) ** 2 - unit.kappas[:, None] ** 2
+            errors = []
+            for m in (32, 64, 128, 256):
+                lam = eliminated_hessian(unit, m).lam[:, :3]
+                errors.append(np.abs(lam - exact).max() / np.abs(exact).max())
+            ratios = np.array(errors[:-1]) / errors[1:]
+            assert np.all((3.8 <= ratios) & (ratios <= 4.2)), ratios
+
     @pytest.fixture(scope="class")
     def oracle_cases(self, equilibrium_presets):
         """The presets, an unstable necklace, and Möbius images of four and
@@ -285,7 +314,7 @@ class TestStability:
             k = rep.eigenvalues.size
             assert rep.m == m and k == min(6, want.size), name
             assert np.abs(rep.eigenvalues - want[:k]).max() <= 1e-12 * np.abs(want).max(), name
-            tau = HESSIAN_ZERO / c.diameter() ** 2
+            tau = HESSIAN_ZERO / c.extent() ** 2
             negative, zero = int((want < -tau).sum()), int((np.abs(want) <= tau).sum())
             assert rep.zero_mode_count == zero, name
             if negative:
@@ -366,8 +395,11 @@ class TestStability:
             assert got[pair + 1] - got[pair] <= 1e-9 * value
 
     def test_first_batch_is_probes_and_ladder(self, double, batches):
+        # the probes are the band +-HESSIAN_ZERO read against the arcs'
+        # extent in the unit frame
         fl.stability_report(double, m=64)
-        want = sorted({-HESSIAN_ZERO, HESSIAN_ZERO, *variation.SLICE_LADDER})
+        probe = HESSIAN_ZERO / double.unit().extent() ** 2
+        want = sorted({-probe, probe, *variation.SLICE_LADDER})
         assert batches[0].tolist() == want
 
     def test_phase_timings(self, triple):
@@ -393,8 +425,9 @@ class TestStability:
     def test_probe_on_an_eigenvalue_is_ambiguous(self, double, monkeypatch):
         # a verdict probe on an eigenvalue leaves Z(sigma) singular up to
         # roundoff, so the side the count lands on means nothing
-        lam = eliminated_hessian(double.unit(), 64).smallest(1)[0]
-        monkeypatch.setattr(variation, "HESSIAN_ZERO", lam)
+        unit = double.unit()
+        lam = eliminated_hessian(unit, 64).smallest(1)[0]
+        monkeypatch.setattr(variation, "HESSIAN_ZERO", lam * unit.extent() ** 2)
         assert fl.stability_report(double, m=64).ambiguous
 
     def test_scale_covariant(self, equilibrium_presets):
