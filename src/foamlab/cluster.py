@@ -3,14 +3,15 @@
 A cluster of ``n`` regions is a chart point of dimension ``2v + e = 7n - 7``:
 vertex coordinates plus one half-angle per edge.  The arrays are the
 cluster: ``Cluster`` holds the read-only ``points``, ``ends`` (tail, head),
-``phis`` and ``labels`` (left, right region) of its edges.  ``Point`` and
-``EdgeRecord`` rows, with bulges, are only the codec adapter: a cluster read
-from them keeps its bulges and inverts them once.  Every per-edge quantity
-(chord, direction, end tangents, curvature, length, bulge) is closed form in
-the chord and the half-angle, a read-only array computed on first read; the
-chart gradients, which only the Jacobians need, come from
-:func:`edge_gradients`.  Each half-edge's oriented carrier (A, B, D) follows
-from those arrays by one formula.  The combinatorial type is a
+``phis`` and ``labels`` (left, right region) of its edges.  A document is
+read column by column into them, building no rows; a cluster read from it,
+or from ``Point`` and ``EdgeRecord`` rows, keeps the bulges and inverts them
+once.  Every per-edge quantity (chord vector, direction, end tangents,
+curvature, length, bulge) is closed form in the chord vector and the
+half-angle, a read-only array computed on first read; the chart gradients,
+which only the Jacobians need, come from :func:`edge_gradients`.  Each
+half-edge's oriented carrier (A, B, D) follows from those arrays by one
+formula.  The combinatorial type is a
 ``Topology``, derived once per type, not once per chart point: the
 counterclockwise stars, the face walks obtained by rotating around vertices,
 one boundary walk per region and the signed incidence S.
@@ -33,6 +34,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, pairwise
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,12 +68,12 @@ class EdgeRecord:
     right: int
 
 
-def _frozen(a, dtype) -> np.ndarray:
+def _frozen(a, dtype, fresh: bool = False) -> np.ndarray:
     """``a`` as a read-only array of ``dtype``, copied unless it already is
-    one: a caller's writable array is never frozen in place."""
+    one or is ``fresh`` (held by nothing else): no caller's array is frozen."""
     a = np.asarray(a, dtype=dtype)
     if a.flags.writeable:
-        a = a.copy()
+        a = a if fresh else a.copy()
         a.flags.writeable = False
     return a
 
@@ -85,33 +88,37 @@ def _size(name: str, value, least: int) -> int:
     return int(value)
 
 
-def _face_walks(ends: np.ndarray, alpha: np.ndarray, v: int):
-    """Stars, face-walk successors and faces (lists of half-edge indices) of
-    the embedding with edge ends ``ends`` and leaving tangent angles
-    ``alpha``, both (e, 2).  Star i lists the half-edges leaving vertex i
-    counterclockwise from the smallest; the successor, the half-edge
-    clockwise next to the reverse, keeps the same region on the left.
-    Raises :class:`StructuralError` unless every vertex is a triple junction.
-    """
-    at = ends.ravel()  # the vertex each half-edge leaves
-    degree = np.bincount(at, minlength=v)
-    for i in np.flatnonzero(degree != 3):
-        raise StructuralError(f"vertex {i} has degree {degree[i]}, expected 3")
-    order = np.lexsort((np.mod(alpha, 2.0 * math.pi).ravel(), at)).reshape(v, 3)
-    stars = np.take_along_axis(order, (order.argmin(axis=1)[:, None] + np.arange(3)) % 3, 1)
-    slot = np.empty(at.size, dtype=int)
-    slot[stars.ravel()] = np.arange(at.size)
-    vertex, place = np.divmod(slot[np.arange(at.size) ^ 1], 3)
-    successor = stars[vertex, (place - 1) % 3]
-    succ, faces, seen = successor.tolist(), [], set()
-    for k in range(at.size):
-        if k not in seen:
-            walk = [k]
-            while (nxt := succ[walk[-1]]) != k:
-                walk.append(nxt)
-            seen.update(walk)
+def _face_walks(at: list, angle: list, v: int):
+    """Stars, face-walk successors and faces, lists of half-edge indices, of
+    the embedding whose half-edge k leaves vertex ``at[k]`` at ``angle[k]``
+    in [0, 2 pi).  Star i, ``stars[3 i : 3 i + 3]``, lists the half-edges
+    leaving vertex i counterclockwise from the smallest; the successor, the
+    half-edge clockwise next to the reverse, keeps the same region on the
+    left.  Raises :class:`StructuralError` unless every vertex is a triple
+    junction."""
+    n = len(at)
+    around = [[] for _ in range(max(max(at, default=-1) + 1, v))]
+    for k, i in enumerate(at):
+        around[i].append(k)
+    stars, cw = [], [0] * n  # cw: the half-edge clockwise next to each one at its vertex
+    for i, star in enumerate(around):
+        if len(star) != 3:
+            raise StructuralError(f"vertex {i} has degree {len(star)}, expected 3")
+        a, b, c = star  # sorted by angle, ties by index, this turns as a, b, c iff two pairs are in order
+        if (angle[a] <= angle[b]) + (angle[b] <= angle[c]) + (angle[c] < angle[a]) != 2:
+            b, c = c, b
+        cw[a], cw[b], cw[c] = c, a, b
+        stars += a, b, c
+    succ, faces, seen = [cw[k ^ 1] for k in range(n)], [], [False] * n
+    for k in range(n):
+        if not seen[k]:
+            walk, j = [], k
+            while not seen[j]:
+                seen[j] = True
+                walk.append(j)
+                j = succ[j]
             faces.append(walk)
-    return stars, successor, faces
+    return stars, succ, faces
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,36 +141,40 @@ class Topology:
 
     @classmethod
     def of(cls, cluster: "Cluster") -> "Topology":
-        stars, successor, faces = _face_walks(cluster.ends, cluster.alphas, cluster.v)
-        near = cluster.ends.ravel()[stars ^ 1].tolist()  # the three neighbours of each vertex
-        reached, todo = set(), [0] if cluster.v else []
-        while todo:
-            if (i := todo.pop()) not in reached:
-                reached.add(i)
-                todo += near[i]
-        if unreached := sorted(set(range(cluster.v)) - reached):
+        at, v, n = cluster.ends.ravel().tolist(), cluster.v, cluster.n
+        stars, successor, faces = _face_walks(at, np.mod(cluster.alphas, 2.0 * math.pi).ravel().tolist(), v)
+        reached, todo = [False] * v, [0] if v else []
+        for i in todo:  # breadth first over each vertex's three neighbours
+            for k in stars[3 * i : 3 * i + 3]:
+                if not reached[j := at[k ^ 1]]:
+                    reached[j] = True
+                    todo.append(j)
+        if len(todo) < v:
+            unreached = [i for i in range(v) if not reached[i]]
             raise StructuralError(f"vertices {unreached} are not connected to vertex 0")
         labels = cluster.labels
         left = labels.ravel().tolist()  # the region left of each half-edge
-        for walk in faces:
-            if len(touched := {left[k] for k in walk}) > 1:
-                raise StructuralError(f"face walk touches several left labels {sorted(touched)}")
+        if list(map(left.__getitem__, successor)) != left:  # a face walk changes its left label
+            for walk in faces:
+                if len(touched := {left[k] for k in walk}) > 1:
+                    raise StructuralError(f"face walk touches several left labels {sorted(touched)}")
         faces.sort(key=lambda walk: left[walk[0]])
-        if (found := [left[walk[0]] for walk in faces]) != list(range(cluster.n + 1)):
-            raise StructuralError(f"face labels {found}, expected one face per region 0..{cluster.n}")
-        S = incidence(labels, cluster.n)
-        return cls(cluster.ends, labels, stars, successor, tuple(map(np.array, faces)), S)
+        if (found := [left[walk[0]] for walk in faces]) != list(range(n + 1)):
+            raise StructuralError(f"face labels {found}, expected one face per region 0..{n}")
+        flat = np.array(stars + successor + list(chain(*faces)), dtype=int)  # one conversion, sliced
+        stops = accumulate(map(len, faces), initial=3 * v + len(at))
+        return cls(
+            cluster.ends, labels, flat[: 3 * v].reshape(-1, 3), flat[3 * v : 3 * v + len(at)],
+            tuple(flat[a:b] for a, b in pairwise(stops)), incidence(labels, n),
+        )
 
 
 def incidence(labels: np.ndarray, n: int) -> np.ndarray:
     """Signed edge-region incidence S (n x e): +1 where r is edge j's left
     label, -1 where it is its right; the exterior row (minus the others' sum)
-    is dropped."""
-    e = len(labels)
-    S = np.zeros((n + 1, e))
-    S[labels[:, 0], np.arange(e)] += 1.0
-    S[labels[:, 1], np.arange(e)] -= 1.0
-    return S[1:]
+    is dropped.  Its columns are those of the identity's rows 1..n."""
+    one = np.eye(n + 1)[1:]
+    return one.take(labels[:, 0], axis=1) - one.take(labels[:, 1], axis=1)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -206,44 +217,48 @@ class Cluster:
     @cached_property
     def phis(self) -> np.ndarray:
         """(e,) half-angles; a cluster read from rows inverts its bulges here."""
-        return _frozen(list(map(bulge_angle_from_area, self.chords.tolist(), self.bulges.tolist())), float)
+        inverted = map(bulge_angle_from_area, self.chords.tolist(), self.bulges.tolist())
+        return _frozen(list(inverted), float, True)
 
     @cached_property
     def bulges(self) -> np.ndarray:
         """(e,) segment_area(phi, c), or the bulges of the rows read."""
-        return _frozen(list(map(segment_area, self.phis.tolist(), self.chords.tolist())), float)
+        return _frozen(list(map(segment_area, self.phis.tolist(), self.chords.tolist())), float, True)
 
-    def _chord_vectors(self) -> np.ndarray:
+    @cached_property
+    def chord_vectors(self) -> np.ndarray:
         """(e,) w = head - tail."""
-        return np.diff(self.points[self.ends], axis=1).ravel()
+        return _frozen(self.points[self.ends[:, 1]] - self.points[self.ends[:, 0]], complex, True)
 
     @cached_property
     def chords(self) -> np.ndarray:
         """(e,) c = |w| by ``hypot``, as Python's ``abs`` (numpy's can differ by an ulp)."""
-        w = self._chord_vectors()
-        return _frozen(np.hypot(w.real, w.imag), float)
+        w = self.chord_vectors
+        return _frozen(np.hypot(w.real, w.imag), float, True)
 
     @cached_property
     def directions(self) -> np.ndarray:
         """(e,) unit chord directions u = w / c."""
-        return _frozen(self._chord_vectors() / self.chords, complex)
+        return _frozen(self.chord_vectors / self.chords, complex, True)
 
     @cached_property
     def alphas(self) -> np.ndarray:
         """(e, 2) angle of the tangent leaving each end: theta - phi at the
         tail and theta + phi + pi at the head, theta the chord's angle."""
-        theta, phi = np.angle(self._chord_vectors()), self.phis
-        return _frozen(np.stack([theta - phi, theta + phi + math.pi], axis=1), float)
+        w, phi, alpha = self.chord_vectors, self.phis, np.empty((self.e, 2))
+        theta = np.arctan2(w.imag, w.real)
+        alpha[:, 0], alpha[:, 1] = theta - phi, theta + phi + math.pi
+        return _frozen(alpha, float, True)
 
     @cached_property
     def kappas(self) -> np.ndarray:
         """(e,) forward signed curvatures 2 sin(phi) / c."""
-        return _frozen(2.0 * np.sin(self.phis) / self.chords, float)
+        return _frozen(2.0 * np.sin(self.phis) / self.chords, float, True)
 
     @cached_property
     def lengths(self) -> np.ndarray:
         """(e,) arc lengths c / sinc(phi)."""
-        return _frozen(self.chords / np.sinc(self.phis / math.pi), float)
+        return _frozen(self.chords / np.sinc(self.phis / math.pi), float, True)
 
     # -- rows: the constructor and codec adapter ---------------------------
 
@@ -271,8 +286,8 @@ class Cluster:
         return self.region_count
 
     def diameter(self) -> float:
-        p = self.points if self.v else np.zeros(1)
-        return math.hypot(np.ptp(p.real), np.ptp(p.imag)) or 1.0
+        p = self.points.view(float).reshape(-1, 2) if self.v else np.zeros((1, 2))
+        return math.hypot(*(np.maximum.reduce(p) - np.minimum.reduce(p)).tolist()) or 1.0
 
     def extent(self) -> float:
         """The diagonal of the arcs' bounding box, in closed form: the box of
@@ -334,7 +349,7 @@ class Cluster:
         shared by all edges (k,) or one row per edge (e, k), each of shape
         (e, k): ``arc_point`` and ``arc_tangent`` for all arcs at once, from
         the half-angles (no inversion per sample)."""
-        tail, w = self.points[self.ends[:, 0]], self._chord_vectors()
+        tail, w = self.points[self.ends[:, 0]], self.chord_vectors
         phi, t = self.phis[:, None], np.atleast_2d(np.asarray(t, dtype=float))
         ratio = t * np.sinc(phi * t / math.pi) / np.sinc(phi / math.pi)
         at = tail[:, None] + w[:, None] * ratio * np.exp(1j * phi * (t - 1.0))
@@ -484,13 +499,14 @@ def validate(cluster: Cluster, check_disjoint: bool = False) -> ValidationReport
         (cluster.v, cluster.e) == (2 * (n - 1), 3 * (n - 1)),
         f"v, e = {cluster.v}, {cluster.e}, expected {2 * (n - 1)}, {3 * (n - 1)}",
     )
-    numbers = np.concatenate([cluster.points.view(float), cluster.bulges])  # bulges: none inverted
-    bad = np.flatnonzero(~np.isfinite(numbers)).tolist()
+    numbers = cluster.points.view(float).tolist() + cluster.bulges.tolist()  # bulges: none inverted
+    bad = [] if math.isfinite(sum(numbers)) else np.flatnonzero(~np.isfinite(numbers)).tolist()
     add("finite_chart", not bad, f"non-finite chart coordinates {bad}")
     if bad:
         return ValidationReport(tuple(checks))
 
-    short = np.flatnonzero(cluster.chords <= CHORD_FLOOR * cluster.diameter()).tolist()
+    floor = CHORD_FLOOR * cluster.diameter()
+    short = [j for j, c in enumerate(cluster.chords.tolist()) if c <= floor]
     add("edge_chords", not short, f"degenerate edges {short}")
     bad_labels = np.flatnonzero(cluster.labels[:, 0] == cluster.labels[:, 1]).tolist()
     add("edge_labels", not bad_labels, f"left == right on edges {bad_labels}")
@@ -504,8 +520,8 @@ def validate(cluster: Cluster, check_disjoint: bool = False) -> ValidationReport
             add("topology", False, str(err))
         else:
             add("topology", True)
-            areas = region_areas(cluster)
-            add("positive_areas", bool((areas > 0).all()), f"areas {areas.tolist()}")
+            areas = region_areas(cluster).tolist()
+            add("positive_areas", all(a > 0 for a in areas), f"areas {areas}")
 
     if check_disjoint:
         bad_pairs = _disjointness_scan(cluster)
@@ -570,76 +586,80 @@ def _array(doc: dict, field: str) -> list:
     return entries
 
 
-def _number(obj: dict, field: str, where: str, kind: type = float):
-    """Field ``field`` of entry ``where`` as ``kind``: any JSON number for
-    float, a JSON integer for int; anything else (null, a string, a boolean)
-    raises :class:`ClusterFormatError`."""
-    value = _require(obj, field, where)
-    if type(value) in ((int,) if kind is int else (int, float)):
+def _columns(entries: list, where: str, fields: Tuple[str, ...], kind=None, stop: int = 0, what: str = ""):
+    """The values of ``fields`` of the objects ``entries``, in one list (kind
+    None) or as an array of JSON numbers (float) or of ids 0..stop-1 of a
+    ``what`` (int), one row per entry, type-checked by one pass over them.
+    A :class:`ClusterFormatError` names the first bad entry and field."""
+    try:
+        rows = map(itemgetter(*fields), entries)
+        values = list(chain.from_iterable(rows) if len(fields) > 1 else rows)
+    except (KeyError, TypeError):
+        for k, obj in enumerate(entries):
+            for field in fields:
+                _require(obj, field, f"{where}[{k}]")
+        raise
+    if kind is None:
+        return values
+    allowed, noun = ({int}, "an integer") if kind is int else ({int, float}, "a number")
+    if allowed.issuperset(map(type, values)):
         try:
-            return kind(value)
+            if kind is float or not values or 0 <= min(values) and max(values) < stop:
+                return _frozen(np.array(values, dtype=kind).reshape(-1, len(fields)), kind, True)
         except OverflowError:  # an integer beyond the float range
             pass
-    raise ClusterFormatError(f"{where}.{field} must be {'an integer' if kind is int else 'a number'}")
+    for i, x in enumerate(values):
+        name = f"{where}[{i // len(fields)}].{fields[i % len(fields)]}"
+        if type(x) not in allowed:
+            raise ClusterFormatError(f"{name} must be {noun}")
+        if kind is int and not 0 <= x < stop:
+            raise ClusterFormatError(f"{name} is not a {what} id")
+        try:
+            float(x)
+        except OverflowError:
+            raise ClusterFormatError(f"{name} must be {noun}") from None
 
 
-def _by_id(items: List[tuple], what: str) -> list:
-    """The values of (id, value) pairs in id order; raises
-    :class:`ClusterFormatError` unless the ids are 0..k-1, each once."""
-    ids = [i for i, _ in items]
-    if not all(type(i) is int for i in ids) or sorted(ids) != list(range(len(ids))):
-        raise ClusterFormatError(f"{what} ids must be 0..{len(ids) - 1}, each once")
-    return [value for _, value in sorted(items, key=lambda item: item[0])]
+def _order(ids: list, what: str):
+    """The entry order sorting ``ids``, ``slice(None)`` if they are already
+    0..k-1; raises :class:`ClusterFormatError` unless they are 0..k-1, each
+    once."""
+    count = list(range(len(ids)))
+    if {int}.issuperset(map(type, ids)) and (ids == count or sorted(ids) == count):
+        return slice(None) if ids == count else sorted(count, key=ids.__getitem__)
+    raise ClusterFormatError(f"{what} ids must be 0..{len(ids) - 1}, each once")
 
 
 def from_json_dict(doc: dict) -> Cluster:
+    """The cluster of a parsed document, decoded column by column; raises
+    :class:`ClusterFormatError` naming the first bad entry and field."""
     if not isinstance(doc, dict):
         raise ClusterFormatError("document root must be an object")
     version = _require(doc, "version", "document")
-    if version != 1:
+    if type(version) is not int or version != 1:
         raise ClusterFormatError(f"unsupported version {version!r}")
-    vlist = _array(doc, "vertices")
-    elist = _array(doc, "edges")
-    rlist = _array(doc, "regions")
+    vlist, elist, rlist = _array(doc, "vertices"), _array(doc, "edges"), _array(doc, "regions")
     exterior = _require(doc, "exterior", "document")
-    if exterior != 0:
+    if type(exterior) is not int or exterior != 0:
         raise ClusterFormatError("exterior region id must be 0")
 
-    verts = []
-    for k, vo in enumerate(vlist):
-        where = f"vertices[{k}]"
-        i = _require(vo, "id", where)
-        verts.append((i, Point(_number(vo, "x", where), _number(vo, "y", where))))
-    verts = _by_id(verts, "vertex")
-    labels = []
-    for k, ro in enumerate(rlist):
-        i = _require(ro, "id", f"regions[{k}]")
-        labels.append((i, str(ro.get("label", f"region {i}"))))
-    labels = _by_id(labels, "region")
+    points = _columns(vlist, "vertices", ("x", "y"), float).view(complex).ravel()
+    points = points[_order(_columns(vlist, "vertices", ("id",)), "vertex")]
+    ids = _columns(rlist, "regions", ("id",))
+    _order(ids, "region")
+    rows = sorted(zip(ids, rlist), key=itemgetter(0))
+    labels = [str(ro["label"]) if "label" in ro else f"region {i}" for i, ro in rows]
     n = len(labels) - 1
     if n < 2:
         raise ClusterFormatError("cluster must have at least 2 interior regions")
 
-    edges = []
-    for k, eo in enumerate(elist):
-        where = f"edges[{k}]"
-        ed = EdgeRecord(
-            id=_require(eo, "id", where),
-            tail=_number(eo, "tail", where, int),
-            head=_number(eo, "head", where, int),
-            bulge=_number(eo, "bulge", where),
-            left=_number(eo, "left", where, int),
-            right=_number(eo, "right", where, int),
-        )
-        for fld in ("tail", "head"):
-            if not 0 <= getattr(ed, fld) < len(verts):
-                raise ClusterFormatError(f"{where}.{fld} is not a vertex id")
-        for fld in ("left", "right"):
-            if not 0 <= getattr(ed, fld) <= n:
-                raise ClusterFormatError(f"{where}.{fld} is not a region id")
-        edges.append((ed.id, ed))
-
-    return Cluster(tuple(verts), tuple(_by_id(edges, "edge")), n, tuple(labels))
+    ends = _columns(elist, "edges", ("tail", "head"), int, len(points), "vertex")
+    sides = _columns(elist, "edges", ("left", "right"), int, n + 1, "region")
+    bulges = _columns(elist, "edges", ("bulge",), float).ravel()
+    order = _order(_columns(elist, "edges", ("id",)), "edge")
+    c = Cluster.__new__(Cluster)
+    c._fill(points, ends[order], sides[order], n, labels, bulges=bulges[order])
+    return c
 
 
 def dumps(cluster: Cluster) -> str:
@@ -676,20 +696,18 @@ def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str
     height = (y1 - y0) + 2 * mx
     sw = 0.005 * max(width, height)
 
-    z, ends, phis, kappas = cluster.points.tolist(), cluster.ends, cluster.phis, cluster.kappas
-
-    def xy(k: int) -> str:  # the vertex half-edge k leaves
-        w = z[ends.flat[k]]
-        return f"{w.real:.9g} {w.imag:.9g}"
+    at = [f"{w.real:.9g} {w.imag:.9g}" for w in cluster.points.tolist()]
+    xy = [at[i] for i in cluster.ends.ravel().tolist()]  # the vertex each half-edge leaves
+    phis, kappas = cluster.phis.tolist(), cluster.kappas.tolist()
 
     def arc_path(k: int) -> str:
         phi = -phis[k >> 1] if k & 1 else phis[k >> 1]
         if abs(phi) < STRAIGHT_PHI:
-            return f"L {xy(k ^ 1)}"
-        r = 1.0 / abs(kappas[k >> 1])
+            return f"L {xy[k ^ 1]}"
+        r = f"{1.0 / abs(kappas[k >> 1]):.9g}"
         large = 1 if abs(phi) > math.pi / 2 else 0
         sweep = 1 if phi > 0 else 0
-        return f"A {r:.9g} {r:.9g} 0 {large} {sweep} {xy(k ^ 1)}"
+        return f"A {r} {r} 0 {large} {sweep} {xy[k ^ 1]}"
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -700,14 +718,14 @@ def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str
         pmax = max(float(np.abs(fill_pressures).max()), 1e-12)
         for r in range(1, cluster.n + 1):
             walk = cluster.topology.walks[r].tolist()
-            d = " ".join([f"M {xy(walk[0])}", *map(arc_path, walk), "Z"])
+            d = " ".join([f"M {xy[walk[0]]}", *map(arc_path, walk), "Z"])
             # zero pressure lands on red 128, not on a rounding tie
             red = 128 + round(127 * float(fill_pressures[r - 1]) / pmax)
             parts.append(
                 f'<path d="{d}" fill="rgb({red},120,{255 - red})" fill-opacity="0.35" stroke="none"/>'
             )
     for j in range(cluster.e):
-        d = f"M {xy(2 * j)} {arc_path(2 * j)}"
+        d = f"M {xy[2 * j]} {arc_path(2 * j)}"
         parts.append(f'<path d="{d}" fill="none" stroke="black" stroke-width="{sw:.9g}"/>')
     parts += ["</g>", "</svg>"]
     return "\n".join(parts) + "\n"

@@ -49,12 +49,12 @@ def residuals(cluster: Cluster) -> ResidualReport:
     """Per vertex, the sums of the outgoing unit tangents (angle block,
     interleaved x, y) and of the outgoing signed curvatures (cocycle block),
     summed over the edge ends of the cluster's topology."""
-    ends = cluster.topology.ends
-    tangent = np.zeros(cluster.v, dtype=complex)
-    np.add.at(tangent, ends, np.exp(1j * cluster.alphas))
-    cocycle = np.zeros(cluster.v)
-    np.add.at(cocycle, ends, np.outer(cluster.kappas, _END_SIGN))
-    return ResidualReport(tangent.view(float), cocycle)
+    at, v = cluster.topology.ends.ravel(), cluster.v
+    tangent = np.exp(1j * cluster.alphas).ravel()
+    angle = np.empty(2 * v)
+    angle[0::2] = np.bincount(at, tangent.real, v)
+    angle[1::2] = np.bincount(at, tangent.imag, v)
+    return ResidualReport(angle, np.bincount(at, np.outer(cluster.kappas, _END_SIGN).ravel(), v))
 
 
 def residual_jacobian(cluster: Cluster) -> np.ndarray:

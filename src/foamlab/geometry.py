@@ -116,8 +116,8 @@ def bulge_angle_from_area(chord_length: float, area: float) -> float:
     positive), a(phi) >= phi / 6, and a(phi) >= pi / (8 (pi - phi)^2) on
     [pi/2, pi).  So the start 6a, or pi - sqrt(pi / (8a)) if lower and
     a > 1 / (2 pi), is at or right of the root, and Newton decreases
-    monotonically onto it.  A relative stop (step <= 4e-16 phi) keeps
-    near-straight arcs accurate.
+    monotonically onto it, evaluating a and a' inline.  A relative stop
+    (step <= 4e-16 phi) keeps near-straight arcs accurate.
     """
     c = chord_length
     if not (c > 0.0) or not math.isfinite(area):
@@ -126,8 +126,14 @@ def bulge_angle_from_area(chord_length: float, area: float) -> float:
     phi = 6.0 * a
     if a > 0.5 / math.pi:
         phi = min(phi, math.pi - math.sqrt(math.pi / (8.0 * a)))
-    while True:
-        step = (segment_area(phi, 1.0) - a) / segment_area_dphi(phi, 1.0)
+    while True:  # segment_area and segment_area_dphi at c = 1, with one sine and one cosine
+        if phi < 0.05:  # as abs(phi) < 0.05: phi >= 0 from start to root
+            p2 = phi * phi
+            f = phi * (1.0 / 6.0 + p2 * (1.0 / 45.0 + p2 * (1.0 / 315.0 + p2 * 2.0 / 4725.0)))
+            step = (f - a) / (1.0 / 6.0 + p2 * (1.0 / 15.0 + p2 * (1.0 / 63.0 + p2 * 2.0 / 675.0)))
+        else:
+            s, co = math.sin(phi), math.cos(phi)
+            step = ((phi - s * co) / (4.0 * s * s) - a) / ((s - phi * co) / (2.0 * s ** 3))
         phi -= step
         if step <= 4e-16 * phi:
             break

@@ -1,12 +1,16 @@
 
 import cmath
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
 import foamlab as fl
-from foamlab.cluster import _disjointness_scan, from_json_dict, to_json_dict
+import foamlab.cli
+from foamlab.cluster import _disjointness_scan, _face_walks, from_json_dict, to_json_dict
 from foamlab.errors import ClusterFormatError, StructuralError
 from foamlab.geometry import arc_point, arc_tangent
 
@@ -59,6 +63,24 @@ class TestCombinatorics:
                     ]
                     gaps = np.mod(np.diff(angles + angles[:1]), 2 * math.pi)
                     assert gaps.sum() == pytest.approx(2 * math.pi), name
+
+    def test_stars_and_successors_match_a_sorting_oracle(self):
+        # random triple-junction embeddings, half of them with tied angles
+        rng = np.random.default_rng(7)
+        for trial in range(600):
+            v = 2 * int(rng.integers(1, 8))
+            at = rng.permutation(np.repeat(np.arange(v), 3))
+            if trial % 2:
+                angle = rng.choice([0.0, 1.0, 2.5, 4.0], at.size)
+            else:
+                angle = rng.uniform(0.0, 2.0 * math.pi, at.size)
+            # a stable sort by vertex, then angle, each star rotated to its smallest half-edge
+            order = np.lexsort((angle, at)).reshape(v, 3).tolist()
+            stars = [s[s.index(min(s)) :] + s[: s.index(min(s))] for s in order]
+            clockwise = {k: star[p - 1] for star in stars for p, k in enumerate(star)}
+            got_stars, got_successor, _ = _face_walks(at.tolist(), angle.tolist(), v)
+            assert got_stars == sum(stars, [])
+            assert got_successor == [clockwise[k ^ 1] for k in range(at.size)]
 
     def test_half_edge_walks_close(self, equilibrium_presets):
         for name, c in equilibrium_presets.items():
@@ -372,11 +394,123 @@ class TestJsonCodec:
         with pytest.raises(ClusterFormatError, match=message):
             from_json_dict(doc)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("version", True, "unsupported version True"),
+            ("version", 1.0, "unsupported version 1.0"),
+            ("exterior", False, "exterior region id must be 0"),
+            ("exterior", 0.0, "exterior region id must be 0"),
+        ],
+    )
+    def test_version_and_exterior_are_json_integers(self, triple, field, value, message):
+        doc = to_json_dict(triple)
+        doc[field] = value
+        with pytest.raises(ClusterFormatError, match=message):
+            from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("edges", 0, "tail"), 10**30, r"edges\[0\]\.tail is not a vertex id"),
+            (("edges", 1, "right"), -(10**30), r"edges\[1\]\.right is not a region id"),
+            (("edges", 2, "bulge"), 10**400, r"edges\[2\]\.bulge must be a number"),
+        ],
+    )
+    def test_huge_integers_are_range_errors(self, triple, path, value, message):
+        doc = to_json_dict(triple)
+        doc[path[0]][path[1]][path[2]] = value
+        with pytest.raises(ClusterFormatError, match=message):
+            from_json_dict(doc)
+
+    def test_infinity_and_negative_zero_keep_their_values(self, triple):
+        doc = to_json_dict(triple)
+        doc["vertices"][1].update(x=math.inf, y=-0.0)
+        c = from_json_dict(doc)
+        assert c.points[1].real == math.inf and math.copysign(1.0, c.points[1].imag) == -1.0
+        assert fl.validate(c).failures() == ["finite_chart: non-finite chart coordinates [2]"]
+
+    def test_reading_builds_no_rows(self, triple, monkeypatch):
+        built = []
+        for name in ("Point", "EdgeRecord"):
+            cls = getattr(fl.cluster, name)
+            monkeypatch.setattr(fl.cluster, name, lambda *a, cls=cls: built.append(cls) or cls(*a))
+        monkeypatch.setattr(fl.cluster.Cluster, "__init__", lambda *a: built.append("init"))
+        doc = to_json_dict(triple)
+        doc["edges"].reverse()
+        c = from_json_dict(doc)
+        assert built == []
+        assert fl.dumps(c) == fl.dumps(triple)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_dumps_rejects_non_finite_numbers(self, triple, bad):
         c = triple.with_chart(np.append(triple.chart()[:-1], bad))
         with pytest.raises(ClusterFormatError, match="non-finite"):
             fl.dumps(c)
+
+
+#: the values each field of a document is set to, besides being deleted
+FUZZ_VALUES = (None, True, "1", 1.5, 10**30, -1, [], {}, math.inf, -0.0)
+DELETE = object()
+
+
+def _replaced(doc, path, value):
+    """``doc`` with the field at ``path`` set to ``value`` (deleted for
+    ``DELETE``), copying only the containers along the path."""
+    if not path:
+        return value
+    out = list(doc) if isinstance(doc, list) else dict(doc)
+    if len(path) == 1 and value is DELETE:
+        del out[path[0]]
+    else:
+        out[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return out
+
+
+def single_field_mutations(doc):
+    """(name, document) for every single-field change of ``doc``: each
+    field, top-level or of an entry, deleted or set to each of
+    ``FUZZ_VALUES``, and each entry repeated (so its id is) or dropped."""
+    fields = [(f,) for f in doc]
+    fields += [(a, k, f) for a in ("vertices", "edges", "regions") for k, o in enumerate(doc[a]) for f in o]
+    for path in fields:
+        for value in (DELETE, *FUZZ_VALUES):
+            yield f"{path} = {'deleted' if value is DELETE else repr(value)}", _replaced(doc, path, value)
+    for a in ("vertices", "edges", "regions"):
+        for k, entry in enumerate(doc[a]):
+            yield f"{a}[{k}] repeated", dict(doc, **{a: doc[a] + [entry]})
+            yield f"{a}[{k}] dropped", dict(doc, **{a: doc[a][:k] + doc[a][k + 1 :]})
+
+
+class TestDecoderFuzz:
+    def test_single_field_mutations_decode_or_raise_format_errors(self, equilibrium_presets):
+        for name, c in equilibrium_presets.items():
+            for change, doc in single_field_mutations(to_json_dict(c)):
+                try:
+                    assert isinstance(from_json_dict(doc), fl.Cluster), (name, change)
+                except ClusterFormatError:
+                    pass
+
+    def test_rejected_mutations_exit_1_or_2_without_traceback(self, equilibrium_presets, tmp_path):
+        rejected = []
+        for name in ("triple", "flower"):
+            for change, doc in single_field_mutations(to_json_dict(equilibrium_presets[name])):
+                try:
+                    if fl.validate(from_json_dict(doc)).ok:
+                        continue
+                except ClusterFormatError:
+                    pass
+                rejected.append((name, change, doc))
+        path = tmp_path / "mutated.json"
+        for k in np.random.default_rng(28).choice(len(rejected), 40, replace=False).tolist():
+            name, change, doc = rejected[k]
+            path.write_text(json.dumps(doc))
+            for verb, codes in (("check", (1, 2)), ("render", (2,))):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = fl.cli.run([verb, str(path)])
+                assert code in codes, (name, change, verb)
+                assert "Traceback" not in err.getvalue(), (name, change, verb)
 
 
 class TestValidate:

@@ -25,6 +25,7 @@ from foamlab.geometry import (
     pencil_meet,
     second_intersection,
     segment_area,
+    segment_area_dphi,
 )
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
@@ -57,6 +58,50 @@ class TestBulgeRoundTrip:
         for phi in sign * np.geomspace(1e-9, 1e-3, 61):
             got = bulge_angle_from_area(c, segment_area(phi, c))
             assert abs(got - phi) <= 1e-15 * abs(phi)
+
+
+def two_helper_inversion(chord_length, area):
+    """The Newton loop of ``bulge_angle_from_area`` calling ``segment_area``
+    and ``segment_area_dphi`` once each per step: the oracle of the fused
+    loop, which must agree with it bit for bit."""
+    c = chord_length
+    if not (c > 0.0) or not math.isfinite(area):
+        raise GeometryDomainError("chord_length must be positive, area finite")
+    a = abs(area) / c / c
+    phi = 6.0 * a
+    if a > 0.5 / math.pi:
+        phi = min(phi, math.pi - math.sqrt(math.pi / (8.0 * a)))
+    while True:
+        step = (segment_area(phi, 1.0) - a) / segment_area_dphi(phi, 1.0)
+        phi -= step
+        if step <= 4e-16 * phi:
+            break
+    if phi >= math.pi - 1e-9:
+        raise GeometryDomainError("segment area too large for a sub-full-circle arc")
+    return math.copysign(phi, area)
+
+
+class TestFusedInversion:
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_matches_the_two_helper_loop_bit_for_bit(self, c):
+        for a in [0.0, *np.geomspace(1e-12, 1e3, 2001).tolist()]:
+            for area in (a * c * c, -a * c * c):
+                assert bulge_angle_from_area(c, area) == two_helper_inversion(c, area), (c, area)
+
+    def test_raises_where_the_two_helper_loop_does(self):
+        for c, area in [(0.0, 1.0), (-1.0, 1.0), (1.0, math.inf), (1.0, math.nan), (1e-200, 1.0)]:
+            with pytest.raises(GeometryDomainError):
+                two_helper_inversion(c, area)
+            with pytest.raises(GeometryDomainError):
+                bulge_angle_from_area(c, area)
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_round_trip_is_relatively_accurate(self, c):
+        # segment_area's closed form cancels just above its series branch
+        # (phi ~ 0.06), which bounds the round trip near 1.5e-13
+        for phi in np.geomspace(1e-9, 3.0, 4001).tolist():
+            for p in (phi, -phi):
+                assert abs(bulge_angle_from_area(c, segment_area(p, c)) - p) <= 1e-12 * phi, (c, p)
 
 
 class TestArcEvaluation:
