@@ -9,7 +9,10 @@ input/output, deterministic float formatting, and the exit-code contract
     3  solver failed to converge
 
 A verb that reads a document exits 2 when ``validate`` rejects it, except
-``check``, which prints the failed checks and exits 1.
+``check``, which prints the failed checks and exits 1.  A verb that writes a
+cluster exits 2, and writes nothing, when ``validate`` rejects the result.
+Every input or argument error is a :class:`FoamlabError` that ``run`` prints
+after ``error: ``.
 """
 
 from __future__ import annotations
@@ -25,8 +28,14 @@ import numpy as np
 from . import cluster as cl
 from . import constructions as con
 from .desitter import verify_correspondence
-from .equilibrium import Verdict, classify, pressures, residuals, solve
-from .errors import FoamlabError, NonConvergence, PathInconsistent
+from .equilibrium import Verdict, _verdict, pressures, residuals, solve
+from .errors import (
+    ClusterFormatError,
+    FoamlabError,
+    GeometryDomainError,
+    NonConvergence,
+    PathInconsistent,
+)
 from .geometry import MobiusMap
 from .variation import continue_family, stability_report, tangent_dimension
 
@@ -41,17 +50,20 @@ def _read(path: str) -> cl.Cluster:
         with open(path) as fh:
             return cl.loads(fh.read())
     except OSError as err:
-        raise SystemExit(_input_error(f"cannot read {path}: {err}"))
+        raise ClusterFormatError(f"cannot read {path}: {err}") from err
+
+
+def _valid(c: cl.Cluster) -> cl.Cluster:
+    """``c`` if ``validate`` accepts it, which builds its topology; any other
+    cluster is an input error."""
+    report = cl.validate(c)
+    if not report.ok:
+        raise ClusterFormatError(f"invalid cluster: {'; '.join(report.failures())}")
+    return c
 
 
 def _load(path: str) -> cl.Cluster:
-    """Read a document that ``validate`` accepts, which builds its topology:
-    any other document is an input error."""
-    c = _read(path)
-    report = cl.validate(c)
-    if not report.ok:
-        raise SystemExit(_input_error(f"invalid cluster: {'; '.join(report.failures())}"))
-    return c
+    return _valid(_read(path))
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -62,19 +74,40 @@ def _write(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _input_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INPUT
+def _write_cluster(path: Optional[str], c: cl.Cluster) -> None:
+    """Write ``c`` once ``validate`` accepts it: a verb never writes a
+    cluster that a verb reading it would reject."""
+    _write(path, cl.dumps(_valid(c)))
 
 
 def _parse_areas(text: str, n: int) -> np.ndarray:
     try:
         areas = np.array([float(s) for s in text.split(",")])
     except ValueError as err:
-        raise SystemExit(_input_error(f"bad area list {text!r}: {err}"))
+        raise GeometryDomainError(f"bad area list {text!r}: {err}") from err
     if areas.size != n:
-        raise SystemExit(_input_error(f"expected {n} areas, got {areas.size}"))
+        raise GeometryDomainError(f"expected {n} areas, got {areas.size}")
     return areas
+
+
+def _complex_pair(text: str, what: str) -> complex:
+    try:
+        x, y = (float(s) for s in text.split(","))
+    except ValueError as err:
+        raise GeometryDomainError(f"bad {what} {text!r}: {err}") from err
+    return complex(x, y)
+
+
+# ``foamlab new``'s presets: the keys are the parser's choices
+_PRESETS = {
+    "double": lambda a: con.double_bubble(a.r1, a.r2),
+    "triple": lambda a: con.triple_bubble(_parse_areas(a.areas or "1,1,1", 3)),
+    "four": lambda a: con.four_bubble(),
+    "two_lens": lambda a: con.two_lens(a.lens1, a.lens2, a.separation),
+    "necklace": lambda a: con.necklace(a.k, a.inner_radius),
+    "flower": lambda a: con.flower(a.lens_size, a.radius),
+    "quasi": lambda a: con.quasi_variant(a.kind, a.amount),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,11 +120,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("new", help="construct a preset cluster")
-    p.add_argument(
-        "preset",
-        choices=["double", "triple", "four", "two_lens", "necklace", "flower", "quasi"],
-    )
+    def verb(name, handler, help, reads=True, writes=False):
+        """A subparser that runs ``handler``, with the document path when it
+        ``reads`` and ``-o`` when it ``writes``."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if reads:
+            p.add_argument("input")
+        if writes:
+            p.add_argument("-o", "--output")
+        return p
+
+    p = verb("new", _cmd_new, "construct a preset cluster", reads=False, writes=True)
+    p.add_argument("preset", choices=list(_PRESETS))
     p.add_argument("--r1", type=float, default=1.0)
     p.add_argument("--r2", type=float, default=1.0)
     p.add_argument("--areas", help="triple: comma-separated areas")
@@ -109,95 +150,53 @@ def _build_parser() -> argparse.ArgumentParser:
         help="quasi: which variant",
     )
     p.add_argument("--amount", type=float, default=0.15)
-    p.add_argument("-o", "--output")
 
-    p = sub.add_parser("check", help="classify a cluster's equilibrium state")
-    p.add_argument("input")
+    verb("check", _cmd_check, "classify a cluster's equilibrium state")
 
-    p = sub.add_parser("solve", help="solve for prescribed region areas")
-    p.add_argument("input")
+    p = verb("solve", _cmd_solve, "solve for prescribed region areas", writes=True)
     p.add_argument("--areas", required=True)
     p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("-o", "--output")
 
-    p = sub.add_parser("pressures", help="print per-region pressures")
-    p.add_argument("input")
+    verb("pressures", _cmd_pressures, "print per-region pressures")
 
-    p = sub.add_parser("dim", help="tangent-space dimension modulo rigid motions")
-    p.add_argument("input")
+    p = verb("dim", _cmd_dim, "tangent-space dimension modulo rigid motions")
     p.add_argument("--fix-areas", action="store_true")
 
-    p = sub.add_parser("stability", help="second-variation classification")
-    p.add_argument("input")
+    p = verb("stability", _cmd_stability, "second-variation classification")
     p.add_argument("--m", type=int, default=64, help="samples per edge")
 
-    p = sub.add_parser("mobius", help="apply a Mobius map")
-    p.add_argument("input")
+    p = verb("mobius", _cmd_mobius, "apply a Mobius map", writes=True)
     p.add_argument("--translate", help="dx,dy")
     p.add_argument("--rotate", type=float, help="angle in radians")
     p.add_argument("--scale", type=float)
     p.add_argument("--invert", help="cx,cy: inversion about a point")
     p.add_argument("--random", action="store_true")
     p.add_argument("--seed", type=int)
-    p.add_argument("-o", "--output")
 
-    p = sub.add_parser("decorate", help="insert a three-sided bubble at a junction")
-    p.add_argument("input")
+    p = verb("decorate", _cmd_decorate, "insert a three-sided bubble at a junction", writes=True)
     p.add_argument("--vertex", type=int, required=True)
     p.add_argument("--size", type=float, required=True)
-    p.add_argument("-o", "--output")
 
-    p = sub.add_parser("shrink", help="scale or remove a three-sided bubble")
-    p.add_argument("input")
+    p = verb("shrink", _cmd_shrink, "scale or remove a three-sided bubble", writes=True)
     p.add_argument("--region", type=int, required=True)
     p.add_argument("--factor", type=float, required=True)
-    p.add_argument("-o", "--output")
 
-    p = sub.add_parser("desitter", help="de Sitter correspondence report")
+    p = verb("desitter", _cmd_desitter, "de Sitter correspondence report", reads=False)
     p.add_argument("action", choices=["verify"])
     p.add_argument("input")
 
-    p = sub.add_parser("render", help="render to SVG")
-    p.add_argument("input")
+    p = verb("render", _cmd_render, "render to SVG", writes=True)
     p.add_argument("--fill-pressures", action="store_true")
-    p.add_argument("-o", "--output")
 
-    p = sub.add_parser("continue", help="continue along an area family")
-    p.add_argument("input")
+    p = verb("continue", _cmd_continue, "continue along an area family", writes=True)
     p.add_argument("--areas", required=True)
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("-o", "--output")
 
     return ap
 
 
-def _complex_pair(text: str, what: str) -> complex:
-    try:
-        x, y = (float(s) for s in text.split(","))
-    except ValueError as err:
-        raise SystemExit(_input_error(f"bad {what} {text!r}: {err}"))
-    return complex(x, y)
-
-
 def _cmd_new(args) -> int:
-    if args.preset == "double":
-        c = con.double_bubble(args.r1, args.r2)
-    elif args.preset == "triple":
-        areas = (1.0, 1.0, 1.0)
-        if args.areas:
-            areas = tuple(_parse_areas(args.areas, 3))
-        c = con.triple_bubble(areas)
-    elif args.preset == "four":
-        c = con.four_bubble()
-    elif args.preset == "two_lens":
-        c = con.two_lens(args.lens1, args.lens2, args.separation)
-    elif args.preset == "necklace":
-        c = con.necklace(args.k, args.inner_radius)
-    elif args.preset == "flower":
-        c = con.flower(args.lens_size, args.radius)
-    else:
-        c = con.quasi_variant(args.kind, args.amount)
-    _write(args.output, cl.dumps(c))
+    _write_cluster(args.output, _PRESETS[args.preset](args))
     return EXIT_OK
 
 
@@ -207,8 +206,8 @@ def _cmd_check(args) -> int:
     if not report.ok:
         print(f"Invalid: {'; '.join(report.failures())}")
         return EXIT_FAIL
-    verdict = classify(c)
     rep = residuals(c)
+    verdict = _verdict(c, rep)
     print(f"verdict: {verdict.value}")
     print(f"angle residual sup: {rep.angle_sup:.6e}")
     print(f"cocycle residual sup: {rep.cocycle_sup:.6e}")
@@ -218,8 +217,7 @@ def _cmd_check(args) -> int:
 def _cmd_solve(args) -> int:
     c = _load(args.input)
     target = _parse_areas(args.areas, c.n)
-    out = solve(c, target, max_iter=args.max_iter)
-    _write(args.output, cl.dumps(out))
+    _write_cluster(args.output, solve(c, target, max_iter=args.max_iter))
     return EXIT_OK
 
 
@@ -261,40 +259,36 @@ def _cmd_stability(args) -> int:
 
 def _cmd_mobius(args) -> int:
     c = _load(args.input)
-    m = MobiusMap.identity()
-    chosen = False
+    maps = []
     if args.random:
         if args.seed is None:
-            return _input_error("--random requires --seed")
-        m = con.random_mobius(c, np.random.default_rng(args.seed))
-        chosen = True
+            raise GeometryDomainError("--random requires --seed")
+        maps.append(con.random_mobius(c, np.random.default_rng(args.seed)))
     if args.rotate is not None:
-        m = MobiusMap.rotation(args.rotate).compose(m)
-        chosen = True
+        maps.append(MobiusMap.rotation(args.rotate))
     if args.scale is not None:
-        m = MobiusMap.scaling(args.scale).compose(m)
-        chosen = True
+        maps.append(MobiusMap.scaling(args.scale))
     if args.translate is not None:
-        m = MobiusMap.translation(_complex_pair(args.translate, "translation")).compose(m)
-        chosen = True
+        maps.append(MobiusMap.translation(_complex_pair(args.translate, "translation")))
     if args.invert is not None:
-        m = MobiusMap.inversion_about(_complex_pair(args.invert, "center")).compose(m)
-        chosen = True
-    if not chosen:
-        return _input_error("no map specified")
-    _write(args.output, cl.dumps(con.mobius_apply_cluster(m, c)))
+        maps.append(MobiusMap.inversion_about(_complex_pair(args.invert, "center")))
+    if not maps:
+        raise GeometryDomainError("no map specified")
+    # applied in the order listed: each map after the ones before it
+    m = functools.reduce(lambda m, step: step.compose(m), maps, MobiusMap.identity())
+    _write_cluster(args.output, con.mobius_apply_cluster(m, c))
     return EXIT_OK
 
 
 def _cmd_decorate(args) -> int:
     c = _load(args.input)
-    _write(args.output, cl.dumps(con.decorate(c, args.vertex, args.size)))
+    _write_cluster(args.output, con.decorate(c, args.vertex, args.size))
     return EXIT_OK
 
 
 def _cmd_shrink(args) -> int:
     c = _load(args.input)
-    _write(args.output, cl.dumps(con.scale_three_sided(c, args.region, args.factor)))
+    _write_cluster(args.output, con.scale_three_sided(c, args.region, args.factor))
     return EXIT_OK
 
 
@@ -315,25 +309,8 @@ def _cmd_render(args) -> int:
 def _cmd_continue(args) -> int:
     c = _load(args.input)
     target = _parse_areas(args.areas, c.n)
-    family = continue_family(c, target, steps=args.steps)
-    _write(args.output, cl.dumps(family[-1]))
+    _write_cluster(args.output, continue_family(c, target, steps=args.steps)[-1])
     return EXIT_OK
-
-
-_COMMANDS = {
-    "new": _cmd_new,
-    "check": _cmd_check,
-    "solve": _cmd_solve,
-    "pressures": _cmd_pressures,
-    "dim": _cmd_dim,
-    "stability": _cmd_stability,
-    "mobius": _cmd_mobius,
-    "decorate": _cmd_decorate,
-    "shrink": _cmd_shrink,
-    "desitter": _cmd_desitter,
-    "render": _cmd_render,
-    "continue": _cmd_continue,
-}
 
 
 def run(argv: Optional[List[str]] = None) -> int:
@@ -343,16 +320,11 @@ def run(argv: Optional[List[str]] = None) -> int:
     except SystemExit as err:
         return EXIT_INPUT if err.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.verb](args)
-    except SystemExit as err:
-        return err.code if isinstance(err.code, int) else EXIT_INPUT
+        return args.handler(args)
     except NonConvergence as err:
         print(f"solver failed: {err}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except FoamlabError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError) as err:
+    except (FoamlabError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -290,8 +290,13 @@ class Cluster:
         return math.hypot(*(np.maximum.reduce(p) - np.minimum.reduce(p)).tolist()) or 1.0
 
     def extent(self) -> float:
-        """The diagonal of the arcs' bounding box, in closed form: the box of
-        the vertices and of each arc's points at the fractions t in (0, 1)
+        """The diagonal of the arcs' bounding box."""
+        x0, x1, y0, y1 = self._box()
+        return math.hypot(x1 - x0, y1 - y0) or 1.0
+
+    def _box(self) -> Tuple[float, float, float, float]:
+        """(x0, x1, y0, y1) of the arcs' bounding box, in closed form: the box
+        of the vertices and of each arc's points at the fractions t in (0, 1)
         where its tangent, turned from ``alphas[:, 0]`` by 2 phi t, points
         along an axis."""
         alpha, turn = self.alphas[:, :1], 2.0 * self.phis[:, None]
@@ -301,7 +306,7 @@ class Cluster:
         # a fraction outside (0, 1), or none on a straight edge, reads the tail
         at, _ = self.arc_samples(np.where((t > 0) & (t < 1), t, 0.0))
         p = np.concatenate([self.points, at.ravel()])
-        return math.hypot(np.ptp(p.real), np.ptp(p.imag)) or 1.0
+        return float(p.real.min()), float(p.real.max()), float(p.imag.min()), float(p.imag.max())
 
     # -- chart coordinates -------------------------------------------------
 
@@ -687,10 +692,7 @@ STRAIGHT_PHI = 1e-12
 
 
 def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str:
-    pts, _ = cluster.arc_samples([0.25, 0.5, 0.75])
-    pts = np.concatenate([cluster.points, pts.ravel()])
-    x0, x1 = float(pts.real.min()), float(pts.real.max())
-    y0, y1 = float(pts.imag.min()), float(pts.imag.max())
+    x0, x1, y0, y1 = cluster._box()
     mx = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
     width = (x1 - x0) + 2 * mx
     height = (y1 - y0) + 2 * mx

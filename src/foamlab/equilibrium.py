@@ -126,7 +126,11 @@ def classify(cluster: Cluster) -> Verdict:
     same at every scale: the angle sums are dimensionless, and the curvature
     sums are tested by :func:`_cocycle_holds`, as in :func:`pressures`.
     """
-    rep = residuals(cluster)
+    return _verdict(cluster, residuals(cluster))
+
+
+def _verdict(cluster: Cluster, rep: ResidualReport) -> Verdict:
+    """:func:`classify`'s decision on the residuals ``rep`` of ``cluster``."""
     if not rep.angle_sup < RESIDUAL_TOL:
         return Verdict.NON_EQUILIBRIUM
     if not _cocycle_holds(cluster, rep):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foamlab as fl
-from foamlab import cli, variation
+from foamlab import cli, equilibrium, variation
 from foamlab.cli import run
 from foamlab.variation import eliminated_hessian
 
@@ -64,6 +64,19 @@ READING_VERBS = [
     ["solve", "--areas", "1,1,1"],
     ["continue", "--areas", "1,1,1", "--steps", "1"],
 ]
+
+
+# the verbs among them that write a cluster
+WRITING_VERBS = [
+    v for v in READING_VERBS if v[0] in ("mobius", "decorate", "shrink", "solve", "continue")
+]
+
+# each writes a cluster that ``validate`` rejects
+INVALID_RESULTS = {
+    "far_translation": ["mobius", "--translate", "1e17,0", "triple.json"],
+    "tiny_scale": ["mobius", "--scale", "1e-170", "triple.json"],
+    "tiny_double": ["new", "double", "--r1", "1e-300", "--r2", "1"],
+}
 
 
 def run_quietly(argv):
@@ -178,6 +191,26 @@ class TestNewAndCheck:
         assert run(["check", str(bad)]) == 1
         assert capsys.readouterr().out.startswith("Invalid: finite_chart: ")
 
+    def test_check_sums_the_residuals_once(self, tmp_path, monkeypatch, capsys):
+        t = tmp_path / "t.json"
+        run(["new", "triple", "-o", str(t)])
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return fl.residuals(c)
+
+        monkeypatch.setattr(equilibrium, "residuals", counted)
+        monkeypatch.setattr(cli, "residuals", counted)
+        capsys.readouterr()
+        assert run(["check", str(t)]) == 0
+        assert len(calls) == 1
+        rep = fl.residuals(fl.loads(read(t)))
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"angle residual sup: {rep.angle_sup:.6e}",
+            f"cocycle residual sup: {rep.cocycle_sup:.6e}",
+        ]
+
     def test_output_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(["new", "flower", "-o", str(a)])
@@ -192,6 +225,33 @@ class TestNewAndCheck:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
+
+
+class TestWrittenClusters:
+    @pytest.mark.parametrize("verb", WRITING_VERBS, ids=lambda v: v[0])
+    def test_writing_verb_output_is_valid(self, tmp_path, verb):
+        t, out = tmp_path / "t.json", tmp_path / "out.json"
+        run(["new", "triple", "-o", str(t)])
+        assert run_quietly(with_input(verb, str(t)) + ["-o", str(out)])[0] == 0
+        assert fl.validate(fl.loads(read(out))).ok
+
+    @pytest.mark.parametrize("preset", list(cli._PRESETS))
+    def test_new_output_is_valid(self, tmp_path, preset):
+        out = tmp_path / "out.json"
+        assert run(["new", preset, "-o", str(out)]) == 0
+        assert fl.validate(fl.loads(read(out))).ok
+
+    @pytest.mark.parametrize("argv", INVALID_RESULTS.values(), ids=INVALID_RESULTS.keys())
+    def test_invalid_result_is_exit_2_and_writes_nothing(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        run(["new", "triple", "-o", "triple.json"])
+        out = run_script(argv + ["-o", "out.json"])
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("error: invalid cluster: ") and "Traceback" not in out.stderr
+        assert not (tmp_path / "out.json").exists()
+
+    def test_output_to_a_directory_is_exit_2(self, tmp_path):
+        assert run_quietly(["new", "double", "-o", str(tmp_path)])[0] == 2
 
 
 class TestNumericVerbs:

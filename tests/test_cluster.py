@@ -616,3 +616,20 @@ class TestSvg:
             svgs.add(fl.to_svg(necklace7, fill_pressures=np.append(fills[:-1], chamber)))
         assert len(svgs) == 1
         assert svgs.pop().count('fill="rgb(128,120,127)"') == 1
+
+    def test_view_box_holds_every_arc_point(self, equilibrium_presets):
+        # rotated double bubbles, many of whose arcs peak between sample points
+        clusters = [
+            fl.mobius_apply_cluster(fl.MobiusMap.rotation(0.37 * k), fl.double_bubble(1.0, r2))
+            for r2 in (0.6, 0.3, 0.1, 0.03)
+            for k in range(6)
+        ] + list(equilibrium_presets.values())
+        for c in clusters:
+            svg = fl.to_svg(c)
+            head = svg.split('viewBox="', 1)[1]
+            x, y, w, h = map(float, head.split('"', 1)[0].split())
+            at, _ = c.arc_samples(np.linspace(0.0, 1.0, 401))
+            # the drawing is flipped by scale(1,-1)
+            px, py = at.real.ravel(), -at.imag.ravel()
+            assert x <= px.min() and px.max() <= x + w
+            assert y <= py.min() and py.max() <= y + h
