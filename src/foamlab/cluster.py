@@ -8,8 +8,8 @@ read column by column into them, building no rows; a cluster read from it,
 or from ``Point`` and ``EdgeRecord`` rows, keeps the bulges and inverts them
 once.  Every per-edge quantity (chord vector, direction, end tangents,
 curvature, length, bulge) is closed form in the chord vector and the
-half-angle, a read-only array computed on first read; the chart gradients,
-which only the Jacobians need, come from :func:`edge_gradients`.  Each
+half-angle, an array computed on first read; only :func:`_jacobian` needs
+chart gradients, summed by one ``bincount`` on a per-type index.  Each
 half-edge's oriented carrier (A, B, D) follows from those arrays by one
 formula.  The combinatorial type is a
 ``Topology``, derived once per type, not once per chart point: the
@@ -44,11 +44,10 @@ from .errors import ClusterFormatError, GeometryDomainError, StructuralError
 from .geometry import (  # arc_tangent is unused here, but perfbench's tests resolve it
     Arc,
     Point,
+    _unit_segment,
     arc_tangent,
     bulge_angle_from_area,
     carrier_coefficients,
-    segment_area,
-    segment_area_dphi,
 )
 
 EXTERIOR = 0
@@ -72,9 +71,9 @@ def _frozen(a, dtype, fresh: bool = False) -> np.ndarray:
     """``a`` as a read-only array of ``dtype``, copied unless it already is
     one or is ``fresh`` (held by nothing else): no caller's array is frozen."""
     a = np.asarray(a, dtype=dtype)
-    if a.flags.writeable:
+    if fresh or a.flags.writeable:
         a = a if fresh else a.copy()
-        a.flags.writeable = False
+        a.setflags(write=False)
     return a
 
 
@@ -168,6 +167,28 @@ class Topology:
             tuple(flat[a:b] for a, b in pairwise(stops)), incidence(labels, n),
         )
 
+    @cached_property  # this and the next two: per-type indices for the solvers, built on first use
+    def _star_next(self) -> np.ndarray:
+        """(v, 3) the half-edge after each one in its star, counterclockwise."""
+        return self.stars[:, [1, 2, 0]]
+
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        """(e, 5) chart columns of each edge: tail x, y, head x, y, and its phi."""
+        e, v = len(self.ends), len(self.stars)
+        return np.column_stack([np.repeat(2 * self.ends, 2, axis=1) + [0, 1, 0, 1], 2 * v + np.arange(e)])
+
+    @cached_property
+    def _scatter(self) -> np.ndarray:
+        """Flat index of each :func:`_jacobian` term in the rows [angle; cocycle; area; exterior
+        area] x (2v + e): per edge end and column the angle rows x, y of its vertex, then per
+        end its cocycle row and its left region's area row, times the edge's :attr:`_columns`."""
+        v, e, n = len(self.stars), len(self.ends), len(self.incidence)
+        width, cols = 2 * v + e, self._columns[:, None, :]
+        angle = (2 * self.ends[:, :, None, None] + [0, 1]) * width + cols[..., None]
+        others = np.stack([2 * v + self.ends, 3 * v + (self.labels - 1) % (n + 1)], axis=-1)
+        return np.concatenate([angle.ravel(), (others[..., None] * width + cols[:, :, None]).ravel()])
+
 
 def incidence(labels: np.ndarray, n: int) -> np.ndarray:
     """Signed edge-region incidence S (n x e): +1 where r is edge j's left
@@ -223,7 +244,14 @@ class Cluster:
     @cached_property
     def bulges(self) -> np.ndarray:
         """(e,) segment_area(phi, c), or the bulges of the rows read."""
-        return _frozen(list(map(segment_area, self.phis.tolist(), self.chords.tolist())), float, True)
+        return _frozen(self.chords * self.chords * self._segments[0], float, True)
+
+    @cached_property
+    def _segments(self) -> np.ndarray:
+        """(2, e) segment_area(phi, 1) and its phi derivative, one evaluation of the
+        formula per edge: below a few dozen edges that is cheaper than a numpy form
+        of its series branch."""
+        return np.array(list(map(_unit_segment, self.phis.tolist()))).reshape(-1, 2).T
 
     @cached_property
     def chord_vectors(self) -> np.ndarray:
@@ -249,6 +277,11 @@ class Cluster:
         theta = np.arctan2(w.imag, w.real)
         alpha[:, 0], alpha[:, 1] = theta - phi, theta + phi + math.pi
         return _frozen(alpha, float, True)
+
+    @property
+    def _tangents(self) -> np.ndarray:
+        """(e, 2) unit tangents exp(i alphas) leaving each end, cheap enough not to keep."""
+        return np.exp(1j * self.alphas)
 
     @cached_property
     def kappas(self) -> np.ndarray:
@@ -330,11 +363,11 @@ class Cluster:
         x = _frozen(x, float)
         if x.shape != (2 * self.v + self.e,):
             raise ValueError("chart vector has wrong length")
-        copy = Cluster.from_arrays(
-            x[: 2 * self.v].view(complex), self.ends, x[2 * self.v :], self.labels,
-            self.region_count, self.region_labels,
+        copy = Cluster.__new__(Cluster)
+        copy.__dict__.update(  # views of the read-only x; the topology fills the cached property
+            points=x[: 2 * self.v].view(complex), ends=self.ends, phis=x[2 * self.v :], labels=self.labels,
+            region_count=self.region_count, region_labels=self.region_labels, topology=self.topology,
         )
-        copy.__dict__["topology"] = self.topology  # fills the cached property
         return copy
 
     @cached_property
@@ -369,7 +402,7 @@ class Cluster:
         half-edge leaves.  Built in those coordinates, D keeps the digits that
         translating world coordinates far from the origin would cancel."""
         start, kappa = (self.points[self.ends] - centre) / scale, np.outer(self.kappas, [1.0, -1.0])
-        return carrier_coefficients(start, np.exp(1j * self.alphas), scale * kappa)
+        return carrier_coefficients(start, self._tangents, scale * kappa)
 
     def next_half_edge(self, k: int) -> int:
         """Successor in the face walk keeping the same region on the left:
@@ -378,36 +411,42 @@ class Cluster:
 
 
 # ---------------------------------------------------------------------------
-# chart gradients
+# chart gradients and the stacked Jacobian
+
+_END_SIGN = np.array([1.0, -1.0])  # the curvature and area term of an edge's tail are +, its head's -
+_TURN = np.array([-1.0, 1.0])  # d alpha / d phi at the tail and head, and a chord gradient's sign there
+_SHOELACE = np.array([-0.5j, 0.5j])  # the shoelace term's tail and head gradients, per far end
 
 
-def edge_gradients(cluster: Cluster) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact chart gradients of ``alphas`` and ``kappas``, shapes (e, 2, 3)
-    and (e, 3).  Edge j's quantities depend on the chart only through
-    w = head - tail and phi, so each gradient is (d/d Re w, d/d Im w,
-    d/dphi): d theta = Im(conj(u) dw) / c, and kappa = 2 sin(phi) / c."""
-    c, u, kappa = cluster.chords, cluster.directions, cluster.kappas
+def _chart_gradients(cluster: Cluster) -> np.ndarray:
+    """Exact gradients, shape (e, 3, 5) in each edge's :attr:`Topology._columns`, of its chord
+    angle theta, curvature kappa = 2 sin(phi) / c and area term (bulge c^2 a(phi) plus shoelace
+    term 1/2 Im(conj(tail) head)): as d/d Re w + i d/d Im w in the chord w = c u, i u / c,
+    -kappa u / c and (2 bulge / c) u, minus at the tail and plus at the head, the shoelace term
+    adding -i head / 2 and i tail / 2; in phi, 0, 2 cos(phi) / c and c^2 a'(phi)."""
+    e, c = cluster.e, cluster.chords
+    scale = np.empty((e, 3), dtype=complex)  # times u / c, then minus at the tail and plus at the head
+    scale[:, 0], scale[:, 1], scale[:, 2] = 1j, -cluster.kappas, 2.0 * cluster.bulges
+    ends = (scale * (cluster.directions / c)[:, None])[..., None] * _TURN
+    ends[:, 2] += _SHOELACE * cluster.points[cluster.ends[:, ::-1]]
+    grads = np.empty((e, 3, 5))
+    grads[..., :4], grads[:, 0, 4] = ends.view(float), 0.0
+    grads[:, 1, 4], grads[:, 2, 4] = 2.0 * np.cos(cluster.phis) / c, c * c * cluster._segments[1]
+    return grads
 
-    def grad(g: np.ndarray, dphi) -> np.ndarray:  # complex g = d/d Re w + i d/d Im w
-        return np.stack(np.broadcast_arrays(g.real, g.imag, dphi), axis=-1)
 
-    return grad((1j * u / c)[:, None], [-1.0, 1.0]), grad(-kappa / c * u, 2.0 * np.cos(cluster.phis) / c)
-
-
-def chart_jacobian(cluster: Cluster, rows, edges, grads, n_rows: int) -> np.ndarray:
-    """Chart matrix of shape (n_rows, 2v + e) with the edge gradient
-    ``grads[k]`` of edge ``edges[k]`` (as from :func:`edge_gradients`)
-    summed into row ``rows[k]``: the tail's coordinates get minus and the
-    head's plus its first two entries."""
-    rows, edges = np.asarray(rows), np.asarray(edges)
-    grads = np.asarray(grads, dtype=float).reshape(-1, 3)
-    J = np.zeros((n_rows, 2 * cluster.v + cluster.e))
-    for end, sign in ((0, -1.0), (1, 1.0)):
-        col = 2 * cluster.ends[edges, end]
-        np.add.at(J, (rows, col), sign * grads[:, 0])
-        np.add.at(J, (rows, col + 1), sign * grads[:, 1])
-    np.add.at(J, (rows, 2 * cluster.v + edges), grads[:, 2])
-    return J
+def _jacobian(cluster: Cluster) -> np.ndarray:
+    """Exact d[angle; cocycle; area]/d(chart), shape (3v + n, 2v + e): per edge
+    end, d e^{i alpha} = i e^{i alpha} d(theta -+ phi), its signed curvature's
+    and area term's gradients, summed by one ``bincount`` on :attr:`Topology._scatter`."""
+    grads, turn = _chart_gradients(cluster), 1j * cluster._tangents
+    angle = turn[:, :, None] * grads[:, None, 0]  # edge, end, column; x and y as real and imaginary
+    angle[:, :, 4] = turn * _TURN
+    others = grads[:, None, 1:] * _END_SIGN[:, None, None]  # edge, end, cocycle then area, column
+    rows, cols = 3 * cluster.v + cluster.n, 2 * cluster.v + cluster.e
+    terms = np.concatenate([angle.view(float).ravel(), others.ravel()])
+    J = np.bincount(cluster.topology._scatter, terms, (rows + 1) * cols)
+    return J[: rows * cols].reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -444,17 +483,8 @@ def perimeter(cluster: Cluster) -> float:
 
 
 def area_jacobian(cluster: Cluster) -> np.ndarray:
-    """d(areas)/d(chart), shape (n, 2v + e): S times the per-edge gradients
-    of the bulge b = c^2 segment_area(phi, 1), (2b/c) u in the chord w = c u
-    and ``segment_area_dphi`` in phi, plus those of the shoelace terms."""
-    (a, b), edges, c = cluster.ends.T, np.arange(cluster.e), cluster.chords
-    g = 2.0 * cluster.bulges / c * cluster.directions
-    G = shoelace_gradient(cluster.points, cluster.ends, edges, cluster.e).view(complex)
-    G[edges, a] -= g
-    G[edges, b] += g
-    dphi = list(map(segment_area_dphi, cluster.phis.tolist(), c.tolist()))
-    S = cluster.topology.incidence
-    return np.hstack([S @ G.view(float), S * dphi])
+    """d(areas)/d(chart), shape (n, 2v + e): the area rows of :func:`_jacobian`."""
+    return _jacobian(cluster)[3 * cluster.v :]
 
 
 def rigid_motion_basis(cluster: Cluster) -> np.ndarray:
@@ -466,9 +496,9 @@ def rigid_motion_basis(cluster: Cluster) -> np.ndarray:
     it orthogonal to the translations.
     """
     p = cluster.points
-    moves = np.stack([np.ones_like(p), np.full_like(p, 1j), 1j * (p - p.mean())])
     basis = np.zeros((3, 2 * cluster.v + cluster.e))
-    basis[:, : 2 * cluster.v] = moves.view(float)
+    moves = basis[:, : 2 * cluster.v].view(complex)
+    moves[0], moves[1], moves[2] = 1.0, 1j, 1j * (p - p.mean())
     return basis / np.linalg.norm(basis, axis=1, keepdims=True)
 
 

@@ -20,10 +20,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .cluster import (
-    CHORD_FLOOR, Cluster, _size, area_jacobian, chart_jacobian, edge_gradients, region_areas,
-    rigid_motion_basis,
-)
+from .cluster import CHORD_FLOOR, _END_SIGN, Cluster, _jacobian, _size, region_areas, rigid_motion_basis
 from .errors import GeometryDomainError, NonConvergence, PathInconsistent, TopologyBreakdown
 
 
@@ -41,36 +38,21 @@ class ResidualReport:
         return float(np.abs(self.cocycle_block).max(initial=0.0))
 
 
-# the half-edge leaving an edge's tail has curvature +kappa, leaving its head -kappa
-_END_SIGN = np.array([1.0, -1.0])
-
-
 def residuals(cluster: Cluster) -> ResidualReport:
     """Per vertex, the sums of the outgoing unit tangents (angle block,
     interleaved x, y) and of the outgoing signed curvatures (cocycle block),
     summed over the edge ends of the cluster's topology."""
     at, v = cluster.topology.ends.ravel(), cluster.v
-    tangent = np.exp(1j * cluster.alphas).ravel()
+    tangent = cluster._tangents.ravel()
     angle = np.empty(2 * v)
     angle[0::2] = np.bincount(at, tangent.real, v)
     angle[1::2] = np.bincount(at, tangent.imag, v)
-    return ResidualReport(angle, np.bincount(at, np.outer(cluster.kappas, _END_SIGN).ravel(), v))
+    return ResidualReport(angle, np.bincount(at, (cluster.kappas[:, None] * _END_SIGN).ravel(), v))
 
 
 def residual_jacobian(cluster: Cluster) -> np.ndarray:
-    """Exact d[angle; cocycle]/d(chart), shape (3v, 2v + e), from the edge
-    gradients: d e^{i alpha} = i e^{i alpha} d alpha at every edge end."""
-    d_alpha, d_kappa = edge_gradients(cluster)
-    vert = cluster.topology.ends.ravel()
-    alpha = cluster.alphas.ravel()[:, None]
-    d_alpha = d_alpha.reshape(-1, 3)
-    d_kappa = np.repeat(d_kappa, 2, axis=0) * np.tile(_END_SIGN, cluster.e)[:, None]
-    return chart_jacobian(
-        cluster, np.concatenate([2 * vert, 2 * vert + 1, 2 * cluster.v + vert]),
-        np.tile(np.repeat(np.arange(cluster.e), 2), 3),
-        np.vstack([-np.sin(alpha) * d_alpha, np.cos(alpha) * d_alpha, d_kappa]),
-        3 * cluster.v,
-    )
+    """Exact d[angle; cocycle]/d(chart), shape (3v, 2v + e), rows of the stacked Jacobian."""
+    return _jacobian(cluster)[: 3 * cluster.v]
 
 
 #: Bound on the angle sums, and on the curvature sums times the diameter
@@ -196,13 +178,14 @@ def lm_minimize(
                 f_try = fun(x_try)
             except TopologyBreakdown as err:  # an unrealizable trial is infinitely bad
                 f_try, last = f + math.inf, f" (last rejected trial: {err})"
-            if np.linalg.norm(f_try) < history[-1]:
+            norm = float(np.linalg.norm(f_try))
+            if norm < history[-1]:
                 break
             delta *= 0.5
         else:
             raise NonConvergence("stalled step" + last, history)
         x, f = x_try, f_try
-        history.append(float(np.linalg.norm(f)))
+        history.append(norm)
     return x, history
 
 
@@ -217,13 +200,14 @@ def _check_topology(cluster: Cluster) -> None:
     still realizes its topology: no chord at or below ``CHORD_FLOOR`` (tested
     before the curvatures divide by it), no half-angle beyond
     ``FULL_CIRCLE_PHI``, and every star in counterclockwise order (turning once)."""
-    for j in np.flatnonzero(cluster.chords <= CHORD_FLOOR):
-        raise TopologyBreakdown(f"edge {j} chord collapsed")
-    for j in np.flatnonzero(np.abs(cluster.phis) > FULL_CIRCLE_PHI):
-        raise TopologyBreakdown(f"edge {j} approaching a full circle")
-    alpha = cluster.alphas.ravel()[cluster.topology.stars]
-    turns = np.mod(np.roll(alpha, -1, axis=1) - alpha, 2.0 * math.pi).sum(axis=1)
-    for i in np.flatnonzero(turns > 3.0 * math.pi):
+    c, phi, alpha, topology = cluster.chords, np.abs(cluster.phis), cluster.alphas.ravel(), cluster.topology
+    if c.min(initial=math.inf) <= CHORD_FLOOR:  # each test finds its first failure only on failing
+        raise TopologyBreakdown(f"edge {np.argmax(c <= CHORD_FLOOR)} chord collapsed")
+    if phi.max(initial=0.0) > FULL_CIRCLE_PHI:
+        raise TopologyBreakdown(f"edge {np.argmax(phi > FULL_CIRCLE_PHI)} approaching a full circle")
+    turns = np.mod(alpha[topology._star_next] - alpha[topology.stars], 2.0 * math.pi)
+    if turns.sum() > 2.0 * math.pi * (cluster.v + 0.5):  # each star turns once, by 2 pi, or twice
+        i = np.argmax(turns.sum(axis=1) > 3.0 * math.pi)
         raise TopologyBreakdown(f"vertex {i} no longer has its star order")
 
 
@@ -235,17 +219,17 @@ def chart_lm(initial: Cluster, rows: Callable, jac: Callable, converged, max_ite
     when an iterate degenerates an edge or reorders a star."""
     last = [None, None]
 
-    def at(x: np.ndarray) -> Cluster:
-        if last[0] is None or not np.array_equal(x, last[0]):
+    def at(x: np.ndarray) -> Cluster:  # lm_minimize never changes a point it has passed
+        if x is not last[0]:
             c = initial.with_chart(x)
             _check_topology(c)
-            last[:] = [x.copy(), c]
+            last[:] = [x, c]
         return last[1]
 
-    x, _ = lm_minimize(
-        lambda x: rows(at(x)), lambda x: jac(at(x)), initial.unit().chart(), max_iter, converged
-    )
-    return initial.with_chart(x * initial.chart_units())
+    units = initial.chart_units()
+    x, _ = lm_minimize(lambda x: rows(at(x)), lambda x: jac(at(x)), initial.chart() / units, max_iter,
+                       converged)
+    return initial.with_chart(x * units)
 
 
 def solve(initial: Cluster, target: np.ndarray, max_iter: int = 100) -> Cluster:
@@ -278,7 +262,7 @@ def solve(initial: Cluster, target: np.ndarray, max_iter: int = 100) -> Cluster:
         return np.concatenate([rep.angle_block, rep.cocycle_block, areas, R @ (c.chart() - x0)])
 
     def jac(c: Cluster) -> np.ndarray:
-        return np.vstack([residual_jacobian(c), area_jacobian(c), R])
+        return np.concatenate([_jacobian(c), R])
 
     def ok(x: np.ndarray, f: np.ndarray) -> bool:  # the linear gauge rows are left out
         return bool(np.abs(f[: -len(R)]).max() < SOLVE_TOL)

@@ -78,32 +78,40 @@ class Arc:
         return Arc(self.head, self.tail, -self.bulge)
 
 
+#: The gap (x - sin x) / x^3 = 1/3! - x^2/5! + ... is summed below |x| = 2, where x - sin x
+#: cancels, to a double's resolution; above it the closed form loses under 1.5 ulp.
+_GAP_SERIES = 2.0
+_GAP_TERMS = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(12))
+
+
+def _unit_segment(phi: float) -> Tuple[float, float]:
+    """a(phi) = segment_area(phi, 1) and a'(phi) from r = sin(phi) / phi (1 at 0), cos phi and
+    the gap at 2 phi: as phi - sin phi cos phi = 4 phi^3 gap and sin phi - phi cos phi =
+    sin^3 phi - cos phi (phi - sin phi cos phi), a = phi gap / r^2 with no cancellation and
+    a' = 1/2 - 2 cos(phi) gap / r^3, losing at most a factor 3."""
+    if math.isinf(phi):  # math.sin raises there; a non-finite chart gives a non-finite bulge
+        return math.nan, math.nan
+    x = phi + phi
+    y = x * x
+    if y < _GAP_SERIES * _GAP_SERIES:  # Horner's rule in y
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _GAP_TERMS
+        gap = c0 + y * (c1 + y * (c2 + y * (c3 + y * (c4 + y * (c5 + y * (c6 + y * (c7 + y * (
+            c8 + y * (c9 + y * (c10 + y * c11))))))))))
+    else:
+        gap = (x - math.sin(x)) / (x * x * x)
+    r = math.sin(phi) / phi if phi else 1.0
+    q = gap / (r * r)
+    return phi * q, 0.5 - 2.0 * math.cos(phi) * q / r
+
+
 def segment_area(phi: float, chord_length: float) -> float:
     """Signed area between the arc of half-angle ``phi`` and its chord."""
-    c = chord_length
-    if math.isinf(phi):  # math.sin raises there; a non-finite chart gives a non-finite bulge
-        return math.nan
-    if abs(phi) < 0.05:
-        # (phi - sin phi cos phi)/(4 sin^2 phi)
-        #   = phi/6 + phi^3/45 + phi^5/315 + 2 phi^7/4725 + ...
-        # the closed form cancels catastrophically near zero
-        p2 = phi * phi
-        return c * c * phi * (
-            1.0 / 6.0 + p2 * (1.0 / 45.0 + p2 * (1.0 / 315.0 + p2 * 2.0 / 4725.0))
-        )
-    s = math.sin(phi)
-    return c * c * (phi - s * math.cos(phi)) / (4.0 * s * s)
+    return chord_length * chord_length * _unit_segment(phi)[0]
 
 
 def segment_area_dphi(phi: float, chord_length: float) -> float:
-    """d(segment_area)/d(phi) = c^2 (sin phi - phi cos phi) / (2 sin^3 phi),
-    with the series branch of ``segment_area`` differentiated term by term."""
-    c = chord_length
-    if abs(phi) < 0.05:
-        p2 = phi * phi
-        return c * c * (1.0 / 6.0 + p2 * (1.0 / 15.0 + p2 * (1.0 / 63.0 + p2 * 2.0 / 675.0)))
-    s = math.sin(phi)
-    return c * c * (s - phi * math.cos(phi)) / (2.0 * s ** 3)
+    """d(segment_area)/d(phi) = c^2 (sin phi - phi cos phi) / (2 sin^3 phi)."""
+    return chord_length * chord_length * _unit_segment(phi)[1]
 
 
 def bulge_angle_from_area(chord_length: float, area: float) -> float:
@@ -116,7 +124,7 @@ def bulge_angle_from_area(chord_length: float, area: float) -> float:
     positive), a(phi) >= phi / 6, and a(phi) >= pi / (8 (pi - phi)^2) on
     [pi/2, pi).  So the start 6a, or pi - sqrt(pi / (8a)) if lower and
     a > 1 / (2 pi), is at or right of the root, and Newton decreases
-    monotonically onto it, evaluating a and a' inline.  A relative stop
+    monotonically onto it, evaluating a and a' together.  A relative stop
     (step <= 4e-16 phi) keeps near-straight arcs accurate.
     """
     c = chord_length
@@ -126,14 +134,9 @@ def bulge_angle_from_area(chord_length: float, area: float) -> float:
     phi = 6.0 * a
     if a > 0.5 / math.pi:
         phi = min(phi, math.pi - math.sqrt(math.pi / (8.0 * a)))
-    while True:  # segment_area and segment_area_dphi at c = 1, with one sine and one cosine
-        if phi < 0.05:  # as abs(phi) < 0.05: phi >= 0 from start to root
-            p2 = phi * phi
-            f = phi * (1.0 / 6.0 + p2 * (1.0 / 45.0 + p2 * (1.0 / 315.0 + p2 * 2.0 / 4725.0)))
-            step = (f - a) / (1.0 / 6.0 + p2 * (1.0 / 15.0 + p2 * (1.0 / 63.0 + p2 * 2.0 / 675.0)))
-        else:
-            s, co = math.sin(phi), math.cos(phi)
-            step = ((phi - s * co) / (4.0 * s * s) - a) / ((s - phi * co) / (2.0 * s ** 3))
+    while True:  # segment_area and segment_area_dphi at c = 1, from one sine, cosine and gap
+        f, df = _unit_segment(phi)
+        step = (f - a) / df
         phi -= step
         if step <= 4e-16 * phi:
             break

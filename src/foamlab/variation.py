@@ -30,15 +30,8 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .cluster import (
-    Cluster,
-    _size,
-    area_jacobian,
-    region_areas,
-    rigid_motion_basis,
-    shoelace_terms,
-)
-from .equilibrium import pressures, residual_jacobian, solve
+from .cluster import Cluster, _jacobian, _size, region_areas, rigid_motion_basis, shoelace_terms
+from .equilibrium import pressures, solve
 from .errors import GeometryDomainError
 from .geometry import arc_tangent  # arc_tangent is unused here, but perfbench's tests resolve it
 
@@ -85,9 +78,8 @@ def tangent_dimension(cluster: Cluster, fix_areas: bool = False) -> TangentRepor
     instead of silently picking a side.  Singular values below ``RANK_REL``
     times the largest are cut.
     """
-    rows = [residual_jacobian(cluster), rigid_motion_basis(cluster)]
-    if fix_areas:
-        rows.append(area_jacobian(cluster))
+    J, v = _jacobian(cluster), cluster.v  # angle and cocycle rows, then area rows
+    rows = [J[: 3 * v], rigid_motion_basis(cluster)] + ([J[3 * v :]] if fix_areas else [])
     units = cluster.chart_units()
     stack = np.vstack(rows) * units
     stack /= np.linalg.norm(stack, axis=1, keepdims=True)

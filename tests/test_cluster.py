@@ -293,20 +293,35 @@ class TestHalfAngleChart:
 
     def test_only_the_jacobians_form_chart_gradients(self, monkeypatch):
         calls = []
-        gradients = fl.cluster.edge_gradients
-        for module in (fl.equilibrium, fl.constructions):
-            monkeypatch.setattr(module, "edge_gradients", lambda c: calls.append(c) or gradients(c))
+        gradients = fl.cluster._chart_gradients
+        monkeypatch.setattr(fl.cluster, "_chart_gradients", lambda c: calls.append(c) or gradients(c))
         c = fl.loads(fl.dumps(fl.decorate(fl.triple_bubble(), 1, 0.25)))
         fl.validate(c, check_disjoint=True)
         fl.classify(c)
         fl.to_svg(c, fl.pressures(c)[1:])
         fl.verify_correspondence(c)
         assert calls == []
+        assert not {"_scatter", "_columns", "_star_next"} & set(vars(c.topology))  # none built
         fl.solve(c, fl.region_areas(c) * [1.1, 0.9, 1.0, 1.0])
         assert calls
         calls.clear()
         fl.tangent_dimension(c)
         assert calls
+
+    def test_the_jacobian_index_is_built_once_per_type(self, equilibrium_presets, triple):
+        # with_chart and unit() copies and Mobius images share their topology
+        # and its scatter index; a decorated cluster is a new type, with its own
+        index = triple.topology._scatter
+        image = fl.mobius_apply_cluster(fl.MobiusMap.rotation(0.3, 0.5j), triple)
+        for d in (triple.unit(), triple.with_chart(1.1 * triple.chart()), image, image.unit()):
+            assert d.topology._scatter is index
+        decorated = fl.decorate(triple, 1, 0.1)
+        assert "_scatter" not in vars(decorated.topology)
+        assert decorated.topology._scatter is not index
+        for name, c in equilibrium_presets.items():
+            rows, cols = 3 * c.v + c.n + 1, 2 * c.v + c.e
+            flat = c.topology._scatter
+            assert flat.shape == (40 * c.e,) and 0 <= flat.min() and flat.max() < rows * cols, name
 
     def test_documents_round_trip_byte_for_byte(self, equilibrium_presets, quasi_presets, four):
         image = fl.mobius_apply_cluster(fl.random_mobius(four, np.random.default_rng(5)), four)

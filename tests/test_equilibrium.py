@@ -4,7 +4,7 @@ import pytest
 
 import foamlab as fl
 from foamlab.constructions import _quasi_rows
-from foamlab.cluster import rigid_motion_basis
+from foamlab.cluster import _jacobian, rigid_motion_basis
 from foamlab.equilibrium import (
     _check_topology,
     chart_lm,
@@ -210,6 +210,10 @@ def residual_rows(c):
     return np.concatenate([rep.angle_block, rep.cocycle_block])
 
 
+def stacked_rows(c):
+    return np.concatenate([residual_rows(c), fl.region_areas(c)])
+
+
 def fd_error(rows, jac, c):
     """Largest gap between ``jac(c)`` and central differences of ``rows`` over
     c's chart, relative to the largest exact entry.  The steps are 1e-7 in
@@ -232,6 +236,19 @@ class TestExactJacobians:
             assert residual_jacobian(c).shape == (3 * c.v, 2 * c.v + c.e)
             for d in (c, perturbed(c, rng)):
                 assert fd_error(residual_rows, residual_jacobian, d) <= 1e-7, name
+
+    def test_stacked_jacobian(self, equilibrium_presets, rng):
+        # every preset, three Mobius images of each and a decorated triple
+        # bubble, each also at a perturbed chart point
+        cases = {"decorated": fl.decorate(fl.triple_bubble(), 0, 0.05)}
+        for name, c in equilibrium_presets.items():
+            cases[name] = c
+            for k in range(3):
+                cases[f"{name} image {k}"] = fl.mobius_apply_cluster(fl.random_mobius(c, rng), c)
+        for name, c in cases.items():
+            assert _jacobian(c).shape == (3 * c.v + c.n, 2 * c.v + c.e)
+            for d in (c, perturbed(c, rng)):
+                assert fd_error(stacked_rows, _jacobian, d) <= 1e-7, name
 
     @pytest.mark.parametrize("kind", ["two_lens_recurved", "four_stretched"])
     def test_quasi_rows(self, kind, quasi_presets, rng):
@@ -299,6 +316,28 @@ class TestSolve:
         out = fl.solve(c, target)
         assert fl.classify(out) is fl.Verdict.EQUILIBRIUM
         assert fl.region_areas(out) == pytest.approx(target, abs=1e-9 * c.diameter() ** 2)
+
+    def test_gauss_newton_iteration_counts(self, equilibrium_presets, monkeypatch):
+        # lm_minimize's history lengths (one more than its steps) on the six
+        # presets at their areas times 1 + U(-0.05, 0.05), then a 4-step
+        # continuation of the triple bubble to 1 + U(-0.2, 0.2), all drawn
+        # in turn from default_rng(1): cheaper steps must not change them
+        lengths = []
+        minimize = fl.equilibrium.lm_minimize
+
+        def recorded(*args, **kwargs):
+            x, history = minimize(*args, **kwargs)
+            lengths.append(len(history))
+            return x, history
+
+        monkeypatch.setattr(fl.equilibrium, "lm_minimize", recorded)
+        rng = np.random.default_rng(1)
+        for name in ("double", "triple", "four", "two_lens", "flower", "necklace6"):
+            c = equilibrium_presets[name]
+            fl.solve(c, fl.region_areas(c) * (1.0 + rng.uniform(-0.05, 0.05, c.n)))
+        c = equilibrium_presets["triple"]
+        fl.continue_family(c, fl.region_areas(c) * (1.0 + rng.uniform(-0.2, 0.2, c.n)), steps=4)
+        assert lengths == [4, 4, 4, 4, 4, 5] + [4, 4, 4, 4]
 
     def test_rejects_bad_targets(self, double):
         with pytest.raises(ValueError):

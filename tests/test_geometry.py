@@ -97,11 +97,16 @@ class TestFusedInversion:
 
     @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
     def test_round_trip_is_relatively_accurate(self, c):
-        # segment_area's closed form cancels just above its series branch
-        # (phi ~ 0.06), which bounds the round trip near 1.5e-13
         for phi in np.geomspace(1e-9, 3.0, 4001).tolist():
             for p in (phi, -phi):
                 assert abs(bulge_angle_from_area(c, segment_area(p, c)) - p) <= 1e-12 * phi, (c, p)
+
+    def test_round_trip_within_eight_ulp(self):
+        # phi - sin phi cos phi cancels for small phi when formed from the
+        # sine and cosine (700 ulp at phi = 0.0509); summed from the series
+        # of x - sin x there, the round trip keeps the half-angle's digits
+        for phi in np.geomspace(1e-9, 3.0, 200001).tolist():
+            assert abs(bulge_angle_from_area(1.0, segment_area(phi, 1.0)) - phi) <= 8 * math.ulp(phi), phi
 
 
 class TestArcEvaluation:
