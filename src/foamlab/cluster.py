@@ -11,11 +11,12 @@ curvature, length, bulge) is closed form in the chord vector and the
 half-angle, an array computed on first read; only :func:`_jacobian` needs
 chart gradients, summed by one ``bincount`` on a per-type index.  Each
 half-edge's oriented carrier (A, B, D) follows from those arrays by one
-formula.  The combinatorial type is a
-``Topology``, derived once per type, not once per chart point: the
-counterclockwise stars, the face walks obtained by rotating around vertices,
-one boundary walk per region and the signed incidence S.
-Building it is the one structural check, and ``with_chart`` copies share it.
+formula.  The combinatorial type is a ``Topology``, built from the edges'
+ends and labels alone and interned once per type: the counterclockwise stars
+(the half-edge after a has a's left region on its right), the face walks,
+one boundary walk per region and the signed incidence S.  Building it is the
+one structural check; one test, every star's tangents turning once
+counterclockwise, ties a chart point to it, and ``with_chart`` copies share it.
 Areas and their derivatives need no walk: a region's walk is exactly the
 half-edges with it on the left, so they come from the labels through S.
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, pairwise
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
@@ -87,25 +88,28 @@ def _size(name: str, value, least: int) -> int:
     return int(value)
 
 
-def _face_walks(at: list, angle: list, v: int):
+def _face_walks(at: list, left: list):
     """Stars, face-walk successors and faces, lists of half-edge indices, of
-    the embedding whose half-edge k leaves vertex ``at[k]`` at ``angle[k]``
-    in [0, 2 pi).  Star i, ``stars[3 i : 3 i + 3]``, lists the half-edges
-    leaving vertex i counterclockwise from the smallest; the successor, the
-    half-edge clockwise next to the reverse, keeps the same region on the
-    left.  Raises :class:`StructuralError` unless every vertex is a triple
-    junction."""
+    the cubic map whose half-edge k leaves vertex ``at[k]`` with region
+    ``left[k]`` on its left and ``left[k ^ 1]`` on its right.  Star i,
+    ``stars[3 i : 3 i + 3]``, lists the half-edges leaving vertex i
+    counterclockwise from the smallest: the one after a has a's left region on
+    its right.  The successor, the half-edge clockwise next to the reverse,
+    keeps the same region on the left.  Raises :class:`StructuralError`
+    unless every vertex is a triple junction whose regions fit that order."""
     n = len(at)
-    around = [[] for _ in range(max(max(at, default=-1) + 1, v))]
+    around = [[] for _ in range(max(at, default=-1) + 1)]
     for k, i in enumerate(at):
         around[i].append(k)
     stars, cw = [], [0] * n  # cw: the half-edge clockwise next to each one at its vertex
     for i, star in enumerate(around):
         if len(star) != 3:
             raise StructuralError(f"vertex {i} has degree {len(star)}, expected 3")
-        a, b, c = star  # sorted by angle, ties by index, this turns as a, b, c iff two pairs are in order
-        if (angle[a] <= angle[b]) + (angle[b] <= angle[c]) + (angle[c] < angle[a]) != 2:
+        a, b, c = star
+        if left[b ^ 1] != left[a]:
             b, c = c, b
+        if (left[b ^ 1], left[c ^ 1], left[a ^ 1]) != (left[a], left[b], left[c]):
+            raise StructuralError(f"vertex {i} has regions that fit no counterclockwise order")
         cw[a], cw[b], cw[c] = c, a, b
         stars += a, b, c
     succ, faces, seen = [cw[k ^ 1] for k in range(n)], [], [False] * n
@@ -122,13 +126,13 @@ def _face_walks(at: list, angle: list, v: int):
 
 @dataclass(frozen=True, eq=False)
 class Topology:
-    """The combinatorial type of a cluster, built and checked once.
+    """The combinatorial type of a cluster: a function of its edges' ends and
+    labels and its region count, built once per type.
 
-    Building it (:meth:`of`, stars from a chart point's tangent order) is the
-    structural check every entry point relies on, raising
-    :class:`StructuralError` unless each vertex is a triple junction, the
-    vertex-edge graph is connected, and each face walk carries a single left
-    label, one face per region 0..n.
+    Building it (:meth:`of`) is the structural check every entry point relies
+    on, raising :class:`StructuralError` unless each vertex is a triple
+    junction whose regions fit a counterclockwise order, the vertex-edge
+    graph is connected, and there is one face walk per region 0..n.
     """
 
     ends: np.ndarray  # (e, 2) tail and head vertex
@@ -139,9 +143,10 @@ class Topology:
     incidence: np.ndarray  # (n, e) signed edge-region incidence S
 
     @classmethod
-    def of(cls, cluster: "Cluster") -> "Topology":
-        at, v, n = cluster.ends.ravel().tolist(), cluster.v, cluster.n
-        stars, successor, faces = _face_walks(at, np.mod(cluster.alphas, 2.0 * math.pi).ravel().tolist(), v)
+    def of(cls, ends: np.ndarray, labels: np.ndarray, n: int) -> "Topology":
+        at, left = ends.ravel().tolist(), labels.ravel().tolist()
+        stars, successor, faces = _face_walks(at, left)
+        v = len(stars) // 3
         reached, todo = [False] * v, [0] if v else []
         for i in todo:  # breadth first over each vertex's three neighbours
             for k in stars[3 * i : 3 * i + 3]:
@@ -151,23 +156,17 @@ class Topology:
         if len(todo) < v:
             unreached = [i for i in range(v) if not reached[i]]
             raise StructuralError(f"vertices {unreached} are not connected to vertex 0")
-        labels = cluster.labels
-        left = labels.ravel().tolist()  # the region left of each half-edge
-        if list(map(left.__getitem__, successor)) != left:  # a face walk changes its left label
-            for walk in faces:
-                if len(touched := {left[k] for k in walk}) > 1:
-                    raise StructuralError(f"face walk touches several left labels {sorted(touched)}")
         faces.sort(key=lambda walk: left[walk[0]])
         if (found := [left[walk[0]] for walk in faces]) != list(range(n + 1)):
             raise StructuralError(f"face labels {found}, expected one face per region 0..{n}")
-        flat = np.array(stars + successor + list(chain(*faces)), dtype=int)  # one conversion, sliced
+        flat = _frozen(stars + successor + list(chain(*faces)), int, True)  # one conversion, sliced, shared
         stops = accumulate(map(len, faces), initial=3 * v + len(at))
         return cls(
-            cluster.ends, labels, flat[: 3 * v].reshape(-1, 3), flat[3 * v : 3 * v + len(at)],
-            tuple(flat[a:b] for a, b in pairwise(stops)), incidence(labels, n),
+            ends, labels, flat[: 3 * v].reshape(-1, 3), flat[3 * v : 3 * v + len(at)],
+            tuple(flat[a:b] for a, b in pairwise(stops)), _frozen(incidence(labels, n), float, True),
         )
 
-    @cached_property  # this and the next two: per-type indices for the solvers, built on first use
+    @cached_property  # this and the next two: per-type indices, built on first use
     def _star_next(self) -> np.ndarray:
         """(v, 3) the half-edge after each one in its star, counterclockwise."""
         return self.stars[:, [1, 2, 0]]
@@ -188,6 +187,22 @@ class Topology:
         angle = (2 * self.ends[:, :, None, None] + [0, 1]) * width + cols[..., None]
         others = np.stack([2 * v + self.ends, 3 * v + (self.labels - 1) % (n + 1)], axis=-1)
         return np.concatenate([angle.ravel(), (others[..., None] * width + cols[:, :, None]).ravel()])
+
+
+@lru_cache(maxsize=128)  # distinct types kept: far more than a session of documents meets
+def _interned(ends: bytes, labels: bytes, n: int) -> Topology:
+    """The one :class:`Topology` of the type with these ``ends`` and ``labels`` bytes."""
+    return Topology.of(np.frombuffer(ends, int).reshape(-1, 2), np.frombuffer(labels, int).reshape(-1, 2), n)
+
+
+def _star_fault(alphas: np.ndarray, topology: Topology) -> Optional[int]:
+    """The first vertex whose leaving tangents ``alphas`` do not turn once
+    counterclockwise around its star, or None where they realize ``topology``."""
+    alpha = alphas.ravel()
+    turns = np.mod(alpha[topology._star_next] - alpha[topology.stars], 2.0 * math.pi)
+    if turns.sum() <= 2.0 * math.pi * (len(turns) + 0.5):  # each star turns once, by 2 pi, or twice
+        return None
+    return int(np.argmax(turns.sum(axis=1) > 3.0 * math.pi))
 
 
 def incidence(labels: np.ndarray, n: int) -> np.ndarray:
@@ -350,7 +365,11 @@ class Cluster:
     def chart_units(self) -> np.ndarray:
         """The unit of each chart coordinate: the diameter d for vertex
         coordinates and 1 for the dimensionless half-angles."""
-        return np.repeat([self.diameter(), 1.0], [2 * self.v, self.e])
+        return self._units
+
+    @cached_property
+    def _units(self) -> np.ndarray:
+        return _frozen(np.repeat([self.diameter(), 1.0], [2 * self.v, self.e]), float, True)
 
     def unit(self) -> "Cluster":
         """The unit frame: ``with_chart(chart() / chart_units())``, of diameter 1."""
@@ -372,9 +391,15 @@ class Cluster:
 
     @cached_property
     def topology(self) -> Topology:
-        """The combinatorial type, built on first use and shared by the
-        ``with_chart`` copies; raises :class:`StructuralError` if invalid."""
-        return Topology.of(self)
+        """The type interned by (ends, labels, n), shared by the ``with_chart``
+        copies, once this chart point realizes it (:func:`_star_fault`);
+        raises :class:`StructuralError` if either fails."""
+        top = _interned(self.ends.tobytes(), self.labels.tobytes(), self.n)
+        if len(top.stars) < self.v:
+            raise StructuralError(f"vertex {len(top.stars)} has degree 0, expected 3")
+        if (i := _star_fault(self.alphas, top)) is not None:
+            raise StructuralError(f"vertex {i} turns against the order of its regions")
+        return top
 
     # -- derived geometry --------------------------------------------------
 

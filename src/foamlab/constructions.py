@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cluster import (
-    EXTERIOR, STRAIGHT_PHI, Cluster, _chart_gradients, area_jacobian, incidence, region_areas,
+    CHORD_FLOOR, EXTERIOR, STRAIGHT_PHI, Cluster, _chart_gradients, area_jacobian, incidence, region_areas,
     rigid_motion_basis, shoelace_terms,
 )
 from .errors import GeometryDomainError, TopologyBreakdown
@@ -43,14 +43,20 @@ def mobius_apply_cluster(m: MobiusMap, cluster: Cluster) -> Cluster:
     infinity.  A pole inside interior region r makes r's image unbounded,
     which shows as its one negative area; region ids 0 and r are then
     swapped on every edge.  Each vertex is mapped once, and each edge's
-    image half-angle is read from its mapped tail tangent.
+    image half-angle is read from its mapped tail tangent.  An image with a
+    chord at or below ``CHORD_FLOOR`` diameters, or an area that is not a
+    normal nonzero number, raises :class:`GeometryDomainError`.
     """
     z = cluster.points.tolist()
     verts = [m.apply(w) for w in z]
     edges = zip(cluster.ends.tolist(), cluster.phis.tolist())
     phis = [half_angle(verts[b] - verts[a], mobius_tangent(m, z[a], z[b], phi)) for (a, b), phi in edges]
     image = cluster.with_chart(np.concatenate([np.array(verts, dtype=complex).view(float), phis]))
+    if (short := image.chords <= CHORD_FLOOR * image.diameter()).any():
+        raise GeometryDomainError(f"Mobius image has degenerate edges {np.flatnonzero(short).tolist()}")
     areas = region_areas(image)
+    if not (np.isfinite(areas) & (np.abs(areas) >= np.finfo(float).tiny)).all():
+        raise GeometryDomainError(f"Mobius image has areas {areas.tolist()}, not normal nonzero numbers")
     if areas.min() >= 0.0:
         return image
     r = int(areas.argmin()) + 1

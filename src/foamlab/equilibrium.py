@@ -20,7 +20,9 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .cluster import CHORD_FLOOR, _END_SIGN, Cluster, _jacobian, _size, region_areas, rigid_motion_basis
+from .cluster import (
+    CHORD_FLOOR, _END_SIGN, Cluster, _jacobian, _size, _star_fault, region_areas, rigid_motion_basis,
+)
 from .errors import GeometryDomainError, NonConvergence, PathInconsistent, TopologyBreakdown
 
 
@@ -199,15 +201,13 @@ def _check_topology(cluster: Cluster) -> None:
     """Raise :class:`TopologyBreakdown` unless the unit-frame chart point
     still realizes its topology: no chord at or below ``CHORD_FLOOR`` (tested
     before the curvatures divide by it), no half-angle beyond
-    ``FULL_CIRCLE_PHI``, and every star in counterclockwise order (turning once)."""
-    c, phi, alpha, topology = cluster.chords, np.abs(cluster.phis), cluster.alphas.ravel(), cluster.topology
+    ``FULL_CIRCLE_PHI``, and no star out of order (:func:`_star_fault`)."""
+    c, phi = cluster.chords, np.abs(cluster.phis)
     if c.min(initial=math.inf) <= CHORD_FLOOR:  # each test finds its first failure only on failing
         raise TopologyBreakdown(f"edge {np.argmax(c <= CHORD_FLOOR)} chord collapsed")
     if phi.max(initial=0.0) > FULL_CIRCLE_PHI:
         raise TopologyBreakdown(f"edge {np.argmax(phi > FULL_CIRCLE_PHI)} approaching a full circle")
-    turns = np.mod(alpha[topology._star_next] - alpha[topology.stars], 2.0 * math.pi)
-    if turns.sum() > 2.0 * math.pi * (cluster.v + 0.5):  # each star turns once, by 2 pi, or twice
-        i = np.argmax(turns.sum(axis=1) > 3.0 * math.pi)
+    if (i := _star_fault(cluster.alphas, cluster.topology)) is not None:
         raise TopologyBreakdown(f"vertex {i} no longer has its star order")
 
 
@@ -253,7 +253,7 @@ def solve(initial: Cluster, target: np.ndarray, max_iter: int = 100) -> Cluster:
         raise GeometryDomainError("target areas must be finite and positive")
     max_iter = _size("max_iter", max_iter, 1)
     unit = initial.unit()
-    target = target / initial.diameter() ** 2
+    target = target / initial.chart_units()[0] ** 2
     R, x0 = rigid_motion_basis(unit), unit.chart()
 
     def rows(c: Cluster) -> np.ndarray:

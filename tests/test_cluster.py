@@ -10,7 +10,7 @@ import pytest
 
 import foamlab as fl
 import foamlab.cli
-from foamlab.cluster import _disjointness_scan, _face_walks, from_json_dict, to_json_dict
+from foamlab.cluster import Topology, _disjointness_scan, _interned, _star_fault, from_json_dict, to_json_dict
 from foamlab.errors import ClusterFormatError, StructuralError
 from foamlab.geometry import arc_point, arc_tangent
 
@@ -21,6 +21,57 @@ def walk_areas(c):
     """Region areas summed along the face walks: the oracle for the
     incidence formula behind ``region_areas``."""
     return np.array([face_area(c, c.topology.walks[r]) for r in range(1, c.n + 1)])
+
+
+def sorted_stars(at, angle):
+    """Stars and face-walk successors of the embedding whose half-edge k
+    leaves vertex ``at[k]`` at ``angle[k]``, by a stable sort by vertex, then
+    angle, each star rotated to its smallest half-edge; the successor is the
+    half-edge clockwise next to the reverse.  The oracle for the label build."""
+    order = np.lexsort((angle, at)).reshape(-1, 3).tolist()
+    stars = [s[s.index(min(s)) :] + s[: s.index(min(s))] for s in order]
+    clockwise = {k: star[p - 1] for star in stars for p, k in enumerate(star)}
+    return sum(stars, []), [clockwise[k ^ 1] for k in range(len(at))]
+
+
+def angle_sorted_type(c):
+    """Stars, successors and region walks of ``c`` from its tangent angles,
+    each walk from its smallest half-edge: the build that sorted angles."""
+    stars, successor = sorted_stars(c.ends.ravel(), np.mod(c.alphas, 2.0 * math.pi).ravel())
+    walks, left = [], c.labels.ravel().tolist()
+    for r in range(c.n + 1):
+        walk = [left.index(r)]
+        while (k := successor[walk[-1]]) != walk[0]:
+            walk.append(k)
+        walks.append(walk)
+    return stars, successor, walks
+
+
+def type_clusters(equilibrium_presets, quasi_presets):
+    """Clusters of many types and chart points: the presets, three
+    ``random_mobius`` images of each and one under an inversion whose pole
+    lies in bubble 1 (at the mean of its arcs' samples), decorations,
+    ``scale_three_sided`` results and the quasi variants."""
+    rng = np.random.default_rng(3)
+    clusters = dict(equilibrium_presets)
+    for name, c in equilibrium_presets.items():
+        images = []
+        while len(images) < 3:
+            try:
+                images.append(fl.mobius_apply_cluster(fl.random_mobius(c, rng), c))
+            except fl.FoamlabError:
+                continue
+        clusters.update({f"{name} image {k}": img for k, img in enumerate(images)})
+        at, _ = c.arc_samples(np.linspace(0.0, 1.0, 9))
+        pole = complex(at[(c.labels == 1).any(axis=1)].mean())
+        clusters[f"{name} pole in bubble 1"] = fl.mobius_apply_cluster(fl.MobiusMap.inversion_about(pole), c)
+    triple = equilibrium_presets["triple"]
+    for vertex in range(triple.v):
+        decorated = fl.decorate(triple, vertex, 0.2)
+        clusters[f"triple decorated at {vertex}"] = decorated
+        clusters[f"triple decorated at {vertex}, halved"] = fl.scale_three_sided(decorated, decorated.n, 0.5)
+    clusters["four decorated at 2"] = fl.decorate(equilibrium_presets["four"], 2, 0.1)
+    return {**clusters, **quasi_presets}
 
 
 def fd_area_columns(c, columns):
@@ -65,22 +116,52 @@ class TestCombinatorics:
                     assert gaps.sum() == pytest.approx(2 * math.pi), name
 
     def test_stars_and_successors_match_a_sorting_oracle(self):
-        # random triple-junction embeddings, half of them with tied angles
+        # random triple-junction embeddings, half of them with tied angles,
+        # each face labelled as a region of its own: the labels alone give
+        # back the embedding's stars and successors
         rng = np.random.default_rng(7)
-        for trial in range(600):
+        checked = 0
+        for trial in range(3000):
             v = 2 * int(rng.integers(1, 8))
             at = rng.permutation(np.repeat(np.arange(v), 3))
             if trial % 2:
                 angle = rng.choice([0.0, 1.0, 2.5, 4.0], at.size)
             else:
                 angle = rng.uniform(0.0, 2.0 * math.pi, at.size)
-            # a stable sort by vertex, then angle, each star rotated to its smallest half-edge
-            order = np.lexsort((angle, at)).reshape(v, 3).tolist()
-            stars = [s[s.index(min(s)) :] + s[: s.index(min(s))] for s in order]
-            clockwise = {k: star[p - 1] for star in stars for p, k in enumerate(star)}
-            got_stars, got_successor, _ = _face_walks(at.tolist(), angle.tolist(), v)
-            assert got_stars == sum(stars, [])
-            assert got_successor == [clockwise[k ^ 1] for k in range(at.size)]
+            stars, successor = sorted_stars(at, angle)
+            left, faces = [-1] * at.size, 0
+            for k in range(at.size):
+                if left[k] < 0:
+                    while left[k] < 0:
+                        left[k], k = faces, successor[k]
+                    faces += 1
+            labels = np.array(left).reshape(-1, 2)
+            if (labels[:, 0] == labels[:, 1]).any():  # one face on both sides: no region order
+                continue
+            top = Topology.of(at.reshape(-1, 2), labels, faces - 1)
+            assert top.stars.ravel().tolist() == stars
+            assert top.successor.tolist() == successor
+            checked += 1
+        assert checked >= 100
+
+    def test_label_build_matches_the_angle_sorted_oracle(self, equilibrium_presets, quasi_presets):
+        clusters = type_clusters(equilibrium_presets, quasi_presets)
+        for name, base in equilibrium_presets.items():  # the unbounded face is now bubble 1's image
+            assert (clusters[f"{name} pole in bubble 1"].labels != base.labels).any(), name
+        for name, c in clusters.items():
+            assert fl.validate(c).ok, name
+            stars, successor, walks = angle_sorted_type(c)
+            assert c.topology.stars.ravel().tolist() == stars, name
+            assert c.topology.successor.tolist() == successor, name
+            assert [w.tolist() for w in c.topology.walks] == walks, name
+
+    def test_regions_that_fit_no_order_name_the_vertex(self, double):
+        # swapping the middle edge's labels leaves vertex 0 regions 1, 1 and 0
+        # on the left of its half-edges, and 0, 2, 2 on their right
+        labels = double.labels.copy()
+        labels[2] = labels[2, ::-1]
+        with pytest.raises(StructuralError, match="vertex 0 has regions that fit no counterclockwise order"):
+            Topology.of(double.ends, labels, double.n)
 
     def test_half_edge_walks_close(self, equilibrium_presets):
         for name, c in equilibrium_presets.items():
@@ -102,14 +183,57 @@ class TestTopology:
         assert out.topology is triple.topology
 
     def test_shared_walks_match_a_fresh_build(self, equilibrium_presets, rng):
+        # a perturbed copy shares its type, which equals a build that
+        # bypasses the interning and the angle-sorted oracle at the new point
         for name, c in equilibrium_presets.items():
             x = c.chart() + 1e-4 * c.diameter() * rng.standard_normal(c.chart().size)
             moved = c.with_chart(x)
-            fresh = fl.Cluster(moved.vertices, moved.edges, moved.region_count)
-            assert fresh.topology is not c.topology
-            for a, b in zip(fresh.topology.walks, moved.topology.walks, strict=True):
-                assert a.tolist() == b.tolist(), name
-            assert (fresh.topology.stars == moved.topology.stars).all(), name
+            fresh = Topology.of(moved.ends, moved.labels, moved.n)
+            assert fresh is not c.topology
+            stars, successor, walks = angle_sorted_type(moved)
+            for top in (fresh, moved.topology):
+                assert [w.tolist() for w in top.walks] == walks, name
+                assert top.stars.ravel().tolist() == stars, name
+                assert top.successor.tolist() == successor, name
+
+    def test_same_types_share_one_bounded_cache(self, triple, necklace7):
+        read = fl.loads(fl.dumps(triple))
+        rows = fl.Cluster(triple.vertices, triple.edges, triple.region_count)
+        assert read.topology is triple.topology and rows.topology is triple.topology
+        # every vertex renumbering is a type of its own
+        size, rng = _interned.cache_info().maxsize, np.random.default_rng(2)
+        assert size is not None
+        types = set()
+        for _ in range(size + 10):
+            perm = rng.permutation(necklace7.v)
+            points = np.empty_like(necklace7.points)
+            points[perm] = necklace7.points
+            c = fl.Cluster.from_arrays(points, perm[necklace7.ends], necklace7.phis, necklace7.labels, necklace7.n)
+            types.add(id(c.topology))
+        assert len(types) > size and _interned.cache_info().currsize <= size
+
+    def test_a_mirror_turns_against_its_labels(self, triple):
+        # every y and every half-angle negated, the labels kept: each star
+        # turns clockwise, on a type seen before and on a new one alike
+        def mirror(c):
+            x = c.chart()
+            x[1 : 2 * c.v : 2] *= -1.0
+            x[2 * c.v :] *= -1.0
+            return fl.Cluster.from_arrays(x[: 2 * c.v].view(complex), c.ends, x[2 * c.v :], c.labels, c.n)
+
+        renumbered = fl.Cluster.from_arrays(
+            triple.points[::-1].copy(), triple.v - 1 - triple.ends, triple.phis, triple.labels, triple.n
+        )
+        fl.loads(fl.dumps(triple)).topology  # interned, whatever the cache held before
+        for c, hit in ((triple, True), (renumbered, False)):
+            hits = _interned.cache_info().hits
+            m = mirror(c)
+            report = fl.validate(m)
+            assert report.failures() == ["topology: vertex 0 turns against the order of its regions"]
+            assert _interned.cache_info().hits == hits + hit
+            assert _star_fault(m.alphas, Topology.of(m.ends, m.labels, m.n)) == 0
+            with pytest.raises(StructuralError, match="turns against"):
+                fl.classify(m)
 
     def test_disconnected_document_raises(self, double):
         # a second double bubble far away, its faces labelled 5 (outside), 3
@@ -301,7 +425,7 @@ class TestHalfAngleChart:
         fl.to_svg(c, fl.pressures(c)[1:])
         fl.verify_correspondence(c)
         assert calls == []
-        assert not {"_scatter", "_columns", "_star_next"} & set(vars(c.topology))  # none built
+        assert not {"_scatter", "_columns"} & set(vars(c.topology))  # none built
         fl.solve(c, fl.region_areas(c) * [1.1, 0.9, 1.0, 1.0])
         assert calls
         calls.clear()
@@ -310,14 +434,16 @@ class TestHalfAngleChart:
 
     def test_the_jacobian_index_is_built_once_per_type(self, equilibrium_presets, triple):
         # with_chart and unit() copies and Mobius images share their topology
-        # and its scatter index; a decorated cluster is a new type, with its own
+        # and its scatter index; a decorated cluster is a new type, which its
+        # decorations of other sizes share
         index = triple.topology._scatter
         image = fl.mobius_apply_cluster(fl.MobiusMap.rotation(0.3, 0.5j), triple)
         for d in (triple.unit(), triple.with_chart(1.1 * triple.chart()), image, image.unit()):
             assert d.topology._scatter is index
         decorated = fl.decorate(triple, 1, 0.1)
-        assert "_scatter" not in vars(decorated.topology)
         assert decorated.topology._scatter is not index
+        for size in (0.05, 0.2):
+            assert fl.decorate(triple, 1, size).topology._scatter is decorated.topology._scatter
         for name, c in equilibrium_presets.items():
             rows, cols = 3 * c.v + c.n + 1, 2 * c.v + c.e
             flat = c.topology._scatter

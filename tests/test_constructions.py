@@ -1,5 +1,7 @@
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -440,6 +442,23 @@ class TestMobiusInvariance:
         img = fl.mobius_apply_cluster(m, necklace7)
         assert len(calls) == necklace7.v
         assert fl.dumps(img) == expected
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (fl.MobiusMap.translation(1e17), "Mobius image has degenerate edges [3]"),
+            (fl.MobiusMap.scaling(1e-170), "Mobius image has areas [0.0, 0.0, 0.0]"),
+        ],
+        ids=["far_translation", "tiny_scale"],
+    )
+    def test_invalid_images_raise_without_warnings(self, m, message):
+        # before, these returned clusters that validate rejects, and reading
+        # the translated one printed numpy warnings
+        c = fl.triple_bubble((1, 1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryDomainError, match=re.escape(message)):
+                fl.mobius_apply_cluster(m, c)
 
     def test_pole_inside_a_bubble_relabels_exterior(self):
         # -0.5 lies inside bubble 1, whose image becomes the unbounded face

@@ -272,6 +272,13 @@ class TestSolve:
         assert fl.region_areas(out) == pytest.approx(target, abs=1e-9)
         assert fl.classify(out) is fl.Verdict.EQUILIBRIUM
 
+    def test_one_solve_measures_the_diameter_once(self, triple, monkeypatch):
+        # the unit frame, the target's scale and the map back share one scale
+        calls, diameter = [], fl.Cluster.diameter
+        monkeypatch.setattr(fl.Cluster, "diameter", lambda c: calls.append(c) or diameter(c))
+        fl.solve(fl.loads(fl.dumps(triple)), np.array([1.1, 0.9, 1.0]))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "start, target",
         [(None, (1.611, 1.611, 100.0)), ((1, 1, 1), (1, 1, 100.0)), ((1, 1, 1), (1, 1, 1000.0))],
