@@ -69,12 +69,12 @@ class EdgeRecord:
 
 
 def _frozen(a, dtype, fresh: bool = False) -> np.ndarray:
-    """``a`` as a read-only array of ``dtype``, copied unless it already is
-    one or is ``fresh`` (held by nothing else): no caller's array is frozen."""
+    """``a`` as a read-only C-contiguous array of ``dtype``, copied unless it
+    already is one or is ``fresh`` (held by nothing else): no caller's array is frozen."""
     a = np.asarray(a, dtype=dtype)
-    if fresh or a.flags.writeable:
-        a = a if fresh else a.copy()
-        a.setflags(write=False)
+    if not fresh and (a.flags.writeable or not a.flags.c_contiguous):
+        a = a.copy()
+    a.setflags(write=False)
     return a
 
 
@@ -753,7 +753,8 @@ def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str
     height = (y1 - y0) + 2 * mx
     sw = 0.005 * max(width, height)
 
-    at = [f"{w.real:.9g} {w.imag:.9g}" for w in cluster.points.tolist()]
+    # shortest round-trip digits: a cluster far from the origin keeps its shape
+    at = [f"{w.real!r} {w.imag!r}" for w in cluster.points.tolist()]
     xy = [at[i] for i in cluster.ends.ravel().tolist()]  # the vertex each half-edge leaves
     phis, kappas = cluster.phis.tolist(), cluster.kappas.tolist()
 
@@ -768,7 +769,7 @@ def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{x0 - mx:.9g} {-(y1 + mx):.9g} {width:.9g} {height:.9g}">',
+        f'viewBox="{x0 - mx!r} {-(y1 + mx)!r} {width:.9g} {height:.9g}">',
         '<g transform="scale(1,-1)">',
     ]
     if fill_pressures is not None:

@@ -26,10 +26,10 @@ from .equilibrium import SOLVE_TOL, chart_lm, residual_jacobian, residuals, solv
 from .geometry import (
     AT_INFINITY,
     PENCIL_TOL,
+    PHI_LIMIT,
     MobiusMap,
-    Point,
     half_angle,
-    mobius_tangent,
+    mobius_image,
     pencil_meet,
     second_intersection,
 )
@@ -42,16 +42,14 @@ def mobius_apply_cluster(m: MobiusMap, cluster: Cluster) -> Cluster:
     is a chart point of the same topology, and moves only which face holds
     infinity.  A pole inside interior region r makes r's image unbounded,
     which shows as its one negative area; region ids 0 and r are then
-    swapped on every edge.  Each vertex is mapped once, and each edge's
-    image half-angle is read from its mapped tail tangent.  An image with a
-    chord at or below ``CHORD_FLOOR`` diameters, or an area that is not a
-    normal nonzero number, raises :class:`GeometryDomainError`.
+    swapped on every edge.  Points and half-angles come from one array pass
+    of :func:`mobius_image`'s closed form, phi + arg((c tail + d) / (c head + d)),
+    with its checks.  An image with a chord at or below ``CHORD_FLOOR``
+    diameters, or an area that is not a normal nonzero number, raises
+    :class:`GeometryDomainError`.
     """
-    z = cluster.points.tolist()
-    verts = [m.apply(w) for w in z]
-    edges = zip(cluster.ends.tolist(), cluster.phis.tolist())
-    phis = [half_angle(verts[b] - verts[a], mobius_tangent(m, z[a], z[b], phi)) for (a, b), phi in edges]
-    image = cluster.with_chart(np.concatenate([np.array(verts, dtype=complex).view(float), phis]))
+    points, phis = mobius_image(m, cluster.points, cluster.ends, cluster.phis)
+    image = cluster.with_chart(np.concatenate([points.view(float), phis]))
     if (short := image.chords <= CHORD_FLOOR * image.diameter()).any():
         raise GeometryDomainError(f"Mobius image has degenerate edges {np.flatnonzero(short).tolist()}")
     areas = region_areas(image)
@@ -80,14 +78,17 @@ def double_bubble(r1: float = 1.0, r2: float = 1.0) -> Cluster:
     half-angle: an outer arc's half-angle is pi minus the
     angle between the axis and the upper vertex seen from its center, and
     the middle interface has curvature 1/r1 - 1/r2, so
-    sin(phi) = y (1/r1 - 1/r2), straight for equal radii.
+    sin(phi) = y (1/r1 - 1/r2), straight for equal radii.  Radii must be
+    positive with normal squares and keep every half-angle below ``PHI_LIMIT``.
     """
-    if not (r1 > 0 and r2 > 0):
-        raise GeometryDomainError("radii must be positive")
+    if not all(r > 0 and np.finfo(float).tiny <= r * r < math.inf for r in (r1, r2)):
+        raise GeometryDomainError(f"radii {r1:g} and {r2:g} must be positive, with normal squares")
     d = math.sqrt(r1 * r1 + r2 * r2 - r1 * r2)
     x = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
     y = math.sqrt(r1 * r1 - x * x)
     outer1, outer2 = math.pi - math.atan2(y, x), math.pi - math.atan2(y, d - x)
+    if max(outer1, outer2) >= PHI_LIMIT:
+        raise GeometryDomainError(f"radii {r1:g} and {r2:g} leave an outer arc nearly a full circle")
     middle = math.asin(y * (1.0 / r1 - 1.0 / r2))
     return Cluster.from_arrays(
         [complex(x, y), complex(x, -y)], [(0, 1), (1, 0), (1, 0)], [outer1, outer2, middle],
@@ -134,24 +135,21 @@ def _graft(cluster: Cluster, p: complex, wq: complex, tri, rays, far, phis):
     sits at ``tri[k]`` on the ray along ``rays[k]``; its outer arc follows
     that carrier to vertex ``far[k]``, and its bubble arc to ``tri[k + 1]``
     has the picture half-angle ``phis[k]`` (none without ``phis``).  Maps
-    back by z = p + P / (1 + wq P) and tangents by tau / (1 + wq P)^2; the
+    back by z = p + P / (1 + wq P), the vertices and bubble arcs by
+    :func:`mobius_image` and the outer tangents by tau / (1 + wq P)^2; the
     arcs are returned as half-angles.  Raises :class:`TopologyBreakdown`
     when a vertex is not nearer 0 than its far vertex, unless that is q.
     """
     z = cluster.points.tolist()
-    back = [t / (1 + wq * t) for t in tri]
-    outer = []
     for k in range(3):
         u = z[far[k]] - p
         if abs(1 - wq * u) > 1e-9 and abs(tri[k]) >= abs(u / (1 - wq * u)):
             raise TopologyBreakdown("the new vertex reaches past an adjacent vertex")
-        outer.append(half_angle(z[far[k]] - (p + back[k]), rays[k] / (1 + wq * tri[k]) ** 2))
-    bubble = []
-    for k, phi in enumerate(phis):
-        a, b = tri[k], tri[(k + 1) % 3]
-        tangent = (b - a) * cmath.exp(-1j * phi) / (1 + wq * a) ** 2
-        bubble.append(half_angle(back[(k + 1) % 3] - back[k], tangent))
-    return [p + u for u in back], outer, bubble
+    arcs = [(k, (k + 1) % 3) for k in range(len(phis))]
+    back, bubble = mobius_image(MobiusMap(1, 0, wq, 1), tri, arcs, phis)
+    verts = (p + back).tolist()
+    outer = [half_angle(z[far[k]] - verts[k], rays[k] / (1 + wq * tri[k]) ** 2) for k in range(3)]
+    return verts, outer, bubble.tolist()
 
 
 def _positive_areas(c: Cluster) -> Cluster:
@@ -311,21 +309,14 @@ def two_lens(lens1: float = 0.8, lens2: float = 0.8, separation: float = 2.0) ->
     if max(lens1, lens2) / (2.0 * math.sqrt(3.0)) >= 0.9:
         raise GeometryDomainError("lens too tall for the inversion center")
     s = separation / 2.0
-    a1, b1 = Point(-s - lens1 / 2, 0.0), Point(-s + lens1 / 2, 0.0)
-    a2, b2 = Point(s - lens2 / 2, 0.0), Point(s + lens2 / 2, 0.0)
-    m = MobiusMap.inversion_about(1j)
-    z = [m.apply(p.z) for p in (b1, a2, b2, a1)]
-
-    def image(a: Point, b: Point, phi: float) -> float:  # half-angle of the image of arc a -> b
-        return half_angle(m.apply(b.z) - m.apply(a.z), mobius_tangent(m, a.z, b.z, phi))
-
-    # edge 1 is the piece of the line through infinity: it closes up through
-    # m(inf) = 0, leaving m(b2) along m'(b2) = -1 / (b2 - i)^2 times the
-    # line's direction; each lens a -> b has its upper arc at half-angle
-    # -pi/3 and its lower at pi/3
-    phis = [image(b1, a2, 0.0), half_angle(z[3] - z[2], -1 / (b2.z - 1j) ** 2)]
-    phis += [image(a, b, phi) for a, b in ((a1, b1), (a2, b2)) for phi in (-math.pi / 3, math.pi / 3)]
+    # the line's vertices b1, a2, b2, a1, where lens k spans a_k -> b_k
+    line = [-s + lens1 / 2, s - lens2 / 2, s + lens2 / 2, -s - lens1 / 2]
     ends = [(0, 1), (2, 3), (3, 0), (3, 0), (1, 2), (1, 2)]
+    # edge 1 is the piece of the line through infinity, from b2 to a1: the
+    # arc of half-angle pi, which closes up through m(inf) = 0; each lens
+    # a -> b has its upper arc at half-angle -pi/3 and its lower at pi/3
+    phis = [0.0, math.pi] + [-math.pi / 3, math.pi / 3] * 2
+    z, phis = mobius_image(MobiusMap.inversion_about(1j), line, ends, phis)
     labels = [(EXTERIOR, 1), (EXTERIOR, 1), (EXTERIOR, 2), (2, 1), (EXTERIOR, 3), (3, 1)]
     return Cluster.from_arrays(z, ends, phis, labels, 3, ("exterior", "bubble", "lens 1", "lens 2"))
 

@@ -34,6 +34,8 @@ from .errors import GeometryDomainError, NotConcurrent
 
 # half-angles closer to +-pi than this are rejected (arc nearly a full circle)
 PHI_LIMIT = math.pi - 1e-9
+#: Mobius images must stay below this, so chord^2 segment_area(PHI_LIMIT, 1) (~4e17) is finite.
+IMAGE_LIMIT = 1e140
 
 
 class Point(NamedTuple):
@@ -306,8 +308,7 @@ def second_intersection(A, B, D):
 
 @dataclass(frozen=True)
 class MobiusMap:
-    """z -> (a z + b) / (c z + d), stored as given; ``normalized`` scales it
-    to a d - b c = 1."""
+    """z -> (a z + b) / (c z + d), stored as given."""
 
     a: complex
     b: complex
@@ -318,10 +319,6 @@ class MobiusMap:
         ad, bc = self.a * self.d, self.b * self.c
         if abs(ad - bc) <= 1e-12 * (abs(ad) + abs(bc)):
             raise GeometryDomainError("Mobius map is singular (ad - bc ~ 0)")
-
-    def normalized(self) -> "MobiusMap":
-        s = cmath.sqrt(self.a * self.d - self.b * self.c)
-        return MobiusMap(self.a / s, self.b / s, self.c / s, self.d / s)
 
     @staticmethod
     def identity() -> "MobiusMap":
@@ -362,50 +359,60 @@ class MobiusMap:
             return None
         return -self.d / self.c
 
-    def apply(self, z: complex) -> complex:
-        """(a z + b) / (c z + d); the value and the relative pole test are
-        the same for every scaling of (a, b, c, d), so none is normalized."""
-        denom = self.c * z + self.d
-        if abs(denom) <= 1e-9 * (abs(self.c * z) + abs(self.d)):
+    def apply(self, z):
+        """(a z + b) / (c z + d), elementwise, once :meth:`_fraction`'s tests pass."""
+        num, den = self._fraction(z)
+        return num / den
+
+    def _fraction(self, z):
+        """(a z + b, c z + d) with the entries scaled by a power of two, the
+        largest into [1/2, 1), which changes no rounding and lets no product
+        overflow.  Raises :class:`GeometryDomainError` for a point within 1e-9
+        (relative) of the pole, or an image that would reach ``IMAGE_LIMIT``."""
+        s = 2.0 ** -math.frexp(max(abs(self.a), abs(self.b), abs(self.c), abs(self.d)))[1]
+        a, b, c, d = self.a * s, self.b * s, self.c * s, self.d * s
+        num, den = a * z + b, c * z + d
+        if (np.abs(den) <= 1e-9 * (np.abs(c * z) + abs(d))).any():
             raise GeometryDomainError("point too close to the Mobius pole")
-        return (self.a * z + self.b) / denom
+        if not (np.abs(num) / IMAGE_LIMIT < np.abs(den)).all():
+            raise GeometryDomainError(f"Mobius image has points beyond {IMAGE_LIMIT:g} in magnitude")
+        return num, den
 
 
-def mobius_apply_point(m: MobiusMap, p: Point) -> Point:
-    return Point.of(m.apply(p.z))
+def mobius_image(m: MobiusMap, points, ends, phis) -> Tuple[np.ndarray, np.ndarray]:
+    """Images under ``m`` of ``points``, and the half-angles of the images of
+    the arcs ``points[ends[j]]`` with half-angles ``phis[j]``, in closed form.
 
-
-def mobius_tangent(m: MobiusMap, tail: complex, head: complex, phi: float) -> complex:
-    """Image under ``m`` of the tangent leaving ``tail`` of the arc from
-    ``tail`` to ``head`` with half-angle ``phi``.
-
-    Mobius maps are conformal, so the image arc leaves m(tail) along the
-    image of the tail tangent t, which for a d - b c = 1 is
-    t / (c tail + d)^2.  The caller passes the half-angle it has; no bulge
-    is inverted.
-
-    Raises :class:`GeometryDomainError` when the pole lies within 1e-6 chord
-    lengths of an endpoint, or of the carrier on the arc's side of the chord
-    (the chord's line cuts the carrier exactly at the endpoints); for a
-    nearly straight arc, also where it projects inside the chord.
+    With w(z) = c z + d, m' = (ad - bc) / w^2 turns the tail tangent by
+    -2 arg w(tail) and the chord by -arg(w(tail) w(head)), so phi becomes
+    phi + arg(w(tail) / w(head)), wrapped to (-pi, pi].  Raises
+    :class:`GeometryDomainError`, before dividing, where
+    :meth:`MobiusMap.apply` does and when the pole lies within 1e-6 chord
+    lengths of an arc; and when an image half-angle reaches ``PHI_LIMIT``.
     """
-    n, w = m.normalized(), head - tail
-    c, pole = abs(w), n.pole()
-    if pole is not None:
-        # in the chord frame the tail is 0, the head c and the carrier is
-        # (2 sin phi / c)|v|^2 - 2 Im(e^{i phi} v) = 0; half its value is the
-        # distance to first order
-        v, tol = (pole - tail) * w.conjugate() / c, 1e-6 * c
-        near = abs(math.sin(phi) / c * abs(v) ** 2 - (cmath.exp(1j * phi) * v).imag) <= tol
-        beside = phi * v.imag < 0.0 or (abs(v.imag) <= tol and 0.0 <= v.real <= c)
-        if min(abs(v), abs(v - c)) <= tol or (near and beside):
+    z, phis = np.asarray(points, dtype=complex), np.asarray(phis, dtype=float)
+    ends = np.asarray(ends, dtype=int).reshape(-1, 2)
+    num, den = m._fraction(z)
+    if (pole := m.pole()) is not None:
+        # in the chord frame (tail 0, head 1) the carrier is sin(phi) |u|^2 -
+        # Im(e^{i phi} u) = 0, whose value is the distance to first order;
+        # it is tested divided by |u|, whose square may overflow
+        u = (pole - z[ends[:, 0]]) / (z[ends[:, 1]] - z[ends[:, 0]])
+        r = np.abs(u)
+        near = np.abs(np.sin(phis) * r - (np.exp(1j * phis) * u).imag / r) <= 1e-6 / r
+        beside = (phis * u.imag < 0.0) | ((np.abs(u.imag) <= 1e-6) & (u.real >= 0.0) & (u.real <= 1.0))
+        if ((np.minimum(r, np.abs(u - 1.0)) <= 1e-6) | (near & beside)).any():
             raise GeometryDomainError("Mobius pole lies on or near the arc")
-    return w * cmath.exp(-1j * phi) / (n.c * tail + n.d) ** 2
+    arg = np.angle(den)
+    phi = math.pi - np.remainder(math.pi - phis - arg[ends[:, 0]] + arg[ends[:, 1]], 2.0 * math.pi)
+    if (np.abs(phi) >= PHI_LIMIT).any():
+        raise GeometryDomainError("arc is nearly a full circle")
+    return num / den, phi
 
 
 def mobius_apply_arc(m: MobiusMap, arc: Arc) -> Arc:
-    """Image of an arc under ``m``: the arc from m(tail) to m(head) leaving
-    along :func:`mobius_tangent`, whose pole checks it keeps."""
-    tail, head = mobius_apply_point(m, arc.tail), mobius_apply_point(m, arc.head)
-    phi = half_angle(head.z - tail.z, mobius_tangent(m, arc.tail.z, arc.head.z, arc.phi))
-    return Arc(tail, head, segment_area(phi, abs(head.z - tail.z)))
+    """Image of an arc under ``m`` by :func:`mobius_image`, whose pole checks
+    it keeps: from m(tail) to m(head), half-angle phi + arg((c tail + d) / (c head + d))."""
+    points, phi = mobius_image(m, [arc.tail.z, arc.head.z], [(0, 1)], [arc.phi])
+    tail, head = points.tolist()
+    return Arc(Point.of(tail), Point.of(head), segment_area(float(phi[0]), abs(head - tail)))

@@ -71,13 +71,14 @@ WRITING_VERBS = [
     v for v in READING_VERBS if v[0] in ("mobius", "decorate", "shrink", "solve", "continue")
 ]
 
-# each writes a cluster that ``validate`` rejects
-# argv, and the start of its error message: the library refuses the Mobius
-# images, and the writer's validate refuses the double bubble
+# each would write a cluster that ``validate`` rejects, or one whose areas
+# overflow; argv, and the start of its error message: the library refuses
+# the Mobius images and the double bubble
 INVALID_RESULTS = {
     "far_translation": (["mobius", "--translate", "1e17,0", "triple.json"], "Mobius image has degenerate edges [3]"),
     "tiny_scale": (["mobius", "--scale", "1e-170", "triple.json"], "Mobius image has areas [0.0, 0.0, 0.0]"),
-    "tiny_double": (["new", "double", "--r1", "1e-300", "--r2", "1"], "invalid cluster: edge_chords: "),
+    "huge_scale": (["mobius", "--scale", "1e170", "triple.json"], "Mobius image has points beyond 1e+140"),
+    "tiny_double": (["new", "double", "--r1", "1e-300", "--r2", "1"], "radii 1e-300 and 1 must be positive"),
 }
 
 
@@ -249,7 +250,8 @@ class TestWrittenClusters:
         run(["new", "triple", "-o", "triple.json"])
         out = run_script(argv + ["-o", "out.json"])
         assert out.returncode == 2, out.stderr
-        assert out.stderr.startswith("error: " + message) and "Traceback" not in out.stderr
+        assert out.stderr.startswith("error: " + message)
+        assert "Traceback" not in out.stderr and "RuntimeWarning" not in out.stderr
         assert not (tmp_path / "out.json").exists()
 
     def test_output_to_a_directory_is_exit_2(self, tmp_path):

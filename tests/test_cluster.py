@@ -329,6 +329,14 @@ class TestChart:
         points[0] = 5.0
         assert c.points.tolist() == triple.points.tolist()
 
+    def test_from_arrays_copies_a_read_only_strided_array(self):
+        # the reversed points are a read-only view with a negative stride,
+        # which cannot be viewed as floats until copied
+        t = fl.triple_bubble()
+        c = fl.Cluster.from_arrays(t.points[::-1], t.v - 1 - t.ends, t.phis, t.labels, t.n)
+        assert fl.validate(c).ok
+        assert c.chart().tolist() == np.concatenate([t.points[::-1].copy().view(float), t.phis]).tolist()
+
     def test_rows_round_trip_through_the_constructor(self, equilibrium_presets, quasi_presets):
         for name, c in {**equilibrium_presets, **quasi_presets}.items():
             again = fl.Cluster(c.vertices, c.edges, c.n, c.region_labels)
@@ -757,6 +765,14 @@ class TestSvg:
             svgs.add(fl.to_svg(necklace7, fill_pressures=np.append(fills[:-1], chamber)))
         assert len(svgs) == 1
         assert svgs.pop().count('fill="rgb(128,120,127)"') == 1
+
+    def test_far_cluster_is_drawn_without_distortion(self):
+        c = fl.mobius_apply_cluster(fl.MobiusMap.translation(1e9), fl.triple_bubble((1, 1, 1)))
+        svg = fl.to_svg(c)
+        for j, line in enumerate(svg.splitlines()[2 : 2 + c.e]):
+            d = line.split('d="', 1)[1].split('"', 1)[0].split()
+            ends = [complex(float(d[1]), float(d[2])), complex(float(d[-2]), float(d[-1]))]
+            assert np.abs(ends - c.points[c.ends[j]]).max() <= 1e-9 * c.diameter(), j
 
     def test_view_box_holds_every_arc_point(self, equilibrium_presets):
         # rotated double bubbles, many of whose arcs peak between sample points

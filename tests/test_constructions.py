@@ -215,10 +215,9 @@ class TestDecorationScaleCovariance:
             for s in (1e-6, 1.0, 1e6):
                 m = fl.MobiusMap.scaling(s).compose(fl.random_mobius(c, rng))
                 image = fl.mobius_apply_cluster(m, c)
-                mn = m.normalized()
                 for vertex in range(c.v):
                     p, size = c.vertices[vertex].z, 0.02
-                    stretch = abs(mn.c * p + mn.d) ** -2
+                    stretch = abs(m.a * m.d - m.b * m.c) / abs(m.c * p + m.d) ** 2
                     size_image = (
                         stretch * size * radius_per_size(c, vertex) / radius_per_size(image, vertex)
                     )
@@ -426,39 +425,53 @@ class TestMobiusInvariance:
                     assert img.vertices[img.edges[j].tail] == arc.tail
                     assert img.vertices[img.edges[j].head] == arc.head
 
-    def test_each_vertex_is_mapped_once(self, necklace7, monkeypatch):
-        m = fl.random_mobius(necklace7, np.random.default_rng(3))
-        z = necklace7.points.tolist()
-        verts = [Point.of(m.apply(w)) for w in z]
-        rows = []
-        for j, ((a, b), phi) in enumerate(zip(necklace7.ends.tolist(), necklace7.phis.tolist())):
-            w = verts[b].z - verts[a].z
-            image = fl.geometry.half_angle(w, fl.geometry.mobius_tangent(m, z[a], z[b], phi))
-            rows.append(fl.EdgeRecord(j, a, b, fl.segment_area(image, abs(w)), *necklace7.labels[j].tolist()))
-        expected = fl.dumps(fl.Cluster(verts, rows, necklace7.n, necklace7.region_labels))
-        calls = []
-        apply = fl.MobiusMap.apply
-        monkeypatch.setattr(fl.MobiusMap, "apply", lambda self, w: calls.append(w) or apply(self, w))
-        img = fl.mobius_apply_cluster(m, necklace7)
-        assert len(calls) == necklace7.v
-        assert fl.dumps(img) == expected
+    def test_image_matches_the_three_point_arc(self, equilibrium_presets):
+        # the closed form against an oracle that maps points only: the arc
+        # through the images of each arc's tail, midpoint and head
+        images = 0
+        for c in equilibrium_presets.values():
+            for seed in range(1, 9):
+                try:
+                    m = fl.random_mobius(c, np.random.default_rng(seed))
+                except GeometryDomainError:
+                    continue
+                img = fl.mobius_apply_cluster(m, c)
+                images += 1
+                mapped = [m.apply(z) for z in c.points.tolist()]
+                assert np.abs(img.points - mapped).max() <= 1e-12 * img.diameter()
+                for j in range(c.e):
+                    arc = c.arc_of(j)
+                    oracle = fl.arc_through(
+                        *(Point.of(m.apply(p.z)) for p in (arc.tail, fl.arc_point(arc, 0.5), arc.head))
+                    )
+                    assert abs(img.phis[j] - oracle.phi) <= 1e-12
+        assert images == 55
 
     @pytest.mark.parametrize(
         "m, message",
         [
             (fl.MobiusMap.translation(1e17), "Mobius image has degenerate edges [3]"),
             (fl.MobiusMap.scaling(1e-170), "Mobius image has areas [0.0, 0.0, 0.0]"),
+            (fl.MobiusMap.scaling(1e170), "Mobius image has points beyond 1e+140 in magnitude"),
         ],
-        ids=["far_translation", "tiny_scale"],
+        ids=["far_translation", "tiny_scale", "huge_scale"],
     )
     def test_invalid_images_raise_without_warnings(self, m, message):
-        # before, these returned clusters that validate rejects, and reading
-        # the translated one printed numpy warnings
+        # before, these returned clusters that validate rejects, or whose
+        # areas overflow, and printed numpy warnings
         c = fl.triple_bubble((1, 1, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GeometryDomainError, match=re.escape(message)):
                 fl.mobius_apply_cluster(m, c)
+
+    def test_far_pole_of_a_tiny_cluster_is_tested_without_warnings(self):
+        # |u|^2 of the pole in the chord frame, about 1e310, would overflow
+        tiny = fl.mobius_apply_cluster(fl.MobiusMap.scaling(1e-140), fl.triple_bubble())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryDomainError, match=re.escape("Mobius image has degenerate edges")):
+                fl.mobius_apply_cluster(fl.MobiusMap.inversion_about(1e15), tiny)
 
     def test_pole_inside_a_bubble_relabels_exterior(self):
         # -0.5 lies inside bubble 1, whose image becomes the unbounded face
