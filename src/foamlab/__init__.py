@@ -19,6 +19,7 @@ from .cluster import (
     region_areas,
     to_svg,
     validate,
+    validated,
 )
 from .constructions import (
     decorate,

@@ -10,9 +10,11 @@ input/output, deterministic float formatting, and the exit-code contract
 
 A verb that reads a document exits 2 when ``validate`` rejects it, except
 ``check``, which prints the failed checks and exits 1.  A verb that writes a
-cluster exits 2, and writes nothing, when ``validate`` rejects the result.
+cluster exits 2, and writes nothing, when ``validate`` rejects the result:
+both go through :func:`foamlab.cluster.validated`, the library's own check.
 Every input or argument error is a :class:`FoamlabError` that ``run`` prints
-after ``error: ``.
+after ``error: ``.  A verb that needs pressures of a document whose
+curvature sums disagree (:class:`PathInconsistent`) exits 1.
 """
 
 from __future__ import annotations
@@ -53,17 +55,8 @@ def _read(path: str) -> cl.Cluster:
         raise ClusterFormatError(f"cannot read {path}: {err}") from err
 
 
-def _valid(c: cl.Cluster) -> cl.Cluster:
-    """``c`` if ``validate`` accepts it, which builds its topology; any other
-    cluster is an input error."""
-    report = cl.validate(c)
-    if not report.ok:
-        raise ClusterFormatError(f"invalid cluster: {'; '.join(report.failures())}")
-    return c
-
-
 def _load(path: str) -> cl.Cluster:
-    return _valid(_read(path))
+    return cl.validated(_read(path))
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -77,7 +70,7 @@ def _write(path: Optional[str], text: str) -> None:
 def _write_cluster(path: Optional[str], c: cl.Cluster) -> None:
     """Write ``c`` once ``validate`` accepts it: a verb never writes a
     cluster that a verb reading it would reject."""
-    _write(path, cl.dumps(_valid(c)))
+    _write(path, cl.dumps(cl.validated(c)))
 
 
 def _parse_areas(text: str, n: int) -> np.ndarray:
@@ -222,13 +215,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_pressures(args) -> int:
-    c = _load(args.input)
-    try:
-        p = pressures(c)
-    except PathInconsistent as err:
-        print(f"pressures undefined: {err}", file=sys.stderr)
-        return EXIT_FAIL
-    print(json.dumps([float(x) for x in p]))
+    print(json.dumps([float(x) for x in pressures(_load(args.input))]))
     return EXIT_OK
 
 
@@ -324,6 +311,9 @@ def run(argv: Optional[List[str]] = None) -> int:
     except NonConvergence as err:
         print(f"solver failed: {err}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except PathInconsistent as err:
+        print(f"pressures undefined: {err}", file=sys.stderr)
+        return EXIT_FAIL
     except (FoamlabError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

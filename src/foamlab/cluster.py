@@ -545,7 +545,9 @@ class ValidationReport:
 
 def validate(cluster: Cluster, check_disjoint: bool = False) -> ValidationReport:
     """Named checks of a cluster document; ``topology`` is the structural
-    check (:attr:`Cluster.topology`) that every other entry point relies on."""
+    check (:attr:`Cluster.topology`) that every other entry point relies on.
+    ``positive_areas`` asks every area to be a normal positive number: an
+    area below ``np.finfo(float).tiny`` has lost its precision to underflow."""
     checks: List[Tuple[str, bool, str]] = []
 
     def add(name, ok, detail=""):
@@ -580,14 +582,24 @@ def validate(cluster: Cluster, check_disjoint: bool = False) -> ValidationReport
             add("topology", False, str(err))
         else:
             add("topology", True)
-            areas = region_areas(cluster).tolist()
-            add("positive_areas", all(a > 0 for a in areas), f"areas {areas}")
+            areas = region_areas(cluster)
+            normal = ((areas >= np.finfo(float).tiny) & (areas < math.inf)).all()
+            add("positive_areas", normal, f"areas {areas.tolist()}")
 
     if check_disjoint:
         bad_pairs = _disjointness_scan(cluster)
         add("arc_disjointness", not bad_pairs, f"close pairs {bad_pairs}")
 
     return ValidationReport(tuple(checks))
+
+
+def validated(cluster: Cluster) -> Cluster:
+    """``cluster`` if :func:`validate` accepts it; otherwise raises
+    :class:`GeometryDomainError` naming every failed check."""
+    report = validate(cluster)
+    if not report.ok:
+        raise GeometryDomainError(f"invalid cluster: {'; '.join(report.failures())}")
+    return cluster
 
 
 def _disjointness_scan(cluster: Cluster, samples: int = 16) -> List[Tuple[int, int]]:
@@ -748,7 +760,7 @@ STRAIGHT_PHI = 1e-12
 
 def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str:
     x0, x1, y0, y1 = cluster._box()
-    mx = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
+    mx = 0.05 * (max(x1 - x0, y1 - y0) or 1.0)
     width = (x1 - x0) + 2 * mx
     height = (y1 - y0) + 2 * mx
     sw = 0.005 * max(width, height)
@@ -773,7 +785,7 @@ def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str
         '<g transform="scale(1,-1)">',
     ]
     if fill_pressures is not None:
-        pmax = max(float(np.abs(fill_pressures).max()), 1e-12)
+        pmax = float(np.abs(fill_pressures).max()) or 1.0
         for r in range(1, cluster.n + 1):
             walk = cluster.topology.walks[r].tolist()
             d = " ".join([f"M {xy[walk[0]]}", *map(arc_path, walk), "Z"])

@@ -4,7 +4,9 @@ Every preset is an explicit type table passed to ``Cluster.from_arrays``:
 its vertex positions, and per edge its (tail, head), its half-angle and its
 (left, right) region ids, stated, not inferred from the embedding.  The
 closed forms give half-angles directly, so no preset forms or inverts a
-bulge.  Constructor correctness is certified by the
+bulge.  Every function here that returns a cluster returns it through
+:func:`validated`, so it raises rather than return one that
+:func:`validate` rejects.  Constructor correctness is certified by the
 equilibrium checker rather than by rederiving formulas: every non-quasi
 preset must classify as Equilibrium.
 """
@@ -18,8 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cluster import (
-    CHORD_FLOOR, EXTERIOR, STRAIGHT_PHI, Cluster, _chart_gradients, area_jacobian, incidence, region_areas,
-    rigid_motion_basis, shoelace_terms,
+    EXTERIOR, STRAIGHT_PHI, Cluster, _chart_gradients, area_jacobian, region_areas, rigid_motion_basis,
+    validated,
 )
 from .errors import GeometryDomainError, TopologyBreakdown
 from .equilibrium import SOLVE_TOL, chart_lm, residual_jacobian, residuals, solve
@@ -44,25 +46,20 @@ def mobius_apply_cluster(m: MobiusMap, cluster: Cluster) -> Cluster:
     which shows as its one negative area; region ids 0 and r are then
     swapped on every edge.  Points and half-angles come from one array pass
     of :func:`mobius_image`'s closed form, phi + arg((c tail + d) / (c head + d)),
-    with its checks.  An image with a chord at or below ``CHORD_FLOOR``
-    diameters, or an area that is not a normal nonzero number, raises
-    :class:`GeometryDomainError`.
+    with its checks.  An image that :func:`validate` rejects, as for a
+    chord collapsed or an area underflowed, raises :class:`GeometryDomainError`.
     """
     points, phis = mobius_image(m, cluster.points, cluster.ends, cluster.phis)
     image = cluster.with_chart(np.concatenate([points.view(float), phis]))
-    if (short := image.chords <= CHORD_FLOOR * image.diameter()).any():
-        raise GeometryDomainError(f"Mobius image has degenerate edges {np.flatnonzero(short).tolist()}")
     areas = region_areas(image)
-    if not (np.isfinite(areas) & (np.abs(areas) >= np.finfo(float).tiny)).all():
-        raise GeometryDomainError(f"Mobius image has areas {areas.tolist()}, not normal nonzero numbers")
     if areas.min() >= 0.0:
-        return image
+        return validated(image)
     r = int(areas.argmin()) + 1
     swap = np.arange(image.n + 1)
     swap[[EXTERIOR, r]] = r, EXTERIOR
-    return Cluster.from_arrays(
+    return validated(Cluster.from_arrays(
         image.points, image.ends, image.phis, swap[image.labels], image.n, image.region_labels
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +87,10 @@ def double_bubble(r1: float = 1.0, r2: float = 1.0) -> Cluster:
     if max(outer1, outer2) >= PHI_LIMIT:
         raise GeometryDomainError(f"radii {r1:g} and {r2:g} leave an outer arc nearly a full circle")
     middle = math.asin(y * (1.0 / r1 - 1.0 / r2))
-    return Cluster.from_arrays(
+    return validated(Cluster.from_arrays(
         [complex(x, y), complex(x, -y)], [(0, 1), (1, 0), (1, 0)], [outer1, outer2, middle],
         [(1, EXTERIOR), (2, EXTERIOR), (1, 2)], 2, ("exterior", "bubble 1", "bubble 2"),
-    )
+    ))
 
 
 def triple_bubble(areas: Optional[Sequence[float]] = None) -> Cluster:
@@ -115,13 +112,13 @@ def triple_bubble(areas: Optional[Sequence[float]] = None) -> Cluster:
         points, ends, [0.0] * 3 + [math.pi / 2] * 3, labels, 3,
         ("exterior", "bubble 1", "bubble 2", "bubble 3"),
     )
-    if areas is None:
-        return cluster
-    # rescale the symmetric seed to the right total before solving
-    target = np.asarray(areas, dtype=float)
-    s = math.sqrt(target.sum() / region_areas(cluster).sum())
-    seed = cluster.with_chart(cluster.chart() * np.repeat([s, 1.0], [2 * cluster.v, cluster.e]))
-    return solve(seed, target)
+    if areas is not None:
+        # rescale the symmetric seed to the right total before solving
+        target = np.asarray(areas, dtype=float)
+        s = math.sqrt(target.sum() / region_areas(cluster).sum())
+        seed = cluster.with_chart(cluster.chart() * np.repeat([s, 1.0], [2 * cluster.v, cluster.e]))
+        cluster = solve(seed, target)
+    return validated(cluster)
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +149,6 @@ def _graft(cluster: Cluster, p: complex, wq: complex, tri, rays, far, phis):
     return verts, outer, bubble.tolist()
 
 
-def _positive_areas(c: Cluster) -> Cluster:
-    """``c``, unless a region's area S (bulge + chord shoelace term), S
-    read from the labels without a face walk, is not positive."""
-    areas = incidence(c.labels, c.n) @ (c.bulges + shoelace_terms(c.points, c.ends))
-    for r in np.flatnonzero(~(areas > 0.0)):
-        raise GeometryDomainError(f"region {r + 1} of the result has area {areas[r]:.3g}")
-    return c
-
-
 def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     """Insert a three-sided bubble at a triple junction.
 
@@ -171,8 +159,8 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     junction's second carrier point, or in the cluster's own units at a
     straight junction, whose carriers meet again at infinity.  Edges and
     vertices away from the junction are untouched; the new region gets id
-    n + 1.  Raises :class:`GeometryDomainError` when a region of the result
-    would have non-positive area.
+    n + 1.  Raises :class:`GeometryDomainError` when :func:`validate`
+    rejects the result, as for a chord collapsed or a non-positive area.
     """
     if not 0 <= vertex < cluster.v:
         raise GeometryDomainError(f"no vertex {vertex}")
@@ -207,7 +195,7 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     left = cluster.labels.ravel()
     labels[star >> 1] = left[np.stack([star, star ^ 1], axis=1)]
     region_labels = cluster.region_labels or ("exterior", *(f"region {r}" for r in range(1, new_region)))
-    return _positive_areas(Cluster.from_arrays(
+    return validated(Cluster.from_arrays(
         np.concatenate([cluster.points[keep], verts]),
         np.concatenate([ends, np.stack([new_ids, np.roll(new_ids, -1)], axis=1)]),
         np.concatenate([phis, bubble]),
@@ -225,7 +213,7 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
     multiplies the bubble's size measured as in :func:`decorate`, so
     ``factor = 0`` undoes :func:`decorate`: it deletes the region and merges
     the three junctions into one vertex.  Raises :class:`GeometryDomainError`
-    when a region of the result would have non-positive area.
+    when :func:`validate` rejects the result, as :func:`decorate` does.
     """
     if not (math.isfinite(factor) and factor >= 0):
         raise GeometryDomainError("factor must be finite and >= 0")
@@ -269,7 +257,7 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
         phis[h >> 1] = -phi if h & 1 else phi
 
     if factor > 0.0:
-        return _positive_areas(cluster.with_chart(np.concatenate([points.view(float), phis])))
+        return validated(cluster.with_chart(np.concatenate([points.view(float), phis])))
 
     # factor == 0: delete the region, merge the three junctions at p
     keep = ~np.isin(np.arange(cluster.v), bubble_vids)
@@ -277,7 +265,7 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
     kept = (cluster.labels != region).all(axis=1)  # every edge but the bubble's
     labels = cluster.labels[kept]
     region_labels = tuple(l for r, l in enumerate(cluster.region_labels) if r != region)
-    return _positive_areas(Cluster.from_arrays(
+    return validated(Cluster.from_arrays(
         np.append(cluster.points[keep], p), remap[cluster.ends[kept]], phis[kept],
         labels - (labels > region), cluster.n - 1, region_labels,
     ))
@@ -318,7 +306,8 @@ def two_lens(lens1: float = 0.8, lens2: float = 0.8, separation: float = 2.0) ->
     phis = [0.0, math.pi] + [-math.pi / 3, math.pi / 3] * 2
     z, phis = mobius_image(MobiusMap.inversion_about(1j), line, ends, phis)
     labels = [(EXTERIOR, 1), (EXTERIOR, 1), (EXTERIOR, 2), (2, 1), (EXTERIOR, 3), (3, 1)]
-    return Cluster.from_arrays(z, ends, phis, labels, 3, ("exterior", "bubble", "lens 1", "lens 2"))
+    region_labels = ("exterior", "bubble", "lens 1", "lens 2")
+    return validated(Cluster.from_arrays(z, ends, phis, labels, 3, region_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +350,10 @@ def necklace(k: int, inner_radius: Optional[float] = None) -> Cluster:
         ends += [(j, k + j), (k + j, k + nxt), (j, nxt)]
         labels += [(bubble, (j - 1) % k + 1), (bubble, EXTERIOR), (chamber, bubble)]
     region_labels = ["exterior"] + [f"bubble {j + 1}" for j in range(k)] + ["chamber"]
-    return Cluster.from_arrays(
+    return validated(Cluster.from_arrays(
         [rho1 * z for z in ring] + [rho2 * z for z in ring], ends, [0.0, phi2, phi1] * k, labels,
         chamber, region_labels,
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +396,10 @@ def flower(lens_size: float = 0.18, radius: float = 1.0) -> Cluster:
     for k in range(4):  # petal arc, separator, center arc
         ends += [(4 + k, 4 + (k + 1) % 4), (k, 4 + k), (k, (k + 1) % 4)]
         labels += [(k + 1, EXTERIOR), (k + 1, (k - 1) % 4 + 1), (5, k + 1)]
-    return Cluster.from_arrays(
+    return validated(Cluster.from_arrays(
         corners + outer, ends, [5 * math.pi / 12, 0.0, math.pi / 12] * 4, labels, 5,
         ("exterior", "petal 1", "petal 2", "petal 3", "petal 4", "center"),
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +431,9 @@ def quasi_variant(kind: str, amount: float = 0.15) -> Cluster:
     if not math.isfinite(amount):
         raise GeometryDomainError("amount must be finite")
     base, rows, jac = _quasi_rows(kind, amount)
-    return chart_lm(
+    return validated(chart_lm(
         base, rows, jac, lambda x, f: bool(np.abs(f).max() < SOLVE_TOL), max_iter=200
-    )
+    ))
 
 
 def _quasi_rows(variant: str, amount: float):

@@ -8,6 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,8 +76,12 @@ WRITING_VERBS = [
 # overflow; argv, and the start of its error message: the library refuses
 # the Mobius images and the double bubble
 INVALID_RESULTS = {
-    "far_translation": (["mobius", "--translate", "1e17,0", "triple.json"], "Mobius image has degenerate edges [3]"),
-    "tiny_scale": (["mobius", "--scale", "1e-170", "triple.json"], "Mobius image has areas [0.0, 0.0, 0.0]"),
+    "far_translation": (
+        ["mobius", "--translate", "1e17,0", "triple.json"], "invalid cluster: edge_chords: degenerate edges [3]"
+    ),
+    "tiny_scale": (
+        ["mobius", "--scale", "1e-170", "triple.json"], "invalid cluster: positive_areas: areas [0.0, 0.0, 0.0]"
+    ),
     "huge_scale": (["mobius", "--scale", "1e170", "triple.json"], "Mobius image has points beyond 1e+140"),
     "tiny_double": (["new", "double", "--r1", "1e-300", "--r2", "1"], "radii 1e-300 and 1 must be positive"),
 }
@@ -147,6 +152,14 @@ class TestNewAndCheck:
         }))
         assert run(["check", str(empty)]) == 1
         assert capsys.readouterr().out.startswith("Invalid: ")
+
+    def test_check_refuses_an_area_below_the_normal_range(self, tmp_path, capsys):
+        # the triple bubble at 1e-155: its areas of 1e-310 are subnormal
+        c = fl.triple_bubble((1, 1, 1))
+        doc = tmp_path / "tiny.json"
+        doc.write_text(fl.dumps(c.with_chart(c.chart() * np.repeat([1e-155, 1.0], [2 * c.v, c.e]))))
+        assert run(["check", str(doc)]) == 1
+        assert capsys.readouterr().out.startswith("Invalid: positive_areas: areas [")
 
     @pytest.mark.parametrize("verb", [["pressures"], ["desitter", "verify"], ["render"]])
     def test_invalid_cluster_is_exit_2(self, tmp_path, verb):
@@ -253,6 +266,13 @@ class TestWrittenClusters:
         assert out.stderr.startswith("error: " + message)
         assert "Traceback" not in out.stderr and "RuntimeWarning" not in out.stderr
         assert not (tmp_path / "out.json").exists()
+
+    def test_refused_preset_prints_the_library_message(self, capsys):
+        with pytest.raises(fl.GeometryDomainError) as err:
+            fl.necklace(7, 1e-12)
+        assert run(["new", "necklace", "--k", "7", "--inner-radius", "1e-12"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {err.value}\n")
 
     def test_output_to_a_directory_is_exit_2(self, tmp_path):
         assert run_quietly(["new", "double", "-o", str(tmp_path)])[0] == 2
@@ -445,6 +465,22 @@ class TestReportVerbs:
         q = tmp_path / "q.json"
         run(["new", "quasi", "-o", str(q)])
         assert run(["desitter", "verify", str(q)]) == 1
+
+    def test_undefined_pressures_are_exit_1_for_every_verb(self, tmp_path, capsys):
+        q, svg = tmp_path / "q.json", tmp_path / "q.svg"
+        run(["new", "quasi", "--kind", "two_lens_recurved", "-o", str(q)])
+        c = fl.loads(read(q))
+        # stability works in the unit frame, and its defects are measured there
+        lines = []
+        for frame in (c, c.unit()):
+            with pytest.raises(fl.PathInconsistent) as err:
+                fl.pressures(frame)
+            lines.append(f"pressures undefined: {err.value}\n")
+        cases = [(["pressures"], 0), (["render", "--fill-pressures", "-o", str(svg)], 0), (["stability"], 1)]
+        for argv, frame in cases:
+            assert run(argv + [str(q)]) == 1, argv
+            assert capsys.readouterr() == ("", lines[frame]), argv
+        assert not svg.exists()
 
     def test_render(self, tmp_path):
         t, svg = tmp_path / "t.json", tmp_path / "t.svg"

@@ -774,6 +774,19 @@ class TestSvg:
             ends = [complex(float(d[1]), float(d[2])), complex(float(d[-2]), float(d[-1]))]
             assert np.abs(ends - c.points[c.ends[j]]).max() <= 1e-9 * c.diameter(), j
 
+    def test_fills_and_margin_are_scale_invariant(self):
+        # the fill shades follow the largest pressure, the margin the extent
+        base = fl.double_bubble(1.0, 0.6)
+        fills, boxes = set(), []
+        for s in (1e-12, 1.0, 1e13):
+            c = fl.mobius_apply_cluster(fl.MobiusMap.scaling(s), base)
+            svg = fl.to_svg(c, fill_pressures=fl.pressures(c)[1:])
+            fills.add(tuple(line.split(" fill=", 1)[1] for line in svg.splitlines() if "rgb(" in line))
+            head = svg.split('viewBox="', 1)[1]
+            boxes.append([float(x) / c.extent() for x in head.split('"', 1)[0].split()[2:]])
+        assert len(fills) == 1 and len(next(iter(fills))) == 2
+        assert np.allclose(boxes, boxes[1], rtol=1e-8, atol=0.0)
+
     def test_view_box_holds_every_arc_point(self, equilibrium_presets):
         # rotated double bubbles, many of whose arcs peak between sample points
         clusters = [

@@ -404,6 +404,25 @@ class TestQuasiVariants:
             fl.quasi_variant(kind, amount)
 
 
+class TestConstructorsValidate:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: fl.decorate(fl.triple_bubble(), 0, 1e-10),
+            lambda: fl.scale_three_sided(fl.four_bubble(), 4, 1e-12),
+            lambda: fl.two_lens(1e-12, 0.8),
+            lambda: fl.necklace(7, 1e-12),
+            lambda: fl.flower(1e-12),
+        ],
+        ids=["decorate", "scale_three_sided", "two_lens", "necklace", "flower"],
+    )
+    def test_collapsed_chords_raise(self, build):
+        # each returned a cluster with chords below the floor, which
+        # validate rejects
+        with pytest.raises(GeometryDomainError, match=r"^invalid cluster: edge_chords: degenerate edges"):
+            build()
+
+
 class TestMobiusInvariance:
     def test_random_maps_preserve_equilibrium(self, triple, rng):
         for _ in range(10):
@@ -450,11 +469,14 @@ class TestMobiusInvariance:
     @pytest.mark.parametrize(
         "m, message",
         [
-            (fl.MobiusMap.translation(1e17), "Mobius image has degenerate edges [3]"),
-            (fl.MobiusMap.scaling(1e-170), "Mobius image has areas [0.0, 0.0, 0.0]"),
+            (fl.MobiusMap.translation(1e17), "invalid cluster: edge_chords: degenerate edges [3]"),
+            (fl.MobiusMap.scaling(1e-170), "invalid cluster: positive_areas: areas [0.0, 0.0, 0.0]"),
             (fl.MobiusMap.scaling(1e170), "Mobius image has points beyond 1e+140 in magnitude"),
+            # areas of 1e-310 and 1e-320: nonzero, but below the normal range
+            (fl.MobiusMap.scaling(1e-155), "invalid cluster: positive_areas: areas ["),
+            (fl.MobiusMap.scaling(1e-160), "invalid cluster: positive_areas: areas ["),
         ],
-        ids=["far_translation", "tiny_scale", "huge_scale"],
+        ids=["far_translation", "tiny_scale", "huge_scale", "subnormal_areas", "subnormal_areas_2"],
     )
     def test_invalid_images_raise_without_warnings(self, m, message):
         # before, these returned clusters that validate rejects, or whose
@@ -470,7 +492,7 @@ class TestMobiusInvariance:
         tiny = fl.mobius_apply_cluster(fl.MobiusMap.scaling(1e-140), fl.triple_bubble())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(GeometryDomainError, match=re.escape("Mobius image has degenerate edges")):
+            with pytest.raises(GeometryDomainError, match="invalid cluster: edge_chords: degenerate edges"):
                 fl.mobius_apply_cluster(fl.MobiusMap.inversion_about(1e15), tiny)
 
     def test_pole_inside_a_bubble_relabels_exterior(self):

@@ -195,8 +195,14 @@ class TestIterateCheck:
     @pytest.mark.parametrize("size, accepted", [(3e-9, True), (1e-9, False)])
     def test_validate_and_the_iterate_check_share_one_chord_floor(self, triple, size, accepted):
         # the smallest chords are 2.3e-9 and 7.6e-10 diameters, either side
-        # of the floor: validate and the solver's check agree on both
-        c = fl.decorate(triple, 0, size)
+        # of the floor: validate and the solver's check agree on both.
+        # decorate refuses the smaller bubble, so it is the size-3e-9 one
+        # with its three new vertices scaled about the straight junction,
+        # the origin
+        c = fl.decorate(triple, 0, 3e-9)
+        x = c.chart()
+        x[2 * (c.v - 3) : 2 * c.v] *= size / 3e-9
+        c = c.with_chart(x)
         assert fl.validate(c).ok is accepted
         if accepted:
             _check_topology(c.unit())

@@ -352,9 +352,9 @@ class TestStability:
 
     def test_evaluation_budget(self, equilibrium_presets):
         # the bisection from +-bound took 53 batches plus the verdict probes;
-        # these 16 reports take 249 batches and 820 sigmas (at most 30 and
-        # 90 per report, both on triple), against 348 and 1053 with a first
-        # batch of only the probes, doubling outward, and no merging
+        # these 16 reports take 253 batches and 817 sigmas (at most 30 per
+        # report, on triple, and 87, on double), against 348 and 1053 with a
+        # first batch of only the probes, doubling outward, and no merging
         clusters = dict(equilibrium_presets, unstable=fl.necklace(7, inner_radius=0.05))
         total = np.zeros(2, dtype=int)
         for m in (64, 128):
