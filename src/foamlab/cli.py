@@ -11,7 +11,7 @@ input/output, deterministic float formatting, and the exit-code contract
 A verb that reads a document exits 2 when ``validate`` rejects it, except
 ``check``, which prints the failed checks and exits 1.  A verb that writes a
 cluster exits 2, and writes nothing, when ``validate`` rejects the result:
-both go through :func:`foamlab.cluster.validated`, the library's own check.
+the reader and the library call :func:`foamlab.cluster.validated`, once each.
 Every input or argument error is a :class:`FoamlabError` that ``run`` prints
 after ``error: ``.  A verb that needs pressures of a document whose
 curvature sums disagree (:class:`PathInconsistent`) exits 1.
@@ -65,12 +65,6 @@ def _write(path: Optional[str], text: str) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def _write_cluster(path: Optional[str], c: cl.Cluster) -> None:
-    """Write ``c`` once ``validate`` accepts it: a verb never writes a
-    cluster that a verb reading it would reject."""
-    _write(path, cl.dumps(cl.validated(c)))
 
 
 def _parse_areas(text: str, n: int) -> np.ndarray:
@@ -189,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_new(args) -> int:
-    _write_cluster(args.output, _PRESETS[args.preset](args))
+    _write(args.output, cl.dumps(_PRESETS[args.preset](args)))
     return EXIT_OK
 
 
@@ -210,7 +204,7 @@ def _cmd_check(args) -> int:
 def _cmd_solve(args) -> int:
     c = _load(args.input)
     target = _parse_areas(args.areas, c.n)
-    _write_cluster(args.output, solve(c, target, max_iter=args.max_iter))
+    _write(args.output, cl.dumps(solve(c, target, max_iter=args.max_iter)))
     return EXIT_OK
 
 
@@ -263,19 +257,19 @@ def _cmd_mobius(args) -> int:
         raise GeometryDomainError("no map specified")
     # applied in the order listed: each map after the ones before it
     m = functools.reduce(lambda m, step: step.compose(m), maps, MobiusMap.identity())
-    _write_cluster(args.output, con.mobius_apply_cluster(m, c))
+    _write(args.output, cl.dumps(con.mobius_apply_cluster(m, c)))
     return EXIT_OK
 
 
 def _cmd_decorate(args) -> int:
     c = _load(args.input)
-    _write_cluster(args.output, con.decorate(c, args.vertex, args.size))
+    _write(args.output, cl.dumps(con.decorate(c, args.vertex, args.size)))
     return EXIT_OK
 
 
 def _cmd_shrink(args) -> int:
     c = _load(args.input)
-    _write_cluster(args.output, con.scale_three_sided(c, args.region, args.factor))
+    _write(args.output, cl.dumps(con.scale_three_sided(c, args.region, args.factor)))
     return EXIT_OK
 
 
@@ -296,7 +290,7 @@ def _cmd_render(args) -> int:
 def _cmd_continue(args) -> int:
     c = _load(args.input)
     target = _parse_areas(args.areas, c.n)
-    _write_cluster(args.output, continue_family(c, target, steps=args.steps)[-1])
+    _write(args.output, cl.dumps(continue_family(c, target, steps=args.steps)[-1]))
     return EXIT_OK
 
 

@@ -15,8 +15,8 @@ formula.  The combinatorial type is a ``Topology``, built from the edges'
 ends and labels alone and interned once per type: the counterclockwise stars
 (the half-edge after a has a's left region on its right), the face walks,
 one boundary walk per region and the signed incidence S.  Building it is the
-one structural check; one test, every star's tangents turning once
-counterclockwise, ties a chart point to it, and ``with_chart`` copies share it.
+one structural check, and ``with_chart`` copies share it; each chart point, a
+copy too, has its own test: every star's tangents turn once counterclockwise.
 Areas and their derivatives need no walk: a region's walk is exactly the
 half-edges with it on the left, so they come from the labels through S.
 
@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import ClusterFormatError, GeometryDomainError, StructuralError
 from .geometry import (  # arc_tangent is unused here, but perfbench's tests resolve it
+    PHI_LIMIT,
     Arc,
     Point,
     _unit_segment,
@@ -378,28 +379,31 @@ class Cluster:
     def with_chart(self, x: np.ndarray) -> "Cluster":
         """The cluster of the same type at chart point ``x``.  Its points and
         phis are views of ``x``, copied unless read-only, and it shares this
-        cluster's ``ends``, ``labels`` and topology."""
+        cluster's ``ends``, ``labels`` and type, not its star test."""
         x = _frozen(x, float)
         if x.shape != (2 * self.v + self.e,):
             raise ValueError("chart vector has wrong length")
         copy = Cluster.__new__(Cluster)
-        copy.__dict__.update(  # views of the read-only x; the topology fills the cached property
+        copy.__dict__.update(  # views of the read-only x; the type fills the cached property
             points=x[: 2 * self.v].view(complex), ends=self.ends, phis=x[2 * self.v :], labels=self.labels,
-            region_count=self.region_count, region_labels=self.region_labels, topology=self.topology,
+            region_count=self.region_count, region_labels=self.region_labels, _type=self._type,
         )
         return copy
 
     @cached_property
-    def topology(self) -> Topology:
-        """The type interned by (ends, labels, n), shared by the ``with_chart``
-        copies, once this chart point realizes it (:func:`_star_fault`);
-        raises :class:`StructuralError` if either fails."""
+    def _type(self) -> Topology:
+        """The type interned by (ends, labels, n), shared by copies; :class:`StructuralError` if none."""
         top = _interned(self.ends.tobytes(), self.labels.tobytes(), self.n)
         if len(top.stars) < self.v:
             raise StructuralError(f"vertex {len(top.stars)} has degree 0, expected 3")
-        if (i := _star_fault(self.alphas, top)) is not None:
-            raise StructuralError(f"vertex {i} turns against the order of its regions")
         return top
+
+    @cached_property
+    def topology(self) -> Topology:
+        """:attr:`_type`, once :func:`_star_fault` passes on this very chart point; else StructuralError."""
+        if (i := _star_fault(self.alphas, self._type)) is not None:
+            raise StructuralError(f"vertex {i} turns against the order of its regions")
+        return self._type
 
     # -- derived geometry --------------------------------------------------
 
@@ -546,8 +550,8 @@ class ValidationReport:
 def validate(cluster: Cluster, check_disjoint: bool = False) -> ValidationReport:
     """Named checks of a cluster document; ``topology`` is the structural
     check (:attr:`Cluster.topology`) that every other entry point relies on.
-    ``positive_areas`` asks every area to be a normal positive number: an
-    area below ``np.finfo(float).tiny`` has lost its precision to underflow."""
+    ``half_angles`` bounds |phi| by ``PHI_LIMIT``, as a document's bulges do, and
+    ``positive_areas`` asks for normal positive areas, not ones lost to underflow."""
     checks: List[Tuple[str, bool, str]] = []
 
     def add(name, ok, detail=""):
@@ -576,9 +580,13 @@ def validate(cluster: Cluster, check_disjoint: bool = False) -> ValidationReport
     if short:
         add("topology", False, "skipped: degenerate edges")
     else:
-        try:
+        try:  # a document's bulges invert only to half-angles below PHI_LIMIT
+            wide = np.flatnonzero(np.abs(cluster.phis) >= PHI_LIMIT).tolist()
+            add("half_angles", not wide, f"near-full-circle edges {wide}")
             cluster.topology
-        except (StructuralError, GeometryDomainError) as err:
+        except GeometryDomainError as err:
+            add("half_angles", False, str(err))
+        except StructuralError as err:
             add("topology", False, str(err))
         else:
             add("topology", True)

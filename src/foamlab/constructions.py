@@ -5,10 +5,10 @@ its vertex positions, and per edge its (tail, head), its half-angle and its
 (left, right) region ids, stated, not inferred from the embedding.  The
 closed forms give half-angles directly, so no preset forms or inverts a
 bulge.  Every function here that returns a cluster returns it through
-:func:`validated`, so it raises rather than return one that
-:func:`validate` rejects.  Constructor correctness is certified by the
-equilibrium checker rather than by rederiving formulas: every non-quasi
-preset must classify as Equilibrium.
+:func:`validated`, itself or in :func:`chart_lm`, so it raises rather than
+return one that :func:`validate` rejects.  Constructor correctness is
+certified by the equilibrium checker rather than by rederiving formulas:
+every non-quasi preset must classify as Equilibrium.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .equilibrium import SOLVE_TOL, chart_lm, residual_jacobian, residuals, solv
 from .geometry import (
     AT_INFINITY,
     PENCIL_TOL,
-    PHI_LIMIT,
     MobiusMap,
     half_angle,
     mobius_image,
@@ -52,14 +51,13 @@ def mobius_apply_cluster(m: MobiusMap, cluster: Cluster) -> Cluster:
     points, phis = mobius_image(m, cluster.points, cluster.ends, cluster.phis)
     image = cluster.with_chart(np.concatenate([points.view(float), phis]))
     areas = region_areas(image)
-    if areas.min() >= 0.0:
-        return validated(image)
-    r = int(areas.argmin()) + 1
-    swap = np.arange(image.n + 1)
-    swap[[EXTERIOR, r]] = r, EXTERIOR
-    return validated(Cluster.from_arrays(
-        image.points, image.ends, image.phis, swap[image.labels], image.n, image.region_labels
-    ))
+    if areas.min() < 0.0:
+        r = int(areas.argmin()) + 1
+        swap = np.arange(image.n + 1)
+        swap[[EXTERIOR, r]] = r, EXTERIOR
+        image = Cluster.from_arrays(image.points, image.ends, image.phis, swap[image.labels], image.n,
+                                    image.region_labels)
+    return validated(image)
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +82,6 @@ def double_bubble(r1: float = 1.0, r2: float = 1.0) -> Cluster:
     x = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
     y = math.sqrt(r1 * r1 - x * x)
     outer1, outer2 = math.pi - math.atan2(y, x), math.pi - math.atan2(y, d - x)
-    if max(outer1, outer2) >= PHI_LIMIT:
-        raise GeometryDomainError(f"radii {r1:g} and {r2:g} leave an outer arc nearly a full circle")
     middle = math.asin(y * (1.0 / r1 - 1.0 / r2))
     return validated(Cluster.from_arrays(
         [complex(x, y), complex(x, -y)], [(0, 1), (1, 0), (1, 0)], [outer1, outer2, middle],
@@ -112,13 +108,13 @@ def triple_bubble(areas: Optional[Sequence[float]] = None) -> Cluster:
         points, ends, [0.0] * 3 + [math.pi / 2] * 3, labels, 3,
         ("exterior", "bubble 1", "bubble 2", "bubble 3"),
     )
-    if areas is not None:
-        # rescale the symmetric seed to the right total before solving
-        target = np.asarray(areas, dtype=float)
-        s = math.sqrt(target.sum() / region_areas(cluster).sum())
-        seed = cluster.with_chart(cluster.chart() * np.repeat([s, 1.0], [2 * cluster.v, cluster.e]))
-        cluster = solve(seed, target)
-    return validated(cluster)
+    if areas is None:
+        return validated(cluster)
+    # rescale the symmetric seed to the right total before solving
+    target = np.asarray(areas, dtype=float)
+    s = math.sqrt(target.sum() / region_areas(cluster).sum())
+    seed = cluster.with_chart(cluster.chart() * np.repeat([s, 1.0], [2 * cluster.v, cluster.e]))
+    return solve(seed, target)
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +427,7 @@ def quasi_variant(kind: str, amount: float = 0.15) -> Cluster:
     if not math.isfinite(amount):
         raise GeometryDomainError("amount must be finite")
     base, rows, jac = _quasi_rows(kind, amount)
-    return validated(chart_lm(
-        base, rows, jac, lambda x, f: bool(np.abs(f).max() < SOLVE_TOL), max_iter=200
-    ))
+    return chart_lm(base, rows, jac, lambda x, f: bool(np.abs(f).max() < SOLVE_TOL), max_iter=200)
 
 
 def _quasi_rows(variant: str, amount: float):

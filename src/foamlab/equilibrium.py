@@ -21,9 +21,10 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .cluster import (
-    CHORD_FLOOR, _END_SIGN, Cluster, _jacobian, _size, _star_fault, region_areas, rigid_motion_basis,
+    CHORD_FLOOR, _END_SIGN, Cluster, _jacobian, _size, region_areas, rigid_motion_basis, validated,
 )
-from .errors import GeometryDomainError, NonConvergence, PathInconsistent, TopologyBreakdown
+from .errors import GeometryDomainError, NonConvergence, PathInconsistent, StructuralError, TopologyBreakdown
+from .geometry import PHI_LIMIT
 
 
 @dataclass(frozen=True)
@@ -193,22 +194,22 @@ def lm_minimize(
 
 #: Stopping tolerance of :func:`solve`'s dimensionless residual and area rows.
 SOLVE_TOL = 1e-10
-#: Half-angles beyond this are arcs approaching a full circle, a breakdown.
-FULL_CIRCLE_PHI = math.pi - 1e-3
 
 
 def _check_topology(cluster: Cluster) -> None:
     """Raise :class:`TopologyBreakdown` unless the unit-frame chart point
-    still realizes its topology: no chord at or below ``CHORD_FLOOR`` (tested
-    before the curvatures divide by it), no half-angle beyond
-    ``FULL_CIRCLE_PHI``, and no star out of order (:func:`_star_fault`)."""
+    still realizes its type: no chord at or below ``CHORD_FLOOR`` (tested
+    before the curvatures divide by it), no |phi| at or beyond ``PHI_LIMIT``,
+    and every star in order (:attr:`Cluster.topology`)."""
     c, phi = cluster.chords, np.abs(cluster.phis)
     if c.min(initial=math.inf) <= CHORD_FLOOR:  # each test finds its first failure only on failing
         raise TopologyBreakdown(f"edge {np.argmax(c <= CHORD_FLOOR)} chord collapsed")
-    if phi.max(initial=0.0) > FULL_CIRCLE_PHI:
-        raise TopologyBreakdown(f"edge {np.argmax(phi > FULL_CIRCLE_PHI)} approaching a full circle")
-    if (i := _star_fault(cluster.alphas, cluster.topology)) is not None:
-        raise TopologyBreakdown(f"vertex {i} no longer has its star order")
+    if phi.max(initial=0.0) >= PHI_LIMIT:
+        raise TopologyBreakdown(f"edge {np.argmax(phi >= PHI_LIMIT)} approaching a full circle")
+    try:
+        cluster.topology
+    except StructuralError as err:
+        raise TopologyBreakdown(str(err)) from err
 
 
 def chart_lm(initial: Cluster, rows: Callable, jac: Callable, converged, max_iter: int) -> Cluster:
@@ -216,7 +217,8 @@ def chart_lm(initial: Cluster, rows: Callable, jac: Callable, converged, max_ite
     ``rows(c)`` of the cluster c at each chart point, with their exact
     Jacobian ``jac(c)``, mapped back by ``initial.chart_units()``.  Rows and
     Jacobian read one cluster per point.  Raises :class:`TopologyBreakdown`
-    when an iterate degenerates an edge or reorders a star."""
+    when an iterate degenerates an edge or reorders a star.  :func:`validated`
+    checks a copy of the result, so a result kept in bulk holds its chart alone."""
     last = [None, None]
 
     def at(x: np.ndarray) -> Cluster:  # lm_minimize never changes a point it has passed
@@ -229,6 +231,7 @@ def chart_lm(initial: Cluster, rows: Callable, jac: Callable, converged, max_ite
     units = initial.chart_units()
     x, _ = lm_minimize(lambda x: rows(at(x)), lambda x: jac(at(x)), initial.chart() / units, max_iter,
                        converged)
+    validated(initial.with_chart(x * units))
     return initial.with_chart(x * units)
 
 

@@ -49,4 +49,4 @@ class NonConvergence(FoamlabError):
 
 
 class TopologyBreakdown(FoamlabError):
-    """An edge degenerated (chord collapse or near-full-circle arc)."""
+    """A chart point leaves its type: a chord or an arc degenerates, a star turns, or arcs overlap."""

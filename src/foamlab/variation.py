@@ -539,6 +539,7 @@ def stability_report(cluster: Cluster, m: int = 64) -> HessianReport:
     pressure at -0.02 says ``Degenerate(4)``).
     """
     start = time.perf_counter()
+    pressures(cluster)  # undefined pressures raise here, as measured in the cluster's own frame
     unit = cluster.unit()
     hess = eliminated_hessian(unit, m)
     assembled = time.perf_counter()

@@ -267,6 +267,34 @@ class TestWrittenClusters:
         assert "Traceback" not in out.stderr and "RuntimeWarning" not in out.stderr
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize(
+        "verb",
+        [["new", p] for p in cli._PRESETS]
+        + [v for v in WRITING_VERBS if v[0] not in ("solve", "continue")]
+        + [["solve", "--areas", "1.1,1,0.9"], ["continue", "--areas", "1.1,1,0.9", "--steps", "2"]],
+        ids=lambda v: f"new_{v[1]}" if v[0] == "new" else v[0],
+    )
+    def test_each_cluster_is_validated_once(self, tmp_path, monkeypatch, verb):
+        # the input document once, if the verb reads one, and the written
+        # chart point once: the library admits what it builds (a solver on a
+        # copy of its result), and the writer dumps it unchecked; solve and
+        # continue leave the input's areas, so each chart point is new
+        t, out = tmp_path / "t.json", tmp_path / "out.json"
+        run(["new", "triple", "-o", str(t)])
+        read, checked, written = [], [], []
+        loads, validate, dumps = fl.cluster.loads, fl.cluster.validate, fl.cluster.dumps
+        monkeypatch.setattr(fl.cluster, "loads", lambda text: read.append(loads(text)) or read[-1])
+        monkeypatch.setattr(fl.cluster, "validate", lambda c, *a: checked.append(c) or validate(c, *a))
+        monkeypatch.setattr(fl.cluster, "dumps", lambda c: written.append(c) or dumps(c))
+        argv = verb if verb[0] == "new" else with_input(verb, str(t))
+        assert run_quietly(argv + ["-o", str(out)])[0] == 0
+        assert len(read) == (verb[0] != "new") and len(written) == 1
+        point = lambda c: (c.chart().tobytes(), c.labels.tobytes())
+        points = [point(c) for c in checked]
+        for c in read + written:
+            assert points.count(point(c)) == 1
+        assert len(set(points)) == len(points)
+
     def test_refused_preset_prints_the_library_message(self, capsys):
         with pytest.raises(fl.GeometryDomainError) as err:
             fl.necklace(7, 1e-12)
@@ -469,17 +497,12 @@ class TestReportVerbs:
     def test_undefined_pressures_are_exit_1_for_every_verb(self, tmp_path, capsys):
         q, svg = tmp_path / "q.json", tmp_path / "q.svg"
         run(["new", "quasi", "--kind", "two_lens_recurved", "-o", str(q)])
-        c = fl.loads(read(q))
-        # stability works in the unit frame, and its defects are measured there
-        lines = []
-        for frame in (c, c.unit()):
-            with pytest.raises(fl.PathInconsistent) as err:
-                fl.pressures(frame)
-            lines.append(f"pressures undefined: {err.value}\n")
-        cases = [(["pressures"], 0), (["render", "--fill-pressures", "-o", str(svg)], 0), (["stability"], 1)]
-        for argv, frame in cases:
+        # every verb measures the defects in the document's own frame
+        with pytest.raises(fl.PathInconsistent) as err:
+            fl.pressures(fl.loads(read(q)))
+        for argv in (["pressures"], ["render", "--fill-pressures", "-o", str(svg)], ["stability"]):
             assert run(argv + [str(q)]) == 1, argv
-            assert capsys.readouterr() == ("", lines[frame]), argv
+            assert capsys.readouterr() == ("", f"pressures undefined: {err.value}\n"), argv
         assert not svg.exists()
 
     def test_render(self, tmp_path):

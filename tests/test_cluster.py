@@ -235,6 +235,36 @@ class TestTopology:
             with pytest.raises(StructuralError, match="turns against"):
                 fl.classify(m)
 
+    @pytest.mark.parametrize("name", ["triple", "double", "four", "flower"])
+    def test_copies_share_the_type_but_not_its_verdict(self, name, request):
+        # a copy of a valid cluster, moved to a seeded chart point, gets the
+        # checks of the same arrays built afresh: the star test is its own
+        c, rng = request.getfixturevalue(name), np.random.default_rng(36)
+        turned = 0
+        for _ in range(200):
+            x = c.chart()
+            x[: 2 * c.v] += rng.normal(0.0, 0.6, 2 * c.v)
+            x[2 * c.v :] += rng.normal(0.0, 0.9, c.e)
+            copy = c.with_chart(x)
+            fresh = fl.Cluster.from_arrays(x[: 2 * c.v].view(complex), c.ends, x[2 * c.v :], c.labels, c.n)
+            checks = fl.validate(copy).checks
+            assert checks == fl.validate(fresh).checks
+            if ("topology", False) in [(check, ok) for check, ok, _ in checks]:
+                turned += 1
+                for d in (copy, fresh):
+                    with pytest.raises(StructuralError):
+                        fl.classify(d)
+        assert turned > 0
+
+    def test_a_mirrored_copy_turns_against_its_labels(self, triple):
+        x = triple.chart()
+        x[1 : 2 * triple.v : 2] *= -1.0
+        x[2 * triple.v :] *= -1.0
+        m = triple.with_chart(x)
+        assert fl.validate(m).failures() == ["topology: vertex 0 turns against the order of its regions"]
+        with pytest.raises(StructuralError, match="turns against"):
+            fl.classify(m)
+
     def test_disconnected_document_raises(self, double):
         # a second double bubble far away, its faces labelled 5 (outside), 3
         # and 4: every face has a label of its own, yet the region adjacency
@@ -667,6 +697,20 @@ class TestValidate:
         for name, c in equilibrium_presets.items():
             report = fl.validate(c)
             assert report.ok, (name, report.failures)
+
+    def test_half_angles_are_what_a_document_can_hold(self, triple, equilibrium_presets, quasi_presets, rng):
+        # a bulge inverts only below PHI_LIMIT: loads(dumps(.)) would give
+        # these arcs other half-angles, as 3.083 for 3.2
+        for phi in (3.2, -3.2, math.pi - 1e-10):
+            phis = triple.phis.copy()
+            phis[3] = phi
+            c = fl.Cluster.from_arrays(triple.points, triple.ends, phis, triple.labels, triple.n)
+            assert "half_angles" in [check for check, ok, _ in fl.validate(c).checks if not ok], phi
+        # and a valid cluster's come back within the 8 ulp of a bulge's inversion
+        for name, c in {**equilibrium_presets, **quasi_presets}.items():
+            for d in [c] + [fl.mobius_apply_cluster(fl.random_mobius(c, rng), c) for _ in range(3)]:
+                back = fl.loads(fl.dumps(d)).phis
+                assert (np.abs(back - d.phis) <= 8 * np.spacing(np.abs(d.phis))).all(), name
 
     def test_disjointness_scan(self, double):
         assert fl.validate(double, check_disjoint=True).ok
