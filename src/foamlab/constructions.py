@@ -5,7 +5,7 @@ its vertex positions, and per edge its (tail, head), its half-angle and its
 (left, right) region ids, stated, not inferred from the embedding.  The
 closed forms give half-angles directly, so no preset forms or inverts a
 bulge.  Every function here that returns a cluster returns it through
-:func:`validated`, itself or in :func:`chart_lm`, so it raises rather than
+:func:`validated`, itself or in :func:`lm_minimize`, so it raises rather than
 return one that :func:`validate` rejects.  Constructor correctness is
 certified by the equilibrium checker rather than by rederiving formulas:
 every non-quasi preset must classify as Equilibrium.
@@ -24,7 +24,7 @@ from .cluster import (
     validated,
 )
 from .errors import GeometryDomainError, TopologyBreakdown
-from .equilibrium import SOLVE_TOL, chart_lm, residual_jacobian, residuals, solve
+from .equilibrium import SOLVE_TOL, lm_minimize, residual_jacobian, residuals, solve
 from .geometry import (
     AT_INFINITY,
     PENCIL_TOL,
@@ -67,9 +67,11 @@ def mobius_apply_cluster(m: MobiusMap, cluster: Cluster) -> Cluster:
 def double_bubble(r1: float = 1.0, r2: float = 1.0) -> Cluster:
     """Standard double bubble with outer radii r1 and r2.
 
-    Centers sit at distance d with d^2 = r1^2 + r2^2 - r1 r2 (law of
-    cosines for the 120-degree vertex triangle), and the vertices at
-    (x, +-y) with the first center at 0.  Every arc is given by its
+    The radii to a vertex meet at 60 degrees, so the centers sit at
+    distance d with d^2 = r1^2 + r2^2 - r1 r2, and the vertices at (x, +-y)
+    with the first center at 0: x = r1 (2 r1 - r2) / 2d, d - x =
+    r2 (2 r2 - r1) / 2d and y = (sqrt(3) / 2) r1 r2 / d, forms that do not
+    cancel as r2 / r1 -> 0 or r1 / r2 -> 0.  Every arc is given by its
     half-angle: an outer arc's half-angle is pi minus the
     angle between the axis and the upper vertex seen from its center, and
     the middle interface has curvature 1/r1 - 1/r2, so
@@ -79,9 +81,8 @@ def double_bubble(r1: float = 1.0, r2: float = 1.0) -> Cluster:
     if not all(r > 0 and np.finfo(float).tiny <= r * r < math.inf for r in (r1, r2)):
         raise GeometryDomainError(f"radii {r1:g} and {r2:g} must be positive, with normal squares")
     d = math.sqrt(r1 * r1 + r2 * r2 - r1 * r2)
-    x = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-    y = math.sqrt(r1 * r1 - x * x)
-    outer1, outer2 = math.pi - math.atan2(y, x), math.pi - math.atan2(y, d - x)
+    x, y = r1 * (2.0 * r1 - r2) / (2.0 * d), 0.5 * math.sqrt(3.0) * r1 * r2 / d
+    outer1, outer2 = math.pi - math.atan2(y, x), math.pi - math.atan2(y, r2 * (2.0 * r2 - r1) / (2.0 * d))
     middle = math.asin(y * (1.0 / r1 - 1.0 / r2))
     return validated(Cluster.from_arrays(
         [complex(x, y), complex(x, -y)], [(0, 1), (1, 0), (1, 0)], [outer1, outer2, middle],
@@ -427,7 +428,7 @@ def quasi_variant(kind: str, amount: float = 0.15) -> Cluster:
     if not math.isfinite(amount):
         raise GeometryDomainError("amount must be finite")
     base, rows, jac = _quasi_rows(kind, amount)
-    return chart_lm(base, rows, jac, lambda x, f: bool(np.abs(f).max() < SOLVE_TOL), max_iter=200)
+    return lm_minimize(base, rows, jac, lambda f: bool(np.abs(f).max() < SOLVE_TOL), 200)[0]
 
 
 def _quasi_rows(variant: str, amount: float):

@@ -147,58 +147,13 @@ def numeric_jacobian(
 #: cut from each Gauss-Newton step.
 STEP_RCOND = 1e-10
 
-
-def lm_minimize(
-    fun: Callable[[np.ndarray], np.ndarray],
-    jac: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    max_iter: int = 100,
-    converged: Callable[[np.ndarray, np.ndarray], bool] = lambda x, f: np.linalg.norm(f) < 1e-14,
-) -> Tuple[np.ndarray, List[float]]:
-    """Gauss-Newton with minimum-norm steps and step halving.
-
-    Each iteration takes the minimum-norm least-squares step
-    ``lstsq(J, -f, rcond=STEP_RCOND)``, so rank-deficient (gauge-redundant
-    or underdetermined) stacks are fine, and halves it until |f| decreases.
-    A trial point where ``fun`` raises :class:`TopologyBreakdown` is a
-    rejected step; the starting point must evaluate.  It returns once
-    ``converged(x, f)`` (by default |f| < 1e-14).  Raises
-    :class:`NonConvergence` with the residual history after ``max_iter``
-    iterations, or when a step cut to 2^-52 of itself (a double's
-    resolution) still fails, naming the last breakdown if any.
-    """
-    x = x0.copy()
-    f = fun(x)
-    history = [float(np.linalg.norm(f))]
-    last = ""
-    while not converged(x, f):
-        if len(history) > max_iter:
-            raise NonConvergence("iteration limit" + last, history)
-        delta = np.linalg.lstsq(jac(x), -f, rcond=STEP_RCOND)[0]
-        for _ in range(53):
-            x_try = x + delta
-            try:
-                f_try = fun(x_try)
-            except TopologyBreakdown as err:  # an unrealizable trial is infinitely bad
-                f_try, last = f + math.inf, f" (last rejected trial: {err})"
-            norm = float(np.linalg.norm(f_try))
-            if norm < history[-1]:
-                break
-            delta *= 0.5
-        else:
-            raise NonConvergence("stalled step" + last, history)
-        x, f = x_try, f_try
-        history.append(norm)
-    return x, history
-
-
 #: Stopping tolerance of :func:`solve`'s dimensionless residual and area rows.
 SOLVE_TOL = 1e-10
 
 
-def _check_topology(cluster: Cluster) -> None:
-    """Raise :class:`TopologyBreakdown` unless the unit-frame chart point
-    still realizes its type: no chord at or below ``CHORD_FLOOR`` (tested
+def _check_topology(cluster: Cluster) -> Cluster:
+    """``cluster``, or :class:`TopologyBreakdown` unless the unit-frame chart
+    point still realizes its type: no chord at or below ``CHORD_FLOOR`` (tested
     before the curvatures divide by it), no |phi| at or beyond ``PHI_LIMIT``,
     and every star in order (:attr:`Cluster.topology`)."""
     c, phi = cluster.chords, np.abs(cluster.phis)
@@ -210,36 +165,61 @@ def _check_topology(cluster: Cluster) -> None:
         cluster.topology
     except StructuralError as err:
         raise TopologyBreakdown(str(err)) from err
+    return cluster
 
 
-def chart_lm(initial: Cluster, rows: Callable, jac: Callable, converged, max_iter: int) -> Cluster:
-    """Gauss-Newton over the chart of ``initial.unit()`` on the stacked rows
-    ``rows(c)`` of the cluster c at each chart point, with their exact
-    Jacobian ``jac(c)``, mapped back by ``initial.chart_units()``.  Rows and
-    Jacobian read one cluster per point.  Raises :class:`TopologyBreakdown`
-    when an iterate degenerates an edge or reorders a star.  :func:`validated`
-    checks a copy of the result, so a result kept in bulk holds its chart alone."""
-    last = [None, None]
+def lm_minimize(
+    initial: Cluster, rows: Callable, jac: Callable, converged: Callable, max_iter: int
+) -> Tuple[Cluster, List[float]]:
+    """Gauss-Newton with minimum-norm steps and step halving over the chart
+    of ``initial.unit()``, on the stacked rows ``rows(c)`` of the cluster c
+    at each chart point, with their exact Jacobian ``jac(c)``.
 
-    def at(x: np.ndarray) -> Cluster:  # lm_minimize never changes a point it has passed
-        if x is not last[0]:
-            c = initial.with_chart(x)
-            _check_topology(c)
-            last[:] = [x, c]
-        return last[1]
-
-    units = initial.chart_units()
-    x, _ = lm_minimize(lambda x: rows(at(x)), lambda x: jac(at(x)), initial.chart() / units, max_iter,
-                       converged)
-    validated(initial.with_chart(x * units))
-    return initial.with_chart(x * units)
+    Each iteration takes the minimum-norm least-squares step
+    ``lstsq(J, -f, rcond=STEP_RCOND)``, so rank-deficient (gauge-redundant
+    or underdetermined) stacks are fine, and halves it until |f| decreases.
+    Every trial point is one cluster, checked by :func:`_check_topology`
+    before ``rows`` reads it; a trial that raises :class:`TopologyBreakdown`
+    is a rejected step, and the start must pass.  Once ``converged(f)``,
+    :func:`validated` checks a copy of the result, so a result kept in bulk
+    holds its chart alone, and the result, mapped back by
+    ``initial.chart_units()``, is returned with the history of |f|.  Raises
+    :class:`NonConvergence` with that history after ``max_iter`` iterations,
+    or when a step cut to 2^-52 of itself (a double's resolution) still
+    fails, naming the last breakdown if any.
+    """
+    c = _check_topology(initial.unit())
+    f = rows(c)
+    history = [float(np.linalg.norm(f))]
+    last = ""
+    while not converged(f):
+        if len(history) > max_iter:
+            raise NonConvergence("iteration limit" + last, history)
+        x, delta = c.chart(), np.linalg.lstsq(jac(c), -f, rcond=STEP_RCOND)[0]
+        for _ in range(53):
+            try:
+                trial = _check_topology(initial.with_chart(x + delta))
+                f_try = rows(trial)
+            except TopologyBreakdown as err:  # an unrealizable trial is infinitely bad
+                f_try, last = f + math.inf, f" (last rejected trial: {err})"
+            norm = float(np.linalg.norm(f_try))
+            if norm < history[-1]:
+                break
+            delta *= 0.5
+        else:
+            raise NonConvergence("stalled step" + last, history)
+        c, f = trial, f_try
+        history.append(norm)
+    x = c.chart() * initial.chart_units()
+    validated(initial.with_chart(x))
+    return initial.with_chart(x), history
 
 
 def solve(initial: Cluster, target: np.ndarray, max_iter: int = 100) -> Cluster:
     """Equilibrium of the same combinatorial type with the given areas.
 
     Minimizes the stacked system [angle; cocycle; areas - target; gauge] by
-    Gauss-Newton (:func:`chart_lm`) with its exact Jacobian in the unit
+    Gauss-Newton (:func:`lm_minimize`) with its exact Jacobian in the unit
     chart (x / d, y / d, phi), where every row is dimensionless, until each
     angle, cocycle and area row is below ``SOLVE_TOL`` within ``max_iter``
     iterations; one call takes the symmetric triple bubble to (1, 1, 1000).
@@ -267,7 +247,7 @@ def solve(initial: Cluster, target: np.ndarray, max_iter: int = 100) -> Cluster:
     def jac(c: Cluster) -> np.ndarray:
         return np.concatenate([_jacobian(c), R])
 
-    def ok(x: np.ndarray, f: np.ndarray) -> bool:  # the linear gauge rows are left out
+    def ok(f: np.ndarray) -> bool:  # the linear gauge rows are left out
         return bool(np.abs(f[: -len(R)]).max() < SOLVE_TOL)
 
-    return chart_lm(initial, rows, jac, ok, max_iter)
+    return lm_minimize(initial, rows, jac, ok, max_iter)[0]

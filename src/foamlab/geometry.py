@@ -409,10 +409,3 @@ def mobius_image(m: MobiusMap, points, ends, phis) -> Tuple[np.ndarray, np.ndarr
         raise GeometryDomainError("arc is nearly a full circle")
     return num / den, phi
 
-
-def mobius_apply_arc(m: MobiusMap, arc: Arc) -> Arc:
-    """Image of an arc under ``m`` by :func:`mobius_image`, whose pole checks
-    it keeps: from m(tail) to m(head), half-angle phi + arg((c tail + d) / (c head + d))."""
-    points, phi = mobius_image(m, [arc.tail.z, arc.head.z], [(0, 1)], [arc.phi])
-    tail, head = points.tolist()
-    return Arc(Point.of(tail), Point.of(head), segment_area(float(phi[0]), abs(head - tail)))

@@ -44,11 +44,25 @@ class TestPresetHalfAngles:
 
     @pytest.mark.parametrize("r1, r2", [(1.0, 0.6), (1.0, 1.0), (0.7, 2.0)])
     def test_double_bubble(self, r1, r2):
+        # x, d - x and y in the forms that do not cancel; they round (1, 0.6)
+        # and (1, 1) as the textbook y = sqrt(r1^2 - x^2) did
         d = math.sqrt(r1 * r1 + r2 * r2 - r1 * r2)
-        x = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-        y = math.sqrt(r1 * r1 - x * x)
-        want = [math.pi - math.atan2(y, x), math.pi - math.atan2(y, d - x), math.asin(y * (1 / r1 - 1 / r2))]
+        x, w, y = r1 * (2 * r1 - r2) / (2 * d), r2 * (2 * r2 - r1) / (2 * d), 0.5 * math.sqrt(3) * r1 * r2 / d
+        want = [math.pi - math.atan2(y, x), math.pi - math.atan2(y, w), math.asin(y * (1 / r1 - 1 / r2))]
         assert fl.double_bubble(r1, r2).phis.tolist() == want
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_double_bubble_at_tiny_radius_ratios(self, k):
+        # r2 / r1 = 10^-k: with y = sqrt(r1^2 - x^2), 1e-4 to 1e-7 read
+        # NonEquilibrium and 1e-8 collapsed every chord
+        for r1, r2 in [(1.0, 10.0**-k), (10.0**-k, 1.0)]:
+            c = fl.double_bubble(r1, r2)
+            assert fl.classify(c) is fl.Verdict.EQUILIBRIUM
+            assert fl.residuals(c).angle_sup <= 2e-15
+
+    def test_double_bubble_refuses_a_near_full_circle(self):
+        with pytest.raises(GeometryDomainError, match="near-full-circle"):
+            fl.double_bubble(1.0, 1e-9)
 
     def test_triple_bubble(self, triple):
         assert triple.phis.tolist() == [0.0] * 3 + [math.pi / 2] * 3
@@ -437,12 +451,10 @@ class TestMobiusInvariance:
             for _ in range(3):
                 m = fl.random_mobius(c, rng)
                 img = fl.mobius_apply_cluster(m, c)
-                flat = 1e-15 * img.diameter() ** 2
-                for j in range(c.e):
-                    arc = fl.geometry.mobius_apply_arc(m, c.arc_of(j))
-                    assert img.edges[j].bulge == pytest.approx(arc.bulge, rel=1e-14, abs=flat)
-                    assert img.vertices[img.edges[j].tail] == arc.tail
-                    assert img.vertices[img.edges[j].head] == arc.head
+                for j, ends in enumerate(c.ends):  # each edge's two points alone
+                    points, phi = fl.geometry.mobius_image(m, c.points[ends], [(0, 1)], c.phis[j : j + 1])
+                    assert img.phis[j] == phi[0]
+                    assert img.points[ends].tolist() == points.tolist()
 
     def test_image_matches_the_three_point_arc(self, equilibrium_presets):
         # the closed form against an oracle that maps points only: the arc

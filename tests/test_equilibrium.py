@@ -6,8 +6,8 @@ import foamlab as fl
 from foamlab.constructions import _quasi_rows
 from foamlab.cluster import _jacobian, rigid_motion_basis
 from foamlab.equilibrium import (
+    SOLVE_TOL,
     _check_topology,
-    chart_lm,
     lm_minimize,
     numeric_jacobian,
     residual_jacobian,
@@ -124,48 +124,51 @@ class TestClassify:
                 check(bad)
 
 
+def below_solve_tol(f):
+    return bool(np.abs(f).max() < SOLVE_TOL)
+
+
 class TestLmMinimize:
-    def test_quadratic_bowl(self):
-        fun = lambda x: np.array([x[0] - 1.0, 2.0 * (x[1] + 3.0), x[0] * x[1] + 3.0])
-        jac = lambda x: np.array([[1.0, 0.0], [0.0, 2.0], [x[1], x[0]]])
-        x, history = lm_minimize(fun, jac, np.zeros(2))
-        assert np.linalg.norm(fun(x)) < 1e-10
-        assert history[-1] < history[0]
+    def test_iteration_limit(self, triple):
+        target = fl.region_areas(triple) * [1.05, 0.95, 1.05]
+        with pytest.raises(NonConvergence, match="^iteration limit$") as err:
+            fl.solve(triple, target, max_iter=1)
+        assert len(err.value.history) == 2
 
-    def test_rank_deficient_system(self):
-        # one equation, two unknowns: minimum-norm steps still converge
-        fun = lambda x: np.array([x[0] + x[1] - 2.0])
-        jac = lambda x: np.array([[1.0, 1.0]])
-        x, _ = lm_minimize(fun, jac, np.zeros(2))
-        assert abs(x[0] + x[1] - 2.0) < 1e-10
+    def test_breakdown_at_a_trial_point_is_a_rejected_step(self, triple, monkeypatch):
+        # the first trial breaks down: its step is halved, and the solve
+        # still reaches its target
+        calls, check = [], fl.equilibrium._check_topology
 
-    def test_nonconvergence_raises(self):
-        fun = lambda x: np.array([1.0 + x[0] ** 2])
-        jac = lambda x: np.array([[2.0 * x[0]]])
-        with pytest.raises(NonConvergence):
-            lm_minimize(fun, jac, np.array([1.0]), max_iter=5,
-                        converged=lambda x, f: False)
+        def first_trial_breaks(c):
+            calls.append(c)
+            if len(calls) == 2:
+                raise TopologyBreakdown("edge 0 chord collapsed")
+            return check(c)
 
-    def test_breakdown_at_a_trial_point_is_a_rejected_step(self):
-        # the first Gauss-Newton step from 0.1 jumps to about 33, past the
-        # radius 2 beyond which the function refuses to evaluate
-        def fun(x):
-            if abs(x[0]) > 2.0:
-                raise TopologyBreakdown("outside the chart")
-            return np.array([x[0] ** 3 - 1.0])
+        monkeypatch.setattr(fl.equilibrium, "_check_topology", first_trial_breaks)
+        target = fl.region_areas(triple) * [1.05, 0.95, 1.05]
+        out = fl.solve(triple, target)
+        assert fl.region_areas(out) == pytest.approx(target, abs=1e-9)
+        assert fl.classify(out) is fl.Verdict.EQUILIBRIUM
 
-        jac = lambda x: np.array([[3.0 * x[0] ** 2]])
-        x, _ = lm_minimize(fun, jac, np.array([0.1]))
-        assert abs(x[0] - 1.0) < 1e-10
+    @pytest.mark.parametrize("kind", ["two_lens_recurved", "four_stretched"])
+    def test_history_strictly_decreases(self, kind):
+        base, rows, jac = _quasi_rows(kind, 0.15)
+        out, history = lm_minimize(base, rows, jac, below_solve_tol, 200)
+        assert np.all(np.diff(history) < 0.0)
+        assert len(history) > 2 and history[-1] < SOLVE_TOL
 
-    def test_nonconvergence_names_the_last_breakdown(self):
-        def fun(x):
-            if x[0] > 0.0:
-                raise TopologyBreakdown("edge 7 chord collapsed")
-            return np.array([x[0] - 1.0])
-
-        with pytest.raises(NonConvergence, match="edge 7 chord collapsed"):
-            lm_minimize(fun, lambda x: np.array([[1.0]]), np.array([-1.0]))
+    def test_rank_deficient_stack_converges(self, two_lens):
+        # the stacked [angle; cocycle; area; gauge] Jacobian of two_lens has
+        # rank 13 in 14 columns: minimum-norm steps still converge
+        unit = two_lens.unit()
+        J = np.concatenate([_jacobian(unit), rigid_motion_basis(unit)])
+        assert np.linalg.matrix_rank(J) < J.shape[1]
+        target = fl.region_areas(two_lens) * (1.0 + 0.02 * np.resize([1.0, -1.0, 0.5], two_lens.n))
+        out = fl.solve(two_lens, target)
+        assert fl.region_areas(out) == pytest.approx(target, abs=1e-9)
+        assert fl.classify(out) is fl.Verdict.EQUILIBRIUM
 
     def test_numeric_jacobian(self):
         fun = lambda x: np.array([x[0] ** 2, x[0] * x[1]])
@@ -183,14 +186,27 @@ class TestIterateCheck:
         with pytest.raises(TopologyBreakdown, match="chord collapsed"):
             _check_topology(trial)
 
-    def test_step_onto_a_collapsed_chord_is_rejected(self, double):
-        # every full Gauss-Newton step lands vertex 1 on vertex 0: each is a
-        # rejected trial, and no GeometryDomainError escapes the solver
+    @staticmethod
+    def collapse(double, max_iter):
+        # every full Gauss-Newton step lands vertex 1 on vertex 0
         goal = (double.points[0] + 1e-12) / double.diameter()
         rows = lambda c: c.chart()[2:4] - [goal.real, goal.imag]
         jac = lambda c: np.eye(c.chart().size)[2:4]
-        with pytest.raises(NonConvergence, match="last rejected trial"):
-            chart_lm(double, rows, jac, lambda x, f: False, max_iter=5)
+        return lm_minimize(double, rows, jac, lambda f: False, max_iter)
+
+    def test_step_onto_a_collapsed_chord_is_rejected(self, double):
+        # each full step is a rejected trial, each halved one is accepted,
+        # and no GeometryDomainError escapes the solver
+        why = r"^iteration limit \(last rejected trial: edge 0 chord collapsed\)$"
+        with pytest.raises(NonConvergence, match=why) as err:
+            self.collapse(double, 5)
+        assert len(err.value.history) == 6
+
+    def test_stalled_step_names_the_last_breakdown(self, double):
+        # near the collapse, no step cut to 2^-52 of itself is accepted
+        why = r"^stalled step \(last rejected trial: edge 0 chord collapsed\)$"
+        with pytest.raises(NonConvergence, match=why):
+            self.collapse(double, 100)
 
     @pytest.mark.parametrize("size, accepted", [(3e-9, True), (1e-9, False)])
     def test_validate_and_the_iterate_check_share_one_chord_floor(self, triple, size, accepted):
@@ -341,9 +357,9 @@ class TestSolve:
         minimize = fl.equilibrium.lm_minimize
 
         def recorded(*args, **kwargs):
-            x, history = minimize(*args, **kwargs)
+            out, history = minimize(*args, **kwargs)
             lengths.append(len(history))
-            return x, history
+            return out, history
 
         monkeypatch.setattr(fl.equilibrium, "lm_minimize", recorded)
         rng = np.random.default_rng(1)
