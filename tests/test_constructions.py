@@ -44,8 +44,7 @@ class TestPresetHalfAngles:
 
     @pytest.mark.parametrize("r1, r2", [(1.0, 0.6), (1.0, 1.0), (0.7, 2.0)])
     def test_double_bubble(self, r1, r2):
-        # x, d - x and y in the forms that do not cancel; they round (1, 0.6)
-        # and (1, 1) as the textbook y = sqrt(r1^2 - x^2) did
+        # x, d - x and y in the docstring's forms, which do not cancel
         d = math.sqrt(r1 * r1 + r2 * r2 - r1 * r2)
         x, w, y = r1 * (2 * r1 - r2) / (2 * d), r2 * (2 * r2 - r1) / (2 * d), 0.5 * math.sqrt(3) * r1 * r2 / d
         want = [math.pi - math.atan2(y, x), math.pi - math.atan2(y, w), math.asin(y * (1 / r1 - 1 / r2))]
@@ -53,8 +52,8 @@ class TestPresetHalfAngles:
 
     @pytest.mark.parametrize("k", range(3, 9))
     def test_double_bubble_at_tiny_radius_ratios(self, k):
-        # r2 / r1 = 10^-k: with y = sqrt(r1^2 - x^2), 1e-4 to 1e-7 read
-        # NonEquilibrium and 1e-8 collapsed every chord
+        # radius ratios 10^-k either way: the vertices keep their digits, so
+        # the angle sums stay at roundoff
         for r1, r2 in [(1.0, 10.0**-k), (10.0**-k, 1.0)]:
             c = fl.double_bubble(r1, r2)
             assert fl.classify(c) is fl.Verdict.EQUILIBRIUM
