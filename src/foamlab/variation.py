@@ -206,8 +206,10 @@ class EliminatedHessian:
         Z(sigma) = K_JJ - sigma E - sum_j B_j^T S diag(1 / (Lambda_j - sigma)) S B_j,
 
     with B_j edge j's (m-1) x 9 columns and E the identity on the 2v
-    junction dofs; each term is 9 x 9, scattered into Z at ``columns[j]``,
-    and Z is only (2v + rank)^2, whatever m is.
+    junction dofs; each term is 9 x 9, and only its 45 lower-triangle
+    entries are formed and scattered into Z at ``columns[j]``, because
+    ``eigvalsh`` reads only the lower triangle.  Z is only (2v + rank)^2,
+    whatever m is.
 
     Between two poles Z is continuous and non-increasing in sigma:
     dZ/dsigma = -E - sum_j B_j^T S diag((Lambda_j - sigma)^(-2)) S B_j is
@@ -215,7 +217,9 @@ class EliminatedHessian:
     non-increasing there.  With p poles below sigma the count is
     p + n_-(Z(sigma)) - rank, so it is at most t exactly when
     mu_(t + rank - p)(Z(sigma)) >= 0 (indexed from 0), both read off the
-    same ``eigvalsh``; ``smallest`` finds the sign change of that eigenvalue.
+    same ``eigvalsh``; ``smallest`` finds the sign change of that eigenvalue
+    by inverse-quadratic steps, with Illinois and bisection steps as
+    safeguards.
     """
 
     lam: np.ndarray  # (e, m-1) eigenvalues Lambda_j of the edge blocks T_j
@@ -233,10 +237,13 @@ class EliminatedHessian:
 
     @cached_property
     def outer(self) -> np.ndarray:
-        """(e, m-1, 81) each coupling row's outer product with itself, so that
-        one matmul per edge gives the 9 x 9 terms of every sigma at once."""
-        W = self.coupling
-        return (W[:, :, :, None] * W[:, :, None, :]).reshape(*W.shape[:2], 81)
+        """(e, m-1, 45) the lower triangle (``np.tril_indices(9)``) of each
+        coupling row's outer product with itself, so that one matmul per edge
+        gives the lower triangles of the 9 x 9 terms of every sigma at once."""
+        row, col = np.tril_indices(9)
+        outer = self.coupling[:, :, row]
+        outer *= self.coupling[:, :, col]
+        return outer
 
     @cached_property
     def lam_sorted(self) -> np.ndarray:
@@ -246,39 +253,55 @@ class EliminatedHessian:
 
     @cached_property
     def scatter(self) -> np.ndarray:
-        """(e, 1, 81) the flat index in one Schur complement of each entry of
-        each edge's 9 x 9 term."""
+        """(e, 1, 45) the flat index in one Schur complement of each entry of
+        ``outer``: row max(c_a, c_b), column min(c_a, c_b), in the lower
+        triangle.  Two of an edge's columns coincide only where the
+        exterior's zero area column meets region 1's, so the one entry a
+        coinciding pair sends to the diagonal, not two, is still exact."""
         N = self.border.shape[0]
-        return (self.columns[:, :, None] * N + self.columns[:, None, :]).reshape(-1, 1, 81)
+        row, col = np.tril_indices(9)
+        a, b = self.columns[:, row], self.columns[:, col]
+        return (np.maximum(a, b) * N + np.minimum(a, b))[:, None, :]
 
     def _evaluate(self, sigma: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For a flat batch of sigmas: the counts below each, the ascending
         eigenvalues mu (k, N) of each Schur complement Z(sigma), and the pole
-        counts #(Lambda < sigma).  One batched matmul for the 9 x 9 edge
-        terms, one ``bincount`` that scatters them into the Schur complements
-        and one batched ``eigvalsh``."""
+        counts #(Lambda < sigma).  One batched matmul for the lower triangles
+        of the 9 x 9 edge terms, one ``bincount`` that scatters them into the
+        lower triangles of the Schur complements and one batched ``eigvalsh``,
+        which reads only those (the upper triangle keeps ``border``)."""
         s = sigma[:, None]
-        k, N = s.shape[0], self.border.shape[0]
+        k, N, J = s.shape[0], self.border.shape[0], self.junction_dofs
         inverse = 1.0 / (self.lam[:, None, :] - s)  # (e, k, m-1)
-        local = inverse @ self.outer  # (e, k, 81)
+        local = inverse @ self.outer  # (e, k, 45)
         index = self.scatter + np.arange(k)[:, None] * (N * N)
         schur = self.border - np.bincount(
             index.ravel(), weights=local.ravel(), minlength=k * N * N
         ).reshape(k, N, N)
-        junction = np.arange(self.junction_dofs)
-        schur[:, junction, junction] -= s
+        # the first J diagonal entries, every N + 1 along a flattened Z
+        schur.reshape(k, N * N)[:, : J * (N + 1) : N + 1] -= s
         mu = np.linalg.eigvalsh(schur)
         poles = np.searchsorted(self.lam_sorted, sigma)
         return poles + (mu < 0).sum(axis=1) - self.rank, mu, poles
 
     def count_below(self, sigma) -> np.ndarray:
-        """Number of constrained eigenvalues below each sigma (any shape)."""
+        """Number of constrained eigenvalues below each sigma (any shape).
+        Raises ``GeometryDomainError`` naming a sigma that is not finite or
+        is an edge eigenvalue Lambda_j, a pole of Z."""
         sigma = np.asarray(sigma, dtype=float)
-        return self._evaluate(sigma.ravel())[0].reshape(sigma.shape)
+        flat = sigma.ravel()
+        bad = flat[~np.isfinite(flat)]
+        if bad.size:
+            raise GeometryDomainError(f"sigma must be finite, got {float(bad[0])!r}")
+        bad = flat[np.isin(flat, self.lam_sorted)]
+        if bad.size:
+            raise GeometryDomainError(f"sigma {float(bad[0])!r} is an edge eigenvalue, a pole of the Schur complement")
+        return self._evaluate(flat)[0].reshape(sigma.shape)
 
     def smallest(self, k: int) -> np.ndarray:
         """The k smallest constrained eigenvalues, ascending, by spectrum
-        slicing on the Schur evaluations that ``count_below`` makes.
+        slicing on the Schur evaluations that ``count_below`` makes; k is an
+        integer from 0 to ``size``, or ``GeometryDomainError`` is raised.
 
         Target t (the t-th eigenvalue, from 0) keeps a bracket [lo_t, hi_t]
         with count(lo_t) <= t < count(hi_t); it starts at [-bound, bound],
@@ -294,15 +317,18 @@ class EliminatedHessian:
         and most brackets have both ends after one batch.
         Then each round, every open target proposes one sigma, and proposals
         closer than w (below) are evaluated once, so the two targets of a
-        double eigenvalue, whose Illinois points differ in the last bits,
-        share one sigma:
+        double eigenvalue, whose points differ in the last bits, share one
+        sigma:
 
         * while an end is still at the bound (an eigenvalue beyond the
           ladder), the other end doubled;
         * inside a pole-free bracket (the same pole count p at both ends),
-          the Illinois point of g_t(sigma) = mu_(t + rank - p)(Z(sigma)),
-          which is continuous and non-increasing there, >= 0 at lo_t and
-          < 0 at hi_t (see ``EliminatedHessian``): the regula falsi point,
+          a zero of g_t(sigma) = mu_(t + rank - p)(Z(sigma)), which is
+          continuous and non-increasing there, >= 0 at lo_t and < 0 at
+          hi_t (see ``EliminatedHessian``): the inverse-quadratic point
+          (Brent's) through lo_t, hi_t and the end last replaced, if that
+          one has p poles too and the point lands strictly inside the
+          bracket; otherwise the Illinois point, the regula falsi point
           with one end's value halved when the other end has moved alone
           twice running;
         * the midpoint when the bracket holds a pole, or has not halved in
@@ -312,8 +338,13 @@ class EliminatedHessian:
 
         Proposals are clipped to [lo_t + w/2, hi_t - w/2], and a target closes
         when hi_t - lo_t <= w = 2 * bound * 2^-53, the width that 53 halvings
-        of [-bound, bound] reach; it reports the midpoint.
+        of [-bound, bound] reach; it reports the midpoint.  On the presets
+        at m = 64 and 128, six targets take 6 to 30 batches and 19 to 74
+        sigmas.
         """
+        k = _size("k", k, 0)
+        if k > self.size:
+            raise GeometryDomainError(f"k must be at most the size {self.size}, got {k}")
         return self._slice(k, HESSIAN_ZERO).eigenvalues
 
     def _slice(self, k: int, probe: float) -> _Slice:
@@ -321,11 +352,15 @@ class EliminatedHessian:
         its first batch, which also returns the counts and Schur eigenvalues
         there and how many evaluations it made.
         The bookkeeping is plain Python: on at most six targets, a numpy
-        call costs more than the arithmetic it does."""
+        call costs more than the arithmetic it does.  Each end keeps its g_t
+        as evaluated, for the inverse-quadratic point, and Illinois-weighted,
+        for the regula falsi point."""
         bound, rank, top = self.bound, self.rank, self.border.shape[0] - 1
         w = 2.0 * bound * 2.0**-53
         lo, hi = [-bound] * k, [bound] * k
         glo, ghi = [0.0] * k, [0.0] * k  # g_t at the ends, Illinois-weighted
+        flo, fhi = [0.0] * k, [0.0] * k  # and as evaluated
+        prev = [(0.0, 0.0, -3)] * k  # the end last replaced: sigma, g_t, pole count
         # pole counts at the ends, unequal until both ends are evaluated
         plo, phi = [-1] * k, [-2] * k
         before = [(math.inf,) * 3] * k  # widths one, two and three rounds ago
@@ -347,11 +382,13 @@ class EliminatedHessian:
                 up = down = False
                 for s, c, p, z in rows:
                     if c > t and lo[t] < s < hi[t]:
-                        hi[t], ghi[t], phi[t], up = s, z[min(max(t + rank - p, 0), top)], p, True
+                        prev[t], g = (hi[t], fhi[t], phi[t]), z[min(max(t + rank - p, 0), top)]
+                        hi[t], ghi[t], fhi[t], phi[t], up = s, g, g, p, True
                         break
                 for s, c, p, z in reversed(rows):
                     if c <= t and lo[t] < s < hi[t]:
-                        lo[t], glo[t], plo[t], down = s, z[min(max(t + rank - p, 0), top)], p, True
+                        prev[t], g = (lo[t], flo[t], plo[t]), z[min(max(t + rank - p, 0), top)]
+                        lo[t], glo[t], flo[t], plo[t], down = s, g, g, p, True
                         break
 
                 # Illinois: when one end moves alone twice running, the
@@ -372,6 +409,13 @@ class EliminatedHessian:
                 # index clipped at the ends of mu can break
                 a, b = glo[t], ghi[t]
                 x = lo[t] + width * (0.5 if stalled or a <= b else a / (a - b))
+                # inside a pole-free bracket, the inverse quadratic point
+                # through both ends and the end last replaced, if it lands
+                # strictly inside
+                if not stalled and prev[t][2] == plo[t]:
+                    q = _inverse_quadratic(prev[t][:2], (lo[t], flo[t]), (hi[t], fhi[t]))
+                    if lo[t] < q < hi[t]:
+                        x = q
                 # an end still at the bound was never evaluated: grow the other
                 if hi[t] == bound:
                     x = 2.0 * lo[t]
@@ -379,12 +423,25 @@ class EliminatedHessian:
                     x = 2.0 * hi[t]
                 proposals.append(min(max(x, lo[t] + 0.5 * w), hi[t] - 0.5 * w))
             # proposals closer than w are one sigma: a degenerate pair's
-            # Illinois points differ only in the last few bits
+            # points differ only in the last few bits
             sigma = []
             for x in sorted(proposals):
                 if not sigma or x - sigma[-1] >= w:
                     sigma.append(x)
         return _Slice(0.5 * (np.array(lo) + np.array(hi)), *probes, (batches, total))
+
+
+def _inverse_quadratic(a: Tuple[float, float], b: Tuple[float, float], c: Tuple[float, float]) -> float:
+    """Brent's inverse quadratic interpolation: sigma at g = 0 on the
+    quadratic sigma(g) through three points (sigma, g), or nan unless their
+    g are distinct.  Newton's divided differences divide by differences of
+    distinct g only, and start from the point of least |g|, so the
+    corrections, and their roundoff, are smallest."""
+    (x0, g0), (x1, g1), (x2, g2) = sorted((a, b, c), key=lambda p: abs(p[1]))
+    if g0 == g1 or g1 == g2 or g0 == g2:
+        return math.nan
+    d01, d12 = (x1 - x0) / (g1 - g0), (x2 - x1) / (g2 - g1)
+    return x0 - g0 * d01 + g0 * g1 * (d12 - d01) / (g2 - g0)
 
 
 def eliminated_hessian(cluster: Cluster, m: int = 64) -> EliminatedHessian:

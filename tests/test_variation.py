@@ -1,5 +1,7 @@
 import math
+import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +90,24 @@ def bisection_smallest(hess, k):
         above = hess.count_below(mid) > target
         lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
     return 0.5 * (lo + hi)
+
+
+def full_schur(hess, sigma):
+    """Oracle for ``EliminatedHessian._evaluate``: each Z(sigma) assembled
+    whole, all 81 entries of every edge's 9 x 9 term scattered into both
+    triangles (``np.add.at`` adds a coinciding column pair's two entries),
+    and the counts below each sigma."""
+    W, J = hess.coupling, hess.junction_dofs
+    counts, mus = [], []
+    for s in sigma:
+        Z = hess.border.copy()
+        Z[np.arange(J), np.arange(J)] -= s
+        for lam, w, cols in zip(hess.lam, W, hess.columns):
+            np.add.at(Z, (cols[:, None], cols[None, :]), -(w.T / (lam - s)) @ w)
+        mu = np.linalg.eigvalsh(Z)
+        counts.append((hess.lam < s).sum() + (mu < 0).sum() - hess.rank)
+        mus.append(mu)
+    return np.array(counts), np.array(mus)
 
 
 class TestRigidMotionBasis:
@@ -352,20 +372,74 @@ class TestStability:
 
     def test_evaluation_budget(self, equilibrium_presets):
         # the bisection from +-bound took 53 batches plus the verdict probes;
-        # these 16 reports take 253 batches and 817 sigmas (at most 30 per
-        # report, on triple, and 87, on double), against 348 and 1053 with a
-        # first batch of only the probes, doubling outward, and no merging
+        # these 16 reports take 213 batches and 663 sigmas (at most 30 per
+        # report, on triple, and 74, on double), against 253 and 817 with
+        # Illinois steps only and 348 and 1053 with a first batch of only
+        # the probes, doubling outward, and no merging
         clusters = dict(equilibrium_presets, unstable=fl.necklace(7, inner_radius=0.05))
         total = np.zeros(2, dtype=int)
         for m in (64, 128):
             for name, c in clusters.items():
                 rep = fl.stability_report(c, m=m)
                 batches, sigmas = rep.evaluations
-                assert batches <= 32 and sigmas <= 96, (name, m)
+                assert batches <= 32 and sigmas <= 80, (name, m)
                 assert rep.rank == c.n + 3, (name, m)
                 assert not rep.ambiguous, (name, m)
                 total += rep.evaluations
-        assert total[0] <= 256 and total[1] <= 840, total
+        assert total[0] <= 220 and total[1] <= 680, total
+
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_lower_triangle_matches_full_schur(self, oracle_cases, m):
+        # Z's lower triangle takes one entry per pair of an edge's columns;
+        # a pair that shares a column (the exterior's zero area column and
+        # region 1's) has a zero coupling, so its one entry is exact
+        shared = 0
+        for name, c in oracle_cases.items():
+            hess = eliminated_hessian(c.unit(), m)
+            for w, cols in zip(hess.coupling, hess.columns):
+                a, b = np.nonzero(np.triu(cols[:, None] == cols[None, :], 1))
+                assert np.all(w[:, a] * w[:, b] == 0.0), name
+                shared += a.size
+            sigma = np.linspace(-10.0, 100.0, 12)
+            gap = np.abs(hess.lam_sorted[:, None] - sigma).min(axis=0)
+            sigma = sigma[gap > 1e-9 * hess.bound]
+            assert sigma.size >= 6, name
+            count, mu, _ = hess._evaluate(sigma)
+            want_count, want_mu = full_schur(hess, sigma)
+            assert np.array_equal(count, want_count), name
+            scale = np.abs(want_mu).max(axis=1, keepdims=True)
+            assert np.all(np.abs(mu - want_mu) <= 1e-13 * scale), name
+        assert shared > 0
+
+    def test_smallest_k_is_at_most_the_size(self, triple):
+        # a size-92 space has no 93rd eigenvalue: slicing for one would
+        # report the Gershgorin bound
+        hess = eliminated_hessian(triple.unit(), 16)
+        assert hess.size == 92
+        want = dense_stability_eigenvalues(triple.unit(), 16)
+        got = hess.smallest(hess.size)
+        assert np.abs(got - want).max() <= 1e-12 * hess.bound
+        assert hess.smallest(0).shape == (0,)
+        for bad in (93, 94, -1):
+            with pytest.raises(fl.GeometryDomainError, match=f"got {bad}$"):
+                hess.smallest(bad)
+        for bad in (2.5, True, "6", None):
+            with pytest.raises(fl.GeometryDomainError, match="k must be an integer"):
+                hess.smallest(bad)
+
+    def test_count_below_rejects_non_finite_sigma_and_poles(self, triple):
+        # neither numpy's LinAlgError nor, on a pole, its divide-by-zero and
+        # invalid-value warnings may escape
+        hess = eliminated_hessian(triple.unit(), 16)
+        pole = float(hess.lam.min())
+        cases = {math.nan: "finite, got nan", math.inf: "finite, got inf",
+                 -math.inf: "finite, got -inf", pole: f"sigma {pole!r} is an edge eigenvalue"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sigma, message in cases.items():
+                with pytest.raises(fl.GeometryDomainError, match=re.escape(message)):
+                    hess.count_below(np.array([[1.0, sigma]]))
+            assert hess.count_below(pole + 1e-9 * hess.bound) >= 0
 
     @pytest.fixture()
     def batches(self, monkeypatch):
