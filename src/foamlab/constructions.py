@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cluster import (
-    EXTERIOR, STRAIGHT_PHI, Cluster, _chart_gradients, area_jacobian, region_areas, rigid_motion_basis,
-    validated,
+    EXTERIOR, STRAIGHT_PHI, Cluster, _chart_gradients, _size, area_jacobian, region_areas,
+    rigid_motion_basis, validated,
 )
 from .errors import GeometryDomainError, TopologyBreakdown
 from .equilibrium import SOLVE_TOL, lm_minimize, residual_jacobian, residuals, solve
@@ -156,10 +156,12 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     junction's second carrier point, or in the cluster's own units at a
     straight junction, whose carriers meet again at infinity.  Edges and
     vertices away from the junction are untouched; the new region gets id
-    n + 1.  Raises :class:`GeometryDomainError` when :func:`validate`
-    rejects the result, as for a chord collapsed or a non-positive area.
+    n + 1.  Raises :class:`GeometryDomainError` unless ``vertex`` is an
+    integer vertex index, and when :func:`validate` rejects the result, as
+    for a chord collapsed or a non-positive area.
     """
-    if not 0 <= vertex < cluster.v:
+    vertex = _size("vertex", vertex, 0)
+    if vertex >= cluster.v:
         raise GeometryDomainError(f"no vertex {vertex}")
     if not size > 0:
         raise GeometryDomainError("size must be positive")
@@ -210,11 +212,13 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
     multiplies the bubble's size measured as in :func:`decorate`, so
     ``factor = 0`` undoes :func:`decorate`: it deletes the region and merges
     the three junctions into one vertex.  Raises :class:`GeometryDomainError`
-    when :func:`validate` rejects the result, as :func:`decorate` does.
+    unless ``region`` is an integer interior region id, and when
+    :func:`validate` rejects the result, as :func:`decorate` does.
     """
     if not (math.isfinite(factor) and factor >= 0):
         raise GeometryDomainError("factor must be finite and >= 0")
-    if not 1 <= region <= cluster.n:
+    region = _size("region", region, 1)
+    if region > cluster.n:
         raise GeometryDomainError(f"no interior region {region}")
     top = cluster.topology
     walk = top.walks[region]
@@ -321,10 +325,10 @@ def necklace(k: int, inner_radius: Optional[float] = None) -> Cluster:
     arcs unit curvature too, so the chamber pressure is exactly 0.  For k = 5
     or 6 that choice does not exist (at k = 6 the chamber walls are straight
     and its pressure equals 1 for every chamber size); the default then takes
-    a mid-range chamber.
+    a mid-range chamber.  ``k`` is an integer of at least 5, or
+    ``GeometryDomainError`` is raised.
     """
-    if k < 5:
-        raise GeometryDomainError("need at least 5 bubbles")
+    k = _size("k", k, 5)
     phi2 = math.pi / 6 + math.pi / k
     phi1 = math.pi / k - math.pi / 6
     rho2 = math.sin(phi2) / math.sin(math.pi / k)

@@ -218,8 +218,7 @@ class EliminatedHessian:
     p + n_-(Z(sigma)) - rank, so it is at most t exactly when
     mu_(t + rank - p)(Z(sigma)) >= 0 (indexed from 0), both read off the
     same ``eigvalsh``; ``smallest`` finds the sign change of that eigenvalue
-    by inverse-quadratic steps, with Illinois and bisection steps as
-    safeguards.
+    by inverse-quadratic steps, with bisection as the safeguard.
     """
 
     lam: np.ndarray  # (e, m-1) eigenvalues Lambda_j of the edge blocks T_j
@@ -322,24 +321,21 @@ class EliminatedHessian:
 
         * while an end is still at the bound (an eigenvalue beyond the
           ladder), the other end doubled;
-        * inside a pole-free bracket (the same pole count p at both ends),
-          a zero of g_t(sigma) = mu_(t + rank - p)(Z(sigma)), which is
-          continuous and non-increasing there, >= 0 at lo_t and < 0 at
-          hi_t (see ``EliminatedHessian``): the inverse-quadratic point
-          (Brent's) through lo_t, hi_t and the end last replaced, if that
-          one has p poles too and the point lands strictly inside the
-          bracket; otherwise the Illinois point, the regula falsi point
-          with one end's value halved when the other end has moved alone
-          twice running;
-        * the midpoint when the bracket holds a pole, or has not halved in
-          three rounds (with two, the midpoint would replace every first
-          Illinois-weighted point, which follows the second one-sided step,
-          just when the bracket has gone two rounds without halving).
+        * inside a pole-free bracket (the same pole count p at both ends)
+          that has halved in the last three rounds, a zero of
+          g_t(sigma) = mu_(t + rank - p)(Z(sigma)), which is continuous and
+          non-increasing there, >= 0 at lo_t and < 0 at hi_t (see
+          ``EliminatedHessian``): the inverse-quadratic point (Brent's)
+          through lo_t, hi_t and the end last replaced, if that one has p
+          poles too and the point lands strictly inside the bracket;
+        * otherwise the midpoint.  (A stall of two rounds, not three, takes
+          219 batches and 655 sigmas on ``test_evaluation_budget``'s 16
+          reports, against 216 and 648.)
 
         Proposals are clipped to [lo_t + w/2, hi_t - w/2], and a target closes
         when hi_t - lo_t <= w = 2 * bound * 2^-53, the width that 53 halvings
         of [-bound, bound] reach; it reports the midpoint.  On the presets
-        at m = 64 and 128, six targets take 6 to 30 batches and 19 to 74
+        at m = 64 and 128, six targets take 7 to 19 batches and 20 to 70
         sigmas.
         """
         k = _size("k", k, 0)
@@ -353,18 +349,15 @@ class EliminatedHessian:
         there and how many evaluations it made.
         The bookkeeping is plain Python: on at most six targets, a numpy
         call costs more than the arithmetic it does.  Each end keeps its g_t
-        as evaluated, for the inverse-quadratic point, and Illinois-weighted,
-        for the regula falsi point."""
+        and pole count, for the inverse-quadratic point."""
         bound, rank, top = self.bound, self.rank, self.border.shape[0] - 1
         w = 2.0 * bound * 2.0**-53
         lo, hi = [-bound] * k, [bound] * k
-        glo, ghi = [0.0] * k, [0.0] * k  # g_t at the ends, Illinois-weighted
-        flo, fhi = [0.0] * k, [0.0] * k  # and as evaluated
+        glo, ghi = [0.0] * k, [0.0] * k  # g_t at the ends
         prev = [(0.0, 0.0, -3)] * k  # the end last replaced: sigma, g_t, pole count
         # pole counts at the ends, unequal until both ends are evaluated
         plo, phi = [-1] * k, [-2] * k
         before = [(math.inf,) * 3] * k  # widths one, two and three rounds ago
-        alone = [0] * k  # +1 (-1) if only hi (lo) moved last round
         sigma = sorted({-probe, probe, *SLICE_LADDER})
         probes = None
         batches = total = 0
@@ -379,41 +372,28 @@ class EliminatedHessian:
             for t in range(k):
                 # hi_t: the least sigma inside whose count exceeds t; then
                 # lo_t: the greatest inside the new bracket whose count does not
-                up = down = False
                 for s, c, p, z in rows:
                     if c > t and lo[t] < s < hi[t]:
-                        prev[t], g = (hi[t], fhi[t], phi[t]), z[min(max(t + rank - p, 0), top)]
-                        hi[t], ghi[t], fhi[t], phi[t], up = s, g, g, p, True
+                        prev[t] = (hi[t], ghi[t], phi[t])
+                        hi[t], ghi[t], phi[t] = s, z[min(max(t + rank - p, 0), top)], p
                         break
                 for s, c, p, z in reversed(rows):
                     if c <= t and lo[t] < s < hi[t]:
-                        prev[t], g = (lo[t], flo[t], plo[t]), z[min(max(t + rank - p, 0), top)]
-                        lo[t], glo[t], flo[t], plo[t], down = s, g, g, p, True
+                        prev[t] = (lo[t], glo[t], plo[t])
+                        lo[t], glo[t], plo[t] = s, z[min(max(t + rank - p, 0), top)], p
                         break
-
-                # Illinois: when one end moves alone twice running, the
-                # other end's value is halved
-                moved = up - down
-                if moved == 1 and alone[t] == 1:
-                    glo[t] *= 0.5
-                elif moved == -1 and alone[t] == -1:
-                    ghi[t] *= 0.5
-                alone[t] = moved
 
                 width = hi[t] - lo[t]
                 stalled = plo[t] != phi[t] or width > 0.5 * before[t][2]
                 before[t] = (width, *before[t][:2])
                 if width <= w:
                     continue
-                # regula falsi needs g(lo_t) > g(hi_t), which only a row
-                # index clipped at the ends of mu can break
-                a, b = glo[t], ghi[t]
-                x = lo[t] + width * (0.5 if stalled or a <= b else a / (a - b))
+                x = lo[t] + 0.5 * width
                 # inside a pole-free bracket, the inverse quadratic point
                 # through both ends and the end last replaced, if it lands
                 # strictly inside
                 if not stalled and prev[t][2] == plo[t]:
-                    q = _inverse_quadratic(prev[t][:2], (lo[t], flo[t]), (hi[t], fhi[t]))
+                    q = _inverse_quadratic(prev[t][:2], (lo[t], glo[t]), (hi[t], ghi[t]))
                     if lo[t] < q < hi[t]:
                         x = q
                 # an end still at the bound was never evaluated: grow the other

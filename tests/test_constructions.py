@@ -125,6 +125,22 @@ class TestDecoration:
         with pytest.raises(GeometryDomainError, match="factor"):
             fl.scale_three_sided(c, c.n, factor)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda c: fl.decorate(c, 1.5, 0.3), "vertex must be an integer, got 1.5"),
+            (lambda c: fl.decorate(c, True, 0.3), "vertex must be an integer, got True"),
+            (lambda c: fl.decorate(c, c.v, 0.3), "no vertex 4"),
+            (lambda c: fl.scale_three_sided(fl.decorate(c, 0, 0.25), 4.0, 0.5), "region must be an integer, got 4.0"),
+            (lambda c: fl.scale_three_sided(fl.decorate(c, 0, 0.25), 5, 0.5), "no interior region 5"),
+            (lambda c: fl.necklace(7.5), "k must be an integer, got 7.5"),
+        ],
+        ids=["float_vertex", "bool_vertex", "vertex_past_the_end", "float_region", "region_past_the_end", "float_k"],
+    )
+    def test_indices_are_integers_in_range(self, triple, call, message):
+        with pytest.raises(GeometryDomainError, match=f"^{re.escape(message)}$"):
+            call(triple)
+
     def test_partial_shrink_stays_equilibrium(self, triple):
         c = fl.decorate(triple, 0, 0.25)
         half = fl.scale_three_sided(c, c.n, 0.5)
