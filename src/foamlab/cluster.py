@@ -767,6 +767,11 @@ STRAIGHT_PHI = 1e-12
 
 
 def to_svg(cluster: Cluster, fill_pressures: Optional[np.ndarray] = None) -> str:
+    """SVG of every arc, and of each region filled by ``fill_pressures``, one finite number per interior region."""
+    if fill_pressures is not None:
+        fill_pressures = np.asarray(fill_pressures, dtype=float)
+        if fill_pressures.shape != (cluster.n,) or not np.isfinite(fill_pressures).all():
+            raise GeometryDomainError(f"fill_pressures must be {cluster.n} finite numbers, one per region")
     x0, x1, y0, y1 = cluster._box()
     mx = 0.05 * (max(x1 - x0, y1 - y0) or 1.0)
     width = (x1 - x0) + 2 * mx

@@ -20,11 +20,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cluster import (
-    EXTERIOR, STRAIGHT_PHI, Cluster, _chart_gradients, _size, area_jacobian, region_areas,
-    rigid_motion_basis, validated,
+    EXTERIOR, STRAIGHT_PHI, Cluster, _chart_gradients, _size, area_jacobian, region_areas, validated,
 )
 from .errors import GeometryDomainError, TopologyBreakdown
-from .equilibrium import SOLVE_TOL, lm_minimize, residual_jacobian, residuals, solve
+from .equilibrium import lm_minimize, residual_jacobian, residuals, solve
 from .geometry import (
     AT_INFINITY,
     PENCIL_TOL,
@@ -415,24 +414,21 @@ def quasi_variant(kind: str, amount: float = 0.15) -> Cluster:
     curvature, and the angle conditions are re-solved.  At the base the
     stack is one short of full column rank (13 of 14): |amount| = 1e-3
     takes 163 of the 200 iterations, and 1e-4, 1e-6 and 3e-9 raise
-    :class:`NonConvergence`.  ``four_stretched``:
-    the middle straight edge of the standard 4-bubble is lengthened by the
-    relative ``amount`` with both endpoints pinned; it stays straight and
-    every bubble keeps its area, which with the angle rows is a square
-    stack of full rank.  ``amount = 0`` reproduces the equilibrium base
-    cluster.
+    :class:`NonConvergence`.  ``four_stretched``: the middle straight edge
+    of the standard 4-bubble is lengthened by the relative ``amount``; it
+    stays straight and every bubble keeps its area, which with the angle
+    rows and the gauge is a square stack of full rank.  ``amount = 0``
+    reproduces the equilibrium base cluster.
 
-    The solved rows are the 120-degree angle block plus the variant's pins;
+    The solved rows are the 120-degree angle block plus the variant's own;
     the curvature cocycle is deliberately left out, so the result is in
-    general only a quasi-equilibrium.  Both are solved in the unit frame, and
-    ``two_lens_recurved`` fixes rigid motions with the same gauge rows
-    R (x - x0), as :func:`solve` does; the two pinned endpoints of
-    ``four_stretched`` already fix them.
+    general only a quasi-equilibrium.  Both are solved in the unit frame by
+    :func:`lm_minimize`, whose gauge rows place them: each keeps its base's
+    vertex centroid and orientation.
     """
     if not math.isfinite(amount):
         raise GeometryDomainError("amount must be finite")
-    base, rows, jac = _quasi_rows(kind, amount)
-    return lm_minimize(base, rows, jac, lambda f: bool(np.abs(f).max() < SOLVE_TOL), 200)[0]
+    return lm_minimize(*_quasi_rows(kind, amount), 200)[0]
 
 
 def _quasi_rows(variant: str, amount: float):
@@ -446,35 +442,35 @@ def _quasi_rows(variant: str, amount: float):
         # condition appears at both of its ends, but not the other
         edges = np.arange(base.e)
         targets = unit.kappas * np.where(edges < 2, 1.0 + amount, 1.0)
-        R, x0 = rigid_motion_basis(unit), unit.chart()
 
         def rows(c: Cluster) -> np.ndarray:
-            return np.concatenate([c.kappas - targets, R @ (c.chart() - x0)])
+            return c.kappas - targets
 
         def jac(c: Cluster) -> np.ndarray:
             J = np.zeros((c.e, 2 * c.v + c.e))
             np.put_along_axis(J, c.topology._columns, _chart_gradients(c)[:, 1], axis=1)
-            return np.vstack([J, R])
+            return J
 
     elif variant == "four_stretched":
-        # the pinned ends fix rigid motions (no gauge rows); with the straight
-        # edge and the kept areas the stack is square, whatever the chart's metric
+        # the stretched chord, the straight edge and the kept areas, with
+        # the gauge, make the stack square, whatever the chart's metric
         base = four_bubble()
         unit = base.unit()
         straight = np.flatnonzero(np.abs(unit.phis) < STRAIGHT_PHI)
         k = straight[unit.chords[straight].argmax()]
         tail, head = unit.ends[k]
-        p = unit.points[[tail, head]]
-        shift = 0.5 * amount * (p[1] - p[0])  # each end moves out by amount/2 of the edge
-        cols = [2 * tail, 2 * tail + 1, 2 * head, 2 * head + 1, 2 * unit.v + k]
-        goal = np.append((p + [-shift, shift]).view(float), 0.0)  # and phi_k = 0
+        goal = (1.0 + amount) * unit.chords[k]
         areas = region_areas(unit)
 
         def rows(c: Cluster) -> np.ndarray:
-            return np.concatenate([c.chart()[cols] - goal, region_areas(c) - areas])
+            return np.concatenate([[c.chords[k] - goal, c.phis[k]], region_areas(c) - areas])
 
         def jac(c: Cluster) -> np.ndarray:
-            return np.vstack([np.eye(2 * c.v + c.e)[cols], area_jacobian(c)])
+            J = np.zeros((2, 2 * c.v + c.e))
+            moves = J[0, : 2 * c.v].view(complex)  # the chord's gradient is -+u at its ends
+            u = (c.points[head] - c.points[tail]) / c.chords[k]
+            moves[tail], moves[head], J[1, 2 * c.v + k] = -u, u, 1.0
+            return np.vstack([J, area_jacobian(c)])
 
     else:
         raise GeometryDomainError(f"unknown quasi variant kind {variant!r}")

@@ -147,7 +147,7 @@ def numeric_jacobian(
 #: cut from each Gauss-Newton step.
 STEP_RCOND = 1e-10
 
-#: Stopping tolerance of :func:`solve`'s dimensionless residual and area rows.
+#: Stopping tolerance of :func:`lm_minimize` on each of its caller's dimensionless rows.
 SOLVE_TOL = 1e-10
 
 
@@ -168,38 +168,45 @@ def _check_topology(cluster: Cluster) -> Cluster:
     return cluster
 
 
-def lm_minimize(
-    initial: Cluster, rows: Callable, jac: Callable, converged: Callable, max_iter: int
-) -> Tuple[Cluster, List[float]]:
+def lm_minimize(initial: Cluster, rows: Callable, jac: Callable, max_iter: int) -> Tuple[Cluster, List[float]]:
     """Gauss-Newton with minimum-norm steps and step halving over the chart
-    of ``initial.unit()``, on the stacked rows ``rows(c)`` of the cluster c
-    at each chart point, with their exact Jacobian ``jac(c)``.
+    of ``initial.unit()``, on the rows ``rows(c)`` of the cluster c at each
+    chart point and their exact Jacobian ``jac(c)``, each with the gauge rows
+    R (x - x0) appended, x0 the start's chart point and R its
+    :func:`rigid_motion_basis`: every result keeps the start's vertex
+    centroid and has no component along its infinitesimal rotation.
 
     Each iteration takes the minimum-norm least-squares step
     ``lstsq(J, -f, rcond=STEP_RCOND)``, so rank-deficient (gauge-redundant
     or underdetermined) stacks are fine, and halves it until |f| decreases.
     Every trial point is one cluster, checked by :func:`_check_topology`
     before ``rows`` reads it; a trial that raises :class:`TopologyBreakdown`
-    is a rejected step, and the start must pass.  Once ``converged(f)``,
-    :func:`validated` checks a copy of the result, so a result kept in bulk
-    holds its chart alone, and the result, mapped back by
-    ``initial.chart_units()``, is returned with the history of |f|.  Raises
-    :class:`NonConvergence` with that history after ``max_iter`` iterations,
-    or when a step cut to 2^-52 of itself (a double's resolution) still
-    fails, naming the last breakdown if any.
+    is a rejected step, and the start must pass.  Once each of the caller's
+    rows (not the gauge rows) is below ``SOLVE_TOL``, :func:`validated`
+    checks a copy of the result, so a result kept in bulk holds its chart
+    alone, and the result, mapped back by ``initial.chart_units()``, is
+    returned with the history of |f|.  Raises :class:`NonConvergence` with
+    that history after ``max_iter`` iterations, or when a step cut to 2^-52
+    of itself (a double's resolution) still fails, naming the last
+    breakdown if any.
     """
     c = _check_topology(initial.unit())
-    f = rows(c)
+    R, x0 = rigid_motion_basis(c), c.chart()
+
+    def stacked(c: Cluster) -> np.ndarray:
+        return np.concatenate([rows(c), R @ (c.chart() - x0)])
+
+    f = stacked(c)
     history = [float(np.linalg.norm(f))]
     last = ""
-    while not converged(f):
+    while not np.abs(f[: -len(R)]).max() < SOLVE_TOL:
         if len(history) > max_iter:
             raise NonConvergence("iteration limit" + last, history)
-        x, delta = c.chart(), np.linalg.lstsq(jac(c), -f, rcond=STEP_RCOND)[0]
+        x, delta = c.chart(), np.linalg.lstsq(np.concatenate([jac(c), R]), -f, rcond=STEP_RCOND)[0]
         for _ in range(53):
             try:
                 trial = _check_topology(initial.with_chart(x + delta))
-                f_try = rows(trial)
+                f_try = stacked(trial)
             except TopologyBreakdown as err:  # an unrealizable trial is infinitely bad
                 f_try, last = f + math.inf, f" (last rejected trial: {err})"
             norm = float(np.linalg.norm(f_try))
@@ -215,39 +222,35 @@ def lm_minimize(
     return initial.with_chart(x), history
 
 
+def _target_areas(cluster: Cluster, target) -> np.ndarray:
+    """``target`` as floats, one area per interior region of ``cluster``, each normal,
+    positive and finite as ``validate``'s ``positive_areas`` asks, or :class:`GeometryDomainError`."""
+    target = np.asarray(target, dtype=float)
+    if target.shape != (cluster.n,):
+        raise GeometryDomainError("target must have one area per interior region")
+    if not ((target >= np.finfo(float).tiny) & (target < math.inf)).all():
+        raise GeometryDomainError("target areas must be normal positive finite numbers")
+    return target
+
+
 def solve(initial: Cluster, target: np.ndarray, max_iter: int = 100) -> Cluster:
     """Equilibrium of the same combinatorial type with the given areas.
 
-    Minimizes the stacked system [angle; cocycle; areas - target; gauge] by
-    Gauss-Newton (:func:`lm_minimize`) with its exact Jacobian in the unit
-    chart (x / d, y / d, phi), where every row is dimensionless, until each
-    angle, cocycle and area row is below ``SOLVE_TOL`` within ``max_iter``
-    iterations; one call takes the symmetric triple bubble to (1, 1, 1000).
-    The gauge rows R (x - x0), with x0 the initial chart point and R its
-    :func:`rigid_motion_basis`, remove rigid motions: the result keeps the
-    initial vertex centroid and has no component along the initial
-    infinitesimal rotation.  ``max_iter`` is an integer of at least 1, or
-    :class:`GeometryDomainError` is raised.
+    Minimizes the stacked rows [angle; cocycle; areas - target] by
+    Gauss-Newton (:func:`lm_minimize`, which appends the gauge rows) with
+    their exact Jacobian in the unit chart (x / d, y / d, phi), where every
+    row is dimensionless, until each row is below ``SOLVE_TOL`` within
+    ``max_iter`` iterations; one call takes the symmetric triple bubble to
+    (1, 1, 1000).  The result keeps the initial vertex centroid and does not
+    rotate.  ``target`` passes :func:`_target_areas`, and ``max_iter`` is an
+    integer of at least 1, or :class:`GeometryDomainError` is raised.
     """
-    target = np.asarray(target, dtype=float)
-    if target.shape != (initial.n,):
-        raise GeometryDomainError("target must have one area per interior region")
-    if not (np.isfinite(target) & (target > 0)).all():
-        raise GeometryDomainError("target areas must be finite and positive")
+    target = _target_areas(initial, target)
     max_iter = _size("max_iter", max_iter, 1)
-    unit = initial.unit()
     target = target / initial.chart_units()[0] ** 2
-    R, x0 = rigid_motion_basis(unit), unit.chart()
 
     def rows(c: Cluster) -> np.ndarray:
         rep = residuals(c)
-        areas = region_areas(c) - target
-        return np.concatenate([rep.angle_block, rep.cocycle_block, areas, R @ (c.chart() - x0)])
+        return np.concatenate([rep.angle_block, rep.cocycle_block, region_areas(c) - target])
 
-    def jac(c: Cluster) -> np.ndarray:
-        return np.concatenate([_jacobian(c), R])
-
-    def ok(f: np.ndarray) -> bool:  # the linear gauge rows are left out
-        return bool(np.abs(f[: -len(R)]).max() < SOLVE_TOL)
-
-    return lm_minimize(initial, rows, jac, ok, max_iter)[0]
+    return lm_minimize(initial, rows, _jacobian, max_iter)[0]

@@ -186,14 +186,11 @@ def arc_through(tail: Point, mid: Point, head: Point) -> Arc:
 def half_angle(w: complex, tangent: complex) -> float:
     """Half-angle of the arc along the chord ``w`` (head - tail) leaving its
     tail along the (not necessarily unit) ``tangent``, the chord direction
-    turned by -phi: phi = arg(w conj(tangent)), with no circle fitted.
-    Raises :class:`GeometryDomainError` when |phi| reaches ``PHI_LIMIT``
-    (the tangent points nearly back along the chord)."""
+    turned by -phi: phi = arg(w conj(tangent)), with no circle fitted; a
+    tangent back along the chord gives +-pi.  The callers' results bound
+    |phi| in :func:`validate`'s ``half_angles`` check."""
     turn = w * tangent.conjugate()  # cmath.phase raises OverflowError if arg turn underflows
-    phi = math.atan2(turn.imag, turn.real)
-    if abs(phi) >= PHI_LIMIT:
-        raise GeometryDomainError("arc is nearly a full circle")
-    return phi
+    return math.atan2(turn.imag, turn.real)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +385,8 @@ def mobius_image(m: MobiusMap, points, ends, phis) -> Tuple[np.ndarray, np.ndarr
     phi + arg(w(tail) / w(head)), wrapped to (-pi, pi].  Raises
     :class:`GeometryDomainError`, before dividing, where
     :meth:`MobiusMap.apply` does and when the pole lies within 1e-6 chord
-    lengths of an arc; and when an image half-angle reaches ``PHI_LIMIT``.
+    lengths of an arc.  An image half-angle may reach ``PHI_LIMIT``: the
+    callers' results bound it in :func:`validate`'s ``half_angles`` check.
     """
     z, phis = np.asarray(points, dtype=complex), np.asarray(phis, dtype=float)
     ends = np.asarray(ends, dtype=int).reshape(-1, 2)
@@ -405,7 +403,5 @@ def mobius_image(m: MobiusMap, points, ends, phis) -> Tuple[np.ndarray, np.ndarr
             raise GeometryDomainError("Mobius pole lies on or near the arc")
     arg = np.angle(den)
     phi = math.pi - np.remainder(math.pi - phis - arg[ends[:, 0]] + arg[ends[:, 1]], 2.0 * math.pi)
-    if (np.abs(phi) >= PHI_LIMIT).any():
-        raise GeometryDomainError("arc is nearly a full circle")
     return num / den, phi
 

@@ -31,7 +31,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .cluster import Cluster, _jacobian, _size, region_areas, rigid_motion_basis, shoelace_terms
-from .equilibrium import pressures, solve
+from .equilibrium import _target_areas, pressures, solve
 from .errors import GeometryDomainError
 from .geometry import arc_tangent  # arc_tangent is unused here, but perfbench's tests resolve it
 
@@ -620,14 +620,13 @@ def continue_family(
     Step k re-solves the area target interpolated linearly k/``steps`` of
     the way, starting from the previous step's cluster (no tangent
     predictor), each :func:`solve` within ``max_iter`` iterations.  Returns
-    the full path including the start.  ``steps`` is an integer of at least
-    1, or ``GeometryDomainError`` is raised.
+    the full path including the start.  ``target`` is checked as
+    :func:`solve` checks it, before the first step, and ``steps`` is an
+    integer of at least 1, or ``GeometryDomainError`` is raised.
     """
     steps = _size("steps", steps, 1)
-    target = np.asarray(target, dtype=float)
+    target = _target_areas(cluster, target)
     start = region_areas(cluster)
-    if target.shape != start.shape:
-        raise GeometryDomainError("target must have one area per region")
     path = [cluster]
     for k in range(1, steps + 1):
         t = k / steps

@@ -796,6 +796,15 @@ class TestSvg:
         svg = fl.to_svg(double, fill_pressures=fl.pressures(double)[1:])
         assert svg.count("<path") == double.e + double.n
 
+    @pytest.mark.parametrize(
+        "fills",
+        [[1.0], [1.0, math.nan, 1.0], [1.0, 1.0, math.inf], np.ones((3, 1)), [1.0, 1.0, 1.0, 1.0]],
+        ids=["one", "nan", "inf", "column", "four"],
+    )
+    def test_fills_are_one_finite_number_per_region(self, triple, fills):
+        with pytest.raises(fl.GeometryDomainError, match="^fill_pressures must be 3 finite numbers"):
+            fl.to_svg(triple, fill_pressures=fills)
+
     def test_top_pressure_fill_is_full_red(self, necklace7):
         # the seven unit-pressure bubbles equal the maximum up to roundoff
         svg = fl.to_svg(necklace7, fill_pressures=fl.pressures(necklace7)[1:])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import foamlab as fl
+from foamlab.cluster import rigid_motion_basis
 from foamlab.constructions import _quasi_rows
 from foamlab.errors import GeometryDomainError
 from foamlab.geometry import AT_INFINITY, Point, arc_carrier, second_intersection
@@ -398,23 +399,32 @@ class TestQuasiVariants:
         # the rows are read at the unit chart point, in the base's unit frame
         base, rows, jac = _quasi_rows("two_lens_recurved", 0.15)
         unit = quasi_recurved.with_chart(quasi_recurved.chart() / base.chart_units())
-        sigma = np.linalg.svd(jac(unit), compute_uv=False)
+        sigma = np.linalg.svd(np.vstack([jac(unit), rigid_motion_basis(unit)]), compute_uv=False)
         assert sigma[-1] >= 1e-6 * sigma[0]
         assert np.abs(rows(unit)).max() < 1e-10
         assert fl.classify(quasi_recurved) is fl.Verdict.QUASI_EQUILIBRIUM
         assert fl.residuals(quasi_recurved).cocycle_sup > 1e-3
 
     def test_stretched_is_an_isolated_point(self, quasi_stretched, four):
-        # the pins, the straight stretched edge and the kept areas make the
-        # stack square and of full rank where it stops: the preset is a
-        # point of the geometry, whatever the chart's metric
+        # the stretched chord, the straight stretched edge, the kept areas
+        # and the gauge rows make the stack square and of full rank where it
+        # stops: the preset is a point of the geometry, whatever the chart's metric
         base, rows, jac = _quasi_rows("four_stretched", 0.15)
         unit = quasi_stretched.with_chart(quasi_stretched.chart() / base.chart_units())
-        J = jac(unit)
+        J = np.vstack([jac(unit), rigid_motion_basis(unit)])
         sigma = np.linalg.svd(J, compute_uv=False)
         assert J.shape[0] == J.shape[1] and sigma[-1] >= 1e-6 * sigma[0]
         assert np.abs(rows(unit)).max() < 1e-10
         assert fl.region_areas(quasi_stretched) == pytest.approx(fl.region_areas(four), abs=1e-10)
+
+    @pytest.mark.parametrize("amount", [0.15, 0.01])
+    def test_stretched_keeps_the_base_gauge(self, four, amount):
+        # lm_minimize's gauge rows place it: the base's vertex centroid and
+        # orientation, read in the base's unit frame
+        c = fl.quasi_variant("four_stretched", amount)
+        unit = four.unit()
+        x = c.chart() / four.chart_units()
+        assert np.abs(rigid_motion_basis(unit) @ (x - unit.chart())).max() <= 1e-14
 
     @pytest.mark.parametrize("amount", [1e-9, 1e-6, 1e-3])
     def test_stretched_cocycle_defect(self, amount):

@@ -151,8 +151,7 @@ class TestLmMinimize:
 
     @pytest.mark.parametrize("kind", ["two_lens_recurved", "four_stretched"])
     def test_history_strictly_decreases(self, kind):
-        base, rows, jac = _quasi_rows(kind, 0.15)
-        _, history = lm_minimize(base, rows, jac, lambda f: bool(np.abs(f).max() < SOLVE_TOL), 200)
+        _, history = lm_minimize(*_quasi_rows(kind, 0.15), 200)
         assert np.all(np.diff(history) < 0.0)
         assert len(history) > 2 and history[-1] < SOLVE_TOL
 
@@ -185,11 +184,14 @@ class TestIterateCheck:
 
     @staticmethod
     def collapse(double, max_iter):
-        # every full Gauss-Newton step lands vertex 1 on vertex 0
-        goal = (double.points[0] + 1e-12) / double.diameter()
-        rows = lambda c: c.chart()[2:4] - [goal.real, goal.imag]
-        jac = lambda c: np.eye(c.chart().size)[2:4]
-        return lm_minimize(double, rows, jac, lambda f: False, max_iter)
+        # every full Gauss-Newton step lands both ends of edge 0 on points
+        # 1e-12 apart about their midpoint, the vertex centroid, which the
+        # gauge rows keep: the pinned rows never converge
+        p = double.unit().points
+        goal = p.mean() + 0.5e-12 * (p - p.mean()) / np.abs(p - p.mean())
+        rows = lambda c: c.chart()[:4] - goal.view(float)
+        jac = lambda c: np.eye(c.chart().size)[:4]
+        return lm_minimize(double, rows, jac, max_iter)
 
     def test_step_onto_a_collapsed_chord_is_rejected(self, double):
         # each full step is a rejected trial, each halved one is accepted,
@@ -291,6 +293,13 @@ class TestSolve:
         assert fl.region_areas(out) == pytest.approx(target, abs=1e-9)
         assert fl.classify(out) is fl.Verdict.EQUILIBRIUM
 
+    def test_one_solve_makes_one_unit_copy(self, triple, monkeypatch):
+        # lm_minimize's start is the solve's only unit frame
+        calls, unit = [], fl.Cluster.unit
+        monkeypatch.setattr(fl.Cluster, "unit", lambda c: calls.append(c) or unit(c))
+        fl.solve(triple, np.array([1.1, 0.9, 1.0]))
+        assert calls == [triple]
+
     def test_one_solve_measures_the_diameter_once(self, triple, monkeypatch):
         # the unit frame, the target's scale and the map back share one scale;
         # the result's own admission reads the result's
@@ -374,7 +383,8 @@ class TestSolve:
             fl.solve(double, np.array([1.0, -1.0]))
 
     @pytest.mark.parametrize(
-        "target", [[1.0], [1.0, -1.0], [1.0, 0.0], [np.inf, 1.0], [np.nan, 1.0]]
+        # no result could hold a subnormal area that validate accepts
+        "target", [[1.0], [1.0, -1.0], [1.0, 0.0], [np.inf, 1.0], [np.nan, 1.0], [1e-320, 1.0]]
     )
     def test_bad_targets_are_typed_errors(self, double, target):
         with pytest.raises(GeometryDomainError, match="target"):

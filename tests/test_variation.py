@@ -568,6 +568,23 @@ class TestContinueFamily:
         with pytest.raises(fl.GeometryDomainError, match="target"):
             fl.continue_family(triple, [bad, 1.0, 1.0], steps=2)
 
+    @pytest.mark.parametrize(
+        "target, why",
+        [
+            ((1.0, 1.0, 0.0), "target areas"),
+            ((1.0, 1.0, -1.0), "target areas"),
+            ((1.0, 1.0, 1e-320), "target areas"),
+            ((1.0, 1.0), "one area per interior region"),
+            ((1.0, 1.0, 1.0, 1.0), "one area per interior region"),
+        ],
+    )
+    def test_bad_target_is_refused_before_the_first_solve(self, triple, target, why, monkeypatch):
+        calls, solve = [], variation.solve
+        monkeypatch.setattr(variation, "solve", lambda *args: calls.append(args) or solve(*args))
+        with pytest.raises(fl.GeometryDomainError, match=why):
+            fl.continue_family(triple, target)
+        assert calls == []
+
     @pytest.mark.parametrize("bad", [2.5, True, None, "2", np.float64(2.0)])
     def test_non_integer_steps_is_a_domain_error(self, triple, bad):
         target = 1.05 * fl.region_areas(triple)
