@@ -11,7 +11,8 @@ input/output, deterministic float formatting, and the exit-code contract
 A verb that reads a document exits 2 when ``validate`` rejects it, except
 ``check``, which prints the failed checks and exits 1.  A verb that writes a
 cluster exits 2, and writes nothing, when ``validate`` rejects the result:
-the reader and the library call :func:`foamlab.cluster.validated`, once each.
+the reader calls :func:`foamlab.cluster.validated`, and the library admits
+what it builds, once each.
 Every input or argument error is a :class:`FoamlabError` that ``run`` prints
 after ``error: ``.  A verb that needs pressures of a document whose
 curvature sums disagree (:class:`PathInconsistent`) exits 1.
@@ -67,14 +68,12 @@ def _write(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _parse_areas(text: str, n: int) -> np.ndarray:
+def _parse_areas(text: str) -> np.ndarray:
+    """The numbers of a comma-separated list; the library checks them as a target."""
     try:
-        areas = np.array([float(s) for s in text.split(",")])
+        return np.array([float(s) for s in text.split(",")])
     except ValueError as err:
         raise GeometryDomainError(f"bad area list {text!r}: {err}") from err
-    if areas.size != n:
-        raise GeometryDomainError(f"expected {n} areas, got {areas.size}")
-    return areas
 
 
 def _complex_pair(text: str, what: str) -> complex:
@@ -88,7 +87,7 @@ def _complex_pair(text: str, what: str) -> complex:
 # ``foamlab new``'s presets: the keys are the parser's choices
 _PRESETS = {
     "double": lambda a: con.double_bubble(a.r1, a.r2),
-    "triple": lambda a: con.triple_bubble(_parse_areas(a.areas or "1,1,1", 3)),
+    "triple": lambda a: con.triple_bubble(_parse_areas(a.areas or "1,1,1")),
     "four": lambda a: con.four_bubble(),
     "two_lens": lambda a: con.two_lens(a.lens1, a.lens2, a.separation),
     "necklace": lambda a: con.necklace(a.k, a.inner_radius),
@@ -203,7 +202,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_solve(args) -> int:
     c = _load(args.input)
-    target = _parse_areas(args.areas, c.n)
+    target = _parse_areas(args.areas)
     _write(args.output, cl.dumps(solve(c, target, max_iter=args.max_iter)))
     return EXIT_OK
 
@@ -289,7 +288,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_continue(args) -> int:
     c = _load(args.input)
-    target = _parse_areas(args.areas, c.n)
+    target = _parse_areas(args.areas)
     _write(args.output, cl.dumps(continue_family(c, target, steps=args.steps)[-1]))
     return EXIT_OK
 

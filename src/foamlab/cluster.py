@@ -552,6 +552,14 @@ def validate(cluster: Cluster, check_disjoint: bool = False) -> ValidationReport
     check (:attr:`Cluster.topology`) that every other entry point relies on.
     ``half_angles`` bounds |phi| by ``PHI_LIMIT``, as a document's bulges do, and
     ``positive_areas`` asks for normal positive areas, not ones lost to underflow."""
+    return _checks(cluster, 1.0, check_disjoint)
+
+
+def _checks(cluster: Cluster, scale: float, check_disjoint: bool = False) -> ValidationReport:
+    """:func:`validate`'s report on the cluster ``scale`` times ``cluster``,
+    read on ``cluster``: the counts, labels, half-angles, star order and chord
+    floor relative to the diameter do not change with scale, so only the chart
+    is tested times ``scale``, and the bulges and areas times ``scale ** 2``."""
     checks: List[Tuple[str, bool, str]] = []
 
     def add(name, ok, detail=""):
@@ -565,7 +573,8 @@ def validate(cluster: Cluster, check_disjoint: bool = False) -> ValidationReport
         (cluster.v, cluster.e) == (2 * (n - 1), 3 * (n - 1)),
         f"v, e = {cluster.v}, {cluster.e}, expected {2 * (n - 1)}, {3 * (n - 1)}",
     )
-    numbers = cluster.points.view(float).tolist() + cluster.bulges.tolist()  # bulges: none inverted
+    # bulges: none inverted
+    numbers = (scale * cluster.points.view(float)).tolist() + (scale * scale * cluster.bulges).tolist()
     bad = [] if math.isfinite(sum(numbers)) else np.flatnonzero(~np.isfinite(numbers)).tolist()
     add("finite_chart", not bad, f"non-finite chart coordinates {bad}")
     if bad:
@@ -574,14 +583,14 @@ def validate(cluster: Cluster, check_disjoint: bool = False) -> ValidationReport
     floor = CHORD_FLOOR * cluster.diameter()
     short = [j for j, c in enumerate(cluster.chords.tolist()) if c <= floor]
     add("edge_chords", not short, f"degenerate edges {short}")
-    bad_labels = np.flatnonzero(cluster.labels[:, 0] == cluster.labels[:, 1]).tolist()
+    bad_labels = [j for j, (left, right) in enumerate(cluster.labels.tolist()) if left == right]
     add("edge_labels", not bad_labels, f"left == right on edges {bad_labels}")
 
     if short:
         add("topology", False, "skipped: degenerate edges")
     else:
         try:  # a document's bulges invert only to half-angles below PHI_LIMIT
-            wide = np.flatnonzero(np.abs(cluster.phis) >= PHI_LIMIT).tolist()
+            wide = [j for j, phi in enumerate(cluster.phis.tolist()) if abs(phi) >= PHI_LIMIT]
             add("half_angles", not wide, f"near-full-circle edges {wide}")
             cluster.topology
         except GeometryDomainError as err:
@@ -590,9 +599,9 @@ def validate(cluster: Cluster, check_disjoint: bool = False) -> ValidationReport
             add("topology", False, str(err))
         else:
             add("topology", True)
-            areas = region_areas(cluster)
-            normal = ((areas >= np.finfo(float).tiny) & (areas < math.inf)).all()
-            add("positive_areas", normal, f"areas {areas.tolist()}")
+            areas = (scale * scale * region_areas(cluster)).tolist()
+            tiny = np.finfo(float).tiny
+            add("positive_areas", all(tiny <= a < math.inf for a in areas), f"areas {areas}")
 
     if check_disjoint:
         bad_pairs = _disjointness_scan(cluster)
@@ -604,10 +613,14 @@ def validate(cluster: Cluster, check_disjoint: bool = False) -> ValidationReport
 def validated(cluster: Cluster) -> Cluster:
     """``cluster`` if :func:`validate` accepts it; otherwise raises
     :class:`GeometryDomainError` naming every failed check."""
-    report = validate(cluster)
+    _admit(validate(cluster))
+    return cluster
+
+
+def _admit(report: ValidationReport) -> None:
+    """Raises :class:`GeometryDomainError` naming every failed check of ``report``, if any."""
     if not report.ok:
         raise GeometryDomainError(f"invalid cluster: {'; '.join(report.failures())}")
-    return cluster
 
 
 def _disjointness_scan(cluster: Cluster, samples: int = 16) -> List[Tuple[int, int]]:

@@ -5,8 +5,8 @@ its vertex positions, and per edge its (tail, head), its half-angle and its
 (left, right) region ids, stated, not inferred from the embedding.  The
 closed forms give half-angles directly, so no preset forms or inverts a
 bulge.  Every function here that returns a cluster returns it through
-:func:`validated`, itself or in :func:`lm_minimize`, so it raises rather than
-return one that :func:`validate` rejects.  Constructor correctness is
+:func:`validated` or :func:`lm_minimize`'s one admission, so it raises rather
+than return one that :func:`validate` rejects.  Constructor correctness is
 certified by the equilibrium checker rather than by rederiving formulas:
 every non-quasi preset must classify as Equilibrium.
 """
@@ -23,7 +23,7 @@ from .cluster import (
     EXTERIOR, STRAIGHT_PHI, Cluster, _chart_gradients, _size, area_jacobian, region_areas, validated,
 )
 from .errors import GeometryDomainError, TopologyBreakdown
-from .equilibrium import lm_minimize, residual_jacobian, residuals, solve
+from .equilibrium import _target_areas, lm_minimize, residual_jacobian, residuals, solve
 from .geometry import (
     AT_INFINITY,
     PENCIL_TOL,
@@ -95,7 +95,8 @@ def triple_bubble(areas: Optional[Sequence[float]] = None) -> Cluster:
     The symmetric instance is closed form: three straight interfaces of
     length 1 radiating from the center (vertex 0) at 120 degrees and three
     outer semicircular arcs (half-angle pi/2).  General area vectors are
-    reached by the area-constrained solver.
+    reached by the area-constrained solver, from the symmetric instance
+    rescaled to their total once they pass :func:`solve`'s target check.
     """
     angles = [math.pi / 6, 5 * math.pi / 6, 3 * math.pi / 2]
     points = [0j] + [cmath.exp(1j * a) for a in angles]
@@ -111,7 +112,7 @@ def triple_bubble(areas: Optional[Sequence[float]] = None) -> Cluster:
     if areas is None:
         return validated(cluster)
     # rescale the symmetric seed to the right total before solving
-    target = np.asarray(areas, dtype=float)
+    target = _target_areas(cluster, areas)
     s = math.sqrt(target.sum() / region_areas(cluster).sum())
     seed = cluster.with_chart(cluster.chart() * np.repeat([s, 1.0], [2 * cluster.v, cluster.e]))
     return solve(seed, target)

@@ -21,7 +21,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .cluster import (
-    CHORD_FLOOR, _END_SIGN, Cluster, _jacobian, _size, region_areas, rigid_motion_basis, validated,
+    CHORD_FLOOR, _END_SIGN, Cluster, _admit, _checks, _jacobian, _size, region_areas, rigid_motion_basis,
 )
 from .errors import GeometryDomainError, NonConvergence, PathInconsistent, StructuralError, TopologyBreakdown
 from .geometry import PHI_LIMIT
@@ -182,10 +182,14 @@ def lm_minimize(initial: Cluster, rows: Callable, jac: Callable, max_iter: int) 
     Every trial point is one cluster, checked by :func:`_check_topology`
     before ``rows`` reads it; a trial that raises :class:`TopologyBreakdown`
     is a rejected step, and the start must pass.  Once each of the caller's
-    rows (not the gauge rows) is below ``SOLVE_TOL``, :func:`validated`
-    checks a copy of the result, so a result kept in bulk holds its chart
-    alone, and the result, mapped back by ``initial.chart_units()``, is
-    returned with the history of |f|.  Raises :class:`NonConvergence` with
+    rows (not the gauge rows) is below ``SOLVE_TOL``, the result is admitted
+    once, from the last iterate: it has passed :func:`_check_topology` and
+    holds every array :func:`validate` reads, so :func:`_checks` reads the
+    scale-free checks there and tests the chart, bulges and areas times the
+    start's diameter, and a refusal raises what :func:`validated` raises on
+    the result.  The result, that chart point mapped back by
+    ``initial.chart_units()`` into a fresh ``initial.with_chart`` copy that
+    caches no array, is returned with the history of |f|.  Raises :class:`NonConvergence` with
     that history after ``max_iter`` iterations, or when a step cut to 2^-52
     of itself (a double's resolution) still fails, naming the last
     breakdown if any.
@@ -217,9 +221,9 @@ def lm_minimize(initial: Cluster, rows: Callable, jac: Callable, max_iter: int) 
             raise NonConvergence("stalled step" + last, history)
         c, f = trial, f_try
         history.append(norm)
-    x = c.chart() * initial.chart_units()
-    validated(initial.with_chart(x))
-    return initial.with_chart(x), history
+    units = initial.chart_units()  # the start's diameter d for the coordinates, 1 for the half-angles
+    _admit(_checks(c, units[0]))
+    return initial.with_chart(c.chart() * units), history
 
 
 def _target_areas(cluster: Cluster, target) -> np.ndarray:

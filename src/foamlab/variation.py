@@ -32,7 +32,7 @@ import numpy as np
 
 from .cluster import Cluster, _jacobian, _size, region_areas, rigid_motion_basis, shoelace_terms
 from .equilibrium import _target_areas, pressures, solve
-from .errors import GeometryDomainError
+from .errors import GeometryDomainError, NonConvergence, TopologyBreakdown
 from .geometry import arc_tangent  # arc_tangent is unused here, but perfbench's tests resolve it
 
 #: Singular values below RANK_REL * sigma_max count as zero.
@@ -618,11 +618,14 @@ def continue_family(
     """Path of equilibria from the cluster's areas to the target areas.
 
     Step k re-solves the area target interpolated linearly k/``steps`` of
-    the way, starting from the previous step's cluster (no tangent
-    predictor), each :func:`solve` within ``max_iter`` iterations.  Returns
-    the full path including the start.  ``target`` is checked as
-    :func:`solve` checks it, before the first step, and ``steps`` is an
-    integer of at least 1, or ``GeometryDomainError`` is raised.
+    the way, each :func:`solve` within ``max_iter`` iterations.  Step 1
+    starts from the cluster; every later step starts at the secant
+    prediction x_k + (x_k - x_{k-1}) from the charts of the last two path
+    points, and, where that start raises :class:`TopologyBreakdown` or
+    :class:`NonConvergence`, is solved again from x_k.  Returns the full
+    path including the start.  ``target`` is checked as :func:`solve`
+    checks it, before the first step, and ``steps`` is an integer of at
+    least 1, or ``GeometryDomainError`` is raised.
     """
     steps = _size("steps", steps, 1)
     target = _target_areas(cluster, target)
@@ -630,5 +633,13 @@ def continue_family(
     path = [cluster]
     for k in range(1, steps + 1):
         t = k / steps
-        path.append(solve(path[-1], (1 - t) * start + t * target, max_iter))
+        areas = (1 - t) * start + t * target
+        if k > 1:
+            predicted = path[-1].with_chart(2.0 * path[-1].chart() - path[-2].chart())
+            try:
+                path.append(solve(predicted, areas, max_iter))
+                continue
+            except (TopologyBreakdown, NonConvergence):
+                pass
+        path.append(solve(path[-1], areas, max_iter))
     return path

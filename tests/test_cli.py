@@ -276,21 +276,23 @@ class TestWrittenClusters:
     )
     def test_each_cluster_is_validated_once(self, tmp_path, monkeypatch, verb):
         # the input document once, if the verb reads one, and the written
-        # chart point once: the library admits what it builds (a solver on a
-        # copy of its result), and the writer dumps it unchecked; solve and
-        # continue leave the input's areas, so each chart point is new
+        # chart point once: the library admits what it builds (``validate``
+        # reads its checks at scale 1, a solver on its last iterate scaled to
+        # the result), and the writer dumps it unchecked; solve and continue
+        # leave the input's areas, so each chart point is new
         t, out = tmp_path / "t.json", tmp_path / "out.json"
         run(["new", "triple", "-o", str(t)])
         read, checked, written = [], [], []
-        loads, validate, dumps = fl.cluster.loads, fl.cluster.validate, fl.cluster.dumps
+        loads, checks, dumps = fl.cluster.loads, fl.cluster._checks, fl.cluster.dumps
         monkeypatch.setattr(fl.cluster, "loads", lambda text: read.append(loads(text)) or read[-1])
-        monkeypatch.setattr(fl.cluster, "validate", lambda c, *a: checked.append(c) or validate(c, *a))
+        for module in (fl.cluster, fl.equilibrium):
+            monkeypatch.setattr(module, "_checks", lambda c, s, *a: checked.append((c, s)) or checks(c, s, *a))
         monkeypatch.setattr(fl.cluster, "dumps", lambda c: written.append(c) or dumps(c))
         argv = verb if verb[0] == "new" else with_input(verb, str(t))
         assert run_quietly(argv + ["-o", str(out)])[0] == 0
         assert len(read) == (verb[0] != "new") and len(written) == 1
-        point = lambda c: (c.chart().tobytes(), c.labels.tobytes())
-        points = [point(c) for c in checked]
+        point = lambda c, s=1.0: ((c.chart() * np.repeat([s, 1.0], [2 * c.v, c.e])).tobytes(), c.labels.tobytes())
+        points = [point(c, s) for c, s in checked]
         for c in read + written:
             assert points.count(point(c)) == 1
         assert len(set(points)) == len(points)
@@ -358,6 +360,30 @@ class TestNumericVerbs:
         src = tmp_path / "t.json"
         run(["new", "triple", "-o", str(src)])
         assert run(["solve", str(src), "--areas", "1.0"]) == 2
+
+    @pytest.mark.parametrize(
+        "verb", [["new", "triple"], ["solve", "t.json"], ["continue", "t.json"]], ids=lambda v: v[0]
+    )
+    @pytest.mark.parametrize(
+        # every area list is checked once, by the library's target check
+        "areas, message",
+        [
+            ("1,1", "target must have one area per interior region"),
+            ("1,1,1,1", "target must have one area per interior region"),
+            ("-1,-1,-1", "target areas must be normal positive finite numbers"),
+            ("1,0,1", "target areas must be normal positive finite numbers"),
+            ("1,x,1", "bad area list '1,x,1'"),
+        ],
+    )
+    def test_bad_area_list_is_exit_2_with_one_message(self, tmp_path, monkeypatch, capsys, verb, areas,
+                                                      message):
+        monkeypatch.chdir(tmp_path)
+        run(["new", "triple", "-o", "t.json"])
+        capsys.readouterr()
+        assert run(verb + [f"--areas={areas}", "-o", "out.json"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"error: {message}")
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("verb", ["solve", "continue"])
     @pytest.mark.parametrize("areas", ["inf,1,1", "1,nan,1"])

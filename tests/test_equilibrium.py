@@ -4,7 +4,7 @@ import pytest
 
 import foamlab as fl
 from foamlab.constructions import _quasi_rows
-from foamlab.cluster import _jacobian, rigid_motion_basis
+from foamlab.cluster import _admit, _checks, _jacobian, rigid_motion_basis
 from foamlab.equilibrium import (
     SOLVE_TOL,
     _check_topology,
@@ -170,6 +170,61 @@ class TestLmMinimize:
         fun = lambda x: np.array([x[0] ** 2, x[0] * x[1]])
         J = numeric_jacobian(fun, np.array([2.0, 3.0]), 1e-6)
         assert J == pytest.approx(np.array([[4.0, 0.0], [3.0, 2.0]]), abs=1e-8)
+
+
+def _scaled(c, s):
+    return c.with_chart(np.concatenate([s * c.points.view(float), c.phis]))
+
+
+class TestAdmission:
+    #: a result holds its chart and shares its start's type, and caches nothing
+    CHART_FIELDS = {"points", "ends", "phis", "labels", "region_count", "region_labels", "_type"}
+
+    def test_results_pass_a_fresh_validate_and_cache_nothing(self, equilibrium_presets):
+        # the seven presets at three seeded targets each, three Mobius
+        # images and copies scaled by 1e-6 and 1e6, then both quasi variants
+        starts = []
+        for name, c in equilibrium_presets.items():
+            starts += [(c, np.random.default_rng(seed)) for seed in (1, 2, 3)]
+            starts += [(_scaled(c, s), np.random.default_rng(4)) for s in (1e-6, 1e6)]
+        for seed, name in enumerate(("triple", "flower", "necklace7"), start=1):
+            c, rng = equilibrium_presets[name], np.random.default_rng(seed)
+            starts.append((fl.mobius_apply_cluster(fl.random_mobius(c, rng), c), rng))
+        results = [fl.solve(c, fl.region_areas(c) * (1.0 + rng.uniform(-0.05, 0.05, c.n))) for c, rng in starts]
+        results += [fl.quasi_variant(kind) for kind in ("two_lens_recurved", "four_stretched")]
+        for out in results:
+            assert set(out.__dict__) == self.CHART_FIELDS
+            assert fl.validate(out).ok
+
+    @staticmethod
+    def _refused(name):
+        t = fl.triple_bubble()
+        x, phis = t.chart(), t.phis.copy()
+        if name == "mirrored":
+            x[1 : 2 * t.v : 2] *= -1.0
+            x[2 * t.v :] *= -1.0
+            return t.with_chart(x)
+        if name == "collapsed":
+            x[6:8] = x[4:6] + 1e-12
+            return t.with_chart(x)
+        if name == "wide":
+            phis[3] = 3.2
+        return fl.Cluster.from_arrays(t.points, t.ends, phis, t.labels, t.n)
+
+    @pytest.mark.parametrize(
+        # powers of two scale every world value exactly; the last two lose the
+        # areas to underflow and the bulges to overflow
+        "name, scale",
+        [("mirrored", 8.0), ("collapsed", 0.5), ("wide", 4.0), ("triple", 2.0 ** -560), ("triple", 2.0 ** 1000)],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_a_refused_result_raises_what_validated_raises(self, name, scale):
+        c = self._refused(name)
+        with pytest.raises(GeometryDomainError, match="^invalid cluster: ") as world:
+            fl.validated(c.with_chart(c.chart() * np.repeat([scale, 1.0], [2 * c.v, c.e])))
+        with pytest.raises(GeometryDomainError) as admitted:
+            _admit(_checks(c, scale))
+        assert str(admitted.value) == str(world.value)
 
 
 class TestIterateCheck:
@@ -358,7 +413,8 @@ class TestSolve:
         # lm_minimize's history lengths (one more than its steps) on the six
         # presets at their areas times 1 + U(-0.05, 0.05), then a 4-step
         # continuation of the triple bubble to 1 + U(-0.2, 0.2), all drawn
-        # in turn from default_rng(1): cheaper steps must not change them
+        # in turn from default_rng(1): cheaper steps must not change them;
+        # from step 2 on the secant start saves one step (4 from the last point)
         lengths = []
         minimize = fl.equilibrium.lm_minimize
 
@@ -374,7 +430,7 @@ class TestSolve:
             fl.solve(c, fl.region_areas(c) * (1.0 + rng.uniform(-0.05, 0.05, c.n)))
         c = equilibrium_presets["triple"]
         fl.continue_family(c, fl.region_areas(c) * (1.0 + rng.uniform(-0.2, 0.2, c.n)), steps=4)
-        assert lengths == [4, 4, 4, 4, 4, 5] + [4, 4, 4, 4]
+        assert lengths == [4, 4, 4, 4, 4, 5] + [4, 3, 3, 3]
 
     def test_rejects_bad_targets(self, double):
         with pytest.raises(ValueError):

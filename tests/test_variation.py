@@ -595,6 +595,43 @@ class TestContinueFamily:
         target = 1.05 * fl.region_areas(triple)
         assert len(fl.continue_family(triple, target, steps=np.int64(2))) == 3
 
+    def test_secant_start_falls_back_to_the_last_point(self, monkeypatch):
+        # step 2's secant start of this lopsided path dies; that step is
+        # solved again from step 1's cluster, and the path reaches its target
+        errors, solve = [], variation.solve
+
+        def recorded(*args):
+            try:
+                return solve(*args)
+            except fl.FoamlabError as err:
+                errors.append(err)
+                raise
+
+        monkeypatch.setattr(variation, "solve", recorded)
+        path = fl.continue_family(fl.triple_bubble(), (1.0, 1.0, 100.0), steps=4)
+        assert [(type(err), str(err)) for err in errors] == [
+            (fl.TopologyBreakdown, "edge 4 approaching a full circle")
+        ]
+        assert all(fl.classify(c) is fl.Verdict.EQUILIBRIUM for c in path[1:])
+        assert fl.region_areas(path[-1]) == pytest.approx([1.0, 1.0, 100.0], abs=1e-9 * path[-1].diameter() ** 2)
+
+    def test_secant_start_takes_short_corrector_runs(self, monkeypatch):
+        # from the third step on, the secant start is within two
+        # Gauss-Newton steps of each point (three or four from the last point)
+        lengths, minimize = [], fl.equilibrium.lm_minimize
+
+        def recorded(*args):
+            out, history = minimize(*args)
+            lengths.append(len(history))
+            return out, history
+
+        start = fl.decorate(fl.triple_bubble((1.0, 1.0, 1.0)), 0, 0.3)
+        monkeypatch.setattr(fl.equilibrium, "lm_minimize", recorded)
+        path = fl.continue_family(start, (1.0, 1.0, 1.0, 1.0), steps=16)
+        assert len(lengths) == 16 and max(lengths[2:]) <= 3
+        assert sum(lengths) - len(lengths) < 16 * 3
+        assert fl.region_areas(path[-1]) == pytest.approx([1.0] * 4, abs=1e-9)
+
     def test_iteration_budget_reaches_each_solve(self, triple):
         target = 1.3 * fl.region_areas(triple)
         with pytest.raises(fl.NonConvergence):
