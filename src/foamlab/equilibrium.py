@@ -124,7 +124,7 @@ def _verdict(cluster: Cluster, rep: ResidualReport) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Newton with minimum-norm steps and step halving
+# Gauss-Newton with least-squares steps and step halving
 
 
 def numeric_jacobian(
@@ -143,8 +143,10 @@ def numeric_jacobian(
     return J
 
 
-#: Singular values of the Jacobian below this fraction of the largest are
-#: cut from each Gauss-Newton step.
+#: Rank cut of each Gauss-Newton step, relative to the stack's largest scale:
+#: a stack whose triangular factor has a diagonal entry at or below this
+#: fraction of its largest is rank-deficient and falls back to ``lstsq``,
+#: which cuts singular values below this fraction of the largest.
 STEP_RCOND = 1e-10
 
 #: Stopping tolerance of :func:`lm_minimize` on each of its caller's dimensionless rows.
@@ -168,17 +170,35 @@ def _check_topology(cluster: Cluster) -> Cluster:
     return cluster
 
 
+def _gauss_newton_step(M: np.ndarray) -> np.ndarray:
+    """The least-squares step delta minimizing |A delta + f| for the stack
+    ``M = [A | f]`` of k columns and the residual.  With at least k rows, one
+    Householder QR of ``M`` (Q is never formed) gives the triangular R with
+    R[:k, :k] delta = -R[:k, k]; where its diagonal shows rank deficiency (an
+    entry at or below ``STEP_RCOND`` times the largest), and on an
+    underdetermined stack, the step is ``lstsq``'s minimum-norm one."""
+    k = M.shape[1] - 1
+    if len(M) >= k:
+        r = np.linalg.qr(M, mode="r")
+        d = np.abs(r.diagonal()[:k]).tolist()
+        if min(d) > STEP_RCOND * max(d):
+            return np.linalg.solve(r[:k, :k], -r[:k, k])
+    return np.linalg.lstsq(M[:, :k], -M[:, k], rcond=STEP_RCOND)[0]
+
+
 def lm_minimize(initial: Cluster, rows: Callable, jac: Callable, max_iter: int) -> Tuple[Cluster, List[float]]:
-    """Gauss-Newton with minimum-norm steps and step halving over the chart
+    """Gauss-Newton with least-squares steps and step halving over the chart
     of ``initial.unit()``, on the rows ``rows(c)`` of the cluster c at each
     chart point and their exact Jacobian ``jac(c)``, each with the gauge rows
     R (x - x0) appended, x0 the start's chart point and R its
     :func:`rigid_motion_basis`: every result keeps the start's vertex
     centroid and has no component along its infinitesimal rotation.
 
-    Each iteration takes the minimum-norm least-squares step
-    ``lstsq(J, -f, rcond=STEP_RCOND)``, so rank-deficient (gauge-redundant
-    or underdetermined) stacks are fine, and halves it until |f| decreases.
+    Each iteration takes the least-squares step of the stack J on -f by
+    :func:`_gauss_newton_step`: one Householder QR of [J | f] where J has
+    full column rank, and ``lstsq``'s minimum-norm step (``rcond=STEP_RCOND``)
+    where it is rank-deficient (gauge-redundant) or underdetermined, so such
+    stacks are fine; it halves the step until |f| decreases.
     Every trial point is one cluster, checked by :func:`_check_topology`
     before ``rows`` reads it; a trial that raises :class:`TopologyBreakdown`
     is a rejected step, and the start must pass.  Once each of the caller's
@@ -206,7 +226,10 @@ def lm_minimize(initial: Cluster, rows: Callable, jac: Callable, max_iter: int) 
     while not np.abs(f[: -len(R)]).max() < SOLVE_TOL:
         if len(history) > max_iter:
             raise NonConvergence("iteration limit" + last, history)
-        x, delta = c.chart(), np.linalg.lstsq(np.concatenate([jac(c), R]), -f, rcond=STEP_RCOND)[0]
+        x, J = c.chart(), jac(c)
+        M = np.empty((len(f), len(x) + 1))
+        M[: len(J), :-1], M[len(J) :, :-1], M[:, -1] = J, R, f
+        delta = _gauss_newton_step(M)
         for _ in range(53):
             try:
                 trial = _check_topology(initial.with_chart(x + delta))
@@ -228,12 +251,15 @@ def lm_minimize(initial: Cluster, rows: Callable, jac: Callable, max_iter: int) 
 
 def _target_areas(cluster: Cluster, target) -> np.ndarray:
     """``target`` as floats, one area per interior region of ``cluster``, each normal,
-    positive and finite as ``validate``'s ``positive_areas`` asks, or :class:`GeometryDomainError`."""
+    positive and finite as ``validate``'s ``positive_areas`` asks, with a finite
+    sum (the total area of the cluster they ask for), or :class:`GeometryDomainError`."""
     target = np.asarray(target, dtype=float)
     if target.shape != (cluster.n,):
         raise GeometryDomainError("target must have one area per interior region")
     if not ((target >= np.finfo(float).tiny) & (target < math.inf)).all():
         raise GeometryDomainError("target areas must be normal positive finite numbers")
+    if not sum(target.tolist()) < math.inf:  # Python floats overflow to inf without a warning
+        raise GeometryDomainError("target areas must have a finite sum")
     return target
 
 

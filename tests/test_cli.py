@@ -372,6 +372,7 @@ class TestNumericVerbs:
             ("1,1,1,1", "target must have one area per interior region"),
             ("-1,-1,-1", "target areas must be normal positive finite numbers"),
             ("1,0,1", "target areas must be normal positive finite numbers"),
+            ("1e308,1e308,1e308", "target areas must have a finite sum"),
             ("1,x,1", "bad area list '1,x,1'"),
         ],
     )

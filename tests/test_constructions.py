@@ -86,6 +86,16 @@ class TestTripleBubble:
         c = fl.triple_bubble(areas=(1.2, 0.8, 1.0))
         assert fl.region_areas(c) == pytest.approx([1.2, 0.8, 1.0], abs=1e-8)
 
+    def test_areas_without_a_finite_sum_are_refused_before_the_rescale(self):
+        # each area is finite, but the seed's rescale sqrt(sum / area_0) is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryDomainError, match="target areas must have a finite sum"):
+                fl.triple_bubble((1e308, 1e308, 1e308))
+            c = fl.triple_bubble((1e307, 1e307, 1e307))
+        assert fl.classify(c) is fl.Verdict.EQUILIBRIUM
+        assert fl.region_areas(c) == pytest.approx([1e307] * 3, rel=1e-9)
+
 
 class TestDecoration:
     def test_inserts_three_sided_region(self, triple):

@@ -4,10 +4,12 @@ import pytest
 
 import foamlab as fl
 from foamlab.constructions import _quasi_rows
-from foamlab.cluster import _admit, _checks, _jacobian, rigid_motion_basis
+from foamlab.cluster import _admit, _checks, _jacobian, area_jacobian, rigid_motion_basis
 from foamlab.equilibrium import (
     SOLVE_TOL,
+    STEP_RCOND,
     _check_topology,
+    _gauss_newton_step,
     lm_minimize,
     numeric_jacobian,
     residual_jacobian,
@@ -170,6 +172,97 @@ class TestLmMinimize:
         fun = lambda x: np.array([x[0] ** 2, x[0] * x[1]])
         J = numeric_jacobian(fun, np.array([2.0, 3.0]), 1e-6)
         assert J == pytest.approx(np.array([[4.0, 0.0], [3.0, 2.0]]), abs=1e-8)
+
+
+LSTSQ = np.linalg.lstsq
+
+
+def lstsq_step(M):
+    """``lstsq``'s minimum-norm step on the stack ``M = [A | f]``."""
+    return LSTSQ(M[:, :-1], -M[:, -1], rcond=STEP_RCOND)[0]
+
+
+@pytest.fixture()
+def lstsq_calls(monkeypatch):
+    """The shapes of the stacks every ``np.linalg.lstsq`` call sees."""
+    calls = []
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, *args, **kwargs: calls.append(a.shape) or LSTSQ(a, *args, **kwargs))
+    return calls
+
+
+def start_stack(unit, rows, jac):
+    """The stack [J; R | f] that :func:`lm_minimize` meets at the unit chart point ``unit``."""
+    R = rigid_motion_basis(unit)
+    return np.column_stack([np.concatenate([jac(unit), R]), np.concatenate([rows(unit), np.zeros(len(R))])])
+
+
+class TestGaussNewtonStep:
+    def test_full_rank_stacks_take_the_qr_step(self, equilibrium_presets, lstsq_calls, monkeypatch):
+        # every stack met on the benchmark's solves (the six presets at their
+        # areas times 1 + U(-0.05, 0.05), then a 4-step triple continuation
+        # to 1 + U(-0.2, 0.2)) at seeds 1-3: off two_lens, whose fixed-area
+        # modulus makes its start stack rank-deficient, the QR step is
+        # lstsq's step and lstsq is never called
+        stacks, step = [], fl.equilibrium._gauss_newton_step
+
+        def recorded(M):
+            before = len(lstsq_calls)
+            delta = step(M)
+            stacks.append((name, M.copy(), delta.copy(), len(lstsq_calls) - before))  # copied before any halving
+            return delta
+
+        monkeypatch.setattr(fl.equilibrium, "_gauss_newton_step", recorded)
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            for name in ("double", "triple", "four", "two_lens", "flower", "necklace6"):
+                c = equilibrium_presets[name]
+                fl.solve(c, fl.region_areas(c) * (1.0 + rng.uniform(-0.05, 0.05, c.n)))
+            name, c = "continue", equilibrium_presets["triple"]
+            fl.continue_family(c, fl.region_areas(c) * (1.0 + rng.uniform(-0.2, 0.2, c.n)), steps=4)
+        assert {name for name, *_ in stacks} == {"double", "triple", "four", "two_lens", "flower", "necklace6", "continue"}
+        for name, M, delta, calls in stacks:
+            if name != "two_lens":
+                ref = lstsq_step(M)
+                assert calls == 0 and np.linalg.norm(delta - ref) <= 1e-12 * np.linalg.norm(ref), name
+        # two_lens: the start stack falls back, the later ones are near-singular
+        # along the modulus and agree to the rounding their conditioning allows
+        lens = [(M, delta, calls) for name, M, delta, calls in stacks if name == "two_lens"]
+        assert [calls for *_, calls in lens] == [1, 0, 0] * 3
+        for M, delta, _ in lens:
+            ref = lstsq_step(M)
+            bound = 10.0 * np.finfo(float).eps * np.linalg.cond(M[:, :-1])
+            assert np.linalg.norm(delta - ref) <= bound * np.linalg.norm(ref)
+        assert len(lstsq_calls) == 3
+
+    @pytest.mark.parametrize("case", ["two_lens", "necklace7", "two_lens_recurved"])
+    def test_rank_deficient_stacks_fall_back_to_lstsq(self, case, lstsq_calls, rng):
+        # two_lens (rank 13 of 14) and necklace(7) (45 of 49) at their
+        # equilibria, with a perturbed area target, and the recurved
+        # variant's base stack (13 of 14): lstsq's minimum-norm step
+        if case == "two_lens_recurved":
+            base, rows, jac = _quasi_rows(case, 0.15)
+        else:
+            base = fl.two_lens() if case == "two_lens" else fl.necklace(7)
+            target = fl.region_areas(base.unit()) * (1.0 + 0.02 * rng.uniform(-1.0, 1.0, base.n))
+            rows, jac = lambda c: stacked_rows(c) - np.concatenate([np.zeros(3 * c.v), target]), _jacobian
+        M = start_stack(base.unit(), rows, jac)
+        assert np.linalg.matrix_rank(M[:, :-1]) < M.shape[1] - 1
+        delta = _gauss_newton_step(M)
+        assert lstsq_calls == [M[:, :-1].shape]
+        assert np.array_equal(delta, lstsq_step(M))
+
+    def test_underdetermined_stack_goes_to_lstsq(self, triple, lstsq_calls):
+        # the area rows alone with the gauge: 3 + 3 rows on 14 columns, every
+        # step lstsq's minimum-norm one
+        unit = triple.unit()
+        target = fl.region_areas(unit) * [1.05, 0.95, 1.0]
+        rows = lambda c: fl.region_areas(c) - target
+        M = start_stack(unit, rows, area_jacobian)
+        assert M.shape == (6, 15)
+        assert np.array_equal(_gauss_newton_step(M), lstsq_step(M)) and lstsq_calls == [(6, 14)]
+        out, history = lm_minimize(triple, rows, area_jacobian, 20)
+        assert len(lstsq_calls) == len(history) and history[-1] < SOLVE_TOL  # one above, one per step
+        assert fl.region_areas(out) / triple.diameter() ** 2 == pytest.approx(target, abs=1e-9)
 
 
 def _scaled(c, s):
@@ -439,8 +532,9 @@ class TestSolve:
             fl.solve(double, np.array([1.0, -1.0]))
 
     @pytest.mark.parametrize(
-        # no result could hold a subnormal area that validate accepts
-        "target", [[1.0], [1.0, -1.0], [1.0, 0.0], [np.inf, 1.0], [np.nan, 1.0], [1e-320, 1.0]]
+        # no result could hold a subnormal area that validate accepts, nor
+        # areas whose sum overflows
+        "target", [[1.0], [1.0, -1.0], [1.0, 0.0], [np.inf, 1.0], [np.nan, 1.0], [1e-320, 1.0], [1e308, 1e308]]
     )
     def test_bad_targets_are_typed_errors(self, double, target):
         with pytest.raises(GeometryDomainError, match="target"):

@@ -574,6 +574,7 @@ class TestContinueFamily:
             ((1.0, 1.0, 0.0), "target areas"),
             ((1.0, 1.0, -1.0), "target areas"),
             ((1.0, 1.0, 1e-320), "target areas"),
+            ((1e308, 1e308, 1e308), "target areas must have a finite sum"),
             ((1.0, 1.0), "one area per interior region"),
             ((1.0, 1.0, 1.0, 1.0), "one area per interior region"),
         ],
