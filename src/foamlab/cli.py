@@ -161,7 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = verb("decorate", _cmd_decorate, "insert a three-sided bubble at a junction", writes=True)
     p.add_argument("--vertex", type=int, required=True)
-    p.add_argument("--size", type=float, required=True)
+    p.add_argument("--size", type=float, required=True,
+                   help="circumradius, in units of the junction's shortest chord")
 
     p = verb("shrink", _cmd_shrink, "scale or remove a three-sided bubble", writes=True)
     p.add_argument("--region", type=int, required=True)

@@ -20,19 +20,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cluster import (
-    EXTERIOR, STRAIGHT_PHI, Cluster, _chart_gradients, _size, area_jacobian, region_areas, validated,
+    _END_SIGN, CHORD_FLOOR, EXTERIOR, STRAIGHT_PHI, Cluster, _chart_gradients, _size, area_jacobian, region_areas,
+    validated,
 )
-from .errors import GeometryDomainError, TopologyBreakdown
-from .equilibrium import _target_areas, lm_minimize, residual_jacobian, residuals, solve
-from .geometry import (
-    AT_INFINITY,
-    PENCIL_TOL,
-    MobiusMap,
-    half_angle,
-    mobius_image,
-    pencil_meet,
-    second_intersection,
-)
+from .errors import GeometryDomainError, NotConcurrent, TopologyBreakdown
+from .equilibrium import _cocycle_holds, _target_areas, lm_minimize, residual_jacobian, residuals, solve
+from .geometry import AT_INFINITY, PENCIL_TOL, MobiusMap, half_angle, mobius_image, pencil_meet
 
 
 def mobius_apply_cluster(m: MobiusMap, cluster: Cluster) -> Cluster:
@@ -137,7 +130,7 @@ def _graft(cluster: Cluster, p: complex, wq: complex, tri, rays, far, phis):
     z = cluster.points.tolist()
     for k in range(3):
         u = z[far[k]] - p
-        if abs(1 - wq * u) > 1e-9 and abs(tri[k]) >= abs(u / (1 - wq * u)):
+        if abs(1 - wq * u) > CHORD_FLOOR and abs(tri[k]) >= abs(u / (1 - wq * u)):
             raise TopologyBreakdown("the new vertex reaches past an adjacent vertex")
     arcs = [(k, (k + 1) % 3) for k in range(len(phis))]
     back, bubble = mobius_image(MobiusMap(1, 0, wq, 1), tri, arcs, phis)
@@ -149,16 +142,20 @@ def _graft(cluster: Cluster, p: complex, wq: complex, tri, rays, far, phis):
 def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     """Insert a three-sided bubble at a triple junction.
 
-    In the :func:`_graft` picture of the junction its edges are straight
-    rays at 120 degrees; the equilateral arc triangle with its vertices on
-    them is inserted there, and everything is mapped back.  ``size`` is that
-    triangle's circumradius measured after z -> 1 / (z - q), q the
-    junction's second carrier point, or in the cluster's own units at a
-    straight junction, whose carriers meet again at infinity.  Edges and
-    vertices away from the junction are untouched; the new region gets id
-    n + 1.  Raises :class:`GeometryDomainError` unless ``vertex`` is an
-    integer vertex index, and when :func:`validate` rejects the result, as
-    for a chord collapsed or a non-positive area.
+    In w = 1 / (z - p) the carrier leaving the junction p along the unit
+    tangent t with signed curvature kappa is the line Im(t w) = -kappa / 2,
+    so the three carriers meet again at wq = -(i/3) sum kappa conj(t), which
+    is 0 at a straight junction.  In the :func:`_graft` picture of that wq
+    the junction's edges are straight rays at 120 degrees; the equilateral
+    arc triangle with its vertices on them is inserted there, and everything
+    is mapped back.  ``size`` is that triangle's circumradius in units of
+    the junction's shortest chord, so decorating commutes with similarities.
+    Edges and vertices away from the junction are untouched; the new region
+    gets id n + 1.  Raises :class:`NotConcurrent` where the junction's
+    curvature sum fails the cocycle test that :func:`classify` applies, and
+    :class:`GeometryDomainError` unless ``vertex`` is an integer vertex
+    index, and when :func:`validate` rejects the result, as for a chord
+    collapsed or a non-positive area.
     """
     vertex = _size("vertex", vertex, 0)
     if vertex >= cluster.v:
@@ -166,19 +163,17 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     if not size > 0:
         raise GeometryDomainError("size must be positive")
     star, p = cluster.topology.stars[vertex], cluster.points.tolist()[vertex]
-    scale = cluster.diameter()
-    # in coordinates (z - p) / scale the curvature noise of straight edges
-    # stays far below the meet's tolerance
-    q = second_intersection(*(x.flat[star] for x in cluster.carriers(p, scale)))
-    # z -> 1 / (z - q) is the picture scaled by 1 / |p - q|^2
-    q = None if q is AT_INFINITY else p + scale * q
-    wq, radius = (0.0, size) if q is None else (1.0 / (q - p), size * abs(q - p) ** 2)
-    rays = [cmath.exp(1j * a) for a in cluster.alphas.flat[star]]
+    kappas = (cluster.kappas[:, None] * _END_SIGN).flat[star]
+    if not _cocycle_holds(cluster, abs(kappas.sum())):
+        raise NotConcurrent(f"the curvatures at vertex {vertex} sum to {kappas.sum():.3e}")
+    rays = np.exp(1j * cluster.alphas.flat[star])
+    wq = complex(-1j / 3.0 * (kappas * rays.conj()).sum())
+    radius = size * cluster.chords[star >> 1].min()
     far = cluster.ends.flat[star ^ 1]
     # the bubble's arcs run between consecutive (counterclockwise) rays,
     # bulging to their right, away from 0
     verts, outer, bubble = _graft(
-        cluster, p, wq, [radius * t for t in rays], rays, far, [math.pi / 6] * 3
+        cluster, p, wq, (radius * rays).tolist(), rays.tolist(), far, [math.pi / 6] * 3
     )
 
     # the junction's vertex is dropped and the three new ones appended; each
@@ -209,11 +204,12 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
     The outer carriers meet at two points, p and q; in the :func:`_graft`
     picture of the junction p the bubble grew from they are straight rays,
     and the bubble is scaled about 0 there and mapped back.  ``factor``
-    multiplies the bubble's size measured as in :func:`decorate`, so
-    ``factor = 0`` undoes :func:`decorate`: it deletes the region and merges
-    the three junctions into one vertex.  Raises :class:`GeometryDomainError`
-    unless ``region`` is an integer interior region id, and when
-    :func:`validate` rejects the result, as :func:`decorate` does.
+    multiplies the bubble's circumradius in that picture, which is
+    :func:`decorate`'s, so ``factor = 0`` undoes :func:`decorate`: it
+    deletes the region and merges the three junctions into one vertex.
+    Raises :class:`GeometryDomainError` unless ``region`` is an integer
+    interior region id, and when :func:`validate` rejects the result, as
+    :func:`decorate` does.
     """
     if not (math.isfinite(factor) and factor >= 0):
         raise GeometryDomainError("factor must be finite and >= 0")
@@ -273,8 +269,9 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
 
 
 def four_bubble() -> Cluster:
-    """Standard 4-bubble: the symmetric triple bubble with its central
-    junction decorated by a three-sided bubble of size 0.3."""
+    """Standard 4-bubble: the symmetric triple bubble with its straight
+    central junction decorated by a three-sided bubble of size 0.3, a
+    circumradius of 0.3 of its unit interfaces."""
     return decorate(triple_bubble(), 0, 0.3)
 
 
@@ -489,9 +486,10 @@ def random_mobius(cluster: Cluster, rng: np.random.Generator) -> MobiusMap:
     """Random Mobius map whose pole stays clear of the cluster.
 
     Composes a rotation, a mild scaling, a translation, and (half the time)
-    an inversion about a point at least half a diameter away from every
-    vertex and arc sample.  That point may lie inside a bubble, whose image
-    is then the unbounded face (see :func:`mobius_apply_cluster`).
+    an inversion about the image of a point q at least half a diameter away
+    from every vertex and arc sample, so that q is the composed map's pole.
+    It may lie inside a bubble, whose image is then the unbounded face (see
+    :func:`mobius_apply_cluster`).
     """
     scale, corners = cluster.diameter(), cluster.points
     centroid = complex(corners.mean())
@@ -505,9 +503,5 @@ def random_mobius(cluster: Cluster, rng: np.random.Generator) -> MobiusMap:
             if (np.abs(corners - q) > 0.75 * scale).all() and (
                 np.abs(samples - q) > 0.5 * scale
             ).all():
-                m = MobiusMap.inversion_about(q).compose(m)
-                break
-    pole = m.pole()
-    if pole is not None and (np.abs(corners - pole) < 0.25 * scale).any():
-        raise GeometryDomainError("generated map has a pole on the cluster")
+                return MobiusMap.inversion_about(m.apply(q)).compose(m)
     return m

@@ -63,13 +63,15 @@ def residual_jacobian(cluster: Cluster) -> np.ndarray:
 RESIDUAL_TOL = 1e-9
 
 
-def _cocycle_holds(cluster: Cluster, rep: ResidualReport) -> bool:
-    """The cocycle condition: every vertex's curvature sum, times the
-    diameter, is below ``RESIDUAL_TOL`` times max(1, max |kappa| * diameter),
-    since large curvatures carry large errors."""
+def _cocycle_holds(cluster: Cluster, sup: float) -> bool:
+    """The cocycle condition on ``sup``, the largest |curvature sum| at the
+    vertices in question: times the diameter, it is below ``RESIDUAL_TOL``
+    times max(1, max |kappa| * diameter), since large curvatures carry large
+    errors.  :func:`classify`, :func:`pressures` and ``decorate`` all decide
+    by it."""
     d = cluster.diameter()
     kappa = float(np.abs(cluster.kappas).max(initial=0.0))
-    return rep.cocycle_sup * d < RESIDUAL_TOL * max(1.0, kappa * d)
+    return sup * d < RESIDUAL_TOL * max(1.0, kappa * d)
 
 
 def pressures(cluster: Cluster) -> np.ndarray:
@@ -85,7 +87,7 @@ def pressures(cluster: Cluster) -> np.ndarray:
     S, kappa = cluster.topology.incidence, cluster.kappas
     p = np.linalg.lstsq(S.T, kappa, rcond=None)[0]
     rep = residuals(cluster)
-    if not _cocycle_holds(cluster, rep):
+    if not _cocycle_holds(cluster, rep.cocycle_sup):
         defect = float(np.abs(S.T @ p - kappa).max(initial=0.0))
         raise PathInconsistent(
             f"curvature sums reach {rep.cocycle_sup:.3e}; largest edge residual {defect:.3e}",
@@ -118,7 +120,7 @@ def _verdict(cluster: Cluster, rep: ResidualReport) -> Verdict:
     """:func:`classify`'s decision on the residuals ``rep`` of ``cluster``."""
     if not rep.angle_sup < RESIDUAL_TOL:
         return Verdict.NON_EQUILIBRIUM
-    if not _cocycle_holds(cluster, rep):
+    if not _cocycle_holds(cluster, rep.cocycle_sup):
         return Verdict.QUASI_EQUILIBRIUM
     return Verdict.EQUILIBRIUM
 

@@ -277,8 +277,8 @@ def second_intersection(A, B, D):
     length: coordinates are taken to be of order one, so straight carriers
     whose curvatures are rounding noise still meet again at
     :data:`AT_INFINITY`.  Callers with a length and an origin of their own
-    pass carriers measured in them (``decorate`` centres on the junction
-    and scales by the cluster diameter).  Raises :class:`NotConcurrent`
+    pass carriers measured in them; ``decorate`` takes this point in closed
+    form, and this meet is its test oracle.  Raises :class:`NotConcurrent`
     when the singular-value ratio exceeds ``PENCIL_TOL``, or when, within
     ``PENCIL_TOL`` of the scale, a carrier misses the origin or the second
     point coincides with it.

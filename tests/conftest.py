@@ -92,9 +92,10 @@ def face_area(c, walk):
 
 
 def tiny_decorated_image():
-    """A decorated Mobius image of the double bubble, of diameter about
-    4e-8.  The outer carriers of its three-sided regions 1 and 2 meet in one
-    point counted twice: their two common points coincide."""
+    """A Mobius image of the double bubble, of diameter about 7e-8, decorated
+    by a bubble 1e-8 of its junction's chord across.  The outer carriers of
+    its three-sided regions 1 and 2 meet in two points well within
+    ``PENCIL_TOL`` diameters of each other: their two common points coincide."""
     c = fl.double_bubble(1.0, 0.6)
     image = fl.mobius_apply_cluster(fl.random_mobius(c, np.random.default_rng(3)), c)
-    return fl.decorate(fl.mobius_apply_cluster(fl.MobiusMap.scaling(1e-6), image), 1, 0.05)
+    return fl.decorate(fl.mobius_apply_cluster(fl.MobiusMap.scaling(1e-6), image), 1, 1e-8)

@@ -454,7 +454,7 @@ class TestSurgeryVerbs:
         "steps",
         [
             [["mobius", "--scale", "10", "db.json", "-o", "db10.json"],
-             ["decorate", "db10.json", "--vertex", "0", "--size", "0.2"]],
+             ["decorate", "db10.json", "--vertex", "0", "--size", "2"]],
             [["decorate", "db.json", "--vertex", "0", "--size", "0.05", "-o", "dd.json"],
              ["shrink", "dd.json", "--region", "1", "--factor", "2"]],
         ],

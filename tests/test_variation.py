@@ -626,7 +626,8 @@ class TestContinueFamily:
             lengths.append(len(history))
             return out, history
 
-        start = fl.decorate(fl.triple_bubble((1.0, 1.0, 1.0)), 0, 0.3)
+        t = fl.triple_bubble((1.0, 1.0, 1.0))
+        start = fl.decorate(t, 0, 0.3 / t.chords[t.topology.stars[0] >> 1].min())
         monkeypatch.setattr(fl.equilibrium, "lm_minimize", recorded)
         path = fl.continue_family(start, (1.0, 1.0, 1.0, 1.0), steps=16)
         assert len(lengths) == 16 and max(lengths[2:]) <= 3
