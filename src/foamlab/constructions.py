@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,8 +25,8 @@ from .cluster import (
     validated,
 )
 from .errors import GeometryDomainError, NotConcurrent, TopologyBreakdown
-from .equilibrium import _cocycle_holds, _target_areas, lm_minimize, residual_jacobian, residuals, solve
-from .geometry import AT_INFINITY, PENCIL_TOL, MobiusMap, half_angle, mobius_image, pencil_meet
+from .equilibrium import _cocycle_holds, _target_areas, classify, lm_minimize, residual_jacobian, residuals, solve
+from .geometry import MobiusMap, half_angle, mobius_image
 
 
 def mobius_apply_cluster(m: MobiusMap, cluster: Cluster) -> Cluster:
@@ -114,6 +115,46 @@ def triple_bubble(areas: Optional[Sequence[float]] = None) -> Cluster:
 # ---------------------------------------------------------------------------
 # decoration surgery
 
+_OMEGA = complex(-0.5, 0.5 * math.sqrt(3.0))  # exp(2 pi i / 3)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float, if it is a real number (a numpy one too, not a
+    bool); otherwise ``GeometryDomainError`` naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise GeometryDomainError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _surgery(cluster: Cluster, result: Cluster) -> Cluster:
+    """``result``, once :func:`validated`, if :func:`classify` gives it
+    ``cluster``'s verdict; otherwise ``GeometryDomainError``, as where the
+    map back of a tiny bubble loses the residuals' digits."""
+    result = validated(result)
+    before, after = classify(cluster), classify(result)
+    if after is not before:
+        raise GeometryDomainError(f"the result is {after.value}, its input {before.value}")
+    return result
+
+
+def _isodynamic(z1: complex, z2: complex, z3: complex):
+    """(p, wq) of the corners z1, z2, z3 of a walk with its region on the
+    left: the two points that a Mobius map taking the corners to 1, omega
+    and omega^2, omega = exp(2 pi i / 3), takes to 0 and infinity.  With
+    a = z1 - z3 and b = z1 - z2, p = (z2 a + omega z3 b) / (a + omega b)
+    = z2 + omega b (z3 - z2) / (a + omega b), q is the same with
+    conj(omega), and wq = 1 / (q - p) =
+    (a + omega b)(a + conj(omega) b) / (i sqrt(3) a b (a - b)), 0 for q at
+    infinity.  p's picture takes the corners to 1, omega, omega^2 times a
+    constant, so of the two points p is the one the walk winds around
+    counterclockwise there.  Raises :class:`GeometryDomainError` where p
+    is at infinity."""
+    a, b = z1 - z3, z1 - z2
+    at_p, at_q = a + _OMEGA * b, a + _OMEGA.conjugate() * b
+    if at_p == 0.0:
+        raise GeometryDomainError("no common point of the outer carriers lies inside the bubble")
+    return z2 + _OMEGA * b * (z3 - z2) / at_p, at_p * at_q / (1j * math.sqrt(3.0) * a * b * (a - b))
+
 
 def _graft(cluster: Cluster, p: complex, wq: complex, tri, rays, far, phis):
     """New vertices and arcs at the junction p, built in the picture
@@ -154,12 +195,14 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     gets id n + 1.  Raises :class:`NotConcurrent` where the junction's
     curvature sum fails the cocycle test that :func:`classify` applies, and
     :class:`GeometryDomainError` unless ``vertex`` is an integer vertex
-    index, and when :func:`validate` rejects the result, as for a chord
-    collapsed or a non-positive area.
+    index and ``size`` a positive real, and when :func:`_surgery` refuses
+    the result, as for a chord collapsed, a non-positive area or a verdict
+    lost.
     """
     vertex = _size("vertex", vertex, 0)
     if vertex >= cluster.v:
         raise GeometryDomainError(f"no vertex {vertex}")
+    size = _real("size", size)
     if not size > 0:
         raise GeometryDomainError("size must be positive")
     star, p = cluster.topology.stars[vertex], cluster.points.tolist()[vertex]
@@ -189,7 +232,7 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
     left = cluster.labels.ravel()
     labels[star >> 1] = left[np.stack([star, star ^ 1], axis=1)]
     region_labels = cluster.region_labels or ("exterior", *(f"region {r}" for r in range(1, new_region)))
-    return validated(Cluster.from_arrays(
+    return _surgery(cluster, Cluster.from_arrays(
         np.concatenate([cluster.points[keep], verts]),
         np.concatenate([ends, np.stack([new_ids, np.roll(new_ids, -1)], axis=1)]),
         np.concatenate([phis, bubble]),
@@ -201,16 +244,18 @@ def decorate(cluster: Cluster, vertex: int, size: float) -> Cluster:
 def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
     """Expand or shrink a three-sided bubble without touching the rest.
 
-    The outer carriers meet at two points, p and q; in the :func:`_graft`
-    picture of the junction p the bubble grew from they are straight rays,
-    and the bubble is scaled about 0 there and mapped back.  ``factor``
-    multiplies the bubble's circumradius in that picture, which is
-    :func:`decorate`'s, so ``factor = 0`` undoes :func:`decorate`: it
+    The outer carriers meet at two points, p and q, the isodynamic points
+    of the bubble's corners (:func:`_isodynamic`).  In the :func:`_graft`
+    picture of p, the junction the bubble grew from, they are straight
+    rays, and the bubble is scaled about 0 there and mapped back.
+    ``factor`` multiplies the bubble's circumradius in that picture, which
+    is :func:`decorate`'s, so ``factor = 0`` undoes :func:`decorate`: it
     deletes the region and merges the three junctions into one vertex.
     Raises :class:`GeometryDomainError` unless ``region`` is an integer
-    interior region id, and when :func:`validate` rejects the result, as
-    :func:`decorate` does.
+    interior region id and ``factor`` a finite real >= 0, and when
+    :func:`_surgery` refuses the result, as :func:`decorate` does.
     """
+    factor = _real("factor", factor)
     if not (math.isfinite(factor) and factor >= 0):
         raise GeometryDomainError("factor must be finite and >= 0")
     region = _size("region", region, 1)
@@ -224,22 +269,9 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
     outer_hes = top.successor[walk ^ 1]
     bubble_vids = top.ends.flat[walk]
     bubble_pos = cluster.points[bubble_vids]
-    scale, centre = cluster.diameter(), complex(bubble_pos.mean())
-    common, ratio = pencil_meet(*(x.flat[outer_hes] for x in cluster.carriers(centre, scale)))
-    if ratio > PENCIL_TOL or len(common) != 2:
-        raise GeometryDomainError("outer carriers do not share two common points")
-    # the walk (region on its left) goes around p counterclockwise in p's picture,
-    # and around q clockwise: P_q = -(q - p)^2 / P_p reverses angular order
-    for a, b in (common, common[::-1]):
-        if a is AT_INFINITY or (b is not AT_INFINITY and abs(b - a) <= PENCIL_TOL):
-            continue
-        p, wq = centre + scale * a, 0.0 if b is AT_INFINITY else 1.0 / (scale * (b - a))
-        u = bubble_pos - p
-        pic = u / (1 - wq * u)
-        if np.angle(np.roll(pic, -1) * pic.conj()).sum() > math.pi:
-            break
-    else:
-        raise GeometryDomainError("no common point of the outer carriers lies inside the bubble")
+    p, wq = _isodynamic(*bubble_pos.tolist())
+    u = bubble_pos - p
+    pic = u / (1 - wq * u)
 
     # each walk arc keeps its picture half-angle; a merged bubble has no arcs
     tangent = np.exp(1j * cluster.alphas.flat[walk]) / (1 - wq * u) ** 2
@@ -254,7 +286,7 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
         phis[h >> 1] = -phi if h & 1 else phi
 
     if factor > 0.0:
-        return validated(cluster.with_chart(np.concatenate([points.view(float), phis])))
+        return _surgery(cluster, cluster.with_chart(np.concatenate([points.view(float), phis])))
 
     # factor == 0: delete the region, merge the three junctions at p
     keep = ~np.isin(np.arange(cluster.v), bubble_vids)
@@ -262,7 +294,7 @@ def scale_three_sided(cluster: Cluster, region: int, factor: float) -> Cluster:
     kept = (cluster.labels != region).all(axis=1)  # every edge but the bubble's
     labels = cluster.labels[kept]
     region_labels = tuple(l for r, l in enumerate(cluster.region_labels) if r != region)
-    return validated(Cluster.from_arrays(
+    return _surgery(cluster, Cluster.from_arrays(
         np.append(cluster.points[keep], p), remap[cluster.ends[kept]], phis[kept],
         labels - (labels > region), cluster.n - 1, region_labels,
     ))

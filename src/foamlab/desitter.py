@@ -19,7 +19,8 @@ their de Sitter points lie on one spacelike geodesic, evenly spaced at
 distance 2*pi/3; a geodesic is the intersection of the quadric with a
 2-plane through the origin, so collinearity is a rank-2 condition on the
 3x4 coordinate matrix, the same condition that puts three carriers in one
-pencil (``geometry.pencil_meet``).  Even spacing means every pairwise
+pencil, through common points (``geometry.second_intersection`` meets three
+through the origin).  Even spacing means every pairwise
 Minkowski form value equals +1/2 (the value realized by three concurrent
 lines at 120 degrees).  Reversing an orientation negates the point, so the
 two traversals of each cluster edge give an antipodal pair.

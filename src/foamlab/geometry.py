@@ -16,9 +16,9 @@ area between the arc and the chord, is what the JSON format stores;
 An oriented circle or line, the carrier of an arc, is one Hermitian triple
 (A, B, D) of arrays (real, complex, real), one entry per carrier: the set
 A|z|^2 + 2 Re(B z) + D = 0 with AD - |B|^2 = -1, built by one formula from a
-point, the unit tangent and the signed curvature there.  The common points
-of several carriers are the base points of their pencil: null directions on
-the kernel of their real (A, 2 Re B, -2 Im B, D) rows.
+point, the unit tangent and the signed curvature there.  In w = 1 / conj(z)
+a carrier through the origin is the line A + 2 Re(B w) = 0, so carriers
+through one point meet again where their lines do.
 """
 
 from __future__ import annotations
@@ -223,80 +223,42 @@ def arc_carrier(arc: Arc) -> Tuple[float, complex, float]:
 #: marker for the point at infinity, where straight carriers meet again
 AT_INFINITY = object()
 
-# Q(X) = X1^2 + X2^2 - X0 X3, which vanishes exactly on X ~ (|u|^2, Re u, Im u, 1)
-_NULL_FORM = np.array(
-    [[0.0, 0.0, 0.0, -0.5], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [-0.5, 0.0, 0.0, 0.0]]
-)
-
-
-def pencil_meet(A, B, D, scale: float = 1.0):
-    """Common points of k >= 2 carriers (A, B, D), each a (k,) array, and
-    how far they are from one pencil.
-
-    In u = z / s, s = ``scale``, a carrier is the real row
-    (A s^2, 2 Re(s B), -2 Im(s B), D) acting on X = (|u|^2, Re u, Im u, 1).
-    Carriers of one pencil span two rows, so the common points are the null
-    directions of Q = X1^2 + X2^2 - X0 X3 on the kernel of the k x 4 matrix
-    of unit rows.  Returns those points (complex z, or :data:`AT_INFINITY`
-    where X3 vanishes; a tangency point twice; none when the pencil has no
-    real base point) and the singular-value ratio sigma_3 / sigma_1 (0 for
-    two carriers).  Callers that need another origin build the carriers in
-    it (``Cluster.carriers(centre, scale)``).
-    """
-    b = scale * np.asarray(B, dtype=complex)
-    rows = np.stack([np.asarray(A, dtype=float) * scale**2, 2.0 * b.real, -2.0 * b.imag, D], axis=1)
-    _, sigma, vt = np.linalg.svd(rows / np.linalg.norm(rows, axis=1, keepdims=True))
-    ratio = float(sigma[2] / sigma[0]) if sigma.size > 2 else 0.0
-    kernel = vt[2:]
-    lam, vec = np.linalg.eigh(kernel @ _NULL_FORM @ kernel.T)
-    if lam[0] > 1e-12 or lam[1] < -1e-12:  # Q definite: no real base point
-        return [], ratio
-    points = []
-    for sign in (1.0, -1.0):
-        X = vec @ [sign * math.sqrt(max(lam[1], 0.0)), math.sqrt(max(-lam[0], 0.0))] @ kernel
-        X /= np.linalg.norm(X)
-        # X3 < 1e-12 puts the point beyond ~1e6 scale units, where rounding
-        # of X3 (~1e-16) leaves it at most four digits: call it infinity
-        if abs(X[3]) <= 1e-12:
-            points.append(AT_INFINITY)
-        else:
-            points.append(scale * complex(X[1], X[2]) / X[3])
-    return points, ratio
-
-
-#: Largest singular-value ratio, and distance in units of the meet's scale,
-#: at which carriers still count as one pencil through a common point.
+#: Distance, in units of :func:`second_intersection`'s scale, within which a
+#: carrier counts as passing through a point; its reciprocal is infinity.
 PENCIL_TOL = 1e-6
 
 
 def second_intersection(A, B, D):
-    """Common second point of three carriers (A, B, D) through the origin:
-    their pencil meet minus the origin.
+    """Common second point of three carriers (A, B, D) through the origin.
 
-    The meet is scaled by the smallest radius, but by at most the unit
-    length: coordinates are taken to be of order one, so straight carriers
-    whose curvatures are rounding noise still meet again at
-    :data:`AT_INFINITY`.  Callers with a length and an origin of their own
-    pass carriers measured in them; ``decorate`` takes this point in closed
-    form, and this meet is its test oracle.  Raises :class:`NotConcurrent`
-    when the singular-value ratio exceeds ``PENCIL_TOL``, or when, within
-    ``PENCIL_TOL`` of the scale, a carrier misses the origin or the second
-    point coincides with it.
+    In w = 1 / conj(z) such a carrier is the line A + 2 Re(B w) = 0, so the
+    point is q = 1 / conj(w), w the least-squares meet of the three lines.
+    Lengths are measured in the smallest radius, but at most the unit
+    length: straight carriers whose curvatures are rounding noise still meet
+    again at :data:`AT_INFINITY`, returned for q beyond 1 / ``PENCIL_TOL``
+    of them.  ``decorate`` takes this point in closed form, and this meet is
+    its test oracle.  Raises :class:`NotConcurrent` when, within
+    ``PENCIL_TOL`` of that length, a carrier misses the origin or the meet,
+    or q coincides with the origin.
     """
     A = np.asarray(A, dtype=float)
     if A.shape != (3,):
         raise GeometryDomainError("second_intersection expects three carriers")
     scale = 1.0 / max(1.0, float(np.abs(A).max()))
-    points, ratio = pencil_meet(A, B, D, scale)
-    if ratio > PENCIL_TOL or len(points) != 2:
-        raise NotConcurrent(f"carriers share no second point (ratio {ratio:.3e})")
-    dist = [math.inf if q is AT_INFINITY else abs(q) / scale for q in points]
-    near = int(dist[1] < dist[0])
-    if dist[near] > PENCIL_TOL:
+    if np.abs(D).max() > PENCIL_TOL * scale:
         raise NotConcurrent("carriers do not all pass through the base point")
-    if dist[1 - near] <= PENCIL_TOL:
+    B = np.asarray(B, dtype=complex)
+    rows = np.stack([2.0 * B.real, -2.0 * B.imag], axis=1)
+    w = np.linalg.lstsq(rows, -A, rcond=None)[0]
+    miss = float(np.abs(rows @ w + A).max()) * scale
+    if miss > PENCIL_TOL:
+        raise NotConcurrent(f"carriers share no second point (line residual {miss:.3e})")
+    w = complex(*w)
+    if abs(w) * scale <= PENCIL_TOL:
+        return AT_INFINITY
+    if abs(w) * scale >= 1.0 / PENCIL_TOL:
         raise NotConcurrent("second intersection coincides with the base point")
-    return points[1 - near]
+    return 1.0 / w.conjugate()
 
 
 # ---------------------------------------------------------------------------

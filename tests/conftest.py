@@ -91,11 +91,18 @@ def face_area(c, walk):
     return total
 
 
-def tiny_decorated_image():
-    """A Mobius image of the double bubble, of diameter about 7e-8, decorated
-    by a bubble 1e-8 of its junction's chord across.  The outer carriers of
-    its three-sided regions 1 and 2 meet in two points well within
-    ``PENCIL_TOL`` diameters of each other: their two common points coincide."""
+def tiny_image():
+    """The seed-3 Mobius image of the double bubble (1, 0.6), scaled by 1e-6
+    to a diameter of about 7e-8."""
     c = fl.double_bubble(1.0, 0.6)
     image = fl.mobius_apply_cluster(fl.random_mobius(c, np.random.default_rng(3)), c)
-    return fl.decorate(fl.mobius_apply_cluster(fl.MobiusMap.scaling(1e-6), image), 1, 1e-8)
+    return fl.mobius_apply_cluster(fl.MobiusMap.scaling(1e-6), image)
+
+
+def tiny_decorated_image(size):
+    """:func:`tiny_image` decorated at vertex 1 by a bubble ``size`` of its
+    junction's chord across.  At size 1e-6 the outer carriers of its
+    three-sided regions 1 and 2 meet in two points 3e-6 diameters apart; at
+    sizes 1e-7 to 2e-9 the map back loses the equilibrium, and ``decorate``
+    refuses its result."""
+    return fl.decorate(tiny_image(), 1, size)

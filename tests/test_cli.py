@@ -18,7 +18,7 @@ from foamlab import cli, equilibrium, variation
 from foamlab.cli import run
 from foamlab.variation import eliminated_hessian
 
-from conftest import tiny_decorated_image
+from conftest import tiny_decorated_image, tiny_image
 
 
 def read(path):
@@ -471,12 +471,19 @@ class TestSurgeryVerbs:
         assert code == 2 and out == ""
 
     @pytest.mark.parametrize("region", ["1", "2"])
-    def test_shrink_with_coincident_common_points_is_exit_2(self, tmp_path, region):
+    def test_shrink_with_close_common_points_is_equilibrium(self, tmp_path, region):
+        doc, out = tmp_path / "tiny.json", tmp_path / "out.json"
+        doc.write_text(fl.dumps(tiny_decorated_image(1e-6)))
+        assert run(["shrink", str(doc), "--region", region, "--factor", "0.5", "-o", str(out)]) == 0
+        code, text = run_quietly(["check", str(out)])
+        assert code == 0 and text.startswith("verdict: Equilibrium\n")
+
+    def test_decoration_losing_its_verdict_is_exit_2(self, tmp_path):
         doc = tmp_path / "tiny.json"
-        doc.write_text(fl.dumps(tiny_decorated_image()))
-        out = run_script(["shrink", str(doc), "--region", region, "--factor", "0.5"])
+        doc.write_text(fl.dumps(tiny_image()))
+        out = run_script(["decorate", str(doc), "--vertex", "1", "--size", "1e-8"])
         assert out.returncode == 2, out.stderr
-        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+        assert out.stderr.startswith("error: the result is NonEquilibrium") and "Traceback" not in out.stderr
 
 
 class TestMapVerbs:

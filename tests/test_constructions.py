@@ -8,11 +8,11 @@ import pytest
 
 import foamlab as fl
 from foamlab.cluster import _END_SIGN, rigid_motion_basis
-from foamlab.constructions import _quasi_rows
+from foamlab.constructions import _isodynamic, _quasi_rows
 from foamlab.errors import GeometryDomainError
 from foamlab.geometry import AT_INFINITY, Point, arc_carrier, second_intersection
 
-from conftest import tiny_decorated_image
+from conftest import tiny_decorated_image, tiny_image
 
 
 class TestDoubleBubble:
@@ -158,10 +158,39 @@ class TestDecoration:
         assert fl.classify(half) is fl.Verdict.EQUILIBRIUM
         assert fl.region_areas(half)[-1] < fl.region_areas(c)[-1]
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda c: fl.decorate(c, 0, "0.2"), "size must be a real number, got '0.2'"),
+            (lambda c: fl.decorate(c, 0, None), "size must be a real number, got None"),
+            (lambda c: fl.decorate(c, 0, True), "size must be a real number, got True"),
+            (lambda c: fl.scale_three_sided(fl.decorate(c, 0, 0.25), 4, "0.5"), "factor must be a real number, got '0.5'"),
+            (lambda c: fl.scale_three_sided(fl.decorate(c, 0, 0.25), 4, None), "factor must be a real number, got None"),
+            (lambda c: fl.scale_three_sided(fl.decorate(c, 0, 0.25), 4, False), "factor must be a real number, got False"),
+        ],
+        ids=["str_size", "none_size", "bool_size", "str_factor", "none_factor", "bool_factor"],
+    )
+    def test_size_and_factor_are_reals(self, triple, call, message):
+        with pytest.raises(GeometryDomainError, match=f"^{re.escape(message)}$"):
+            call(triple)
+
+    def test_numpy_size_and_factor(self, triple):
+        c = fl.decorate(triple, 0, np.float32(0.25))
+        assert fl.dumps(c) == fl.dumps(fl.decorate(triple, 0, 0.25))
+        assert fl.dumps(fl.scale_three_sided(c, np.int64(4), np.int64(0))) == fl.dumps(fl.scale_three_sided(c, 4, 0.0))
+
     @pytest.mark.parametrize("region", [1, 2])
-    def test_coincident_common_points_are_a_domain_error(self, region):
-        with pytest.raises(GeometryDomainError, match="common point"):
-            fl.scale_three_sided(tiny_decorated_image(), region, 0.5)
+    def test_close_common_points_stay_apart(self, region):
+        # the two points are 3e-6 diameters apart, near enough that a meet
+        # that calls points within 1e-6 diameters one would refuse the input
+        c = tiny_decorated_image(1e-6)
+        for factor in (0.5, 0.0):
+            assert fl.classify(fl.scale_three_sided(c, region, factor)) is fl.Verdict.EQUILIBRIUM
+
+    @pytest.mark.parametrize("size", [1e-7, 1e-8, 2e-9])
+    def test_decoration_losing_its_verdict_is_refused(self, size):
+        with pytest.raises(GeometryDomainError, match="^the result is NonEquilibrium, its input Equilibrium$"):
+            tiny_decorated_image(size)
 
 
 def scaled(c, s):
@@ -195,7 +224,8 @@ def assert_undone(back, c, vertex):
 
 def junction_picture(c, vertex):
     """wq = 1 / (q - p), q the second common point of the junction's
-    carriers by the pencil meet, or 0 where it is at infinity."""
+    carriers by :func:`second_intersection`'s line meet, or 0 where it is at
+    infinity."""
     p, scale, star = c.points[vertex], c.diameter(), c.topology.stars[vertex]
     q = second_intersection(*(x.flat[star] for x in c.carriers(p, scale)))
     return 0j if q is AT_INFINITY else 1.0 / (scale * q)
@@ -245,6 +275,41 @@ class TestJunctionPicture:
                 except fl.NotConcurrent:
                     got.append(vertex)
             assert got == refused[name]
+
+
+class TestIsodynamicPoints:
+    """The outer carriers of a three-sided bubble meet at the isodynamic
+    points p and q of its corners z1, z2, z3, where
+    |z - z1| |z2 - z3| = |z - z2| |z3 - z1| = |z - z3| |z1 - z2|."""
+
+    # the largest miss measured over the 400 points below is 4.8e-13
+    # diameters for the carriers and 5.2e-14 (relative) for the products
+    TOL = 1e-12
+
+    def test_closed_form_meets_the_carriers(self, equilibrium_presets):
+        count = 0
+        for name, c in equilibrium_presets.items():
+            images = [fl.mobius_apply_cluster(fl.random_mobius(c, np.random.default_rng(s)), c) for s in (1, 2, 3)]
+            for copy in [c] + images:
+                for vertex in range(copy.v):
+                    d = fl.decorate(copy, vertex, 0.2)
+                    walk = d.topology.walks[d.n]
+                    z = d.points[d.topology.ends.flat[walk]]
+                    p, wq = _isodynamic(*z.tolist())
+                    scale, centre = d.diameter(), complex(z.mean())
+                    A, B, D = (x.flat[d.topology.successor[walk ^ 1]] for x in d.carriers(centre, scale))
+                    sides = np.abs(np.roll(z, 1) - np.roll(z, 2))  # |z2 - z3|, |z3 - z1|, |z1 - z2|
+                    for point in (p, None if wq == 0 else p + 1.0 / wq):
+                        if point is None:  # the carriers are lines and the corners equilateral
+                            miss, products = np.abs(A) / 2.0, sides
+                        else:  # the carrier's value over 2 (1 + |u|^2): its distance, to first order near 0
+                            u = (point - centre) / scale
+                            miss = np.abs(A * abs(u) ** 2 + 2.0 * (B * u).real + D) / (2.0 * (1.0 + abs(u) ** 2))
+                            products = np.abs(point - z) * sides
+                        assert miss.max() <= self.TOL, (name, vertex)
+                        assert np.ptp(products) <= self.TOL * products.max(), (name, vertex)
+                        count += 1
+        assert count == 400
 
 
 class TestDecorationScaleCovariance:
@@ -318,33 +383,41 @@ class TestDecorationScaleCovariance:
 
 class TestSurgerySweep:
     """Every decoration and every scaling of a three-sided region of it
-    either raises a typed error or returns a valid equilibrium."""
+    either raises a typed error or returns a valid cluster of its input's
+    verdict."""
 
     @staticmethod
-    def judge(make, *args):
+    def judge(make, c, *args):
         try:
-            c = make(*args)
+            result = make(c, *args)
         except fl.FoamlabError:
             return None
-        assert fl.validate(c, check_disjoint=True).ok, (make.__name__, args[1:])
-        assert fl.classify(c) is fl.Verdict.EQUILIBRIUM, (make.__name__, args[1:])
-        return c
+        assert fl.validate(result, check_disjoint=True).ok, (make.__name__, args)
+        assert fl.classify(result) is fl.classify(c), (make.__name__, args)
+        return result
 
+    def sweep(self, image, vertex, sizes):
+        for size in sizes:
+            decorated = self.judge(fl.decorate, image, vertex, size)
+            if decorated is None:
+                continue
+            walks = decorated.topology.walks
+            for region in (r for r in range(1, decorated.n + 1) if len(walks[r]) == 3):
+                for factor in (0.0, 0.5, 2.0):
+                    self.judge(fl.scale_three_sided, decorated, region, factor)
+
+    @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
     @pytest.mark.parametrize("name", list(VERTEX_COUNTS))
-    def test_unit_scale_presets_and_images(self, equilibrium_presets, name):
-        c = equilibrium_presets[name]
+    def test_presets_and_images(self, equilibrium_presets, name, s):
+        c = scaled(equilibrium_presets[name], s)
         rng = np.random.default_rng(7)
-        images = [c] + [fl.mobius_apply_cluster(fl.random_mobius(c, rng), c) for _ in range(2)]
-        for image in images:
+        for image in [c] + [fl.mobius_apply_cluster(fl.random_mobius(c, rng), c) for _ in range(2)]:
+            assert fl.classify(image) is fl.Verdict.EQUILIBRIUM
             for vertex in range(image.v):
-                for size in (0.05, 0.2, 1.0):
-                    decorated = self.judge(fl.decorate, image, vertex, size)
-                    if decorated is None:
-                        continue
-                    walks = decorated.topology.walks
-                    for region in (r for r in range(1, decorated.n + 1) if len(walks[r]) == 3):
-                        for factor in (0.5, 2.0):
-                            self.judge(fl.scale_three_sided, decorated, region, factor)
+                self.sweep(image, vertex, (0.05, 0.2, 1.0))
+
+    def test_tiny_image(self):
+        self.sweep(tiny_image(), 1, (1e-6, 1e-7, 1e-8, 2e-9, 1e-9))
 
 
 class TestFourBubble:

@@ -21,7 +21,6 @@ from foamlab.geometry import (
     carrier_coefficients,
     half_angle,
     mobius_image,
-    pencil_meet,
     second_intersection,
     segment_area,
     segment_area_dphi,
@@ -213,14 +212,6 @@ class TestCarriers:
         left = arc_carrier(Arc(Point(0, 0), Point(1, 0), -0.1))[0]
         assert right > 0 > left
 
-    def test_intersections(self):
-        # the unit circle meets its tangent y = -1 twice at the tangency point
-        a = arc_carrier(Arc(Point(-1, 0), Point(1, 0), segment_area(math.pi / 2, 2.0)))
-        b = arc_carrier(Arc(Point(0, -1), Point(2, -1), 0.0))
-        pts, _ = pencil_meet(*zip(a, b))
-        assert len(pts) == 2
-        assert all(abs(p.real) < 1e-6 and abs(p.imag + 1) < 1e-6 for p in pts)
-
     def test_formula_matches_center_and_radius(self):
         # at any point of the circle |z - c| = r with the travel tangent there
         c0, r = 0.3 - 1.2j, 0.7
@@ -249,37 +240,6 @@ class TestCarriers:
         bA, bB, bD = arc_carrier(arc.reversed())
         scale = abs(A) + abs(B) + abs(D)
         assert abs(bA + A) + abs(bB + B) + abs(bD + D) <= 1e-12 * scale
-
-
-class TestPencilMeet:
-    def test_two_points_of_two_circles(self):
-        # circles through -1 and 1: centers +- i
-        a = arc_carrier(arc_through(Point(-1, 0), Point.of(1j + math.sqrt(2) * 1j), Point(1, 0)))
-        b = arc_carrier(arc_through(Point(-1, 0), Point.of(-1j - math.sqrt(2) * 1j), Point(1, 0)))
-        pts, ratio = pencil_meet(*zip(a, b))
-        assert ratio == 0.0
-        assert sorted(round(p.real, 12) for p in pts) == [-1.0, 1.0]
-
-    @pytest.mark.parametrize("s", [1e-3, 1e3])
-    def test_scale_is_the_unit_of_the_points(self, s):
-        # the same circles scaled by s, met in units of s: the points come
-        # back in the caller's coordinates, to full relative accuracy
-        a = arc_carrier(arc_through(Point(-s, 0), Point.of(s * (1 + math.sqrt(2)) * 1j), Point(s, 0)))
-        b = arc_carrier(arc_through(Point(-s, 0), Point.of(-s * (1 + math.sqrt(2)) * 1j), Point(s, 0)))
-        pts, _ = pencil_meet(*zip(a, b), scale=s)
-        assert sorted(p.real for p in pts) == pytest.approx([-s, s], rel=1e-14)
-        assert max(abs(p.imag) for p in pts) < 1e-14 * s
-
-    def test_parallel_lines_meet_at_infinity_only(self):
-        a = arc_carrier(Arc(Point(0, -0.5), Point(1, -0.5), 0.0))
-        b = arc_carrier(Arc(Point(0, 0.5), Point(1, 0.5), 0.0))
-        pts, _ = pencil_meet(*zip(a, b))
-        assert pts == [AT_INFINITY, AT_INFINITY]
-
-    def test_disjoint_circles_share_no_point(self):
-        a = arc_carrier(Arc(Point(-2.5, 0), Point(-0.5, 0), segment_area(math.pi / 2, 2.0)))
-        b = arc_carrier(Arc(Point(0.5, 0), Point(2.5, 0), segment_area(math.pi / 2, 2.0)))
-        assert pencil_meet(*zip(a, b))[0] == []
 
 
 class TestSecondIntersection:
@@ -320,6 +280,15 @@ class TestSecondIntersection:
         )
         with pytest.raises(NotConcurrent):
             second_intersection(*zip(*carriers, shifted))
+
+    def test_carrier_missing_the_origin_raises(self):
+        carriers = [
+            arc_carrier(arc_through(Point(0, 0), Point.of(1 + y * 1j), Point(2, 0)))
+            for y in (0.5, 1.0)
+        ]
+        missing = arc_carrier(arc_through(Point(1e-3, 0), Point(1, -0.7), Point(2, 0)))
+        with pytest.raises(NotConcurrent, match="pass through the base point"):
+            second_intersection(*zip(*carriers, missing))
 
 
 class TestMobius:
