@@ -14,8 +14,9 @@ cluster exits 2, and writes nothing, when ``validate`` rejects the result:
 the reader calls :func:`foamlab.cluster.validated`, and the library admits
 what it builds, once each.
 Every input or argument error is a :class:`FoamlabError` that ``run`` prints
-after ``error: ``.  A verb that needs pressures of a document whose
-curvature sums disagree (:class:`PathInconsistent`) exits 1.
+after ``error: ``; an input too large for memory (a ``MemoryError``) exits 2
+the same way.  A verb that needs pressures of a document whose curvature
+sums disagree (:class:`PathInconsistent`) exits 1.
 """
 
 from __future__ import annotations
@@ -310,6 +311,10 @@ def run(argv: Optional[List[str]] = None) -> int:
         return EXIT_FAIL
     except (FoamlabError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as err:  # numpy's names the size it could not allocate
+        detail = f": {err}" if str(err) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -57,6 +57,13 @@ def mobius_apply_cluster(m: MobiusMap, cluster: Cluster) -> Cluster:
 # elementary closed forms
 
 
+def _normal_squares(*lengths: float) -> bool:
+    """Whether every length is positive with a normal square, as a preset's
+    lengths must be: the arithmetic of its areas and bulges squares them.
+    Refuses nan and the infinities too."""
+    return all(r > 0 and np.finfo(float).tiny <= r * r < math.inf for r in lengths)
+
+
 def double_bubble(r1: float = 1.0, r2: float = 1.0) -> Cluster:
     """Standard double bubble with outer radii r1 and r2.
 
@@ -71,7 +78,7 @@ def double_bubble(r1: float = 1.0, r2: float = 1.0) -> Cluster:
     sin(phi) = y (1/r1 - 1/r2), straight for equal radii.  Radii must be
     positive with normal squares and keep every half-angle below ``PHI_LIMIT``.
     """
-    if not all(r > 0 and np.finfo(float).tiny <= r * r < math.inf for r in (r1, r2)):
+    if not _normal_squares(r1, r2):
         raise GeometryDomainError(f"radii {r1:g} and {r2:g} must be positive, with normal squares")
     d = math.sqrt(r1 * r1 + r2 * r2 - r1 * r2)
     x, y = r1 * (2.0 * r1 - r2) / (2.0 * d), 0.5 * math.sqrt(3.0) * r1 * r2 / d
@@ -318,10 +325,12 @@ def two_lens(lens1: float = 0.8, lens2: float = 0.8, separation: float = 2.0) ->
     (pairs of 60-degree arcs meeting the line at 120 degrees), then mapped by
     z -> 1/(z - i) so the line closes up into a circle through the origin.
     Region 1 is the main bubble, regions 2 and 3 the lenses; edges 0 and 1
-    are the two arcs of the main circle.
+    are the two arcs of the main circle.  The sizes and the separation must
+    be positive with normal squares, and each lens's two points on the line
+    distinct beside the separation, or ``GeometryDomainError`` is raised.
     """
-    if lens1 <= 0 or lens2 <= 0 or separation <= 0:
-        raise GeometryDomainError("lens sizes and separation must be positive")
+    if not _normal_squares(lens1, lens2, separation):
+        raise GeometryDomainError("lens sizes and separation must be positive, with normal squares")
     if lens1 / 2 + lens2 / 2 >= separation:
         raise TopologyBreakdown("lenses overlap")
     if max(lens1, lens2) / (2.0 * math.sqrt(3.0)) >= 0.9:
@@ -329,6 +338,8 @@ def two_lens(lens1: float = 0.8, lens2: float = 0.8, separation: float = 2.0) ->
     s = separation / 2.0
     # the line's vertices b1, a2, b2, a1, where lens k spans a_k -> b_k
     line = [-s + lens1 / 2, s - lens2 / 2, s + lens2 / 2, -s - lens1 / 2]
+    if not (line[3] < line[0] and line[1] < line[2]):
+        raise GeometryDomainError("a lens rounds to a point beside the separation")
     ends = [(0, 1), (2, 3), (3, 0), (3, 0), (1, 2), (1, 2)]
     # edge 1 is the piece of the line through infinity, from b2 to a1: the
     # arc of half-angle pi, which closes up through m(inf) = 0; each lens
@@ -409,10 +420,13 @@ def flower(lens_size: float = 0.18, radius: float = 1.0) -> Cluster:
     Vertices 0..3 are the center region's corners and 4..7 the outer ends
     of the four straight separators, vertex k and 4 + k in direction
     k pi/2 from the center.  Petal k + 1 lies counterclockwise of separator
-    k, and region 5 is the center.
+    k, and region 5 is the center.  Both lengths must be positive with
+    normal squares, or ``GeometryDomainError`` is raised.
     """
     r = radius
-    if not 0 < lens_size < 0.5 * r:
+    if not _normal_squares(lens_size, r):
+        raise GeometryDomainError("lens_size and radius must be positive, with normal squares")
+    if not lens_size < 0.5 * r:
         raise GeometryDomainError("lens_size must be in (0, radius/2)")
     o = complex(r / 2, 0.0)  # axis crossing = flower center
     a = lens_size * (1.0 - 1.0 / math.sqrt(3.0))  # center-square corner distance

@@ -44,6 +44,10 @@ FORM_120 = 0.5
 #: edge's antipodality defect, all dimensionless.
 CORRESPONDENCE_TOL = 1e-8
 
+#: ``carrier`` refuses a point whose quadric value t^2 - x^2 - y^2 - z^2 is
+#: off -1 by more than this fraction of t^2 + x^2 + y^2 + z^2.
+QUADRIC_TOL = 1e-9
+
 
 def coordinates(A, B, D) -> np.ndarray:
     """(t, x, y, z) = ((A+D)/2, Re B, Im B, (A-D)/2) of carriers (A, B, D),
@@ -54,11 +58,11 @@ def coordinates(A, B, D) -> np.ndarray:
 def carrier(X):
     """The carriers (A, B, D) = (t + z, x + iy, t - z) of de Sitter points X
     of shape (..., 4).  Raises :class:`GeometryDomainError` unless every
-    point lies on the quadric t^2 - x^2 - y^2 - z^2 = -1, relative to the
-    size of its entries."""
+    point lies on the quadric t^2 - x^2 - y^2 - z^2 = -1, to within
+    ``QUADRIC_TOL`` relative to the size of its entries."""
     t, x, y, z = np.moveaxis(np.asarray(X, dtype=float), -1, 0)
     tt, ss = t * t, x * x + y * y + z * z
-    off = ~(np.abs(tt - ss + 1.0) <= 1e-9 * (tt + ss))
+    off = ~(np.abs(tt - ss + 1.0) <= QUADRIC_TOL * (tt + ss))
     if off.any():
         raise GeometryDomainError(f"quadric value {(tt - ss)[off].flat[0]:.3e} is not -1")
     return t + z, x + 1j * y, t - z

@@ -188,6 +188,12 @@ def _gauss_newton_step(M: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(M[:, :k], -M[:, k], rcond=STEP_RCOND)[0]
 
 
+def _norm(f: np.ndarray) -> float:
+    """|f| without overflow: ``np.linalg.norm`` squares the entries, so it
+    overflows once |f| passes about 1e154, where ``math.hypot`` scales."""
+    return math.hypot(*f.tolist())
+
+
 def lm_minimize(initial: Cluster, rows: Callable, jac: Callable, max_iter: int) -> Tuple[Cluster, List[float]]:
     """Gauss-Newton with least-squares steps and step halving over the chart
     of ``initial.unit()``, on the rows ``rows(c)`` of the cluster c at each
@@ -223,7 +229,7 @@ def lm_minimize(initial: Cluster, rows: Callable, jac: Callable, max_iter: int) 
         return np.concatenate([rows(c), R @ (c.chart() - x0)])
 
     f = stacked(c)
-    history = [float(np.linalg.norm(f))]
+    history = [_norm(f)]
     last = ""
     while not np.abs(f[: -len(R)]).max() < SOLVE_TOL:
         if len(history) > max_iter:
@@ -238,7 +244,7 @@ def lm_minimize(initial: Cluster, rows: Callable, jac: Callable, max_iter: int) 
                 f_try = stacked(trial)
             except TopologyBreakdown as err:  # an unrealizable trial is infinitely bad
                 f_try, last = f + math.inf, f" (last rejected trial: {err})"
-            norm = float(np.linalg.norm(f_try))
+            norm = _norm(f_try)
             if norm < history[-1]:
                 break
             delta *= 0.5

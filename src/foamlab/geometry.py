@@ -36,6 +36,9 @@ from .errors import GeometryDomainError, NotConcurrent
 PHI_LIMIT = math.pi - 1e-9
 #: Mobius images must stay below this, so chord^2 segment_area(PHI_LIMIT, 1) (~4e17) is finite.
 IMAGE_LIMIT = 1e140
+#: ``bulge_angle_from_area``'s Newton stops at a step of at most this
+#: fraction of phi, two units in the last place.
+NEWTON_STOP = 4e-16
 
 
 class Point(NamedTuple):
@@ -127,7 +130,7 @@ def bulge_angle_from_area(chord_length: float, area: float) -> float:
     [pi/2, pi).  So the start 6a, or pi - sqrt(pi / (8a)) if lower and
     a > 1 / (2 pi), is at or right of the root, and Newton decreases
     monotonically onto it, evaluating a and a' together.  A relative stop
-    (step <= 4e-16 phi) keeps near-straight arcs accurate.
+    (step <= ``NEWTON_STOP`` phi) keeps near-straight arcs accurate.
     """
     c = chord_length
     if not (c > 0.0) or not math.isfinite(area):
@@ -140,7 +143,7 @@ def bulge_angle_from_area(chord_length: float, area: float) -> float:
         f, df = _unit_segment(phi)
         step = (f - a) / df
         phi -= step
-        if step <= 4e-16 * phi:
+        if step <= NEWTON_STOP * phi:
             break
     if phi >= PHI_LIMIT:
         raise GeometryDomainError("segment area too large for a sub-full-circle arc")
@@ -170,16 +173,17 @@ def arc_through(tail: Point, mid: Point, head: Point) -> Arc:
 
     Uses the inscribed-angle relation: with beta = arg((head-mid)/(tail-mid)),
     the half-angle is phi = beta -+ pi, which stays well conditioned even for
-    nearly straight arcs (no circumcenter solve).
+    nearly straight arcs (no circumcenter solve).  So |phi| = pi - |beta|,
+    and an arc with |phi| beyond ``PHI_LIMIT`` is refused.
     """
     u = tail.z - mid.z
     v = head.z - mid.z
     if abs(u) == 0.0 or abs(v) == 0.0:
         raise GeometryDomainError("arc_through: coincident sample points")
     beta = cmath.phase(v / u)
-    if abs(beta) < 1e-9:
-        raise GeometryDomainError("arc_through: arc is nearly a full circle")
     phi = beta - math.pi if beta > 0 else beta + math.pi
+    if abs(phi) > PHI_LIMIT:
+        raise GeometryDomainError("arc_through: arc is nearly a full circle")
     return Arc(tail, head, segment_area(phi, abs(head.z - tail.z)))
 
 
@@ -264,6 +268,18 @@ def second_intersection(A, B, D):
 # ---------------------------------------------------------------------------
 # Mobius (linear fractional) transformations
 
+#: A map is singular when |ad - bc| is at most this fraction of |ad| + |bc|.
+MOBIUS_SINGULAR = 1e-12
+#: A map is affine, with its pole at infinity, when |c| is below this
+#: fraction of max(|a|, |d|).
+MOBIUS_AFFINE = 1e-15
+#: A point is at the pole when |cz + d| is at most this fraction of
+#: |cz| + |d|.
+POLE_CLEARANCE = 1e-9
+#: ``mobius_image`` refuses a pole within this many chord lengths of an
+#: arc, of either end or, beside the arc, of its carrier.
+ARC_POLE_CLEARANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class MobiusMap:
@@ -276,7 +292,7 @@ class MobiusMap:
 
     def __post_init__(self):
         ad, bc = self.a * self.d, self.b * self.c
-        if abs(ad - bc) <= 1e-12 * (abs(ad) + abs(bc)):
+        if abs(ad - bc) <= MOBIUS_SINGULAR * (abs(ad) + abs(bc)):
             raise GeometryDomainError("Mobius map is singular (ad - bc ~ 0)")
 
     @staticmethod
@@ -314,7 +330,7 @@ class MobiusMap:
         return MobiusMap(self.d, -self.b, -self.c, self.a)
 
     def pole(self) -> Optional[complex]:
-        if abs(self.c) < 1e-15 * max(abs(self.a), abs(self.d)):
+        if abs(self.c) < MOBIUS_AFFINE * max(abs(self.a), abs(self.d)):
             return None
         return -self.d / self.c
 
@@ -326,12 +342,13 @@ class MobiusMap:
     def _fraction(self, z):
         """(a z + b, c z + d) with the entries scaled by a power of two, the
         largest into [1/2, 1), which changes no rounding and lets no product
-        overflow.  Raises :class:`GeometryDomainError` for a point within 1e-9
-        (relative) of the pole, or an image that would reach ``IMAGE_LIMIT``."""
+        overflow.  Raises :class:`GeometryDomainError` for a point within
+        ``POLE_CLEARANCE`` (relative) of the pole, or an image that would
+        reach ``IMAGE_LIMIT``."""
         s = 2.0 ** -math.frexp(max(abs(self.a), abs(self.b), abs(self.c), abs(self.d)))[1]
         a, b, c, d = self.a * s, self.b * s, self.c * s, self.d * s
         num, den = a * z + b, c * z + d
-        if (np.abs(den) <= 1e-9 * (np.abs(c * z) + abs(d))).any():
+        if (np.abs(den) <= POLE_CLEARANCE * (np.abs(c * z) + abs(d))).any():
             raise GeometryDomainError("point too close to the Mobius pole")
         if not (np.abs(num) / IMAGE_LIMIT < np.abs(den)).all():
             raise GeometryDomainError(f"Mobius image has points beyond {IMAGE_LIMIT:g} in magnitude")
@@ -346,9 +363,10 @@ def mobius_image(m: MobiusMap, points, ends, phis) -> Tuple[np.ndarray, np.ndarr
     -2 arg w(tail) and the chord by -arg(w(tail) w(head)), so phi becomes
     phi + arg(w(tail) / w(head)), wrapped to (-pi, pi].  Raises
     :class:`GeometryDomainError`, before dividing, where
-    :meth:`MobiusMap.apply` does and when the pole lies within 1e-6 chord
-    lengths of an arc.  An image half-angle may reach ``PHI_LIMIT``: the
-    callers' results bound it in :func:`validate`'s ``half_angles`` check.
+    :meth:`MobiusMap.apply` does and when the pole lies within
+    ``ARC_POLE_CLEARANCE`` chord lengths of an arc.  An image half-angle may
+    reach ``PHI_LIMIT``: the callers' results bound it in :func:`validate`'s
+    ``half_angles`` check.
     """
     z, phis = np.asarray(points, dtype=complex), np.asarray(phis, dtype=float)
     ends = np.asarray(ends, dtype=int).reshape(-1, 2)
@@ -359,9 +377,9 @@ def mobius_image(m: MobiusMap, points, ends, phis) -> Tuple[np.ndarray, np.ndarr
         # it is tested divided by |u|, whose square may overflow
         u = (pole - z[ends[:, 0]]) / (z[ends[:, 1]] - z[ends[:, 0]])
         r = np.abs(u)
-        near = np.abs(np.sin(phis) * r - (np.exp(1j * phis) * u).imag / r) <= 1e-6 / r
-        beside = (phis * u.imag < 0.0) | ((np.abs(u.imag) <= 1e-6) & (u.real >= 0.0) & (u.real <= 1.0))
-        if ((np.minimum(r, np.abs(u - 1.0)) <= 1e-6) | (near & beside)).any():
+        near = np.abs(np.sin(phis) * r - (np.exp(1j * phis) * u).imag / r) <= ARC_POLE_CLEARANCE / r
+        beside = (phis * u.imag < 0.0) | ((np.abs(u.imag) <= ARC_POLE_CLEARANCE) & (u.real >= 0.0) & (u.real <= 1.0))
+        if ((np.minimum(r, np.abs(u - 1.0)) <= ARC_POLE_CLEARANCE) | (near & beside)).any():
             raise GeometryDomainError("Mobius pole lies on or near the arc")
     arg = np.angle(den)
     phi = math.pi - np.remainder(math.pi - phis - arg[ends[:, 0]] + arg[ends[:, 1]], 2.0 * math.pi)

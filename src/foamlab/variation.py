@@ -216,9 +216,15 @@ class EliminatedHessian:
     negative semidefinite, so each ascending eigenvalue mu_i(Z(sigma)) is
     non-increasing there.  With p poles below sigma the count is
     p + n_-(Z(sigma)) - rank, so it is at most t exactly when
-    mu_(t + rank - p)(Z(sigma)) >= 0 (indexed from 0), both read off the
-    same ``eigvalsh``; ``smallest`` finds the sign change of that eigenvalue
-    by inverse-quadratic steps, with bisection as the safeguard.
+    g_t(sigma) = mu_(t + rank - p)(Z(sigma)) >= 0 (indexed from 0), both
+    read off the same ``eigvalsh``.  g_t is continuous through the poles
+    too: near a pole Lambda, Z = A(sigma) - w w^T / (Lambda - sigma) with A
+    smooth, so one eigenvalue of Z falls to -inf below Lambda and returns
+    from +inf above it while p grows by one, and the others, re-indexed by
+    t + rank - p, reach the same limits from both sides.  ``smallest``
+    finds the sign change of g_t by inverse-quadratic steps, with bisection
+    as the safeguard; only counts move a bracket, so a poor step costs a
+    round, never a wrong eigenvalue.
     """
 
     lam: np.ndarray  # (e, m-1) eigenvalues Lambda_j of the edge blocks T_j
@@ -321,21 +327,19 @@ class EliminatedHessian:
 
         * while an end is still at the bound (an eigenvalue beyond the
           ladder), the other end doubled;
-        * inside a pole-free bracket (the same pole count p at both ends)
-          that has halved in the last three rounds, a zero of
-          g_t(sigma) = mu_(t + rank - p)(Z(sigma)), which is continuous and
-          non-increasing there, >= 0 at lo_t and < 0 at hi_t (see
-          ``EliminatedHessian``): the inverse-quadratic point (Brent's)
-          through lo_t, hi_t and the end last replaced, if that one has p
-          poles too and the point lands strictly inside the bracket;
+        * inside a bracket that has halved in the last three rounds, a
+          zero of g_t, which is continuous, >= 0 at lo_t and < 0 at hi_t
+          (see ``EliminatedHessian``): the inverse-quadratic point
+          (Brent's) through lo_t, hi_t and the end last replaced, if the
+          point lands strictly inside the bracket;
         * otherwise the midpoint.  (A stall of two rounds, not three, takes
-          219 batches and 655 sigmas on ``test_evaluation_budget``'s 16
-          reports, against 216 and 648.)
+          195 batches and 646 sigmas on ``test_evaluation_budget``'s 16
+          reports, against 193 and 644.)
 
         Proposals are clipped to [lo_t + w/2, hi_t - w/2], and a target closes
         when hi_t - lo_t <= w = 2 * bound * 2^-53, the width that 53 halvings
         of [-bound, bound] reach; it reports the midpoint.  On the presets
-        at m = 64 and 128, six targets take 7 to 19 batches and 20 to 70
+        at m = 64 and 128, six targets take 6 to 19 batches and 20 to 70
         sigmas.
         """
         k = _size("k", k, 0)
@@ -348,15 +352,13 @@ class EliminatedHessian:
         its first batch, which also returns the counts and Schur eigenvalues
         there and how many evaluations it made.
         The bookkeeping is plain Python: on at most six targets, a numpy
-        call costs more than the arithmetic it does.  Each end keeps its g_t
-        and pole count, for the inverse-quadratic point."""
+        call costs more than the arithmetic it does.  Each end keeps its g_t,
+        for the inverse-quadratic point."""
         bound, rank, top = self.bound, self.rank, self.border.shape[0] - 1
         w = 2.0 * bound * 2.0**-53
         lo, hi = [-bound] * k, [bound] * k
-        glo, ghi = [0.0] * k, [0.0] * k  # g_t at the ends
-        prev = [(0.0, 0.0, -3)] * k  # the end last replaced: sigma, g_t, pole count
-        # pole counts at the ends, unequal until both ends are evaluated
-        plo, phi = [-1] * k, [-2] * k
+        glo, ghi = [math.nan] * k, [math.nan] * k  # g_t at the ends, nan until evaluated
+        prev = [(math.nan, math.nan)] * k  # the end last replaced: sigma, g_t
         before = [(math.inf,) * 3] * k  # widths one, two and three rounds ago
         sigma = sorted({-probe, probe, *SLICE_LADDER})
         probes = None
@@ -374,26 +376,26 @@ class EliminatedHessian:
                 # lo_t: the greatest inside the new bracket whose count does not
                 for s, c, p, z in rows:
                     if c > t and lo[t] < s < hi[t]:
-                        prev[t] = (hi[t], ghi[t], phi[t])
-                        hi[t], ghi[t], phi[t] = s, z[min(max(t + rank - p, 0), top)], p
+                        prev[t] = (hi[t], ghi[t])
+                        hi[t], ghi[t] = s, z[min(max(t + rank - p, 0), top)]
                         break
                 for s, c, p, z in reversed(rows):
                     if c <= t and lo[t] < s < hi[t]:
-                        prev[t] = (lo[t], glo[t], plo[t])
-                        lo[t], glo[t], plo[t] = s, z[min(max(t + rank - p, 0), top)], p
+                        prev[t] = (lo[t], glo[t])
+                        lo[t], glo[t] = s, z[min(max(t + rank - p, 0), top)]
                         break
 
                 width = hi[t] - lo[t]
-                stalled = plo[t] != phi[t] or width > 0.5 * before[t][2]
+                stalled = width > 0.5 * before[t][2]
                 before[t] = (width, *before[t][:2])
                 if width <= w:
                     continue
                 x = lo[t] + 0.5 * width
-                # inside a pole-free bracket, the inverse quadratic point
-                # through both ends and the end last replaced, if it lands
-                # strictly inside
-                if not stalled and prev[t][2] == plo[t]:
-                    q = _inverse_quadratic(prev[t][:2], (lo[t], glo[t]), (hi[t], ghi[t]))
+                # the inverse quadratic point through both ends and the end
+                # last replaced, if it lands strictly inside (nan while one
+                # of them is unevaluated)
+                if not stalled:
+                    q = _inverse_quadratic(prev[t], (lo[t], glo[t]), (hi[t], ghi[t]))
                     if lo[t] < q < hi[t]:
                         x = q
                 # an end still at the bound was never evaluated: grow the other
@@ -414,9 +416,9 @@ class EliminatedHessian:
 def _inverse_quadratic(a: Tuple[float, float], b: Tuple[float, float], c: Tuple[float, float]) -> float:
     """Brent's inverse quadratic interpolation: sigma at g = 0 on the
     quadratic sigma(g) through three points (sigma, g), or nan unless their
-    g are distinct.  Newton's divided differences divide by differences of
-    distinct g only, and start from the point of least |g|, so the
-    corrections, and their roundoff, are smallest."""
+    g are distinct numbers.  Newton's divided differences divide by
+    differences of distinct g only, and start from the point of least |g|,
+    so the corrections, and their roundoff, are smallest."""
     (x0, g0), (x1, g1), (x2, g2) = sorted((a, b, c), key=lambda p: abs(p[1]))
     if g0 == g1 or g1 == g2 or g0 == g2:
         return math.nan

@@ -304,6 +304,38 @@ class TestWrittenClusters:
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", f"error: {err.value}\n")
 
+    @pytest.mark.parametrize(
+        "err, message",
+        [
+            (MemoryError("Unable to allocate 74.5 GiB"), "error: out of memory: Unable to allocate 74.5 GiB\n"),
+            (MemoryError(), "error: out of memory\n"),
+        ],
+    )
+    def test_out_of_memory_is_exit_2_with_one_line(self, monkeypatch, capsys, err, message):
+        # a huge necklace asks for a k x 3k identity; the preset is replaced,
+        # not run, since an overcommitting host might grant and then touch it
+        def build(args):
+            raise err
+
+        monkeypatch.setitem(cli._PRESETS, "necklace", build)
+        assert run(["new", "necklace", "--k", "100000"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", message)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["two_lens", "--separation", "inf"],
+            ["two_lens", "--lens1", "1e-300"],
+            ["flower", "--radius", "1e300"],
+        ],
+    )
+    def test_preset_parameters_beyond_the_normal_range_are_exit_2(self, capsys, argv):
+        assert run(["new", *argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("error: ") and "must be positive, with normal squares" in out.err
+
     def test_output_to_a_directory_is_exit_2(self, tmp_path):
         assert run_quietly(["new", "double", "-o", str(tmp_path)])[0] == 2
 

@@ -9,7 +9,7 @@ import pytest
 import foamlab as fl
 from foamlab.cluster import _END_SIGN, rigid_motion_basis
 from foamlab.constructions import _isodynamic, _quasi_rows
-from foamlab.errors import GeometryDomainError
+from foamlab.errors import GeometryDomainError, TopologyBreakdown
 from foamlab.geometry import AT_INFINITY, Point, arc_carrier, second_intersection
 
 from conftest import tiny_decorated_image, tiny_image
@@ -593,6 +593,58 @@ class TestConstructorsValidate:
         # each returned a cluster with chords below the floor, which
         # validate rejects
         with pytest.raises(GeometryDomainError, match=r"^invalid cluster: edge_chords: degenerate edges"):
+            build()
+
+
+class TestPresetParameters:
+    # every decade from the subnormals to the largest double, then the
+    # smallest subnormal, nan, the infinities, zero and a negative
+    SWEEP = [10.0**k for k in range(-320, 309)] + [5e-324, math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: fl.two_lens(x, 0.8),
+            lambda x: fl.two_lens(0.8, x),
+            lambda x: fl.two_lens(0.8, 0.8, x),
+            lambda x: fl.two_lens(0.8 * x, 0.8 * x, 2.0 * x),
+            lambda x: fl.flower(x),
+            lambda x: fl.flower(0.18, x),
+            lambda x: fl.flower(0.18 * x, x),
+        ],
+        ids=["lens1", "lens2", "separation", "two_lens_scale", "lens_size", "radius", "flower_scale"],
+    )
+    def test_sweep_builds_or_refuses_without_warnings(self, build):
+        # a tiny lens, a huge separation or radius once printed numpy
+        # warnings before its typed error (or a misleading one)
+        built = 0
+        for x in self.SWEEP:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    c = build(x)
+                except TopologyBreakdown as err:
+                    assert str(err) == "lenses overlap", x
+                except GeometryDomainError:
+                    pass
+                else:
+                    assert fl.validate(c).ok, x
+                    built += 1
+        assert built > 0
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: fl.two_lens(separation=math.inf), "lens sizes and separation must be positive, with normal squares"),
+            (lambda: fl.two_lens(1e-300), "lens sizes and separation must be positive, with normal squares"),
+            (lambda: fl.two_lens(1e-17), "a lens rounds to a point beside the separation"),
+            (lambda: fl.two_lens(separation=1e20), "a lens rounds to a point beside the separation"),
+            (lambda: fl.flower(radius=1e160), "lens_size and radius must be positive, with normal squares"),
+        ],
+        ids=["infinite_separation", "subnormal_square", "tiny_lens", "huge_separation", "huge_radius"],
+    )
+    def test_refused_before_any_arithmetic(self, build, message):
+        with pytest.raises(GeometryDomainError, match=f"^{re.escape(message)}$"):
             build()
 
 

@@ -1,3 +1,4 @@
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,25 @@ class TestLmMinimize:
         out = fl.solve(two_lens, target)
         assert fl.region_areas(out) == pytest.approx(target, abs=1e-9)
         assert fl.classify(out) is fl.Verdict.EQUILIBRIUM
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: fl.solve(fl.triple_bubble(), [1e300, 1.0, 1.0]),
+            lambda: fl.solve(fl.triple_bubble(), [1e200] * 3),
+            lambda: fl.continue_family(fl.triple_bubble(), [1e300, 1.0, 1.0]),
+            lambda: fl.quasi_variant("two_lens_recurved", 1e300),
+            lambda: fl.quasi_variant("four_stretched", 1e300),
+        ],
+        ids=["solve_1e300", "solve_1e200", "continue_1e300", "recurved_1e300", "stretched_1e300"],
+    )
+    def test_huge_residual_norm_does_not_overflow(self, call):
+        # |f| far past 1e154, where a sum of squares overflows: the solver
+        # stalls with its typed error and no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence, match="^stalled step"):
+                call()
 
     def test_numeric_jacobian(self):
         fun = lambda x: np.array([x[0] ** 2, x[0] * x[1]])
